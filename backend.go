@@ -2,18 +2,19 @@ package torchgt
 
 import "torchgt/internal/tensor"
 
-// Compute backends: every matrix kernel in the system — the attention
-// kernels, nn.Linear, the serving replicas — dispatches through a pluggable
-// tensor.Backend. Two are built in:
+// Compute backends: the matrix kernels every layer runs on — the attention
+// kernels, nn.Linear, the serving replicas — have one order-preserving
+// implementation, and the transcendental row ops around them (exp, softmax,
+// bias+GELU) dispatch through a pluggable tensor.Backend. Two are built in:
 //
-//   - "ref" (reference): the bitwise-pinned panel-blocked kernels training
-//     defaults to. Trajectories are reproducible across releases.
-//   - "opt" (optimized): register-tiled microkernels with autotuned panel
-//     widths and fast float32 exp/tanh paths. Self-deterministic (results
-//     independent of worker count and tuning outcome); matrix products match
-//     the reference bitwise, Dot and the exp/GELU paths differ within a small
-//     documented tolerance. See DESIGN.md "Compute backends and quantized
-//     serving".
+//   - "ref" (reference): float64 math.Exp / GELU rounded to float32, the
+//     bitwise-pinned numerics training defaults to. Trajectories are
+//     reproducible across releases.
+//   - "opt" (optimized): fast float32 exp/tanh polynomials.
+//     Self-deterministic (results independent of worker count); everything
+//     but the exp/softmax/GELU paths is shared with "ref", and those differ
+//     within a small documented tolerance. See DESIGN.md "Compute backends
+//     and quantized serving".
 //
 // The selection is process-wide: SetBackend here, the TORCHGT_BACKEND
 // environment variable, or the -backend flag on the CLI tools.
@@ -21,19 +22,13 @@ type (
 	// Backend is the sealed compute-kernel interface (implementations live
 	// in the tensor package).
 	Backend = tensor.Backend
-	// AutotuneReport is what the optimized backend's panel-width sweep
-	// measured and chose, plus per-kernel optimized-vs-reference speedups.
-	AutotuneReport = tensor.AutotuneReport
-	// KernelTuning is one kernel's panel-width sweep record.
-	KernelTuning = tensor.KernelTuning
-	// KernelSpeedup is one kernel's optimized-vs-reference timing.
+	// KernelSpeedup is one op's optimized-vs-reference timing.
 	KernelSpeedup = tensor.KernelSpeedup
 )
 
 // SetBackend activates the compute backend named by a CLI spelling ("ref",
 // "reference", "opt", "optimized"; "" keeps the reference default) for all
-// subsequent kernel dispatch, process-wide. The optimized backend autotunes
-// its panel sizes on first activation. It returns the previously active
+// subsequent kernel dispatch, process-wide. It returns the previously active
 // backend's name so callers can restore it.
 func SetBackend(name string) (prev string, err error) { return tensor.SetBackend(name) }
 
@@ -44,7 +39,7 @@ func ActiveBackend() Backend { return tensor.ActiveBackend() }
 // forms, as accepted by SetBackend and the -backend CLI flags).
 func BackendNames() []string { return tensor.BackendNames() }
 
-// BackendTuningReport returns the optimized backend's autotune report, or
-// ok=false if that backend has not been activated (and therefore not tuned)
-// yet in this process.
-func BackendTuningReport() (*AutotuneReport, bool) { return tensor.TuningReport() }
+// BackendTuningReport times every op that differs between the two backends
+// on a fixed synthetic operand (some tens of milliseconds; nothing is cached) and
+// returns the optimized-vs-reference speedups.
+func BackendTuningReport() []KernelSpeedup { return tensor.TuningReport() }

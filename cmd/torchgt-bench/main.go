@@ -48,7 +48,7 @@ func run(ctx context.Context, args []string) error {
 	exp := fs.String("exp", "all", "experiment id (see -list) or 'all'")
 	scale := fs.String("scale", "full", "smoke | full")
 	dataSpec := fs.String("data", "", "node-level dataset spec; routes every experiment's node dataset through it (subsampled to each experiment's scale)")
-	backend := fs.String("backend", "", "compute backend: ref (bitwise-pinned default) | opt (autotuned microkernels)")
+	backend := fs.String("backend", "", "compute backend: ref (bitwise-pinned default) | opt (fast float32 exp/softmax/GELU)")
 	outdir := fs.String("outdir", ".", "directory receiving one BENCH_<id>.json artifact per executed experiment")
 	list := fs.Bool("list", false, "list experiment ids and exit")
 	if err := fs.Parse(args); err != nil {

@@ -26,7 +26,7 @@
 // -quant int8|bf16 re-encodes the snapshot's weights for compact storage
 // (int8: per-output-channel scales; bf16: truncated float32) with a
 // documented, test-pinned accuracy bound; replicas dequantize once at
-// startup. -backend opt serves on the autotuned optimized kernels.
+// startup. -backend opt serves with the fast float32 exp/softmax/GELU paths.
 package main
 
 import (
@@ -64,7 +64,7 @@ func main() {
 	snapshotPath := flag.String("snapshot", "", "load a frozen snapshot instead of training (SIGHUP re-reads it in -http mode)")
 	saveSnapshot := flag.String("save-snapshot", "", "write the frozen snapshot to this path")
 	trainOnly := flag.Bool("train-only", false, "obtain + save the snapshot, then exit without serving")
-	backend := flag.String("backend", "", "compute backend: ref (bitwise-pinned default) | opt (autotuned microkernels)")
+	backend := flag.String("backend", "", "compute backend: ref (bitwise-pinned default) | opt (fast float32 exp/softmax/GELU)")
 	quant := flag.String("quant", "", "quantize the snapshot before serving/saving: none | int8 | bf16")
 
 	workers := flag.Int("workers", 0, "replica workers (0 = default)")

@@ -24,9 +24,9 @@
 // plan (P ranks resharding sequence↔heads through channel all-to-alls).
 // The trajectory is bitwise identical to the serial run, so every other
 // feature — events, checkpoints, resume, early stopping — composes with it.
-// -backend opt trains on the autotuned optimized kernels (faster, within a
-// small tolerance of the bitwise-pinned reference default — see DESIGN.md
-// "Compute backends and quantized serving").
+// -backend opt trains with the fast float32 exp/softmax/GELU paths (faster,
+// within a small tolerance of the bitwise-pinned reference default — see
+// DESIGN.md "Compute backends and quantized serving").
 //
 // -rendezvous runs real cross-process sequence parallelism over TCP: rank 0
 // listens on the address, the other ranks dial in, and the world trains one
@@ -35,10 +35,13 @@
 // command is a launcher: it forks the whole world as local processes and
 // propagates their exit codes. With -rank it is one worker of a (possibly
 // multi-machine) job. -dp R splits the world into R data-parallel replicas
-// (world = R × sequence ranks). If a peer dies mid-run the survivors roll
-// back to the last completed optimiser step, write a checkpoint (with
-// -checkpoint-dir) and exit with code 75 — resume at a smaller world with
-// -resume + -rendezvous. See DESIGN.md "Cross-process execution".
+// (world = R × sequence ranks). The torchgt methods need -beta B here: it
+// pins βthre, which the Auto Tuner would otherwise move from wall-clock
+// epoch times that differ from rank to rank. If a peer dies mid-run the
+// survivors roll back to the last completed optimiser step, write a
+// checkpoint (with -checkpoint-dir) and exit with code 75 — resume at a
+// smaller world with -resume + -rendezvous. See DESIGN.md "Cross-process
+// execution".
 package main
 
 import (
@@ -72,7 +75,7 @@ func run(ctx context.Context, args []string) error {
 	dataset := fs.String("dataset", "arxiv-sim", "synthetic dataset name (node- or graph-level)")
 	modelName := fs.String("model", "gph-slim", "gph-slim | gph-large | gt | nodeformer")
 	method := fs.String("method", "torchgt", "gp-raw | gp-flash | gp-sparse | torchgt | torchgt-bf16 | nodeformer")
-	backend := fs.String("backend", "", "compute backend: ref (bitwise-pinned default) | opt (autotuned microkernels)")
+	backend := fs.String("backend", "", "compute backend: ref (bitwise-pinned default) | opt (fast float32 exp/softmax/GELU)")
 	epochs := fs.Int("epochs", 20, "training epochs")
 	nodes := fs.Int("nodes", 2048, "node count for synthetic node-level datasets (0 = preset)")
 	lr := fs.Float64("lr", 2e-3, "learning rate")
@@ -82,6 +85,7 @@ func run(ctx context.Context, args []string) error {
 	egoWorkers := fs.Int("ego-workers", 0, "sampling-pipeline workers for -ego (0 = synchronous; any count is bitwise-identical)")
 	reorderK := fs.Int("reorder", 0, "cluster-reorder the node dataset into K partition-contiguous blocks (appends reorder=cluster&reorderk=K to the spec; 0 = off)")
 	pack := fs.Bool("pack", false, "pack contiguous sparse-mode graphs of each graph-level batch into one block-diagonal forward (bitwise-identical gradients)")
+	beta := fs.Float64("beta", -1, "pin βthre for the torchgt methods instead of running the Auto Tuner (negative = tuner; required with -rendezvous, where wall-clock tuning would diverge across ranks)")
 	seqPar := fs.Int("seqpar", 1, "sequence-parallel ranks (simulated; bitwise-identical to serial, heads must divide)")
 	execWorkers := fs.Int("exec-workers", 0, "attention-head parallelism (0 = all cores)")
 	unpooled := fs.Bool("unpooled", false, "disable workspace pooling (debug/benchmark)")
@@ -163,6 +167,7 @@ func run(ctx context.Context, args []string) error {
 	// An explicit -patience always applies (0 disables early stopping, also
 	// when a resumed checkpoint carried a non-zero patience).
 	addIf(given["patience"] || (fresh && *patience > 0), torchgt.WithEarlyStopping(*patience))
+	addIf(given["beta"], torchgt.WithFixedBeta(*beta))
 	addIf(fresh && *seqLen > 0, torchgt.WithSeqLen(*seqLen))
 	addIf((fresh || given["pack"]) && *pack, torchgt.WithPack())
 	// Structural like seed/exec: a resumed checkpoint keeps its own plan.
@@ -183,8 +188,8 @@ func run(ctx context.Context, args []string) error {
 		if *dpReplicas < 1 || *world%*dpReplicas != 0 {
 			return fmt.Errorf("-dp %d does not divide -world %d", *dpReplicas, *world)
 		}
-		fp := fmt.Sprintf("model=%s method=%s data=%s/%s/%d world=%d dp=%d seed=%d seqlen=%d reorder=%d",
-			*modelName, *method, *dataSpec, *dataset, *nodes, *world, *dpReplicas, *seed, *seqLen, *reorderK)
+		fp := fmt.Sprintf("model=%s method=%s data=%s/%s/%d world=%d dp=%d seed=%d seqlen=%d reorder=%d beta=%g",
+			*modelName, *method, *dataSpec, *dataset, *nodes, *world, *dpReplicas, *seed, *seqLen, *reorderK, *beta)
 		var err error
 		tr, err = torchgt.Rendezvous(ctx, *rendezvous, *rank, *world, torchgt.TransportOptions{Fingerprint: fp})
 		if err != nil {

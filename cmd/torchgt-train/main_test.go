@@ -116,22 +116,62 @@ func TestTrainFromTGDSAndGraphLevelSpecs(t *testing.T) {
 // bitwise-identical per-rank final weights. The invalid layouts below must
 // surface before any socket or data work.
 func TestTrainDistributedWorkers(t *testing.T) {
-	dir := t.TempDir()
+	addr := freeAddr(t)
+	trainWorldOfTwo(t, addr, "-method", "gp-sparse")
+
+	if err := run(context.Background(), []string{
+		"-rendezvous", addr, "-world", "4", "-rank", "0", "-dp", "3",
+	}); err == nil {
+		t.Fatal("-dp not dividing -world must error")
+	}
+	if err := run(context.Background(), []string{
+		"-rendezvous", addr, "-world", "1",
+	}); err == nil {
+		t.Fatal("launcher mode with -world 1 must error")
+	}
+}
+
+// TestTrainDistributedBeta covers -beta: the default method (torchgt) cannot
+// train across processes on the Auto Tuner, so without the flag every rank
+// of the world refuses once the session is built, and with it the world
+// trains the interleaved dense/sparse schedule to bitwise-identical weights.
+func TestTrainDistributedBeta(t *testing.T) {
+	addr := freeAddr(t)
+	for r, err := range runWorldOfTwo(addr) {
+		if err == nil || !strings.Contains(err.Error(), "WithFixedBeta") {
+			t.Fatalf("rank %d, torchgt over -rendezvous without -beta: want the fixed-β error, got %v", r, err)
+		}
+	}
+	trainWorldOfTwo(t, addr, "-beta", "0.05")
+
+	// The flag pins β in a single-process run too.
+	if err := run(context.Background(), []string{
+		"-dataset", "arxiv-sim", "-nodes", "128", "-epochs", "2", "-beta", "0.05",
+	}); err != nil {
+		t.Fatalf("-beta without -rendezvous: %v", err)
+	}
+}
+
+func freeAddr(t *testing.T) string {
+	t.Helper()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	addr := l.Addr().String()
-	l.Close()
-	final := filepath.Join(dir, "weights.bin")
-	base := []string{
-		"-dataset", "arxiv-sim", "-nodes", "128", "-method", "gp-sparse",
-		"-epochs", "2", "-seed", "7", "-rendezvous", addr, "-world", "2",
-		"-final-weights", final,
-	}
+	defer l.Close()
+	return l.Addr().String()
+}
+
+// runWorldOfTwo runs ranks 0 and 1 of a two-process job as concurrent run()
+// calls rendezvousing at addr and returns each rank's error.
+func runWorldOfTwo(addr string, extra ...string) []error {
+	base := append([]string{
+		"-dataset", "arxiv-sim", "-nodes", "128", "-epochs", "2", "-seed", "7",
+		"-rendezvous", addr, "-world", "2",
+	}, extra...)
 	errs := make([]error, 2)
 	var wg sync.WaitGroup
-	for r := 0; r < 2; r++ {
+	for r := range errs {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
@@ -139,7 +179,15 @@ func TestTrainDistributedWorkers(t *testing.T) {
 		}(r)
 	}
 	wg.Wait()
-	for r, err := range errs {
+	return errs
+}
+
+// trainWorldOfTwo requires both ranks to train to completion and to write
+// bitwise-identical final weights.
+func trainWorldOfTwo(t *testing.T, addr string, extra ...string) {
+	t.Helper()
+	final := filepath.Join(t.TempDir(), "weights.bin")
+	for r, err := range runWorldOfTwo(addr, append(extra, "-final-weights", final)...) {
 		if err != nil {
 			t.Fatalf("worker rank %d: %v", r, err)
 		}
@@ -154,17 +202,6 @@ func TestTrainDistributedWorkers(t *testing.T) {
 	}
 	if !bytes.Equal(b0, b1) {
 		t.Fatal("rank 0 and rank 1 final weights differ")
-	}
-
-	if err := run(context.Background(), []string{
-		"-rendezvous", addr, "-world", "4", "-rank", "0", "-dp", "3",
-	}); err == nil {
-		t.Fatal("-dp not dividing -world must error")
-	}
-	if err := run(context.Background(), []string{
-		"-rendezvous", addr, "-world", "1",
-	}); err == nil {
-		t.Fatal("launcher mode with -world 1 must error")
 	}
 }
 

@@ -1,14 +1,6 @@
-// Auto Tuner example: the two autotuners in the system, back to back.
-//
-// First the compute-backend tuner: activating the optimized backend sweeps
-// panel widths for the matrix kernels and measures per-kernel speedups over
-// the reference backend (printed below; see examples/backends for the full
-// backend demo).
-//
-// Then the paper's Auto Tuner: watch the Elastic Computation Reformation
-// adapt the transfer threshold βthre along the ladder {0, βG, …, 1} as
-// training progresses, trading reformation aggressiveness against loss
-// descent rate.
+// Auto Tuner example: watch the Elastic Computation Reformation adapt the
+// transfer threshold βthre along the ladder {0, βG, …, 1} as training
+// progresses, trading reformation aggressiveness against loss descent rate.
 package main
 
 import (
@@ -18,37 +10,7 @@ import (
 	"torchgt"
 )
 
-// printBackendTuning activates the optimized backend (which autotunes on
-// first activation), prints the sweep, and restores the reference default so
-// the training below stays on the bitwise-pinned kernels.
-func printBackendTuning() {
-	prev, err := torchgt.SetBackend("opt")
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer func() {
-		if _, err := torchgt.SetBackend(prev); err != nil {
-			log.Fatal(err)
-		}
-	}()
-	rep, ok := torchgt.BackendTuningReport()
-	if !ok {
-		log.Fatal("optimized backend active but no tuning report")
-	}
-	fmt.Println("optimized-backend panel autotune (chosen width per kernel):")
-	for _, t := range rep.Tunings {
-		fmt.Printf("  %-8s -> %d\n", t.Kernel, t.Chosen)
-	}
-	fmt.Println("per-kernel speedup over reference (tuning workload):")
-	for _, s := range rep.Speedups {
-		fmt.Printf("  %-8s %.2fx\n", s.Kernel, s.Speedup)
-	}
-	fmt.Println()
-}
-
 func main() {
-	printBackendTuning()
-
 	ds, err := torchgt.LoadNodeDataset("products-sim", 2048, 1)
 	if err != nil {
 		log.Fatal(err)

@@ -71,8 +71,10 @@ func BenchmarkFlashStepPooled(b *testing.B) {
 
 // benchStepOpt pins the optimized tensor backend for the duration of one
 // pooled step benchmark. The plain *StepPooled benchmarks run on the ambient
-// backend (reference unless TORCHGT_BACKEND overrides it), so the
-// Opt/non-Opt pairs feed the max_ns_per_op_ratio gate in ci/bench-baseline.json.
+// backend (reference unless TORCHGT_BACKEND overrides it). The Opt variants
+// hold the same allocs/op ceilings in ci/bench-baseline.json; their time is
+// not gated against the plain ones — the backends share the matrix kernels,
+// so a step differs only by its exp calls, less than the run-to-run noise.
 func benchStepOpt(b *testing.B, mk func() Kernel, s, d int) {
 	prev, err := tensor.SetBackend("opt")
 	if err != nil {
@@ -159,3 +161,36 @@ func TestPooledAllocsAtLeastHalved(t *testing.T) {
 		}
 	}
 }
+
+// The long-sequence flash kernel at the training shape (one head of S=1024,
+// Dh=8), forward and backward timed apart: ci/bench-baseline.json gates
+// Backward/Forward, which holds the single-pass backward — every p_ij and
+// dp_ij computed once — against a return of a second regeneration pass.
+func benchFlashS1024(b *testing.B, backward bool) {
+	prev := tensor.SetWorkers(1)
+	defer tensor.SetWorkers(prev)
+	const s, d = 1024, 8
+	rng := rand.New(rand.NewSource(4))
+	q, k, v, dO := tensor.New(s, d), tensor.New(s, d), tensor.New(s, d), tensor.New(s, d)
+	for _, m := range []*tensor.Mat{q, k, v, dO} {
+		tensor.RandN(m, rng, 0.5)
+	}
+	ws := tensor.NewWorkspace()
+	f := NewFlash(false)
+	f.SetWorkspace(ws)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if backward {
+			b.StopTimer()
+		}
+		f.Forward(q, k, v)
+		if backward {
+			b.StartTimer()
+			f.Backward(dO)
+		}
+		ws.Reset()
+	}
+}
+
+func BenchmarkFlashForwardS1024(b *testing.B)  { benchFlashS1024(b, false) }
+func BenchmarkFlashBackwardS1024(b *testing.B) { benchFlashS1024(b, true) }

@@ -81,7 +81,7 @@ func mustBitwiseMat(t *testing.T, name string, a, b *tensor.Mat) {
 
 // TestOptKernelsMatchReference checks that every kernel produces outputs and
 // gradients within tolerance of the reference backend when run on the
-// optimized backend (fast exp ~1e-6 rel, reassociated Dot/MatMulT).
+// optimized backend (fast exp ~1e-6 rel; the linear algebra is shared).
 func TestOptKernelsMatchReference(t *testing.T) {
 	for _, tc := range backendKernelCases(t) {
 		tc := tc
@@ -105,8 +105,8 @@ func TestOptKernelsMatchReference(t *testing.T) {
 
 // TestOptKernelsSelfDeterministic checks the optimized backend's determinism
 // contract on every kernel: repeated runs and different worker counts must be
-// bitwise identical (panel/tile boundaries only reorder independent output
-// elements, never the reduction order within one element).
+// bitwise identical (worker chunks only reorder independent output elements,
+// never the reduction order within one element).
 func TestOptKernelsSelfDeterministic(t *testing.T) {
 	withBackendNamed(t, "opt")
 	for _, tc := range backendKernelCases(t) {
@@ -217,30 +217,41 @@ func naiveFlashStep(q, k, v, dO *tensor.Mat, tile int) (o, dq, dk, dv *tensor.Ma
 	return o, dq, dk, dv, lse
 }
 
-// TestRefFlashBitwiseMatchesNaive pins the flash restructure: on the
-// reference backend, routing the tile exponentials through tensor.ExpShift
-// must be bitwise identical to the pre-backend per-element math.Exp code
-// (IEEE a−b ≡ a+(−b); accumulation order unchanged).
+// TestRefFlashBitwiseMatchesNaive pins the flash kernel's arithmetic: on the
+// reference backend the tiled forward (exponentials through tensor.ExpShift;
+// IEEE a−b ≡ a+(−b)) and the single-pass backward must be bitwise identical
+// to the textbook loops above — per-element math.Exp, a row loop for dQ and
+// a separate column loop for dK/dV. Shapes cover one row, one short of a
+// tile, a ragged tail and several tiles, with Dq ≠ Dv and neither a multiple
+// of the kernels' unroll widths; worker counts cover the forward's row split.
 func TestRefFlashBitwiseMatchesNaive(t *testing.T) {
 	withBackendNamed(t, "ref")
+	prev := tensor.Workers()
+	defer tensor.SetWorkers(prev)
 	rng := rand.New(rand.NewSource(31))
-	const s, d = 97, 12 // deliberately not a multiple of the tile width
-	q, k, v := randQKV(rng, s, d, d)
-	dO := tensor.New(s, d)
-	tensor.RandN(dO, rng, 1)
-
-	f := NewFlash(false)
-	fo := f.Forward(q, k, v).Clone()
-	fdq, fdk, fdv := f.Backward(dO)
-
-	no, ndq, ndk, ndv, nlse := naiveFlashStep(q, k, v, dO, f.Tile)
-	mustBitwiseMat(t, "o", no, fo)
-	for i := range nlse {
-		if math.Float32bits(nlse[i]) != math.Float32bits(f.lse[i]) {
-			t.Fatalf("lse[%d] differs: %v vs %v", i, nlse[i], f.lse[i])
+	const dqk, dv = 6, 7
+	for _, s := range []int{1, 63, 97, 130} {
+		for _, tile := range []int{8, 64} {
+			q, k, v := randQKV(rng, s, dqk, dv)
+			dO := tensor.New(s, dv)
+			tensor.RandN(dO, rng, 1)
+			no, ndq, ndk, ndv, nlse := naiveFlashStep(q, k, v, dO, tile)
+			for _, workers := range []int{1, 3} {
+				tensor.SetWorkers(workers)
+				f := NewFlash(false)
+				f.Tile = tile
+				fo := f.Forward(q, k, v)
+				fdq, fdk, fdv := f.Backward(dO)
+				mustBitwiseMat(t, "o", no, fo)
+				for i := range nlse {
+					if math.Float32bits(nlse[i]) != math.Float32bits(f.lse[i]) {
+						t.Fatalf("S=%d tile=%d: lse[%d] differs: %v vs %v", s, tile, i, nlse[i], f.lse[i])
+					}
+				}
+				mustBitwiseMat(t, "dq", ndq, fdq)
+				mustBitwiseMat(t, "dk", ndk, fdk)
+				mustBitwiseMat(t, "dv", ndv, fdv)
+			}
 		}
 	}
-	mustBitwiseMat(t, "dq", ndq, fdq)
-	mustBitwiseMat(t, "dk", ndk, fdk)
-	mustBitwiseMat(t, "dv", ndv, fdv)
 }

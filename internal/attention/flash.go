@@ -132,17 +132,26 @@ func (f *Flash) Forward(q, k, v *tensor.Mat) *tensor.Mat {
 
 // Backward implements Kernel using the FlashAttention recompute strategy:
 // probabilities are regenerated per tile from the cached logsumexp instead of
-// being stored. Row pass computes dQ; column pass computes dK and dV (both
-// embarrassingly parallel without write races).
+// being stored — once. A single pass walks rows i ascending and, inside, key
+// tiles j ascending; each p_ij and dp_ij is computed there and folded into
+// all three gradients:
+//
+//	dq_i += ds_ij·scale · k_j    dk_j += ds_ij·scale · q_i    dv_j += p_ij · dO_i
+//
+// with ds_ij = p_ij·(dp_ij − D_i). Every accumulator still receives its
+// terms in the order of the textbook two-loop form (naiveFlashStep in the
+// tests): dq_i is touched only while the outer loop sits on row i, where j
+// ascends; dk_j and dv_j are touched exactly once per outer iteration, and
+// the outer loop is i ascending. So the result is bit-identical to a row
+// pass for dQ followed by a column pass for dK/dV, at half the score, exp
+// and dp work. The price is that rows can no longer be split across workers
+// (two rows would race on dk_j/dv_j, and any split-and-reduce would reorder
+// the sums), so the pass is serial within a head; parallelism comes from
+// above — the Runtime's head fan-out and the sequence-parallel ranks.
 func (f *Flash) Backward(dO *tensor.Mat) (dq, dk, dv *tensor.Mat) {
 	q, k, v := f.q, f.k, f.v
 	s := q.Rows
 	scale := scaleFor(q.Cols)
-	// D_i = dO_i · O_i
-	d := f.ws.GetVec(s)
-	for i := 0; i < s; i++ {
-		d[i] = tensor.Dot(dO.Row(i), f.o.Row(i))
-	}
 	dq = f.ws.Get(s, q.Cols)
 	dk = f.ws.Get(s, k.Cols)
 	dv = f.ws.Get(s, v.Cols)
@@ -150,68 +159,32 @@ func (f *Flash) Backward(dO *tensor.Mat) (dq, dk, dv *tensor.Mat) {
 	if tile < 1 {
 		tile = 64
 	}
-	// Probabilities are regenerated tile-at-a-time through the batched
-	// backend primitives: MatVecRows for the score/dp gemvs, ExpShift for
-	// the exponentials, WeightedRowSum for the gradient accumulations. One
-	// dispatched call per tile instead of one Dot/Axpy per row, and on the
-	// reference backend every float operation sequence is unchanged:
-	// exp(dot·scale − lse) ≡ exp(dot·scale + (−lse)) in IEEE arithmetic, and
-	// the weighted row sums keep the axpy order.
-	nw := tensor.WorkerCount(s)
-	probBuf := f.ws.GetVec(nw * tile)
-	dpBuf := f.ws.GetVec(nw * tile)
-	// row pass: dq_i = Σ_j ds_ij * k_j * scale
-	tensor.ParallelForWorker(s, func(worker, lo, hi int) {
-		probs := probBuf[worker*tile : (worker+1)*tile]
-		dps := dpBuf[worker*tile : (worker+1)*tile]
-		for i := lo; i < hi; i++ {
-			qi := q.Row(i)
-			dOi := dO.Row(i)
-			dqi := dq.Row(i)
-			for j0 := 0; j0 < s; j0 += tile {
-				j1 := min(j0+tile, s)
-				n := j1 - j0
-				tensor.MatVecRows(probs[:n], k, qi, j0, j1)
-				for x := 0; x < n; x++ {
-					probs[x] *= scale
-				}
-				tensor.ExpShift(probs[:n], probs[:n], -f.lse[i])
-				tensor.MatVecRows(dps[:n], v, dOi, j0, j1)
-				for x := 0; x < n; x++ {
-					// ds·scale, with ds = p·(dp − D_i)
-					probs[x] = probs[x] * (dps[x] - d[i]) * scale
-				}
-				tensor.WeightedRowSum(dqi, k, probs[:n], j0, j1)
+	probBuf := f.ws.GetVec(tile)
+	dsBuf := f.ws.GetVec(tile)
+	for i := 0; i < s; i++ {
+		qi := q.Row(i)
+		dOi := dO.Row(i)
+		dqi := dq.Row(i)
+		di := tensor.Dot(dOi, f.o.Row(i)) // D_i = dO_i · O_i
+		for j0 := 0; j0 < s; j0 += tile {
+			j1 := min(j0+tile, s)
+			probs, ds := probBuf[:j1-j0], dsBuf[:j1-j0]
+			// p_ij = exp(q_i·k_j·scale − lse_i) and dp_ij = dO_i·v_j through
+			// the batched primitives: one gemv / one exp call per tile
+			// (exp(x − lse) ≡ exp(x + (−lse)) in IEEE arithmetic).
+			tensor.MatVecRows(probs, k, qi, j0, j1)
+			for x := range probs {
+				probs[x] *= scale
 			}
-		}
-	})
-	// column pass: dk_j, dv_j. The shift (lse[i]) varies inside the tile, so
-	// it is folded into the score and ExpShift runs with shift 0 (v+0 ≡ v).
-	tensor.ParallelForWorker(s, func(worker, lo, hi int) {
-		probs := probBuf[worker*tile : (worker+1)*tile]
-		dps := dpBuf[worker*tile : (worker+1)*tile]
-		for j := lo; j < hi; j++ {
-			kj := k.Row(j)
-			vj := v.Row(j)
-			dkj := dk.Row(j)
-			dvj := dv.Row(j)
-			for i0 := 0; i0 < s; i0 += tile {
-				i1 := min(i0+tile, s)
-				n := i1 - i0
-				tensor.MatVecRows(probs[:n], q, kj, i0, i1)
-				for x := 0; x < n; x++ {
-					probs[x] = probs[x]*scale - f.lse[i0+x]
-				}
-				tensor.ExpShift(probs[:n], probs[:n], 0)
-				tensor.MatVecRows(dps[:n], dO, vj, i0, i1)
-				// dv_j += Σ p_i·dO_i (weights read before being overwritten)
-				tensor.WeightedRowSum(dvj, dO, probs[:n], i0, i1)
-				for x := 0; x < n; x++ {
-					probs[x] = probs[x] * (dps[x] - d[i0+x]) * scale
-				}
-				tensor.WeightedRowSum(dkj, q, probs[:n], i0, i1)
+			tensor.ExpShift(probs, probs, -f.lse[i])
+			tensor.MatVecRows(ds, v, dOi, j0, j1)
+			for x := range ds {
+				ds[x] = probs[x] * (ds[x] - di) * scale
 			}
+			tensor.AxpyRows(dv, probs, dOi, j0, j1)
+			tensor.AxpyRows(dk, ds, qi, j0, j1)
+			tensor.WeightedRowSum(dqi, k, ds, j0, j1)
 		}
-	})
+	}
 	return dq, dk, dv
 }

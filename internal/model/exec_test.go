@@ -1,6 +1,7 @@
 package model
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -134,5 +135,63 @@ func TestRuntimeDefaults(t *testing.T) {
 	}
 	if DefaultRuntime().Options().PoolEnabled != true {
 		t.Fatal("default engine pools")
+	}
+}
+
+// TestFlashMHAPlansBitwise pins the flash kernel's place in the plans: its
+// backward is serial within a head, so all its parallelism is the plans'
+// head fan-out — and sequential heads (nil plan), two head workers and a
+// two-rank sequence-parallel plan must produce the same bits, forward and
+// backward, over a sequence that crosses a tile and splits unevenly, and
+// across repeated steps (workspace recycling).
+func TestFlashMHAPlansBitwise(t *testing.T) {
+	const s, hidden, heads = 71, 16, 4
+	plans := []struct {
+		name string
+		plan Plan
+	}{
+		{"nil", nil},
+		{"runtime-2", NewRuntime(ExecOptions{Workers: 2, PoolEnabled: true})},
+		{"seqpar-2", NewSeqParallel(2, ExecOptions{PoolEnabled: true})},
+	}
+	mhas := make([]*MHA, len(plans))
+	for i, p := range plans {
+		mhas[i] = NewMHA("attn", hidden, heads, 0, rand.New(rand.NewSource(5)))
+		mhas[i].SetPlan(p.plan)
+	}
+	bits := func(what, plan string, step int, want, got *tensor.Mat) {
+		t.Helper()
+		for i := range want.Data {
+			if math.Float32bits(want.Data[i]) != math.Float32bits(got.Data[i]) {
+				t.Fatalf("step %d: %s under %s differs from the nil plan at element %d", step, what, plan, i)
+			}
+		}
+	}
+	spec := &AttentionSpec{Mode: ModeFlash}
+	rng := rand.New(rand.NewSource(6))
+	for step := 0; step < 3; step++ {
+		x, dout := tensor.New(s, hidden), tensor.New(s, hidden)
+		tensor.RandN(x, rng, 1)
+		tensor.RandN(dout, rng, 1)
+		var out0, dx0 *tensor.Mat
+		for i, m := range mhas {
+			out := m.Forward(x, spec)
+			dx := m.Backward(dout)
+			if i == 0 {
+				out0, dx0 = out, dx
+				continue
+			}
+			bits("output", plans[i].name, step, out0, out)
+			bits("dx", plans[i].name, step, dx0, dx)
+			for j, p := range m.Params() {
+				bits("grad "+p.Name, plans[i].name, step, mhas[0].Params()[j].Grad, p.Grad)
+			}
+		}
+		for i, m := range mhas {
+			nn.ZeroGrads(m.Params())
+			if plans[i].plan != nil {
+				plans[i].plan.StepReset()
+			}
+		}
 	}
 }

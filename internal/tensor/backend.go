@@ -7,56 +7,33 @@ import (
 	"sync/atomic"
 )
 
-// Backend is the pluggable compute substrate behind every matrix kernel in
-// the package: the linear-algebra primitives (MatMul/MatMulT/TMatMul,
-// Dot/Axpy), the softmax/exp row ops the attention kernels stream through,
-// and the fused bias+GELU pair that lets nn.Linear skip a full matrix pass.
-// Package-level functions (MatMul, Dot, SoftmaxRows, BiasGELU, …) dispatch
-// through the active backend, so every layer above — nn, attention, model,
-// serve — switches backends without code changes.
+// Backend is the pluggable part of the compute substrate: the transcendental
+// row ops whose speed/accuracy trade-off is a choice — the softmax/exp the
+// attention kernels stream through and the fused bias+GELU pair that lets
+// nn.Linear skip a full matrix pass. Package-level SoftmaxRows, ExpShift,
+// BiasGELU and BiasGELUGrad dispatch through the active backend, so every
+// layer above — nn, attention, model, serve — switches without code changes.
+//
+// The linear algebra (MatMul/MatMulT/TMatMul, Dot/Axpy, MatVecRows,
+// WeightedRowSum, AxpyRows) is NOT part of the interface: it has one order-preserving
+// implementation (kernels.go) whose output never depended on the backend, so
+// both backends share it.
 //
 // Two implementations exist, the same design shape as model.Plan:
 //
-//   - reference — the panel-blocked kernels the repo has always shipped.
-//     Training defaults to it and its numerics are bitwise-pinned: per output
-//     element, reduction terms are accumulated in strictly ascending p order
-//     with av==0 contributions skipped (see MatMul).
-//   - optimized — register-tiled, fixed-width-unrolled microkernels plus
-//     fast float32 exp/tanh paths. Output tiling keeps every per-element
-//     reduction in a single p-ascending accumulator chain, so its results
-//     are independent of worker count and of every autotuned panel size
-//     (self-deterministic); MatMul/MatMulT/TMatMul/MatVecRows/WeightedRowSum
-//     match the reference bitwise, while Dot (multi-accumulator) and the
-//     exp/softmax/GELU paths (float32 polynomials) differ within a small
-//     stated tolerance — see DESIGN.md "Compute backends and quantized
+//   - reference — float64 math.Exp / tanh-GELU rounded to float32. Training
+//     defaults to it and its numerics are bitwise-pinned.
+//   - optimized — the float32 polynomials of fastmath.go. Pure functions of
+//     their inputs, so results are independent of worker count and exactly
+//     reproducible (self-deterministic), and within a small stated tolerance
+//     of the reference — see DESIGN.md "Compute backends and quantized
 //     serving".
 //
 // The interface is sealed (unexported method): backends live in this
-// package, next to the parallel-for scheduler and the workspace arena their
-// kernels are written against.
+// package, next to the parallel-for scheduler their ops are written against.
 type Backend interface {
 	// Name identifies the backend ("reference", "optimized").
 	Name() string
-
-	// MatMul computes C = A·B (C pre-allocated, overwritten).
-	MatMul(c, a, b *Mat)
-	// MatMulT computes C = A·Bᵀ.
-	MatMulT(c, a, b *Mat)
-	// TMatMul computes C = Aᵀ·B.
-	TMatMul(c, a, b *Mat)
-	// Dot returns the inner product of two equal-length slices.
-	Dot(a, b []float32) float32
-	// Axpy computes y += alpha*x for equal-length slices.
-	Axpy(alpha float32, x, y []float32)
-
-	// MatVecRows computes dst[r-lo] = m.Row(r)·x for r in [lo, hi) — the
-	// batched row-gemv behind the flash/sparse tile score computation (one
-	// dispatched call per tile instead of one Dot per row).
-	MatVecRows(dst []float32, m *Mat, x []float32, lo, hi int)
-	// WeightedRowSum accumulates acc[c] += Σ_{r∈[lo,hi)} w[r-lo]·m.Row(r)[c]
-	// with r strictly ascending (a batched axpy sequence; the row order is
-	// part of the determinism contract).
-	WeightedRowSum(acc []float32, m *Mat, w []float32, lo, hi int)
 
 	// SoftmaxRows applies a numerically stable softmax to each row in place.
 	SoftmaxRows(m *Mat)
@@ -76,11 +53,10 @@ type Backend interface {
 }
 
 // The two built-in backends. Reference is the process default; Optimized is
-// selected with SetBackend("opt") / TORCHGT_BACKEND=opt and autotunes its
-// panel sizes on first selection.
+// selected with SetBackend("opt") / TORCHGT_BACKEND=opt.
 var (
-	Reference Backend = &refBackend{}
-	Optimized Backend = newOptBackend()
+	Reference Backend = refBackend{}
+	Optimized Backend = optBackend{}
 )
 
 type backendBox struct{ b Backend }
@@ -125,15 +101,9 @@ func backendNamesList() string {
 // forms, as accepted by SetBackend and the -backend CLI flags).
 func BackendNames() []string { return []string{"ref", "opt"} }
 
-// Use activates b for all subsequent kernel dispatch. The optimized backend
-// autotunes its panel sizes on first activation. Safe for concurrent use
-// with running kernels: a kernel reads the active backend once per call.
-func Use(b Backend) {
-	if o, ok := b.(*optBackend); ok {
-		o.ensureTuned()
-	}
-	activeBackend.Store(&backendBox{b})
-}
+// Use activates b for all subsequent kernel dispatch. Safe for concurrent
+// use with running kernels: a kernel reads the active backend once per call.
+func Use(b Backend) { activeBackend.Store(&backendBox{b}) }
 
 // SetBackend activates the backend named by a CLI/env spelling ("ref",
 // "reference", "opt", "optimized"; "" keeps the reference default). It
@@ -148,76 +118,12 @@ func SetBackend(name string) (prev string, err error) {
 	return prev, nil
 }
 
-// ActiveBackend reports the backend all package-level kernels currently
+// ActiveBackend reports the backend the package-level row ops currently
 // dispatch through.
 func ActiveBackend() Backend { return activeBackend.Load().b }
 
 // Dispatching entry points. Shape validation lives here, once, so every
-// backend kernel can assume consistent operands.
-
-// MatMul computes C = A·B. C must be pre-allocated with shape A.Rows×B.Cols;
-// it is overwritten.
-//
-// Zero-skip contract (pinned by TestMatMulZeroSkipSemantics): an A element
-// that is exactly zero contributes nothing to its output row — the
-// corresponding B row is skipped entirely, so NaN/Inf values in B rows that
-// only ever meet zero A entries do NOT propagate (0·NaN is treated as a
-// skip, not as IEEE NaN). All backends implement this contract; TMatMul
-// skips symmetrically on zero Aᵀ elements. MatMulT and Dot follow plain
-// IEEE semantics (no skip).
-func MatMul(c, a, b *Mat) {
-	if a.Cols != b.Rows || c.Rows != a.Rows || c.Cols != b.Cols {
-		panic(fmt.Sprintf("tensor: MatMul shapes %dx%d · %dx%d -> %dx%d", a.Rows, a.Cols, b.Rows, b.Cols, c.Rows, c.Cols))
-	}
-	ActiveBackend().MatMul(c, a, b)
-}
-
-// MatMulT computes C = A·Bᵀ. C must be A.Rows×B.Rows — the cache-friendly
-// orientation for attention scores Q·Kᵀ.
-func MatMulT(c, a, b *Mat) {
-	if a.Cols != b.Cols || c.Rows != a.Rows || c.Cols != b.Rows {
-		panic(fmt.Sprintf("tensor: MatMulT shapes %dx%d · (%dx%d)ᵀ -> %dx%d", a.Rows, a.Cols, b.Rows, b.Cols, c.Rows, c.Cols))
-	}
-	ActiveBackend().MatMulT(c, a, b)
-}
-
-// TMatMul computes C = Aᵀ·B. C must be A.Cols×B.Cols. Used for weight
-// gradients dW = Xᵀ·dY.
-func TMatMul(c, a, b *Mat) {
-	if a.Rows != b.Rows || c.Rows != a.Cols || c.Cols != b.Cols {
-		panic(fmt.Sprintf("tensor: TMatMul shapes (%dx%d)ᵀ · %dx%d -> %dx%d", a.Rows, a.Cols, b.Rows, b.Cols, c.Rows, c.Cols))
-	}
-	ActiveBackend().TMatMul(c, a, b)
-}
-
-// Dot returns the inner product of two equal-length slices.
-func Dot(a, b []float32) float32 { return ActiveBackend().Dot(a, b) }
-
-// Axpy computes y += alpha*x for equal-length slices.
-func Axpy(alpha float32, x, y []float32) { ActiveBackend().Axpy(alpha, x, y) }
-
-// MatVecRows computes dst[r-lo] = m.Row(r)·x for rows r in [lo, hi). On the
-// reference backend each element is the plain Dot of the row with x
-// (products commute exactly in IEEE, so Row·x ≡ x·Row bitwise).
-func MatVecRows(dst []float32, m *Mat, x []float32, lo, hi int) {
-	if lo < 0 || hi < lo || hi > m.Rows || len(x) != m.Cols || len(dst) < hi-lo {
-		panic(fmt.Sprintf("tensor: MatVecRows rows [%d,%d) of %dx%d, len(x)=%d len(dst)=%d",
-			lo, hi, m.Rows, m.Cols, len(x), len(dst)))
-	}
-	ActiveBackend().MatVecRows(dst, m, x, lo, hi)
-}
-
-// WeightedRowSum accumulates acc[c] += Σ w[r-lo]·m.Row(r)[c] over rows r in
-// [lo, hi), ascending. Equivalent to the axpy sequence
-// `for r { Axpy(w[r-lo], m.Row(r), acc) }` — all backends preserve that
-// per-element left-to-right accumulation order bitwise.
-func WeightedRowSum(acc []float32, m *Mat, w []float32, lo, hi int) {
-	if lo < 0 || hi < lo || hi > m.Rows || len(acc) != m.Cols || len(w) < hi-lo {
-		panic(fmt.Sprintf("tensor: WeightedRowSum rows [%d,%d) of %dx%d, len(acc)=%d len(w)=%d",
-			lo, hi, m.Rows, m.Cols, len(acc), len(w)))
-	}
-	ActiveBackend().WeightedRowSum(acc, m, w, lo, hi)
-}
+// backend op can assume consistent operands.
 
 // SoftmaxRows applies a numerically stable softmax to each row of m in place.
 func SoftmaxRows(m *Mat) { ActiveBackend().SoftmaxRows(m) }

@@ -5,11 +5,12 @@ import (
 	"testing"
 )
 
-// Per-kernel backend benchmarks at a transformer-step-like size
-// (256 tokens × 128 hidden). Worker count pinned to 1 so the numbers
-// measure the microkernels, not the scheduler.
+// Per-kernel benchmarks at a transformer-step-like size (256 tokens × 128
+// hidden): the shared matrix kernels, and the row ops on each backend.
+// Worker count pinned to 1 so the numbers measure the kernels, not the
+// scheduler.
 
-func benchKernel(b *testing.B, bk Backend, run func(bk Backend, a, bm, c, cs, ct *Mat)) {
+func benchKernel(b *testing.B, run func(a, bm, c, cs, ct *Mat)) {
 	prev := SetWorkers(1)
 	defer SetWorkers(prev)
 	rng := rand.New(rand.NewSource(1))
@@ -20,54 +21,42 @@ func benchKernel(b *testing.B, bk Backend, run func(bk Backend, a, bm, c, cs, ct
 	ct := New(128, 128) // Aᵀ·A (weight-grad shape)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		run(bk, a, bm, c, cs, ct)
+		run(a, bm, c, cs, ct)
 	}
 }
 
-func BenchmarkMatMulRef(b *testing.B) {
-	benchKernel(b, Reference, func(bk Backend, a, bm, c, _, _ *Mat) { bk.MatMul(c, a, bm) })
+func BenchmarkMatMul(b *testing.B) {
+	benchKernel(b, func(a, bm, c, _, _ *Mat) { MatMul(c, a, bm) })
 }
 
-func BenchmarkMatMulOpt(b *testing.B) {
-	benchKernel(b, Optimized, func(bk Backend, a, bm, c, _, _ *Mat) { bk.MatMul(c, a, bm) })
+func BenchmarkMatMulT(b *testing.B) {
+	benchKernel(b, func(a, _, _, cs, _ *Mat) { MatMulT(cs, a, a) })
 }
 
-func BenchmarkMatMulTRef(b *testing.B) {
-	benchKernel(b, Reference, func(bk Backend, a, _, _, cs, _ *Mat) { bk.MatMulT(cs, a, a) })
-}
-
-func BenchmarkMatMulTOpt(b *testing.B) {
-	benchKernel(b, Optimized, func(bk Backend, a, _, _, cs, _ *Mat) { bk.MatMulT(cs, a, a) })
-}
-
-func BenchmarkTMatMulRef(b *testing.B) {
-	benchKernel(b, Reference, func(bk Backend, a, _, _, _, ct *Mat) { bk.TMatMul(ct, a, a) })
-}
-
-func BenchmarkTMatMulOpt(b *testing.B) {
-	benchKernel(b, Optimized, func(bk Backend, a, _, _, _, ct *Mat) { bk.TMatMul(ct, a, a) })
+func BenchmarkTMatMul(b *testing.B) {
+	benchKernel(b, func(a, _, _, _, ct *Mat) { TMatMul(ct, a, a) })
 }
 
 func BenchmarkSoftmaxRowsRef(b *testing.B) {
-	benchKernel(b, Reference, func(bk Backend, a, _, _, _, _ *Mat) { bk.SoftmaxRows(a) })
+	benchKernel(b, func(a, _, _, _, _ *Mat) { Reference.SoftmaxRows(a) })
 }
 
 func BenchmarkSoftmaxRowsOpt(b *testing.B) {
-	benchKernel(b, Optimized, func(bk Backend, a, _, _, _, _ *Mat) { bk.SoftmaxRows(a) })
+	benchKernel(b, func(a, _, _, _, _ *Mat) { Optimized.SoftmaxRows(a) })
 }
 
 func BenchmarkExpShiftRef(b *testing.B) {
-	benchKernel(b, Reference, func(bk Backend, a, _, c, _, _ *Mat) { bk.ExpShift(c.Data, a.Data, -1) })
+	benchKernel(b, func(a, _, c, _, _ *Mat) { Reference.ExpShift(c.Data, a.Data, -1) })
 }
 
 func BenchmarkExpShiftOpt(b *testing.B) {
-	benchKernel(b, Optimized, func(bk Backend, a, _, c, _, _ *Mat) { bk.ExpShift(c.Data, a.Data, -1) })
+	benchKernel(b, func(a, _, c, _, _ *Mat) { Optimized.ExpShift(c.Data, a.Data, -1) })
 }
 
 func BenchmarkBiasGELURef(b *testing.B) {
-	benchKernel(b, Reference, func(bk Backend, a, _, c, _, _ *Mat) { bk.BiasGELU(c, a, a.Row(0)) })
+	benchKernel(b, func(a, _, c, _, _ *Mat) { Reference.BiasGELU(c, a, a.Row(0)) })
 }
 
 func BenchmarkBiasGELUOpt(b *testing.B) {
-	benchKernel(b, Optimized, func(bk Backend, a, _, c, _, _ *Mat) { bk.BiasGELU(c, a, a.Row(0)) })
+	benchKernel(b, func(a, _, c, _, _ *Mat) { Optimized.BiasGELU(c, a, a.Row(0)) })
 }

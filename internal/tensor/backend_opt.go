@@ -1,376 +1,16 @@
 package tensor
 
-import "sync"
+// optBackend is the raw-speed implementation of the transcendental row ops:
+// the fast float32 exp/tanh paths in fastmath.go. They differ from the
+// reference within a small tolerance but are themselves exactly reproducible
+// (pure functions, fixed element order). Everything else — the matrix
+// kernels, Dot, Axpy — is shared with the reference backend.
+type optBackend struct{}
 
-// optBackend is the raw-speed implementation: fixed-width 4×-unrolled,
-// register-tiled microkernels plus the fast float32 exp/tanh paths in
-// fastmath.go. Panel widths are autotuned (see autotune.go) when the backend
-// is activated through Use/SetBackend; until then the defaults below apply.
-//
-// Determinism: every tunable parameter is numerics-neutral. Each output
-// element is reduced in exactly one accumulator, in strictly ascending
-// reduction-index order, regardless of panel width, tile position within a
-// worker chunk, or worker count — panels and tiles only reorder *independent*
-// output elements relative to each other. Consequently:
-//
-//   - MatMul and TMatMul perform the identical per-element float operation
-//     sequence as the reference backend (including the zero-skip branches),
-//     so they match it bitwise.
-//   - MatMulT and Dot split the reduction across 4 independent accumulator
-//     chains for instruction-level parallelism, and the exp/softmax/GELU ops
-//     use float32 polynomials — those differ from reference within a small
-//     tolerance but are themselves exactly reproducible.
-type optBackend struct {
-	tuneOnce sync.Once
-	// mmPanel is the output-column panel width for MatMul/TMatMul: columns
-	// of B are processed in panels this wide so the active k×mmPanel slab of
-	// B stays cache-resident across the chunk's row tiles.
-	mmPanel int
-	// mtPanel is the B-row panel width for MatMulT (output columns = rows of
-	// B reused across the chunk's A rows).
-	mtPanel int
-}
+func (optBackend) sealed()      {}
+func (optBackend) Name() string { return "optimized" }
 
-func newOptBackend() *optBackend { return &optBackend{mmPanel: 256, mtPanel: 128} }
-
-func (*optBackend) sealed()      {}
-func (*optBackend) Name() string { return "optimized" }
-
-func (o *optBackend) MatMul(c, a, b *Mat) {
-	jp := o.mmPanel
-	ParallelFor(a.Rows, func(lo, hi int) { o.matmulChunk(c, a, b, lo, hi, jp) })
-}
-
-// matmulChunk computes rows [lo,hi) of C = A·B with 2×4 output register
-// tiles: per reduction step p the tile loads 4 B values and 2 A values and
-// performs 8 multiply-adds entirely in registers (1.3 flops/load, versus the
-// reference axpy's 0.5), storing each output element once after the full k
-// loop. Wider tiles lose: 16 accumulators plus live operands exceed the 16
-// scalar float registers and spill. The per-row `av != 0` branch reproduces
-// the reference zero-skip contract exactly.
-func (o *optBackend) matmulChunk(c, a, b *Mat, lo, hi, jPanel int) {
-	k, m := a.Cols, b.Cols
-	for j0 := 0; j0 < m; j0 += jPanel {
-		j1 := min(j0+jPanel, m)
-		i := lo
-		for ; i+2 <= hi; i += 2 {
-			// Re-slice to length k so the compiler can prove ai[p] in-bounds
-			// for p < k and drop the per-iteration checks.
-			ai0, ai1 := a.Row(i)[:k], a.Row(i + 1)[:k]
-			ci0, ci1 := c.Row(i), c.Row(i+1)
-			j := j0
-			for ; j+4 <= j1; j += 4 {
-				var c00, c01, c02, c03 float32
-				var c10, c11, c12, c13 float32
-				off := j
-				p := 0
-				// p unrolled ×2: per-element accumulation order stays
-				// p-ascending (the p and p+1 contributions are added to the
-				// same accumulator, in order), so numerics are unchanged.
-				for ; p+2 <= k; p += 2 {
-					bp := b.Data[off : off+4 : off+4]
-					b0, b1, b2, b3 := bp[0], bp[1], bp[2], bp[3]
-					if av := ai0[p]; av != 0 {
-						c00 += av * b0
-						c01 += av * b1
-						c02 += av * b2
-						c03 += av * b3
-					}
-					if av := ai1[p]; av != 0 {
-						c10 += av * b0
-						c11 += av * b1
-						c12 += av * b2
-						c13 += av * b3
-					}
-					off += m
-					bq := b.Data[off : off+4 : off+4]
-					b0, b1, b2, b3 = bq[0], bq[1], bq[2], bq[3]
-					if av := ai0[p+1]; av != 0 {
-						c00 += av * b0
-						c01 += av * b1
-						c02 += av * b2
-						c03 += av * b3
-					}
-					if av := ai1[p+1]; av != 0 {
-						c10 += av * b0
-						c11 += av * b1
-						c12 += av * b2
-						c13 += av * b3
-					}
-					off += m
-				}
-				for ; p < k; p++ {
-					bp := b.Data[off : off+4 : off+4]
-					b0, b1, b2, b3 := bp[0], bp[1], bp[2], bp[3]
-					if av := ai0[p]; av != 0 {
-						c00 += av * b0
-						c01 += av * b1
-						c02 += av * b2
-						c03 += av * b3
-					}
-					if av := ai1[p]; av != 0 {
-						c10 += av * b0
-						c11 += av * b1
-						c12 += av * b2
-						c13 += av * b3
-					}
-					off += m
-				}
-				ci0[j], ci0[j+1], ci0[j+2], ci0[j+3] = c00, c01, c02, c03
-				ci1[j], ci1[j+1], ci1[j+2], ci1[j+3] = c10, c11, c12, c13
-			}
-			for ; j < j1; j++ { // column remainder: 2×1 tile
-				var s0, s1 float32
-				off := j
-				for p := 0; p < k; p++ {
-					bv := b.Data[off]
-					if av := ai0[p]; av != 0 {
-						s0 += av * bv
-					}
-					if av := ai1[p]; av != 0 {
-						s1 += av * bv
-					}
-					off += m
-				}
-				ci0[j], ci1[j] = s0, s1
-			}
-		}
-		for ; i < hi; i++ { // row remainder: 1×4 tiles + scalar corner
-			ai := a.Row(i)
-			ci := c.Row(i)
-			j := j0
-			for ; j+4 <= j1; j += 4 {
-				var s0, s1, s2, s3 float32
-				off := j
-				for p := 0; p < k; p++ {
-					if av := ai[p]; av != 0 {
-						bp := b.Data[off : off+4 : off+4]
-						s0 += av * bp[0]
-						s1 += av * bp[1]
-						s2 += av * bp[2]
-						s3 += av * bp[3]
-					}
-					off += m
-				}
-				ci[j], ci[j+1], ci[j+2], ci[j+3] = s0, s1, s2, s3
-			}
-			for ; j < j1; j++ {
-				var s float32
-				off := j
-				for p := 0; p < k; p++ {
-					if av := ai[p]; av != 0 {
-						s += av * b.Data[off]
-					}
-					off += m
-				}
-				ci[j] = s
-			}
-		}
-	}
-}
-
-func (o *optBackend) TMatMul(c, a, b *Mat) {
-	jp := o.mmPanel
-	ParallelFor(c.Rows, func(lo, hi int) { o.tmatmulChunk(c, a, b, lo, hi, jp) })
-}
-
-// tmatmulChunk computes rows [lo,hi) of C = Aᵀ·B (rows of C index columns of
-// A). Same 2×4 register tile as matmulChunk; here the 2 A values per step are
-// contiguous (a.Data[p*cols+i : +2]), so both operand loads stream.
-func (o *optBackend) tmatmulChunk(c, a, b *Mat, lo, hi, jPanel int) {
-	rows, ac, m := a.Rows, a.Cols, b.Cols
-	for j0 := 0; j0 < m; j0 += jPanel {
-		j1 := min(j0+jPanel, m)
-		i := lo
-		for ; i+2 <= hi; i += 2 {
-			ci0, ci1 := c.Row(i), c.Row(i+1)
-			j := j0
-			for ; j+4 <= j1; j += 4 {
-				var c00, c01, c02, c03 float32
-				var c10, c11, c12, c13 float32
-				offA, offB := i, j
-				for p := 0; p < rows; p++ {
-					ap := a.Data[offA : offA+2 : offA+2]
-					bp := b.Data[offB : offB+4 : offB+4]
-					b0, b1, b2, b3 := bp[0], bp[1], bp[2], bp[3]
-					if av := ap[0]; av != 0 {
-						c00 += av * b0
-						c01 += av * b1
-						c02 += av * b2
-						c03 += av * b3
-					}
-					if av := ap[1]; av != 0 {
-						c10 += av * b0
-						c11 += av * b1
-						c12 += av * b2
-						c13 += av * b3
-					}
-					offA += ac
-					offB += m
-				}
-				ci0[j], ci0[j+1], ci0[j+2], ci0[j+3] = c00, c01, c02, c03
-				ci1[j], ci1[j+1], ci1[j+2], ci1[j+3] = c10, c11, c12, c13
-			}
-			for ; j < j1; j++ { // column remainder
-				var s0, s1 float32
-				offA, offB := i, j
-				for p := 0; p < rows; p++ {
-					bv := b.Data[offB]
-					ap := a.Data[offA : offA+2 : offA+2]
-					if av := ap[0]; av != 0 {
-						s0 += av * bv
-					}
-					if av := ap[1]; av != 0 {
-						s1 += av * bv
-					}
-					offA += ac
-					offB += m
-				}
-				ci0[j], ci1[j] = s0, s1
-			}
-		}
-		for ; i < hi; i++ { // row remainder
-			ci := c.Row(i)
-			j := j0
-			for ; j+4 <= j1; j += 4 {
-				var s0, s1, s2, s3 float32
-				offA, offB := i, j
-				for p := 0; p < rows; p++ {
-					if av := a.Data[offA]; av != 0 {
-						bp := b.Data[offB : offB+4 : offB+4]
-						s0 += av * bp[0]
-						s1 += av * bp[1]
-						s2 += av * bp[2]
-						s3 += av * bp[3]
-					}
-					offA += ac
-					offB += m
-				}
-				ci[j], ci[j+1], ci[j+2], ci[j+3] = s0, s1, s2, s3
-			}
-			for ; j < j1; j++ {
-				var s float32
-				offA, offB := i, j
-				for p := 0; p < rows; p++ {
-					if av := a.Data[offA]; av != 0 {
-						s += av * b.Data[offB]
-					}
-					offA += ac
-					offB += m
-				}
-				ci[j] = s
-			}
-		}
-	}
-}
-
-func (o *optBackend) MatMulT(c, a, b *Mat) {
-	jp := o.mtPanel
-	ParallelFor(a.Rows, func(lo, hi int) { o.matmulTChunk(c, a, b, lo, hi, jp) })
-}
-
-// matmulTChunk computes rows [lo,hi) of C = A·Bᵀ: each C row is the
-// MatVecRows gemv of the B panel against the A row (C[i][j] = b_j·a_i;
-// products commute bitwise). MatVecRows shares each loaded a element across
-// four B-row chains and keeps the reference Dot's per-element reduction
-// statement, so optimized MatMulT is bitwise equal to the reference.
-func (o *optBackend) matmulTChunk(c, a, b *Mat, lo, hi, jPanel int) {
-	mrows := b.Rows
-	for j0 := 0; j0 < mrows; j0 += jPanel {
-		j1 := min(j0+jPanel, mrows)
-		for i := lo; i < hi; i++ {
-			o.MatVecRows(c.Row(i)[j0:j1], b, a.Row(i), j0, j1)
-		}
-	}
-}
-
-// Dot uses 4 independent accumulator chains (combined (s0+s1)+(s2+s3)) so
-// consecutive multiply-adds don't serialise on one register — within
-// tolerance of, not bitwise equal to, the reference single-chain order.
-func (*optBackend) Dot(a, b []float32) float32 {
-	var s0, s1, s2, s3 float32
-	n := len(a)
-	i := 0
-	for ; i+4 <= n; i += 4 {
-		s0 += a[i] * b[i]
-		s1 += a[i+1] * b[i+1]
-		s2 += a[i+2] * b[i+2]
-		s3 += a[i+3] * b[i+3]
-	}
-	s := (s0 + s1) + (s2 + s3)
-	for ; i < n; i++ {
-		s += a[i] * b[i]
-	}
-	return s
-}
-
-// Axpy has no reduction, so the reference element order is already optimal
-// and shared.
-func (*optBackend) Axpy(alpha float32, x, y []float32) { axpy(alpha, x, y) }
-
-// MatVecRows processes four rows per sweep so each loaded x element feeds
-// four accumulator chains. The per-row reduction statement is the reference
-// Dot's 4-way unroll verbatim (single chain, ascending index), so results are
-// bitwise identical to the reference backend.
-func (o *optBackend) MatVecRows(dst []float32, m *Mat, x []float32, lo, hi int) {
-	n := m.Cols
-	x = x[:n]
-	r := lo
-	for ; r+4 <= hi; r += 4 {
-		r0 := m.Row(r)[:n]
-		r1 := m.Row(r + 1)[:n]
-		r2 := m.Row(r + 2)[:n]
-		r3 := m.Row(r + 3)[:n]
-		var s0, s1, s2, s3 float32
-		p := 0
-		for ; p+4 <= n; p += 4 {
-			x0, x1, x2, x3 := x[p], x[p+1], x[p+2], x[p+3]
-			s0 += r0[p]*x0 + r0[p+1]*x1 + r0[p+2]*x2 + r0[p+3]*x3
-			s1 += r1[p]*x0 + r1[p+1]*x1 + r1[p+2]*x2 + r1[p+3]*x3
-			s2 += r2[p]*x0 + r2[p+1]*x1 + r2[p+2]*x2 + r2[p+3]*x3
-			s3 += r3[p]*x0 + r3[p+1]*x1 + r3[p+2]*x2 + r3[p+3]*x3
-		}
-		for ; p < n; p++ {
-			xp := x[p]
-			s0 += r0[p] * xp
-			s1 += r1[p] * xp
-			s2 += r2[p] * xp
-			s3 += r3[p] * xp
-		}
-		dst[r-lo] = s0
-		dst[r-lo+1] = s1
-		dst[r-lo+2] = s2
-		dst[r-lo+3] = s3
-	}
-	for ; r < hi; r++ {
-		dst[r-lo] = Reference.Dot(m.Row(r), x)
-	}
-}
-
-// WeightedRowSum fuses four axpy rows per sweep: one load/store of each acc
-// element covers four weighted rows. The per-element expression is evaluated
-// left to right, which is exactly the rounding order of four sequential axpy
-// calls — bitwise identical to the reference backend.
-func (*optBackend) WeightedRowSum(acc []float32, m *Mat, w []float32, lo, hi int) {
-	n := m.Cols
-	acc = acc[:n]
-	r := lo
-	for ; r+4 <= hi; r += 4 {
-		r0 := m.Row(r)[:n]
-		r1 := m.Row(r + 1)[:n]
-		r2 := m.Row(r + 2)[:n]
-		r3 := m.Row(r + 3)[:n]
-		w0, w1, w2, w3 := w[r-lo], w[r-lo+1], w[r-lo+2], w[r-lo+3]
-		for c := 0; c < n; c++ {
-			acc[c] = acc[c] + w0*r0[c] + w1*r1[c] + w2*r2[c] + w3*r3[c]
-		}
-	}
-	for ; r < hi; r++ {
-		axpy(w[r-lo], m.Row(r), acc)
-	}
-}
-
-func (*optBackend) SoftmaxRows(m *Mat) {
+func (optBackend) SoftmaxRows(m *Mat) {
 	ParallelFor(m.Rows, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			row := m.Row(i)
@@ -397,13 +37,13 @@ func (*optBackend) SoftmaxRows(m *Mat) {
 	})
 }
 
-func (*optBackend) ExpShift(dst, src []float32, shift float32) {
+func (optBackend) ExpShift(dst, src []float32, shift float32) {
 	for i, v := range src {
 		dst[i] = expf32(v + shift)
 	}
 }
 
-func (*optBackend) BiasGELU(y, u *Mat, bias []float32) {
+func (optBackend) BiasGELU(y, u *Mat, bias []float32) {
 	ParallelFor(u.Rows, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			ur := u.Row(i)
@@ -417,7 +57,7 @@ func (*optBackend) BiasGELU(y, u *Mat, bias []float32) {
 	})
 }
 
-func (*optBackend) BiasGELUGrad(dz *Mat, dbias []float32, z, dy *Mat) {
+func (optBackend) BiasGELUGrad(dz *Mat, dbias []float32, z, dy *Mat) {
 	ParallelFor(z.Rows, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			zr := z.Row(i)

@@ -2,156 +2,13 @@ package tensor
 
 import "math"
 
-// blockPanel is the shared-operand panel height of the reference blocked
-// matmul kernels: the loops over the reduction (or broadcast) dimension are
-// tiled so that a panel of blockPanel rows of the shared operand stays
-// cache-resident while every row of the worker's chunk consumes it. 128 rows
-// × typical hidden widths keeps a panel well inside L2 without starving L1.
-const blockPanel = 128
-
-// refBackend is the bitwise-pinned reference implementation: the
-// panel-blocked kernels the repo shipped before backends existed, moved here
-// verbatim. Training defaults to it; its per-output-element summation order
-// (p strictly ascending, av==0 skipped) is part of the package's determinism
-// contract and must never change.
+// refBackend is the bitwise-pinned reference implementation of the
+// transcendental row ops: float64 math.Exp / GELU rounded to float32.
+// Training defaults to it; its numerics must never change.
 type refBackend struct{}
 
 func (refBackend) sealed()      {}
 func (refBackend) Name() string { return "reference" }
-
-// MatMul computes C = A·B. The kernel is parallelised over rows of A and
-// blocked over panels of B: for each panel of blockPanel rows of B, every row
-// of the chunk streams the panel with an ikj/axpy inner loop, so the panel is
-// read from cache (hi−lo) times instead of main memory. Per-element summation
-// order is unchanged from the unblocked kernel (p strictly ascending per
-// output row), so results are bitwise identical.
-func (refBackend) MatMul(c, a, b *Mat) {
-	n, k := a.Rows, a.Cols
-	ParallelFor(n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			ci := c.Row(i)
-			for x := range ci {
-				ci[x] = 0
-			}
-		}
-		for p0 := 0; p0 < k; p0 += blockPanel {
-			p1 := p0 + blockPanel
-			if p1 > k {
-				p1 = k
-			}
-			for i := lo; i < hi; i++ {
-				ai := a.Row(i)
-				ci := c.Row(i)
-				for p := p0; p < p1; p++ {
-					av := ai[p]
-					if av == 0 {
-						continue
-					}
-					axpy(av, b.Row(p), ci)
-				}
-			}
-		}
-	})
-}
-
-// MatMulT computes C = A·Bᵀ. The innermost loop is a dot product over
-// contiguous rows of both A and B — the cache-friendly orientation for
-// attention scores Q·Kᵀ — and the j loop is blocked into panels of B rows
-// reused across the chunk's A rows.
-func (r refBackend) MatMulT(c, a, b *Mat) {
-	m := b.Rows
-	ParallelFor(a.Rows, func(lo, hi int) {
-		for j0 := 0; j0 < m; j0 += blockPanel {
-			j1 := j0 + blockPanel
-			if j1 > m {
-				j1 = m
-			}
-			for i := lo; i < hi; i++ {
-				ai := a.Row(i)
-				ci := c.Row(i)
-				for j := j0; j < j1; j++ {
-					ci[j] = r.Dot(ai, b.Row(j))
-				}
-			}
-		}
-	})
-}
-
-// TMatMul computes C = Aᵀ·B. Parallelised over columns of A (rows of C) and
-// blocked over panels of A/B rows so both operand panels stay cache-resident
-// across the chunk. Summation order per output element is unchanged
-// (p strictly ascending), keeping results bitwise identical.
-func (refBackend) TMatMul(c, a, b *Mat) {
-	ParallelFor(c.Rows, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			ci := c.Row(i)
-			for x := range ci {
-				ci[x] = 0
-			}
-		}
-		for p0 := 0; p0 < a.Rows; p0 += blockPanel {
-			p1 := p0 + blockPanel
-			if p1 > a.Rows {
-				p1 = a.Rows
-			}
-			for i := lo; i < hi; i++ {
-				ci := c.Row(i)
-				for p := p0; p < p1; p++ {
-					av := a.Data[p*a.Cols+i]
-					if av == 0 {
-						continue
-					}
-					axpy(av, b.Row(p), ci)
-				}
-			}
-		}
-	})
-}
-
-// Dot returns the inner product of two equal-length slices: 4-way unrolled,
-// single accumulator, strictly ascending index order.
-func (refBackend) Dot(a, b []float32) float32 {
-	var s float32
-	n := len(a)
-	i := 0
-	for ; i+4 <= n; i += 4 {
-		s += a[i]*b[i] + a[i+1]*b[i+1] + a[i+2]*b[i+2] + a[i+3]*b[i+3]
-	}
-	for ; i < n; i++ {
-		s += a[i] * b[i]
-	}
-	return s
-}
-
-func (refBackend) Axpy(alpha float32, x, y []float32) { axpy(alpha, x, y) }
-
-// axpy computes y += alpha*x. Package-private so both backends' remainder
-// paths can share the exact reference element order.
-func axpy(alpha float32, x, y []float32) {
-	n := len(y)
-	i := 0
-	for ; i+4 <= n; i += 4 {
-		y[i] += alpha * x[i]
-		y[i+1] += alpha * x[i+1]
-		y[i+2] += alpha * x[i+2]
-		y[i+3] += alpha * x[i+3]
-	}
-	for ; i < n; i++ {
-		y[i] += alpha * x[i]
-	}
-}
-
-func (b refBackend) MatVecRows(dst []float32, m *Mat, x []float32, lo, hi int) {
-	for r := lo; r < hi; r++ {
-		dst[r-lo] = b.Dot(m.Row(r), x)
-	}
-}
-
-func (refBackend) WeightedRowSum(acc []float32, m *Mat, w []float32, lo, hi int) {
-	for r := lo; r < hi; r++ {
-		axpy(w[r-lo], m.Row(r), acc)
-	}
-}
 
 func (refBackend) SoftmaxRows(m *Mat) {
 	ParallelFor(m.Rows, func(lo, hi int) {

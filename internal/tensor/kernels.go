@@ -1,0 +1,422 @@
+package tensor
+
+import "fmt"
+
+// The linear-algebra kernels: one implementation each, shared by both
+// backends (they never differed in output, only in speed — see Backend).
+// Every output element is reduced in a single accumulator, in strictly
+// ascending reduction-index order, whatever the panel, the tile position
+// within a worker chunk or the worker count: panels and tiles only reorder
+// *independent* output elements relative to each other. That per-element
+// operation sequence (p ascending, av==0 skipped in MatMul/TMatMul) is the
+// package's determinism contract and must never change; kernels_test.go
+// holds the plain triple-loop oracles it is checked against bit for bit.
+
+// Panel widths: output columns are processed in panels this wide so the
+// active slab of the shared operand stays cache-resident across a chunk's
+// row tiles. Numerics-neutral by construction; candidates from 64 to 512
+// measured within 4 % of each other, so they are constants.
+const (
+	mmPanel = 256 // B-column panel of MatMul and TMatMul
+	mtPanel = 128 // B-row panel of MatMulT
+)
+
+// MatMul computes C = A·B. C must be pre-allocated with shape A.Rows×B.Cols;
+// it is overwritten.
+//
+// Zero-skip contract (pinned by TestMatMulZeroSkipSemantics): an A element
+// that is exactly zero contributes nothing to its output row — the
+// corresponding B row is skipped entirely, so NaN/Inf values in B rows that
+// only ever meet zero A entries do NOT propagate (0·NaN is treated as a
+// skip, not as IEEE NaN). TMatMul skips symmetrically on zero Aᵀ elements.
+// MatMulT and Dot follow plain IEEE semantics (no skip).
+func MatMul(c, a, b *Mat) {
+	if a.Cols != b.Rows || c.Rows != a.Rows || c.Cols != b.Cols {
+		panic(fmt.Sprintf("tensor: MatMul shapes %dx%d · %dx%d -> %dx%d", a.Rows, a.Cols, b.Rows, b.Cols, c.Rows, c.Cols))
+	}
+	ParallelFor(a.Rows, func(lo, hi int) { matmulChunk(c, a, b, lo, hi) })
+}
+
+// matmulChunk computes rows [lo,hi) of C = A·B with 2×4 output register
+// tiles: per reduction step p the tile loads 4 B values and 2 A values and
+// performs 8 multiply-adds entirely in registers (1.3 flops/load, versus a
+// row-axpy formulation's 0.5), storing each output element once after the
+// full k loop. Wider tiles lose: 16 accumulators plus live operands exceed
+// the 16 scalar float registers and spill. The per-row `av != 0` branch is
+// the zero-skip contract.
+func matmulChunk(c, a, b *Mat, lo, hi int) {
+	k, m := a.Cols, b.Cols
+	for j0 := 0; j0 < m; j0 += mmPanel {
+		j1 := min(j0+mmPanel, m)
+		i := lo
+		for ; i+2 <= hi; i += 2 {
+			// Re-slice to length k so the compiler can prove ai[p] in-bounds
+			// for p < k and drop the per-iteration checks.
+			ai0, ai1 := a.Row(i)[:k], a.Row(i + 1)[:k]
+			ci0, ci1 := c.Row(i), c.Row(i+1)
+			j := j0
+			for ; j+4 <= j1; j += 4 {
+				var c00, c01, c02, c03 float32
+				var c10, c11, c12, c13 float32
+				off := j
+				p := 0
+				// p unrolled ×2: per-element accumulation order stays
+				// p-ascending (the p and p+1 contributions are added to the
+				// same accumulator, in order), so numerics are unchanged.
+				for ; p+2 <= k; p += 2 {
+					bp := b.Data[off : off+4 : off+4]
+					b0, b1, b2, b3 := bp[0], bp[1], bp[2], bp[3]
+					if av := ai0[p]; av != 0 {
+						c00 += av * b0
+						c01 += av * b1
+						c02 += av * b2
+						c03 += av * b3
+					}
+					if av := ai1[p]; av != 0 {
+						c10 += av * b0
+						c11 += av * b1
+						c12 += av * b2
+						c13 += av * b3
+					}
+					off += m
+					bq := b.Data[off : off+4 : off+4]
+					b0, b1, b2, b3 = bq[0], bq[1], bq[2], bq[3]
+					if av := ai0[p+1]; av != 0 {
+						c00 += av * b0
+						c01 += av * b1
+						c02 += av * b2
+						c03 += av * b3
+					}
+					if av := ai1[p+1]; av != 0 {
+						c10 += av * b0
+						c11 += av * b1
+						c12 += av * b2
+						c13 += av * b3
+					}
+					off += m
+				}
+				for ; p < k; p++ {
+					bp := b.Data[off : off+4 : off+4]
+					b0, b1, b2, b3 := bp[0], bp[1], bp[2], bp[3]
+					if av := ai0[p]; av != 0 {
+						c00 += av * b0
+						c01 += av * b1
+						c02 += av * b2
+						c03 += av * b3
+					}
+					if av := ai1[p]; av != 0 {
+						c10 += av * b0
+						c11 += av * b1
+						c12 += av * b2
+						c13 += av * b3
+					}
+					off += m
+				}
+				ci0[j], ci0[j+1], ci0[j+2], ci0[j+3] = c00, c01, c02, c03
+				ci1[j], ci1[j+1], ci1[j+2], ci1[j+3] = c10, c11, c12, c13
+			}
+			for ; j < j1; j++ { // column remainder: 2×1 tile
+				var s0, s1 float32
+				off := j
+				for p := 0; p < k; p++ {
+					bv := b.Data[off]
+					if av := ai0[p]; av != 0 {
+						s0 += av * bv
+					}
+					if av := ai1[p]; av != 0 {
+						s1 += av * bv
+					}
+					off += m
+				}
+				ci0[j], ci1[j] = s0, s1
+			}
+		}
+		for ; i < hi; i++ { // row remainder: 1×4 tiles + scalar corner
+			ai := a.Row(i)
+			ci := c.Row(i)
+			j := j0
+			for ; j+4 <= j1; j += 4 {
+				var s0, s1, s2, s3 float32
+				off := j
+				for p := 0; p < k; p++ {
+					if av := ai[p]; av != 0 {
+						bp := b.Data[off : off+4 : off+4]
+						s0 += av * bp[0]
+						s1 += av * bp[1]
+						s2 += av * bp[2]
+						s3 += av * bp[3]
+					}
+					off += m
+				}
+				ci[j], ci[j+1], ci[j+2], ci[j+3] = s0, s1, s2, s3
+			}
+			for ; j < j1; j++ {
+				var s float32
+				off := j
+				for p := 0; p < k; p++ {
+					if av := ai[p]; av != 0 {
+						s += av * b.Data[off]
+					}
+					off += m
+				}
+				ci[j] = s
+			}
+		}
+	}
+}
+
+// TMatMul computes C = Aᵀ·B. C must be A.Cols×B.Cols. Used for weight
+// gradients dW = Xᵀ·dY.
+func TMatMul(c, a, b *Mat) {
+	if a.Rows != b.Rows || c.Rows != a.Cols || c.Cols != b.Cols {
+		panic(fmt.Sprintf("tensor: TMatMul shapes (%dx%d)ᵀ · %dx%d -> %dx%d", a.Rows, a.Cols, b.Rows, b.Cols, c.Rows, c.Cols))
+	}
+	ParallelFor(c.Rows, func(lo, hi int) { tmatmulChunk(c, a, b, lo, hi) })
+}
+
+// tmatmulChunk computes rows [lo,hi) of C = Aᵀ·B (rows of C index columns of
+// A). Same 2×4 register tile as matmulChunk; here the 2 A values per step are
+// contiguous (a.Data[p*cols+i : +2]), so both operand loads stream.
+func tmatmulChunk(c, a, b *Mat, lo, hi int) {
+	rows, ac, m := a.Rows, a.Cols, b.Cols
+	for j0 := 0; j0 < m; j0 += mmPanel {
+		j1 := min(j0+mmPanel, m)
+		i := lo
+		for ; i+2 <= hi; i += 2 {
+			ci0, ci1 := c.Row(i), c.Row(i+1)
+			j := j0
+			for ; j+4 <= j1; j += 4 {
+				var c00, c01, c02, c03 float32
+				var c10, c11, c12, c13 float32
+				offA, offB := i, j
+				for p := 0; p < rows; p++ {
+					ap := a.Data[offA : offA+2 : offA+2]
+					bp := b.Data[offB : offB+4 : offB+4]
+					b0, b1, b2, b3 := bp[0], bp[1], bp[2], bp[3]
+					if av := ap[0]; av != 0 {
+						c00 += av * b0
+						c01 += av * b1
+						c02 += av * b2
+						c03 += av * b3
+					}
+					if av := ap[1]; av != 0 {
+						c10 += av * b0
+						c11 += av * b1
+						c12 += av * b2
+						c13 += av * b3
+					}
+					offA += ac
+					offB += m
+				}
+				ci0[j], ci0[j+1], ci0[j+2], ci0[j+3] = c00, c01, c02, c03
+				ci1[j], ci1[j+1], ci1[j+2], ci1[j+3] = c10, c11, c12, c13
+			}
+			for ; j < j1; j++ { // column remainder
+				var s0, s1 float32
+				offA, offB := i, j
+				for p := 0; p < rows; p++ {
+					bv := b.Data[offB]
+					ap := a.Data[offA : offA+2 : offA+2]
+					if av := ap[0]; av != 0 {
+						s0 += av * bv
+					}
+					if av := ap[1]; av != 0 {
+						s1 += av * bv
+					}
+					offA += ac
+					offB += m
+				}
+				ci0[j], ci1[j] = s0, s1
+			}
+		}
+		for ; i < hi; i++ { // row remainder
+			ci := c.Row(i)
+			j := j0
+			for ; j+4 <= j1; j += 4 {
+				var s0, s1, s2, s3 float32
+				offA, offB := i, j
+				for p := 0; p < rows; p++ {
+					if av := a.Data[offA]; av != 0 {
+						bp := b.Data[offB : offB+4 : offB+4]
+						s0 += av * bp[0]
+						s1 += av * bp[1]
+						s2 += av * bp[2]
+						s3 += av * bp[3]
+					}
+					offA += ac
+					offB += m
+				}
+				ci[j], ci[j+1], ci[j+2], ci[j+3] = s0, s1, s2, s3
+			}
+			for ; j < j1; j++ {
+				var s float32
+				offA, offB := i, j
+				for p := 0; p < rows; p++ {
+					if av := a.Data[offA]; av != 0 {
+						s += av * b.Data[offB]
+					}
+					offA += ac
+					offB += m
+				}
+				ci[j] = s
+			}
+		}
+	}
+}
+
+// MatMulT computes C = A·Bᵀ. C must be A.Rows×B.Rows — the cache-friendly
+// orientation for attention scores Q·Kᵀ. Each C row is the matVecRows gemv
+// of a B-row panel against the A row (C[i][j] = b_j·a_i; products commute
+// bitwise), so every element is the plain Dot of the two rows.
+func MatMulT(c, a, b *Mat) {
+	if a.Cols != b.Cols || c.Rows != a.Rows || c.Cols != b.Rows {
+		panic(fmt.Sprintf("tensor: MatMulT shapes %dx%d · (%dx%d)ᵀ -> %dx%d", a.Rows, a.Cols, b.Rows, b.Cols, c.Rows, c.Cols))
+	}
+	m := b.Rows
+	ParallelFor(a.Rows, func(lo, hi int) {
+		for j0 := 0; j0 < m; j0 += mtPanel {
+			j1 := min(j0+mtPanel, m)
+			for i := lo; i < hi; i++ {
+				matVecRows(c.Row(i)[j0:j1], b, a.Row(i), j0, j1)
+			}
+		}
+	})
+}
+
+// Dot returns the inner product of two equal-length slices: 4-way unrolled,
+// single accumulator, strictly ascending index order.
+func Dot(a, b []float32) float32 {
+	var s float32
+	n := len(a)
+	i := 0
+	for ; i+4 <= n; i += 4 {
+		s += a[i]*b[i] + a[i+1]*b[i+1] + a[i+2]*b[i+2] + a[i+3]*b[i+3]
+	}
+	for ; i < n; i++ {
+		s += a[i] * b[i]
+	}
+	return s
+}
+
+// Axpy computes y += alpha*x for equal-length slices.
+func Axpy(alpha float32, x, y []float32) {
+	n := len(y)
+	i := 0
+	for ; i+4 <= n; i += 4 {
+		y[i] += alpha * x[i]
+		y[i+1] += alpha * x[i+1]
+		y[i+2] += alpha * x[i+2]
+		y[i+3] += alpha * x[i+3]
+	}
+	for ; i < n; i++ {
+		y[i] += alpha * x[i]
+	}
+}
+
+// MatVecRows computes dst[r-lo] = m.Row(r)·x for rows r in [lo, hi) — the
+// batched row-gemv behind the flash/sparse tile score computation (one call
+// per tile instead of one Dot per row). Each element is the plain Dot of the
+// row with x (products commute exactly in IEEE, so Row·x ≡ x·Row bitwise).
+func MatVecRows(dst []float32, m *Mat, x []float32, lo, hi int) {
+	if lo < 0 || hi < lo || hi > m.Rows || len(x) != m.Cols || len(dst) < hi-lo {
+		panic(fmt.Sprintf("tensor: MatVecRows rows [%d,%d) of %dx%d, len(x)=%d len(dst)=%d",
+			lo, hi, m.Rows, m.Cols, len(x), len(dst)))
+	}
+	matVecRows(dst, m, x, lo, hi)
+}
+
+// matVecRows processes four rows per sweep so each loaded x element feeds
+// four accumulator chains. The per-row reduction statement is Dot's 4-way
+// unroll verbatim (single chain, ascending index).
+func matVecRows(dst []float32, m *Mat, x []float32, lo, hi int) {
+	n := m.Cols
+	x = x[:n]
+	r := lo
+	for ; r+4 <= hi; r += 4 {
+		r0 := m.Row(r)[:n]
+		r1 := m.Row(r + 1)[:n]
+		r2 := m.Row(r + 2)[:n]
+		r3 := m.Row(r + 3)[:n]
+		var s0, s1, s2, s3 float32
+		p := 0
+		for ; p+4 <= n; p += 4 {
+			x0, x1, x2, x3 := x[p], x[p+1], x[p+2], x[p+3]
+			s0 += r0[p]*x0 + r0[p+1]*x1 + r0[p+2]*x2 + r0[p+3]*x3
+			s1 += r1[p]*x0 + r1[p+1]*x1 + r1[p+2]*x2 + r1[p+3]*x3
+			s2 += r2[p]*x0 + r2[p+1]*x1 + r2[p+2]*x2 + r2[p+3]*x3
+			s3 += r3[p]*x0 + r3[p+1]*x1 + r3[p+2]*x2 + r3[p+3]*x3
+		}
+		for ; p < n; p++ {
+			xp := x[p]
+			s0 += r0[p] * xp
+			s1 += r1[p] * xp
+			s2 += r2[p] * xp
+			s3 += r3[p] * xp
+		}
+		dst[r-lo] = s0
+		dst[r-lo+1] = s1
+		dst[r-lo+2] = s2
+		dst[r-lo+3] = s3
+	}
+	for ; r < hi; r++ {
+		dst[r-lo] = Dot(m.Row(r), x)
+	}
+}
+
+// WeightedRowSum accumulates acc[c] += Σ w[r-lo]·m.Row(r)[c] over rows r in
+// [lo, hi), r strictly ascending (the row order is part of the determinism
+// contract): the axpy sequence `for r { Axpy(w[r-lo], m.Row(r), acc) }`,
+// fused four rows per sweep so one load/store of each acc element covers
+// four weighted rows. The per-element expression is evaluated left to right,
+// which is exactly the rounding order of the four sequential axpys.
+func WeightedRowSum(acc []float32, m *Mat, w []float32, lo, hi int) {
+	if lo < 0 || hi < lo || hi > m.Rows || len(acc) != m.Cols || len(w) < hi-lo {
+		panic(fmt.Sprintf("tensor: WeightedRowSum rows [%d,%d) of %dx%d, len(acc)=%d len(w)=%d",
+			lo, hi, m.Rows, m.Cols, len(acc), len(w)))
+	}
+	n := m.Cols
+	acc = acc[:n]
+	r := lo
+	for ; r+4 <= hi; r += 4 {
+		r0 := m.Row(r)[:n]
+		r1 := m.Row(r + 1)[:n]
+		r2 := m.Row(r + 2)[:n]
+		r3 := m.Row(r + 3)[:n]
+		w0, w1, w2, w3 := w[r-lo], w[r-lo+1], w[r-lo+2], w[r-lo+3]
+		for c := 0; c < n; c++ {
+			acc[c] = acc[c] + w0*r0[c] + w1*r1[c] + w2*r2[c] + w3*r3[c]
+		}
+	}
+	for ; r < hi; r++ {
+		Axpy(w[r-lo], m.Row(r), acc)
+	}
+}
+
+// AxpyRows adds w[r-lo]·x to m.Row(r) for rows r in [lo, hi): the rank-1
+// update that scatters one vector into a block of rows, the dual of
+// WeightedRowSum's gather. Element for element it is
+// `for r { Axpy(w[r-lo], x, m.Row(r)) }`; each element receives exactly one
+// term, so there is no order to preserve within a call.
+func AxpyRows(m *Mat, w, x []float32, lo, hi int) {
+	if lo < 0 || hi < lo || hi > m.Rows || len(x) != m.Cols || len(w) < hi-lo {
+		panic(fmt.Sprintf("tensor: AxpyRows rows [%d,%d) of %dx%d, len(x)=%d len(w)=%d",
+			lo, hi, m.Rows, m.Cols, len(x), len(w)))
+	}
+	n := m.Cols
+	rows := m.Data[lo*n : hi*n]
+	for r, wr := range w[:hi-lo] {
+		row := rows[r*n : r*n+n : r*n+n]
+		c := 0
+		for ; c+4 <= n; c += 4 {
+			xc := x[c : c+4 : c+4]
+			rc := row[c : c+4 : c+4]
+			rc[0] += wr * xc[0]
+			rc[1] += wr * xc[1]
+			rc[2] += wr * xc[2]
+			rc[3] += wr * xc[3]
+		}
+		for ; c < n; c++ {
+			row[c] += wr * x[c]
+		}
+	}
+}

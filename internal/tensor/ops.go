@@ -2,11 +2,11 @@ package tensor
 
 import "math"
 
-// Element-wise and row/column ops shared by all backends. The matrix kernels
-// (MatMul, MatMulT, TMatMul, Dot, Axpy, SoftmaxRows, ExpShift, BiasGELU,
-// BiasGELUGrad) live in backend.go and dispatch through the active Backend;
-// everything here is memory-bound bookkeeping with a single canonical
-// implementation.
+// Element-wise and row/column ops. The matrix kernels (MatMul, MatMulT,
+// TMatMul, Dot, Axpy and the tile primitives) live in kernels.go; the
+// transcendental row ops (SoftmaxRows, ExpShift, BiasGELU, BiasGELUGrad)
+// dispatch through the active Backend from backend.go; everything here is
+// memory-bound bookkeeping.
 
 // Add computes c = a + b element-wise (c may alias a or b).
 func Add(c, a, b *Mat) {

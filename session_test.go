@@ -341,3 +341,43 @@ func TestSessionSeqParallelPublic(t *testing.T) {
 		t.Fatal("heads not divisible by ranks must fail at session build")
 	}
 }
+
+// TestReferenceTrajectoryPinned holds the reference backend's arithmetic
+// across releases, end to end: the per-epoch training losses of a short
+// interleaved run (flash at epochs 0 and 2, cluster-sparse at 1 and 3, so
+// every long-S kernel, the matmuls and the optimiser are on the path) must
+// repeat, bit for bit, the values recorded before the backends came to share
+// one kernel set and the flash backward became a single pass. A kernel change
+// that reorders any floating-point reduction moves these; one that only
+// makes them faster does not.
+func TestReferenceTrajectoryPinned(t *testing.T) {
+	prev, err := SetBackend("ref")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer SetBackend(prev)
+	d, err := OpenDataset("synth://arxiv-sim?nodes=256&seed=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds := d.Node
+	sess, err := NewSession(MethodTorchGT, GraphormerSlim(ds.X.Cols, ds.NumClasses, 1), NodeTask(ds),
+		WithEpochs(4), WithInterval(2), WithFixedBeta(ds.G.Sparsity()), WithSeed(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := sess.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []uint64{0x4007b2741af977f2, 0x4004198b15569247, 0x4001366982e42162, 0x3ffc3b3b78ae5662}
+	if len(res.Curve) != len(want) {
+		t.Fatalf("want %d epochs, got %d", len(want), len(res.Curve))
+	}
+	for i, p := range res.Curve {
+		if got := math.Float64bits(p.Loss); got != want[i] {
+			t.Errorf("epoch %d: loss %v (0x%016x), pinned %v (0x%016x)",
+				i, p.Loss, got, math.Float64frombits(want[i]), want[i])
+		}
+	}
+}
