@@ -35,6 +35,12 @@ func SetBackend(name string) (prev string, err error) { return tensor.SetBackend
 // ActiveBackend reports the backend all kernels currently dispatch through.
 func ActiveBackend() Backend { return tensor.ActiveBackend() }
 
+// KernelISA names the instruction set the shared matrix kernels run on in
+// this process: "avx2" (hand-written lane-wise micro-kernels, picked when the
+// CPU has AVX2) or "portable" (the pure-Go loops). There is nothing to select:
+// the two produce the same bits, and differ several-fold in speed.
+func KernelISA() string { return tensor.KernelISA() }
+
 // BackendNames lists the selectable backend spellings (canonical short
 // forms, as accepted by SetBackend and the -backend CLI flags).
 func BackendNames() []string { return tensor.BackendNames() }

@@ -37,6 +37,7 @@ type artifact struct {
 	Title      string `json:"title"`
 	Scale      string `json:"scale"`
 	Backend    string `json:"backend"`
+	ISA        string `json:"isa"`
 	DurationMS int64  `json:"duration_ms"`
 	OK         bool   `json:"ok"`
 	Error      string `json:"error,omitempty"`
@@ -59,7 +60,6 @@ func run(ctx context.Context, args []string) error {
 		if _, err := torchgt.SetBackend(*backend); err != nil {
 			return err
 		}
-		fmt.Printf("compute backend: %s\n", torchgt.ActiveBackend().Name())
 	}
 	if *dataSpec != "" {
 		bench.SetNodeDataSpec(*dataSpec)
@@ -70,6 +70,7 @@ func run(ctx context.Context, args []string) error {
 		}
 		return nil
 	}
+	fmt.Printf("compute backend: %s, kernels: %s\n", torchgt.ActiveBackend().Name(), torchgt.KernelISA())
 	ids := torchgt.ExperimentIDs()
 	if *exp != "all" {
 		ids = []string{*exp}
@@ -94,6 +95,7 @@ func run(ctx context.Context, args []string) error {
 		art := artifact{
 			ID: id, Title: e.Title, Scale: *scale,
 			Backend:    torchgt.ActiveBackend().Name(),
+			ISA:        torchgt.KernelISA(),
 			DurationMS: time.Since(t0).Milliseconds(),
 			OK:         runErr == nil,
 			Report:     buf.String(),

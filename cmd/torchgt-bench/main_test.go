@@ -31,8 +31,8 @@ func TestBenchWritesArtifact(t *testing.T) {
 	if art.ID != "fig5" || !art.OK || art.Scale != "smoke" || art.Error != "" {
 		t.Fatalf("artifact header wrong: %+v", art)
 	}
-	if art.Backend == "" || art.Title == "" {
-		t.Fatalf("artifact missing backend/title: %+v", art)
+	if art.Backend == "" || art.Title == "" || (art.ISA != "avx2" && art.ISA != "portable") {
+		t.Fatalf("artifact missing backend/isa/title: %+v", art)
 	}
 	if art.Report == "" {
 		t.Fatal("artifact must embed the text report")

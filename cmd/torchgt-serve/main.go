@@ -108,8 +108,8 @@ func main() {
 		if _, err := torchgt.SetBackend(*backend); err != nil {
 			fail(err)
 		}
-		fmt.Printf("compute backend: %s\n", torchgt.ActiveBackend().Name())
 	}
+	fmt.Printf("compute backend: %s, kernels: %s\n", torchgt.ActiveBackend().Name(), torchgt.KernelISA())
 	var ds *torchgt.NodeDataset // in-memory dataset (nil for shard:// streams)
 	var src torchgt.NodeSource  // the access interface every serving path reads through
 	spec := withReorder(*dataSpec, *reorderK)

@@ -119,8 +119,8 @@ func run(ctx context.Context, args []string) error {
 		if _, err := torchgt.SetBackend(*backend); err != nil {
 			return err
 		}
-		fmt.Printf("compute backend: %s\n", torchgt.ActiveBackend().Name())
 	}
+	fmt.Printf("compute backend: %s, kernels: %s\n", torchgt.ActiveBackend().Name(), torchgt.KernelISA())
 	cfgFor := func(in, out int) torchgt.ModelConfig {
 		switch *modelName {
 		case "gph-large":

@@ -13,6 +13,7 @@ import (
 )
 
 func main() {
+	fmt.Printf("shared matrix kernels run on: %s\n\n", torchgt.KernelISA())
 	fmt.Println("ops that differ between the backends (fixed synthetic operand, best of 3):")
 	for _, s := range torchgt.BackendTuningReport() {
 		fmt.Printf("  %-12s  ref %8.0f ns  opt %8.0f ns  %.2fx\n", s.Kernel, s.RefNs, s.OptNs, s.Speedup)

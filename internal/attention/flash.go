@@ -67,6 +67,9 @@ func (f *Flash) Forward(q, k, v *tensor.Mat) *tensor.Mat {
 	if tile < 1 {
 		tile = 64
 	}
+	// K prepared once per head for the tile gemvs below (the lane-wise
+	// kernels want it transposed; the copy comes from the workspace)
+	kd := tensor.NewDotRows(f.ws, k)
 	// per-worker tile scratch, indexed by the ParallelFor worker slot
 	nw := tensor.WorkerCount(s)
 	scoreBuf := f.ws.GetVec(nw * tile)
@@ -86,7 +89,7 @@ func (f *Flash) Forward(q, k, v *tensor.Mat) *tensor.Mat {
 				n := j1 - j0
 				// tile scores: one batched row-gemv per tile (K_tile·qi;
 				// products commute, so bitwise equal to per-row Dot(qi, kj))
-				tensor.MatVecRows(scores[:n], k, qi, j0, j1)
+				kd.MatVec(scores[:n], qi, j0, j1)
 				tileMax := float32(math.Inf(-1))
 				for x := 0; x < n; x++ {
 					sc := scores[x] * scale
@@ -161,6 +164,8 @@ func (f *Flash) Backward(dO *tensor.Mat) (dq, dk, dv *tensor.Mat) {
 	}
 	probBuf := f.ws.GetVec(tile)
 	dsBuf := f.ws.GetVec(tile)
+	// K and V prepared once per head for the score and dp gemvs
+	kd, vd := tensor.NewDotRows(f.ws, k), tensor.NewDotRows(f.ws, v)
 	for i := 0; i < s; i++ {
 		qi := q.Row(i)
 		dOi := dO.Row(i)
@@ -172,12 +177,12 @@ func (f *Flash) Backward(dO *tensor.Mat) (dq, dk, dv *tensor.Mat) {
 			// p_ij = exp(q_i·k_j·scale − lse_i) and dp_ij = dO_i·v_j through
 			// the batched primitives: one gemv / one exp call per tile
 			// (exp(x − lse) ≡ exp(x + (−lse)) in IEEE arithmetic).
-			tensor.MatVecRows(probs, k, qi, j0, j1)
+			kd.MatVec(probs, qi, j0, j1)
 			for x := range probs {
 				probs[x] *= scale
 			}
 			tensor.ExpShift(probs, probs, -f.lse[i])
-			tensor.MatVecRows(ds, v, dOi, j0, j1)
+			vd.MatVec(ds, dOi, j0, j1)
 			for x := range ds {
 				ds[x] = probs[x] * (ds[x] - di) * scale
 			}

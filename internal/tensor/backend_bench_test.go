@@ -29,6 +29,17 @@ func BenchmarkMatMul(b *testing.B) {
 	benchKernel(b, func(a, bm, c, _, _ *Mat) { MatMul(c, a, bm) })
 }
 
+// BenchmarkMatMulPortable is BenchmarkMatMul with the micro-kernels switched
+// off, whatever the CPU: the denominator of the CI ratio that locks their
+// win, and the number to watch for the claim that the explicit float32(x*y)
+// conversions cost amd64 nothing.
+func BenchmarkMatMulPortable(b *testing.B) {
+	have := useAVX2
+	useAVX2 = false
+	defer func() { useAVX2 = have }()
+	benchKernel(b, func(a, bm, c, _, _ *Mat) { MatMul(c, a, bm) })
+}
+
 func BenchmarkMatMulT(b *testing.B) {
 	benchKernel(b, func(a, _, _, cs, _ *Mat) { MatMulT(cs, a, a) })
 }

@@ -11,6 +11,43 @@ import "fmt"
 // operation sequence (p ascending, av==0 skipped in MatMul/TMatMul) is the
 // package's determinism contract and must never change; kernels_test.go
 // holds the plain triple-loop oracles it is checked against bit for bit.
+//
+// Every product below is written float32(x*y): the Go spec lets a compiler
+// fuse x*y+z into one FMA — one rounding where the contract says two; arm64,
+// ppc64le, s390x and GOAMD64=v3 builds do — unless the product is explicitly
+// converted. Where the compiler would not have fused, the conversion
+// compiles to nothing.
+//
+// Under these loops sit three AVX2 micro-kernels (simd_amd64.s), used when
+// the CPU has AVX2: each YMM lane carries one independent output element
+// through the same multiply, the same add and the same order, so which path
+// ran cannot be told from a result. They take the leading multiple-of-8
+// columns of a call; the Go loops take the remainder — and, on any other
+// CPU, everything.
+
+// useAVX2 selects the lane-wise micro-kernels. Set once from what the CPU
+// reports; only this package's tests flip it.
+var useAVX2 = cpuHasAVX2()
+
+// KernelISA names the instruction set the linear-algebra kernels run on:
+// "avx2" or "portable" (the pure-Go loops). It follows the CPU alone, and it
+// shows in how long a kernel takes, never in what it returns.
+func KernelISA() string {
+	if useAVX2 {
+		return "avx2"
+	}
+	return "portable"
+}
+
+// simdCols is the one dispatch point: of n adjacent output columns, how many
+// (counted from the first) the micro-kernels take. The Go loops own
+// [simdCols(n), n).
+func simdCols(n int) int {
+	if useAVX2 {
+		return n &^ 7
+	}
+	return 0
+}
 
 // Panel widths: output columns are processed in panels this wide so the
 // active slab of the shared operand stays cache-resident across a chunk's
@@ -34,27 +71,41 @@ func MatMul(c, a, b *Mat) {
 	if a.Cols != b.Rows || c.Rows != a.Rows || c.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: MatMul shapes %dx%d · %dx%d -> %dx%d", a.Rows, a.Cols, b.Rows, b.Cols, c.Rows, c.Cols))
 	}
+	if a.Cols == 0 { // empty reduction; also keeps b.Data[j0:] in range below
+		c.Zero()
+		return
+	}
 	ParallelFor(a.Rows, func(lo, hi int) { matmulChunk(c, a, b, lo, hi) })
 }
 
-// matmulChunk computes rows [lo,hi) of C = A·B with 2×4 output register
-// tiles: per reduction step p the tile loads 4 B values and 2 A values and
-// performs 8 multiply-adds entirely in registers (1.3 flops/load, versus a
-// row-axpy formulation's 0.5), storing each output element once after the
-// full k loop. Wider tiles lose: 16 accumulators plus live operands exceed
-// the 16 scalar float registers and spill. The per-row `av != 0` branch is
-// the zero-skip contract.
+// matmulChunk computes rows [lo,hi) of C = A·B, panel by panel. The
+// micro-kernel takes a panel's multiple-of-8 columns one C row at a time (up
+// to 64 columns share each broadcast A element, skipped as a whole when it
+// is zero). The Go loops take the remaining columns — all of them on the
+// portable path — with 2×4 output register tiles: per reduction step p the
+// tile loads 4 B values and 2 A values and performs 8 multiply-adds entirely
+// in registers (1.3 flops/load, versus a row-axpy formulation's 0.5),
+// storing each output element once after the full k loop. Wider scalar tiles
+// lose: 16 accumulators plus live operands exceed the 16 scalar float
+// registers and spill. The per-row `av != 0` branch is the zero-skip
+// contract.
 func matmulChunk(c, a, b *Mat, lo, hi int) {
 	k, m := a.Cols, b.Cols
 	for j0 := 0; j0 < m; j0 += mmPanel {
 		j1 := min(j0+mmPanel, m)
+		jv := j0 + simdCols(j1-j0)
+		if jv > j0 {
+			for i := lo; i < hi; i++ {
+				accumCols(c.Row(i)[j0:jv], a.Row(i), 1, b.Data[j0:], m, k, false)
+			}
+		}
 		i := lo
 		for ; i+2 <= hi; i += 2 {
 			// Re-slice to length k so the compiler can prove ai[p] in-bounds
 			// for p < k and drop the per-iteration checks.
 			ai0, ai1 := a.Row(i)[:k], a.Row(i + 1)[:k]
 			ci0, ci1 := c.Row(i), c.Row(i+1)
-			j := j0
+			j := jv
 			for ; j+4 <= j1; j += 4 {
 				var c00, c01, c02, c03 float32
 				var c10, c11, c12, c13 float32
@@ -67,31 +118,31 @@ func matmulChunk(c, a, b *Mat, lo, hi int) {
 					bp := b.Data[off : off+4 : off+4]
 					b0, b1, b2, b3 := bp[0], bp[1], bp[2], bp[3]
 					if av := ai0[p]; av != 0 {
-						c00 += av * b0
-						c01 += av * b1
-						c02 += av * b2
-						c03 += av * b3
+						c00 += float32(av * b0)
+						c01 += float32(av * b1)
+						c02 += float32(av * b2)
+						c03 += float32(av * b3)
 					}
 					if av := ai1[p]; av != 0 {
-						c10 += av * b0
-						c11 += av * b1
-						c12 += av * b2
-						c13 += av * b3
+						c10 += float32(av * b0)
+						c11 += float32(av * b1)
+						c12 += float32(av * b2)
+						c13 += float32(av * b3)
 					}
 					off += m
 					bq := b.Data[off : off+4 : off+4]
 					b0, b1, b2, b3 = bq[0], bq[1], bq[2], bq[3]
 					if av := ai0[p+1]; av != 0 {
-						c00 += av * b0
-						c01 += av * b1
-						c02 += av * b2
-						c03 += av * b3
+						c00 += float32(av * b0)
+						c01 += float32(av * b1)
+						c02 += float32(av * b2)
+						c03 += float32(av * b3)
 					}
 					if av := ai1[p+1]; av != 0 {
-						c10 += av * b0
-						c11 += av * b1
-						c12 += av * b2
-						c13 += av * b3
+						c10 += float32(av * b0)
+						c11 += float32(av * b1)
+						c12 += float32(av * b2)
+						c13 += float32(av * b3)
 					}
 					off += m
 				}
@@ -99,16 +150,16 @@ func matmulChunk(c, a, b *Mat, lo, hi int) {
 					bp := b.Data[off : off+4 : off+4]
 					b0, b1, b2, b3 := bp[0], bp[1], bp[2], bp[3]
 					if av := ai0[p]; av != 0 {
-						c00 += av * b0
-						c01 += av * b1
-						c02 += av * b2
-						c03 += av * b3
+						c00 += float32(av * b0)
+						c01 += float32(av * b1)
+						c02 += float32(av * b2)
+						c03 += float32(av * b3)
 					}
 					if av := ai1[p]; av != 0 {
-						c10 += av * b0
-						c11 += av * b1
-						c12 += av * b2
-						c13 += av * b3
+						c10 += float32(av * b0)
+						c11 += float32(av * b1)
+						c12 += float32(av * b2)
+						c13 += float32(av * b3)
 					}
 					off += m
 				}
@@ -121,10 +172,10 @@ func matmulChunk(c, a, b *Mat, lo, hi int) {
 				for p := 0; p < k; p++ {
 					bv := b.Data[off]
 					if av := ai0[p]; av != 0 {
-						s0 += av * bv
+						s0 += float32(av * bv)
 					}
 					if av := ai1[p]; av != 0 {
-						s1 += av * bv
+						s1 += float32(av * bv)
 					}
 					off += m
 				}
@@ -134,17 +185,17 @@ func matmulChunk(c, a, b *Mat, lo, hi int) {
 		for ; i < hi; i++ { // row remainder: 1×4 tiles + scalar corner
 			ai := a.Row(i)
 			ci := c.Row(i)
-			j := j0
+			j := jv
 			for ; j+4 <= j1; j += 4 {
 				var s0, s1, s2, s3 float32
 				off := j
 				for p := 0; p < k; p++ {
 					if av := ai[p]; av != 0 {
 						bp := b.Data[off : off+4 : off+4]
-						s0 += av * bp[0]
-						s1 += av * bp[1]
-						s2 += av * bp[2]
-						s3 += av * bp[3]
+						s0 += float32(av * bp[0])
+						s1 += float32(av * bp[1])
+						s2 += float32(av * bp[2])
+						s3 += float32(av * bp[3])
 					}
 					off += m
 				}
@@ -155,7 +206,7 @@ func matmulChunk(c, a, b *Mat, lo, hi int) {
 				off := j
 				for p := 0; p < k; p++ {
 					if av := ai[p]; av != 0 {
-						s += av * b.Data[off]
+						s += float32(av * b.Data[off])
 					}
 					off += m
 				}
@@ -171,20 +222,32 @@ func TMatMul(c, a, b *Mat) {
 	if a.Rows != b.Rows || c.Rows != a.Cols || c.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: TMatMul shapes (%dx%d)ᵀ · %dx%d -> %dx%d", a.Rows, a.Cols, b.Rows, b.Cols, c.Rows, c.Cols))
 	}
+	if a.Rows == 0 { // empty reduction; also keeps a.Data[i:] in range below
+		c.Zero()
+		return
+	}
 	ParallelFor(c.Rows, func(lo, hi int) { tmatmulChunk(c, a, b, lo, hi) })
 }
 
 // tmatmulChunk computes rows [lo,hi) of C = Aᵀ·B (rows of C index columns of
-// A). Same 2×4 register tile as matmulChunk; here the 2 A values per step are
-// contiguous (a.Data[p*cols+i : +2]), so both operand loads stream.
+// A): matmulChunk's split, the micro-kernel walking A's column i at stride
+// a.Cols. The Go loops use the same 2×4 register tile; here the 2 A values
+// per step are contiguous (a.Data[p*cols+i : +2]), so both operand loads
+// stream.
 func tmatmulChunk(c, a, b *Mat, lo, hi int) {
 	rows, ac, m := a.Rows, a.Cols, b.Cols
 	for j0 := 0; j0 < m; j0 += mmPanel {
 		j1 := min(j0+mmPanel, m)
+		jv := j0 + simdCols(j1-j0)
+		if jv > j0 {
+			for i := lo; i < hi; i++ {
+				accumCols(c.Row(i)[j0:jv], a.Data[i:], ac, b.Data[j0:], m, rows, false)
+			}
+		}
 		i := lo
 		for ; i+2 <= hi; i += 2 {
 			ci0, ci1 := c.Row(i), c.Row(i+1)
-			j := j0
+			j := jv
 			for ; j+4 <= j1; j += 4 {
 				var c00, c01, c02, c03 float32
 				var c10, c11, c12, c13 float32
@@ -194,16 +257,16 @@ func tmatmulChunk(c, a, b *Mat, lo, hi int) {
 					bp := b.Data[offB : offB+4 : offB+4]
 					b0, b1, b2, b3 := bp[0], bp[1], bp[2], bp[3]
 					if av := ap[0]; av != 0 {
-						c00 += av * b0
-						c01 += av * b1
-						c02 += av * b2
-						c03 += av * b3
+						c00 += float32(av * b0)
+						c01 += float32(av * b1)
+						c02 += float32(av * b2)
+						c03 += float32(av * b3)
 					}
 					if av := ap[1]; av != 0 {
-						c10 += av * b0
-						c11 += av * b1
-						c12 += av * b2
-						c13 += av * b3
+						c10 += float32(av * b0)
+						c11 += float32(av * b1)
+						c12 += float32(av * b2)
+						c13 += float32(av * b3)
 					}
 					offA += ac
 					offB += m
@@ -218,10 +281,10 @@ func tmatmulChunk(c, a, b *Mat, lo, hi int) {
 					bv := b.Data[offB]
 					ap := a.Data[offA : offA+2 : offA+2]
 					if av := ap[0]; av != 0 {
-						s0 += av * bv
+						s0 += float32(av * bv)
 					}
 					if av := ap[1]; av != 0 {
-						s1 += av * bv
+						s1 += float32(av * bv)
 					}
 					offA += ac
 					offB += m
@@ -231,17 +294,17 @@ func tmatmulChunk(c, a, b *Mat, lo, hi int) {
 		}
 		for ; i < hi; i++ { // row remainder
 			ci := c.Row(i)
-			j := j0
+			j := jv
 			for ; j+4 <= j1; j += 4 {
 				var s0, s1, s2, s3 float32
 				offA, offB := i, j
 				for p := 0; p < rows; p++ {
 					if av := a.Data[offA]; av != 0 {
 						bp := b.Data[offB : offB+4 : offB+4]
-						s0 += av * bp[0]
-						s1 += av * bp[1]
-						s2 += av * bp[2]
-						s3 += av * bp[3]
+						s0 += float32(av * bp[0])
+						s1 += float32(av * bp[1])
+						s2 += float32(av * bp[2])
+						s3 += float32(av * bp[3])
 					}
 					offA += ac
 					offB += m
@@ -253,7 +316,7 @@ func tmatmulChunk(c, a, b *Mat, lo, hi int) {
 				offA, offB := i, j
 				for p := 0; p < rows; p++ {
 					if av := a.Data[offA]; av != 0 {
-						s += av * b.Data[offB]
+						s += float32(av * b.Data[offB])
 					}
 					offA += ac
 					offB += m
@@ -265,22 +328,78 @@ func tmatmulChunk(c, a, b *Mat, lo, hi int) {
 }
 
 // MatMulT computes C = A·Bᵀ. C must be A.Rows×B.Rows — the cache-friendly
-// orientation for attention scores Q·Kᵀ. Each C row is the matVecRows gemv
-// of a B-row panel against the A row (C[i][j] = b_j·a_i; products commute
-// bitwise), so every element is the plain Dot of the two rows.
+// orientation for attention scores Q·Kᵀ. Each C row is the row-gemv of a
+// B-row panel against the A row (C[i][j] = b_j·a_i; products commute
+// bitwise), so every element is the plain Dot of the two rows. B is prepared
+// once per call as a DotRows (on the lane-wise path: transposed into pooled
+// scratch, returned before MatMulT does).
 func MatMulT(c, a, b *Mat) {
 	if a.Cols != b.Cols || c.Rows != a.Rows || c.Cols != b.Rows {
 		panic(fmt.Sprintf("tensor: MatMulT shapes %dx%d · (%dx%d)ᵀ -> %dx%d", a.Rows, a.Cols, b.Rows, b.Cols, c.Rows, c.Cols))
 	}
 	m := b.Rows
+	d := DotRows{m: b}
+	if d.lanewise() {
+		s, _ := takeSlab(len(b.Data))
+		defer s.release()
+		s.mat = Mat{Rows: b.Cols, Cols: m, Data: s.data[:len(b.Data)]}
+		transposeInto(&s.mat, b)
+		d.t = &s.mat
+	}
 	ParallelFor(a.Rows, func(lo, hi int) {
 		for j0 := 0; j0 < m; j0 += mtPanel {
 			j1 := min(j0+mtPanel, m)
 			for i := lo; i < hi; i++ {
-				matVecRows(c.Row(i)[j0:j1], b, a.Row(i), j0, j1)
+				d.matVec(c.Row(i)[j0:j1], a.Row(i), j0, j1)
 			}
 		}
 	})
+}
+
+// DotRows is a matrix prepared for repeated row-gemvs against it — the
+// pattern of the flash kernels, which take the dot of every K (and V) row
+// with one query row after another. MatVec is MatVecRows, bit for bit. What
+// the preparation buys: the lane-wise Dot keeps eight *rows'* running sums in
+// one register, and Dot's grouping (four products summed, then added to the
+// running sum) is along a row — so the eight lanes must step through their
+// rows together, which is a contiguous load only if the operand is stored
+// transposed. NewDotRows makes that copy once; on the portable path it makes
+// nothing and MatVec is MatVecRows itself.
+type DotRows struct {
+	m *Mat // the operand as given
+	t *Mat // mᵀ, or nil on the portable path
+}
+
+// NewDotRows prepares m, drawing the transposed copy (if the active kernels
+// want one) from ws; it lives until the workspace's next Reset. m must not
+// change while the DotRows is in use.
+func NewDotRows(ws *Workspace, m *Mat) DotRows {
+	d := DotRows{m: m}
+	if d.lanewise() {
+		d.t = ws.GetUninit(m.Cols, m.Rows)
+		transposeInto(d.t, m)
+	}
+	return d
+}
+
+// lanewise reports whether the micro-kernel would take any of m's rows, i.e.
+// whether a transposed copy is worth making.
+func (d DotRows) lanewise() bool { return d.m.Cols > 0 && simdCols(d.m.Rows) > 0 }
+
+// MatVec computes dst[r-lo] = m.Row(r)·x for rows r in [lo, hi), exactly as
+// MatVecRows(dst, m, x, lo, hi) does.
+func (d DotRows) MatVec(dst, x []float32, lo, hi int) {
+	checkMatVecRows(dst, d.m, x, lo, hi)
+	d.matVec(dst, x, lo, hi)
+}
+
+func (d DotRows) matVec(dst, x []float32, lo, hi int) {
+	n := 0
+	if d.t != nil {
+		n = simdCols(hi - lo)
+		dotCols(dst[:n], x, d.t.Data[lo:], d.t.Cols)
+	}
+	matVecRows(dst[n:], d.m, x, lo+n, hi)
 }
 
 // Dot returns the inner product of two equal-length slices: 4-way unrolled,
@@ -290,10 +409,10 @@ func Dot(a, b []float32) float32 {
 	n := len(a)
 	i := 0
 	for ; i+4 <= n; i += 4 {
-		s += a[i]*b[i] + a[i+1]*b[i+1] + a[i+2]*b[i+2] + a[i+3]*b[i+3]
+		s += float32(a[i]*b[i]) + float32(a[i+1]*b[i+1]) + float32(a[i+2]*b[i+2]) + float32(a[i+3]*b[i+3])
 	}
 	for ; i < n; i++ {
-		s += a[i] * b[i]
+		s += float32(a[i] * b[i])
 	}
 	return s
 }
@@ -303,13 +422,13 @@ func Axpy(alpha float32, x, y []float32) {
 	n := len(y)
 	i := 0
 	for ; i+4 <= n; i += 4 {
-		y[i] += alpha * x[i]
-		y[i+1] += alpha * x[i+1]
-		y[i+2] += alpha * x[i+2]
-		y[i+3] += alpha * x[i+3]
+		y[i] += float32(alpha * x[i])
+		y[i+1] += float32(alpha * x[i+1])
+		y[i+2] += float32(alpha * x[i+2])
+		y[i+3] += float32(alpha * x[i+3])
 	}
 	for ; i < n; i++ {
-		y[i] += alpha * x[i]
+		y[i] += float32(alpha * x[i])
 	}
 }
 
@@ -318,11 +437,15 @@ func Axpy(alpha float32, x, y []float32) {
 // per tile instead of one Dot per row). Each element is the plain Dot of the
 // row with x (products commute exactly in IEEE, so Row·x ≡ x·Row bitwise).
 func MatVecRows(dst []float32, m *Mat, x []float32, lo, hi int) {
+	checkMatVecRows(dst, m, x, lo, hi)
+	matVecRows(dst, m, x, lo, hi)
+}
+
+func checkMatVecRows(dst []float32, m *Mat, x []float32, lo, hi int) {
 	if lo < 0 || hi < lo || hi > m.Rows || len(x) != m.Cols || len(dst) < hi-lo {
 		panic(fmt.Sprintf("tensor: MatVecRows rows [%d,%d) of %dx%d, len(x)=%d len(dst)=%d",
 			lo, hi, m.Rows, m.Cols, len(x), len(dst)))
 	}
-	matVecRows(dst, m, x, lo, hi)
 }
 
 // matVecRows processes four rows per sweep so each loaded x element feeds
@@ -341,17 +464,17 @@ func matVecRows(dst []float32, m *Mat, x []float32, lo, hi int) {
 		p := 0
 		for ; p+4 <= n; p += 4 {
 			x0, x1, x2, x3 := x[p], x[p+1], x[p+2], x[p+3]
-			s0 += r0[p]*x0 + r0[p+1]*x1 + r0[p+2]*x2 + r0[p+3]*x3
-			s1 += r1[p]*x0 + r1[p+1]*x1 + r1[p+2]*x2 + r1[p+3]*x3
-			s2 += r2[p]*x0 + r2[p+1]*x1 + r2[p+2]*x2 + r2[p+3]*x3
-			s3 += r3[p]*x0 + r3[p+1]*x1 + r3[p+2]*x2 + r3[p+3]*x3
+			s0 += float32(r0[p]*x0) + float32(r0[p+1]*x1) + float32(r0[p+2]*x2) + float32(r0[p+3]*x3)
+			s1 += float32(r1[p]*x0) + float32(r1[p+1]*x1) + float32(r1[p+2]*x2) + float32(r1[p+3]*x3)
+			s2 += float32(r2[p]*x0) + float32(r2[p+1]*x1) + float32(r2[p+2]*x2) + float32(r2[p+3]*x3)
+			s3 += float32(r3[p]*x0) + float32(r3[p+1]*x1) + float32(r3[p+2]*x2) + float32(r3[p+3]*x3)
 		}
 		for ; p < n; p++ {
 			xp := x[p]
-			s0 += r0[p] * xp
-			s1 += r1[p] * xp
-			s2 += r2[p] * xp
-			s3 += r3[p] * xp
+			s0 += float32(r0[p] * xp)
+			s1 += float32(r1[p] * xp)
+			s2 += float32(r2[p] * xp)
+			s3 += float32(r3[p] * xp)
 		}
 		dst[r-lo] = s0
 		dst[r-lo+1] = s1
@@ -376,6 +499,15 @@ func WeightedRowSum(acc []float32, m *Mat, w []float32, lo, hi int) {
 	}
 	n := m.Cols
 	acc = acc[:n]
+	// The micro-kernel walks the rows one at a time per column block; the
+	// Go loop fuses four per sweep. Same sums, same order.
+	nv := simdCols(n)
+	if nv > 0 {
+		accumCols(acc[:nv], w, 1, m.Data[lo*n:], n, hi-lo, true)
+	}
+	if nv == n {
+		return
+	}
 	r := lo
 	for ; r+4 <= hi; r += 4 {
 		r0 := m.Row(r)[:n]
@@ -383,12 +515,12 @@ func WeightedRowSum(acc []float32, m *Mat, w []float32, lo, hi int) {
 		r2 := m.Row(r + 2)[:n]
 		r3 := m.Row(r + 3)[:n]
 		w0, w1, w2, w3 := w[r-lo], w[r-lo+1], w[r-lo+2], w[r-lo+3]
-		for c := 0; c < n; c++ {
-			acc[c] = acc[c] + w0*r0[c] + w1*r1[c] + w2*r2[c] + w3*r3[c]
+		for c := nv; c < n; c++ {
+			acc[c] = acc[c] + float32(w0*r0[c]) + float32(w1*r1[c]) + float32(w2*r2[c]) + float32(w3*r3[c])
 		}
 	}
 	for ; r < hi; r++ {
-		Axpy(w[r-lo], m.Row(r), acc)
+		Axpy(w[r-lo], m.Row(r)[nv:], acc[nv:])
 	}
 }
 
@@ -404,19 +536,27 @@ func AxpyRows(m *Mat, w, x []float32, lo, hi int) {
 	}
 	n := m.Cols
 	rows := m.Data[lo*n : hi*n]
-	for r, wr := range w[:hi-lo] {
+	w = w[:hi-lo]
+	nv := simdCols(n)
+	if nv > 0 {
+		scatterCols(rows, n, w, x[:nv])
+	}
+	if nv == n {
+		return
+	}
+	for r, wr := range w {
 		row := rows[r*n : r*n+n : r*n+n]
-		c := 0
+		c := nv
 		for ; c+4 <= n; c += 4 {
 			xc := x[c : c+4 : c+4]
 			rc := row[c : c+4 : c+4]
-			rc[0] += wr * xc[0]
-			rc[1] += wr * xc[1]
-			rc[2] += wr * xc[2]
-			rc[3] += wr * xc[3]
+			rc[0] += float32(wr * xc[0])
+			rc[1] += float32(wr * xc[1])
+			rc[2] += float32(wr * xc[2])
+			rc[3] += float32(wr * xc[3])
 		}
 		for ; c < n; c++ {
-			row[c] += wr * x[c]
+			row[c] += float32(wr * x[c])
 		}
 	}
 }

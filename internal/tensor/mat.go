@@ -82,13 +82,17 @@ func (m *Mat) mustSameShape(o *Mat) {
 // T returns a newly allocated transpose of m.
 func (m *Mat) T() *Mat {
 	out := New(m.Cols, m.Rows)
+	transposeInto(out, m)
+	return out
+}
+
+// transposeInto writes mᵀ into dst (m.Cols×m.Rows), overwriting it.
+func transposeInto(dst, m *Mat) {
 	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		for j, v := range row {
-			out.Data[j*m.Rows+i] = v
+		for j, v := range m.Row(i) {
+			dst.Data[j*m.Rows+i] = v
 		}
 	}
-	return out
 }
 
 // SliceRows returns a view of rows [lo, hi) sharing m's storage.

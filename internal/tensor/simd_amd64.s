@@ -1,0 +1,366 @@
+#include "textflag.h"
+
+// AVX2 micro-kernels under kernels.go. Every routine gives each of the eight
+// lanes of a YMM register one independent output element and performs on it
+// exactly the scalar kernel's operation sequence: one VMULPS and one VADDPS
+// per term (never an FMA), terms in ascending reduction order. Loads and
+// stores are unaligned; strides arrive in elements and are scaled to bytes
+// here. Column counts are multiples of 8 (a remainder below 8 is ignored —
+// the Go loops own it); columns go 32 at a time, then 8 at a time.
+
+// func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
+TEXT ·cpuid(SB), NOSPLIT, $0-24
+	MOVL eaxArg+0(FP), AX
+	MOVL ecxArg+4(FP), CX
+	CPUID
+	MOVL AX, eax+8(FP)
+	MOVL BX, ebx+12(FP)
+	MOVL CX, ecx+16(FP)
+	MOVL DX, edx+20(FP)
+	RET
+
+// func xgetbv() (eax, edx uint32)
+TEXT ·xgetbv(SB), NOSPLIT, $0-8
+	XORL CX, CX
+	XGETBV
+	MOVL AX, eax+0(FP)
+	MOVL DX, edx+4(FP)
+	RET
+
+// One term, unfused: acc += Y8 · (eight floats at off(BX)), the product
+// rounded into tmp before the add.
+#define TERM(off, tmp, acc) \
+	VMULPS off(BX), Y8, tmp; \
+	VADDPS tmp, acc, acc
+
+// func accumAVX2(c, a *float32, aStride uintptr, b *float32, ldb, k, n, into uintptr)
+//
+// c[j] = init + Σ_p a[p·aStride]·b[p·ldb+j] for j in [0,n), p ascending.
+// into = 0 is the MatMul form: init is +0 and a term is skipped when its a
+// element is ±0. into = 1 is the WeightedRowSum form: init is c[j] and no
+// term is skipped. One test serves both: skip when (bits(a)|into)<<1 == 0 —
+// with into = 0 that is ±0 and nothing else (NaN and subnormals have a low
+// bit set), the scalar `av != 0`; with into = 1 it never holds.
+TEXT ·accumAVX2(SB), NOSPLIT, $0-64
+	MOVQ c+0(FP), DI
+	MOVQ a+8(FP), SI
+	MOVQ aStride+16(FP), R8
+	MOVQ b+24(FP), DX
+	MOVQ ldb+32(FP), R9
+	MOVQ n+48(FP), R10
+	MOVQ into+56(FP), R11
+	SHLQ $2, R8
+	SHLQ $2, R9
+
+acc64:
+	CMPQ R10, $64
+	JLT  acc32
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	VXORPS Y4, Y4, Y4
+	VXORPS Y5, Y5, Y5
+	VXORPS Y6, Y6, Y6
+	VXORPS Y7, Y7, Y7
+	TESTQ R11, R11
+	JZ    acc64start
+	VMOVUPS (DI), Y0
+	VMOVUPS 32(DI), Y1
+	VMOVUPS 64(DI), Y2
+	VMOVUPS 96(DI), Y3
+	VMOVUPS 128(DI), Y4
+	VMOVUPS 160(DI), Y5
+	VMOVUPS 192(DI), Y6
+	VMOVUPS 224(DI), Y7
+acc64start:
+	MOVQ SI, AX
+	MOVQ DX, BX
+	MOVQ k+40(FP), R13
+	TESTQ R13, R13
+	JZ    acc64store
+acc64term:
+	MOVL (AX), CX
+	ORL  R11, CX
+	ADDL CX, CX
+	JZ   acc64next
+	VBROADCASTSS (AX), Y8
+	TERM(0, Y9, Y0)
+	TERM(32, Y10, Y1)
+	TERM(64, Y11, Y2)
+	TERM(96, Y12, Y3)
+	TERM(128, Y9, Y4)
+	TERM(160, Y10, Y5)
+	TERM(192, Y11, Y6)
+	TERM(224, Y12, Y7)
+acc64next:
+	ADDQ R8, AX
+	ADDQ R9, BX
+	DECQ R13
+	JNZ  acc64term
+acc64store:
+	VMOVUPS Y0, (DI)
+	VMOVUPS Y1, 32(DI)
+	VMOVUPS Y2, 64(DI)
+	VMOVUPS Y3, 96(DI)
+	VMOVUPS Y4, 128(DI)
+	VMOVUPS Y5, 160(DI)
+	VMOVUPS Y6, 192(DI)
+	VMOVUPS Y7, 224(DI)
+	ADDQ $256, DI
+	ADDQ $256, DX
+	SUBQ $64, R10
+	JMP  acc64
+
+acc32:
+	CMPQ R10, $32
+	JLT  acc8
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	TESTQ R11, R11
+	JZ    acc32start
+	VMOVUPS (DI), Y0
+	VMOVUPS 32(DI), Y1
+	VMOVUPS 64(DI), Y2
+	VMOVUPS 96(DI), Y3
+acc32start:
+	MOVQ SI, AX
+	MOVQ DX, BX
+	MOVQ k+40(FP), R13
+	TESTQ R13, R13
+	JZ    acc32store
+acc32term:
+	MOVL (AX), CX
+	ORL  R11, CX
+	ADDL CX, CX
+	JZ   acc32next
+	VBROADCASTSS (AX), Y8
+	TERM(0, Y4, Y0)
+	TERM(32, Y5, Y1)
+	TERM(64, Y6, Y2)
+	TERM(96, Y7, Y3)
+acc32next:
+	ADDQ R8, AX
+	ADDQ R9, BX
+	DECQ R13
+	JNZ  acc32term
+acc32store:
+	VMOVUPS Y0, (DI)
+	VMOVUPS Y1, 32(DI)
+	VMOVUPS Y2, 64(DI)
+	VMOVUPS Y3, 96(DI)
+	ADDQ $128, DI
+	ADDQ $128, DX
+	SUBQ $32, R10
+	JMP  acc32
+
+acc8:
+	CMPQ R10, $8
+	JLT  accdone
+	VXORPS Y0, Y0, Y0
+	TESTQ R11, R11
+	JZ    acc8start
+	VMOVUPS (DI), Y0
+acc8start:
+	MOVQ SI, AX
+	MOVQ DX, BX
+	MOVQ k+40(FP), R13
+	TESTQ R13, R13
+	JZ    acc8store
+acc8term:
+	MOVL (AX), CX
+	ORL  R11, CX
+	ADDL CX, CX
+	JZ   acc8next
+	VBROADCASTSS (AX), Y8
+	TERM(0, Y4, Y0)
+acc8next:
+	ADDQ R8, AX
+	ADDQ R9, BX
+	DECQ R13
+	JNZ  acc8term
+acc8store:
+	VMOVUPS Y0, (DI)
+	ADDQ $32, DI
+	ADDQ $32, DX
+	SUBQ $8, R10
+	JMP  acc8
+
+accdone:
+	VZEROUPPER
+	RET
+
+// func scatterAVX2(m *float32, ldm uintptr, w, x *float32, rows, n uintptr)
+//
+// m[r·ldm+j] += w[r]·x[j] for r in [0,rows), j in [0,n): one term per
+// element, so there is no order to keep.
+TEXT ·scatterAVX2(SB), NOSPLIT, $0-48
+	MOVQ m+0(FP), DI
+	MOVQ ldm+8(FP), R9
+	MOVQ w+16(FP), SI
+	MOVQ x+24(FP), DX
+	MOVQ rows+32(FP), CX
+	MOVQ n+40(FP), R10
+	SHLQ $2, R9
+	TESTQ CX, CX
+	JZ    scatdone
+scat8:
+	CMPQ R10, $8
+	JLT  scatdone
+	VMOVUPS (DX), Y1
+	MOVQ SI, AX
+	MOVQ DI, BX
+	MOVQ CX, R13
+scatrow:
+	VBROADCASTSS (AX), Y0
+	VMULPS Y1, Y0, Y0
+	VADDPS (BX), Y0, Y0
+	VMOVUPS Y0, (BX)
+	ADDQ $4, AX
+	ADDQ R9, BX
+	DECQ R13
+	JNZ  scatrow
+	ADDQ $32, DI
+	ADDQ $32, DX
+	SUBQ $8, R10
+	JMP  scat8
+scatdone:
+	VZEROUPPER
+	RET
+
+// func dotColsAVX2(dst, x *float32, k uintptr, bt *float32, ldbt, n uintptr)
+//
+// dst[j] = Dot(x[0:k], column j of bt) for j in [0,n), with Dot's grouping
+// reproduced per lane: for each four terms t = x0·b0; t += x1·b1;
+// t += x2·b2; t += x3·b3; s += t — then the k mod 4 tail one term at a
+// time, s += x·b. bt is the transposed operand (row p holds element p of
+// every column), so the eight lanes load contiguously.
+TEXT ·dotColsAVX2(SB), NOSPLIT, $0-48
+	MOVQ dst+0(FP), DI
+	MOVQ x+8(FP), SI
+	MOVQ k+16(FP), CX
+	MOVQ bt+24(FP), DX
+	MOVQ ldbt+32(FP), R9
+	MOVQ n+40(FP), R10
+	SHLQ $2, R9
+	MOVQ CX, R11
+	ANDQ $3, R11 // tail terms
+	SHRQ $2, CX  // groups of four
+
+dot32:
+	CMPQ R10, $32
+	JLT  dot8
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	MOVQ SI, AX
+	MOVQ DX, BX
+	MOVQ CX, R13
+	TESTQ R13, R13
+	JZ    dot32tail
+dot32group:
+	VBROADCASTSS (AX), Y8
+	VMULPS (BX), Y8, Y4
+	VMULPS 32(BX), Y8, Y5
+	VMULPS 64(BX), Y8, Y6
+	VMULPS 96(BX), Y8, Y7
+	ADDQ R9, BX
+	VBROADCASTSS 4(AX), Y8
+	TERM(0, Y9, Y4)
+	TERM(32, Y10, Y5)
+	TERM(64, Y11, Y6)
+	TERM(96, Y12, Y7)
+	ADDQ R9, BX
+	VBROADCASTSS 8(AX), Y8
+	TERM(0, Y9, Y4)
+	TERM(32, Y10, Y5)
+	TERM(64, Y11, Y6)
+	TERM(96, Y12, Y7)
+	ADDQ R9, BX
+	VBROADCASTSS 12(AX), Y8
+	TERM(0, Y9, Y4)
+	TERM(32, Y10, Y5)
+	TERM(64, Y11, Y6)
+	TERM(96, Y12, Y7)
+	ADDQ R9, BX
+	VADDPS Y4, Y0, Y0
+	VADDPS Y5, Y1, Y1
+	VADDPS Y6, Y2, Y2
+	VADDPS Y7, Y3, Y3
+	ADDQ $16, AX
+	DECQ R13
+	JNZ  dot32group
+dot32tail:
+	MOVQ R11, R13
+	TESTQ R13, R13
+	JZ    dot32store
+dot32one:
+	VBROADCASTSS (AX), Y8
+	TERM(0, Y4, Y0)
+	TERM(32, Y5, Y1)
+	TERM(64, Y6, Y2)
+	TERM(96, Y7, Y3)
+	ADDQ R9, BX
+	ADDQ $4, AX
+	DECQ R13
+	JNZ  dot32one
+dot32store:
+	VMOVUPS Y0, (DI)
+	VMOVUPS Y1, 32(DI)
+	VMOVUPS Y2, 64(DI)
+	VMOVUPS Y3, 96(DI)
+	ADDQ $128, DI
+	ADDQ $128, DX
+	SUBQ $32, R10
+	JMP  dot32
+
+dot8:
+	CMPQ R10, $8
+	JLT  dotdone
+	VXORPS Y0, Y0, Y0
+	MOVQ SI, AX
+	MOVQ DX, BX
+	MOVQ CX, R13
+	TESTQ R13, R13
+	JZ    dot8tail
+dot8group:
+	VBROADCASTSS (AX), Y8
+	VMULPS (BX), Y8, Y4
+	ADDQ R9, BX
+	VBROADCASTSS 4(AX), Y8
+	TERM(0, Y9, Y4)
+	ADDQ R9, BX
+	VBROADCASTSS 8(AX), Y8
+	TERM(0, Y9, Y4)
+	ADDQ R9, BX
+	VBROADCASTSS 12(AX), Y8
+	TERM(0, Y9, Y4)
+	ADDQ R9, BX
+	VADDPS Y4, Y0, Y0
+	ADDQ $16, AX
+	DECQ R13
+	JNZ  dot8group
+dot8tail:
+	MOVQ R11, R13
+	TESTQ R13, R13
+	JZ    dot8store
+dot8one:
+	VBROADCASTSS (AX), Y8
+	TERM(0, Y4, Y0)
+	ADDQ R9, BX
+	ADDQ $4, AX
+	DECQ R13
+	JNZ  dot8one
+dot8store:
+	VMOVUPS Y0, (DI)
+	ADDQ $32, DI
+	ADDQ $32, DX
+	SUBQ $8, R10
+	JMP  dot8
+
+dotdone:
+	VZEROUPPER
+	RET

@@ -46,6 +46,12 @@ func takeSlab(n int) (*slab, bool) {
 	return &slab{data: make([]float32, 1<<b), bucket: b}, false
 }
 
+// release returns the slab to the shared pools; its Mat header goes dead.
+func (s *slab) release() {
+	s.mat = Mat{}
+	slabPools[s.bucket].Put(s)
+}
+
 // Workspace is a per-step (or per-worker) arena of Mat and []float32
 // buffers. Get/GetVec check buffers out; Put returns one early; Reset
 // returns everything to the shared pools at a step boundary. A nil
@@ -126,8 +132,7 @@ func (w *Workspace) Put(m *Mat) {
 			w.held[last] = nil
 			w.held = w.held[:last]
 			w.mu.Unlock()
-			s.mat = Mat{}
-			slabPools[s.bucket].Put(s)
+			s.release()
 			return
 		}
 	}
@@ -145,8 +150,7 @@ func (w *Workspace) Reset() {
 	}
 	w.mu.Lock()
 	for i, s := range w.held {
-		s.mat = Mat{}
-		slabPools[s.bucket].Put(s)
+		s.release()
 		w.held[i] = nil
 	}
 	w.held = w.held[:0]

@@ -351,6 +351,13 @@ func TestSessionSeqParallelPublic(t *testing.T) {
 // that reorders any floating-point reduction moves these; one that only
 // makes them faster does not.
 func TestReferenceTrajectoryPinned(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		// The kernels convert every product explicitly and so round alike
+		// everywhere, but the arithmetic above them (LayerNorm, Adam, GELU,
+		// the score scaling) is plain x*y+z, which arm64, ppc64le and s390x
+		// compilers fuse: the losses below were recorded without fusion.
+		t.Skipf("losses pinned on amd64; %s may fuse multiply-adds outside the kernels", runtime.GOARCH)
+	}
 	prev, err := SetBackend("ref")
 	if err != nil {
 		t.Fatal(err)
