@@ -96,8 +96,8 @@ func TestSmokeSeqPar(t *testing.T) {
 	if !strings.Contains(out, "model reshard MB") || !strings.Contains(out, "bitwise") {
 		t.Fatal("seqpar output incomplete")
 	}
-	if !strings.Contains(out, "tcp-loopback P=4") || !strings.Contains(out, "loopback-model step") {
-		t.Fatal("seqpar missing the cross-process predicted-vs-measured row")
+	if !strings.Contains(out, "tcp-loopback  4") || !strings.Contains(out, "comm/step/rank MB") {
+		t.Fatal("seqpar missing the cross-process measured-vs-modelled rows")
 	}
 }
 

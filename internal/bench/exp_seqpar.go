@@ -22,11 +22,12 @@ func init() {
 	})
 }
 
-// runSeqPar trains the same node task under the sequence-parallel plan at
-// P ∈ {1, 2, 4} and reports, per P: measured optimiser-step time, measured
-// collective traffic per step (resharding all-to-alls + gradient sync), the
-// analytic reshard volume the Ulysses schedule predicts, and the RTX3090
-// perf model's predicted step time at the same shape. Every run trains
+// runSeqPar trains the same node task under the in-process sequence-parallel
+// plan at P ∈ {1, 2, 4} and reports, per P: measured optimiser-step time,
+// measured collective traffic per step (resharding all-to-alls + gradient
+// sync), the analytic reshard volume the Ulysses schedule predicts, and the
+// RTX3090 perf model's predicted step time at the same shape; then the same
+// task under the cross-process plan (see below). Every run trains
 // bitwise-identically (the plan guarantee), so the rows differ only in
 // execution, not numerics — the final loss column demonstrates it.
 func runSeqPar(ctx context.Context, w io.Writer, scale Scale) error {
@@ -102,90 +103,129 @@ func runSeqPar(ctx context.Context, w io.Writer, scale Scale) error {
 	fmt.Fprintln(w, "expected shape: identical loss at every P (bitwise trajectory); measured comm/step tracks the")
 	fmt.Fprintln(w, "model's O(S/P)-per-rank reshard volume plus the gradient all-gather; model step time falls ~1/P")
 
-	// The same task once more at P=4 — this time as four ranks of the
-	// cross-process plan exchanging collectives over real TCP on the
-	// loopback interface — against the Loopback profile's prediction
-	// (which adds the per-collective wire latency the in-process rows
-	// never pay). The trajectory must still be bitwise the serial one.
-	const tcpWorld = 4
-	stepSec, res, err := runSeqParTCP(ctx, tcpWorld, nodes, epochs)
-	if err != nil {
-		return err
+	// The same task as ranks of the cross-process plan, which row-shards the
+	// whole model: over the in-process mesh and over real TCP on the loopback
+	// interface, at P = 2 and 4. Measured per-rank traffic is set against the
+	// perf model's volume (reshard + gradient chain + logits gather) and the
+	// step against the Loopback profile's prediction. The trajectory must
+	// still be bitwise the serial one.
+	shape.OutDim = mcfg.OutDim
+	dt := &table{header: []string{"transport", "P", "loss", "step(s)", "comm/step/rank MB", "model MB", "model step(s)"}}
+	for _, tcp := range []bool{false, true} {
+		for _, world := range []int{2, 4} {
+			stepSec, res, comm, err := runSeqParDist(ctx, tcp, world, nodes, epochs)
+			if err != nil {
+				return err
+			}
+			loss := res.Curve[len(res.Curve)-1].Loss
+			name := "mem"
+			if tcp {
+				name = "tcp-loopback"
+			}
+			if loss != firstLoss {
+				return fmt.Errorf("seqpar: %s P=%d trajectory diverged from serial (loss %v vs %v)", name, world, loss, firstLoss)
+			}
+			reshard, chain, gather := shape.SeqParCommBytes(nodes, world)
+			cost := (&dist.PerfModel{HW: dist.Loopback}).StepTime(dist.KindSparse, serialPairsPerHead, nodes, shape, world)
+			dt.addRow(name, fmt.Sprint(world), fmt.Sprintf("%.6f", loss), f3(stepSec),
+				fmt.Sprintf("%.2f", comm/(1<<20)), fmt.Sprintf("%.2f", (reshard+chain+gather)/(1<<20)), f3(cost.Total.Seconds()))
+		}
 	}
-	loss := res.Curve[len(res.Curve)-1].Loss
-	if loss != firstLoss {
-		return fmt.Errorf("seqpar: tcp-loopback P=%d trajectory diverged from serial (loss %v vs %v)", tcpWorld, loss, firstLoss)
-	}
-	cost := (&dist.PerfModel{HW: dist.Loopback}).StepTime(dist.KindSparse, serialPairsPerHead, nodes, shape, tcpWorld)
-	fmt.Fprintf(w, "tcp-loopback P=%d: loss %.6f (bitwise-equal to serial), measured step %ss, loopback-model step %ss\n",
-		tcpWorld, loss, f3(stepSec), f3(cost.Total.Seconds()))
+	fmt.Fprintln(w, "cross-process plan (row-sharded ranks; comm is the busiest rank's payload per step):")
+	dt.write(w)
+	fmt.Fprintln(w, "expected shape: loss bitwise the serial one in every row; measured comm within 2x of the model;")
+	fmt.Fprintln(w, "the step falls with P where a rank has a core to itself")
 	return nil
 }
 
-// runSeqParTCP trains the node task as `world` real TCP-loopback ranks — one
-// goroutine per rank, each with its own transport endpoint and dataset copy —
-// and returns the measured per-step wall time plus rank 0's result.
-// Transports close only after every rank has finished: a rank tearing down
-// early would discard frames its peers have not yet consumed.
-func runSeqParTCP(ctx context.Context, world, nodes, epochs int) (float64, *train.Result, error) {
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return 0, nil, err
+// runSeqParDist trains the node task as `world` ranks of the cross-process
+// plan — one goroutine per rank, each with its own transport endpoint and
+// dataset copy, over TCP loopback or the in-process mesh — and returns the
+// measured per-step wall time, rank 0's result and the busiest rank's payload
+// bytes per step. Transports close only after every rank has finished: a
+// rank tearing down early would discard frames its peers have not yet
+// consumed.
+func runSeqParDist(ctx context.Context, tcp bool, world, nodes, epochs int) (float64, *train.Result, float64, error) {
+	var addr string
+	var mesh []*transport.Mem
+	if tcp {
+		l, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			return 0, nil, 0, err
+		}
+		addr = l.Addr().String()
+		l.Close()
+	} else {
+		mesh = transport.NewMem(world)
 	}
-	addr := l.Addr().String()
-	l.Close()
 
 	results := make([]*train.Result, world)
 	errs := make([]error, world)
 	ts := make([]transport.Transport, world)
 	elapsed := make([]time.Duration, world)
+	perStep := make([]float64, world)
 	var wg sync.WaitGroup
 	for r := 0; r < world; r++ {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
-			tr, err := transport.Join(ctx, addr, r, world, transport.Options{Fingerprint: "bench-seqpar"})
-			if err != nil {
-				errs[r] = err
-				return
-			}
-			ts[r] = tr
-			ds, err := loadNode("arxiv-sim", nodes, 61)
-			if err != nil {
-				errs[r] = err
-				return
-			}
-			mcfg := model.GraphormerSlim(ds.X.Cols, ds.NumClasses, 62)
-			nt := train.NewNodeTrainer(train.NodeConfig{
-				Method: train.GPSparse, Epochs: epochs, LR: 1e-3, Seed: 63,
-			}, mcfg, ds)
-			plan, err := model.NewDistSeqParallel(tr, 1, model.ExecOptions{PoolEnabled: true})
-			if err != nil {
-				errs[r] = err
-				return
-			}
-			nt.Model.SetPlan(plan)
-			// Time the run only, on the far side of a barrier, so the
-			// measurement matches the in-process rows: setup (rendezvous,
-			// dataset load, preprocessing) stays outside the clock.
-			if err := tr.Barrier(); err != nil {
-				errs[r] = err
-				return
-			}
-			t0 := time.Now()
-			res, err := nt.RunCtx(ctx)
-			elapsed[r] = time.Since(t0)
-			if err != nil {
-				errs[r] = err
-				return
-			}
-			// Drain before teardown: reaching the barrier implies every
-			// peer has consumed this rank's final collective frames.
-			if err := tr.Barrier(); err != nil {
-				errs[r] = err
-				return
-			}
-			results[r] = res
+			errs[r] = func() error {
+				var tr transport.Transport
+				if tcp {
+					t, err := transport.Join(ctx, addr, r, world, transport.Options{Fingerprint: "bench-seqpar"})
+					if err != nil {
+						return err
+					}
+					tr = t
+				} else {
+					tr = mesh[r]
+				}
+				ts[r] = tr
+				ds, err := loadNode("arxiv-sim", nodes, 61)
+				if err != nil {
+					return err
+				}
+				mcfg := model.GraphormerSlim(ds.X.Cols, ds.NumClasses, 62)
+				nt := train.NewNodeTrainer(train.NodeConfig{
+					Method: train.GPSparse, Epochs: epochs, LR: 1e-3, Seed: 63,
+				}, mcfg, ds)
+				plan, err := model.NewDistSeqParallel(tr, 1, model.ExecOptions{PoolEnabled: true})
+				if err != nil {
+					return err
+				}
+				nt.Model.SetPlan(plan)
+				// One optimiser step per epoch: the difference between the
+				// last two epoch marks is one step's traffic, without the
+				// final evaluation forward.
+				var marks []int64
+				nt.Loop().Sink = func(e train.Event) {
+					if _, ok := e.(train.EpochEvent); ok {
+						marks = append(marks, plan.TransportBytes())
+					}
+				}
+				// Time the run only, on the far side of a barrier, so the
+				// measurement matches the in-process rows: setup (rendezvous,
+				// dataset load, preprocessing) stays outside the clock.
+				if err := tr.Barrier(); err != nil {
+					return err
+				}
+				t0 := time.Now()
+				res, err := nt.RunCtx(ctx)
+				elapsed[r] = time.Since(t0)
+				if err != nil {
+					return err
+				}
+				// Drain before teardown: reaching the barrier implies every
+				// peer has consumed this rank's final collective frames.
+				if err := tr.Barrier(); err != nil {
+					return err
+				}
+				if n := len(marks); n >= 2 {
+					perStep[r] = float64(marks[n-1] - marks[n-2])
+				}
+				results[r] = res
+				return nil
+			}()
 		}(r)
 	}
 	wg.Wait()
@@ -194,10 +234,12 @@ func runSeqParTCP(ctx context.Context, world, nodes, epochs int) (float64, *trai
 			tr.Close()
 		}
 	}
+	var busiest float64
 	for r, err := range errs {
 		if err != nil {
-			return 0, nil, fmt.Errorf("seqpar: tcp rank %d: %w", r, err)
+			return 0, nil, 0, fmt.Errorf("seqpar: rank %d: %w", r, err)
 		}
+		busiest = max(busiest, perStep[r])
 	}
-	return elapsed[0].Seconds() / float64(epochs), results[0], nil
+	return elapsed[0].Seconds() / float64(epochs), results[0], busiest, nil
 }

@@ -314,7 +314,7 @@ func TestPerfModelNetworkTerm(t *testing.T) {
 	shape := ModelShape{Layers: 4, Hidden: 64, Heads: 8, FFNHidden: 256}
 	pm := &PerfModel{HW: Loopback}
 	c := pm.StepTime(KindSparse, 20*256, 256, shape, 4)
-	hops := float64(8*shape.Layers + 2)
+	hops := float64(8*shape.Layers + 3)
 	floor := time.Duration(hops * Loopback.NetLatencyUs * 1e-6 * float64(time.Second))
 	if c.Comm < floor {
 		t.Fatalf("comm %v below the latency floor %v", c.Comm, floor)

@@ -60,8 +60,11 @@ var Loopback = HardwareProfile{
 }
 
 // ModelShape carries the transformer dimensions the cost models need.
+// OutDim (the logits width) only enters the sequence-parallel comm volume;
+// zero leaves the logits gather out.
 type ModelShape struct {
 	Layers, Hidden, Heads, FFNHidden int
+	OutDim                           int
 }
 
 func (s ModelShape) headDim() int {
@@ -89,6 +92,32 @@ func (s ModelShape) ParamBytes() int64 {
 	}
 	perLayer := int64(4*s.Hidden*s.Hidden + 2*s.Hidden*f)
 	return 4 * perLayer * int64(s.Layers)
+}
+
+// SeqParCommBytes models the payload bytes one rank of a p-rank row-sharded
+// sequence-parallel group sends per fwd+bwd step at sequence length seq — the
+// volume model.DistSeqParallel's TransportBytes is checked against (within
+// 2×, at P ∈ {2, 4}):
+//
+//   - reshard: 4 all-to-alls forward + 4 backward per layer, each moving the
+//     rank's ⌈S/P⌉ rows of Hidden floats less the 1/P it keeps;
+//   - chain: every parameter gradient's running value handed to the next
+//     rank once and the finals handed back once — at most 2·|θ| floats (the
+//     first and last rank of the group send half of that);
+//   - gather: the rank's ⌈S/P⌉·OutDim logits to each of the P−1 others.
+//
+// The reshard term is the paper's O(S/P) per-rank volume; the chain term is
+// independent of S and is what a gradient all-reduce would also move.
+func (s ModelShape) SeqParCommBytes(seq, p int) (reshard, chain, gather float64) {
+	if p <= 1 {
+		return 0, 0, 0
+	}
+	rows := float64((seq + p - 1) / p)
+	off := float64(p-1) / float64(p)
+	reshard = 8 * float64(s.Layers) * rows * float64(s.Hidden) * off * 4
+	chain = 2 * float64(s.ParamBytes())
+	gather = rows * float64(s.OutDim) * float64(p-1) * 4
+	return reshard, chain, gather
 }
 
 // Kind selects the attention kernel family being modelled.
@@ -120,7 +149,7 @@ func (hw HardwareProfile) pairCost(k Kind) float64 {
 type Cost struct {
 	Attn     time.Duration // attention kernels, all layers/heads
 	Other    time.Duration // projections + FFN + norms
-	Comm     time.Duration // sequence-parallel reshards + grad all-reduce
+	Comm     time.Duration // sequence-parallel reshards + gradient chain + logits gather
 	Overhead time.Duration // fixed per-step cost
 	Total    time.Duration
 }
@@ -147,16 +176,13 @@ func (pm *PerfModel) StepTime(kind Kind, pairsPerHead int64, s int, shape ModelS
 
 	var commSec float64
 	if gpus > 1 {
-		// Ulysses resharding: 4 all-to-alls fwd + 4 bwd per layer, each moving
-		// (S/P)·H·4 bytes per rank with the (P−1)/P off-rank fraction.
-		reshard := 8 * float64(shape.Layers) * float64(s) / float64(gpus) *
-			float64(shape.Hidden) * 4 * float64(gpus-1) / float64(gpus)
-		// Ring all-reduce of weight gradients: 2·paramBytes per rank.
-		allreduce := 2 * float64(shape.ParamBytes())
-		// Fixed wire latency: one hop per collective round — the 8 per-layer
-		// all-to-alls plus the gradient all-reduce and the closing barrier.
-		hops := float64(8*shape.Layers + 2)
-		commSec = (reshard+allreduce)/(hw.NetGBs*1e9) + hops*hw.NetLatencyUs*1e-6
+		reshard, chain, gather := shape.SeqParCommBytes(s, gpus)
+		// Fixed wire latency: one hop per synchronising round — the 8
+		// per-layer all-to-alls, the logits gather, the gradient finals
+		// and the closing barrier. (The chain's running values are sent
+		// without waiting and ride between those rounds.)
+		hops := float64(8*shape.Layers + 3)
+		commSec = (reshard+chain+gather)/(hw.NetGBs*1e9) + hops*hw.NetLatencyUs*1e-6
 	}
 
 	c := Cost{

@@ -22,13 +22,6 @@ type Group struct {
 	t     Transport
 	ranks []int
 	me    int // index of t.Rank() within ranks
-
-	// async moves the send sweep to a goroutine. TCP needs it — a large
-	// frame blocks until the peer drains it, and all members send before
-	// any receives — while the in-process mesh's buffered channels absorb
-	// the sweep, so it keeps the caller-thread sends (and the allocation
-	// profile) the channel Comm always had.
-	async bool
 }
 
 // NewGroup builds the collective group of the given member ranks, as seen
@@ -51,9 +44,6 @@ func NewGroup(t Transport, ranks []int) (*Group, error) {
 	}
 	if g.me < 0 {
 		return nil, fmt.Errorf("transport: rank %d is not a member of group %v", t.Rank(), ranks)
-	}
-	if _, isTCP := t.(*TCP); isTCP {
-		g.async = true
 	}
 	return g, nil
 }
@@ -84,38 +74,29 @@ func (g *Group) Transport() Transport { return g.t }
 // received, indexed by member (own part passed through untouched). Incoming
 // matrices are read-only — ownership stays with the sender. nil, zero-row
 // and zero-column parts are first-class, per the dist.Comm contract.
+//
+// Every member sends its whole sweep, on the calling thread, before it
+// receives anything. That cannot deadlock on any Transport: a TCP Send only
+// queues the frame, and the in-process mesh buffers a pair's messages, whose
+// receiver takes the previous collective's before it enters this one.
 func (g *Group) AllToAll(parts []*tensor.Mat) ([]*tensor.Mat, error) {
 	n := len(g.ranks)
 	if len(parts) != n {
 		return nil, fmt.Errorf("transport: AllToAll needs one part per member (%d != %d)", len(parts), n)
 	}
-	var sendErr chan error
-	if g.async {
-		sendErr = make(chan error, 1)
-		go func() { sendErr <- g.sendSweep(parts) }()
-	} else {
-		if err := g.sendSweep(parts); err != nil {
-			return nil, err
-		}
+	if err := g.sendSweep(parts); err != nil {
+		return nil, err
 	}
 	out := make([]*tensor.Mat, n)
 	out[g.me] = parts[g.me]
-	var recvErr error
-	for i := 0; i < n && recvErr == nil; i++ {
+	for i, r := range g.ranks {
 		if i == g.me {
 			continue
 		}
-		out[i], recvErr = g.t.Recv(g.ranks[i])
-	}
-	if sendErr != nil {
-		// Bounded wait: transport sends carry their own deadlines, so a
-		// sweep stuck on a dead peer terminates within IOTimeout.
-		if err := <-sendErr; recvErr == nil {
-			recvErr = err
+		var err error
+		if out[i], err = g.t.Recv(r); err != nil {
+			return nil, err
 		}
-	}
-	if recvErr != nil {
-		return nil, recvErr
 	}
 	return out, nil
 }
@@ -143,8 +124,7 @@ func (g *Group) AllGather(m *tensor.Mat) ([]*tensor.Mat, error) {
 }
 
 // Barrier blocks until every group member has entered it: a nil-payload
-// exchange with every member (header-only frames, so the sweep cannot
-// deadlock even without the async sender).
+// exchange with every member.
 func (g *Group) Barrier() error {
 	if len(g.ranks) == g.t.World() {
 		return g.t.Barrier()
@@ -168,11 +148,10 @@ func (g *Group) Barrier() error {
 	return nil
 }
 
-// AllReduce sums the members' matrices element-wise, in place, leaving every
-// member with the identical total: an all-gather of the flattened vector
-// followed by a zero-seeded fold in fixed member order — bitwise-identical
-// to dist.Comm.AllReduce, on every member, in or out of process.
-func (g *Group) AllReduce(mats []*tensor.Mat) error {
+// flatten copies mats end to end into one fresh 1×n matrix — the buffer a
+// reduction shares with the other members, who may still be reading it after
+// this member has moved on, so it is never reused.
+func flatten(mats []*tensor.Mat) *tensor.Mat {
 	n := 0
 	for _, m := range mats {
 		n += len(m.Data)
@@ -180,20 +159,27 @@ func (g *Group) AllReduce(mats []*tensor.Mat) error {
 	flat := tensor.New(1, n)
 	off := 0
 	for _, m := range mats {
-		copy(flat.Data[off:], m.Data)
-		off += len(m.Data)
+		off += copy(flat.Data[off:], m.Data)
 	}
-	gathered, err := g.AllGather(flat)
+	return flat
+}
+
+// AllReduce sums the members' matrices element-wise, in place, leaving every
+// member with the identical total: an all-gather of the flattened vector
+// followed by a zero-seeded fold in fixed member order — bitwise-identical
+// to dist.Comm.AllReduce, on every member, in or out of process. The fold
+// runs in mats itself (already copied out), so a call allocates one buffer.
+func (g *Group) AllReduce(mats []*tensor.Mat) error {
+	gathered, err := g.AllGather(flatten(mats))
 	if err != nil {
 		return err
 	}
-	sum := tensor.New(1, n)
-	for i := range g.ranks {
-		tensor.Axpy(1, gathered[i].Data, sum.Data)
-	}
-	off = 0
+	off := 0
 	for _, m := range mats {
-		copy(m.Data, sum.Data[off:off+len(m.Data)])
+		m.Zero()
+		for i := range g.ranks {
+			tensor.Axpy(1, gathered[i].Data[off:off+len(m.Data)], m.Data)
+		}
 		off += len(m.Data)
 	}
 	return nil
@@ -207,49 +193,50 @@ func (g *Group) AllReduce(mats []*tensor.Mat) error {
 // (-0)+(-0) stays -0), so hybrid DP×SP training stays bitwise-equal to the
 // single-replica trajectory. Like every collective here the fold order is
 // fixed, so all replicas stay identical even when their gradients differ.
+// The tree's root folds in mats itself; only its other inner nodes (none at
+// R = 2) need a buffer beside the gathered one.
 func (g *Group) AllReduceMean(mats []*tensor.Mat) error {
-	n := 0
-	for _, m := range mats {
-		n += len(m.Data)
-	}
-	flat := tensor.New(1, n)
-	off := 0
-	for _, m := range mats {
-		copy(flat.Data[off:], m.Data)
-		off += len(m.Data)
-	}
-	gathered, err := g.AllGather(flat)
+	gathered, err := g.AllGather(flatten(mats))
 	if err != nil {
 		return err
 	}
 	r := len(g.ranks)
-	vals := make([]*tensor.Mat, r)
-	copy(vals, gathered)
-	owned := make([]bool, r) // gathered buffers are read-only; fold into fresh ones
+	vals := make([][]float32, r)
+	for i, gm := range gathered {
+		vals[i] = gm.Data
+	}
+	// Gathered buffers are read-only: an inner node other than the root gets
+	// a fresh one on its first fold. Node 0 is the root; it is folded last at
+	// every level, straight into mats.
+	owned := make([]bool, r)
 	for stride := 1; stride < r; stride *= 2 {
-		for i := 0; i+stride < r; i += 2 * stride {
+		for i := 2 * stride; i+stride < r; i += 2 * stride {
 			a, b := vals[i], vals[i+stride]
 			if !owned[i] {
-				dst := tensor.New(1, n)
-				for j := range dst.Data {
-					dst.Data[j] = a.Data[j] + b.Data[j]
-				}
-				vals[i], owned[i] = dst, true
-				continue
+				a = make([]float32, len(b))
+				copy(a, vals[i])
+				vals[i], owned[i] = a, true
 			}
-			for j := range a.Data {
-				a.Data[j] += b.Data[j]
+			for j := range a {
+				a[j] += b[j]
 			}
 		}
 	}
 	scale := float32(1) / float32(r)
-	total := vals[0]
-	off = 0
+	off := 0
 	for _, m := range mats {
-		for j := range m.Data {
-			m.Data[j] = total.Data[off+j] * scale
+		n := len(m.Data)
+		copy(m.Data, vals[0][off:off+n])
+		for stride := 1; stride < r; stride *= 2 {
+			b := vals[stride][off : off+n]
+			for j := range m.Data {
+				m.Data[j] += b[j]
+			}
 		}
-		off += len(m.Data)
+		for j := range m.Data {
+			m.Data[j] *= scale
+		}
+		off += n
 	}
 	return nil
 }

@@ -7,10 +7,9 @@ import (
 	"torchgt/internal/tensor"
 )
 
-// memGroup is the shared state of one in-process mesh: src→dst channels
-// (buffered one deep — at most one outstanding message per pair, exactly the
-// invariant the globally-ordered collectives maintain) plus a group-wide
-// abort latch that unblocks every pending operation when a rank dies.
+// memGroup is the shared state of one in-process mesh: buffered src→dst
+// channels plus a group-wide abort latch that unblocks every pending
+// operation when a rank dies.
 type memGroup struct {
 	p     int
 	chans [][]chan *tensor.Mat
@@ -33,6 +32,16 @@ func (g *memGroup) err() error {
 	}
 	return &RankLostError{Rank: -1, Cause: ErrClosed}
 }
+
+// memDepth is how many messages one pair's channel holds before Send waits
+// for the receiver. The collectives need one (every member sends a peer one
+// message, then receives). The row-sharded plan's gradient chain needs a
+// run: a rank hands its neighbour up to sixteen running gradients between
+// two reshards (a block's FFN half and the attention half of the block
+// below: eight parameters each) and must not wait for the neighbour — which
+// is by construction one reduction behind — to take each before computing
+// the next. TCP's send queue is unbounded; this is its in-process stand-in.
+const memDepth = 16
 
 // Mem is the in-process Transport: one rank of a channel mesh shared by the
 // goroutine "devices" of a simulated job. Payloads move by pointer —
@@ -57,7 +66,7 @@ func NewMem(p int) []*Mem {
 	for s := 0; s < p; s++ {
 		g.chans[s] = make([]chan *tensor.Mat, p)
 		for d := 0; d < p; d++ {
-			g.chans[s][d] = make(chan *tensor.Mat, 1)
+			g.chans[s][d] = make(chan *tensor.Mat, memDepth)
 		}
 	}
 	ts := make([]*Mem, p)

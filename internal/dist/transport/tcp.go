@@ -50,18 +50,38 @@ type identifyMsg struct {
 
 // TCP is the cross-process Transport: one framed, versioned TCP connection
 // per peer, reused for the whole job.
+//
+// Send never blocks on the socket: it encodes the frame and appends it to the
+// destination's FIFO queue, which a writer goroutine per peer drains in order.
+// That is what lets every rank of a collective send before any receives,
+// whatever the frame size, on the caller's own thread — and what lets a rank
+// hand a running gradient to its neighbour and carry on computing. The first
+// write that fails (peer gone, or stalled past IOTimeout) is latched: it
+// closes every connection, so a Recv blocked on any peer returns, and every
+// later Send, Recv and Barrier reports it as a RankLostError.
 type TCP struct {
 	rank, world int
 	opts        Options
 
 	conns   []net.Conn
 	readers []*bufio.Reader
+	rdBufs  [][]byte // per-peer header + payload-chunk decode buffer
+	sendq   []*sendQueue
+	writers sync.WaitGroup
 
-	scratch []byte // send-side frame encode buffer (one sender at a time)
-	hdrBufs [][]byte
+	frames sync.Pool // *[]byte encode buffers, recycled by the writers
 
+	lost   atomic.Pointer[RankLostError] // first failed write
 	bytes  atomic.Int64
 	closed atomic.Bool
+}
+
+// sendQueue is one peer's outbound FIFO.
+type sendQueue struct {
+	mu      sync.Mutex
+	ready   sync.Cond // frames pending, or closing
+	frames  []*[]byte
+	closing bool
 }
 
 // Join performs the rendezvous and returns this process's transport.
@@ -92,16 +112,73 @@ func Join(ctx context.Context, addr string, rank, world int, o Options) (*TCP, e
 func newTCP(rank, world int, o Options, conns []net.Conn) *TCP {
 	t := &TCP{rank: rank, world: world, opts: o, conns: conns}
 	t.readers = make([]*bufio.Reader, world)
-	t.hdrBufs = make([][]byte, world)
+	t.rdBufs = make([][]byte, world)
+	t.sendq = make([]*sendQueue, world)
 	for r, c := range conns {
 		if c == nil {
 			continue
 		}
 		c.SetDeadline(time.Time{}) // per-op deadlines from here on
 		t.readers[r] = bufio.NewReader(c)
-		t.hdrBufs[r] = make([]byte, headerLen)
+		t.rdBufs[r] = make([]byte, readChunk)
+		q := &sendQueue{}
+		q.ready.L = &q.mu
+		t.sendq[r] = q
+		t.writers.Add(1)
+		go t.writeLoop(r, c, q)
 	}
 	return t
+}
+
+// writeLoop drains one peer's queue onto its connection, in order, until the
+// queue is closed and empty or a write fails.
+func (t *TCP) writeLoop(dst int, c net.Conn, q *sendQueue) {
+	defer t.writers.Done()
+	var batch []*[]byte
+	for {
+		q.mu.Lock()
+		for len(q.frames) == 0 && !q.closing {
+			q.ready.Wait()
+		}
+		batch, q.frames = q.frames, batch[:0]
+		q.mu.Unlock()
+		if len(batch) == 0 {
+			return // closing, nothing left to flush
+		}
+		for _, f := range batch {
+			c.SetWriteDeadline(time.Now().Add(t.opts.IOTimeout))
+			if _, err := c.Write(*f); err != nil {
+				t.fail(&RankLostError{Rank: dst, Cause: err})
+				return
+			}
+			t.frames.Put(f)
+		}
+	}
+}
+
+// fail latches the first write failure and closes every connection: a rank
+// that cannot be reached ends the job at this world size, so nothing is left
+// waiting on the others.
+func (t *TCP) fail(e *RankLostError) {
+	if !t.lost.CompareAndSwap(nil, e) {
+		return
+	}
+	for _, c := range t.conns {
+		if c != nil {
+			c.Close()
+		}
+	}
+}
+
+// down reports why the transport can no longer be used, or nil.
+func (t *TCP) down(peer int) error {
+	if t.closed.Load() {
+		return &RankLostError{Rank: peer, Cause: ErrClosed}
+	}
+	if e := t.lost.Load(); e != nil {
+		return e
+	}
+	return nil
 }
 
 // coordinate runs the rank-0 side of the rendezvous.
@@ -387,20 +464,25 @@ func (t *TCP) Rank() int { return t.rank }
 // World implements Transport.
 func (t *TCP) World() int { return t.world }
 
-// Send implements Transport.
+// Send implements Transport: m is encoded before Send returns (the caller may
+// reuse it at once) and written by the destination's writer goroutine.
 func (t *TCP) Send(dst int, m *tensor.Mat) error {
-	if t.closed.Load() {
-		return &RankLostError{Rank: dst, Cause: ErrClosed}
+	if err := t.down(dst); err != nil {
+		return err
 	}
-	c := t.conns[dst]
-	if c == nil {
+	q := t.sendq[dst]
+	if q == nil {
 		return fmt.Errorf("transport: no connection to rank %d", dst)
 	}
-	c.SetWriteDeadline(time.Now().Add(t.opts.IOTimeout))
-	n, err := writeTensor(c, &t.scratch, m)
-	if err != nil {
-		return &RankLostError{Rank: dst, Cause: err}
+	f, _ := t.frames.Get().(*[]byte)
+	if f == nil {
+		f = new([]byte)
 	}
+	n := encodeTensor(f, m)
+	q.mu.Lock()
+	q.frames = append(q.frames, f)
+	q.mu.Unlock()
+	q.ready.Signal()
 	t.bytes.Add(n)
 	return nil
 }
@@ -410,27 +492,28 @@ func (t *TCP) Send(dst int, m *tensor.Mat) error {
 // failures — EOF, reset, truncation, a deadline expiry on a stalled peer —
 // are reported as that rank being lost.
 func (t *TCP) Recv(src int) (*tensor.Mat, error) {
-	if t.closed.Load() {
-		return nil, &RankLostError{Rank: src, Cause: ErrClosed}
+	if err := t.down(src); err != nil {
+		return nil, err
 	}
 	c := t.conns[src]
 	if c == nil {
 		return nil, fmt.Errorf("transport: no connection to rank %d", src)
 	}
 	c.SetReadDeadline(time.Now().Add(t.opts.IOTimeout))
-	m, err := readTensor(t.readers[src], t.hdrBufs[src])
+	m, err := readTensor(t.readers[src], t.rdBufs[src])
 	if err != nil {
 		if errors.Is(err, ErrWireVersion) || errors.Is(err, ErrWireFormat) {
 			return nil, err
+		}
+		if e := t.down(src); e != nil {
+			return nil, e // the read failed because a write did, or Close ran
 		}
 		return nil, &RankLostError{Rank: src, Cause: err}
 	}
 	return m, nil
 }
 
-// Barrier implements Transport: a nil-frame exchange with every peer. Nil
-// frames are header-only, so the full send sweep fits in the socket buffers
-// and cannot deadlock against the other ranks' sweeps.
+// Barrier implements Transport: a nil-frame exchange with every peer.
 func (t *TCP) Barrier() error {
 	for d := 0; d < t.world; d++ {
 		if d == t.rank {
@@ -454,12 +537,23 @@ func (t *TCP) Barrier() error {
 // BytesSent implements Transport.
 func (t *TCP) BytesSent() int64 { return t.bytes.Load() }
 
-// Close implements Transport: peers observe this rank as lost on their next
-// collective.
+// Close implements Transport: frames already handed to Send are flushed (each
+// write bounded by IOTimeout), then the connections close and peers observe
+// this rank as lost on their next collective. It returns once the writer
+// goroutines have exited.
 func (t *TCP) Close() error {
 	if t.closed.Swap(true) {
 		return nil
 	}
+	for _, q := range t.sendq {
+		if q != nil {
+			q.mu.Lock()
+			q.closing = true
+			q.mu.Unlock()
+			q.ready.Signal()
+		}
+	}
+	t.writers.Wait()
 	for _, c := range t.conns {
 		if c != nil {
 			c.Close()

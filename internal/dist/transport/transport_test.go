@@ -76,10 +76,8 @@ func TestWireTensorRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	var scratch []byte
 	for _, m := range cases {
-		n, err := writeTensor(&buf, &scratch, m)
-		if err != nil {
-			t.Fatal(err)
-		}
+		n := encodeTensor(&scratch, m)
+		buf.Write(scratch)
 		want := int64(0)
 		if m != nil {
 			want = int64(len(m.Data) * 4)
@@ -88,7 +86,9 @@ func TestWireTensorRoundTrip(t *testing.T) {
 			t.Fatalf("payload bytes %d, want %d", n, want)
 		}
 	}
-	hdr := make([]byte, headerLen)
+	// A 5×7 payload through a 24-byte buffer: six elements per chunk, the
+	// last chunk short.
+	hdr := make([]byte, headerLen+4)
 	for _, m := range cases {
 		got, err := readTensor(&buf, hdr)
 		if err != nil {
@@ -128,9 +128,8 @@ func TestWireFailurePaths(t *testing.T) {
 	m := tensor.New(2, 2)
 	var scratch []byte
 	var good bytes.Buffer
-	if _, err := writeTensor(&good, &scratch, m); err != nil {
-		t.Fatal(err)
-	}
+	encodeTensor(&scratch, m)
+	good.Write(scratch)
 	hdr := make([]byte, headerLen)
 
 	cases := []struct {
@@ -685,5 +684,163 @@ func TestGroupAccessorsAndBarriers(t *testing.T) {
 	var rl *RankLostError
 	if !errors.As(err, &rl) || rl.Rank != 2 || !errors.Is(err, reason) {
 		t.Fatalf("abort reason not propagated: %v", err)
+	}
+}
+
+// wrapped is what any decorator of a Transport looks like to Group: not a
+// *TCP, whatever it holds.
+type wrapped struct{ Transport }
+
+// TestWrappedTCPAllToAllBeyondSocketBuffers pins the fix for collectives over
+// a decorated TCP transport: Group used to pick background sends by
+// type-asserting *TCP, so a wrapper got caller-thread send sweeps that only
+// avoided deadlock while the socket buffers absorbed them. With the send queue
+// inside TCP, every member can queue frames far larger than any socket buffer
+// before anyone receives.
+func TestWrappedTCPAllToAllBeyondSocketBuffers(t *testing.T) {
+	const world = 3
+	const rows, cols = 2048, 1024 // 8 MiB per frame, 16 MiB out of every rank
+	ts := tcpWorld(t, world, Options{IOTimeout: 20 * time.Second})
+	defer closeAll(ts)
+	errs := make([]error, world)
+	var wg sync.WaitGroup
+	for r := 0; r < world; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			g := WorldGroup(wrapped{ts[r]})
+			parts := make([]*tensor.Mat, world)
+			for d := range parts {
+				parts[d] = tensor.New(rows, cols)
+				parts[d].Data[0], parts[d].Data[rows*cols-1] = float32(r), float32(d)
+			}
+			recv, err := g.AllToAll(parts)
+			if err != nil {
+				errs[r] = err
+				return
+			}
+			for src, m := range recv {
+				if m.Rows != rows || m.Cols != cols || m.Data[0] != float32(src) || m.Data[rows*cols-1] != float32(r) {
+					errs[r] = errors.New("part delivered to the wrong member or corrupted")
+				}
+			}
+		}(r)
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(60 * time.Second):
+		t.Fatal("all-to-all over a wrapped TCP transport deadlocked")
+	}
+	for r, err := range errs {
+		if err != nil {
+			t.Fatalf("rank %d: %v", r, err)
+		}
+	}
+}
+
+// TestWirePortableCodecMatchesHost runs the element-by-element codec (what a
+// big-endian host uses) against the host's copy path, both directions: same
+// frame bytes, same decoded bits, with a chunk buffer that does not divide
+// the payload.
+func TestWirePortableCodecMatchesHost(t *testing.T) {
+	if !hostLE {
+		t.Skip("host already runs the portable codec")
+	}
+	defer func() { hostLE = true }()
+	m := tensor.New(7, 13)
+	for i := range m.Data {
+		m.Data[i] = math.Float32frombits(0x3f800000 + uint32(i)*0x01010101)
+	}
+	var fast, slow []byte
+	encodeTensor(&fast, m)
+	hostLE = false
+	encodeTensor(&slow, m)
+	if !bytes.Equal(fast, slow) {
+		t.Fatal("portable encoder writes different frame bytes")
+	}
+	for _, le := range []bool{true, false} {
+		hostLE = le
+		got, err := readTensor(bytes.NewReader(fast), make([]byte, headerLen+4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range m.Data {
+			if math.Float32bits(got.Data[i]) != math.Float32bits(m.Data[i]) {
+				t.Fatalf("hostLE=%v: element %d decoded as %#x", le, i, math.Float32bits(got.Data[i]))
+			}
+		}
+	}
+}
+
+// TestTCPSendQueue pins the queue's contract: Send returns without the peer
+// reading (frames beyond any socket buffer), frames arrive in order, the
+// matrix may be reused as soon as Send returns, and Close flushes what was
+// queued before the peer sees the rank go.
+func TestTCPSendQueue(t *testing.T) {
+	ts := tcpWorld(t, 2, Options{IOTimeout: 20 * time.Second})
+	defer closeAll(ts)
+	const frames, n = 24, 1 << 18 // 24 MiB queued before the first Recv
+	m := tensor.New(1, n)
+	for i := 0; i < frames; i++ {
+		m.Data[0], m.Data[n-1] = float32(i), float32(-i)
+		if err := ts[0].Send(1, m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := ts[0].BytesSent(); got != frames*n*4 {
+		t.Fatalf("BytesSent %d, want %d", got, frames*n*4)
+	}
+	closed := make(chan struct{})
+	go func() { ts[0].Close(); close(closed) }() // must flush, not drop
+	for i := 0; i < frames; i++ {
+		got, err := ts[1].Recv(0)
+		if err != nil {
+			t.Fatalf("frame %d: %v", i, err)
+		}
+		if got.Data[0] != float32(i) || got.Data[n-1] != float32(-i) {
+			t.Fatalf("frame %d out of order or overwritten after Send returned: %v %v", i, got.Data[0], got.Data[n-1])
+		}
+	}
+	<-closed
+	if _, err := ts[1].Recv(0); !IsRankLost(err) {
+		t.Fatalf("after the flush the peer must see the rank go, got %v", err)
+	}
+}
+
+// TestTCPFailedWriteSurfaces: a write the background writer could not
+// complete is not lost with the goroutine — the next Send, Recv and Barrier
+// each report it as the peer being lost, and a Recv blocked on another peer
+// returns instead of waiting out its deadline.
+func TestTCPFailedWriteSurfaces(t *testing.T) {
+	ts := tcpWorld(t, 3, Options{IOTimeout: 10 * time.Second})
+	defer closeAll(ts)
+	blocked := make(chan error, 1)
+	go func() { _, err := ts[0].Recv(2); blocked <- err }() // rank 2 never sends
+	time.Sleep(50 * time.Millisecond)
+	ts[1].Close() // rank 1 dies; rank 0 keeps sending to it
+	var err error
+	for i := 0; i < 2000 && err == nil; i++ {
+		err = ts[0].Send(1, tensor.New(64, 64))
+		time.Sleep(time.Millisecond)
+	}
+	var rl *RankLostError
+	if !errors.As(err, &rl) || rl.Rank != 1 {
+		t.Fatalf("Send after a failed write: %v", err)
+	}
+	select {
+	case err := <-blocked:
+		if !errors.As(err, &rl) || rl.Rank != 1 {
+			t.Fatalf("blocked Recv: want rank 1 lost, got %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("a Recv blocked on a live peer did not return when a write to a dead one failed")
+	}
+	if _, err := ts[0].Recv(2); !errors.As(err, &rl) || rl.Rank != 1 {
+		t.Fatalf("Recv after a failed write: %v", err)
+	}
+	if err := ts[0].Barrier(); !errors.As(err, &rl) || rl.Rank != 1 {
+		t.Fatalf("Barrier after a failed write: %v", err)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"unsafe"
 
 	"torchgt/internal/tensor"
 )
@@ -107,9 +108,27 @@ func readHeader(r io.Reader, buf []byte) (frameHeader, error) {
 	return h, nil
 }
 
-// writeTensor frames m onto w, reusing *scratch across calls for the encode
-// buffer. It returns the payload byte count (0 for nil or empty matrices).
-func writeTensor(w io.Writer, scratch *[]byte, m *tensor.Mat) (int64, error) {
+// hostLE reports that this machine stores a float32 the way the wire does
+// (little-endian bit patterns), so a payload is the matrix's memory and both
+// directions are one copy. Only this package's tests flip it, to run the
+// portable element-by-element codec on the same machine.
+var hostLE = func() bool {
+	x := uint16(1)
+	return *(*byte)(unsafe.Pointer(&x)) == 1
+}()
+
+// wireBytes views f as the bytes of its elements, in memory order.
+func wireBytes(f []float32) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(f))), 4*len(f))
+}
+
+// readChunk is the size of the buffer a reader decodes through: one header,
+// then the payload this many bytes at a time, straight into the matrix.
+const readChunk = 16 << 10
+
+// encodeTensor writes m's frame into *buf (grown if needed, resliced to the
+// frame) and returns the payload byte count (0 for nil or empty matrices).
+func encodeTensor(buf *[]byte, m *tensor.Mat) int64 {
 	h := frameHeader{version: wireVersion, kind: kindTensor}
 	if m == nil {
 		h.flags = flagNil
@@ -118,25 +137,28 @@ func writeTensor(w io.Writer, scratch *[]byte, m *tensor.Mat) (int64, error) {
 		h.payloadLen = uint32(len(m.Data) * 4)
 	}
 	need := headerLen + int(h.payloadLen)
-	if cap(*scratch) < need {
-		*scratch = make([]byte, need)
+	if cap(*buf) < need {
+		*buf = make([]byte, need)
 	}
-	buf := (*scratch)[:need]
-	putHeader(buf, h)
-	if m != nil {
+	b := (*buf)[:need]
+	*buf = b
+	putHeader(b, h)
+	switch p := b[headerLen:]; {
+	case m == nil:
+	case hostLE:
+		copy(p, wireBytes(m.Data))
+	default:
 		for i, v := range m.Data {
-			binary.LittleEndian.PutUint32(buf[headerLen+4*i:], math.Float32bits(v))
+			binary.LittleEndian.PutUint32(p[4*i:], math.Float32bits(v))
 		}
 	}
-	if _, err := w.Write(buf); err != nil {
-		return 0, err
-	}
-	return int64(h.payloadLen), nil
+	return int64(h.payloadLen)
 }
 
-// readTensor reads the next frame from r, which must be a tensor frame.
-func readTensor(r io.Reader, hdrBuf []byte) (*tensor.Mat, error) {
-	h, err := readHeader(r, hdrBuf)
+// readTensor reads the next frame from r, which must be a tensor frame,
+// decoding through buf (at least headerLen bytes; a multiple of 4).
+func readTensor(r io.Reader, buf []byte) (*tensor.Mat, error) {
+	h, err := readHeader(r, buf)
 	if err != nil {
 		return nil, err
 	}
@@ -147,14 +169,21 @@ func readTensor(r io.Reader, hdrBuf []byte) (*tensor.Mat, error) {
 		return nil, nil
 	}
 	m := tensor.New(int(h.rows), int(h.cols))
-	if h.payloadLen > 0 {
-		payload := make([]byte, h.payloadLen)
-		if _, err := io.ReadFull(r, payload); err != nil {
+	if hostLE {
+		if _, err := io.ReadFull(r, wireBytes(m.Data)); err != nil {
 			return nil, fmt.Errorf("%w: tensor payload cut short: %v", ErrTruncatedFrame, err)
 		}
-		for i := range m.Data {
-			m.Data[i] = math.Float32frombits(binary.LittleEndian.Uint32(payload[4*i:]))
+		return m, nil
+	}
+	for rest := m.Data; len(rest) > 0; {
+		n := min(len(rest), len(buf)/4)
+		if _, err := io.ReadFull(r, buf[:4*n]); err != nil {
+			return nil, fmt.Errorf("%w: tensor payload cut short: %v", ErrTruncatedFrame, err)
 		}
+		for i := range rest[:n] {
+			rest[i] = math.Float32frombits(binary.LittleEndian.Uint32(buf[4*i:]))
+		}
+		rest = rest[n:]
 	}
 	return m, nil
 }

@@ -25,6 +25,11 @@ type Block struct {
 func (b *Block) SetPlan(p Plan) {
 	b.plan = normPlan(p)
 	b.Attn.SetPlan(p)
+	c := b.plan.gradChain()
+	b.LN1.SetChain(c)
+	b.LN2.SetChain(c)
+	b.FC1.SetChain(c)
+	b.FC2.SetChain(c)
 }
 
 // SetRuntime attaches a single-process execution engine (pre-Plan entry

@@ -14,21 +14,30 @@ import (
 // between real processes, the in-process mesh under tests). Global rank g
 // sits in replica g/P at sequence-parallel index g%P.
 //
-// Layout: row-wise layers (projections, norms, FFN, loss) are
-// sequence-decomposable, so every rank runs them replicated over the full
-// sequence — bitwise the work its sequence shard plus an all-gather would
-// produce, with zero communication. Only the head section partitions: each
-// rank runs its own Heads/P attention heads over the full sequence and one
-// all-gather per attention boundary reassembles the concatenated outputs
-// (and, in backward, dq/dk/dv). This is the Ulysses head decomposition with
-// the sequence dimension kept resident; the wire moves exactly the per-head
-// outputs a sequence↔head reshard would move on its second hop.
+// Layout (the Ulysses layout of the paper's Cluster-aware Graph Parallelism,
+// §III-C): rank r holds rows [r·⌈S/P⌉, (r+1)·⌈S/P⌉) of the token sequence
+// — the tail shard short or empty when P does not divide S — and embeds,
+// projects, normalises, runs the FFN, dropout, the residuals and the output
+// head on those rows only, so its activations are O(S/P). At each attention
+// boundary q/k/v go shard→heads and the head outputs heads→shard through
+// all-to-alls (ulysses, shared with the in-process plan); the per-rank logits
+// shards are all-gathered so Forward still returns S×C, and Backward takes
+// its rows of dLogits. Only the full-sequence node form shards this way: a
+// global readout token or packed segments are refused.
 //
-// Determinism: the gathered head blocks land in disjoint columns and are
-// assembled with the same zero-initialise-then-add ordering every other
-// plan uses, per-head kernels see bit-identical full-sequence inputs, and
-// gradient synchronisation (bias-table ownership merge, data-parallel mean)
-// folds in fixed member order — so training under this plan is pinned
+// Determinism. Row-wise layers compute a row from that row alone, dropout
+// draws the whole sequence's mask stream on every rank and applies its own
+// window of it, and resharding only moves values — so activations and input
+// gradients are bitwise the serial ones, rank by rank. Parameter gradients
+// reduce over the sequence, and there a fixed-order sum of per-rank partials
+// would be deterministic but not the serial rounding sequence. Instead every
+// such reduction is one row-ascending chain per output element (nn.GradChain):
+// rank r receives rank r−1's running value, continues the same chain over its
+// own rows, and passes it on; the last rank holds bit for bit the serial
+// gradient, and Backward ends by handing the finals back down the group, so
+// it leaves every rank holding what a serial Backward leaves. Bias-table
+// gradients are per head, not per row: each is written by its head's owner
+// and merged by ownership. Training under this plan is thereby pinned
 // bitwise-equal to the serial trajectory, and hence to the in-process
 // SeqParallel plan, at every P. See DESIGN.md "Cross-process execution".
 type DistSeqParallel struct {
@@ -41,8 +50,11 @@ type DistSeqParallel struct {
 	dp    *transport.Group // this rank's cross-replica group
 	world *transport.Group
 
-	ws     *tensor.Workspace // head-section scratch
-	shared *tensor.Workspace // serial sections: residuals, concat, dq/dk/dv
+	u      *ulysses          // this rank's reshard; its workspace is the head-section scratch
+	shared *tensor.Workspace // row-wise sections: residuals
+	chain  rowChain
+
+	seq int // token-sequence length of the current forward (set by rows)
 
 	// biasTables maps every bias-table parameter seen in forward to its
 	// head count, so SyncGradients can run the ownership merge.
@@ -81,8 +93,23 @@ func NewDistSeqParallel(t transport.Transport, replicas int, opts ExecOptions) (
 		return nil, err
 	}
 	d := &DistSeqParallel{P: p, R: replicas, t: t, sp: sp, dp: dp, world: transport.WorldGroup(t)}
+	d.u = &ulysses{p: p, rank: sp.Index(), a2a: func(parts []*tensor.Mat) []*tensor.Mat {
+		recv, err := sp.AllToAll(parts)
+		if err != nil {
+			panic(err)
+		}
+		return recv
+	}}
+	d.chain = rowChain{t: t, prev: -1, next: -1}
+	me := sp.Index()
+	if me > 0 {
+		d.chain.prev = spRanks[me-1]
+	}
+	if me < p-1 {
+		d.chain.next = spRanks[me+1]
+	}
 	if opts.PoolEnabled {
-		d.ws = tensor.NewWorkspace()
+		d.u.ws = tensor.NewWorkspace()
 		d.shared = tensor.NewWorkspace()
 	}
 	return d, nil
@@ -111,125 +138,176 @@ func (p *DistSeqParallel) TransportBytes() int64 { return p.t.BytesSent() }
 // ends with a world barrier, so no peer can still be reading this rank's
 // buffers.
 func (p *DistSeqParallel) StepReset() {
-	p.ws.Reset()
+	p.u.ws.Reset()
 	p.shared.Reset()
 }
 
 // AllocStats implements Plan.
-func (p *DistSeqParallel) AllocStats() tensor.WorkspaceStats {
-	var st tensor.WorkspaceStats
-	for _, ws := range []*tensor.Workspace{p.ws, p.shared} {
-		s := ws.Stats()
-		st.Gets += s.Gets
-		st.PoolHits += s.PoolHits
-		st.Resets += s.Resets
-		st.InUse += s.InUse
-		st.HeldBytes += s.HeldBytes
-	}
-	return st
-}
+func (p *DistSeqParallel) AllocStats() tensor.WorkspaceStats { return sumStats(p.u.ws, p.shared) }
 
 func (p *DistSeqParallel) workspace(int) *tensor.Workspace { return p.shared }
 
-func (p *DistSeqParallel) checkHeads(m *MHA) int {
-	if m.Heads%p.P != 0 {
-		panic(fmt.Sprintf("model: %d heads not divisible by %d sequence-parallel ranks", m.Heads, p.P))
-	}
-	return m.Heads / p.P
+// rows implements Plan: this rank's shard. The sequence length is kept for
+// the head sections of the forward it opens.
+func (p *DistSeqParallel) rows(s int) (lo, hi int) {
+	p.seq = s
+	return shardRows(p.P, p.u.rank, s)
 }
 
-func (p *DistSeqParallel) noteBiasTable(m *MHA) {
-	if m.BiasTable == nil {
-		return
+// gatherRows implements Plan: an all-gather of the ranks' row blocks within
+// the sequence-parallel group, assembled in rank order.
+func (p *DistSeqParallel) gatherRows(local *tensor.Mat) *tensor.Mat {
+	if p.P == 1 {
+		return local
 	}
-	if p.biasTables == nil {
-		p.biasTables = make(map[*nn.Param]int)
+	blocks, err := p.sp.AllGather(local)
+	if err != nil {
+		panic(err)
 	}
-	p.biasTables[m.BiasTable.W] = m.Heads
+	full := tensor.New(p.seq, local.Cols)
+	for r, b := range blocks {
+		lo, hi := shardRows(p.P, r, p.seq)
+		if b.Rows != hi-lo || b.Cols != local.Cols {
+			panic(fmt.Sprintf("model: gather: rank %d sent %dx%d for rows [%d,%d) of %d columns", r, b.Rows, b.Cols, lo, hi, local.Cols))
+		}
+		copy(full.Data[lo*local.Cols:], b.Data)
+	}
+	return full
 }
 
-// forwardHeads implements Plan: run this rank's heads over the full
-// sequence, all-gather the per-rank head blocks across the
-// sequence-parallel group, and assemble the concatenated output with the
-// serial engine's zero-initialise-then-add ordering (0+(0+x) ≡ 0+x
-// bitwise, since 0+x is never -0).
+// gradChain implements Plan. A group of one holds every row: no chain.
+func (p *DistSeqParallel) gradChain() nn.GradChain {
+	if p.P == 1 {
+		return nil
+	}
+	return &p.chain
+}
+
+// forwardHeads implements Plan: this rank's side of the Ulysses section.
 func (p *DistSeqParallel) forwardHeads(m *MHA, q, k, v *tensor.Mat, spec *AttentionSpec) *tensor.Mat {
-	s := q.Rows
-	hp := p.checkHeads(m)
-	p.noteBiasTable(m)
-	me := p.sp.Index()
-	ws := p.ws
-	headsOut := ws.Get(s, hp*m.Dh)
-	for j := 0; j < hp; j++ {
-		h := me*hp + j
-		kr := m.newKernel(h, spec, s, ws)
-		m.kernels[h] = kr
-		oh := kr.Forward(
-			colSlice(ws, q, h*m.Dh, m.Dh),
-			colSlice(ws, k, h*m.Dh, m.Dh),
-			colSlice(ws, v, h*m.Dh, m.Dh))
-		addColSlice(headsOut, oh, j*m.Dh)
+	m.beginHeads(spec, p.seq)
+	if m.BiasTable != nil {
+		if p.biasTables == nil {
+			p.biasTables = make(map[*nn.Param]int)
+		}
+		p.biasTables[m.BiasTable.W] = m.Heads
 	}
+	out := p.u.forward(m, q, k, v, spec, p.seq)
 	// Drop kernels of heads this rank does not own: they may be stale from
 	// an earlier plan, and backward must only touch local ones.
+	hp := m.Heads / p.P
 	for h := range m.kernels {
-		if h/hp != me {
+		if h/hp != p.u.rank {
 			m.kernels[h] = nil
 		}
-	}
-	gathered, err := p.sp.AllGather(headsOut)
-	if err != nil {
-		panic(err)
-	}
-	concat := p.shared.Get(s, m.Hidden)
-	for i, part := range gathered {
-		addColSlice(concat, part, i*hp*m.Dh)
-	}
-	return concat
-}
-
-// backwardHeads implements Plan: the mirrored backward — local heads
-// produce their dq/dk/dv column blocks, three all-gathers reassemble the
-// full-width gradients, and bias-table gradients accumulate for local heads
-// only (the ownership merge in SyncGradients completes them).
-func (p *DistSeqParallel) backwardHeads(m *MHA, dConcat *tensor.Mat) (dq, dk, dv *tensor.Mat) {
-	s := dConcat.Rows
-	hp := p.checkHeads(m)
-	me := p.sp.Index()
-	ws := p.ws
-	dqh := ws.Get(s, hp*m.Dh)
-	dkh := ws.Get(s, hp*m.Dh)
-	dvh := ws.Get(s, hp*m.Dh)
-	for j := 0; j < hp; j++ {
-		h := me*hp + j
-		dqj, dkj, dvj := m.kernels[h].Backward(colSlice(ws, dConcat, h*m.Dh, m.Dh))
-		addColSlice(dqh, dqj, j*m.Dh)
-		addColSlice(dkh, dkj, j*m.Dh)
-		addColSlice(dvh, dvj, j*m.Dh)
-		m.AccumBiasGrads(h, m.kernels[h], m.spec)
-	}
-	dq = p.assembleCols(dqh, s, m.Hidden, hp*m.Dh)
-	dk = p.assembleCols(dkh, s, m.Hidden, hp*m.Dh)
-	dv = p.assembleCols(dvh, s, m.Hidden, hp*m.Dh)
-	return dq, dk, dv
-}
-
-// assembleCols all-gathers one local column block and assembles the
-// full-width matrix (zero-initialise, add disjoint blocks).
-func (p *DistSeqParallel) assembleCols(local *tensor.Mat, s, width, w int) *tensor.Mat {
-	gathered, err := p.sp.AllGather(local)
-	if err != nil {
-		panic(err)
-	}
-	out := p.shared.Get(s, width)
-	for i, part := range gathered {
-		addColSlice(out, part, i*w)
 	}
 	return out
 }
 
+// backwardHeads implements Plan. Bias-table gradients accumulate for local
+// heads only; the ownership merge in SyncGradients completes them.
+func (p *DistSeqParallel) backwardHeads(m *MHA, dConcat *tensor.Mat) (dq, dk, dv *tensor.Mat) {
+	return p.u.backward(m, dConcat, p.seq)
+}
+
+// rowChain is the nn.GradChain of one rank: running reductions arrive from
+// the rank holding the preceding rows and leave for the one holding the
+// following rows, as ordinary frames on the pair's FIFO — every rank runs the
+// same layers in the same order, so the n-th value passed is the n-th value
+// continued. prev/next are global ranks, −1 at the ends of the group.
+type rowChain struct {
+	t          transport.Transport
+	prev, next int
+}
+
+// Continue implements nn.GradChain. The incoming matrix is the sender's
+// (in-process transports move pointers), so it is copied, never continued in
+// place.
+func (c *rowChain) Continue(run []float32) {
+	if c.prev < 0 {
+		return
+	}
+	m, err := c.t.Recv(c.prev)
+	if err != nil {
+		panic(err)
+	}
+	if m == nil || len(m.Data) != len(run) {
+		panic(fmt.Sprintf("model: gradient chain out of step: rank %d passed %v where %d values continue", c.prev, m, len(run)))
+	}
+	copy(run, m.Data)
+}
+
+// Pass implements nn.GradChain. run stays the layer's to keep writing (bias
+// and norm gradients accumulate in the parameter's own Grad), so what is
+// sent is a copy — on the heap, not in the step workspace: a receiver may
+// still be reading it while this rank rolls a failed step back.
+func (c *rowChain) Pass(run []float32) bool {
+	if c.next < 0 {
+		return true
+	}
+	m := tensor.New(1, len(run))
+	copy(m.Data, run)
+	if err := c.t.Send(c.next, m); err != nil {
+		panic(err)
+	}
+	return false
+}
+
+// finishBackward implements Plan: the finals of the gradient chains. When the
+// layers are done the last rank of the sequence-parallel group holds the
+// complete gradient of every row-wise parameter; the others hold running
+// values (or, for weights, nothing new). The last rank packs its gradients
+// into one frame that travels down the group, rank P−1 → P−2 → … → 0, each
+// rank forwarding it and copying it over its own: no arithmetic, and no rank
+// sends more than |θ| floats for it. Afterwards every rank's gradients are
+// the serial ones, so a further Backward before the optimiser step
+// accumulates onto the right values. Bias tables are left out: the chains
+// never touch them.
+func (p *DistSeqParallel) finishBackward(m nn.Module) {
+	if p.P == 1 {
+		return
+	}
+	var chained []*tensor.Mat
+	n := 0
+	for _, pr := range m.Params() {
+		if _, table := p.biasTables[pr]; !table {
+			chained = append(chained, pr.Grad)
+			n += len(pr.Grad.Data)
+		}
+	}
+	last := p.chain.next < 0
+	var flat *tensor.Mat
+	if last {
+		flat = tensor.New(1, n) // heap, like rowChain.Pass's copies
+		off := 0
+		for _, g := range chained {
+			off += copy(flat.Data[off:], g.Data)
+		}
+	} else {
+		var err error
+		if flat, err = p.t.Recv(p.chain.next); err != nil {
+			panic(err)
+		}
+		if flat == nil || len(flat.Data) != n {
+			panic(fmt.Sprintf("model: gradient finals out of step: rank %d sent %v where %d values are due", p.chain.next, flat, n))
+		}
+	}
+	if p.chain.prev >= 0 {
+		if err := p.t.Send(p.chain.prev, flat); err != nil {
+			panic(err)
+		}
+	}
+	if !last {
+		off := 0
+		for _, g := range chained {
+			off += copy(g.Data, flat.Data[off:off+len(g.Data)])
+		}
+	}
+}
+
 // SyncGradients runs the gradient-synchronisation collectives that end every
-// optimiser step:
+// optimiser step (row-wise gradients are already complete on every rank of
+// the sequence-parallel group: see finishBackward):
 //
 //  1. Bias-table ownership merge within the sequence-parallel group. Every
 //     gradient entry (bucket, head) is written by exactly one rank — the
@@ -242,8 +320,7 @@ func (p *DistSeqParallel) assembleCols(local *tensor.Mat, s, width, w int) *tens
 //     round-trip exactly.
 //
 // A world barrier closes the step so no peer is still reading this rank's
-// buffers when the optimiser starts mutating gradients. Row-wise layers
-// need no collective at all: their gradients are computed fully replicated.
+// buffers when the optimiser starts mutating gradients.
 func (p *DistSeqParallel) SyncGradients(params []*nn.Param) {
 	if p.t.World() <= 1 {
 		return

@@ -15,9 +15,9 @@ import (
 //
 // The per-head section is dispatched through the attached execution Plan:
 // under the head-parallel Runtime heads fan out across worker slots, each
-// drawing kernel scratch from its slot's workspace; under the SeqParallel
-// plan P rank goroutines reshard sequence↔heads through channel all-to-alls
-// and run their local heads under per-rank workspaces. Heads are fully
+// drawing kernel scratch from its slot's workspace; under the
+// sequence-parallel plans every rank reshards sequence↔heads through
+// all-to-alls and runs its local heads under its own workspace. Heads are fully
 // independent — they read shared Q/K/V and write disjoint column ranges of
 // the shared output (and disjoint bias-table gradient entries, since every
 // index is ≡ head (mod Heads)) — so every plan is race-free and bitwise
@@ -51,7 +51,14 @@ func NewMHA(name string, hidden, heads, numBuckets int, rng *rand.Rand) *MHA {
 
 // SetPlan attaches the execution plan (nil reverts to sequential, unpooled
 // execution).
-func (m *MHA) SetPlan(p Plan) { m.plan = normPlan(p) }
+func (m *MHA) SetPlan(p Plan) {
+	m.plan = normPlan(p)
+	c := m.plan.gradChain()
+	m.WQ.SetChain(c)
+	m.WK.SetChain(c)
+	m.WV.SetChain(c)
+	m.WO.SetChain(c)
+}
 
 // SetRuntime attaches a single-process execution engine (nil reverts to
 // sequential, unpooled execution). Kept as the pre-Plan entry point.
@@ -134,22 +141,28 @@ func (m *MHA) newKernelInner(head int, spec *AttentionSpec, s int, ws *tensor.Wo
 	panic("model: unknown attention mode")
 }
 
-// Forward runs multi-head attention over x (S×Hidden) using spec's kernels.
-// The projections are row-wise and run over the full sequence; the per-head
-// section is scheduled by the attached Plan.
+// Forward runs multi-head attention over x — the token sequence (S×Hidden),
+// or under a row-sharded plan this rank's rows of it — using spec's kernels.
+// The projections are row-wise; the per-head section, which needs the whole
+// sequence, is scheduled by the attached Plan.
 func (m *MHA) Forward(x *tensor.Mat, spec *AttentionSpec) *tensor.Mat {
-	if err := spec.Validate(x.Rows); err != nil {
-		panic(err)
-	}
-	m.spec = spec
 	q := m.WQ.Forward(x)
 	k := m.WK.Forward(x)
 	v := m.WV.Forward(x)
+	concat := normPlan(m.plan).forwardHeads(m, q, k, v, spec)
+	return m.WO.Forward(concat)
+}
+
+// beginHeads opens a head section over a sequence of s tokens: every plan's
+// forwardHeads calls it first.
+func (m *MHA) beginHeads(spec *AttentionSpec, s int) {
+	if err := spec.Validate(s); err != nil {
+		panic(err)
+	}
+	m.spec = spec
 	if len(m.kernels) != m.Heads {
 		m.kernels = make([]attention.Kernel, m.Heads)
 	}
-	concat := normPlan(m.plan).forwardHeads(m, q, k, v, spec)
-	return m.WO.Forward(concat)
 }
 
 // Backward propagates through WO, each head's kernel (scheduled by the

@@ -1,8 +1,6 @@
 package model
 
 import (
-	"fmt"
-
 	"torchgt/internal/dist"
 	"torchgt/internal/nn"
 	"torchgt/internal/tensor"
@@ -20,6 +18,9 @@ import (
 //     S/P sequence rows each and reshard sequence↔heads through dist.Comm
 //     all-to-alls at every attention boundary (the DeepSpeed-Ulysses pattern
 //     behind the paper's Cluster-aware Graph Parallelism, §III-C).
+//   - *DistSeqParallel — the same layout between real processes: this
+//     process is one rank, runs every row-wise layer on its S/P rows only
+//     and reshards through a transport.Group.
 //
 // Every Plan is pinned bitwise-equal to sequential execution; see
 // DESIGN.md "Sequence parallelism as an execution plan" for the argument.
@@ -37,16 +38,36 @@ type Plan interface {
 	// workspaces.
 	AllocStats() tensor.WorkspaceStats
 
+	// rows reports the half-open range of a length-s token sequence that
+	// this process's row-wise layers (embedding, projections, norms, FFN,
+	// dropout, output head) run: all of it under the single-process plans,
+	// this rank's shard under the cross-process one. Called once per
+	// forward, before any layer runs.
+	rows(s int) (lo, hi int)
+	// gatherRows returns the full-sequence matrix whose rows() block on this
+	// process is local (the identity when rows is everything).
+	gatherRows(local *tensor.Mat) *tensor.Mat
+	// gradChain is the hook the row-wise layers' parameter-gradient
+	// reductions continue through when rows is a shard; nil when every
+	// reduction already sees the whole sequence.
+	gradChain() nn.GradChain
+	// finishBackward closes a backward pass over m once every layer has
+	// run: under a gradChain it completes the chained gradients on every
+	// rank; otherwise there is nothing left to do.
+	finishBackward(m nn.Module)
+
 	// workspace hands out the plan's serial-section workspace (slot-based
 	// for the head-parallel runtime). nil is valid and means heap
 	// allocation.
 	workspace(slot int) *tensor.Workspace
-	// forwardHeads runs the per-head attention section over projected
-	// q/k/v (S×Hidden each) and returns the concatenated head outputs
-	// (S×Hidden), stashing per-head kernels on m for backwardHeads.
+	// forwardHeads runs the per-head attention section over the rows()
+	// block of the projected q/k/v and returns the same block of the
+	// concatenated head outputs, stashing per-head kernels on m for
+	// backwardHeads. It calls m.beginHeads with the full sequence length
+	// first.
 	forwardHeads(m *MHA, q, k, v *tensor.Mat, spec *AttentionSpec) *tensor.Mat
-	// backwardHeads propagates dConcat (S×Hidden) through the cached head
-	// kernels, accumulates bias-table gradients, and returns dq/dk/dv.
+	// backwardHeads propagates dConcat (the rows() block) through the cached
+	// head kernels, accumulates bias-table gradients, and returns dq/dk/dv.
 	backwardHeads(m *MHA, dConcat *tensor.Mat) (dq, dk, dv *tensor.Mat)
 }
 
@@ -94,8 +115,8 @@ type SeqParallel struct {
 	P int
 
 	comm   *dist.Comm
-	wss    []*tensor.Workspace // one per rank; nil slots when pooling off
-	shared *tensor.Workspace   // serial sections: residuals, concat, dq/dk/dv
+	ranks  []*ulysses        // one per rank: its reshard and its workspace
+	shared *tensor.Workspace // serial sections: residuals, concat, dq/dk/dv
 }
 
 // NewSeqParallel builds a sequence-parallel plan of p ranks. opts follows
@@ -107,11 +128,15 @@ func NewSeqParallel(p int, opts ExecOptions) *SeqParallel {
 		p = 1
 	}
 	sp := &SeqParallel{P: p, comm: dist.NewComm(p)}
-	sp.wss = make([]*tensor.Workspace, p)
-	if opts.PoolEnabled {
-		for i := range sp.wss {
-			sp.wss[i] = tensor.NewWorkspace()
+	sp.ranks = make([]*ulysses, p)
+	for r := range sp.ranks {
+		u := &ulysses{p: p, rank: r, a2a: func(parts []*tensor.Mat) []*tensor.Mat { return sp.comm.AllToAll(r, parts) }}
+		if opts.PoolEnabled {
+			u.ws = tensor.NewWorkspace()
 		}
+		sp.ranks[r] = u
+	}
+	if opts.PoolEnabled {
 		sp.shared = tensor.NewWorkspace()
 	}
 	return sp
@@ -128,127 +153,52 @@ func (p *SeqParallel) Comm() *dist.Comm { return p.comm }
 // collectives have completed — Run is a full barrier, so no rank can still
 // be reading a peer's send buffer.
 func (p *SeqParallel) StepReset() {
-	for _, ws := range p.wss {
-		ws.Reset()
+	for _, u := range p.ranks {
+		u.ws.Reset()
 	}
 	p.shared.Reset()
 }
 
 // AllocStats implements Plan.
 func (p *SeqParallel) AllocStats() tensor.WorkspaceStats {
-	var st tensor.WorkspaceStats
-	for _, ws := range append([]*tensor.Workspace{p.shared}, p.wss...) {
-		s := ws.Stats()
-		st.Gets += s.Gets
-		st.PoolHits += s.PoolHits
-		st.Resets += s.Resets
-		st.InUse += s.InUse
-		st.HeldBytes += s.HeldBytes
+	wss := []*tensor.Workspace{p.shared}
+	for _, u := range p.ranks {
+		wss = append(wss, u.ws)
 	}
-	return st
+	return sumStats(wss...)
 }
 
 func (p *SeqParallel) workspace(int) *tensor.Workspace { return p.shared }
+
+// rows implements Plan: the ranks share one address space, so the row-wise
+// layers run once over the whole sequence.
+func (p *SeqParallel) rows(s int) (lo, hi int) { return 0, s }
+
+func (p *SeqParallel) gatherRows(local *tensor.Mat) *tensor.Mat { return local }
+
+func (p *SeqParallel) gradChain() nn.GradChain { return nil }
+
+func (p *SeqParallel) finishBackward(nn.Module) {}
 
 // Shard reports the half-open row range [lo, hi) of a length-s sequence
 // owned by rank. Shards are ⌈s/P⌉ rows; when P does not divide s the tail
 // shard is short or empty (zero-row shards still participate in every
 // collective, which Comm supports).
-func (p *SeqParallel) Shard(rank, s int) (lo, hi int) {
-	chunk := (s + p.P - 1) / p.P
-	lo = rank * chunk
-	if lo > s {
-		lo = s
-	}
-	hi = lo + chunk
-	if hi > s {
-		hi = s
-	}
-	return lo, hi
-}
+func (p *SeqParallel) Shard(rank, s int) (lo, hi int) { return shardRows(p.P, rank, s) }
 
-// checkHeads validates the head distribution once per forward.
-func (p *SeqParallel) checkHeads(m *MHA) int {
-	if m.Heads%p.P != 0 {
-		panic(fmt.Sprintf("model: %d heads not divisible by %d sequence-parallel ranks", m.Heads, p.P))
-	}
-	return m.Heads / p.P
-}
-
-// toHeads reshards a rank's row shard (rows×Hidden-slice) to the full
-// sequence restricted to the rank's head columns: one all-to-all moving
-// each destination rank's column block, then an in-order row assembly.
-// w is the per-rank column width (Hidden/P for q/k/v).
-func (p *SeqParallel) toHeads(rank int, local *tensor.Mat, s int, ws *tensor.Workspace) *tensor.Mat {
-	w := local.Cols / p.P
-	parts := make([]*tensor.Mat, p.P)
-	for d := 0; d < p.P; d++ {
-		parts[d] = colSlice(ws, local, d*w, w)
-	}
-	recv := p.comm.AllToAll(rank, parts)
-	out := ws.GetUninit(s, w)
-	for src := 0; src < p.P; src++ {
-		lo, _ := p.Shard(src, s)
-		for i := 0; i < recv[src].Rows; i++ {
-			copy(out.Row(lo+i), recv[src].Row(i))
-		}
-	}
-	return out
-}
-
-// toRows is the inverse reshard: full-sequence local-head columns (S×w)
-// back to the rank's row shard across all ranks' column blocks (rows×w·P).
-func (p *SeqParallel) toRows(rank int, headsLoc *tensor.Mat, s int, ws *tensor.Workspace) *tensor.Mat {
-	lo, hi := p.Shard(rank, s)
-	parts := make([]*tensor.Mat, p.P)
-	for d := 0; d < p.P; d++ {
-		dlo, dhi := p.Shard(d, s)
-		parts[d] = headsLoc.SliceRows(dlo, dhi)
-	}
-	recv := p.comm.AllToAll(rank, parts)
-	out := ws.GetUninit(hi-lo, headsLoc.Cols*p.P)
-	for src := 0; src < p.P; src++ {
-		setColsInto(out, recv[src], src*headsLoc.Cols)
-	}
-	return out
-}
-
-// setColsInto copies src into dst columns [c0, c0+src.Cols).
-func setColsInto(dst, src *tensor.Mat, c0 int) {
-	for i := 0; i < src.Rows; i++ {
-		copy(dst.Row(i)[c0:c0+src.Cols], src.Row(i))
-	}
-}
-
-// forwardHeads implements Plan: Ulysses-resharded per-head attention. Each
-// rank projects nothing (projections are row-wise and already done),
-// reshards its q/k/v row shard to full-sequence local heads, runs its heads'
-// kernels under its own workspace, and reshards the outputs back to rows.
-// Assembly mirrors the serial engine's zero-initialise-then-add ordering so
-// the concatenated output is bitwise identical to sequential execution.
+// forwardHeads implements Plan: every rank goroutine takes its row shard of
+// the projected q/k/v through the Ulysses reshard and its heads' kernels
+// (see ulysses.forward) and adds the rows it gets back into the shared
+// concat — the serial engine's zero-initialise-then-add ordering, so the
+// output is bitwise identical to sequential execution.
 func (p *SeqParallel) forwardHeads(m *MHA, q, k, v *tensor.Mat, spec *AttentionSpec) *tensor.Mat {
 	s := q.Rows
-	hp := p.checkHeads(m)
+	m.beginHeads(spec, s)
 	concat := p.shared.Get(s, m.Hidden)
 	err := dist.Run(p.comm, func(rank int) {
-		ws := p.wss[rank]
 		lo, hi := p.Shard(rank, s)
-		qh := p.toHeads(rank, q.SliceRows(lo, hi), s, ws)
-		kh := p.toHeads(rank, k.SliceRows(lo, hi), s, ws)
-		vh := p.toHeads(rank, v.SliceRows(lo, hi), s, ws)
-		headsOut := ws.Get(s, hp*m.Dh)
-		for j := 0; j < hp; j++ {
-			h := rank*hp + j
-			kr := m.newKernel(h, spec, s, ws)
-			m.kernels[h] = kr
-			oh := kr.Forward(
-				colSlice(ws, qh, j*m.Dh, m.Dh),
-				colSlice(ws, kh, j*m.Dh, m.Dh),
-				colSlice(ws, vh, j*m.Dh, m.Dh))
-			addColSlice(headsOut, oh, j*m.Dh)
-		}
-		outLoc := p.toRows(rank, headsOut, s, ws)
-		tensor.AddInPlace(concat.SliceRows(lo, hi), outLoc)
+		out := p.ranks[rank].forward(m, q.SliceRows(lo, hi), k.SliceRows(lo, hi), v.SliceRows(lo, hi), spec, s)
+		tensor.AddInPlace(concat.SliceRows(lo, hi), out)
 	})
 	if err != nil {
 		panic(err)
@@ -262,28 +212,15 @@ func (p *SeqParallel) forwardHeads(m *MHA, q, k, v *tensor.Mat, spec *AttentionS
 // the head-parallel runtime does.
 func (p *SeqParallel) backwardHeads(m *MHA, dConcat *tensor.Mat) (dq, dk, dv *tensor.Mat) {
 	s := dConcat.Rows
-	hp := p.checkHeads(m)
 	dq = p.shared.Get(s, m.Hidden)
 	dk = p.shared.Get(s, m.Hidden)
 	dv = p.shared.Get(s, m.Hidden)
 	err := dist.Run(p.comm, func(rank int) {
-		ws := p.wss[rank]
 		lo, hi := p.Shard(rank, s)
-		dch := p.toHeads(rank, dConcat.SliceRows(lo, hi), s, ws)
-		dqh := ws.Get(s, hp*m.Dh)
-		dkh := ws.Get(s, hp*m.Dh)
-		dvh := ws.Get(s, hp*m.Dh)
-		for j := 0; j < hp; j++ {
-			h := rank*hp + j
-			dqj, dkj, dvj := m.kernels[h].Backward(colSlice(ws, dch, j*m.Dh, m.Dh))
-			addColSlice(dqh, dqj, j*m.Dh)
-			addColSlice(dkh, dkj, j*m.Dh)
-			addColSlice(dvh, dvj, j*m.Dh)
-			m.AccumBiasGrads(h, m.kernels[h], m.spec)
-		}
-		tensor.AddInPlace(dq.SliceRows(lo, hi), p.toRows(rank, dqh, s, ws))
-		tensor.AddInPlace(dk.SliceRows(lo, hi), p.toRows(rank, dkh, s, ws))
-		tensor.AddInPlace(dv.SliceRows(lo, hi), p.toRows(rank, dvh, s, ws))
+		dqr, dkr, dvr := p.ranks[rank].backward(m, dConcat.SliceRows(lo, hi), s)
+		tensor.AddInPlace(dq.SliceRows(lo, hi), dqr)
+		tensor.AddInPlace(dk.SliceRows(lo, hi), dkr)
+		tensor.AddInPlace(dv.SliceRows(lo, hi), dvr)
 	})
 	if err != nil {
 		panic(err)

@@ -3,6 +3,7 @@ package model
 import (
 	"sync"
 
+	"torchgt/internal/nn"
 	"torchgt/internal/tensor"
 )
 
@@ -91,20 +92,20 @@ func (r *Runtime) StepReset() {
 
 // AllocStats aggregates workspace counters across worker slots.
 func (r *Runtime) AllocStats() tensor.WorkspaceStats {
-	var st tensor.WorkspaceStats
 	if r == nil {
-		return st
+		return tensor.WorkspaceStats{}
 	}
-	for _, ws := range r.wss {
-		s := ws.Stats()
-		st.Gets += s.Gets
-		st.PoolHits += s.PoolHits
-		st.Resets += s.Resets
-		st.InUse += s.InUse
-		st.HeldBytes += s.HeldBytes
-	}
-	return st
+	return sumStats(r.wss...)
 }
+
+// rows implements Plan: one process runs the whole sequence.
+func (r *Runtime) rows(s int) (lo, hi int) { return 0, s }
+
+func (r *Runtime) gatherRows(local *tensor.Mat) *tensor.Mat { return local }
+
+func (r *Runtime) gradChain() nn.GradChain { return nil }
+
+func (r *Runtime) finishBackward(nn.Module) {}
 
 // forEachHead fans body out over heads across the runtime's worker slots.
 // Each invocation gets the workspace of the slot it runs on; head h writes
@@ -145,6 +146,7 @@ func (r *Runtime) forEachHead(heads int, body func(h int, ws *tensor.Workspace))
 // race-free and bitwise identical to sequential execution.
 func (r *Runtime) forwardHeads(m *MHA, q, k, v *tensor.Mat, spec *AttentionSpec) *tensor.Mat {
 	s := q.Rows
+	m.beginHeads(spec, s)
 	concat := r.workspace(0).Get(s, m.Hidden)
 	r.forEachHead(m.Heads, func(h int, ws *tensor.Workspace) {
 		qh := colSlice(ws, q, h*m.Dh, m.Dh)

@@ -29,7 +29,8 @@ type GraphTransformer struct {
 	segSeq  []int32 // matching sequence-position bounds (segRows[s]+s)
 	segHead []int32 // readout-row bounds [0,1,…,B] for the Head reduction
 
-	plan Plan
+	plan         Plan
+	rowLo, rowHi int // the plan's rows() of the last forward
 }
 
 // SetPlan swaps the execution plan — serial or head-parallel (*Runtime), or
@@ -40,6 +41,19 @@ func (g *GraphTransformer) SetPlan(p Plan) {
 	for _, b := range g.Blocks {
 		b.SetPlan(p)
 	}
+	// Row-sharded plans continue every sequence reduction of the row-wise
+	// layers from rank to rank; the others install nothing.
+	c := g.plan.gradChain()
+	g.InProj.SetChain(c)
+	if g.DegIn != nil {
+		g.DegIn.SetChain(c)
+		g.DegOut.SetChain(c)
+	}
+	if g.LapProj != nil {
+		g.LapProj.SetChain(c)
+	}
+	g.FinalLN.SetChain(c)
+	g.Head.SetChain(c)
 }
 
 // SetRuntime swaps in a single-process execution engine (head parallelism +
@@ -184,13 +198,14 @@ func (g *GraphTransformer) applySegments(segRows []int32) {
 // for a packed batch, one global-token row per segment at its block start.
 // The AttentionSpec's pattern must already account for the global token(s).
 func (g *GraphTransformer) embed(in *Inputs, train bool) *tensor.Mat {
-	h := g.InProj.Forward(in.X)
+	lo, hi := g.rowLo, g.rowHi
+	h := g.InProj.Forward(rowBlock(in.X, lo, hi))
 	if g.DegIn != nil {
-		tensor.AddInPlace(h, g.DegIn.Forward(in.DegInIdx))
-		tensor.AddInPlace(h, g.DegOut.Forward(in.DegOutIdx))
+		tensor.AddInPlace(h, g.DegIn.Forward(in.DegInIdx[lo:hi]))
+		tensor.AddInPlace(h, g.DegOut.Forward(in.DegOutIdx[lo:hi]))
 	}
 	if g.LapProj != nil {
-		tensor.AddInPlace(h, g.LapProj.Forward(in.LapPE))
+		tensor.AddInPlace(h, g.LapProj.Forward(rowBlock(in.LapPE, lo, hi)))
 	}
 	switch {
 	case g.segRows != nil:
@@ -223,9 +238,27 @@ func (g *GraphTransformer) embed(in *Inputs, train bool) *tensor.Mat {
 // caller keeps across steps (logits, dX) lives on the heap, while per-step
 // attention scratch returns to the pool here. Forward → Backward pairs
 // within one step therefore see stable buffers.
+//
+// Under a row-sharded plan (DistSeqParallel) every layer here runs on this
+// rank's rows of the sequence only and the logits are gathered at the end, so
+// the return value is the same S×OutDim matrix on every rank.
 func (g *GraphTransformer) Forward(in *Inputs, spec *AttentionSpec, train bool) *tensor.Mat {
-	g.Plan().StepReset()
+	plan := g.Plan()
+	plan.StepReset()
 	g.applySegments(in.SegRows)
+	g.rowLo, g.rowHi = plan.rows(in.X.Rows)
+	winRows := 0 // dropout sees the whole sequence
+	if plan.gradChain() != nil {
+		if g.Global != nil {
+			panic("model: a row-sharded plan runs the full-sequence node form only (no global token, no packed segments)")
+		}
+		winRows = in.X.Rows
+	}
+	g.InDrop.SetWindow(g.rowLo, winRows)
+	for _, b := range g.Blocks {
+		b.Drop1.SetWindow(g.rowLo, winRows)
+		b.Drop2.SetWindow(g.rowLo, winRows)
+	}
 	h := g.embed(in, train)
 	for _, b := range g.Blocks {
 		h = b.Forward(h, spec, train)
@@ -245,7 +278,7 @@ func (g *GraphTransformer) Forward(in *Inputs, spec *AttentionSpec, train bool) 
 	if g.Global != nil {
 		return g.Head.Forward(h.SliceRows(0, 1))
 	}
-	return g.Head.Forward(h)
+	return plan.gatherRows(g.Head.Forward(h))
 }
 
 // Backward accumulates gradients from dLogits (shape mirroring Forward's
@@ -264,7 +297,7 @@ func (g *GraphTransformer) Backward(dLogits *tensor.Mat) {
 		dh = tensor.New(g.numToken, g.Cfg.Hidden)
 		copy(dh.Row(0), dRow.Row(0))
 	default:
-		dh = g.Head.Backward(dLogits)
+		dh = g.Head.Backward(rowBlock(dLogits, g.rowLo, g.rowHi))
 	}
 	dh = g.FinalLN.Backward(dh)
 	for i := len(g.Blocks) - 1; i >= 0; i-- {
@@ -295,6 +328,15 @@ func (g *GraphTransformer) Backward(dLogits *tensor.Mat) {
 		g.DegOut.Backward(dh)
 	}
 	g.InProj.Backward(dh)
+	g.Plan().finishBackward(g)
+}
+
+// rowBlock is rows [lo, hi) of m — m itself when that is all of it.
+func rowBlock(m *tensor.Mat, lo, hi int) *tensor.Mat {
+	if lo == 0 && hi == m.Rows {
+		return m
+	}
+	return m.SliceRows(lo, hi)
 }
 
 // Pairs sums attended pairs across blocks for the last forward.

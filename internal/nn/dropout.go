@@ -13,6 +13,8 @@ type Dropout struct {
 	rng  *rand.Rand
 	src  *CountedSource
 	mask []float32
+
+	winLo, winRows int // SetWindow; winRows == 0: the input is the whole sequence
 }
 
 // NewDropout constructs a dropout layer with its own RNG stream. The stream
@@ -32,6 +34,15 @@ func (d *Dropout) RNGDraws() uint64 { return d.src.Draws() }
 // would have drawn.
 func (d *Dropout) SeekRNG(n uint64) { d.src.Seek(n) }
 
+// SetWindow declares that the inputs of the following Forward calls are rows
+// [lo, lo+x.Rows) of a sequence of rows rows (rows == 0: the whole sequence,
+// the default). The layer still consumes the mask stream of the whole
+// sequence — one draw per element, those outside the window discarded — so
+// the rows it holds get the mask entries a single process would give them and
+// RNGDraws advances as it would there, which is what keeps checkpoints and
+// resumes exact at any rank count.
+func (d *Dropout) SetWindow(lo, rows int) { d.winLo, d.winRows = lo, rows }
+
 // Forward applies dropout when train is true; identity otherwise.
 func (d *Dropout) Forward(x *tensor.Mat, train bool) *tensor.Mat {
 	if !train || d.P <= 0 {
@@ -41,11 +52,22 @@ func (d *Dropout) Forward(x *tensor.Mat, train bool) *tensor.Mat {
 	keep := float32(1.0 / (1.0 - d.P))
 	d.mask = make([]float32, len(x.Data))
 	y := tensor.New(x.Rows, x.Cols)
+	before, after := 0, 0
+	if d.winRows > 0 {
+		before = d.winLo * x.Cols
+		after = (d.winRows - d.winLo - x.Rows) * x.Cols
+	}
+	for i := 0; i < before; i++ {
+		d.rng.Float64()
+	}
 	for i := range x.Data {
 		if d.rng.Float64() >= d.P {
 			d.mask[i] = keep
 			y.Data[i] = x.Data[i] * keep
 		}
+	}
+	for i := 0; i < after; i++ {
+		d.rng.Float64()
 	}
 	return y
 }

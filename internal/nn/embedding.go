@@ -15,6 +15,8 @@ type Embedding struct {
 	W        *Param
 
 	idx []int32 // cached indices
+
+	chain GradChain // row-sharded plans only; see Linear.SetChain
 }
 
 // NewEmbedding constructs a table with N(0, 0.02) init.
@@ -40,11 +42,17 @@ func (e *Embedding) Forward(idx []int32) *tensor.Mat {
 	return y
 }
 
-// Backward scatter-adds dy rows into the gradient table.
+// SetChain installs (nil: removes) the hook that continues the scatter-add
+// across the ranks of a row-sharded plan.
+func (e *Embedding) SetChain(c GradChain) { e.chain = c }
+
+// Backward scatter-adds dy rows into the gradient table, in row order.
 func (e *Embedding) Backward(dy *tensor.Mat) {
+	chainContinue(e.chain, e.W.Grad.Data)
 	for i, id := range e.idx {
 		tensor.Axpy(1, dy.Row(i), e.W.Grad.Row(int(id)))
 	}
+	chainPass(e.chain, e.W.Grad.Data)
 }
 
 // LookupScalar reads a 1-column table value (for bias tables).

@@ -23,6 +23,8 @@ type Linear struct {
 	// treatment: ColSum already accumulates row-ascending directly into
 	// the grad, which is the same order packed or not.
 	segs []int32
+
+	chain GradChain // row-sharded plans only; see SetChain
 }
 
 // NewLinear constructs a Linear layer with Xavier-initialised weights.
@@ -59,14 +61,24 @@ func (l *Linear) Forward(x *tensor.Mat) *tensor.Mat {
 // must cover the rows of the NEXT backward's upstream gradient.
 func (l *Linear) SetSegments(bounds []int32) { l.segs = bounds }
 
+// SetChain installs (nil: removes) the hook that continues this layer's
+// weight- and bias-gradient reductions across the ranks of a row-sharded
+// plan. Under a chain, ranks other than the last leave W.Grad untouched and
+// B.Grad holding a running value; the plan replaces both with the last
+// rank's at the end of the step. Not combined with SetSegments.
+func (l *Linear) SetChain(c GradChain) { l.chain = c }
+
 // accumWeightGrad adds xᵀ·dy to the weight gradient — in one reduction
 // normally, or segment by segment under SetSegments so a packed batch
 // accumulates in exactly the order the unpacked per-segment calls would.
 func (l *Linear) accumWeightGrad(x, dy *tensor.Mat) {
 	dW := tensor.New(l.In, l.Out)
 	if l.segs == nil {
-		tensor.TMatMul(dW, x, dy)
-		tensor.AddInPlace(l.W.Grad, dW)
+		chainContinue(l.chain, dW.Data)
+		tensor.TMatMulAcc(dW, x, dy)
+		if chainPass(l.chain, dW.Data) {
+			tensor.AddInPlace(l.W.Grad, dW)
+		}
 		return
 	}
 	for s := 0; s+1 < len(l.segs); s++ {
@@ -83,7 +95,9 @@ func (l *Linear) accumWeightGrad(x, dy *tensor.Mat) {
 func (l *Linear) Backward(dy *tensor.Mat) *tensor.Mat {
 	l.accumWeightGrad(l.x, dy)
 	if l.B != nil {
+		chainContinue(l.chain, l.B.Grad.Data)
 		tensor.ColSum(l.B.Grad.Data, dy)
+		chainPass(l.chain, l.B.Grad.Data)
 	}
 	dx := tensor.New(dy.Rows, l.In)
 	tensor.MatMulT(dx, dy, l.W.W)
@@ -114,7 +128,9 @@ func (l *Linear) ForwardGELU(x *tensor.Mat) *tensor.Mat {
 // gradient and input gradient from dz.
 func (l *Linear) BackwardGELU(dy *tensor.Mat) *tensor.Mat {
 	dz := tensor.New(dy.Rows, dy.Cols)
+	chainContinue(l.chain, l.B.Grad.Data)
 	tensor.BiasGELUGrad(dz, l.B.Grad.Data, l.z, dy)
+	chainPass(l.chain, l.B.Grad.Data)
 	l.accumWeightGrad(l.x, dz)
 	dx := tensor.New(dz.Rows, l.In)
 	tensor.MatMulT(dx, dz, l.W.W)

@@ -16,6 +16,8 @@ type LayerNorm struct {
 
 	xhat   *tensor.Mat // cached normalised input
 	invStd []float32   // cached per-row 1/σ
+
+	chain GradChain // row-sharded plans only; see Linear.SetChain
 }
 
 // NewLayerNorm constructs a LayerNorm with γ=1, β=0.
@@ -27,6 +29,10 @@ func NewLayerNorm(name string, dim int) *LayerNorm {
 
 // Params implements Module.
 func (ln *LayerNorm) Params() []*Param { return []*Param{ln.Gamma, ln.Beta} }
+
+// SetChain installs (nil: removes) the hook that continues the dγ/dβ row
+// reductions across the ranks of a row-sharded plan.
+func (ln *LayerNorm) SetChain(c GradChain) { ln.chain = c }
 
 // Forward normalises x row-wise.
 func (ln *LayerNorm) Forward(x *tensor.Mat) *tensor.Mat {
@@ -89,6 +95,8 @@ func (ln *LayerNorm) Backward(dy *tensor.Mat) *tensor.Mat {
 	})
 	dg := ln.Gamma.Grad.Data
 	db := ln.Beta.Grad.Data
+	chainContinue(ln.chain, dg)
+	chainContinue(ln.chain, db)
 	for i := 0; i < dy.Rows; i++ {
 		dyr := dy.Row(i)
 		xh := ln.xhat.Row(i)
@@ -97,5 +105,7 @@ func (ln *LayerNorm) Backward(dy *tensor.Mat) *tensor.Mat {
 			db[j] += v
 		}
 	}
+	chainPass(ln.chain, dg)
+	chainPass(ln.chain, db)
 	return dx
 }

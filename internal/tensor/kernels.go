@@ -49,6 +49,17 @@ func simdCols(n int) int {
 	return 0
 }
 
+// accumMode picks, for the micro-kernel under MatMul, TMatMulAcc and
+// WeightedRowSum, what an output element starts from and which terms it
+// takes. The values are accumAVX2's mode bits (1: keep every term, 2: load).
+type accumMode uintptr
+
+const (
+	accumZeroSkip accumMode = 0 // start from +0, leave out terms whose A element is ±0 (MatMul)
+	accumLoadSkip accumMode = 2 // start from the value in C, same zero-skip (TMatMulAcc)
+	accumLoadKeep accumMode = 3 // start from the value in C, every term kept (WeightedRowSum)
+)
+
 // Panel widths: output columns are processed in panels this wide so the
 // active slab of the shared operand stays cache-resident across a chunk's
 // row tiles. Numerics-neutral by construction; candidates from 64 to 512
@@ -96,7 +107,7 @@ func matmulChunk(c, a, b *Mat, lo, hi int) {
 		jv := j0 + simdCols(j1-j0)
 		if jv > j0 {
 			for i := lo; i < hi; i++ {
-				accumCols(c.Row(i)[j0:jv], a.Row(i), 1, b.Data[j0:], m, k, false)
+				accumCols(c.Row(i)[j0:jv], a.Row(i), 1, b.Data[j0:], m, k, accumZeroSkip)
 			}
 		}
 		i := lo
@@ -217,20 +228,31 @@ func matmulChunk(c, a, b *Mat, lo, hi int) {
 }
 
 // TMatMul computes C = Aᵀ·B. C must be A.Cols×B.Cols. Used for weight
-// gradients dW = Xᵀ·dY.
+// gradients dW = Xᵀ·dY. It is TMatMulAcc onto a zeroed C: one path.
 func TMatMul(c, a, b *Mat) {
+	c.Zero()
+	TMatMulAcc(c, a, b)
+}
+
+// TMatMulAcc continues C = Aᵀ·B from the values already in C: every output
+// element takes the value it holds and adds its terms in ascending row order
+// (a zero Aᵀ element skipped, as in MatMul), exactly as if the rows of A and
+// B followed the rows that produced C. So a reduction over consecutive row
+// ranges — TMatMulAcc once per range, in order, onto a C that started at
+// zero — is bit for bit the one-shot TMatMul over all the rows; the
+// cross-process plan hands C from rank to rank that way.
+func TMatMulAcc(c, a, b *Mat) {
 	if a.Rows != b.Rows || c.Rows != a.Cols || c.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: TMatMul shapes (%dx%d)ᵀ · %dx%d -> %dx%d", a.Rows, a.Cols, b.Rows, b.Cols, c.Rows, c.Cols))
 	}
 	if a.Rows == 0 { // empty reduction; also keeps a.Data[i:] in range below
-		c.Zero()
 		return
 	}
 	ParallelFor(c.Rows, func(lo, hi int) { tmatmulChunk(c, a, b, lo, hi) })
 }
 
-// tmatmulChunk computes rows [lo,hi) of C = Aᵀ·B (rows of C index columns of
-// A): matmulChunk's split, the micro-kernel walking A's column i at stride
+// tmatmulChunk continues rows [lo,hi) of C += Aᵀ·B (rows of C index columns
+// of A) from the values in C: matmulChunk's split, the micro-kernel walking A's column i at stride
 // a.Cols. The Go loops use the same 2×4 register tile; here the 2 A values
 // per step are contiguous (a.Data[p*cols+i : +2]), so both operand loads
 // stream.
@@ -241,7 +263,7 @@ func tmatmulChunk(c, a, b *Mat, lo, hi int) {
 		jv := j0 + simdCols(j1-j0)
 		if jv > j0 {
 			for i := lo; i < hi; i++ {
-				accumCols(c.Row(i)[j0:jv], a.Data[i:], ac, b.Data[j0:], m, rows, false)
+				accumCols(c.Row(i)[j0:jv], a.Data[i:], ac, b.Data[j0:], m, rows, accumLoadSkip)
 			}
 		}
 		i := lo
@@ -249,8 +271,8 @@ func tmatmulChunk(c, a, b *Mat, lo, hi int) {
 			ci0, ci1 := c.Row(i), c.Row(i+1)
 			j := jv
 			for ; j+4 <= j1; j += 4 {
-				var c00, c01, c02, c03 float32
-				var c10, c11, c12, c13 float32
+				c00, c01, c02, c03 := ci0[j], ci0[j+1], ci0[j+2], ci0[j+3]
+				c10, c11, c12, c13 := ci1[j], ci1[j+1], ci1[j+2], ci1[j+3]
 				offA, offB := i, j
 				for p := 0; p < rows; p++ {
 					ap := a.Data[offA : offA+2 : offA+2]
@@ -275,7 +297,7 @@ func tmatmulChunk(c, a, b *Mat, lo, hi int) {
 				ci1[j], ci1[j+1], ci1[j+2], ci1[j+3] = c10, c11, c12, c13
 			}
 			for ; j < j1; j++ { // column remainder
-				var s0, s1 float32
+				s0, s1 := ci0[j], ci1[j]
 				offA, offB := i, j
 				for p := 0; p < rows; p++ {
 					bv := b.Data[offB]
@@ -296,7 +318,7 @@ func tmatmulChunk(c, a, b *Mat, lo, hi int) {
 			ci := c.Row(i)
 			j := jv
 			for ; j+4 <= j1; j += 4 {
-				var s0, s1, s2, s3 float32
+				s0, s1, s2, s3 := ci[j], ci[j+1], ci[j+2], ci[j+3]
 				offA, offB := i, j
 				for p := 0; p < rows; p++ {
 					if av := a.Data[offA]; av != 0 {
@@ -312,7 +334,7 @@ func tmatmulChunk(c, a, b *Mat, lo, hi int) {
 				ci[j], ci[j+1], ci[j+2], ci[j+3] = s0, s1, s2, s3
 			}
 			for ; j < j1; j++ {
-				var s float32
+				s := ci[j]
 				offA, offB := i, j
 				for p := 0; p < rows; p++ {
 					if av := a.Data[offA]; av != 0 {
@@ -503,7 +525,7 @@ func WeightedRowSum(acc []float32, m *Mat, w []float32, lo, hi int) {
 	// Go loop fuses four per sweep. Same sums, same order.
 	nv := simdCols(n)
 	if nv > 0 {
-		accumCols(acc[:nv], w, 1, m.Data[lo*n:], n, hi-lo, true)
+		accumCols(acc[:nv], w, 1, m.Data[lo*n:], n, hi-lo, accumLoadKeep)
 	}
 	if nv == n {
 		return

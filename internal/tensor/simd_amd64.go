@@ -8,7 +8,7 @@ import "unsafe"
 // is checked here first, once per call.
 
 //go:noescape
-func accumAVX2(c, a *float32, aStride uintptr, b *float32, ldb, k, n, into uintptr)
+func accumAVX2(c, a *float32, aStride uintptr, b *float32, ldb, k, n, mode uintptr)
 
 //go:noescape
 func scatterAVX2(m *float32, ldm uintptr, w, x *float32, rows, n uintptr)
@@ -38,10 +38,9 @@ func cpuHasAVX2() bool {
 }
 
 // accumCols computes, for every j < len(c) (a multiple of 8) and p ascending,
-// the MatMul form c[j] = Σ_{p<k} a[p·stride]·b[p·ldb+j] with terms whose a
-// element is ±0 left out (the zero-skip contract) — or, with into set, the
-// WeightedRowSum form c[j] += the same sum with every term kept.
-func accumCols(c, a []float32, stride int, b []float32, ldb, k int, into bool) {
+// c[j] = init + Σ_{p<k} a[p·stride]·b[p·ldb+j] in one of the three forms of
+// accumMode.
+func accumCols(c, a []float32, stride int, b []float32, ldb, k int, mode accumMode) {
 	n := len(c)
 	if n == 0 {
 		return
@@ -50,12 +49,8 @@ func accumCols(c, a []float32, stride int, b []float32, ldb, k int, into bool) {
 		_ = a[(k-1)*stride]
 		_ = b[(k-1)*ldb+n-1]
 	}
-	var mode uintptr
-	if into {
-		mode = 1
-	}
 	accumAVX2(unsafe.SliceData(c), unsafe.SliceData(a), uintptr(stride),
-		unsafe.SliceData(b), uintptr(ldb), uintptr(k), uintptr(n), mode)
+		unsafe.SliceData(b), uintptr(ldb), uintptr(k), uintptr(n), uintptr(mode))
 }
 
 // scatterCols adds w[r]·x[j] to rows[r·ld+j] for every r < len(w) and

@@ -33,14 +33,16 @@ TEXT ·xgetbv(SB), NOSPLIT, $0-8
 	VMULPS off(BX), Y8, tmp; \
 	VADDPS tmp, acc, acc
 
-// func accumAVX2(c, a *float32, aStride uintptr, b *float32, ldb, k, n, into uintptr)
+// func accumAVX2(c, a *float32, aStride uintptr, b *float32, ldb, k, n, mode uintptr)
 //
 // c[j] = init + Σ_p a[p·aStride]·b[p·ldb+j] for j in [0,n), p ascending.
-// into = 0 is the MatMul form: init is +0 and a term is skipped when its a
-// element is ±0. into = 1 is the WeightedRowSum form: init is c[j] and no
-// term is skipped. One test serves both: skip when (bits(a)|into)<<1 == 0 —
-// with into = 0 that is ±0 and nothing else (NaN and subnormals have a low
-// bit set), the scalar `av != 0`; with into = 1 it never holds.
+// mode bit 1 (load) picks init: +0 when clear, c[j] when set. mode bit 0
+// (keep) picks the terms: when clear a term is skipped if its a element is
+// ±0, when set no term is skipped. mode 0 is the MatMul form, 2 the TMatMulAcc
+// form, 3 the WeightedRowSum form. One test serves the skip: skip when
+// (bits(a)|keep)<<1 == 0 — with keep = 0 that is ±0 and nothing else (NaN and
+// subnormals have a low bit set), the scalar `av != 0`; with keep = 1 it never
+// holds.
 TEXT ·accumAVX2(SB), NOSPLIT, $0-64
 	MOVQ c+0(FP), DI
 	MOVQ a+8(FP), SI
@@ -48,7 +50,10 @@ TEXT ·accumAVX2(SB), NOSPLIT, $0-64
 	MOVQ b+24(FP), DX
 	MOVQ ldb+32(FP), R9
 	MOVQ n+48(FP), R10
-	MOVQ into+56(FP), R11
+	MOVQ mode+56(FP), R11
+	MOVQ R11, R12
+	ANDQ $1, R11
+	ANDQ $2, R12
 	SHLQ $2, R8
 	SHLQ $2, R9
 
@@ -63,7 +68,7 @@ acc64:
 	VXORPS Y5, Y5, Y5
 	VXORPS Y6, Y6, Y6
 	VXORPS Y7, Y7, Y7
-	TESTQ R11, R11
+	TESTQ R12, R12
 	JZ    acc64start
 	VMOVUPS (DI), Y0
 	VMOVUPS 32(DI), Y1
@@ -119,7 +124,7 @@ acc32:
 	VXORPS Y1, Y1, Y1
 	VXORPS Y2, Y2, Y2
 	VXORPS Y3, Y3, Y3
-	TESTQ R11, R11
+	TESTQ R12, R12
 	JZ    acc32start
 	VMOVUPS (DI), Y0
 	VMOVUPS 32(DI), Y1
@@ -160,7 +165,7 @@ acc8:
 	CMPQ R10, $8
 	JLT  accdone
 	VXORPS Y0, Y0, Y0
-	TESTQ R11, R11
+	TESTQ R12, R12
 	JZ    acc8start
 	VMOVUPS (DI), Y0
 acc8start:

@@ -7,7 +7,7 @@ package tensor
 
 func cpuHasAVX2() bool { return false }
 
-func accumCols(c, a []float32, stride int, b []float32, ldb, k int, into bool) {
+func accumCols(c, a []float32, stride int, b []float32, ldb, k int, mode accumMode) {
 	panic("tensor: no SIMD kernels on this architecture")
 }
 

@@ -14,10 +14,10 @@ import (
 // Cross-process training. A Transport connects the ranks of one training
 // job; attach one to a Session with WithTransport (and optionally
 // WithDistPlan for hybrid data-parallel × sequence-parallel layouts) and
-// every rank trains the same model with attention heads partitioned across
-// its sequence-parallel group. The trajectory is pinned bitwise-equal to
-// the single-process plans at every world size — see DESIGN.md
-// "Cross-process execution".
+// every rank trains the same model on its own rows of the token sequence,
+// resharding to its own attention heads at each attention layer. The
+// trajectory is pinned bitwise-equal to the single-process plans at every
+// world size — see DESIGN.md "Cross-process execution".
 type (
 	// Transport is point-to-point communication among the ranks of one
 	// job. Obtain one from Rendezvous (TCP, real processes) or MemCluster
@@ -108,6 +108,9 @@ func applyDist(st *sessionSettings, loop *train.Loop) error {
 		return fmt.Errorf("torchgt: distributed TorchGT training requires WithFixedBeta — the Auto Tuner adapts βthre from wall-clock epoch times, which would diverge across ranks")
 	}
 	m := loop.Model()
+	if m.Cfg.GlobalToken && seqRanks > 1 {
+		return fmt.Errorf("torchgt: sequence-parallel ranks shard the full-sequence node form only — graph-level tasks (global readout token, packed batches) cannot run under WithTransport with %d sequence-parallel ranks; use WithDistPlan(world, 1) for pure data parallelism", seqRanks)
+	}
 	if m.Cfg.Heads%seqRanks != 0 {
 		return fmt.Errorf("torchgt: model has %d attention heads, not divisible by %d sequence-parallel ranks (WithDistPlan)",
 			m.Cfg.Heads, seqRanks)
