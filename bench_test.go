@@ -11,6 +11,7 @@ import (
 
 	"torchgt/internal/attention"
 	"torchgt/internal/dist"
+	"torchgt/internal/dist/transport"
 	"torchgt/internal/graph"
 	"torchgt/internal/partition"
 	"torchgt/internal/sparse"
@@ -155,15 +156,21 @@ func BenchmarkPartition8K(b *testing.B) {
 }
 
 func BenchmarkAllToAll(b *testing.B) {
-	c := dist.NewComm(4)
+	mesh := transport.NewMem(4)
+	groups := make([]*transport.Group, len(mesh))
+	for r := range groups {
+		groups[r] = transport.WorldGroup(mesh[r])
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := dist.Run(c, func(rank int) {
+		if err := dist.Run(mesh, func(rank int) {
 			parts := make([]*tensor.Mat, 4)
 			for d := range parts {
 				parts[d] = tensor.New(256, 64)
 			}
-			c.AllToAll(rank, parts)
+			if _, err := groups[rank].AllToAll(parts); err != nil {
+				panic(err)
+			}
 		}); err != nil {
 			b.Fatal(err)
 		}

@@ -29,6 +29,7 @@ import (
 
 	"torchgt"
 	"torchgt/internal/bench"
+	"torchgt/internal/cli"
 )
 
 // artifact is the schema of a BENCH_<id>.json file.
@@ -49,28 +50,25 @@ func run(ctx context.Context, args []string) error {
 	exp := fs.String("exp", "all", "experiment id (see -list) or 'all'")
 	scale := fs.String("scale", "full", "smoke | full")
 	dataSpec := fs.String("data", "", "node-level dataset spec; routes every experiment's node dataset through it (subsampled to each experiment's scale)")
-	backend := fs.String("backend", "", "compute backend: ref (bitwise-pinned default) | opt (fast float32 exp/softmax/GELU)")
+	backend := cli.BackendFlag(fs)
 	outdir := fs.String("outdir", ".", "directory receiving one BENCH_<id>.json artifact per executed experiment")
 	list := fs.Bool("list", false, "list experiment ids and exit")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 
-	if *backend != "" {
-		if _, err := torchgt.SetBackend(*backend); err != nil {
-			return err
-		}
-	}
-	if *dataSpec != "" {
-		bench.SetNodeDataSpec(*dataSpec)
-	}
 	if *list {
 		for _, id := range torchgt.ExperimentIDs() {
 			fmt.Println(id)
 		}
 		return nil
 	}
-	fmt.Printf("compute backend: %s, kernels: %s\n", torchgt.ActiveBackend().Name(), torchgt.KernelISA())
+	if err := cli.StartBackend(*backend, os.Stdout); err != nil {
+		return err
+	}
+	if *dataSpec != "" {
+		bench.SetNodeDataSpec(*dataSpec)
+	}
 	ids := torchgt.ExperimentIDs()
 	if *exp != "all" {
 		ids = []string{*exp}

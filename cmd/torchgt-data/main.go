@@ -29,6 +29,7 @@ import (
 	"strings"
 
 	"torchgt"
+	"torchgt/internal/cli"
 )
 
 func main() {
@@ -107,11 +108,7 @@ func runGen(args []string, out io.Writer) error {
 	if *dataset == "" {
 		return fmt.Errorf("gen: -dataset is required (see torchgt-data list)")
 	}
-	spec := fmt.Sprintf("synth://%s?seed=%d", *dataset, *seed)
-	if *nodes > 0 {
-		spec = fmt.Sprintf("synth://%s?nodes=%d&seed=%d", *dataset, *nodes, *seed)
-	}
-	return openAndWrite(spec, *outPath, out)
+	return openAndWrite(cli.SynthSpec(*dataset, *nodes, *seed), *outPath, out)
 }
 
 func runConvert(args []string, out io.Writer) error {

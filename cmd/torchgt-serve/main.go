@@ -7,7 +7,6 @@
 //
 //	torchgt-serve -dataset arxiv-sim -nodes 2048 -epochs 10            # load sweep
 //	torchgt-serve -reorder 8 -epochs 10        # cluster-contiguous layout, external IDs
-
 //	torchgt-serve -data file://real.tgds -epochs 10                   # serve ingested data
 //	torchgt-serve -snapshot model.snap -http :8080                    # HTTP serving
 //	torchgt-serve -epochs 10 -save-snapshot model.snap -loads 200,800 # train, save, sweep
@@ -46,175 +45,162 @@ import (
 	"time"
 
 	"torchgt"
+	"torchgt/internal/cli"
 )
 
-func fail(err error) {
-	fmt.Fprintln(os.Stderr, "torchgt-serve:", err)
-	os.Exit(1)
+func main() {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	if err := run(ctx, os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "torchgt-serve:", err)
+		os.Exit(1)
+	}
 }
 
-func main() {
-	dataSpec := flag.String("data", "", "node-level dataset spec (synth://, file://, edgelist://); overrides -dataset")
-	dataset := flag.String("dataset", "arxiv-sim", "synthetic node-level dataset name")
-	nodes := flag.Int("nodes", 2048, "node count (0 = preset size)")
-	seed := flag.Int64("seed", 1, "random seed")
-	reorderK := flag.Int("reorder", 0, "cluster-reorder the dataset into K partition-contiguous blocks before training/serving; requests keep using external node IDs (0 = off)")
-	method := flag.String("method", "torchgt", "training method for the quick train")
-	epochs := flag.Int("epochs", 10, "training epochs before serving")
-	snapshotPath := flag.String("snapshot", "", "load a frozen snapshot instead of training (SIGHUP re-reads it in -http mode)")
-	saveSnapshot := flag.String("save-snapshot", "", "write the frozen snapshot to this path")
-	trainOnly := flag.Bool("train-only", false, "obtain + save the snapshot, then exit without serving")
-	backend := flag.String("backend", "", "compute backend: ref (bitwise-pinned default) | opt (fast float32 exp/softmax/GELU)")
-	quant := flag.String("quant", "", "quantize the snapshot before serving/saving: none | int8 | bf16")
+// run is the whole command: ctx ends -http serving (and cancels the quick
+// train), everything the tool reports goes to stdout.
+func run(ctx context.Context, args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("torchgt-serve", flag.ContinueOnError)
+	var data cli.Data
+	data.Register(fs)
+	method := fs.String("method", "torchgt", "training method for the quick train")
+	epochs := fs.Int("epochs", 10, "training epochs before serving")
+	snapshotPath := fs.String("snapshot", "", "load a frozen snapshot instead of training (SIGHUP re-reads it in -http mode)")
+	saveSnapshot := fs.String("save-snapshot", "", "write the frozen snapshot to this path")
+	trainOnly := fs.Bool("train-only", false, "obtain + save the snapshot, then exit without serving")
+	backend := cli.BackendFlag(fs)
+	quant := fs.String("quant", "", "quantize the snapshot before serving/saving: none | int8 | bf16")
 
-	workers := flag.Int("workers", 0, "replica workers (0 = default)")
-	minWorkers := flag.Int("min-workers", 0, "replica-scaling floor (0 = fixed pool at -workers)")
-	maxWorkers := flag.Int("max-workers", 0, "replica-scaling ceiling (0 = fixed pool at -workers)")
-	batch := flag.Int("batch", 16, "max batch size (flush-on-size trigger)")
-	deadline := flag.Duration("deadline", 2*time.Millisecond, "max batching delay (flush-on-deadline trigger)")
-	mode := flag.String("mode", "sparse", "attention kernel: sparse | dense | flash | flash-bf16 | cluster-sparse | kernelized")
-	hops := flag.Int("hops", 2, "ego-context BFS radius per request")
-	ctx := flag.Int("ctx", 32, "max ego-context size per request")
-	maxPending := flag.Int("max-pending", 0, "admission bound per model: requests beyond it shed with 429 (0 = default)")
-	cacheCap := flag.Int("cache-cap", 0, "shared ego-context cache entries (0 = default)")
+	workers := fs.Int("workers", 0, "replica workers (0 = default)")
+	minWorkers := fs.Int("min-workers", 0, "replica-scaling floor (0 = fixed pool at -workers)")
+	maxWorkers := fs.Int("max-workers", 0, "replica-scaling ceiling (0 = fixed pool at -workers)")
+	batch := fs.Int("batch", 16, "max batch size (flush-on-size trigger)")
+	deadline := fs.Duration("deadline", 2*time.Millisecond, "max batching delay (flush-on-deadline trigger)")
+	mode := fs.String("mode", "sparse", "attention kernel: sparse | dense | flash | flash-bf16 | cluster-sparse | kernelized")
+	hops := fs.Int("hops", 2, "ego-context BFS radius per request")
+	ctxSize := fs.Int("ctx", 32, "max ego-context size per request")
+	maxPending := fs.Int("max-pending", 0, "admission bound per model: requests beyond it shed with 429 (0 = default)")
+	cacheCap := fs.Int("cache-cap", 0, "shared ego-context cache entries (0 = default)")
 
-	httpAddr := flag.String("http", "", "serve HTTP on this address instead of running the load sweep")
-	modelSpec := flag.String("model", "default", "model name, optionally name@version (version used by -swap rollbacks)")
-	swapURL := flag.String("swap", "", "client mode: roll out against a running server at this address, then exit")
-	loads := flag.String("loads", "200,1000,4000", "comma-separated offered loads (requests/second)")
-	dur := flag.Duration("duration", 2*time.Second, "duration per offered load")
-	flag.Parse()
+	httpAddr := fs.String("http", "", "serve HTTP on this address instead of running the load sweep")
+	modelSpec := fs.String("model", "default", "model name, optionally name@version (version used by -swap rollbacks)")
+	swapURL := fs.String("swap", "", "client mode: roll out against a running server at this address, then exit")
+	loads := fs.String("loads", "200,1000,4000", "comma-separated offered loads (requests/second)")
+	dur := fs.Duration("duration", 2*time.Second, "duration per offered load")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	modelName, modelVersion, err := parseModelSpec(*modelSpec)
 	if err != nil {
-		fail(err)
+		return err
 	}
 	if *swapURL != "" {
-		if err := runSwapClient(*swapURL, modelName, modelVersion, *snapshotPath); err != nil {
-			fail(err)
-		}
-		return
+		return runSwapClient(stdout, *swapURL, modelName, modelVersion, *snapshotPath)
+	}
+	if *trainOnly && *saveSnapshot == "" {
+		return fmt.Errorf("-train-only needs -save-snapshot")
 	}
 
 	m, err := torchgt.ParseServeMode(*mode)
 	if err != nil {
-		fail(err)
+		return err
 	}
 	qm, err := torchgt.ParseQuantMode(*quant)
 	if err != nil {
-		fail(err)
+		return err
 	}
-	if *backend != "" {
-		if _, err := torchgt.SetBackend(*backend); err != nil {
-			fail(err)
-		}
+	rates, err := parseLoads(*loads)
+	if err != nil {
+		return err
 	}
-	fmt.Printf("compute backend: %s, kernels: %s\n", torchgt.ActiveBackend().Name(), torchgt.KernelISA())
-	var ds *torchgt.NodeDataset // in-memory dataset (nil for shard:// streams)
-	var src torchgt.NodeSource  // the access interface every serving path reads through
-	spec := withReorder(*dataSpec, *reorderK)
-	if spec == "" && *reorderK > 0 {
-		// Route the legacy -dataset path through the spec machinery so the
-		// reorder transform applies there too.
-		s := fmt.Sprintf("synth://%s?seed=%d", *dataset, *seed)
-		if *nodes > 0 {
-			s = fmt.Sprintf("synth://%s?nodes=%d&seed=%d", *dataset, *nodes, *seed)
-		}
-		spec = withReorder(s, *reorderK)
+	if err := cli.StartBackend(*backend, stdout); err != nil {
+		return err
 	}
-	if spec != "" {
-		d, err := torchgt.OpenDataset(spec)
-		if err != nil {
-			fail(err)
-		}
-		src = d.Source()
-		if src == nil {
-			fail(fmt.Errorf("-data %s is a graph-level dataset; serving needs a node dataset", spec))
-		}
-		ds = d.Node // nil for disk-resident shard:// datasets
-		if ds == nil {
-			fmt.Printf("dataset %s is disk-resident (%d nodes); serving out-of-core\n",
-				src.DatasetName(), src.NumNodes())
-		}
-	} else {
-		if ds, err = torchgt.LoadNodeDataset(*dataset, *nodes, *seed); err != nil {
-			fail(err)
-		}
-		src = (&torchgt.Dataset{Node: ds}).Source()
+	spec := data.Resolve()
+	d, err := torchgt.OpenDataset(spec)
+	if err != nil {
+		return err
+	}
+	src := d.Source() // the access interface every serving path reads through
+	if src == nil {
+		return fmt.Errorf("%s is a graph-level dataset; serving needs a node dataset", spec)
+	}
+	ds := d.Node // nil for disk-resident shard:// datasets
+	if ds == nil {
+		fmt.Fprintf(stdout, "dataset %s is disk-resident (%d nodes); serving out-of-core\n",
+			src.DatasetName(), src.NumNodes())
 	}
 
 	var snap *torchgt.Snapshot
 	if *snapshotPath != "" {
 		if snap, err = torchgt.LoadSnapshot(*snapshotPath); err != nil {
-			fail(err)
+			return err
 		}
 		desc := ""
 		if q := snap.Quant(); q != torchgt.QuantNone {
 			desc = fmt.Sprintf(", %s-quantized", q)
 		}
-		fmt.Printf("loaded snapshot %s (%s, %d params%s)\n", *snapshotPath, snap.Config().Name, snap.NumParams(), desc)
+		fmt.Fprintf(stdout, "loaded snapshot %s (%s, %d params%s)\n", *snapshotPath, snap.Config().Name, snap.NumParams(), desc)
 	} else {
 		if ds == nil {
-			fail(fmt.Errorf("-data %s is disk-resident; the quick train needs the arrays in memory — pass -snapshot, or materialize once with torchgt-data merge", spec))
+			return fmt.Errorf("%s is disk-resident; the quick train needs the arrays in memory — pass -snapshot, or materialize once with torchgt-data merge", spec)
 		}
 		tm, err := torchgt.ParseMethod(*method)
 		if err != nil {
-			fail(err)
+			return err
 		}
-		cfg := torchgt.GraphormerSlim(ds.X.Cols, ds.NumClasses, *seed)
-		fmt.Printf("training %s on %s (%d nodes) for %d epochs...\n", cfg.Name, ds.Name, ds.G.N, *epochs)
-		var res *torchgt.Result
-		res, snap, err = torchgt.TrainNodeSnapshot(tm, cfg, ds, torchgt.TrainOptions{
-			Epochs: *epochs, LR: 2e-3, Seed: *seed,
-		})
+		cfg := torchgt.GraphormerSlim(ds.X.Cols, ds.NumClasses, data.Seed)
+		fmt.Fprintf(stdout, "training %s on %s (%d nodes) for %d epochs...\n", cfg.Name, ds.Name, ds.G.N, *epochs)
+		sess, err := torchgt.NewSession(tm, cfg, torchgt.NodeTask(ds),
+			torchgt.WithEpochs(*epochs), torchgt.WithLR(2e-3), torchgt.WithSeed(data.Seed))
 		if err != nil {
-			fail(err)
+			return err
 		}
-		fmt.Printf("trained: final test accuracy %.2f%%\n", res.FinalTestAcc*100)
+		res, err := sess.Run(ctx)
+		if err != nil {
+			return err
+		}
+		if snap, err = torchgt.Freeze(sess.Model()); err != nil {
+			return err
+		}
+		fmt.Fprintf(stdout, "trained: final test accuracy %.2f%%\n", res.FinalTestAcc*100)
 	}
 	if qm != torchgt.QuantNone && snap.Quant() != qm {
 		if snap, err = torchgt.QuantizeSnapshot(snap, qm); err != nil {
-			fail(err)
+			return err
 		}
-		fmt.Printf("snapshot quantized to %s\n", snap.Quant())
+		fmt.Fprintf(stdout, "snapshot quantized to %s\n", snap.Quant())
 	}
 	if *saveSnapshot != "" {
 		if err := torchgt.SaveSnapshot(*saveSnapshot, snap); err != nil {
-			fail(err)
+			return err
 		}
-		fmt.Printf("snapshot written to %s\n", *saveSnapshot)
+		fmt.Fprintf(stdout, "snapshot written to %s\n", *saveSnapshot)
 	}
 	if *trainOnly {
-		if *saveSnapshot == "" {
-			fail(fmt.Errorf("-train-only needs -save-snapshot"))
-		}
-		return
+		return nil
 	}
 
 	opts := torchgt.ServeOptions{
 		Workers: *workers, MinWorkers: *minWorkers, MaxWorkers: *maxWorkers,
 		MaxBatch: *batch, MaxDelay: *deadline,
-		Mode: m, CtxHops: *hops, CtxSize: *ctx, CacheCap: *cacheCap,
+		Mode: m, CtxHops: *hops, CtxSize: *ctxSize, CacheCap: *cacheCap,
 	}
 
 	if *httpAddr != "" {
-		serveHTTP(*httpAddr, modelName, *snapshotPath, src, snap, opts, *maxPending, *cacheCap)
-		return
+		return serveHTTP(ctx, stdout, *httpAddr, modelName, *snapshotPath, src, snap, opts, *maxPending, *cacheCap)
 	}
 
 	srv, err := torchgt.NewServerSource(snap, src, opts)
 	if err != nil {
-		fail(err)
+		return err
 	}
 	defer srv.Close()
 	o := srv.Options()
-	fmt.Printf("server: %d workers, batch≤%d, deadline %s, %s kernel, ctx %d nodes\n",
+	fmt.Fprintf(stdout, "server: %d workers, batch≤%d, deadline %s, %s kernel, ctx %d nodes\n",
 		o.Workers, o.MaxBatch, o.MaxDelay, o.Mode, o.CtxSize)
 
-	rates, err := parseLoads(*loads)
-	if err != nil {
-		fail(err)
-	}
 	targets := make([]int32, 256)
 	for i := range targets {
 		targets[i] = int32((i * 31) % src.NumNodes())
@@ -222,22 +208,23 @@ func main() {
 	warm := min(o.MaxBatch, len(targets))
 	srv.PredictBatch(targets[:warm]) // warm up pools before measuring
 
-	fmt.Printf("\n%-12s  %-12s  %-10s  %-10s  %-9s  %s\n",
+	fmt.Fprintf(stdout, "\n%-12s  %-12s  %-10s  %-10s  %-9s  %s\n",
 		"offered r/s", "achieved r/s", "p50 ms", "p99 ms", "avg batch", "errors")
 	for _, r := range rates {
 		lp := torchgt.RunServeLoad(srv, targets, r, *dur)
-		fmt.Printf("%-12.0f  %-12.1f  %-10.3f  %-10.3f  %-9.1f  %d\n",
+		fmt.Fprintf(stdout, "%-12.0f  %-12.1f  %-10.3f  %-10.3f  %-9.1f  %d\n",
 			lp.OfferedRPS, lp.AchievedRPS,
 			float64(lp.P50.Microseconds())/1000, float64(lp.P99.Microseconds())/1000,
 			lp.AvgBatch, lp.Errors)
 	}
 	st := srv.Stats()
-	fmt.Printf("\ntotals: %d requests, %d batches (%.1f avg), %d full / %d deadline flushes\n",
+	fmt.Fprintf(stdout, "\ntotals: %d requests, %d batches (%.1f avg), %d full / %d deadline flushes\n",
 		st.Requests, st.Batches, st.AvgBatchSize, st.FlushFull, st.FlushDeadline)
 	if io, ok := srv.SourceIOStats(); ok {
-		fmt.Printf("shard I/O: %d cache hits, %d misses, %d evictions, %.1f MB read\n",
+		fmt.Fprintf(stdout, "shard I/O: %d cache hits, %d misses, %d evictions, %.1f MB read\n",
 			io.Hits, io.Misses, io.Evictions, float64(io.BytesRead)/(1<<20))
 	}
+	return nil
 }
 
 // parseModelSpec splits "name" or "name@version".
@@ -259,7 +246,7 @@ func parseModelSpec(s string) (string, int, error) {
 // runSwapClient rolls a running server forward (or back) and exits: with a
 // snapshot path it publishes the snapshot as a new version and swaps to it;
 // without one it swaps to the version named in -model (0 = latest).
-func runSwapClient(addr, model string, version int, snapshotPath string) error {
+func runSwapClient(stdout io.Writer, addr, model string, version int, snapshotPath string) error {
 	base := addr
 	if strings.HasPrefix(base, ":") {
 		base = "localhost" + base
@@ -279,7 +266,7 @@ func runSwapClient(addr, model string, version int, snapshotPath string) error {
 		if err := postJSON(client, base+"/publish?model="+model, bytes.NewReader(blob), &pub); err != nil {
 			return fmt.Errorf("publish %s: %w", snapshotPath, err)
 		}
-		fmt.Printf("published %s as %s version %d\n", snapshotPath, model, pub.Version)
+		fmt.Fprintf(stdout, "published %s as %s version %d\n", snapshotPath, model, pub.Version)
 		version = pub.Version
 	}
 	var sw struct {
@@ -288,7 +275,7 @@ func runSwapClient(addr, model string, version int, snapshotPath string) error {
 	if err := postJSON(client, fmt.Sprintf("%s/swap?model=%s&version=%d", base, model, version), nil, &sw); err != nil {
 		return fmt.Errorf("swap: %w", err)
 	}
-	fmt.Printf("swapped %s to version %d: generation %d\n", model, version, sw.Generation)
+	fmt.Fprintf(stdout, "swapped %s to version %d: generation %d\n", model, version, sw.Generation)
 	return nil
 }
 
@@ -305,30 +292,29 @@ func postJSON(client *http.Client, url string, body io.Reader, out any) error {
 	return json.Unmarshal(b, out)
 }
 
-// serveHTTP runs the registry control plane until SIGINT/SIGTERM: the
-// snapshot is published as version 1 of the named model and swapped live, and
-// /publish + /swap stay open for zero-downtime rollouts. SIGHUP re-reads the
-// -snapshot path (when one was given), publishes it as the next version and
-// swaps to it — the classic config-reload signal, applied to weights.
+// serveHTTP runs the registry control plane until ctx ends (SIGINT/SIGTERM):
+// the snapshot is published as version 1 of the named model and swapped live,
+// and /publish + /swap stay open for zero-downtime rollouts. SIGHUP re-reads
+// the -snapshot path (when one was given), publishes it as the next version
+// and swaps to it — the classic config-reload signal, applied to weights.
 // Shutdown drains in-flight HTTP requests via http.Server.Shutdown, then
 // closes the registry (draining every model's replica pool).
-func serveHTTP(addr, model, snapshotPath string, src torchgt.NodeSource, snap *torchgt.Snapshot, opts torchgt.ServeOptions, maxPending, cacheCap int) {
+func serveHTTP(ctx context.Context, stdout io.Writer, addr, model, snapshotPath string, src torchgt.NodeSource, snap *torchgt.Snapshot, opts torchgt.ServeOptions, maxPending, cacheCap int) error {
 	reg := torchgt.NewServeRegistry(cacheCap)
+	defer reg.Close() // drains every model's replica pool
 	if err := reg.RegisterSource(model, src, torchgt.ServeModelOptions{Serve: opts, MaxPending: maxPending}); err != nil {
-		fail(err)
+		return err
 	}
 	ver, err := reg.Publish(model, snap)
 	if err != nil {
-		fail(err)
+		return err
 	}
 	gen, err := reg.Swap(model, ver)
 	if err != nil {
-		fail(err)
+		return err
 	}
-	fmt.Printf("model %s: version %d live (generation %d)\n", model, ver, gen)
+	fmt.Fprintf(stdout, "model %s: version %d live (generation %d)\n", model, ver, gen)
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 	hup := make(chan os.Signal, 1)
 	signal.Notify(hup, syscall.SIGHUP)
 	defer signal.Stop(hup)
@@ -336,26 +322,23 @@ func serveHTTP(addr, model, snapshotPath string, src torchgt.NodeSource, snap *t
 	hs := &http.Server{Addr: addr, Handler: reg.Handler()}
 	errCh := make(chan error, 1)
 	go func() { errCh <- hs.ListenAndServe() }()
-	fmt.Printf("listening on %s (/predict, /publish, /swap, /models, /stats, /healthz, /metrics); SIGHUP reloads, SIGINT drains and exits\n", addr)
+	fmt.Fprintf(stdout, "listening on %s (/predict, /publish, /swap, /models, /stats, /healthz, /metrics); SIGHUP reloads, SIGINT drains and exits\n", addr)
 
-	for {
+	for serving := true; serving; {
 		select {
 		case err := <-errCh:
-			fail(err)
+			return err
 		case <-hup:
 			if snapshotPath == "" {
 				fmt.Fprintln(os.Stderr, "torchgt-serve: SIGHUP ignored: no -snapshot path to reload")
-				continue
-			}
-			if err := reloadSnapshot(reg, model, snapshotPath); err != nil {
+			} else if err := reloadSnapshot(stdout, reg, model, snapshotPath); err != nil {
 				fmt.Fprintln(os.Stderr, "torchgt-serve: reload:", err)
 			}
-			continue
 		case <-ctx.Done():
+			serving = false
 		}
-		break
 	}
-	fmt.Println("\nshutting down: draining in-flight requests...")
+	fmt.Fprintln(stdout, "\nshutting down: draining in-flight requests...")
 	shutCtx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
 	defer cancel()
 	if err := hs.Shutdown(shutCtx); err != nil {
@@ -365,16 +348,17 @@ func serveHTTP(addr, model, snapshotPath string, src torchgt.NodeSource, snap *t
 		fmt.Fprintln(os.Stderr, "torchgt-serve:", err)
 	}
 	st := reg.Stats()
-	reg.Close() // drains every model's replica pool
+	reg.Close() // before reporting: the counts below are final
 	for _, ms := range st.Models {
-		fmt.Printf("drained %s: generation %d, %d admitted, %d shed, %d engine requests\n",
+		fmt.Fprintf(stdout, "drained %s: generation %d, %d admitted, %d shed, %d engine requests\n",
 			ms.Name, ms.Generation, ms.Admitted, ms.Shed, ms.Engine.Requests)
 	}
+	return nil
 }
 
 // reloadSnapshot is the SIGHUP path: re-read the snapshot file, publish it as
 // the next version and swap traffic to it.
-func reloadSnapshot(reg *torchgt.ServeRegistry, model, path string) error {
+func reloadSnapshot(stdout io.Writer, reg *torchgt.ServeRegistry, model, path string) error {
 	snap, err := torchgt.LoadSnapshot(path)
 	if err != nil {
 		return err
@@ -387,21 +371,8 @@ func reloadSnapshot(reg *torchgt.ServeRegistry, model, path string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("reloaded %s: version %d live (generation %d)\n", path, ver, gen)
+	fmt.Fprintf(stdout, "reloaded %s: version %d live (generation %d)\n", path, ver, gen)
 	return nil
-}
-
-// withReorder appends the cluster-reorder transform parameters to a dataset
-// spec (passes through unchanged when spec is empty or k ≤ 0).
-func withReorder(spec string, k int) string {
-	if spec == "" || k <= 0 {
-		return spec
-	}
-	sep := "?"
-	if strings.Contains(spec, "?") {
-		sep = "&"
-	}
-	return fmt.Sprintf("%s%sreorder=cluster&reorderk=%d", spec, sep, k)
 }
 
 func parseLoads(s string) ([]float64, error) {

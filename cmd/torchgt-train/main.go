@@ -30,15 +30,17 @@
 //
 // -rendezvous runs real cross-process sequence parallelism over TCP: rank 0
 // listens on the address, the other ranks dial in, and the world trains one
-// model with attention heads partitioned across processes —
-// bitwise-identical to -seqpar with the same world size. Without -rank the
-// command is a launcher: it forks the whole world as local processes and
-// propagates their exit codes. With -rank it is one worker of a (possibly
-// multi-machine) job. -dp R splits the world into R data-parallel replicas
-// (world = R × sequence ranks). The torchgt methods need -beta B here: it
-// pins βthre, which the Auto Tuner would otherwise move from wall-clock
-// epoch times that differ from rank to rank. If a peer dies mid-run the
-// survivors roll back to the last completed optimiser step, write a
+// model with every rank holding S/P rows of the sequence (resharded to its
+// own heads at each attention layer) — bitwise-identical to -seqpar with the
+// same world size. Without -rank the command is a launcher: it forks the
+// whole world as local processes and propagates their exit codes. With -rank
+// it is one worker of a (possibly multi-machine) job. -dp R splits the world
+// into R data-parallel replicas (world = R × sequence ranks). The torchgt
+// methods need -beta B here: it pins βthre, which the Auto Tuner would
+// otherwise move from wall-clock epoch times that differ from rank to rank;
+// every flag but the per-rank ones (-rank, -rendezvous, the output paths,
+// -exec-workers, -unpooled) must agree across ranks. If a peer dies mid-run
+// the survivors roll back to the last completed optimiser step, write a
 // checkpoint (with -checkpoint-dir) and exit with code 75 — resume at a
 // smaller world with -resume + -rendezvous. See DESIGN.md "Cross-process
 // execution".
@@ -58,6 +60,7 @@ import (
 	"syscall"
 
 	"torchgt"
+	"torchgt/internal/cli"
 )
 
 func main() {
@@ -71,19 +74,16 @@ func main() {
 
 func run(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("torchgt-train", flag.ContinueOnError)
-	dataSpec := fs.String("data", "", "dataset spec (synth://, file://, edgelist://, jsonl://); overrides -dataset")
-	dataset := fs.String("dataset", "arxiv-sim", "synthetic dataset name (node- or graph-level)")
+	var data cli.Data
+	data.Register(fs)
 	modelName := fs.String("model", "gph-slim", "gph-slim | gph-large | gt | nodeformer")
 	method := fs.String("method", "torchgt", "gp-raw | gp-flash | gp-sparse | torchgt | torchgt-bf16 | nodeformer")
-	backend := fs.String("backend", "", "compute backend: ref (bitwise-pinned default) | opt (fast float32 exp/softmax/GELU)")
+	backend := cli.BackendFlag(fs)
 	epochs := fs.Int("epochs", 20, "training epochs")
-	nodes := fs.Int("nodes", 2048, "node count for synthetic node-level datasets (0 = preset)")
 	lr := fs.Float64("lr", 2e-3, "learning rate")
-	seed := fs.Int64("seed", 1, "random seed")
 	seqLen := fs.Int("seqlen", 0, "mini-batched sequence length (node-level; 0 = full-graph sequence)")
 	ego := fs.Bool("ego", false, "train with ego-graph sampling through the NodeSource interface; shard:// specs stay disk-resident (out-of-core)")
 	egoWorkers := fs.Int("ego-workers", 0, "sampling-pipeline workers for -ego (0 = synchronous; any count is bitwise-identical)")
-	reorderK := fs.Int("reorder", 0, "cluster-reorder the node dataset into K partition-contiguous blocks (appends reorder=cluster&reorderk=K to the spec; 0 = off)")
 	pack := fs.Bool("pack", false, "pack contiguous sparse-mode graphs of each graph-level batch into one block-diagonal forward (bitwise-identical gradients)")
 	beta := fs.Float64("beta", -1, "pin βthre for the torchgt methods instead of running the Auto Tuner (negative = tuner; required with -rendezvous, where wall-clock tuning would diverge across ranks)")
 	seqPar := fs.Int("seqpar", 1, "sequence-parallel ranks (simulated; bitwise-identical to serial, heads must divide)")
@@ -102,8 +102,14 @@ func run(ctx context.Context, args []string) error {
 		return err
 	}
 
-	if *ego && (*resume != "" || *rendezvous != "") {
-		return fmt.Errorf("-ego does not compose with -resume or -rendezvous")
+	// Only explicitly-given flags override a resumed checkpoint's
+	// configuration, and -ego refuses the ones it would silently drop.
+	given := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { given[f.Name] = true })
+	if *ego {
+		if err := checkEgoFlags(fs); err != nil {
+			return err
+		}
 	}
 	// Launcher mode: -rendezvous without -rank forks the whole world as
 	// local worker processes and waits for them.
@@ -115,22 +121,20 @@ func run(ctx context.Context, args []string) error {
 	if err != nil {
 		return err
 	}
-	if *backend != "" {
-		if _, err := torchgt.SetBackend(*backend); err != nil {
-			return err
-		}
+	if err := cli.StartBackend(*backend, os.Stdout); err != nil {
+		return err
 	}
-	fmt.Printf("compute backend: %s, kernels: %s\n", torchgt.ActiveBackend().Name(), torchgt.KernelISA())
+	seed := data.Seed // -seed seeds the synthetic preset, the model and the run
 	cfgFor := func(in, out int) torchgt.ModelConfig {
 		switch *modelName {
 		case "gph-large":
-			return torchgt.GraphormerLargeScaled(in, out, 4, *seed)
+			return torchgt.GraphormerLargeScaled(in, out, 4, seed)
 		case "gt":
-			return torchgt.GT(in, out, *seed)
+			return torchgt.GT(in, out, seed)
 		case "nodeformer":
-			return torchgt.NodeFormerLite(in, out, *seed)
+			return torchgt.NodeFormerLite(in, out, seed)
 		default:
-			return torchgt.GraphormerSlim(in, out, *seed)
+			return torchgt.GraphormerSlim(in, out, seed)
 		}
 	}
 
@@ -138,20 +142,10 @@ func run(ctx context.Context, args []string) error {
 	// none of the session machinery; it is the path that keeps shard://
 	// datasets disk-resident end to end.
 	if *ego {
-		spec := withReorder(*dataSpec, *reorderK)
-		if spec == "" {
-			spec = fmt.Sprintf("synth://%s?seed=%d", *dataset, *seed)
-			if *nodes > 0 {
-				spec = fmt.Sprintf("synth://%s?nodes=%d&seed=%d", *dataset, *nodes, *seed)
-			}
-			spec = withReorder(spec, *reorderK)
-		}
-		return runEgo(spec, cfgFor, *epochs, *lr, *seed, *seqLen, *egoWorkers)
+		return runEgo(data.Resolve(), cfgFor, torchgt.EgoConfig{
+			Epochs: *epochs, LR: *lr, Seed: seed, MaxSize: *seqLen, Workers: *egoWorkers,
+		})
 	}
-	// When resuming, flags left at their defaults must not override the
-	// checkpoint's configuration — only explicitly-given flags do.
-	given := map[string]bool{}
-	fs.Visit(func(f *flag.Flag) { given[f.Name] = true })
 	fresh := *resume == ""
 
 	opts := []torchgt.SessionOption{torchgt.WithEventSink(printEvents)}
@@ -162,7 +156,7 @@ func run(ctx context.Context, args []string) error {
 	}
 	addIf(fresh || given["epochs"], torchgt.WithEpochs(*epochs))
 	addIf(fresh || given["lr"], torchgt.WithLR(*lr))
-	addIf(fresh, torchgt.WithSeed(*seed))
+	addIf(fresh, torchgt.WithSeed(seed))
 	addIf(fresh, torchgt.WithExec(torchgt.ExecOptions{Workers: *execWorkers, PoolEnabled: !*unpooled}))
 	// An explicit -patience always applies (0 disables early stopping, also
 	// when a resumed checkpoint carried a non-zero patience).
@@ -180,18 +174,15 @@ func run(ctx context.Context, args []string) error {
 	}
 
 	// Worker mode: join the cross-process job before touching any data, so a
-	// misconfigured world fails in the rendezvous, not mid-training. The
-	// fingerprint digests every flag that shapes the trajectory — peers with
-	// a different model, method, dataset or layout are rejected at hello time.
+	// misconfigured world fails in the rendezvous, not mid-training: peers
+	// whose fingerprint differs are rejected at hello time.
 	var tr torchgt.Transport
 	if *rendezvous != "" {
 		if *dpReplicas < 1 || *world%*dpReplicas != 0 {
 			return fmt.Errorf("-dp %d does not divide -world %d", *dpReplicas, *world)
 		}
-		fp := fmt.Sprintf("model=%s method=%s data=%s/%s/%d world=%d dp=%d seed=%d seqlen=%d reorder=%d beta=%g",
-			*modelName, *method, *dataSpec, *dataset, *nodes, *world, *dpReplicas, *seed, *seqLen, *reorderK, *beta)
 		var err error
-		tr, err = torchgt.Rendezvous(ctx, *rendezvous, *rank, *world, torchgt.TransportOptions{Fingerprint: fp})
+		tr, err = torchgt.Rendezvous(ctx, *rendezvous, *rank, *world, torchgt.TransportOptions{Fingerprint: fingerprint(fs)})
 		if err != nil {
 			return fmt.Errorf("rendezvous %s: %w", *rendezvous, err)
 		}
@@ -203,21 +194,24 @@ func run(ctx context.Context, args []string) error {
 		}
 	}
 
-	// Resolve the task. Preference order: an explicit -data spec, then the
-	// spec recorded in the -resume checkpoint, then the legacy
-	// -dataset/-nodes synthetic path.
-	task, err := resolveTask(withReorder(*dataSpec, *reorderK), *dataset, *nodes, *seed, *seqLen, *reorderK, given)
-	if err != nil {
-		return err
-	}
-	if !fresh && task.Data() == nil {
-		// no dataset flags given: the checkpoint's recorded spec carries it
+	// Resuming with no dataset flag given re-opens the spec the checkpoint
+	// recorded; otherwise the flags name the dataset.
+	if !fresh && !given["data"] && !given["dataset"] && !given["nodes"] {
 		sess, err := torchgt.ResumeSessionFromSpec(*resume, opts...)
 		if err != nil {
 			return fmt.Errorf("%w (pass -data or -dataset to supply the dataset explicitly)", err)
 		}
 		fmt.Printf("resumed %s at epoch %d (dataset re-opened from the recorded spec)\n", *resume, sess.Epoch())
 		return finish(ctx, sess, *ckptDir, *finalWeights, tr)
+	}
+	task, err := torchgt.TaskFromSpec(data.Resolve())
+	if err != nil {
+		return err
+	}
+	if *seqLen > 0 && task.Data().Node != nil {
+		if task, err = task.Seq(); err != nil { // same opened dataset, sequence regime
+			return err
+		}
 	}
 
 	d := task.Data()
@@ -258,10 +252,55 @@ func run(ctx context.Context, args []string) error {
 	return nil
 }
 
+// perRank names the flags that may differ between the ranks of one job:
+// where a rank sits, where it reads and writes, and how it schedules its own
+// kernels (which moves no bit).
+var perRank = map[string]bool{
+	"rank": true, "rendezvous": true, "checkpoint-dir": true, "final-weights": true,
+	"exec-workers": true, "unpooled": true,
+}
+
+// fingerprint digests every other flag, set or defaulted, so ranks started
+// with a different learning rate, backend, dataset or layout — anything that
+// would break the bitwise-equal-to-serial contract or leave one rank waiting
+// in a collective — never get past the rendezvous.
+func fingerprint(fs *flag.FlagSet) string {
+	var b strings.Builder
+	fs.VisitAll(func(f *flag.Flag) {
+		if !perRank[f.Name] {
+			fmt.Fprintf(&b, "%s=%s ", f.Name, f.Value)
+		}
+	})
+	return b.String()
+}
+
+// egoFlags are the flags ego-sampled training consumes.
+var egoFlags = map[string]bool{
+	"ego": true, "ego-workers": true, "data": true, "dataset": true, "nodes": true, "seed": true,
+	"reorder": true, "model": true, "epochs": true, "lr": true, "seqlen": true, "backend": true,
+}
+
+// checkEgoFlags rejects explicitly given flags the ego path would drop: it
+// runs outside the session machinery, so methods, plans, checkpoints,
+// resume and the distributed flags do not apply to it.
+func checkEgoFlags(fs *flag.FlagSet) error {
+	var unused []string
+	fs.Visit(func(f *flag.Flag) {
+		if !egoFlags[f.Name] {
+			unused = append(unused, "-"+f.Name)
+		}
+	})
+	if len(unused) == 0 {
+		return nil
+	}
+	return fmt.Errorf("-ego does not use %s (ego-sampled training takes the dataset flags, -model, -epochs, -lr, -seqlen, -ego-workers and -backend)",
+		strings.Join(unused, ", "))
+}
+
 // runEgo trains with ego-graph sampling over the source the spec resolves
 // to; shard:// specs never materialise — steps read sampled contexts through
 // the view's block cache, whose counters print at the end.
-func runEgo(spec string, cfgFor func(in, out int) torchgt.ModelConfig, epochs int, lr float64, seed int64, seqLen, workers int) error {
+func runEgo(spec string, cfgFor func(in, out int) torchgt.ModelConfig, ego torchgt.EgoConfig) error {
 	src, err := torchgt.OpenNodeSource(spec)
 	if err != nil {
 		return err
@@ -271,9 +310,8 @@ func runEgo(spec string, cfgFor func(in, out int) torchgt.ModelConfig, epochs in
 		kind = "disk-resident"
 	}
 	fmt.Printf("ego training on %s (%s, %d nodes, %d workers)\n",
-		src.DatasetName(), kind, src.NumNodes(), workers)
-	res, err := torchgt.TrainNodeEgoSource(cfgFor(src.FeatDim(), src.Classes()), src,
-		torchgt.TrainOptions{Epochs: epochs, LR: lr, Seed: seed, SeqLen: seqLen}, workers)
+		src.DatasetName(), kind, src.NumNodes(), ego.Workers)
+	res, err := torchgt.TrainNodeEgoSource(cfgFor(src.FeatDim(), src.Classes()), src, ego)
 	if err != nil {
 		return err
 	}
@@ -285,63 +323,6 @@ func runEgo(spec string, cfgFor func(in, out int) torchgt.ModelConfig, epochs in
 			float64(st.CachedBytes)/(1<<20), float64(st.BudgetBytes)/(1<<20))
 	}
 	return nil
-}
-
-// resolveTask builds the TaskSpec from the dataset flags. It returns the
-// zero TaskSpec when resuming without dataset flags (the checkpoint's
-// recorded spec takes over).
-func resolveTask(dataSpec, dataset string, nodes int, seed int64, seqLen, reorderK int, given map[string]bool) (torchgt.TaskSpec, error) {
-	if dataSpec != "" {
-		task, err := torchgt.TaskFromSpec(dataSpec)
-		if err != nil {
-			return torchgt.TaskSpec{}, err
-		}
-		if seqLen > 0 && task.Data().Node != nil {
-			return task.Seq() // same opened dataset, sequence regime
-		}
-		return task, nil
-	}
-	if !given["dataset"] && !given["nodes"] && given["resume"] {
-		return torchgt.TaskSpec{}, nil
-	}
-	for _, n := range torchgt.GraphDatasetNames() {
-		if n == dataset {
-			// withReorder also here: graph-level datasets reject the
-			// transform with a descriptive error instead of ignoring -reorder.
-			return torchgt.GraphLevelTaskFromSpec(withReorder(fmt.Sprintf("synth://%s?seed=%d", dataset, seed), reorderK))
-		}
-	}
-	spec := fmt.Sprintf("synth://%s?seed=%d", dataset, seed)
-	if nodes > 0 {
-		spec = fmt.Sprintf("synth://%s?nodes=%d&seed=%d", dataset, nodes, seed)
-	}
-	spec = withReorder(spec, reorderK)
-	var task torchgt.TaskSpec
-	var err error
-	if seqLen > 0 {
-		task, err = torchgt.NodeSeqTaskFromSpec(spec)
-	} else {
-		task, err = torchgt.NodeTaskFromSpec(spec)
-	}
-	if err != nil {
-		return torchgt.TaskSpec{}, fmt.Errorf("%w (datasets: %s, %s)", err,
-			strings.Join(torchgt.NodeDatasetNames(), ", "),
-			strings.Join(torchgt.GraphDatasetNames(), ", "))
-	}
-	return task, nil
-}
-
-// withReorder appends the cluster-reorder transform parameters to a dataset
-// spec (passes through unchanged when spec is empty or k ≤ 0).
-func withReorder(spec string, k int) string {
-	if spec == "" || k <= 0 {
-		return spec
-	}
-	sep := "?"
-	if strings.Contains(spec, "?") {
-		sep = "&"
-	}
-	return fmt.Sprintf("%s%sreorder=cluster&reorderk=%d", spec, sep, k)
 }
 
 // openSession builds a fresh session or resumes a checkpoint with an

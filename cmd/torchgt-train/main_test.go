@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"flag"
 	"fmt"
 	"net"
 	"os"
@@ -211,12 +212,12 @@ func trainWorldOfTwo(t *testing.T, addr string, extra ...string) {
 // library tests and ci/shard-smoke.sh; this exercises the flag plumbing.)
 func TestTrainEgoOutOfCore(t *testing.T) {
 	dir := t.TempDir()
-	ds, err := torchgt.LoadNodeDataset("arxiv-sim", 160, 9)
+	d, err := torchgt.OpenDataset("synth://arxiv-sim?nodes=160&seed=9")
 	if err != nil {
 		t.Fatal(err)
 	}
 	shards := filepath.Join(dir, "shards")
-	if _, err := torchgt.ShardNodeDataset(shards, ds, 2); err != nil {
+	if _, err := torchgt.ShardNodeDataset(shards, d.Node, 2); err != nil {
 		t.Fatal(err)
 	}
 
@@ -236,11 +237,85 @@ func TestTrainEgoOutOfCore(t *testing.T) {
 		t.Fatalf("-ego over shard spec: %v", err)
 	}
 
-	// -ego refuses the flags it cannot compose with.
-	err = run(context.Background(), []string{
-		"-ego", "-resume", filepath.Join(dir, "x.ckpt"), "-epochs", "1",
+}
+
+// TestTrainEgoRejectsUnusedFlags: ego-sampled training runs outside the
+// session machinery, so every explicitly given flag it would silently drop
+// is refused, by name, before any data is touched.
+func TestTrainEgoRejectsUnusedFlags(t *testing.T) {
+	for _, tc := range [][]string{
+		{"-resume", "x.ckpt"},
+		{"-rendezvous", "127.0.0.1:1", "-world", "2"},
+		{"-checkpoint-dir", "ckpts"},
+		{"-checkpoint-every", "2"},
+		{"-patience", "5"},
+		{"-method", "gp-flash"},
+		{"-seqpar", "2"},
+		{"-final-weights", "w.bin"},
+		{"-beta", "0.1"},
+		{"-pack"},
+		{"-dp", "2"},
+		{"-exec-workers", "2"},
+		{"-unpooled"},
+	} {
+		err := run(context.Background(), append([]string{"-ego", "-data", "synth://no-such", "-epochs", "1"}, tc...))
+		if err == nil || !strings.Contains(err.Error(), "-ego does not use") || !strings.Contains(err.Error(), tc[0]) {
+			t.Errorf("-ego %v: want an error naming %s, got %v", tc, tc[0], err)
+		}
+	}
+	// every flag the ego path consumes passes the check (and then fails on the dataset)
+	err := run(context.Background(), []string{
+		"-ego", "-ego-workers", "2", "-data", "synth://no-such", "-dataset", "x", "-nodes", "8", "-seed", "3",
+		"-reorder", "2", "-model", "gt", "-epochs", "1", "-lr", "0.01", "-seqlen", "8", "-backend", "ref",
 	})
-	if err == nil {
-		t.Fatal("-ego -resume must error")
+	if err == nil || strings.Contains(err.Error(), "-ego does not use") {
+		t.Fatalf("consumed flags must pass the -ego check, got %v", err)
+	}
+}
+
+// TestTrainDistributedFingerprint: every flag that shapes the trajectory is
+// part of the rendezvous fingerprint, so ranks started with a different
+// learning rate or compute backend are refused at hello time instead of
+// silently breaking the bitwise-equal-to-serial contract — while the flags
+// that may differ per rank do not enter it.
+func TestTrainDistributedFingerprint(t *testing.T) {
+	for _, tc := range []struct{ name, flag, rank0, rank1 string }{
+		{"lr", "-lr", "0.002", "0.004"},
+		{"backend", "-backend", "ref", "opt"},
+		{"epochs", "-epochs", "2", "3"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer torchgt.SetBackend(torchgt.ActiveBackend().Name())
+			addr := freeAddr(t)
+			errs := make([]error, 2)
+			var wg sync.WaitGroup
+			for r, v := range []string{tc.rank0, tc.rank1} {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					errs[r] = run(context.Background(), []string{
+						"-dataset", "arxiv-sim", "-nodes", "128", "-method", "gp-sparse",
+						"-rendezvous", addr, "-world", "2", "-rank", fmt.Sprint(r), tc.flag, v,
+					})
+				}()
+			}
+			wg.Wait()
+			for r, err := range errs {
+				if err == nil || !strings.Contains(err.Error(), "fingerprint") {
+					t.Fatalf("rank %d with %s %s vs %s: want the fingerprint error, got %v", r, tc.flag, tc.rank0, tc.rank1, err)
+				}
+			}
+		})
+	}
+
+	fs := flag.NewFlagSet("x", flag.ContinueOnError)
+	for _, name := range []string{"rank", "rendezvous", "checkpoint-dir", "final-weights", "exec-workers", "unpooled", "lr"} {
+		fs.String(name, "", "")
+	}
+	if err := fs.Parse([]string{"-rank", "3", "-rendezvous", "h:1", "-checkpoint-dir", "d", "-final-weights", "w", "-exec-workers", "2", "-unpooled", "1", "-lr", "0.5"}); err != nil {
+		t.Fatal(err)
+	}
+	if got := fingerprint(fs); got != "lr=0.5 " {
+		t.Fatalf("fingerprint %q: per-rank flags must stay out, every other flag in", got)
 	}
 }

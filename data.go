@@ -93,14 +93,12 @@ func DatasetSchemes() []string { return data.Schemes() }
 // ("file://path") or LoadDatasetFile.
 func SaveDataset(path string, d *Dataset) error { return data.SaveDataset(path, d) }
 
-// SaveGraphDataset writes a graph-level dataset to a tGDS container —
-// graph-level datasets had no serialisation before the universal format.
+// SaveGraphDataset writes a graph-level dataset to a tGDS container.
 func SaveGraphDataset(path string, ds *GraphDataset) error {
 	return data.SaveDataset(path, &Dataset{Graph: ds})
 }
 
-// LoadDatasetFile reads a dataset container: tGDS files of either kind,
-// plus the legacy node-only format written by SaveNodeDataset.
+// LoadDatasetFile reads a tGDS dataset container of either kind.
 func LoadDatasetFile(path string) (*Dataset, error) {
 	sp := DatasetSpec{Scheme: "file", Name: path, Seed: 1}
 	return data.Open(sp)

@@ -11,20 +11,16 @@ import (
 	"torchgt/internal/graph"
 )
 
-// TestLoadWrappersBitwiseOverRegistry pins the frozen compatibility
-// contract at the public surface: LoadNodeDataset/LoadGraphDataset now run
-// through the provider registry, and must return datasets bitwise-equal to
-// the pre-redesign loaders (fields, masks, CSR arrays) for every preset.
-func TestLoadWrappersBitwiseOverRegistry(t *testing.T) {
+// TestSynthSpecsBitwiseOverGenerators pins the synth:// provider at the
+// public surface: every preset opens bitwise-equal to the graph package's
+// generator (fields, masks, CSR arrays).
+func TestSynthSpecsBitwiseOverGenerators(t *testing.T) {
 	for _, name := range NodeDatasetNames() {
 		legacy, err := graph.LoadNodeScaled(name, 160, 9)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ds, err := LoadNodeDataset(name, 160, 9)
-		if err != nil {
-			t.Fatal(err)
-		}
+		ds := loadNode(t, name, 160, 9)
 		if ds.Name != legacy.Name || ds.NumClasses != legacy.NumClasses || ds.G.N != legacy.G.N {
 			t.Fatalf("%s: metadata differs", name)
 		}
@@ -57,10 +53,7 @@ func TestLoadWrappersBitwiseOverRegistry(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ds, err := LoadGraphDataset(name, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
+		ds := loadGraphLevel(t, name, 4)
 		if len(ds.Graphs) != len(legacy.Graphs) || ds.Task != legacy.Task || ds.NumClasses != legacy.NumClasses {
 			t.Fatalf("%s: metadata differs", name)
 		}
@@ -74,13 +67,6 @@ func TestLoadWrappersBitwiseOverRegistry(t *testing.T) {
 				}
 			}
 		}
-	}
-	// kind mix-ups across the frozen wrappers fail descriptively
-	if _, err := LoadNodeDataset("zinc-sim", 0, 1); err == nil {
-		t.Fatal("graph-level preset through LoadNodeDataset must error")
-	}
-	if _, err := LoadGraphDataset("arxiv-sim", 1); err == nil {
-		t.Fatal("node preset through LoadGraphDataset must error")
 	}
 }
 
@@ -131,10 +117,7 @@ func TestSaveDatasetRoundTripsBothKinds(t *testing.T) {
 		t.Fatal("node round trip lost data")
 	}
 
-	gds, err := LoadGraphDataset("zinc-sim", 5)
-	if err != nil {
-		t.Fatal(err)
-	}
+	gds := loadGraphLevel(t, "zinc-sim", 5)
 	gpath := filepath.Join(dir, "graphs.tgds")
 	if err := SaveGraphDataset(gpath, gds); err != nil {
 		t.Fatal(err)
@@ -176,10 +159,7 @@ func TestTaskFromSpecKinds(t *testing.T) {
 		t.Fatal("unknown preset must error")
 	}
 	// in-memory tasks carry no spec
-	ds, err := LoadNodeDataset("arxiv-sim", 64, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ds := loadNode(t, "arxiv-sim", 64, 1)
 	if NodeTask(ds).DataSpec() != "" {
 		t.Fatal("in-memory task must carry no spec")
 	}
@@ -236,10 +216,7 @@ func TestSessionRecordsSpecAndResumes(t *testing.T) {
 }
 
 func TestResumeSessionFromSpecErrors(t *testing.T) {
-	ds, err := LoadNodeDataset("arxiv-sim", 96, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ds := loadNode(t, "arxiv-sim", 96, 7)
 	cfg := GraphormerSlim(ds.X.Cols, ds.NumClasses, 7)
 	cfg.Layers = 1
 	cfg.Heads = 2
@@ -321,10 +298,7 @@ func TestResumeSessionClearsStaleSpec(t *testing.T) {
 	ckpt := filepath.Join(dir, "epoch-00002.ckpt")
 
 	// resume with an equivalent but in-memory dataset
-	other, err := LoadNodeDataset("arxiv-sim", 96, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
+	other := loadNode(t, "arxiv-sim", 96, 8)
 	rs, err := ResumeSession(ckpt, NodeTask(other))
 	if err != nil {
 		t.Fatal(err)

@@ -265,10 +265,7 @@ func TestDistKillMidStepResume(t *testing.T) {
 // token) cannot be row-sharded; the session says so at construction. Pure
 // data parallelism over the same transport is still accepted.
 func TestDistRejectsGraphLevelSharding(t *testing.T) {
-	gd, err := LoadGraphDataset("zinc-sim", 171)
-	if err != nil {
-		t.Fatal(err)
-	}
+	gd := loadGraphLevel(t, "zinc-sim", 171)
 	cfg := GraphormerSlim(gd.FeatDim, 1, 172)
 	cfg.Layers = 1
 	mesh := MemCluster(2)

@@ -10,10 +10,11 @@ import (
 // ExampleNewSession trains through the Session API: functional options, an
 // event stream, and a context-driven run.
 func ExampleNewSession() {
-	ds, err := torchgt.LoadNodeDataset("arxiv-sim", 256, 1)
+	d, err := torchgt.OpenDataset("synth://arxiv-sim?nodes=256&seed=1")
 	if err != nil {
 		panic(err)
 	}
+	ds := d.Node
 	cfg := torchgt.GraphormerSlim(ds.X.Cols, ds.NumClasses, 1)
 	epochs := 0
 	s, err := torchgt.NewSession(torchgt.MethodTorchGT, cfg, torchgt.NodeTask(ds),
@@ -37,40 +38,24 @@ func ExampleNewSession() {
 	// loss decreased: true
 }
 
-// ExampleTrainNode trains the full TorchGT pipeline on a tiny synthetic
-// graph and reports that training progressed.
-func ExampleTrainNode() {
-	ds, err := torchgt.LoadNodeDataset("arxiv-sim", 256, 1)
+// ExampleWithSeqParallel trains one epoch across two simulated
+// sequence-parallel ranks and shows that real tensors were exchanged.
+func ExampleWithSeqParallel() {
+	d, err := torchgt.OpenDataset("synth://arxiv-sim?nodes=128&seed=3")
 	if err != nil {
 		panic(err)
 	}
-	cfg := torchgt.GraphormerSlim(ds.X.Cols, ds.NumClasses, 1)
-	res, err := torchgt.TrainNode(torchgt.MethodTorchGT, cfg, ds,
-		torchgt.TrainOptions{Epochs: 8, Seed: 2})
-	if err != nil {
-		panic(err)
-	}
-	fmt.Println("epochs:", len(res.Curve))
-	fmt.Println("loss decreased:", res.Curve[len(res.Curve)-1].Loss < res.Curve[0].Loss)
-	// Output:
-	// epochs: 8
-	// loss decreased: true
-}
-
-// ExampleNewDistTrainer runs one sequence-parallel training step across two
-// simulated ranks through the deprecated DistTrainer wrapper (new code uses
-// NewSession with WithSeqParallel) and shows that real tensors were
-// exchanged.
-func ExampleNewDistTrainer() {
-	ds, err := torchgt.LoadNodeDataset("arxiv-sim", 128, 3)
-	if err != nil {
-		panic(err)
-	}
+	ds := d.Node
 	cfg := torchgt.GraphormerSlim(ds.X.Cols, ds.NumClasses, 4)
-	cfg.Dropout = 0
-	trainer := torchgt.NewDistTrainer(2, cfg, 1e-3)
-	trainer.Step(torchgt.NodeInputs(ds), torchgt.SparseNodeSpec(ds), ds.Y, ds.TrainMask)
-	fmt.Println("communicated:", trainer.Comm.TotalBytes() > 0)
+	s, err := torchgt.NewSession(torchgt.MethodGPSparse, cfg, torchgt.NodeTask(ds),
+		torchgt.WithEpochs(1), torchgt.WithSeqParallel(2))
+	if err != nil {
+		panic(err)
+	}
+	if _, err := s.Run(context.Background()); err != nil {
+		panic(err)
+	}
+	fmt.Println("communicated:", s.CommBytes() > 0)
 	// Output:
 	// communicated: true
 }

@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -11,14 +12,19 @@ import (
 )
 
 func main() {
-	ds, err := torchgt.LoadNodeDataset("products-sim", 2048, 1)
+	d, err := torchgt.OpenDataset("synth://products-sim?nodes=2048&seed=1")
 	if err != nil {
 		log.Fatal(err)
 	}
+	ds := d.Node
 	cfg := torchgt.GraphormerSlim(ds.X.Cols, ds.NumClasses, 8)
 
-	res, err := torchgt.TrainNode(torchgt.MethodTorchGT, cfg, ds,
-		torchgt.TrainOptions{Epochs: 25, Seed: 9})
+	s, err := torchgt.NewSession(torchgt.MethodTorchGT, cfg, torchgt.NodeTask(ds),
+		torchgt.WithEpochs(25), torchgt.WithSeed(9))
+	if err != nil {
+		log.Fatal(err)
+	}
+	res, err := s.Run(context.Background())
 	if err != nil {
 		log.Fatal(err)
 	}

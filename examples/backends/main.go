@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -23,10 +24,11 @@ func main() {
 	// bitwise-pinned one; the optimized run lands within a small tolerance of
 	// it (see DESIGN.md "Compute backends and quantized serving") but steps
 	// measurably faster.
-	ds, err := torchgt.LoadNodeDataset("arxiv-sim", 2048, 1)
+	d, err := torchgt.OpenDataset("synth://arxiv-sim?nodes=2048&seed=1")
 	if err != nil {
 		log.Fatal(err)
 	}
+	ds := d.Node
 	fmt.Println("\ntraining gph-slim on arxiv-sim, 10 epochs, both backends:")
 	for _, name := range torchgt.BackendNames() {
 		if _, err := torchgt.SetBackend(name); err != nil {
@@ -34,8 +36,12 @@ func main() {
 		}
 		cfg := torchgt.GraphormerSlim(ds.X.Cols, ds.NumClasses, 1)
 		start := time.Now()
-		res, err := torchgt.TrainNode(torchgt.MethodTorchGT, cfg, ds,
-			torchgt.TrainOptions{Epochs: 10, Seed: 7})
+		s, err := torchgt.NewSession(torchgt.MethodTorchGT, cfg, torchgt.NodeTask(ds),
+			torchgt.WithEpochs(10), torchgt.WithSeed(7))
+		if err != nil {
+			log.Fatal(err)
+		}
+		res, err := s.Run(context.Background())
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -16,10 +16,11 @@ import (
 )
 
 func main() {
-	ds, err := torchgt.LoadNodeDataset("arxiv-sim", 1024, 1)
+	d, err := torchgt.OpenDataset("synth://arxiv-sim?nodes=1024&seed=1")
 	if err != nil {
 		log.Fatal(err)
 	}
+	ds := d.Node
 	cfg := torchgt.GraphormerSlim(ds.X.Cols, ds.NumClasses, 1)
 	const epochs = 10
 

@@ -20,10 +20,11 @@ import (
 
 func main() {
 	const ranks = 4
-	ds, err := torchgt.LoadNodeDataset("arxiv-sim", 1024, 1)
+	d, err := torchgt.OpenDataset("synth://arxiv-sim?nodes=1024&seed=1")
 	if err != nil {
 		log.Fatal(err)
 	}
+	ds := d.Node
 	cfg := torchgt.GraphormerSlim(ds.X.Cols, ds.NumClasses, 7)
 
 	train := func(opts ...torchgt.SessionOption) *torchgt.Session {

@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -11,24 +12,29 @@ import (
 )
 
 func main() {
-	ds, err := torchgt.LoadNodeDataset("arxiv-sim", 1024, 1)
+	d, err := torchgt.OpenDataset("synth://arxiv-sim?nodes=1024&seed=1")
 	if err != nil {
 		log.Fatal(err)
 	}
+	ds := d.Node
 	fmt.Printf("dataset %s: %d nodes, %d edges, %d classes\n",
 		ds.Name, ds.G.N, ds.G.NumEdges(), ds.NumClasses)
 
 	cfg := torchgt.GraphormerSlim(ds.X.Cols, ds.NumClasses, 1)
-	opts := torchgt.TrainOptions{Epochs: 15, Seed: 2}
-
-	tgt, err := torchgt.TrainNode(torchgt.MethodTorchGT, cfg, ds, opts)
-	if err != nil {
-		log.Fatal(err)
+	train := func(method torchgt.Method) *torchgt.Result {
+		s, err := torchgt.NewSession(method, cfg, torchgt.NodeTask(ds),
+			torchgt.WithEpochs(15), torchgt.WithSeed(2))
+		if err != nil {
+			log.Fatal(err)
+		}
+		res, err := s.Run(context.Background())
+		if err != nil {
+			log.Fatal(err)
+		}
+		return res
 	}
-	flash, err := torchgt.TrainNode(torchgt.MethodGPFlash, cfg, ds, opts)
-	if err != nil {
-		log.Fatal(err)
-	}
+	tgt := train(torchgt.MethodTorchGT)
+	flash := train(torchgt.MethodGPFlash)
 
 	fmt.Printf("\n%-10s %-12s %-12s %-14s\n", "method", "test acc", "avg epoch", "attended pairs")
 	for _, r := range []*torchgt.Result{tgt, flash} {

@@ -128,7 +128,7 @@ func runDist(ctx context.Context, w io.Writer, scale Scale) error {
 	}
 	seqBytesPerRankStep := int64(nodes/p) * int64(cfg.Hidden) * 4 * int64(p-1) / int64(p) * int64(8*cfg.Layers)
 	fmt.Fprintf(w, "P=%d ranks, %d steps, final loss %.4f\n", p, steps, lastLoss)
-	fmt.Fprintf(w, "measured comm volume: %d bytes total (%.1f KB/rank/step incl. grad sync)\n",
+	fmt.Fprintf(w, "measured comm volume: %d bytes total (%.1f KB/rank/step)\n",
 		plan.Comm().TotalBytes(), float64(plan.Comm().TotalBytes())/float64(p*steps)/1024)
 	fmt.Fprintf(w, "Ulysses resharding volume per rank per step: %d bytes (= 8L reshards of (S/P)(d)(P-1)/P); O(S/P) per the paper's §III-C\n",
 		seqBytesPerRankStep)

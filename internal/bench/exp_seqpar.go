@@ -24,12 +24,13 @@ func init() {
 
 // runSeqPar trains the same node task under the in-process sequence-parallel
 // plan at P ∈ {1, 2, 4} and reports, per P: measured optimiser-step time,
-// measured collective traffic per step (resharding all-to-alls + gradient
-// sync), the analytic reshard volume the Ulysses schedule predicts, and the
-// RTX3090 perf model's predicted step time at the same shape; then the same
-// task under the cross-process plan (see below). Every run trains
-// bitwise-identically (the plan guarantee), so the rows differ only in
-// execution, not numerics — the final loss column demonstrates it.
+// measured collective traffic per step (the resharding all-to-alls, summed
+// over the ranks), the reshard volume dist.ModelShape.SeqParCommBytes
+// predicts for them, and the RTX3090 perf model's predicted step time at the
+// same shape; then the same task under the cross-process plan (see below).
+// Every run trains bitwise-identically (the plan guarantee), so the rows
+// differ only in execution, not numerics — the final loss column
+// demonstrates it.
 func runSeqPar(ctx context.Context, w io.Writer, scale Scale) error {
 	nodes, epochs := 1024, 4
 	if scale == ScaleSmoke {
@@ -78,13 +79,8 @@ func runSeqPar(ctx context.Context, w io.Writer, scale Scale) error {
 		case len(marks) == 1:
 			commPerStep = float64(marks[0])
 		}
-		// The Ulysses schedule: 8 all-to-alls per layer per fwd+bwd step,
-		// each moving (S/P)·H·4 bytes per rank with (P−1)/P off-rank.
-		var reshard float64
-		if p > 1 {
-			reshard = float64(p) * 8 * float64(shape.Layers) *
-				float64(nodes) / float64(p) * float64(shape.Hidden) * 4 * float64(p-1) / float64(p)
-		}
+		perRank, _, _ := shape.SeqParCommBytes(nodes, p)
+		reshard := float64(p) * perRank
 		pairsPerHead := res.TotalPairs / int64(epochs) / int64(shape.Heads) / int64(shape.Layers)
 		cost := pm.StepTime(dist.KindSparse, pairsPerHead, nodes, shape, p)
 
@@ -100,8 +96,8 @@ func runSeqPar(ctx context.Context, w io.Writer, scale Scale) error {
 			f3(cost.Total.Seconds()))
 	}
 	tb.write(w)
-	fmt.Fprintln(w, "expected shape: identical loss at every P (bitwise trajectory); measured comm/step tracks the")
-	fmt.Fprintln(w, "model's O(S/P)-per-rank reshard volume plus the gradient all-gather; model step time falls ~1/P")
+	fmt.Fprintln(w, "expected shape: identical loss at every P (bitwise trajectory); measured comm/step equals the")
+	fmt.Fprintln(w, "model's O(S/P)-per-rank reshard volume (the ranks share one gradient); model step time falls ~1/P")
 
 	// The same task as ranks of the cross-process plan, which row-shards the
 	// whole model: over the in-process mesh and over real TCP on the loopback

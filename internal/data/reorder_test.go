@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"torchgt/internal/graph"
@@ -199,11 +200,11 @@ func TestTGDSRoundTripReorder(t *testing.T) {
 	nodeEqual(t, nd, d.Node)
 }
 
-// TestTGDSReadsVersion1 pins backward compatibility: a version-1 container
-// (no hasReorder byte, no reorder array) still reads, with a nil Reorder.
-// The fixture is built by serialising a v2 container of a reorder-free
+// TestTGDSRejectsVersion1: a version-1 container (no hasReorder byte, no
+// reorder array) is refused with the re-export advice, not misread. The
+// fixture is built by serialising a current container of a reorder-free
 // dataset, splicing out the hasReorder byte, and patching the version field.
-func TestTGDSReadsVersion1(t *testing.T) {
+func TestTGDSRejectsVersion1(t *testing.T) {
 	nd := testNodeDataset(t)
 	if nd.Reorder != nil {
 		t.Fatal("fixture must be reorder-free")
@@ -222,11 +223,10 @@ func TestTGDSReadsVersion1(t *testing.T) {
 	}
 	v1 := append(append([]byte(nil), v2[:off]...), v2[off+1:]...)
 	binary.LittleEndian.PutUint32(v1[4:8], 1)
-	d, err := ReadDataset(bytes.NewReader(v1))
-	if err != nil {
-		t.Fatalf("version-1 container must still read: %v", err)
+	_, err := ReadDataset(bytes.NewReader(v1))
+	if err == nil || !strings.Contains(err.Error(), "unsupported tGDS version 1") || !strings.Contains(err.Error(), "torchgt-data convert") {
+		t.Fatalf("version-1 container must fail with the re-export advice, got %v", err)
 	}
-	nodeEqual(t, nd, d.Node)
 }
 
 // TestTGDSRejectsCorruptReorder pins validation on read: a reorder array

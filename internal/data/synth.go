@@ -9,9 +9,7 @@ import (
 
 // synthProvider materialises the built-in synthetic presets — the scaled
 // stand-ins for the paper's six benchmark suites (Table III) — through the
-// same generators the pre-registry loaders used, so a synth:// spec is
-// bitwise-identical to the frozen LoadNodeDataset/LoadGraphDataset wrappers
-// at the same name/nodes/seed.
+// graph package's generators (graph.LoadNodeScaled, graph.LoadGraphLevel).
 type synthProvider struct{}
 
 func (synthProvider) Scheme() string      { return "synth" }

@@ -11,16 +11,15 @@ import (
 	"torchgt/internal/tensor"
 )
 
-// tGDS is the universal on-disk dataset container: one versioned format
-// that round-trips both dataset kinds, replacing the node-only "tGd1"
-// format (which the file provider still reads for backward compatibility).
+// tGDS is the on-disk dataset container: one versioned format that
+// round-trips both dataset kinds.
 //
 // Layout (little-endian):
 //
 //	magic uint32 "tGDS" | version uint32 | kind uint8 (1 node, 2 graph) |
 //	name uint32 len + bytes |
 //	node kind:  n, e, classes, featdim uint32 | hasBlocks uint8 |
-//	            hasReorder uint8 (version ≥ 2) |
+//	            hasReorder uint8 |
 //	            rowptr [n+1]int32 | colidx [e]int32 | x [n·featdim]float32 |
 //	            y [n]int32 | blocks [n]int32 (if hasBlocks) |
 //	            train/val/test masks 3×[n]uint8 |
@@ -35,20 +34,18 @@ import (
 // every CSR block, so a corrupt file never hands back a half-read dataset.
 const (
 	tgdsMagic = 0x74474453 // "tGDS"
-	// tgdsVersion is the version written; the reader also accepts version 1
-	// (identical except for the node section's reorder field, added in 2).
+	// tgdsVersion is the one version written and read.
 	tgdsVersion = 2
 
 	tgdsKindNode  = 1
 	tgdsKindGraph = 2
 
-	maxNameLen  = 1 << 16
-	maxNodes    = 1 << 26
-	maxEdges    = 1 << 28
-	maxGraphs   = 1 << 22
-	maxFeatDim  = 1 << 16
-	maxElems    = 1 << 30    // n·featdim cap (4 GiB of float32) — bounds the allocation, not just the factors
-	legacyMagic = 0x74476431 // "tGd1", the node-only format of graph/io.go
+	maxNameLen = 1 << 16
+	maxNodes   = 1 << 26
+	maxEdges   = 1 << 28
+	maxGraphs  = 1 << 22
+	maxFeatDim = 1 << 16
+	maxElems   = 1 << 30 // n·featdim cap (4 GiB of float32) — bounds the allocation, not just the factors
 )
 
 // SaveDataset writes d to path in the tGDS container format. The write is
@@ -247,10 +244,10 @@ func ReadDataset(r io.Reader) (*Dataset, error) {
 		return nil, fmt.Errorf("not a tGDS dataset: %w", err)
 	}
 	if magic != tgdsMagic {
-		return nil, fmt.Errorf("not a tGDS dataset (magic %#x)", magic)
+		return nil, fmt.Errorf("not a tGDS dataset (magic %#x); re-export the source data with torchgt-data convert", magic)
 	}
-	if version < 1 || version > tgdsVersion {
-		return nil, fmt.Errorf("unsupported tGDS version %d (have %d)", version, tgdsVersion)
+	if version != tgdsVersion {
+		return nil, fmt.Errorf("unsupported tGDS version %d (this build reads and writes version %d only); re-export the source data with torchgt-data convert", version, tgdsVersion)
 	}
 	read(&kind)
 	var nameLen uint32
@@ -268,14 +265,14 @@ func ReadDataset(r io.Reader) (*Dataset, error) {
 
 	switch kind {
 	case tgdsKindNode:
-		return readNodeSection(r, string(name), version)
+		return readNodeSection(r, string(name))
 	case tgdsKindGraph:
 		return readGraphSection(r, string(name))
 	}
 	return nil, fmt.Errorf("corrupt tGDS header: unknown dataset kind %d", kind)
 }
 
-func readNodeSection(r io.Reader, name string, version uint32) (*Dataset, error) {
+func readNodeSection(r io.Reader, name string) (*Dataset, error) {
 	le := binary.LittleEndian
 	var err error
 	read := func(v any) {
@@ -290,9 +287,7 @@ func readNodeSection(r io.Reader, name string, version uint32) (*Dataset, error)
 	read(&classes)
 	read(&featDim)
 	read(&hasBlocks)
-	if version >= 2 {
-		read(&hasReorder)
-	}
+	read(&hasReorder)
 	if err != nil {
 		return nil, fmt.Errorf("truncated tGDS node header: %w", err)
 	}
@@ -474,31 +469,10 @@ func bytesToBools(b []byte) []bool {
 	return out
 }
 
-// fileProvider opens saved dataset containers: tGDS files of either kind,
-// plus the legacy node-only "tGd1" format for files written before the
-// universal container existed.
+// fileProvider opens saved tGDS containers of either kind.
 type fileProvider struct{}
 
 func (fileProvider) Scheme() string      { return "file" }
 func (fileProvider) ParamKeys() []string { return nil }
 
-func (fileProvider) Open(sp Spec) (*Dataset, error) {
-	f, err := os.Open(sp.Name)
-	if err != nil {
-		return nil, err
-	}
-	var magic uint32
-	err = binary.Read(f, binary.LittleEndian, &magic)
-	f.Close()
-	if err != nil {
-		return nil, fmt.Errorf("data: %s: not a dataset file: %w", sp.Name, err)
-	}
-	if magic == legacyMagic {
-		nd, err := graph.LoadNodeDatasetFile(sp.Name)
-		if err != nil {
-			return nil, err
-		}
-		return &Dataset{Node: nd}, nil
-	}
-	return LoadDataset(sp.Name)
-}
+func (fileProvider) Open(sp Spec) (*Dataset, error) { return LoadDataset(sp.Name) }

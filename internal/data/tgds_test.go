@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"torchgt/internal/graph"
@@ -153,17 +154,25 @@ func TestTGDSRoundTripGraphLevel(t *testing.T) {
 	graphLevelEqual(t, cd, d2.Graph)
 }
 
-func TestTGDSReadsLegacyNodeFormat(t *testing.T) {
-	nd := testNodeDataset(t)
-	path := filepath.Join(t.TempDir(), "legacy.bin")
-	if err := graph.SaveNodeDataset(path, nd); err != nil {
+// TestTGDSRejectsRemovedContainer: a file in the removed node-only "tGd1"
+// container (its magic and version word spliced over a current file) fails
+// with the re-export advice, through the file provider.
+func TestTGDSRejectsRemovedContainer(t *testing.T) {
+	var buf bytes.Buffer
+	if err := WriteDataset(&buf, &Dataset{Node: testNodeDataset(t)}); err != nil {
 		t.Fatal(err)
 	}
-	d, err := OpenString("file://" + path)
-	if err != nil {
+	old := buf.Bytes()
+	binary.LittleEndian.PutUint32(old[0:4], 0x74476431) // "tGd1"
+	binary.LittleEndian.PutUint32(old[4:8], 1)
+	path := filepath.Join(t.TempDir(), "old.bin")
+	if err := os.WriteFile(path, old, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	nodeEqual(t, nd, d.Node)
+	_, err := OpenString("file://" + path)
+	if err == nil || !strings.Contains(err.Error(), "not a tGDS dataset") || !strings.Contains(err.Error(), "torchgt-data convert") {
+		t.Fatalf("removed container must fail with the re-export advice, got %v", err)
+	}
 }
 
 // TestTGDSTruncated cuts both container kinds at every layout region (and

@@ -1,16 +1,9 @@
-// Package dist is the communication layer of the simulated multi-GPU
-// runtime: collectives between P rank goroutines over the in-process
-// transport, plus analytic performance and memory models of the paper's two
-// testbeds used by the experiment harness to extrapolate laptop-scale
-// measurements to paper-scale sequence lengths.
-//
-// The execution side of sequence parallelism — the Ulysses sequence↔head
-// resharding of the paper's Cluster-aware Graph Parallelism (§III-C) —
-// lives in internal/model as the SeqParallel execution plan, which drives
-// the model's own layers and reshards through this package's Comm at every
-// attention boundary. Comm itself is a thin veneer over
-// internal/dist/transport: the same Group collectives run unchanged over
-// the channel mesh here and over TCP between real OS processes.
+// Package dist is what the in-process side of the multi-rank runtime needs
+// beyond internal/dist/transport — the rank fan-out of a goroutine job and
+// its traffic counters — plus analytic performance and memory models of the
+// paper's two testbeds. Collectives are transport.Group's, in process and
+// across processes alike; sequence parallelism itself (the Ulysses
+// resharding of the paper's §III-C) lives in internal/model.
 package dist
 
 import (
@@ -18,138 +11,55 @@ import (
 	"sync"
 
 	"torchgt/internal/dist/transport"
-	"torchgt/internal/tensor"
 )
 
-// Run launches p rank goroutines over the communicator and blocks until all
+// Comm is the in-process mesh of a goroutine job: one endpoint per rank.
+type Comm []*transport.Mem
+
+// Run launches one goroutine per rank of the mesh and blocks until all
 // return — the moral equivalent of torchrun spawning one process per GPU. A
-// panicking rank no longer deadlocks its peers: the panic is recovered, the
-// transport group is torn down (unblocking every rank stuck in a
-// collective), and the panic comes back as Run's error. When one rank's
-// failure cascades — peers observe transport.ErrRankLost once the group is
-// poisoned — the error reported is the primary failure, not a victim's.
-func Run(c *Comm, f func(rank int)) error {
+// panicking rank does not deadlock its peers: the panic is recovered, the
+// mesh is torn down (unblocking every rank stuck in a collective), and the
+// panic comes back as Run's error. When one rank's failure cascades — peers
+// observe transport.ErrRankLost once the mesh is poisoned — the error
+// reported is the primary failure, not a victim's.
+func Run(c Comm, f func(rank int)) error {
 	var wg sync.WaitGroup
-	panics := make([]any, c.P)
-	for r := 0; r < c.P; r++ {
+	failed := make([]error, len(c))
+	for r := range c {
 		wg.Add(1)
-		go func(rank int) {
+		go func() {
 			defer wg.Done()
 			defer func() {
 				if rec := recover(); rec != nil {
-					panics[rank] = rec
-					c.mesh[rank].Abort(recoveredErr(rank, rec))
+					err, ok := rec.(error)
+					if !ok {
+						err = fmt.Errorf("dist: rank %d panicked: %v", r, rec)
+					}
+					failed[r] = err
+					c[r].Abort(err)
 				}
 			}()
-			f(rank)
-		}(r)
+			f(r)
+		}()
 	}
 	wg.Wait()
-	var fallback error
-	for r, rec := range panics {
-		if rec == nil {
-			continue
-		}
-		err := recoveredErr(r, rec)
-		if !transport.IsRankLost(err) {
+	var victim error
+	for _, err := range failed {
+		if err != nil && !transport.IsRankLost(err) {
 			return err
 		}
-		if fallback == nil {
-			fallback = err
+		if victim == nil {
+			victim = err
 		}
 	}
-	return fallback
+	return victim
 }
 
-func recoveredErr(rank int, rec any) error {
-	if err, ok := rec.(error); ok {
-		return err
-	}
-	return fmt.Errorf("dist: rank %d panicked: %v", rank, rec)
-}
-
-// Comm provides collective operations among p ranks, with per-rank traffic
-// accounting. All collectives must be entered by every rank (they are
-// synchronising, like NCCL collectives). The arithmetic lives in
-// transport.Group — one fixed-order implementation shared with the TCP
-// cross-process path — over the in-process channel mesh.
-type Comm struct {
-	P int
-
-	mesh   []*transport.Mem
-	groups []*transport.Group // world group, per rank
-}
-
-// NewComm builds the communicator for p ranks.
-func NewComm(p int) *Comm {
-	if p < 1 {
-		p = 1
-	}
-	c := &Comm{P: p, mesh: transport.NewMem(p)}
-	c.groups = make([]*transport.Group, p)
-	for r := range c.groups {
-		c.groups[r] = transport.WorldGroup(c.mesh[r])
-	}
-	return c
-}
-
-// AllToAll sends parts[d] to rank d and returns the P parts received, indexed
-// by source rank (the caller's own part is passed through untouched).
-// Receivers must treat incoming matrices as read-only — ownership stays with
-// the sender, exactly like a registered send buffer.
-//
-// Degenerate parts are first-class: zero-row and zero-column matrices (the
-// empty tail shards sequence parallelism produces when P does not divide S)
-// round-trip with their shapes intact and contribute no traffic, and nil
-// parts are delivered as nil. Every rank must still enter the collective.
-func (c *Comm) AllToAll(rank int, parts []*tensor.Mat) []*tensor.Mat {
-	if len(parts) != c.P {
-		panic("dist: AllToAll needs one part per rank")
-	}
-	out, err := c.groups[rank].AllToAll(parts)
-	if err != nil {
-		panic(err)
-	}
-	return out
-}
-
-// AllGather shares one matrix per rank with every rank, returned indexed by
-// source rank. Zero-row, zero-column and nil inputs follow the AllToAll
-// contract.
-func (c *Comm) AllGather(rank int, m *tensor.Mat) []*tensor.Mat {
-	out, err := c.groups[rank].AllGather(m)
-	if err != nil {
-		panic(err)
-	}
-	return out
-}
-
-// AllReduce sums the ranks' gradient matrices element-wise, in place, leaving
-// every rank with the identical total. Implemented as an all-gather of a
-// flattened gradient vector followed by a deterministic rank-ordered
-// summation, so replicas stay bitwise in sync.
-func (c *Comm) AllReduce(rank int, mats []*tensor.Mat) {
-	if err := c.groups[rank].AllReduce(mats); err != nil {
-		panic(err)
-	}
-}
-
-// AllReduceScalar sums one float across ranks (used for loss reporting).
-func (c *Comm) AllReduceScalar(rank int, v float64) float64 {
-	s, err := c.groups[rank].AllReduceScalar(v)
-	if err != nil {
-		panic(err)
-	}
-	return s
-}
-
-// BytesSent reports the traffic rank has sent so far.
-func (c *Comm) BytesSent(rank int) int64 { return c.mesh[rank].BytesSent() }
-
-// TotalBytes reports the traffic sent by all ranks.
-func (c *Comm) TotalBytes() int64 {
+// TotalBytes reports the payload bytes sent by all ranks.
+func (c Comm) TotalBytes() int64 {
 	var t int64
-	for _, m := range c.mesh {
+	for _, m := range c {
 		t += m.BytesSent()
 	}
 	return t

@@ -12,8 +12,7 @@ import (
 // member order, which is the heart of the cross-process determinism
 // argument: the transport only moves bytes, every member folds the same
 // values in the same order with the same float32 operations, so every
-// member computes bit-identical results — and identical ones to the
-// in-process dist.Comm, which folds the same way.
+// member computes bit-identical results, in or out of process.
 //
 // Collectives are synchronising: every member must enter each one, in the
 // same global order. Construct the Group with the member ranks in the same
@@ -73,7 +72,9 @@ func (g *Group) Transport() Transport { return g.t }
 // AllToAll sends parts[i] to the group's i-th member and returns the parts
 // received, indexed by member (own part passed through untouched). Incoming
 // matrices are read-only — ownership stays with the sender. nil, zero-row
-// and zero-column parts are first-class, per the dist.Comm contract.
+// and zero-column parts (the empty tail shards sequence parallelism produces
+// when P does not divide S) are first-class: they round-trip with their
+// shapes intact and contribute no traffic.
 //
 // Every member sends its whole sweep, on the calling thread, before it
 // receives anything. That cannot deadlock on any Transport: a TCP Send only
@@ -167,7 +168,7 @@ func flatten(mats []*tensor.Mat) *tensor.Mat {
 // AllReduce sums the members' matrices element-wise, in place, leaving every
 // member with the identical total: an all-gather of the flattened vector
 // followed by a zero-seeded fold in fixed member order — bitwise-identical
-// to dist.Comm.AllReduce, on every member, in or out of process. The fold
+// on every member, in or out of process. The fold
 // runs in mats itself (already copied out), so a call allocates one buffer.
 func (g *Group) AllReduce(mats []*tensor.Mat) error {
 	gathered, err := g.AllGather(flatten(mats))
@@ -242,7 +243,7 @@ func (g *Group) AllReduceMean(mats []*tensor.Mat) error {
 }
 
 // AllReduceScalar sums one float across the group (loss reporting), folding
-// in fixed member order like dist.Comm.AllReduceScalar.
+// in fixed member order.
 func (g *Group) AllReduceScalar(v float64) (float64, error) {
 	m := tensor.New(1, 1)
 	m.Data[0] = float32(v)

@@ -156,7 +156,7 @@ func (m *Mem) Close() error {
 }
 
 // Abort tears the group down with a caller-supplied reason, unblocking every
-// pending collective on every rank. dist.Comm.Run uses it to propagate a
+// pending collective on every rank. dist.Run uses it to propagate a
 // rank panic instead of deadlocking.
 func (m *Mem) Abort(err error) {
 	if err == nil {

@@ -1,14 +1,14 @@
-// Package transport is the point-to-point substrate beneath the dist
-// collectives: framed tensor.Mat send/recv between the ranks of one
-// training job, with two implementations behind one sealed interface —
-// the in-process channel mesh the simulated runtime always used (now
-// dist.Comm's engine), and a TCP transport with a versioned wire format
-// and a rendezvous/rank-assignment handshake that lets the same
-// bitwise-pinned Ulysses schedule span real OS processes and machines.
+// Package transport is the collective layer: framed tensor.Mat send/recv
+// between the ranks of one training job, with two implementations behind
+// one sealed interface — the in-process channel mesh of the simulated
+// runtime, and a TCP transport with a versioned wire format and a
+// rendezvous/rank-assignment handshake that lets the same bitwise-pinned
+// Ulysses schedule span real OS processes and machines — and the Group
+// collectives that run unchanged over either.
 //
 // Determinism contract: a Transport moves bytes and imposes ordering;
 // it never computes. All floating-point reduction lives in Group
-// (collective.go) with a fixed rank-ascending fold, so cross-process
+// (group.go) with a fixed rank-ascending fold, so cross-process
 // training stays bitwise-equal to the in-process plan. See DESIGN.md
 // "Cross-process execution".
 package transport
@@ -72,8 +72,7 @@ func IsRankLost(err error) bool { return errors.Is(err, ErrRankLost) }
 
 // Transport is point-to-point communication among the ranks of one job:
 // framed tensor.Mat payloads plus a barrier. One Transport value belongs to
-// one rank. nil matrices are first-class payloads (they round-trip as nil),
-// matching the dist.Comm collective contract.
+// one rank. nil matrices are first-class payloads (they round-trip as nil).
 //
 // Ordering: frames between a (src, dst) pair arrive in send order. Methods
 // on one Transport may not be called concurrently with each other except

@@ -2,14 +2,10 @@ package graph
 
 import (
 	"bufio"
-	"encoding/binary"
 	"fmt"
 	"io"
-	"os"
 	"strconv"
 	"strings"
-
-	"torchgt/internal/tensor"
 )
 
 // WriteEdgeList writes "u v" lines (stored directed edges) to w.
@@ -69,140 +65,4 @@ func ReadEdgeList(r io.Reader, undirected bool) (*Graph, error) {
 		return nil, err
 	}
 	return FromEdges(int(maxID)+1, edges, undirected), nil
-}
-
-const (
-	datasetMagic   = 0x74476431 // "tGd1"
-	datasetVersion = 1
-)
-
-// SaveNodeDataset serialises a node dataset to a compact binary file so
-// generated datasets (or converted real ones) can be reused across runs.
-func SaveNodeDataset(path string, d *NodeDataset) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	bw := bufio.NewWriter(f)
-	le := binary.LittleEndian
-	write := func(v any) {
-		if err == nil {
-			err = binary.Write(bw, le, v)
-		}
-	}
-	write(uint32(datasetMagic))
-	write(uint32(datasetVersion))
-	name := []byte(d.Name)
-	write(uint32(len(name)))
-	if err == nil {
-		_, err = bw.Write(name)
-	}
-	write(uint32(d.G.N))
-	write(uint32(d.G.NumEdges()))
-	write(uint32(d.NumClasses))
-	write(uint32(d.X.Cols))
-	write(d.G.RowPtr)
-	write(d.G.ColIdx)
-	write(d.X.Data)
-	write(d.Y)
-	write(d.Blocks)
-	write(boolsToBytes(d.TrainMask))
-	write(boolsToBytes(d.ValMask))
-	write(boolsToBytes(d.TestMask))
-	if err != nil {
-		return err
-	}
-	return bw.Flush()
-}
-
-// LoadNodeDatasetFile reads a dataset written by SaveNodeDataset.
-func LoadNodeDatasetFile(path string) (*NodeDataset, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	br := bufio.NewReader(f)
-	le := binary.LittleEndian
-	read := func(v any) {
-		if err == nil {
-			err = binary.Read(br, le, v)
-		}
-	}
-	var magic, version, nameLen uint32
-	read(&magic)
-	read(&version)
-	if err == nil && magic != datasetMagic {
-		return nil, fmt.Errorf("graph: %s is not a dataset file", path)
-	}
-	if err == nil && version != datasetVersion {
-		return nil, fmt.Errorf("graph: unsupported dataset version %d", version)
-	}
-	read(&nameLen)
-	if err != nil {
-		return nil, err
-	}
-	if nameLen > 1<<16 {
-		return nil, fmt.Errorf("graph: corrupt dataset header")
-	}
-	name := make([]byte, nameLen)
-	if _, err = io.ReadFull(br, name); err != nil {
-		return nil, err
-	}
-	var n, e, classes, featDim uint32
-	read(&n)
-	read(&e)
-	read(&classes)
-	read(&featDim)
-	if err != nil {
-		return nil, err
-	}
-	d := &NodeDataset{
-		Name:       string(name),
-		NumClasses: int(classes),
-		G:          &Graph{N: int(n), RowPtr: make([]int32, n+1), ColIdx: make([]int32, e)},
-		X:          tensor.New(int(n), int(featDim)),
-		Y:          make([]int32, n),
-		Blocks:     make([]int32, n),
-	}
-	read(d.G.RowPtr)
-	read(d.G.ColIdx)
-	read(d.X.Data)
-	read(d.Y)
-	read(d.Blocks)
-	tb := make([]byte, n)
-	vb := make([]byte, n)
-	sb := make([]byte, n)
-	read(tb)
-	read(vb)
-	read(sb)
-	if err != nil {
-		return nil, err
-	}
-	d.TrainMask = bytesToBools(tb)
-	d.ValMask = bytesToBools(vb)
-	d.TestMask = bytesToBools(sb)
-	if err := d.G.Validate(); err != nil {
-		return nil, fmt.Errorf("graph: corrupt dataset: %w", err)
-	}
-	return d, nil
-}
-
-func boolsToBytes(b []bool) []byte {
-	out := make([]byte, len(b))
-	for i, v := range b {
-		if v {
-			out[i] = 1
-		}
-	}
-	return out
-}
-
-func bytesToBools(b []byte) []bool {
-	out := make([]bool, len(b))
-	for i, v := range b {
-		out[i] = v != 0
-	}
-	return out
 }

@@ -2,9 +2,6 @@ package graph
 
 import (
 	"bytes"
-	"encoding/binary"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -52,129 +49,4 @@ func TestReadEdgeListErrors(t *testing.T) {
 	if _, err := ReadEdgeList(strings.NewReader("-1 2\n"), false); err == nil {
 		t.Fatal("negative id must error")
 	}
-}
-
-func TestNodeDatasetFileRoundTrip(t *testing.T) {
-	d := MakeNodeDataset(NodeDatasetConfig{
-		Name: "roundtrip", NumNodes: 100, NumBlocks: 4, NumClasses: 4,
-		FeatDim: 8, AvgDegIn: 6, AvgDegOut: 1, NoiseStd: 1, Seed: 5, Shuffle: true,
-	})
-	path := filepath.Join(t.TempDir(), "ds.bin")
-	if err := SaveNodeDataset(path, d); err != nil {
-		t.Fatal(err)
-	}
-	d2, err := LoadNodeDatasetFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d2.Name != "roundtrip" || d2.G.N != d.G.N || d2.G.NumEdges() != d.G.NumEdges() {
-		t.Fatal("metadata lost")
-	}
-	if !d2.X.Equal(d.X, 0) {
-		t.Fatal("features lost")
-	}
-	for i := range d.Y {
-		if d.Y[i] != d2.Y[i] || d.Blocks[i] != d2.Blocks[i] ||
-			d.TrainMask[i] != d2.TrainMask[i] || d.TestMask[i] != d2.TestMask[i] || d.ValMask[i] != d2.ValMask[i] {
-			t.Fatalf("per-node data lost at %d", i)
-		}
-	}
-	if err := d2.G.Validate(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestLoadNodeDatasetFileErrors(t *testing.T) {
-	dir := t.TempDir()
-	if _, err := LoadNodeDatasetFile(filepath.Join(dir, "missing.bin")); err == nil {
-		t.Fatal("missing file must error")
-	}
-	bad := filepath.Join(dir, "bad.bin")
-	if err := writeFile(bad, []byte("garbage garbage garbage")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadNodeDatasetFile(bad); err == nil {
-		t.Fatal("garbage must error")
-	}
-}
-
-// TestLoadNodeDatasetFileTruncated cuts a valid dataset file at every layout
-// boundary (and a few odd offsets): the loader must return an error — never
-// panic, never hand back a half-read dataset.
-func TestLoadNodeDatasetFileTruncated(t *testing.T) {
-	d := MakeNodeDataset(NodeDatasetConfig{
-		Name: "trunc", NumNodes: 64, NumBlocks: 4, NumClasses: 3,
-		FeatDim: 6, AvgDegIn: 5, AvgDegOut: 1, NoiseStd: 1, Seed: 9, Shuffle: true,
-	})
-	dir := t.TempDir()
-	full := filepath.Join(dir, "full.bin")
-	if err := SaveNodeDataset(full, d); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(full)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// inside the magic, mid-header, just after the name, inside each array,
-	// and one byte short of complete
-	cuts := []int{0, 2, 6, 11, 13 + len(d.Name), 40, 100, len(data) / 3, len(data) / 2, len(data) - 1}
-	for _, cut := range cuts {
-		if cut >= len(data) {
-			t.Fatalf("test bug: cut %d beyond file size %d", cut, len(data))
-		}
-		path := filepath.Join(dir, "trunc.bin")
-		if err := writeFile(path, data[:cut]); err != nil {
-			t.Fatal(err)
-		}
-		ds, err := LoadNodeDatasetFile(path)
-		if err == nil {
-			t.Fatalf("truncation at byte %d must error (got dataset with %d nodes)", cut, ds.G.N)
-		}
-	}
-	// untruncated control: still loads
-	if _, err := LoadNodeDatasetFile(full); err != nil {
-		t.Fatalf("control load failed: %v", err)
-	}
-}
-
-// TestLoadNodeDatasetFileVersionAndHeader covers the remaining header error
-// paths: future version numbers and absurd name lengths must be rejected.
-func TestLoadNodeDatasetFileVersionAndHeader(t *testing.T) {
-	d := MakeNodeDataset(NodeDatasetConfig{
-		Name: "hdr", NumNodes: 32, NumBlocks: 4, NumClasses: 2,
-		FeatDim: 4, AvgDegIn: 4, AvgDegOut: 1, NoiseStd: 1, Seed: 10,
-	})
-	dir := t.TempDir()
-	full := filepath.Join(dir, "full.bin")
-	if err := SaveNodeDataset(full, d); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(full)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	futureVersion := append([]byte(nil), data...)
-	binary.LittleEndian.PutUint32(futureVersion[4:], 999)
-	vpath := filepath.Join(dir, "version.bin")
-	if err := writeFile(vpath, futureVersion); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadNodeDatasetFile(vpath); err == nil {
-		t.Fatal("future version must error")
-	}
-
-	hugeName := append([]byte(nil), data...)
-	binary.LittleEndian.PutUint32(hugeName[8:], 1<<30)
-	npath := filepath.Join(dir, "name.bin")
-	if err := writeFile(npath, hugeName); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadNodeDatasetFile(npath); err == nil {
-		t.Fatal("absurd name length must error")
-	}
-}
-
-func writeFile(path string, data []byte) error {
-	return os.WriteFile(path, data, 0o644)
 }

@@ -93,13 +93,7 @@ func NewDistSeqParallel(t transport.Transport, replicas int, opts ExecOptions) (
 		return nil, err
 	}
 	d := &DistSeqParallel{P: p, R: replicas, t: t, sp: sp, dp: dp, world: transport.WorldGroup(t)}
-	d.u = &ulysses{p: p, rank: sp.Index(), a2a: func(parts []*tensor.Mat) []*tensor.Mat {
-		recv, err := sp.AllToAll(parts)
-		if err != nil {
-			panic(err)
-		}
-		return recv
-	}}
+	d.u = &ulysses{p: p, rank: sp.Index(), a2a: groupAllToAll(sp)}
 	d.chain = rowChain{t: t, prev: -1, next: -1}
 	me := sp.Index()
 	if me > 0 {

@@ -2,6 +2,7 @@ package model
 
 import (
 	"torchgt/internal/dist"
+	"torchgt/internal/dist/transport"
 	"torchgt/internal/nn"
 	"torchgt/internal/tensor"
 )
@@ -15,9 +16,10 @@ import (
 //     workspaces (Workers: 1 degrades to fully sequential execution). A nil
 //     *Runtime is itself a valid Plan: sequential, heap-allocated.
 //   - *SeqParallel — the simulated multi-GPU engine: P rank goroutines own
-//     S/P sequence rows each and reshard sequence↔heads through dist.Comm
-//     all-to-alls at every attention boundary (the DeepSpeed-Ulysses pattern
-//     behind the paper's Cluster-aware Graph Parallelism, §III-C).
+//     S/P sequence rows each and reshard sequence↔heads through
+//     transport.Group all-to-alls at every attention boundary (the
+//     DeepSpeed-Ulysses pattern behind the paper's Cluster-aware Graph
+//     Parallelism, §III-C).
 //   - *DistSeqParallel — the same layout between real processes: this
 //     process is one rank, runs every row-wise layer on its S/P rows only
 //     and reshards through a transport.Group.
@@ -96,25 +98,26 @@ func AsSeqParallel(p Plan) *SeqParallel {
 // (projections, norms, FFN, loss) are sequence-decomposable and run once
 // over the full sequence in the shared address space — bitwise identical to
 // computing each shard on its owning rank. At every attention boundary the
-// plan does what a real deployment does: two dist.Comm all-to-alls reshard
-// the projected q/k/v from sequence shards to worker-local heads over the
-// full sequence, each rank runs its heads' kernels with scratch drawn from
-// its own per-rank workspace, and two more all-to-alls reshard the outputs
-// back (8 all-to-alls per layer per fwd+bwd step, the Ulysses schedule).
+// plan does what a real deployment does: all-to-alls over its in-process
+// mesh (the same transport.Group collective the cross-process plan runs over
+// TCP) reshard the projected q/k/v from sequence shards to worker-local
+// heads over the full sequence, each rank runs its heads' kernels with
+// scratch drawn from its own per-rank workspace, and two more all-to-alls
+// reshard the outputs back (8 all-to-alls per layer per fwd+bwd step, the
+// Ulysses schedule).
 //
 // Training under this plan is pinned bitwise-equal to the serial trajectory
 // at every P: resharding only moves bytes, per-head kernels see exactly the
 // full-sequence inputs the serial path builds, and shard outputs are
 // assembled with the same zero-initialise-then-add ordering the serial
-// engine uses. SyncGradients performs the gradient all-reduce's exchange
-// round in fixed rank order (see its doc) so the simulation's traffic
-// accounting matches what the determinism argument requires of a real
-// cluster.
+// engine uses. The traffic it counts is the reshard alone: the ranks share
+// the one gradient the layers accumulate in serial order, so there is no
+// gradient exchange to make (DistSeqParallel is where ranks hold partials).
 type SeqParallel struct {
 	// P is the number of simulated ranks.
 	P int
 
-	comm   *dist.Comm
+	mesh   dist.Comm
 	ranks  []*ulysses        // one per rank: its reshard and its workspace
 	shared *tensor.Workspace // serial sections: residuals, concat, dq/dk/dv
 }
@@ -127,10 +130,10 @@ func NewSeqParallel(p int, opts ExecOptions) *SeqParallel {
 	if p < 1 {
 		p = 1
 	}
-	sp := &SeqParallel{P: p, comm: dist.NewComm(p)}
+	sp := &SeqParallel{P: p, mesh: transport.NewMem(p)}
 	sp.ranks = make([]*ulysses, p)
 	for r := range sp.ranks {
-		u := &ulysses{p: p, rank: r, a2a: func(parts []*tensor.Mat) []*tensor.Mat { return sp.comm.AllToAll(r, parts) }}
+		u := &ulysses{p: p, rank: r, a2a: groupAllToAll(transport.WorldGroup(sp.mesh[r]))}
 		if opts.PoolEnabled {
 			u.ws = tensor.NewWorkspace()
 		}
@@ -145,8 +148,8 @@ func NewSeqParallel(p int, opts ExecOptions) *SeqParallel {
 // Ranks implements Plan.
 func (p *SeqParallel) Ranks() int { return p.P }
 
-// Comm exposes the plan's collective communicator (traffic accounting).
-func (p *SeqParallel) Comm() *dist.Comm { return p.comm }
+// Comm exposes the plan's mesh (traffic accounting).
+func (p *SeqParallel) Comm() dist.Comm { return p.mesh }
 
 // StepReset implements Plan: returns every rank's buffers (and the serial
 // section's) to the shared pools. Safe only at step boundaries, once all
@@ -183,7 +186,7 @@ func (p *SeqParallel) finishBackward(nn.Module) {}
 // Shard reports the half-open row range [lo, hi) of a length-s sequence
 // owned by rank. Shards are ⌈s/P⌉ rows; when P does not divide s the tail
 // shard is short or empty (zero-row shards still participate in every
-// collective, which Comm supports).
+// collective, which transport.Group supports).
 func (p *SeqParallel) Shard(rank, s int) (lo, hi int) { return shardRows(p.P, rank, s) }
 
 // forwardHeads implements Plan: every rank goroutine takes its row shard of
@@ -195,7 +198,7 @@ func (p *SeqParallel) forwardHeads(m *MHA, q, k, v *tensor.Mat, spec *AttentionS
 	s := q.Rows
 	m.beginHeads(spec, s)
 	concat := p.shared.Get(s, m.Hidden)
-	err := dist.Run(p.comm, func(rank int) {
+	err := dist.Run(p.mesh, func(rank int) {
 		lo, hi := p.Shard(rank, s)
 		out := p.ranks[rank].forward(m, q.SliceRows(lo, hi), k.SliceRows(lo, hi), v.SliceRows(lo, hi), spec, s)
 		tensor.AddInPlace(concat.SliceRows(lo, hi), out)
@@ -215,7 +218,7 @@ func (p *SeqParallel) backwardHeads(m *MHA, dConcat *tensor.Mat) (dq, dk, dv *te
 	dq = p.shared.Get(s, m.Hidden)
 	dk = p.shared.Get(s, m.Hidden)
 	dv = p.shared.Get(s, m.Hidden)
-	err := dist.Run(p.comm, func(rank int) {
+	err := dist.Run(p.mesh, func(rank int) {
 		lo, hi := p.Shard(rank, s)
 		dqr, dkr, dvr := p.ranks[rank].backward(m, dConcat.SliceRows(lo, hi), s)
 		tensor.AddInPlace(dq.SliceRows(lo, hi), dqr)
@@ -228,33 +231,8 @@ func (p *SeqParallel) backwardHeads(m *MHA, dConcat *tensor.Mat) (dq, dk, dv *te
 	return dq, dk, dv
 }
 
-// SyncGradients runs the gradient-synchronisation collective that ends
-// every sequence-parallel optimiser step. In this shared-address-space
-// simulation each rank already holds the fully-reduced gradients — the
-// layers accumulate sequence reductions once, in serial order — so the
-// collective's job is the exchange round and its barrier semantics: every
-// rank all-gathers the flattened gradient vector, moving exactly the bytes
-// a P-replica deployment's all-reduce would move. A real deployment must
-// additionally sum the rank partials in fixed rank order (dist.Comm's
-// AllReduce does) to keep replicas bitwise identical; see DESIGN.md.
-func (p *SeqParallel) SyncGradients(params []*nn.Param) {
-	if p.P <= 1 {
-		return
-	}
-	n := 0
-	for _, pr := range params {
-		n += len(pr.Grad.Data)
-	}
-	flat := p.shared.GetUninit(1, n)
-	off := 0
-	for _, pr := range params {
-		copy(flat.Data[off:], pr.Grad.Data)
-		off += len(pr.Grad.Data)
-	}
-	if err := dist.Run(p.comm, func(rank int) {
-		p.comm.AllGather(rank, flat)
-	}); err != nil {
-		panic(err)
-	}
-	p.shared.Put(flat)
-}
+// SyncGradients closes an optimiser step, as on every multi-rank plan. Here
+// it has nothing to exchange: the ranks share one address space and the
+// layers accumulate each sequence reduction once, in serial order, so every
+// rank already holds the complete gradient.
+func (p *SeqParallel) SyncGradients([]*nn.Param) {}

@@ -3,6 +3,7 @@ package model
 import (
 	"testing"
 
+	"torchgt/internal/dist"
 	"torchgt/internal/nn"
 	"torchgt/internal/tensor"
 )
@@ -140,29 +141,32 @@ func TestSeqParallelRejectsIndivisibleHeads(t *testing.T) {
 	m.Forward(in, spec, true)
 }
 
-// TestSeqParallelSyncGradientsTraffic pins the gradient-sync accounting: one
-// all-gather round moves P·(P−1)·|grads| bytes and leaves gradients
-// untouched.
-func TestSeqParallelSyncGradientsTraffic(t *testing.T) {
-	const p = 4
-	sp := NewSeqParallel(p, ExecOptions{PoolEnabled: true})
-	params := []*nn.Param{nn.NewParam("a", 2, 3), nn.NewParam("b", 1, 5)}
-	for i, pr := range params {
-		pr.Grad.Fill(float32(i + 1))
-	}
-	before := []float32{params[0].Grad.Data[0], params[1].Grad.Data[0]}
-	sp.SyncGradients(params)
-	want := int64(p * (p - 1) * (2*3 + 1*5) * 4)
-	if got := sp.Comm().TotalBytes(); got != want {
-		t.Fatalf("sync traffic %d, want %d", got, want)
-	}
-	if params[0].Grad.Data[0] != before[0] || params[1].Grad.Data[0] != before[1] {
-		t.Fatal("SyncGradients must not mutate gradients")
-	}
-	// P=1 is collective-free.
-	sp1 := NewSeqParallel(1, ExecOptions{})
-	sp1.SyncGradients(params)
-	if sp1.Comm().TotalBytes() != 0 {
-		t.Fatal("P=1 must not communicate")
+// TestSeqParallelStepMovesReshardTerm ties measurement to model in one
+// assertion: when P divides S, one in-process optimiser step (forward,
+// backward, SyncGradients) moves, summed over the ranks, exactly P times the
+// per-rank reshard term of dist.ModelShape.SeqParCommBytes — the eight
+// all-to-alls per layer and nothing else. The ranks share one gradient, so
+// the chain and gather terms of the cross-process plan have no counterpart.
+func TestSeqParallelStepMovesReshardTerm(t *testing.T) {
+	const s = 24
+	for _, p := range []int{1, 2, 4} {
+		sp := NewSeqParallel(p, ExecOptions{PoolEnabled: true})
+		m, _, _ := seqparModel(7, 4, sp)
+		g := tinyGraph(13, s)
+		in, spec := tinyInputs(g, 6, 14), sparseSpec(g)
+		shape := dist.ModelShape{Layers: m.Cfg.Layers, Hidden: m.Cfg.Hidden, Heads: m.Cfg.Heads, OutDim: m.Cfg.OutDim}
+		reshard, _, _ := shape.SeqParCommBytes(s, p)
+		for step := 1; step <= 2; step++ {
+			logits := m.Forward(in, spec, true)
+			dl := tensor.New(logits.Rows, logits.Cols)
+			dl.Fill(0.25)
+			m.Backward(dl)
+			sp.SyncGradients(m.Params())
+			nn.ZeroGrads(m.Params())
+			sp.StepReset()
+			if got, want := sp.Comm().TotalBytes(), int64(step*p)*int64(reshard); got != want {
+				t.Fatalf("P=%d: %d steps moved %d bytes, the model's reshard term gives %d", p, step, got, want)
+			}
+		}
 	}
 }

@@ -3,6 +3,7 @@ package model
 import (
 	"fmt"
 
+	"torchgt/internal/dist/transport"
 	"torchgt/internal/tensor"
 )
 
@@ -24,8 +25,8 @@ func shardRows(p, rank, s int) (lo, hi int) {
 // rank runs those heads' kernels, and a fourth all-to-all brings its rows of
 // every head's output back (mirrored in backward: eight all-to-alls per layer
 // per step, each moving ⌈S/P⌉·Hidden·(P−1)/P floats off the rank). The plans
-// differ only in what carries the all-to-all: dist.Comm between goroutines
-// for SeqParallel, a transport.Group between processes for DistSeqParallel.
+// differ only in the transport under the all-to-all's Group: the in-process
+// mesh for SeqParallel, the job's transport for DistSeqParallel.
 //
 // Resharding only moves values, the kernels see exactly the full-sequence
 // per-head inputs the serial engine builds, and every assembly is a copy or
@@ -37,6 +38,17 @@ type ulysses struct {
 	// by source; it panics when a rank is lost. Received parts are read-only.
 	a2a func(parts []*tensor.Mat) []*tensor.Mat
 	ws  *tensor.Workspace // this rank's scratch; nil: heap
+}
+
+// groupAllToAll is the a2a of a rank whose sequence-parallel group is g.
+func groupAllToAll(g *transport.Group) func([]*tensor.Mat) []*tensor.Mat {
+	return func(parts []*tensor.Mat) []*tensor.Mat {
+		recv, err := g.AllToAll(parts)
+		if err != nil {
+			panic(err)
+		}
+		return recv
+	}
 }
 
 func (u *ulysses) headsPerRank(m *MHA) int {

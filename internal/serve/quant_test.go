@@ -1,11 +1,13 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"torchgt/internal/nn"
@@ -197,54 +199,27 @@ func TestQuantSnapshotSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSnapshotV1BackCompat hand-writes a version-1 snapshot file (bare
-// config header, float32 checkpoint blob) and checks it still loads.
-func TestSnapshotV1BackCompat(t *testing.T) {
+// TestSnapshotRejectsVersion1 hand-writes a version-1 snapshot file (bare
+// config header, float32 checkpoint blob) and checks it is refused with a
+// descriptive error.
+func TestSnapshotRejectsVersion1(t *testing.T) {
 	ds := testDataset(64, 41)
 	snap := testSnapshot(t, ds, 42)
-	path := filepath.Join(t.TempDir(), "v1.snap")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
 	hdr, err := json.Marshal(snap.cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	var v1 bytes.Buffer
 	for _, v := range []uint32{snapshotMagic, 1, uint32(len(hdr))} {
-		if err := binary.Write(f, binary.LittleEndian, v); err != nil {
+		if err := binary.Write(&v1, binary.LittleEndian, v); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := f.Write(hdr); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Write(snap.blob); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := LoadSnapshot(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded.Quant() != QuantNone {
-		t.Fatalf("v1 snapshot quant = %v, want none", loaded.Quant())
-	}
-	m0, err := snap.Materialize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	m1, err := loaded.Materialize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ps0, ps1 := m0.Params(), m1.Params()
-	for i := range ps0 {
-		if !bitsEqual(ps0[i].W.Data, ps1[i].W.Data) {
-			t.Fatalf("%s: weights differ after v1 load", ps0[i].Name)
-		}
+	v1.Write(hdr)
+	v1.Write(snap.blob)
+	_, err = ReadSnapshot(&v1)
+	if err == nil || !strings.Contains(err.Error(), "unsupported snapshot version 1") {
+		t.Fatalf("version-1 snapshot must be refused by version, got %v", err)
 	}
 }
 

@@ -66,18 +66,15 @@ func (s *Snapshot) Materialize() (*model.GraphTransformer, error) {
 	return m, nil
 }
 
-// Snapshot file format: magic, version, a length-prefixed JSON header, then
-// the parameter blob. Version 1 headers are the bare model configuration
-// (always float32 weights); version 2 wraps the configuration together with
-// the quantization mode. Save always writes version 2; LoadSnapshot reads
-// both.
+// Snapshot file format: magic, version, a length-prefixed JSON header (the
+// model configuration and the quantization mode), then the parameter blob.
 const (
 	snapshotMagic   = 0x74475376 // "tGSv"
 	snapshotVersion = 2
 	maxConfigBytes  = 1 << 16
 )
 
-// snapshotHeader is the version-2 JSON header.
+// snapshotHeader is the JSON header.
 type snapshotHeader struct {
 	Config model.Config `json:"config"`
 	Quant  string       `json:"quant"`
@@ -137,8 +134,8 @@ func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 	if magic != snapshotMagic {
 		return nil, fmt.Errorf("serve: not a snapshot stream")
 	}
-	if version != 1 && version != snapshotVersion {
-		return nil, fmt.Errorf("serve: unsupported snapshot version %d", version)
+	if version != snapshotVersion {
+		return nil, fmt.Errorf("serve: unsupported snapshot version %d (this build reads and writes version %d only); freeze the model again to write a current snapshot", version, snapshotVersion)
 	}
 	if hdrLen == 0 || hdrLen > maxConfigBytes {
 		return nil, fmt.Errorf("serve: corrupt snapshot header (%d bytes)", hdrLen)
@@ -147,24 +144,15 @@ func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 	if _, err := io.ReadFull(br, hdr); err != nil {
 		return nil, fmt.Errorf("serve: corrupt snapshot: %w", err)
 	}
-	var err error
-	s := &Snapshot{}
-	if version == 1 {
-		// v1: bare config JSON, always float32 weights
-		if err := json.Unmarshal(hdr, &s.cfg); err != nil {
-			return nil, fmt.Errorf("serve: corrupt snapshot config: %w", err)
-		}
-	} else {
-		var h snapshotHeader
-		if err := json.Unmarshal(hdr, &h); err != nil {
-			return nil, fmt.Errorf("serve: corrupt snapshot header: %w", err)
-		}
-		q, err := ParseQuant(h.Quant)
-		if err != nil {
-			return nil, fmt.Errorf("serve: corrupt snapshot header: %w", err)
-		}
-		s.cfg, s.quant = h.Config, q
+	var h snapshotHeader
+	if err := json.Unmarshal(hdr, &h); err != nil {
+		return nil, fmt.Errorf("serve: corrupt snapshot header: %w", err)
 	}
+	q, err := ParseQuant(h.Quant)
+	if err != nil {
+		return nil, fmt.Errorf("serve: corrupt snapshot header: %w", err)
+	}
+	s := &Snapshot{cfg: h.Config, quant: q}
 	if s.blob, err = io.ReadAll(br); err != nil {
 		return nil, err
 	}

@@ -34,13 +34,6 @@ import (
 // accumulators; Resume seeks the RNG to the epoch start, replays BeginEpoch
 // (re-drawing the identical shuffle) and restores the accumulators, leaving
 // every stream exactly where the uninterrupted run had it.
-// Version history:
-//
-//	1: the original format.
-//	2: the training config records the dataset spec (Config.DataSpec) so
-//	   resume can re-open the data. The JSON meta is self-describing, so
-//	   version-1 files still load — DataSpec comes back empty and
-//	   spec-based resume reports that descriptively.
 const (
 	checkpointMagic   = 0x74474350 // "tGCP"
 	checkpointVersion = 2
@@ -224,8 +217,8 @@ func readCheckpoint(path string) (*checkpointMeta, []byte, []byte, error) {
 	if magic != checkpointMagic {
 		return nil, nil, nil, fmt.Errorf("train: %s is not a training checkpoint (magic %#x)", path, magic)
 	}
-	if version == 0 || version > checkpointVersion {
-		return nil, nil, nil, fmt.Errorf("train: unsupported checkpoint version %d (have %d)", version, checkpointVersion)
+	if version != checkpointVersion {
+		return nil, nil, nil, fmt.Errorf("train: unsupported checkpoint version %d in %s (this build reads and writes version %d only); retrain to write a current checkpoint", version, path, checkpointVersion)
 	}
 	if metaLen == 0 || metaLen > maxMetaBytes {
 		return nil, nil, nil, fmt.Errorf("train: corrupt checkpoint header (%d bytes)", metaLen)

@@ -10,8 +10,8 @@ import (
 // node-, graph-level and sequence-sampled regimes are adapters over one Loop
 // engine (see loop.go), so they share this struct: each task reads the fields
 // that apply to it and ignores the rest. Zero values pick the defaults below
-// — withDefaults is the ONLY place defaults live; the public TrainOptions
-// mapping in package torchgt passes fields through raw.
+// — withDefaults is the ONLY place defaults live; the public Session options
+// in package torchgt set fields raw.
 type Config struct {
 	Method Method
 	// Epochs is the number of training epochs (default 20).
@@ -66,9 +66,9 @@ type Config struct {
 	// in checkpoints and fixed across resume.
 	SeqParallel int
 	// DataSpec is the canonical dataset spec the task was built from ("",
-	// for in-memory datasets). Recorded in checkpoints since format v2 so
-	// resume can re-open the data instead of requiring the caller to
-	// rebuild it; the engine never opens it itself.
+	// for in-memory datasets). Recorded in checkpoints so resume can re-open
+	// the data instead of requiring the caller to rebuild it; the engine
+	// never opens it itself.
 	DataSpec string
 }
 

@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"torchgt/internal/model"
@@ -60,13 +61,12 @@ func downgradeToV1(t *testing.T, path string) string {
 	return v1
 }
 
-// TestResumeVersion1Checkpoint covers the format migration: a checkpoint
-// written before the DataSpec bump (version 1, no DataSpec key) still
-// resumes, and the resumed run stays bitwise-identical to the
-// uninterrupted one.
-func TestResumeVersion1Checkpoint(t *testing.T) {
+// TestResumeRejectsOtherVersions: a checkpoint written before the DataSpec
+// bump (version 1, no DataSpec key) and one from a future build are both
+// refused with a descriptive error, by the header read and by Resume.
+func TestResumeRejectsOtherVersions(t *testing.T) {
 	ds := smallNodeDataset(91)
-	cfg := Config{Method: GPFlash, Epochs: 6, LR: 2e-3, Seed: 92}
+	cfg := Config{Method: GPFlash, Epochs: 3, LR: 2e-3, Seed: 92}
 	mcfg := model.GraphormerSlim(12, 4, 93)
 	mcfg.Layers = 1
 	mcfg.Heads = 2
@@ -74,33 +74,18 @@ func TestResumeVersion1Checkpoint(t *testing.T) {
 	dir := t.TempDir()
 	tr := NewNodeTrainer(cfg, mcfg, ds)
 	full := NewLoop(tr, tr.Model, cfg)
-	full.CheckpointEvery = 3
-	full.CheckpointDir = dir
-	fullRes, err := full.Run(context.Background())
-	if err != nil {
+	if _, err := full.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-
-	v1 := downgradeToV1(t, filepath.Join(dir, "epoch-00003.ckpt"))
-	kind, rcfg, _, err := ReadCheckpointInfo(v1)
-	if err != nil {
-		t.Fatalf("v1 header read: %v", err)
-	}
-	if kind != TaskNode || rcfg.DataSpec != "" {
-		t.Fatalf("v1 header: kind %q spec %q", kind, rcfg.DataSpec)
-	}
-	resumed, err := Resume(v1, bindFor(ds, nil))
-	if err != nil {
-		t.Fatalf("v1 checkpoint must resume: %v", err)
-	}
-	resRes, err := resumed.Run(context.Background())
-	if err != nil {
+	current := filepath.Join(dir, "current.ckpt")
+	if err := full.Checkpoint(current); err != nil {
 		t.Fatal(err)
 	}
-	assertSameWeights(t, full.Model(), resumed.Model())
-	assertSameCurve(t, fullRes.Curve, resRes.Curve)
+	if _, err := Resume(current, bindFor(ds, nil)); err != nil {
+		t.Fatalf("control: the current version must resume: %v", err)
+	}
 
-	// versions above the current one still fail
+	v1 := downgradeToV1(t, current)
 	raw, err := os.ReadFile(v1)
 	if err != nil {
 		t.Fatal(err)
@@ -110,7 +95,12 @@ func TestResumeVersion1Checkpoint(t *testing.T) {
 	if err := os.WriteFile(future, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Resume(future, bindFor(ds, nil)); err == nil {
-		t.Fatal("future version must error")
+	for _, path := range []string{v1, future} {
+		if _, _, _, err := ReadCheckpointInfo(path); err == nil || !strings.Contains(err.Error(), "unsupported checkpoint version") {
+			t.Fatalf("%s: header read must name the unsupported version, got %v", path, err)
+		}
+		if _, err := Resume(path, bindFor(ds, nil)); err == nil || !strings.Contains(err.Error(), "unsupported checkpoint version") {
+			t.Fatalf("%s: resume must name the unsupported version, got %v", path, err)
+		}
 	}
 }

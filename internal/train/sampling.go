@@ -150,9 +150,8 @@ func (tr *EgoTrainer) step(pipe *sample.Pipeline, targets []int32, opt *nn.Adam)
 
 // Run trains over all train-mask targets each epoch and evaluates on a
 // sample of test nodes. Invalid configurations (nil or mismatched dataset,
-// no training nodes) are reported as errors rather than panics, and
-// callers — TrainNodeEgo included — propagate them. On disk-resident
-// sources, I/O failures surface between batches as errors.
+// no training nodes) are reported as errors rather than panics. On
+// disk-resident sources, I/O failures surface between batches as errors.
 func (tr *EgoTrainer) Run() (*Result, error) {
 	if err := tr.validate(); err != nil {
 		return nil, err

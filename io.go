@@ -1,7 +1,6 @@
 package torchgt
 
 import (
-	"torchgt/internal/graph"
 	"torchgt/internal/nn"
 	"torchgt/internal/train"
 )
@@ -17,51 +16,21 @@ func LoadModel(path string, m *GraphTransformer) error {
 	return nn.LoadCheckpoint(path, m)
 }
 
-// SaveNodeDataset serialises a node dataset to a binary file for reuse (or
-// for converted real-world data).
-func SaveNodeDataset(path string, ds *NodeDataset) error {
-	return graph.SaveNodeDataset(path, ds)
-}
+// EgoConfig tunes ego-sampled training (epochs, LR, ego-graph size and
+// radius, targets per step, seed, sampling workers); zero values pick the
+// defaults.
+type EgoConfig = train.EgoConfig
 
-// LoadNodeDatasetFile reads a dataset written by SaveNodeDataset.
-func LoadNodeDatasetFile(path string) (*NodeDataset, error) {
-	return graph.LoadNodeDatasetFile(path)
-}
-
-// TrainNodeEgo trains node classification with ego-graph sampling (the
+// TrainNodeEgoSource trains node classification with ego-graph sampling (the
 // Gophormer/NAGphormer baseline family the paper contrasts with
-// long-sequence training in §II-C). opts.SeqLen bounds the ego-graph size.
-// Invalid inputs (nil or mismatched dataset, no training nodes) surface as
-// errors.
-//
-// Frozen compatibility wrapper (defaults resolve in train.EgoConfig).
-func TrainNodeEgo(cfg ModelConfig, ds *NodeDataset, opts TrainOptions) (*Result, error) {
-	maxSize := opts.SeqLen
-	if maxSize <= 0 {
-		maxSize = 32
-	}
-	tr := train.NewEgoTrainer(train.EgoConfig{
-		Epochs: opts.Epochs, LR: opts.LR, MaxSize: maxSize,
-		Batch: opts.BatchSize, Seed: opts.Seed,
-	}, cfg, ds)
-	return tr.Run()
-}
-
-// TrainNodeEgoSource is TrainNodeEgo over any node source. Disk-resident
-// shard:// views train without materialising the graph: each step touches
-// only the sampled ego contexts, read through the view's bounded block
-// cache, so the memory footprint is the cache budget, not the dataset size.
-// workers sets the sampling-pipeline parallelism (≤ 1 samples synchronously);
-// the trajectory is bitwise-identical for every worker count and every
-// backing of the same dataset, under the same seed.
-func TrainNodeEgoSource(cfg ModelConfig, src NodeSource, opts TrainOptions, workers int) (*Result, error) {
-	maxSize := opts.SeqLen
-	if maxSize <= 0 {
-		maxSize = 32
-	}
-	tr := train.NewEgoTrainerSource(train.EgoConfig{
-		Epochs: opts.Epochs, LR: opts.LR, MaxSize: maxSize,
-		Batch: opts.BatchSize, Seed: opts.Seed, Workers: workers,
-	}, cfg, src)
-	return tr.Run()
+// long-sequence training in §II-C) over any node source; wrap an in-memory
+// dataset with (&Dataset{Node: ds}).Source(). Disk-resident shard:// views
+// train without materialising the graph: each step touches only the sampled
+// ego contexts, read through the view's bounded block cache, so the memory
+// footprint is the cache budget, not the dataset size. The trajectory is
+// bitwise-identical for every ego.Workers count and every backing of the
+// same dataset, under the same seed. Invalid inputs (nil or mismatched
+// source, no training nodes) surface as errors.
+func TrainNodeEgoSource(cfg ModelConfig, src NodeSource, ego EgoConfig) (*Result, error) {
+	return train.NewEgoTrainerSource(ego, cfg, src).Run()
 }

@@ -2,20 +2,15 @@ package torchgt
 
 import (
 	"torchgt/internal/encoding"
-	"torchgt/internal/graph"
 	"torchgt/internal/model"
 	"torchgt/internal/sparse"
 )
 
-// AttentionSpec selects the attention kernel for custom training loops and
-// the distributed trainer.
+// AttentionSpec selects the attention kernel for custom training loops.
 type AttentionSpec = model.AttentionSpec
 
 // Pattern is a sparse attention pattern over token positions.
 type Pattern = sparse.Pattern
-
-// patternFrom builds the self-loop-augmented topology pattern of a graph.
-func patternFrom(g *graph.Graph) *Pattern { return sparse.FromGraph(g) }
 
 // Attention modes for AttentionSpec.
 const (
@@ -39,7 +34,7 @@ func NewGraphTransformer(cfg ModelConfig) *GraphTransformer {
 }
 
 // NodeInputs assembles model inputs (features + degree-bucket encodings) for
-// a node dataset, for use with custom loops and the distributed trainer.
+// a node dataset, for use with custom loops.
 func NodeInputs(ds *NodeDataset) *Inputs {
 	degIn, degOut := encoding.DegreeBuckets(ds.G, encoding.MaxDegreeBucket)
 	return &Inputs{X: ds.X, DegInIdx: degIn, DegOutIdx: degOut}

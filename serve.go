@@ -1,7 +1,6 @@
 package torchgt
 
 import (
-	"context"
 	"errors"
 	"io"
 	"time"
@@ -108,28 +107,6 @@ type ServeLoadPoint = serve.LoadPoint
 // throughput and p50/p99 latency.
 func RunServeLoad(s *Server, nodes []int32, rps float64, dur time.Duration) ServeLoadPoint {
 	return serve.RunLoad(s, nodes, rps, dur)
-}
-
-// TrainNodeSnapshot trains like TrainNode and additionally freezes the
-// trained weights into a serving snapshot — the one-call path from data to a
-// servable model.
-//
-// Frozen compatibility wrapper over Session — equivalent to running a
-// NodeTask session and freezing s.Model().
-func TrainNodeSnapshot(method Method, cfg ModelConfig, ds *NodeDataset, opts TrainOptions) (*Result, *Snapshot, error) {
-	s, err := opts.session(method, cfg, NodeTask(ds))
-	if err != nil {
-		return nil, nil, err
-	}
-	res, err := s.Run(context.Background())
-	if err != nil {
-		return nil, nil, err
-	}
-	snap, err := serve.Freeze(s.Model())
-	if err != nil {
-		return nil, nil, err
-	}
-	return res, snap, nil
 }
 
 // Serving control plane: a Registry holds named models with published,

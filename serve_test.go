@@ -8,19 +8,24 @@ import (
 	"time"
 )
 
+// trainSnapshot trains a TorchGT node session and freezes its model.
+func trainSnapshot(t *testing.T, cfg ModelConfig, ds *NodeDataset, epochs int, seed int64) (*Result, *Snapshot) {
+	t.Helper()
+	s, res := runSession(t, MethodTorchGT, cfg, NodeTask(ds), WithEpochs(epochs), WithSeed(seed))
+	snap, err := Freeze(s.Model())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res, snap
+}
+
 // TestPublicServing exercises the full public path: train → freeze →
 // snapshot file round trip → serve → deterministic predictions.
 func TestPublicServing(t *testing.T) {
-	ds, err := LoadNodeDataset("arxiv-sim", 256, 61)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ds := loadNode(t, "arxiv-sim", 256, 61)
 	cfg := GraphormerSlim(ds.X.Cols, ds.NumClasses, 62)
 	cfg.Layers = 2
-	res, snap, err := TrainNodeSnapshot(MethodTorchGT, cfg, ds, TrainOptions{Epochs: 3, Seed: 63})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res, snap := trainSnapshot(t, cfg, ds, 3, 63)
 	if len(res.Curve) != 3 {
 		t.Fatal("training did not run")
 	}
@@ -76,20 +81,11 @@ func TestPublicServing(t *testing.T) {
 // TestPublicControlPlane exercises the registry through the public surface:
 // register → publish two versions → swap → predict → shed semantics → stats.
 func TestPublicControlPlane(t *testing.T) {
-	ds, err := LoadNodeDataset("arxiv-sim", 192, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ds := loadNode(t, "arxiv-sim", 192, 64)
 	cfg := GraphormerSlim(ds.X.Cols, ds.NumClasses, 65)
 	cfg.Layers = 2
-	_, v1, err := TrainNodeSnapshot(MethodTorchGT, cfg, ds, TrainOptions{Epochs: 1, Seed: 66})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, v2, err := TrainNodeSnapshot(MethodTorchGT, cfg, ds, TrainOptions{Epochs: 2, Seed: 66})
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, v1 := trainSnapshot(t, cfg, ds, 1, 66)
+	_, v2 := trainSnapshot(t, cfg, ds, 2, 66)
 
 	r := NewServeRegistry(0)
 	defer r.Close()

@@ -26,10 +26,6 @@ import (
 // session emits typed events — per-epoch metrics, Auto Tuner β decisions,
 // dual-interleave phase switches, checkpoint writes, early stops — to the
 // configured sinks.
-//
-// The legacy entry points (TrainNode, TrainGraphLevel, TrainNodeSeq,
-// TrainNodeSnapshot, TrainNodeEgo) are frozen compatibility wrappers; new
-// code should construct Sessions.
 type Session struct {
 	loop    *train.Loop
 	graphTr *train.GraphTrainer // non-nil for graph-level tasks (EvalMAE)
@@ -64,16 +60,15 @@ type TaskSpec struct {
 	spec string // canonical dataset spec ("" for in-memory datasets)
 }
 
-// NodeTask trains node classification over the full graph sequence (the
-// TrainNode regime).
+// NodeTask trains node classification over the full graph sequence.
 func NodeTask(ds *NodeDataset) TaskSpec { return TaskSpec{kind: train.TaskNode, node: ds} }
 
-// GraphLevelTask trains on a graph-level dataset (the TrainGraphLevel
-// regime).
+// GraphLevelTask trains on a graph-level dataset (classification or
+// regression; Session.EvalMAE reports the regression headline metric).
 func GraphLevelTask(ds *GraphDataset) TaskSpec { return TaskSpec{kind: train.TaskGraph, gds: ds} }
 
 // NodeSeqTask trains node classification with mini-batched sampled
-// sequences (the TrainNodeSeq regime); set the length with WithSeqLen.
+// sequences (the Fig. 1 regime); set the length with WithSeqLen.
 func NodeSeqTask(ds *NodeDataset) TaskSpec { return TaskSpec{kind: train.TaskSeq, node: ds} }
 
 // sessionSettings accumulates functional options before the engine is built.
@@ -113,8 +108,7 @@ func WithExec(e ExecOptions) SessionOption {
 // plan of p ranks: every rank owns S/p sequence rows, attention reshards
 // sequence↔heads through channel all-to-alls at each layer (the
 // DeepSpeed-Ulysses schedule behind the paper's Cluster-aware Graph
-// Parallelism), and each optimiser step ends with the fixed-order gradient
-// synchronisation collective. The training trajectory is bitwise identical
+// Parallelism). The training trajectory is bitwise identical
 // to the serial plan at every p — sequence parallelism composes with Adam,
 // LR schedules, the beta tuner, dense↔cluster-sparse interleaving, typed
 // events and checkpoint/resume without changing a single number.
@@ -199,12 +193,6 @@ func WithEventChannel(ch chan<- Event) SessionOption {
 		default:
 		}
 	})
-}
-
-// withConfig seeds the whole config at once (the TrainOptions compatibility
-// path).
-func withConfig(cfg train.Config) SessionOption {
-	return func(s *sessionSettings) { s.cfg = cfg }
 }
 
 // NewSession builds a training session for the given method, model
@@ -314,9 +302,9 @@ func (s *Session) Epoch() int { return s.loop.Epoch() }
 func (s *Session) Model() *GraphTransformer { return s.loop.Model() }
 
 // CommBytes reports the collective-communication traffic of a parallel
-// session so far (resharding all-to-alls plus gradient synchronisation):
-// all ranks' simulated traffic for an in-process sequence-parallel session,
-// this rank's transport payload bytes for a distributed one, 0 under the
+// session so far: all ranks' resharding all-to-alls for an in-process
+// sequence-parallel session, this rank's transport payload bytes (reshards,
+// gradient chain, logits gather) for a distributed one, 0 under the
 // single-device plan.
 func (s *Session) CommBytes() int64 {
 	if sp := model.AsSeqParallel(s.loop.Model().Plan()); sp != nil {

@@ -12,11 +12,7 @@ import (
 
 func sessionNodeDS(t *testing.T, n int, seed int64) *NodeDataset {
 	t.Helper()
-	ds, err := LoadNodeDataset("arxiv-sim", n, seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return ds
+	return loadNode(t, "arxiv-sim", n, seed)
 }
 
 func weightsEqual(t *testing.T, a, b *GraphTransformer) {
@@ -39,10 +35,7 @@ func weightsEqual(t *testing.T, a, b *GraphTransformer) {
 // fresh session, and require bitwise-identical weights and curve.
 func TestSessionResumePublic(t *testing.T) {
 	nds := sessionNodeDS(t, 192, 71)
-	gds, err := LoadGraphDataset("zinc-sim", 72)
-	if err != nil {
-		t.Fatal(err)
-	}
+	gds := loadGraphLevel(t, "zinc-sim", 72)
 	gds.Graphs = gds.Graphs[:40]
 	gds.Feats = gds.Feats[:40]
 	gds.Targets = gds.Targets[:40]
@@ -247,10 +240,7 @@ func TestSessionValidation(t *testing.T) {
 	if _, err := ResumeSession(path, NodeTask(other)); err != nil {
 		t.Fatalf("compatible dataset must resume: %v", err)
 	}
-	smaller, err := LoadNodeDataset("flickr-sim", 128, 99)
-	if err != nil {
-		t.Fatal(err)
-	}
+	smaller := loadNode(t, "flickr-sim", 128, 99)
 	if smaller.X.Cols != ds.X.Cols {
 		if _, err := ResumeSession(path, NodeTask(smaller)); err == nil {
 			t.Fatal("mismatched dataset must fail to resume")

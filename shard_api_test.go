@@ -10,10 +10,7 @@ import (
 // disk-resident, check I/O accounting, train with ego sampling and serve —
 // everything bitwise-consistent with the in-memory arrays.
 func TestShardPublicSurface(t *testing.T) {
-	ds, err := LoadNodeDataset("arxiv-sim", 220, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ds := loadNode(t, "arxiv-sim", 220, 5)
 	dir := filepath.Join(t.TempDir(), "shards")
 	man, err := ShardNodeDataset(dir, ds, 3)
 	if err != nil {
@@ -73,12 +70,13 @@ func TestShardPublicSurface(t *testing.T) {
 	cfg := GraphormerSlim(ds.X.Cols, ds.NumClasses, 6)
 	cfg.Layers = 1
 	cfg.Heads = 2
-	opts := TrainOptions{Epochs: 1, Seed: 7, SeqLen: 12, BatchSize: 16}
-	memRes, err := TrainNodeEgoSource(cfg, (&Dataset{Node: ds}).Source(), opts, 0)
+	ego := EgoConfig{Epochs: 1, Seed: 7, MaxSize: 12, Batch: 16}
+	memRes, err := TrainNodeEgoSource(cfg, (&Dataset{Node: ds}).Source(), ego)
 	if err != nil {
 		t.Fatalf("TrainNodeEgoSource(memory): %v", err)
 	}
-	shardRes, err := TrainNodeEgoSource(cfg, src, opts, 4)
+	ego.Workers = 4
+	shardRes, err := TrainNodeEgoSource(cfg, src, ego)
 	if err != nil {
 		t.Fatalf("TrainNodeEgoSource(shard): %v", err)
 	}

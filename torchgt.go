@@ -8,29 +8,24 @@
 //
 // Quick start (Session API — cancellable, observable, resumable):
 //
-//	ds, _ := torchgt.LoadNodeDataset("arxiv-sim", 2048, 1)
+//	d, _ := torchgt.OpenDataset("synth://arxiv-sim?nodes=2048&seed=1")
+//	ds := d.Node
 //	cfg := torchgt.GraphormerSlim(ds.X.Cols, ds.NumClasses, 1)
 //	s, _ := torchgt.NewSession(torchgt.MethodTorchGT, cfg, torchgt.NodeTask(ds),
 //		torchgt.WithEpochs(20))
 //	res, _ := s.Run(context.Background())
 //	fmt.Println(res.FinalTestAcc)
-//
-// The one-call wrappers (TrainNode, TrainGraphLevel, TrainNodeSeq) remain as
-// frozen compatibility shims over Session.
 package torchgt
 
 import (
 	"context"
 	"fmt"
 	"io"
-	"strconv"
 
 	"torchgt/internal/bench"
-	"torchgt/internal/data"
 	"torchgt/internal/dist"
 	"torchgt/internal/graph"
 	"torchgt/internal/model"
-	"torchgt/internal/nn"
 	"torchgt/internal/train"
 )
 
@@ -63,11 +58,6 @@ const (
 	MethodTorchGT     = train.TorchGT
 	MethodTorchGTBF16 = train.TorchGTBF16
 	MethodNodeFormer  = train.NodeFormerKernel
-
-	// MethodTorchGTBF6 is a misspelling kept for compatibility.
-	//
-	// Deprecated: use MethodTorchGTBF16.
-	MethodTorchGTBF6 = train.TorchGTBF16
 )
 
 // ExecOptions tunes the runtime execution engine: head-level parallelism
@@ -99,44 +89,6 @@ func NodeDatasetNames() []string { return graph.NodeDatasetNames() }
 // GraphDatasetNames lists the available synthetic graph-level datasets.
 func GraphDatasetNames() []string { return graph.GraphLevelDatasetNames() }
 
-// LoadNodeDataset builds a synthetic node-level dataset; numNodes = 0 keeps
-// the preset size (see DESIGN.md for the Table III mapping).
-//
-// Frozen compatibility wrapper over the provider registry — equivalent to
-// OpenDataset("synth://name?nodes=N&seed=S") and bitwise-identical to the
-// pre-registry loader for every preset/seed (pinned by test).
-func LoadNodeDataset(name string, numNodes int, seed int64) (*NodeDataset, error) {
-	sp := DatasetSpec{Scheme: "synth", Name: name, Seed: seed, Params: map[string]string{}}
-	if numNodes > 0 {
-		sp.Params["nodes"] = strconv.Itoa(numNodes)
-	}
-	d, err := data.Open(sp)
-	if err != nil {
-		return nil, err
-	}
-	if d.Node == nil {
-		return nil, fmt.Errorf("torchgt: %q is a graph-level dataset (use LoadGraphDataset)", name)
-	}
-	return d.Node, nil
-}
-
-// LoadGraphDataset builds a synthetic graph-level dataset (zinc-sim,
-// molpcba-sim, malnet-sim).
-//
-// Frozen compatibility wrapper over the provider registry — equivalent to
-// OpenDataset("synth://name?seed=S") and bitwise-identical to the
-// pre-registry loader for every preset/seed (pinned by test).
-func LoadGraphDataset(name string, seed int64) (*GraphDataset, error) {
-	d, err := data.Open(DatasetSpec{Scheme: "synth", Name: name, Seed: seed})
-	if err != nil {
-		return nil, err
-	}
-	if d.Graph == nil {
-		return nil, fmt.Errorf("torchgt: %q is a node-level dataset (use LoadNodeDataset)", name)
-	}
-	return d.Graph, nil
-}
-
 // Model presets (Table IV).
 var (
 	// GraphormerSlim is GPH-Slim: 4 layers, hidden 64, 8 heads.
@@ -150,154 +102,6 @@ var (
 	// NodeFormerLite is a linear-attention transformer configuration.
 	NodeFormerLite = model.NodeFormerLite
 )
-
-// TrainOptions tunes a training run; zero values pick sensible defaults.
-// Defaults are resolved in one place (the shared train.Config), so this
-// struct passes fields through raw.
-//
-// TrainOptions belongs to the frozen compatibility surface; new code should
-// use NewSession with functional options instead.
-type TrainOptions struct {
-	Epochs    int
-	LR        float64
-	Seed      int64
-	Interval  int     // dual-interleave period (TorchGT)
-	ClusterK  int     // cluster dimensionality k (TorchGT)
-	Db        int     // sub-block size (TorchGT)
-	FixedBeta float64 // pin βthre (requires UseFixedBeta)
-	// UseFixedBeta interprets FixedBeta (otherwise the Auto Tuner runs).
-	UseFixedBeta bool
-	BatchSize    int // graph-level batch
-	SeqLen       int // mini-batched node-level sequence length
-	// Exec overrides the execution engine (head-parallel workers, workspace
-	// pooling); nil keeps the pooled, fully-parallel default.
-	Exec *ExecOptions
-}
-
-// config is the single TrainOptions→train.Config mapping shared by every
-// compatibility wrapper, so the paths cannot drift.
-func (o TrainOptions) config(method Method) train.Config {
-	return train.Config{
-		Method: method, Epochs: o.Epochs, LR: o.LR, Seed: o.Seed,
-		Interval: o.Interval, ClusterK: o.ClusterK, Db: o.Db,
-		FixedBeta: o.FixedBeta, UseFixedBeta: o.UseFixedBeta,
-		BatchSize: o.BatchSize, SeqLen: o.SeqLen, Exec: o.Exec,
-	}
-}
-
-// session builds the Session behind a compatibility wrapper.
-func (o TrainOptions) session(method Method, cfg ModelConfig, task TaskSpec) (*Session, error) {
-	return NewSession(method, cfg, task, withConfig(o.config(method)))
-}
-
-// TrainNode trains a graph transformer for node classification with the
-// given method over the full graph sequence.
-//
-// Frozen compatibility wrapper over Session — equivalent to
-// NewSession(method, cfg, NodeTask(ds), …).Run(context.Background()).
-func TrainNode(method Method, cfg ModelConfig, ds *NodeDataset, opts TrainOptions) (*Result, error) {
-	s, err := opts.session(method, cfg, NodeTask(ds))
-	if err != nil {
-		return nil, err
-	}
-	return s.Run(context.Background())
-}
-
-// TrainGraphLevel trains on a graph-level dataset (classification or
-// regression). For regression, Result accuracies hold −MAE; use the returned
-// MAE for the headline metric.
-//
-// Frozen compatibility wrapper over Session (GraphLevelTask).
-func TrainGraphLevel(method Method, cfg ModelConfig, ds *GraphDataset, opts TrainOptions) (*Result, float64, error) {
-	s, err := opts.session(method, cfg, GraphLevelTask(ds))
-	if err != nil {
-		return nil, 0, err
-	}
-	res, err := s.Run(context.Background())
-	if err != nil {
-		return nil, 0, err
-	}
-	return res, s.EvalMAE(), nil
-}
-
-// TrainNodeSeq trains node classification with mini-batched sequences of
-// opts.SeqLen sampled nodes per step (the Fig. 1 regime).
-//
-// Frozen compatibility wrapper over Session (NodeSeqTask).
-func TrainNodeSeq(method Method, cfg ModelConfig, ds *NodeDataset, opts TrainOptions) (*Result, error) {
-	s, err := opts.session(method, cfg, NodeSeqTask(ds))
-	if err != nil {
-		return nil, err
-	}
-	return s.Run(context.Background())
-}
-
-// DistTrainer is the frozen compatibility wrapper over the sequence-parallel
-// execution plan: a dropout-free model trained with Adam at a fixed LR, one
-// full-sequence optimiser step per Step call, resharding sequence↔heads
-// through channel all-to-alls exactly as Sessions built with WithSeqParallel
-// do. It exists so code written against the pre-Plan P-worker runtime keeps
-// running; the hand-rolled layer math it used to carry is gone — there is
-// exactly one implementation of sequence parallelism behind it.
-//
-// Deprecated: use NewSession with WithSeqParallel(p), which adds the full
-// engine (LR schedules, the beta tuner, dense↔cluster-sparse interleaving,
-// typed events, bitwise checkpoint/resume) to sequence-parallel training.
-type DistTrainer struct {
-	// P is the number of simulated ranks.
-	P int
-	// Comm is the plan's collective communicator (traffic accounting).
-	Comm *dist.Comm
-
-	m      *GraphTransformer
-	plan   *model.SeqParallel
-	opt    *nn.Adam
-	params []*nn.Param
-}
-
-// NewDistTrainer builds a P-rank sequence-parallel trainer. The head count
-// must be divisible by p; the sequence length no longer has to be (short or
-// empty tail shards are handled).
-//
-// Deprecated: use NewSession with WithSeqParallel(p).
-func NewDistTrainer(p int, cfg ModelConfig, lr float64) *DistTrainer {
-	if p < 1 {
-		p = 1
-	}
-	cfg.Dropout = 0 // mirrors the deterministic sharded-training contract
-	m := model.NewGraphTransformer(cfg)
-	if m.Global != nil {
-		panic("torchgt: DistTrainer supports node-level models only (no global token)")
-	}
-	plan := model.NewSeqParallel(p, ExecOptions{PoolEnabled: true})
-	m.SetPlan(plan)
-	opt := nn.NewAdam(lr)
-	opt.ClipNorm = 5
-	return &DistTrainer{P: p, Comm: plan.Comm(), m: m, plan: plan, opt: opt, params: m.Params()}
-}
-
-// Step runs one synchronous sequence-parallel training iteration over the
-// full sequence and returns the training loss.
-func (t *DistTrainer) Step(in *Inputs, spec *AttentionSpec, y []int32, mask []bool) float64 {
-	logits := t.m.Forward(in, spec, true)
-	loss, dl := nn.SoftmaxCrossEntropy(logits, y, mask)
-	t.m.Backward(dl)
-	t.plan.SyncGradients(t.params)
-	t.opt.Step(t.params)
-	return loss
-}
-
-// Model exposes the model under training.
-func (t *DistTrainer) Model() *GraphTransformer { return t.m }
-
-// SparseNodeSpec builds the topology-induced attention spec for a node
-// dataset (used with DistTrainer and custom loops).
-func SparseNodeSpec(ds *NodeDataset) *model.AttentionSpec {
-	p := sparsePattern(ds)
-	return &model.AttentionSpec{Mode: model.ModeSparse, Pattern: p}
-}
-
-func sparsePattern(ds *NodeDataset) *Pattern { return patternFrom(ds.G) }
 
 // ExperimentIDs lists every reproducible table/figure id.
 func ExperimentIDs() []string { return bench.IDs() }

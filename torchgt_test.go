@@ -7,43 +7,29 @@ import (
 )
 
 func TestPublicDatasetLoading(t *testing.T) {
-	ds, err := LoadNodeDataset("arxiv-sim", 256, 1)
-	if err != nil || ds.G.N != 256 {
-		t.Fatalf("node dataset load failed: %v", err)
+	if ds := loadNode(t, "arxiv-sim", 256, 1); ds.G.N != 256 {
+		t.Fatalf("node dataset has %d nodes", ds.G.N)
 	}
-	if _, err := LoadNodeDataset("nope", 0, 1); err == nil {
+	if _, err := OpenDataset("synth://nope"); err == nil {
 		t.Fatal("unknown dataset must error")
 	}
-	gds, err := LoadGraphDataset("zinc-sim", 1)
-	if err != nil || len(gds.Graphs) == 0 {
-		t.Fatalf("graph dataset load failed: %v", err)
+	if gds := loadGraphLevel(t, "zinc-sim", 1); len(gds.Graphs) == 0 {
+		t.Fatal("graph dataset is empty")
 	}
 }
 
 func TestPublicTrainNode(t *testing.T) {
-	ds, err := LoadNodeDataset("arxiv-sim", 256, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ds := loadNode(t, "arxiv-sim", 256, 2)
 	cfg := GraphormerSlim(ds.X.Cols, ds.NumClasses, 3)
 	cfg.Layers = 2
-	res, err := TrainNode(MethodTorchGT, cfg, ds, TrainOptions{Epochs: 4, Seed: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, res := runSession(t, MethodTorchGT, cfg, NodeTask(ds), WithEpochs(4), WithSeed(4))
 	if len(res.Curve) != 4 {
 		t.Fatalf("curve length %d", len(res.Curve))
-	}
-	if _, err := TrainNode(MethodTorchGT, cfg, nil, TrainOptions{}); err == nil {
-		t.Fatal("nil dataset must error")
 	}
 }
 
 func TestPublicTrainGraphLevel(t *testing.T) {
-	gds, err := LoadGraphDataset("zinc-sim", 5)
-	if err != nil {
-		t.Fatal(err)
-	}
+	gds := loadGraphLevel(t, "zinc-sim", 5)
 	// shrink for test speed
 	gds.Graphs = gds.Graphs[:60]
 	gds.Feats = gds.Feats[:60]
@@ -53,11 +39,8 @@ func TestPublicTrainGraphLevel(t *testing.T) {
 	gds.TestIdx = filterIdx(gds.TestIdx, 60)
 	cfg := GraphormerSlim(gds.FeatDim, 1, 6)
 	cfg.Layers = 1
-	_, mae, err := TrainGraphLevel(MethodGPSparse, cfg, gds, TrainOptions{Epochs: 2, BatchSize: 8, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mae <= 0 {
+	s, _ := runSession(t, MethodGPSparse, cfg, GraphLevelTask(gds), WithEpochs(2), WithBatchSize(8), WithSeed(7))
+	if mae := s.EvalMAE(); mae <= 0 {
 		t.Fatalf("regression MAE should be positive, got %v", mae)
 	}
 }
@@ -73,36 +56,12 @@ func filterIdx(idx []int, max int) []int {
 }
 
 func TestPublicSeqTrainer(t *testing.T) {
-	ds, err := LoadNodeDataset("pokec-sim", 256, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ds := loadNode(t, "pokec-sim", 256, 8)
 	cfg := NodeFormerLite(ds.X.Cols, ds.NumClasses, 9)
 	cfg.Layers = 2
-	res, err := TrainNodeSeq(MethodNodeFormer, cfg, ds, TrainOptions{Epochs: 2, SeqLen: 64, Seed: 10})
-	if err != nil || len(res.Curve) != 2 {
-		t.Fatalf("seq trainer failed: %v", err)
-	}
-}
-
-func TestPublicDistTrainer(t *testing.T) {
-	ds, err := LoadNodeDataset("arxiv-sim", 128, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := GraphormerSlim(ds.X.Cols, ds.NumClasses, 12)
-	cfg.Layers = 1
-	cfg.Heads = 4
-	cfg.Hidden = 16
-	cfg.Dropout = 0
-	dt := NewDistTrainer(2, cfg, 1e-3)
-	loss1 := dt.Step(NodeInputs(ds), SparseNodeSpec(ds), ds.Y, ds.TrainMask)
-	loss2 := dt.Step(NodeInputs(ds), SparseNodeSpec(ds), ds.Y, ds.TrainMask)
-	if !(loss2 < loss1) {
-		t.Fatalf("distributed training should reduce loss: %v -> %v", loss1, loss2)
-	}
-	if dt.Comm.TotalBytes() == 0 {
-		t.Fatal("communication volume must be recorded")
+	_, res := runSession(t, MethodNodeFormer, cfg, NodeSeqTask(ds), WithEpochs(2), WithSeqLen(64), WithSeed(10))
+	if len(res.Curve) != 2 {
+		t.Fatalf("curve length %d", len(res.Curve))
 	}
 }
 
@@ -143,10 +102,7 @@ func TestHardwareProfilesExposed(t *testing.T) {
 }
 
 func TestPublicCheckpointRoundTrip(t *testing.T) {
-	ds, err := LoadNodeDataset("arxiv-sim", 128, 20)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ds := loadNode(t, "arxiv-sim", 128, 20)
 	cfg := GraphormerSlim(ds.X.Cols, ds.NumClasses, 21)
 	cfg.Layers = 1
 	m := NewGraphTransformer(cfg)
@@ -162,7 +118,7 @@ func TestPublicCheckpointRoundTrip(t *testing.T) {
 	}
 	// identical weights ⇒ identical forward
 	in := NodeInputs(ds)
-	spec := SparseNodeSpec(ds)
+	spec := &AttentionSpec{Mode: ModeFlash}
 	a := m.Forward(in, spec, false)
 	b := m2.Forward(in, spec, false)
 	if !a.Equal(b, 0) {
@@ -170,32 +126,11 @@ func TestPublicCheckpointRoundTrip(t *testing.T) {
 	}
 }
 
-func TestPublicDatasetFileRoundTrip(t *testing.T) {
-	ds, err := LoadNodeDataset("pokec-sim", 128, 22)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := t.TempDir() + "/ds.bin"
-	if err := SaveNodeDataset(path, ds); err != nil {
-		t.Fatal(err)
-	}
-	ds2, err := LoadNodeDatasetFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ds2.G.NumEdges() != ds.G.NumEdges() || !ds2.X.Equal(ds.X, 0) {
-		t.Fatal("dataset file round trip lost data")
-	}
-}
-
 func TestPublicEgoTrainer(t *testing.T) {
-	ds, err := LoadNodeDataset("arxiv-sim", 192, 23)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ds := loadNode(t, "arxiv-sim", 192, 23)
 	cfg := GraphormerSlim(ds.X.Cols, ds.NumClasses, 24)
 	cfg.Layers = 1
-	res, err := TrainNodeEgo(cfg, ds, TrainOptions{Epochs: 2, SeqLen: 12, BatchSize: 32, Seed: 25})
+	res, err := TrainNodeEgoSource(cfg, (&Dataset{Node: ds}).Source(), EgoConfig{Epochs: 2, MaxSize: 12, Batch: 32, Seed: 25})
 	if err != nil || len(res.Curve) != 2 {
 		t.Fatalf("ego trainer via facade failed: %v", err)
 	}
