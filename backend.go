@@ -9,8 +9,9 @@ import "torchgt/internal/tensor"
 //
 //   - "ref" (reference): float64 math.Exp / GELU rounded to float32, the
 //     bitwise-pinned numerics training defaults to. Trajectories are
-//     reproducible across releases.
-//   - "opt" (optimized): fast float32 exp/tanh polynomials.
+//     reproducible across releases. On amd64 with AVX2+FMA the row ops run
+//     four lanes at a time and return the same bits.
+//   - "opt" (optimized): scalar float32 exp/tanh polynomials.
 //     Self-deterministic (results independent of worker count); everything
 //     but the exp/softmax/GELU paths is shared with "ref", and those differ
 //     within a small documented tolerance. See DESIGN.md "Compute backends
@@ -22,7 +23,7 @@ type (
 	// Backend is the sealed compute-kernel interface (implementations live
 	// in the tensor package).
 	Backend = tensor.Backend
-	// KernelSpeedup is one op's optimized-vs-reference timing.
+	// KernelSpeedup is one op's timing on both backends and their ratio.
 	KernelSpeedup = tensor.KernelSpeedup
 )
 
@@ -47,5 +48,6 @@ func BackendNames() []string { return tensor.BackendNames() }
 
 // BackendTuningReport times every op that differs between the two backends
 // on a fixed synthetic operand (some tens of milliseconds; nothing is cached) and
-// returns the optimized-vs-reference speedups.
+// returns both timings with their ratio ref/opt — a measurement, not a
+// promise that "opt" is the faster side.
 func BackendTuningReport() []KernelSpeedup { return tensor.TuningReport() }

@@ -5,8 +5,11 @@
 # the targets where Go fuses x*y+z into a single-rounding FMADD/FMSUB unless
 # the product is explicitly converted; kernels.go and the oracles in
 # kernels_test.go convert every product, so neither may contain a fused
-# multiply-add. (Code above the kernels — LayerNorm, Adam, GELU — is not held
-# to this; see DESIGN.md.)
+# multiply-add. The grep is scoped to those two files on purpose: code above
+# the kernels — LayerNorm, Adam, GELU — is not held to this, and the
+# transcendental row ops (vmath.go; vmath_amd64.s is not built here) are
+# defined as math.Exp/math.Tanh, which use FMA wherever the architecture's
+# own implementation does; see DESIGN.md.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

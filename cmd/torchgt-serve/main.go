@@ -25,7 +25,7 @@
 // -quant int8|bf16 re-encodes the snapshot's weights for compact storage
 // (int8: per-output-channel scales; bf16: truncated float32) with a
 // documented, test-pinned accuracy bound; replicas dequantize once at
-// startup. -backend opt serves with the fast float32 exp/softmax/GELU paths.
+// startup. -backend opt serves with the float32-polynomial exp/softmax/GELU paths.
 package main
 
 import (

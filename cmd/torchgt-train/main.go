@@ -24,9 +24,10 @@
 // plan (P ranks resharding sequence↔heads through channel all-to-alls).
 // The trajectory is bitwise identical to the serial run, so every other
 // feature — events, checkpoints, resume, early stopping — composes with it.
-// -backend opt trains with the fast float32 exp/softmax/GELU paths (faster,
-// within a small tolerance of the bitwise-pinned reference default — see
-// DESIGN.md "Compute backends and quantized serving").
+// -backend opt trains with the float32-polynomial exp/softmax/GELU paths
+// (within a small tolerance of the bitwise-pinned reference default; faster
+// than it only where the reference cannot run lane-wise — see DESIGN.md
+// "Compute backends and quantized serving").
 //
 // -rendezvous runs real cross-process sequence parallelism over TCP: rank 0
 // listens on the address, the other ranks dial in, and the world trains one

@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"testing"
 
+	"torchgt/internal/graph"
+	"torchgt/internal/sparse"
 	"torchgt/internal/tensor"
 )
 
@@ -253,5 +255,115 @@ func TestRefFlashBitwiseMatchesNaive(t *testing.T) {
 				mustBitwiseMat(t, "dv", ndv, fdv)
 			}
 		}
+	}
+}
+
+// naiveClusterSparseForward is ClusterSparse.Forward as it was written
+// before its exponentials went through tensor.ExpCut: per row, the keep
+// entries then every covering block's cells in block order, one math.Exp per
+// entry with the −80 cutoff, the float64 sum in that order.
+func naiveClusterSparseForward(c *ClusterSparse, q, k, v *tensor.Mat) *tensor.Mat {
+	r, keep, db := c.R, c.R.Keep, int32(c.R.Db)
+	scale := scaleFor(q.Cols)
+	o := tensor.New(q.Rows, v.Cols)
+	type entry struct {
+		col   int // −1: a block cell beyond S
+		block bool
+		s     float32
+	}
+	for i := 0; i < r.S; i++ {
+		var es []entry
+		qi := q.Row(i)
+		for e := keep.RowPtr[i]; e < keep.RowPtr[i+1]; e++ {
+			sc := tensor.Dot(qi, k.Row(int(keep.ColIdx[e]))) * scale
+			if c.keepBias != nil {
+				sc += c.keepBias[e]
+			}
+			es = append(es, entry{col: int(keep.ColIdx[e]), s: sc})
+		}
+		for _, blk := range r.Blocks {
+			if int32(i) < blk.Row0 || int32(i) >= blk.Row0+db {
+				continue
+			}
+			for cb := int32(0); cb < db; cb++ {
+				if ci := int(blk.Col0 + cb); ci >= r.S {
+					es = append(es, entry{col: -1, block: true, s: negInf})
+				} else {
+					es = append(es, entry{col: ci, block: true, s: tensor.Dot(qi, k.Row(ci))*scale + c.blockBias})
+				}
+			}
+		}
+		if len(es) == 0 {
+			continue
+		}
+		mx := negInf
+		for _, e := range es {
+			if e.s > mx {
+				mx = e.s
+			}
+		}
+		var sum float64
+		p := make([]float32, len(es))
+		for x, e := range es {
+			if d := e.s - mx; d > -80 {
+				p[x] = float32(math.Exp(float64(d)))
+			}
+			sum += float64(p[x])
+		}
+		inv := float32(1 / sum)
+		for x, e := range es {
+			p[x] *= inv
+			if !e.block || (e.col >= 0 && p[x] != 0) {
+				tensor.Axpy(p[x], v.Row(e.col), o.Row(i))
+			}
+		}
+	}
+	return o
+}
+
+// TestClusterSparseForwardBitwiseMatchesNaive: keep rows of every length
+// 0…70 (every lane-group count and tail of the exp kernel, a row of one, rows
+// with no keep entries that live on blocks alone, a row with nothing), blocks
+// that overhang S (−1e30 padding cells) and score spreads wide enough that
+// the −80 cutoff bites — with and without the biases.
+func TestClusterSparseForwardBitwiseMatchesNaive(t *testing.T) {
+	const s = 75
+	var pairs []graph.Edge
+	rng := rand.New(rand.NewSource(41))
+	for i := 0; i < s; i++ {
+		for _, j := range rng.Perm(s)[:i%71] {
+			pairs = append(pairs, graph.Edge{U: int32(i), V: int32(j)})
+		}
+	}
+	r := &sparse.Reformed{S: s, Db: 4, Keep: sparse.FromPairs(s, pairs), Blocks: []sparse.SubBlock{
+		{Row0: 0, Col0: 8}, {Row0: 0, Col0: 40}, {Row0: 36, Col0: 36}, {Row0: 68, Col0: 72}, {Row0: 72, Col0: 72},
+	}}
+	q, k, v := randQKV(rng, s, 6, 5)
+	for i := 0; i < s; i += 3 {
+		for x := range q.Row(i) {
+			q.Row(i)[x] *= 90 // spread the row's scores past the cutoff
+		}
+	}
+	bias := make([]float32, r.Keep.NNZ())
+	for i := range bias {
+		bias[i] = float32(rng.NormFloat64())
+	}
+	for _, biased := range []bool{false, true} {
+		c := NewClusterSparse(r)
+		if biased {
+			c.SetEdgeBias(bias)
+			c.SetBlockBias(-0.7)
+		}
+		cut := 0
+		got := c.Forward(q, k, v)
+		for _, p := range c.keepProbs {
+			if p == 0 {
+				cut++
+			}
+		}
+		if cut == 0 {
+			t.Fatal("no keep entry fell below the cutoff: the test lost its point")
+		}
+		mustBitwiseMat(t, "o", naiveClusterSparseForward(c, q, k, v), got)
 	}
 }

@@ -187,19 +187,17 @@ func (c *ClusterSparse) Forward(q, k, v *tensor.Mat) *tensor.Mat {
 					}
 				}
 			}
-			// exp + sum
+			// exp (s + (−mx) is s − mx), then the sum in entry order
 			var sum float64
-			for x, s := range kp {
-				e := expf(s - mx)
-				kp[x] = e
+			tensor.ExpCut(kp, kp, -mx, expCut)
+			for _, e := range kp {
 				sum += float64(e)
 			}
 			for _, ref := range refs {
 				base := int(ref.block)*db*db + int(ref.off)*db
 				row := c.blockProbs[base : base+db]
-				for x, s := range row {
-					e := expf(s - mx)
-					row[x] = e
+				tensor.ExpCut(row, row, -mx, expCut)
+				for _, e := range row {
 					sum += float64(e)
 				}
 			}
@@ -334,9 +332,6 @@ func (c *ClusterSparse) Backward(dO *tensor.Mat) (dq, dk, dv *tensor.Mat) {
 
 var negInf = float32(-1e30)
 
-func expf(x float32) float32 {
-	if x <= -80 {
-		return 0
-	}
-	return float32(expFast(float64(x)))
-}
+// expCut is where the row softmax stops exponentiating: an entry 80 or more
+// below the row maximum (every negInf padding entry is) gets probability 0.
+const expCut = -80

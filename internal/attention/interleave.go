@@ -1,12 +1,6 @@
 package attention
 
-import (
-	"math"
-
-	"torchgt/internal/graph"
-)
-
-func expFast(x float64) float64 { return math.Exp(x) }
+import "torchgt/internal/graph"
 
 // InterleavePolicy implements the Dual-interleaved Attention schedule: the
 // topology-induced sparse pattern is used when the paper's three conditions

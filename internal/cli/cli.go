@@ -68,7 +68,7 @@ func SynthSpec(dataset string, nodes int, seed int64) string {
 
 // BackendFlag binds -backend on fs.
 func BackendFlag(fs *flag.FlagSet) *string {
-	return fs.String("backend", "", "compute backend: ref (bitwise-pinned default) | opt (fast float32 exp/softmax/GELU)")
+	return fs.String("backend", "", "compute backend: ref (bitwise-pinned default) | opt (float32-polynomial exp/softmax/GELU)")
 }
 
 // StartBackend activates the compute backend -backend names ("" keeps the

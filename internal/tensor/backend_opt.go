@@ -1,7 +1,8 @@
 package tensor
 
-// optBackend is the raw-speed implementation of the transcendental row ops:
-// the fast float32 exp/tanh paths in fastmath.go. They differ from the
+// optBackend is the float32 implementation of the transcendental row ops:
+// the scalar exp/tanh polynomials of fastmath.go (quicker than the reference
+// only where that cannot run lane-wise — TuningReport measures it). They differ from the
 // reference within a small tolerance but are themselves exactly reproducible
 // (pure functions, fixed element order). Everything else — the matrix
 // kernels, Dot, Axpy — is shared with the reference backend.

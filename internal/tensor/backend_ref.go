@@ -1,10 +1,10 @@
 package tensor
 
-import "math"
-
 // refBackend is the bitwise-pinned reference implementation of the
-// transcendental row ops: float64 math.Exp / GELU rounded to float32.
-// Training defaults to it; its numerics must never change.
+// transcendental row ops: float64 math.Exp / GELU rounded to float32 — by
+// definition the scalar loops of vmath.go, which the lane-wise kernels under
+// them reproduce bit for bit. Training defaults to it; its numerics must
+// never change.
 type refBackend struct{}
 
 func (refBackend) sealed()      {}
@@ -19,9 +19,7 @@ func (refBackend) SoftmaxRows(m *Mat) {
 }
 
 func (refBackend) ExpShift(dst, src []float32, shift float32) {
-	for i, v := range src {
-		dst[i] = float32(math.Exp(float64(v + shift)))
-	}
+	expRow(dst, src, shift, negInf32)
 }
 
 // BiasGELU: z = u + bias in place, y = GELU(z), one pass. The element order
@@ -31,13 +29,7 @@ func (refBackend) ExpShift(dst, src []float32, shift float32) {
 func (refBackend) BiasGELU(y, u *Mat, bias []float32) {
 	ParallelFor(u.Rows, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			ur := u.Row(i)
-			yr := y.Row(i)
-			for j := range ur {
-				z := ur[j] + bias[j]
-				ur[j] = z
-				yr[j] = float32(GELU(float64(z)))
-			}
+			geluRow(y.Row(i), u.Row(i), bias)
 		}
 	})
 }
@@ -49,12 +41,7 @@ func (refBackend) BiasGELU(y, u *Mat, bias []float32) {
 func (refBackend) BiasGELUGrad(dz *Mat, dbias []float32, z, dy *Mat) {
 	ParallelFor(z.Rows, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			zr := z.Row(i)
-			dyr := dy.Row(i)
-			dzr := dz.Row(i)
-			for j := range zr {
-				dzr[j] = dyr[j] * float32(GELUGrad(float64(zr[j])))
-			}
+			geluGradRow(dz.Row(i), z.Row(i), dy.Row(i))
 		}
 	})
 	ColSum(dbias, dz)

@@ -5,7 +5,11 @@ import (
 	"time"
 )
 
-// KernelSpeedup records one optimized-vs-reference measurement.
+// KernelSpeedup records one op timed on both backends. Speedup is the plain
+// ratio RefNs / OptNs, whichever way it falls: above 1 the optimized backend
+// was faster, below 1 the reference was — which is the usual case where the
+// reference row ops run lane-wise (KernelISA() == "avx2" on a CPU with FMA)
+// and the optimized backend's float32 polynomials are still scalar.
 type KernelSpeedup struct {
 	Kernel  string
 	RefNs   float64

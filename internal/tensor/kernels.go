@@ -14,7 +14,7 @@ import "fmt"
 //
 // Every product below is written float32(x*y): the Go spec lets a compiler
 // fuse x*y+z into one FMA — one rounding where the contract says two; arm64,
-// ppc64le, s390x and GOAMD64=v3 builds do — unless the product is explicitly
+// ppc64le and s390x builds do — unless the product is explicitly
 // converted. Where the compiler would not have fused, the conversion
 // compiles to nothing.
 //

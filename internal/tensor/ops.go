@@ -1,7 +1,5 @@
 package tensor
 
-import "math"
-
 // Element-wise and row/column ops. The matrix kernels (MatMul, MatMulT,
 // TMatMul, Dot, Axpy and the tile primitives) live in kernels.go; the
 // transcendental row ops (SoftmaxRows, ExpShift, BiasGELU, BiasGELUGrad)
@@ -91,16 +89,27 @@ func SoftmaxInPlace(row []float32) {
 			mx = v
 		}
 	}
+	expRow(row, row, -mx, negInf32) // v + (−mx) is v − mx
 	var sum float64
-	for j, v := range row {
-		e := float32(math.Exp(float64(v - mx)))
-		row[j] = e
+	for _, e := range row {
 		sum += float64(e)
 	}
 	inv := float32(1.0 / sum)
 	for j := range row {
 		row[j] *= inv
 	}
+}
+
+// ExpCut computes dst[i] = float32(math.Exp(float64(src[i]+shift))), and
+// exactly 0 where src[i]+shift <= cut: the exp pass of a softmax whose row
+// lies in several slices (ClusterSparse), with the caller's underflow cutoff.
+// Like SoftmaxInPlace it is the reference exponential whatever the active
+// backend. dst and src must have equal length (dst may alias src).
+func ExpCut(dst, src []float32, shift, cut float32) {
+	if len(dst) != len(src) {
+		panic("tensor: ExpCut length mismatch")
+	}
+	expRow(dst, src, shift, cut)
 }
 
 // SoftmaxBackwardRow computes dx for one softmax row given y = softmax(x) and

@@ -2,10 +2,11 @@ package tensor
 
 import "unsafe"
 
-// Go side of the AVX2 micro-kernels in simd_amd64.s: CPU detection and the
-// three bounds-checked wrappers kernels.go calls for the columns simdCols
-// reports. The assembly trusts its arguments, so every extent it will touch
-// is checked here first, once per call.
+// Go side of the AVX2 micro-kernels in simd_amd64.s and vmath_amd64.s: CPU
+// detection and the bounds-checked wrappers kernels.go calls for the columns
+// simdCols reports and vmath.go for the elements mathLanes reports. The
+// assembly trusts its arguments, so every extent it will touch is checked
+// here first, once per call.
 
 //go:noescape
 func accumAVX2(c, a *float32, aStride uintptr, b *float32, ldb, k, n, mode uintptr)
@@ -15,6 +16,15 @@ func scatterAVX2(m *float32, ldm uintptr, w, x *float32, rows, n uintptr)
 
 //go:noescape
 func dotColsAVX2(dst, x *float32, k uintptr, bt *float32, ldbt, n uintptr)
+
+//go:noescape
+func expLanesAVX2(dst, src *float32, n uintptr, shift, cut float32) uintptr
+
+//go:noescape
+func geluAVX2(y, u, bias *float32, n uintptr)
+
+//go:noescape
+func geluGradAVX2(dz, z, dy *float32, n uintptr)
 
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv() (eax, edx uint32)
@@ -35,6 +45,13 @@ func cpuHasAVX2() bool {
 	}
 	_, ebx, _, _ := cpuid(7, 0)
 	return ebx&(1<<5) != 0
+}
+
+// cpuHasFMA reports the CPUID FMA bit. Only read together with cpuHasAVX2,
+// which has already established that the OS saves the YMM state.
+func cpuHasFMA() bool {
+	_, _, ecx, _ := cpuid(1, 0)
+	return ecx&(1<<12) != 0
 }
 
 // accumCols computes, for every j < len(c) (a multiple of 8) and p ascending,
@@ -76,4 +93,33 @@ func dotCols(dst, x, bt []float32, ld int) {
 	}
 	dotColsAVX2(unsafe.SliceData(dst), unsafe.SliceData(x), uintptr(len(x)),
 		unsafe.SliceData(bt), uintptr(ld), uintptr(len(dst)))
+}
+
+// expLanes is expRow over len(src) elements (a multiple of 4), up to the
+// first group of four that holds a lane outside the normal exponent range;
+// it returns how many elements it wrote.
+func expLanes(dst, src []float32, shift, cut float32) int {
+	if len(src) == 0 {
+		return 0
+	}
+	_ = dst[len(src)-1]
+	return int(expLanesAVX2(unsafe.SliceData(dst), unsafe.SliceData(src), uintptr(len(src)), shift, cut))
+}
+
+// geluLanes is geluRow over len(u) elements (a multiple of 4).
+func geluLanes(y, u, bias []float32) {
+	if len(u) == 0 {
+		return
+	}
+	_, _ = y[len(u)-1], bias[len(u)-1]
+	geluAVX2(unsafe.SliceData(y), unsafe.SliceData(u), unsafe.SliceData(bias), uintptr(len(u)))
+}
+
+// geluGradLanes is geluGradRow over len(z) elements (a multiple of 4).
+func geluGradLanes(dz, z, dy []float32) {
+	if len(z) == 0 {
+		return
+	}
+	_, _ = dz[len(z)-1], dy[len(z)-1]
+	geluGradAVX2(unsafe.SliceData(dz), unsafe.SliceData(z), unsafe.SliceData(dy), uintptr(len(z)))
 }

@@ -2,10 +2,11 @@
 
 package tensor
 
-// No lane-wise kernels off amd64: simdCols always reports 0 columns, so the
-// three entry points are never reached and the Go loops are the only path.
+// No lane-wise kernels off amd64: simdCols and mathLanes always report 0, so
+// the entry points are never reached and the Go loops are the only path.
 
 func cpuHasAVX2() bool { return false }
+func cpuHasFMA() bool  { return false }
 
 func accumCols(c, a []float32, stride int, b []float32, ldb, k int, mode accumMode) {
 	panic("tensor: no SIMD kernels on this architecture")
@@ -16,5 +17,17 @@ func scatterCols(rows []float32, ld int, w, x []float32) {
 }
 
 func dotCols(dst, x, bt []float32, ld int) {
+	panic("tensor: no SIMD kernels on this architecture")
+}
+
+func expLanes(dst, src []float32, shift, cut float32) int {
+	panic("tensor: no SIMD kernels on this architecture")
+}
+
+func geluLanes(y, u, bias []float32) {
+	panic("tensor: no SIMD kernels on this architecture")
+}
+
+func geluGradLanes(dz, z, dy []float32) {
 	panic("tensor: no SIMD kernels on this architecture")
 }
