@@ -1,7 +1,9 @@
 package model
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 
 	"torchgt/internal/nn"
 	"torchgt/internal/tensor"
@@ -79,13 +81,15 @@ type Inputs struct {
 	// LapPE is the positional encoding matrix (required iff UseLapPE).
 	LapPE *tensor.Mat
 	// SegRows, when non-nil, marks X as a packed batch of B segments:
-	// ascending feature-row bounds of length B+1 covering [0, X.Rows].
-	// Requires GlobalToken — the model prepends one readout token per
-	// segment (at sequence position SegRows[s]+s), the AttentionSpec's
-	// pattern must be the matching block-diagonal mask over those
-	// per-segment sequences, Forward returns B×OutDim (one readout row per
-	// segment), and every row reduction is segmented so gradients match a
-	// separate per-segment run bit for bit.
+	// ascending feature-row bounds of length B+1 covering [0, X.Rows]. The
+	// AttentionSpec's pattern must be the matching block-diagonal mask over
+	// the per-segment sequences, and every row reduction is segmented so
+	// gradients match a separate per-segment run bit for bit. With
+	// GlobalToken the model prepends one readout token per segment (at
+	// sequence position SegRows[s]+s) and Forward returns B×OutDim, one
+	// readout row per segment; without it the sequence is X's rows as they
+	// are and Forward returns all of them — segment s's logits are rows
+	// [SegRows[s], SegRows[s+1]), an ego context's target being the first.
 	SegRows []int32
 }
 
@@ -158,29 +162,29 @@ func (g *GraphTransformer) Dropouts() []*nn.Dropout {
 // applySegments installs (or, with nil, clears) the packed-batch row bounds
 // on every Linear whose weight-gradient reduction spans rows from more than
 // one segment: feature-row bounds on the input/PE projections, sequence
-// bounds on each block's projections and FFN, and per-readout-row bounds on
-// the head. LayerNorms, embeddings, dropout and the bias/ColSum reductions
-// are already row-local (or row-ascending) and need no segmentation — see
-// DESIGN.md "Locality: reordering and packing".
-func (g *GraphTransformer) applySegments(segRows []int32) {
-	g.segRows, g.segSeq, g.segHead = nil, g.segSeq[:0], g.segHead[:0]
-	var feat, seq, head []int32
-	if segRows != nil {
-		if g.Global == nil {
-			panic("model: Inputs.SegRows requires GlobalToken")
-		}
-		g.segRows = segRows
+// bounds on each block's projections and FFN, and on the head whatever rows
+// it sees — one readout row per segment under a global token, the whole
+// sequence without one (where all three sets of bounds are segRows itself).
+// LayerNorms, embeddings, dropout and the bias/ColSum reductions are already
+// row-local (or row-ascending) and need no segmentation — see DESIGN.md
+// "Locality: reordering and packing". Bounds that are not ascending from 0 to
+// rows panic here, before any layer reads through them.
+func (g *GraphTransformer) applySegments(segRows []int32, rows int) {
+	if n := len(segRows); segRows != nil && (n == 0 || segRows[0] != 0 || int(segRows[n-1]) != rows || !slices.IsSorted(segRows)) {
+		panic(fmt.Sprintf("model: Inputs.SegRows %v are not ascending bounds over [0, %d]", segRows, rows))
+	}
+	g.segRows, g.segSeq, g.segHead = segRows, g.segSeq[:0], g.segHead[:0]
+	seq, head := segRows, segRows
+	if segRows != nil && g.Global != nil {
 		for s, r := range segRows {
 			g.segSeq = append(g.segSeq, r+int32(s))
-		}
-		for s := 0; s < len(segRows); s++ {
 			g.segHead = append(g.segHead, int32(s))
 		}
-		feat, seq, head = segRows, g.segSeq, g.segHead
+		seq, head = g.segSeq, g.segHead
 	}
-	g.InProj.SetSegments(feat)
+	g.InProj.SetSegments(segRows)
 	if g.LapProj != nil {
-		g.LapProj.SetSegments(feat)
+		g.LapProj.SetSegments(segRows)
 	}
 	for _, b := range g.Blocks {
 		b.Attn.WQ.SetSegments(seq)
@@ -208,6 +212,8 @@ func (g *GraphTransformer) embed(in *Inputs, train bool) *tensor.Mat {
 		tensor.AddInPlace(h, g.LapProj.Forward(rowBlock(in.LapPE, lo, hi)))
 	}
 	switch {
+	case g.Global == nil:
+		// node form: the sequence is the feature rows, packed or not
 	case g.segRows != nil:
 		// One readout token per segment. Interleaving global row then node
 		// rows per segment reproduces, element for element, the order a
@@ -221,7 +227,7 @@ func (g *GraphTransformer) embed(in *Inputs, train bool) *tensor.Mat {
 			copy(seq.Data[(lo+s+1)*g.Cfg.Hidden:], h.Data[lo*g.Cfg.Hidden:hi*g.Cfg.Hidden])
 		}
 		h = seq
-	case g.Global != nil:
+	default:
 		seq := tensor.New(h.Rows+1, g.Cfg.Hidden)
 		copy(seq.Row(0), g.Global.W.Row(0))
 		copy(seq.Data[g.Cfg.Hidden:], h.Data)
@@ -231,8 +237,9 @@ func (g *GraphTransformer) embed(in *Inputs, train bool) *tensor.Mat {
 	return g.InDrop.Forward(h, train)
 }
 
-// Forward computes logits: node-level → S×OutDim (global-token row dropped);
-// graph-level (GlobalToken set) → 1×OutDim from the readout token.
+// Forward computes logits: node-level → S×OutDim, packed (Inputs.SegRows) or
+// not; graph-level (GlobalToken set) → 1×OutDim from the readout token, or
+// one such row per packed segment.
 //
 // Forward recycles the previous step's workspace buffers: anything the
 // caller keeps across steps (logits, dX) lives on the heap, while per-step
@@ -245,11 +252,11 @@ func (g *GraphTransformer) embed(in *Inputs, train bool) *tensor.Mat {
 func (g *GraphTransformer) Forward(in *Inputs, spec *AttentionSpec, train bool) *tensor.Mat {
 	plan := g.Plan()
 	plan.StepReset()
-	g.applySegments(in.SegRows)
+	g.applySegments(in.SegRows, in.X.Rows)
 	g.rowLo, g.rowHi = plan.rows(in.X.Rows)
 	winRows := 0 // dropout sees the whole sequence
 	if plan.gradChain() != nil {
-		if g.Global != nil {
+		if g.Global != nil || in.SegRows != nil {
 			panic("model: a row-sharded plan runs the full-sequence node form only (no global token, no packed segments)")
 		}
 		winRows = in.X.Rows
@@ -264,6 +271,9 @@ func (g *GraphTransformer) Forward(in *Inputs, spec *AttentionSpec, train bool) 
 		h = b.Forward(h, spec, train)
 	}
 	h = g.FinalLN.Forward(h)
+	if g.Global == nil {
+		return plan.gatherRows(g.Head.Forward(h))
+	}
 	if g.segRows != nil {
 		// Gather the per-segment readout rows into a B×Hidden matrix; the
 		// head then maps each to logits independently (its reduction is
@@ -275,10 +285,7 @@ func (g *GraphTransformer) Forward(in *Inputs, spec *AttentionSpec, train bool) 
 		}
 		return g.Head.Forward(ro)
 	}
-	if g.Global != nil {
-		return g.Head.Forward(h.SliceRows(0, 1))
-	}
-	return plan.gatherRows(g.Head.Forward(h))
+	return g.Head.Forward(h.SliceRows(0, 1))
 }
 
 // Backward accumulates gradients from dLogits (shape mirroring Forward's
@@ -286,18 +293,18 @@ func (g *GraphTransformer) Forward(in *Inputs, spec *AttentionSpec, train bool) 
 func (g *GraphTransformer) Backward(dLogits *tensor.Mat) {
 	var dh *tensor.Mat
 	switch {
+	case g.Global == nil:
+		dh = g.Head.Backward(rowBlock(dLogits, g.rowLo, g.rowHi))
 	case g.segRows != nil:
 		dRo := g.Head.Backward(dLogits) // B×Hidden
 		dh = tensor.New(g.numToken, g.Cfg.Hidden)
 		for s := 0; s+1 < len(g.segSeq); s++ {
 			copy(dh.Row(int(g.segSeq[s])), dRo.Row(s))
 		}
-	case g.Global != nil:
+	default:
 		dRow := g.Head.Backward(dLogits) // 1×Hidden
 		dh = tensor.New(g.numToken, g.Cfg.Hidden)
 		copy(dh.Row(0), dRow.Row(0))
-	default:
-		dh = g.Head.Backward(rowBlock(dLogits, g.rowLo, g.rowHi))
 	}
 	dh = g.FinalLN.Backward(dh)
 	for i := len(g.Blocks) - 1; i >= 0; i-- {
@@ -305,6 +312,7 @@ func (g *GraphTransformer) Backward(dLogits *tensor.Mat) {
 	}
 	dh = g.InDrop.Backward(dh)
 	switch {
+	case g.Global == nil:
 	case g.segRows != nil:
 		// Per-segment readout-token gradient and global-row stripping, in
 		// ascending segment order — the order the unpacked loop accumulates.
@@ -316,7 +324,7 @@ func (g *GraphTransformer) Backward(dLogits *tensor.Mat) {
 			copy(dFeat.Data[lo*g.Cfg.Hidden:hi*g.Cfg.Hidden], dh.Data[(lo+s+1)*g.Cfg.Hidden:])
 		}
 		dh = dFeat
-	case g.Global != nil:
+	default:
 		tensor.Axpy(1, dh.Row(0), g.Global.Grad.Row(0))
 		dh = dh.SliceRows(1, g.numToken)
 	}

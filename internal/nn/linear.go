@@ -17,11 +17,12 @@ type Linear struct {
 
 	// segs, when non-nil, are packed-batch row bounds (len = segments+1,
 	// ascending, covering [0, rows]): the weight gradient is then reduced
-	// segment by segment — TMatMul over each row range, accumulated in
-	// bounds order — reproducing bit for bit the summation order of
-	// separate per-segment Backward calls. The bias gradient needs no such
-	// treatment: ColSum already accumulates row-ascending directly into
-	// the grad, which is the same order packed or not.
+	// segment by segment — each row range's xᵀ·dy formed from zero, then
+	// added to the grad, in bounds order — reproducing bit for bit the
+	// summation order of separate per-segment Backward calls. The bias
+	// gradient needs no such treatment: ColSum already accumulates
+	// row-ascending directly into the grad, which is the same order packed
+	// or not.
 	segs []int32
 
 	chain GradChain // row-sharded plans only; see SetChain
@@ -69,24 +70,18 @@ func (l *Linear) SetSegments(bounds []int32) { l.segs = bounds }
 func (l *Linear) SetChain(c GradChain) { l.chain = c }
 
 // accumWeightGrad adds xᵀ·dy to the weight gradient — in one reduction
-// normally, or segment by segment under SetSegments so a packed batch
+// normally, or under SetSegments each segment's product formed from zero and
+// added whole, in bounds order (tensor.TMatMulSegAcc), so a packed batch
 // accumulates in exactly the order the unpacked per-segment calls would.
 func (l *Linear) accumWeightGrad(x, dy *tensor.Mat) {
-	dW := tensor.New(l.In, l.Out)
-	if l.segs == nil {
-		chainContinue(l.chain, dW.Data)
-		tensor.TMatMulAcc(dW, x, dy)
-		if chainPass(l.chain, dW.Data) {
-			tensor.AddInPlace(l.W.Grad, dW)
-		}
+	if l.segs != nil {
+		tensor.TMatMulSegAcc(l.W.Grad, x, dy, l.segs)
 		return
 	}
-	for s := 0; s+1 < len(l.segs); s++ {
-		lo, hi := int(l.segs[s]), int(l.segs[s+1])
-		if lo == hi {
-			continue
-		}
-		tensor.TMatMul(dW, x.SliceRows(lo, hi), dy.SliceRows(lo, hi))
+	dW := tensor.New(l.In, l.Out)
+	chainContinue(l.chain, dW.Data)
+	tensor.TMatMulAcc(dW, x, dy)
+	if chainPass(l.chain, dW.Data) {
 		tensor.AddInPlace(l.W.Grad, dW)
 	}
 }

@@ -19,12 +19,36 @@ import (
 // free pool — refilled only as the consumer finishes samples — at most L
 // samples are ever in flight, so the slot a worker sends to is always
 // already drained: no reordering, no deadlock, lookahead capped at L.
+//
+// The contexts and the slot channels are built on the first Each and kept:
+// every Each hands all L contexts back to the pool and leaves every slot
+// drained before it returns, so the next call — one per optimiser step in the
+// ego trainer — starts from them instead of rebuilding maps, scratch and a
+// feature matrix per context. Only the worker goroutines are per call. A
+// Pipeline therefore serves one Each at a time.
 type Pipeline struct {
-	s *Sampler
+	s     *Sampler
+	free  chan *Context   // the L pooled contexts, all home between calls
+	slots []chan *Context // slot i mod L delivers sample i
 }
 
 // NewPipeline builds a pipeline over s.
 func NewPipeline(s *Sampler) *Pipeline { return &Pipeline{s: s} }
+
+// pool builds the contexts and slots on first use: L = 2·Workers, or the one
+// context of a synchronous pipeline.
+func (p *Pipeline) pool() {
+	if p.free != nil {
+		return
+	}
+	l := max(2*p.s.cfg.Workers, 1)
+	p.free = make(chan *Context, l)
+	p.slots = make([]chan *Context, l)
+	for i := range p.slots {
+		p.free <- p.s.NewContext()
+		p.slots[i] = make(chan *Context, 1)
+	}
+}
 
 // Each samples every target in order, invoking fn with the filled context of
 // target i (serial startSerial+i) in exactly the order given. fn must not
@@ -32,25 +56,19 @@ func NewPipeline(s *Sampler) *Pipeline { return &Pipeline{s: s} }
 // the last sample — disk-resident sources degrade to zero-filled samples on
 // I/O failure rather than panicking, and the error surfaces here.
 func (p *Pipeline) Each(targets []int32, startSerial uint64, fn func(*Context)) error {
-	w := p.s.cfg.Workers
-	if w <= 1 || len(targets) < 2 {
-		c := p.s.NewContext()
+	p.pool()
+	w := min(p.s.cfg.Workers, len(targets))
+	if w <= 1 {
+		c := <-p.free
 		for i, t := range targets {
 			p.s.Sample(c, t, startSerial+uint64(i))
 			fn(c)
 		}
+		p.free <- c
 		return p.s.src.SourceErr()
 	}
-	if w > len(targets) {
-		w = len(targets)
-	}
-	lookahead := 2 * w
-	free := make(chan *Context, lookahead)
-	slots := make([]chan *Context, lookahead)
-	for i := 0; i < lookahead; i++ {
-		free <- p.s.NewContext()
-		slots[i] = make(chan *Context, 1)
-	}
+	free, slots := p.free, p.slots
+	lookahead := len(slots)
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for k := 0; k < w; k++ {

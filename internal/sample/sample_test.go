@@ -144,6 +144,49 @@ func TestPipelineOrderUnderContention(t *testing.T) {
 	}
 }
 
+// TestPipelineReusedAcrossCalls: one Pipeline serving call after call — as the
+// ego trainer drives it, one Each per optimiser step, lengths from a single
+// target (the synchronous path) to several laps of the slot ring — delivers
+// what a fresh pipeline per call delivers, out of the same 2·Workers
+// contexts every time.
+func TestPipelineReusedAcrossCalls(t *testing.T) {
+	ds, src := testSource(t)
+	for _, workers := range []int{0, 1, 3} {
+		s := New(src, Config{Hops: 2, MaxSize: 24, Seed: 42, Workers: workers})
+		p := NewPipeline(s)
+		pooled := map[*Context]bool{}
+		serial := uint64(100)
+		for call, n := range []int{1, 40, 2, 0, 7, 1, 23} {
+			targets := make([]int32, n)
+			for i := range targets {
+				targets[i] = int32((call*31 + i*7) % ds.G.N)
+			}
+			var got, want []snapshot
+			if err := p.Each(targets, serial, func(c *Context) {
+				pooled[c] = true
+				got = append(got, snap(c))
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if err := NewPipeline(s).Each(targets, serial, func(c *Context) { want = append(want, snap(c)) }); err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != n {
+				t.Fatalf("workers=%d call %d: delivered %d of %d", workers, call, len(got), n)
+			}
+			for i := range want {
+				if !equalSnap(want[i], got[i]) {
+					t.Fatalf("workers=%d call %d: context %d differs from a fresh pipeline's", workers, call, i)
+				}
+			}
+			serial += uint64(n)
+		}
+		if limit := max(2*workers, 1); len(pooled) > limit {
+			t.Fatalf("workers=%d: %d distinct contexts over the calls, pool is %d", workers, len(pooled), limit)
+		}
+	}
+}
+
 // TestPipelineShardBackingBitwise: sampling over a sharded view with a tight
 // cache budget produces bitwise the same ego-contexts as the in-memory
 // source — the whole point of the out-of-core path.

@@ -138,3 +138,105 @@ func TestColSumChainBitwise(t *testing.T) {
 		}
 	}
 }
+
+// TestTMatMulSegAccMatchesPerSegmentLoop pins the segmented weight-gradient
+// kernel to the loop it replaced — per segment a TMatMul into a zeroed
+// temporary, then a whole AddInPlace onto the gradient — and to the
+// triple-loop oracle, bit for bit on both kernel paths and at every worker
+// count: onto a non-zero gradient (with −0 entries, which a segment product
+// of +0 must turn into +0), with empty and one-row segments, cuts inside the
+// Go tiles' row pairs, gradient row counts that split unevenly over workers
+// and column counts either side of the micro-kernel blocks and a panel edge.
+// A carries ±0, subnormals and NaN against NaN/Inf rows of B (the zero-skip
+// contract). The data must also tell the segmented order from continuing the
+// gradient straight through the segments (TMatMulAcc with no temporary),
+// which associates the same terms differently.
+func TestTMatMulSegAccMatchesPerSegmentLoop(t *testing.T) {
+	forEachISA(t, testTMatMulSegAccMatchesPerSegmentLoop)
+}
+
+func testTMatMulSegAccMatchesPerSegmentLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(63))
+	shapes := [][3]int{ // rows n, C rows k, C cols m
+		{0, 3, 8}, {1, 1, 1}, {2, 3, 5}, {3, 2, 8}, {5, 5, 9}, {6, 4, 33},
+		{16, 8, 64}, {33, 7, 70}, {40, 3, mmPanel + 44}, {64, 16, 32}, {24, 5, mmPanel},
+	}
+	caught := false
+	for _, d := range shapes {
+		n, k, m := d[0], d[1], d[2]
+		a := randMatUnaligned(rng, n, k)
+		b := randMatUnaligned(rng, n, m)
+		bad := poison(rng, b)
+		for r := 0; r < n; r++ {
+			for c := 0; c < k; c++ {
+				switch {
+				case bad[r] || rng.Intn(6) == 0:
+					a.Set(r, c, zeroOrSpecial(rng))
+				case rng.Intn(40) == 0:
+					a.Set(r, c, float32(math.NaN()))
+				}
+			}
+		}
+		grad0 := randMatUnaligned(rng, k, m)
+		for i := range grad0.Data {
+			if rng.Intn(5) == 0 {
+				grad0.Data[i] = math.Float32frombits(1 << 31) // −0
+			}
+		}
+		for _, cuts := range rowSplits(n) {
+			bounds := []int32{0, int32(cuts[0]), int32(cuts[1]), int32(cuts[2]), int32(cuts[3])}
+			want, loop, through := grad0.Clone(), grad0.Clone(), grad0.Clone()
+			tmp := New(k, m)
+			for s := 0; s+1 < len(bounds); s++ {
+				lo, hi := int(bounds[s]), int(bounds[s+1])
+				if lo == hi {
+					continue
+				}
+				as, bs := a.SliceRows(lo, hi), b.SliceRows(lo, hi)
+				seg := oracleTMatMul(as, bs)
+				for i, v := range seg.Data {
+					want.Data[i] += v
+				}
+				TMatMul(tmp, as, bs)
+				AddInPlace(loop, tmp)
+				TMatMulAcc(through, as, bs)
+			}
+			if i, ok := sameBits(loop.Data, want.Data); !ok {
+				t.Fatalf("per-segment loop %v cuts %v: element %d differs from the oracle", d, cuts, i)
+			}
+			if _, same := sameBits(through.Data, want.Data); !same {
+				caught = true
+			}
+			for _, workers := range []int{1, 2, 3} {
+				prev := SetWorkers(workers)
+				got := FromSlice(k, m, unaligned(k*m))
+				copy(got.Data, grad0.Data)
+				TMatMulSegAcc(got, a, b, bounds)
+				SetWorkers(prev)
+				if i, ok := sameBits(got.Data, want.Data); !ok {
+					t.Fatalf("TMatMulSegAcc %v cuts %v workers=%d: element %d: %v, per-segment loop %v",
+						d, cuts, workers, i, got.Data[i], want.Data[i])
+				}
+			}
+		}
+	}
+	if !caught {
+		t.Fatal("no case distinguishes per-segment products from one continued reduction")
+	}
+}
+
+// TestTMatMulSegAccRejectsBadBounds: descending bounds and bounds past the
+// operands' rows panic instead of reading out of range.
+func TestTMatMulSegAccRejectsBadBounds(t *testing.T) {
+	a, b, c := New(6, 3), New(6, 4), New(3, 4)
+	for _, bounds := range [][]int32{{0, 4, 2, 6}, {0, 7}, {-1, 6}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("bounds %v: no panic", bounds)
+				}
+			}()
+			TMatMulSegAcc(c, a, b, bounds)
+		}()
+	}
+}

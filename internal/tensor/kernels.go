@@ -251,6 +251,46 @@ func TMatMulAcc(c, a, b *Mat) {
 	ParallelFor(c.Rows, func(lo, hi int) { tmatmulChunk(c, a, b, lo, hi) })
 }
 
+// TMatMulSegAcc adds to C, segment by segment in bounds order, the product
+// Aₛᵀ·Bₛ of each row range [bounds[s], bounds[s+1]) of A and B (empty ranges
+// skipped): every output element forms a segment's product in an accumulator
+// that starts from +0 — TMatMul's arithmetic — and only then adds it to the
+// value C holds. That is the reduction order of separate per-segment weight
+// gradients accumulated one after another, which is what lets a packed batch
+// repeat the unpacked loop bit for bit. One fan-out covers all segments: a
+// worker owns a slab of C's rows and the same slab of one pooled temporary,
+// and per segment zeroes it, runs tmatmulChunk over the segment's rows and
+// adds it in.
+func TMatMulSegAcc(c, a, b *Mat, bounds []int32) {
+	if a.Rows != b.Rows || c.Rows != a.Cols || c.Cols != b.Cols {
+		panic(fmt.Sprintf("tensor: TMatMulSegAcc shapes (%dx%d)ᵀ · %dx%d -> %dx%d", a.Rows, a.Cols, b.Rows, b.Cols, c.Rows, c.Cols))
+	}
+	for s := 0; s+1 < len(bounds); s++ {
+		if bounds[s] > bounds[s+1] || bounds[s] < 0 || int(bounds[s+1]) > a.Rows {
+			panic(fmt.Sprintf("tensor: TMatMulSegAcc bounds %v over %d rows", bounds, a.Rows))
+		}
+	}
+	sl, _ := takeSlab(len(c.Data))
+	defer sl.release()
+	tmp := Mat{Rows: c.Rows, Cols: c.Cols, Data: sl.data[:len(c.Data)]}
+	ParallelFor(c.Rows, func(lo, hi int) {
+		t, g := tmp.Data[lo*c.Cols:hi*c.Cols], c.Data[lo*c.Cols:hi*c.Cols]
+		for s := 0; s+1 < len(bounds); s++ {
+			r0, r1 := int(bounds[s]), int(bounds[s+1])
+			if r0 == r1 {
+				continue
+			}
+			as := Mat{Rows: r1 - r0, Cols: a.Cols, Data: a.Data[r0*a.Cols : r1*a.Cols]}
+			bs := Mat{Rows: r1 - r0, Cols: b.Cols, Data: b.Data[r0*b.Cols : r1*b.Cols]}
+			clear(t)
+			tmatmulChunk(&tmp, &as, &bs, lo, hi)
+			for i, v := range t {
+				g[i] += v
+			}
+		}
+	})
+}
+
 // tmatmulChunk continues rows [lo,hi) of C += Aᵀ·B (rows of C index columns
 // of A) from the values in C: matmulChunk's split, the micro-kernel walking A's column i at stride
 // a.Cols. The Go loops use the same 2×4 register tile; here the 2 A values

@@ -39,8 +39,8 @@ type GraphTrainer struct {
 	order  []int             // current epoch's order over TrainIdx
 	loop   *Loop
 
-	packer   *sparse.Packer // lazily built, reused across packed steps
-	forwards int64          // model forwards issued by Step (packing telemetry)
+	pack     pack  // reused across packed steps
+	forwards int64 // model forwards issued by Step (packing telemetry)
 }
 
 // NewGraphTrainer precomputes patterns, SPD tables and interleave policies
@@ -210,50 +210,21 @@ func (tr *GraphTrainer) stepOne(gi, globalStep int) {
 }
 
 // stepPacked runs one block-diagonal packed forward/backward over a run of
-// sparse-mode graphs. Features, degree buckets and PEs are concatenated in
-// run order; the packer shifts each graph's (global-token-augmented) pattern
-// onto its diagonal block, concatenating edge buckets verbatim; SegRows
-// hands the model the feature-row bounds so every row reduction — and the
-// per-graph readout/global-token handling — accumulates in exactly the
-// unpacked loop's order.
+// sparse-mode graphs, assembled in run order by the shared pack (each graph's
+// pattern and edge buckets are the global-token-augmented ones): SegRows hands
+// the model the feature-row bounds so every row reduction — and the per-graph
+// readout/global-token handling — accumulates in exactly the unpacked loop's
+// order.
 func (tr *GraphTrainer) stepPacked(gis []int, bf16 bool) {
-	if tr.packer == nil {
-		tr.packer = sparse.NewPacker()
-	}
-	p := tr.packer
-	p.Reset()
-	b := len(gis)
-	segRows := make([]int32, b+1)
-	for s, gi := range gis {
-		segRows[s+1] = segRows[s] + int32(tr.entries[gi].inputs.X.Rows)
-	}
-	feat := int(segRows[b])
-	first := tr.entries[gis[0]].inputs
-	in := &model.Inputs{X: tensor.New(feat, first.X.Cols), SegRows: segRows}
-	if first.DegInIdx != nil {
-		in.DegInIdx = make([]int32, 0, feat)
-		in.DegOutIdx = make([]int32, 0, feat)
-	}
-	if first.LapPE != nil {
-		in.LapPE = tensor.New(feat, first.LapPE.Cols)
-	}
-	for s, gi := range gis {
+	p := &tr.pack
+	p.reset()
+	for _, gi := range gis {
 		e := tr.entries[gi]
-		lo := int(segRows[s])
-		copy(in.X.Data[lo*in.X.Cols:], e.inputs.X.Data)
-		if in.DegInIdx != nil {
-			in.DegInIdx = append(in.DegInIdx, e.inputs.DegInIdx...)
-			in.DegOutIdx = append(in.DegOutIdx, e.inputs.DegOutIdx...)
-		}
-		if in.LapPE != nil {
-			copy(in.LapPE.Data[lo*in.LapPE.Cols:], e.inputs.LapPE.Data)
-		}
-		p.Append(e.pattern, e.edgeBuckets)
+		p.add(e.inputs, e.pattern, e.edgeBuckets)
 	}
-	spec := &model.AttentionSpec{Mode: model.ModeSparse, Pattern: p.Pattern(), EdgeBuckets: p.Buckets(), BF16: bf16}
-	logits := tr.Model.Forward(in, spec, true) // B×OutDim, one readout row per graph
+	logits := tr.Model.Forward(&p.in, p.spec(bf16), true) // B×OutDim, one readout row per graph
 	tr.forwards++
-	dL := tensor.New(b, logits.Cols)
+	dL := tensor.New(len(gis), logits.Cols)
 	for s, gi := range gis {
 		l, dl := tr.lossFor(gi, logits.SliceRows(s, s+1))
 		copy(dL.Row(s), dl.Row(0))

@@ -3,6 +3,7 @@ package train
 import (
 	"context"
 	"encoding/binary"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -48,7 +49,7 @@ func assertSameWeights(t *testing.T, a, b *model.GraphTransformer) {
 	for i := range pa {
 		wa, wb := pa[i].W.Data, pb[i].W.Data
 		for j := range wa {
-			if wa[j] != wb[j] {
+			if math.Float32bits(wa[j]) != math.Float32bits(wb[j]) {
 				t.Fatalf("param %q[%d]: %v != %v (weights diverge)", pa[i].Name, j, wa[j], wb[j])
 			}
 		}

@@ -63,10 +63,13 @@ type EgoTrainer struct {
 	Src      graph.NodeSource
 	modelCfg model.Config
 	serial   uint64
+
+	pack   pack    // the contexts of the pack being filled
+	labels []int32 // their targets' classes
 }
 
 // NewEgoTrainer builds the trainer over an in-memory dataset; the model is
-// used with a global-token head reading out the (position-0) target node.
+// the node form (no global token), read out at each context's target row.
 func NewEgoTrainer(cfg EgoConfig, modelCfg model.Config, ds *graph.NodeDataset) *EgoTrainer {
 	return NewEgoTrainerSource(cfg, modelCfg, graph.SourceOf(ds))
 }
@@ -120,32 +123,79 @@ func (tr *EgoTrainer) nextSerial(n int) uint64 {
 	return s
 }
 
-// forward runs the model over one sampled ego context. The context's X is
-// handed to the model directly; the model does not retain it past the
-// backward pass, which completes before the context is recycled.
-func (tr *EgoTrainer) forward(c *sample.Context, train bool) *tensor.Mat {
-	p := sparse.FromGraph(c.Sub)
-	in := &model.Inputs{X: c.X, DegInIdx: c.DegIn, DegOutIdx: c.DegOut}
-	spec := &model.AttentionSpec{Mode: model.ModeSparse, Pattern: p, EdgeBuckets: edgeBucketsFor(p, false, 0)}
-	return tr.Model.Forward(in, spec, train)
+// egoPackRows is the row budget of one packed forward/backward: sampled
+// contexts are coalesced, in sampling order, into block-diagonal packs of at
+// most this many rows (8 contexts of the default 32). Longer packs run faster
+// still, but their activations lift the disk-resident workload's peak RSS —
+// the sizing table is in DESIGN.md "Locality: reordering and packing" — and
+// the budget changes wall-clock only: every pack size yields the same bits.
+const egoPackRows = 256
+
+// eachPack samples targets in order and coalesces their contexts — features,
+// degree buckets, label, and the subgraph's pattern with its edge buckets —
+// into packs of at most egoPackRows rows, calling flush on each pack as it
+// fills and on the last partial one. The sampler keeps prefetching while a
+// flush computes. On a source I/O error (reported once every target has been
+// visited) the remaining pack is dropped, not flushed.
+func (tr *EgoTrainer) eachPack(pipe *sample.Pipeline, targets []int32, flush func()) error {
+	reset := func() {
+		tr.pack.reset()
+		tr.labels = tr.labels[:0]
+	}
+	reset()
+	err := pipe.Each(targets, tr.nextSerial(len(targets)), func(c *sample.Context) {
+		if rows := tr.pack.rows(); rows > 0 && rows+c.X.Rows > egoPackRows {
+			flush()
+			reset()
+		}
+		p := sparse.FromGraph(c.Sub)
+		tr.pack.add(&model.Inputs{X: c.X, DegInIdx: c.DegIn, DegOutIdx: c.DegOut}, p, edgeBucketsFor(p, false, 0))
+		tr.labels = append(tr.labels, c.Label)
+	})
+	if err == nil && tr.pack.rows() > 0 {
+		flush()
+	}
+	return err
 }
 
-// step trains on one batch of targets and returns the summed loss.
-func (tr *EgoTrainer) step(pipe *sample.Pipeline, targets []int32, opt *nn.Adam) (float64, error) {
+// forwardPack runs the model over the current pack and returns the logits of
+// all its rows; context s's target is row SegRows[s], the first of its block.
+func (tr *EgoTrainer) forwardPack(train bool) *tensor.Mat {
+	return tr.Model.Forward(&tr.pack.in, tr.pack.spec(false), train)
+}
+
+// accumulate runs forward and backward over targets, pack by pack, adding
+// their gradients to the model's accumulators, and returns the summed loss.
+// The per-context losses are those of a loop over the contexts one at a
+// time: each is the cross-entropy of its target row alone, summed in
+// sampling order, and the model segments every gradient reduction by context.
+func (tr *EgoTrainer) accumulate(pipe *sample.Pipeline, targets []int32) (float64, error) {
 	var total float64
-	err := pipe.Each(targets, tr.nextSerial(len(targets)), func(c *sample.Context) {
-		logits := tr.forward(c, true)
-		// loss on the target node (row 0) only
-		mask := make([]bool, len(c.Nodes))
-		mask[0] = true
-		labels := make([]int32, len(c.Nodes))
-		labels[0] = c.Label
-		l, dl := nn.SoftmaxCrossEntropy(logits, labels, mask)
+	err := tr.eachPack(pipe, targets, func() {
+		logits := tr.forwardPack(true)
+		dl := tensor.New(logits.Rows, logits.Cols)
+		for s, y := range tr.labels {
+			r := int(tr.pack.in.SegRows[s])
+			l, d := nn.SoftmaxCrossEntropy(logits.SliceRows(r, r+1), []int32{y}, nil)
+			copy(dl.Row(r), d.Row(0))
+			total += l
+		}
 		tr.Model.Backward(dl)
-		total += l
 	})
-	opt.Step(tr.Model.Params())
 	return total, err
+}
+
+// step trains on one batch of targets — one optimiser step — and returns the
+// summed loss. The samples behind a failed source are zero-filled: on its
+// error no step is taken on them and no partial gradient is left behind.
+func (tr *EgoTrainer) step(pipe *sample.Pipeline, targets []int32, opt *nn.Adam) (float64, error) {
+	total, err := tr.accumulate(pipe, targets)
+	if err != nil {
+		nn.ZeroGrads(tr.Model.Params())
+		return 0, err
+	}
+	opt.Step(tr.Model.Params())
+	return total, nil
 }
 
 // Run trains over all train-mask targets each epoch and evaluates on a
@@ -221,17 +271,19 @@ func (tr *EgoTrainer) evalSample(pipe *sample.Pipeline, testIdx []int32, n int, 
 		targets[i] = testIdx[rng.Intn(len(testIdx))]
 	}
 	correct := 0
-	err := pipe.Each(targets, tr.nextSerial(n), func(c *sample.Context) {
-		logits := tr.forward(c, false)
-		row := logits.Row(0)
-		best := 0
-		for j := 1; j < len(row); j++ {
-			if row[j] > row[best] {
-				best = j
+	err := tr.eachPack(pipe, targets, func() {
+		logits := tr.forwardPack(false)
+		for s, y := range tr.labels {
+			row := logits.Row(int(tr.pack.in.SegRows[s]))
+			best := 0
+			for j := 1; j < len(row); j++ {
+				if row[j] > row[best] {
+					best = j
+				}
 			}
-		}
-		if int32(best) == c.Label {
-			correct++
+			if int32(best) == y {
+				correct++
+			}
 		}
 	})
 	if err != nil {
