@@ -32,9 +32,10 @@ echo "== train snapshot v1 (2 epochs) and v2 (4 epochs)"
 "$WORK/torchgt-serve" -nodes $NODES -seed $SEED -epochs 4 \
     -save-snapshot "$WORK/v2.snap" -train-only
 
-# -max-pending 4 with a 50ms flush deadline makes overload bursts shed
-# deterministically while the closed-loop load workers (4 of them) never
-# exceed the bound.
+# -max-pending 4 makes overload bursts shed deterministically: a burst far
+# wider than the bound arrives while the engine is busy with its first
+# requests, so more than 4 are pending at once. The closed-loop load workers
+# (4 of them) never exceed the bound.
 echo "== boot server on $ADDR (v1 live)"
 "$WORK/torchgt-serve" -nodes $NODES -seed $SEED -snapshot "$WORK/v1.snap" \
     -http "$ADDR" -model default -max-pending 4 -batch 8 -deadline 50ms \

@@ -75,7 +75,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	minWorkers := fs.Int("min-workers", 0, "replica-scaling floor (0 = fixed pool at -workers)")
 	maxWorkers := fs.Int("max-workers", 0, "replica-scaling ceiling (0 = fixed pool at -workers)")
 	batch := fs.Int("batch", 16, "max batch size (flush-on-size trigger)")
-	deadline := fs.Duration("deadline", 2*time.Millisecond, "max batching delay (flush-on-deadline trigger)")
+	deadline := fs.Duration("deadline", 2*time.Millisecond, "longest a request waits for company while a forward is running (flush-on-deadline trigger; an idle engine flushes at once)")
 	mode := fs.String("mode", "sparse", "attention kernel: sparse | dense | flash | flash-bf16 | cluster-sparse | kernelized")
 	hops := fs.Int("hops", 2, "ego-context BFS radius per request")
 	ctxSize := fs.Int("ctx", 32, "max ego-context size per request")
@@ -218,8 +218,8 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 			lp.AvgBatch, lp.Errors)
 	}
 	st := srv.Stats()
-	fmt.Fprintf(stdout, "\ntotals: %d requests, %d batches (%.1f avg), %d full / %d deadline flushes\n",
-		st.Requests, st.Batches, st.AvgBatchSize, st.FlushFull, st.FlushDeadline)
+	fmt.Fprintf(stdout, "\ntotals: %d requests, %d batches (%.1f avg), %d full / %d deadline / %d idle flushes\n",
+		st.Requests, st.Batches, st.AvgBatchSize, st.FlushFull, st.FlushDeadline, st.FlushIdle)
 	if io, ok := srv.SourceIOStats(); ok {
 		fmt.Fprintf(stdout, "shard I/O: %d cache hits, %d misses, %d evictions, %.1f MB read\n",
 			io.Hits, io.Misses, io.Evictions, float64(io.BytesRead)/(1<<20))

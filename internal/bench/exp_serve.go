@@ -88,9 +88,9 @@ func runServe(ctx context.Context, w io.Writer, scale Scale) error {
 	}
 	tb.write(w)
 	st := srv.Stats()
-	fmt.Fprintf(w, "\ntotals: %d requests in %d batches (avg %.1f); %d full flushes, %d deadline flushes\n",
-		st.Requests, st.Batches, st.AvgBatchSize, st.FlushFull, st.FlushDeadline)
-	fmt.Fprintln(w, "expected shape: latency stays near the deadline below the knee; past saturation queueing dominates and batches widen to MaxBatch")
+	fmt.Fprintf(w, "\ntotals: %d requests in %d batches (avg %.1f); %d full flushes, %d deadline flushes, %d idle flushes\n",
+		st.Requests, st.Batches, st.AvgBatchSize, st.FlushFull, st.FlushDeadline, st.FlushIdle)
+	fmt.Fprintln(w, "expected shape: latency stays near one forward below the knee (an idle engine flushes at once); past saturation queueing dominates and batches widen to MaxBatch")
 
 	// Packed-vs-unpacked flush: the same engine with MaxBatch=1 issues one
 	// attention call per request (the pre-packing behaviour); the packed

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"testing"
 
 	"torchgt/internal/model"
@@ -13,7 +14,9 @@ import (
 // the numbers count buffers, not goroutine launches (same convention as the
 // attention alloc benchmarks).
 
-func benchServer(b *testing.B, batch int, q Quant) (*Server, []int32) {
+// benchServer builds a one-worker engine (maxBatch 0 keeps the default) and
+// warms it with one PredictBatch of batch nodes.
+func benchServer(b *testing.B, batch, maxBatch int, q Quant) (*Server, []int32) {
 	b.Helper()
 	ds := testDataset(256, 41)
 	snap := testSnapshot(b, ds, 42)
@@ -24,7 +27,7 @@ func benchServer(b *testing.B, batch int, q Quant) (*Server, []int32) {
 		}
 	}
 	s, err := NewServer(snap, ds, Options{
-		Workers: 1, MaxBatch: batch,
+		Workers: 1, MaxBatch: maxBatch,
 		Exec: &model.ExecOptions{Workers: 1, PoolEnabled: true},
 	})
 	if err != nil {
@@ -42,7 +45,7 @@ func benchServer(b *testing.B, batch int, q Quant) (*Server, []int32) {
 func benchPredictBatch(b *testing.B, batch int, q Quant) {
 	prev := tensor.SetWorkers(1)
 	defer tensor.SetWorkers(prev)
-	s, nodes := benchServer(b, batch, q)
+	s, nodes := benchServer(b, batch, batch, q)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -56,6 +59,24 @@ func benchPredictBatch(b *testing.B, batch int, q Quant) {
 func BenchmarkServeBatch1(b *testing.B)  { benchPredictBatch(b, 1, QuantNone) }
 func BenchmarkServeBatch8(b *testing.B)  { benchPredictBatch(b, 8, QuantNone) }
 func BenchmarkServeBatch32(b *testing.B) { benchPredictBatch(b, 32, QuantNone) }
+
+// BenchmarkServePredictIdle is one Predict through the scheduler on an idle
+// engine at the default MaxBatch and MaxDelay: a lone request must cost about
+// one batch-1 forward (BenchmarkServeBatch1), not that plus MaxDelay of
+// waiting for company that is not coming. CI gates the ratio of the two.
+func BenchmarkServePredictIdle(b *testing.B) {
+	prev := tensor.SetWorkers(1)
+	defer tensor.SetWorkers(prev)
+	s, nodes := benchServer(b, 1, 0, QuantNone)
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if r := s.Predict(ctx, nodes[0]); r.Err != nil {
+			b.Fatal(r.Err)
+		}
+	}
+}
 
 // Quantized serving path: replicas dequantize at materialize time, so the
 // steady-state request cost must match the float32 server (same f32 kernels,

@@ -42,6 +42,7 @@ func TestHTTPPredictErrorPaths(t *testing.T) {
 	if _, err := r.Swap("m", 0); err != nil {
 		t.Fatal(err)
 	}
+	defer holdEngine(activeServer(t, r, "m"))()
 	h := r.Handler()
 
 	// Malformed JSON bodies → 400 with a descriptive message.

@@ -78,10 +78,11 @@ func engineFamilies(p *promBuf, rows []engineRow) {
 	for _, r := range rows {
 		p.sample("torchgt_engine_batches_total", r.labels, float64(r.st.Batches))
 	}
-	p.family("torchgt_engine_flush_total", "counter", "Batch flushes by trigger (full, deadline, shutdown).")
+	p.family("torchgt_engine_flush_total", "counter", "Batch flushes by trigger (full, deadline, idle, shutdown).")
 	for _, r := range rows {
 		p.sample("torchgt_engine_flush_total", append(r.labels[:len(r.labels):len(r.labels)], [2]string{"reason", "full"}), float64(r.st.FlushFull))
 		p.sample("torchgt_engine_flush_total", append(r.labels[:len(r.labels):len(r.labels)], [2]string{"reason", "deadline"}), float64(r.st.FlushDeadline))
+		p.sample("torchgt_engine_flush_total", append(r.labels[:len(r.labels):len(r.labels)], [2]string{"reason", "idle"}), float64(r.st.FlushIdle))
 		p.sample("torchgt_engine_flush_total", append(r.labels[:len(r.labels):len(r.labels)], [2]string{"reason", "shutdown"}), float64(r.st.FlushShutdown))
 	}
 	p.family("torchgt_engine_cancelled_total", "counter", "Requests whose context expired while queued.")

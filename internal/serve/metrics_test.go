@@ -59,6 +59,10 @@ func TestRegistryMetricsExposition(t *testing.T) {
 			t.Fatal(resp.Err)
 		}
 	}
+	// A reply arrives before its batch is counted; a job leaves the
+	// in-flight count only after, so zero means the counters are final.
+	s := activeServer(t, r, "m")
+	waitFor(t, "the last batch to be counted", func() bool { return s.inflight.Load() == 0 })
 
 	text := scrape(t, r)
 	validateExposition(t, text)
@@ -79,6 +83,10 @@ func TestRegistryMetricsExposition(t *testing.T) {
 		if got := metricValue(t, text, sample); got != want {
 			t.Errorf("%s = %v, want %v", sample, got, want)
 		}
+	}
+	// The first request found the engine idle, so at least it went out at once.
+	if got := metricValue(t, text, `torchgt_engine_flush_total{model="m",reason="idle"}`); got != float64(st.Engine.FlushIdle) || got < 1 {
+		t.Errorf("idle flushes exported %v, engine counted %d (want >= 1)", got, st.Engine.FlushIdle)
 	}
 	if metricValue(t, text, "torchgt_ego_cache_misses_total") == 0 {
 		t.Error("cache misses not exported")

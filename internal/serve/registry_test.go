@@ -38,6 +38,20 @@ func testRegistry(t *testing.T, ds *graph.NodeDataset, opts ModelOptions) *Regis
 	return r
 }
 
+// activeServer returns the engine of the named model's active generation.
+func activeServer(t *testing.T, r *Registry, name string) *Server {
+	t.Helper()
+	m, err := r.model(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := m.active.Load()
+	if g == nil {
+		t.Fatalf("model %s has no active generation", name)
+	}
+	return g.srv
+}
+
 // metricValue extracts one sample value from a Prometheus exposition.
 func metricValue(t *testing.T, text, sample string) float64 {
 	t.Helper()
@@ -252,6 +266,7 @@ func TestAdmissionControlSheds(t *testing.T) {
 	if _, err := r.Swap("m", 0); err != nil {
 		t.Fatal(err)
 	}
+	defer holdEngine(activeServer(t, r, "m"))()
 
 	ctx, cancel := context.WithCancel(context.Background())
 	parked := make(chan Response, 1)
@@ -283,7 +298,8 @@ func TestAdmissionControlSheds(t *testing.T) {
 
 	// Below the bound, admission recovers instantly: the next request is
 	// admitted into the engine queue (where it parks until its deadline —
-	// the scheduler here never flushes), not shed.
+	// the engine is held busy and the scheduler here never flushes), not
+	// shed.
 	admitted := r.Stats().Models[0].Admitted
 	dctx, dcancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer dcancel()
@@ -319,6 +335,7 @@ func TestRegistryReadiness(t *testing.T) {
 	if !r.Ready() {
 		t.Fatal("registry must be ready after the first swap")
 	}
+	defer holdEngine(activeServer(t, r, "m"))()
 
 	// Park a request on generation 1, then swap: the old generation cannot
 	// finish draining while the request is in flight, so readiness drops.

@@ -4,12 +4,15 @@
 // by a pool of replica workers that each own a model.Runtime with pooled
 // workspaces.
 //
-// The scheduler implements the classic elastic-batching contract: an arriving
-// request waits until either MaxBatch requests are pending (flush on size —
-// the throughput bound) or the oldest pending request has waited MaxDelay
-// (flush on deadline — the latency bound), whichever comes first. Under heavy
-// load batches fill instantly and the engine runs at kernel saturation; under
-// light load a request pays at most MaxDelay of batching latency.
+// The scheduler is work-conserving: a request waits for company only while a
+// forward is running. Pending requests flush as one batch on the first of
+// three triggers — no batch in flight (flush on idle: waiting would only
+// delay them), MaxBatch requests pending (flush on size — the throughput
+// bound), or the oldest pending request has waited MaxDelay while the
+// engine was busy (flush on deadline — the latency bound). Under light load
+// a request pays no batching delay at all; under saturation some batch is
+// always in flight, the idle rule never fires, and batches fill by size and
+// deadline alone.
 //
 // Determinism: per-request ego contexts are built by deterministic truncated
 // BFS, and the default block-diagonal sparse kernel confines attention to
@@ -46,8 +49,10 @@ type Options struct {
 	// MaxBatch flushes the queue when this many requests are pending
 	// (default 16).
 	MaxBatch int
-	// MaxDelay flushes the queue when the oldest pending request has
-	// waited this long (default 2ms).
+	// MaxDelay is the longest a request waits for company while a forward
+	// is running (default 2ms): the queue flushes when its oldest request
+	// has waited this long. With no batch in flight, pending requests flush
+	// at once.
 	MaxDelay time.Duration
 	// QueueCap bounds the intake queue (default 4×MaxBatch). A full queue
 	// blocks Predict — backpressure instead of unbounded memory growth.
@@ -171,6 +176,7 @@ type Stats struct {
 	Batches       int64 // executed forward passes
 	FlushFull     int64 // batches flushed on MaxBatch
 	FlushDeadline int64 // batches flushed on MaxDelay
+	FlushIdle     int64 // partial batches flushed because no batch was in flight
 	FlushShutdown int64 // partial batches drained at Close
 	Cancelled     int64 // requests whose context expired while queued
 	Workers       int64 // current replica count (gauge)
@@ -207,11 +213,19 @@ type Server struct {
 	reqCh chan *request
 	jobCh chan *job
 
+	// inflight counts batches handed to jobCh (by the scheduler or
+	// PredictBatch) whose responses are not yet all sent. The job that
+	// brings it to zero leaves a token in wake (capacity 1), so a scheduler
+	// collecting a partial batch learns the engine went idle.
+	inflight atomic.Int64
+	wake     chan struct{}
+
 	workersWG sync.WaitGroup
 	nWorkers  atomic.Int64 // current replica count
 
 	nRequests, nBatches    int64
 	nFull, nDeadline       int64
+	nIdle                  int64
 	nShutdown, sumBatch    int64
 	nCancelled             int64
 	nScaleUps, nScaleDowns int64
@@ -302,6 +316,7 @@ func NewServerSource(snap *Snapshot, src graph.NodeSource, opts Options) (*Serve
 		gver:    cache.versionOf(src.GraphKey()),
 		reqCh:   make(chan *request, opts.QueueCap),
 		jobCh:   make(chan *job),
+		wake:    make(chan struct{}, 1),
 		packers: sync.Pool{New: func() any { return sparse.NewPacker() }},
 	}
 	go s.batchLoop()
@@ -416,6 +431,7 @@ func (s *Server) PredictBatch(nodes []int32) []Response {
 		}
 		return out
 	}
+	s.inflight.Add(1) // before the send: the scheduler must see the engine busy
 	s.jobCh <- &job{reqs: reqs}
 	s.mu.RUnlock()
 	atomic.AddInt64(&s.nRequests, int64(len(reqs)))
@@ -455,6 +471,7 @@ func (s *Server) Stats() Stats {
 		Batches:       atomic.LoadInt64(&s.nBatches),
 		FlushFull:     atomic.LoadInt64(&s.nFull),
 		FlushDeadline: atomic.LoadInt64(&s.nDeadline),
+		FlushIdle:     atomic.LoadInt64(&s.nIdle),
 		FlushShutdown: atomic.LoadInt64(&s.nShutdown),
 		Cancelled:     atomic.LoadInt64(&s.nCancelled),
 		Workers:       s.nWorkers.Load(),
@@ -514,9 +531,15 @@ func (s *Server) batchLoop() {
 			s.dispatch(buf, &s.nFull)
 			continue
 		}
+		// Work conservation: with no forward running, waiting for company
+		// only delays these requests.
+		if s.inflight.Load() == 0 {
+			s.dispatch(buf, &s.nIdle)
+			continue
+		}
 		// Deadline of the OLDEST pending request bounds its queueing time.
 		timer := time.NewTimer(time.Until(first.enq.Add(s.opts.MaxDelay)))
-		flushed := false
+		reason := &s.nFull
 	collect:
 		for len(buf) < s.opts.MaxBatch {
 			select {
@@ -529,16 +552,21 @@ func (s *Server) batchLoop() {
 				if s.admit(r) {
 					buf = append(buf, r)
 				}
+			case <-s.wake:
+				// The token may be stale (the count reached zero, then a
+				// dispatch or PredictBatch raised it again): only a count
+				// still at zero means the engine is idle.
+				if s.inflight.Load() == 0 {
+					reason = &s.nIdle
+					break collect
+				}
 			case <-timer.C:
-				s.dispatch(buf, &s.nDeadline)
-				flushed = true
+				reason = &s.nDeadline
 				break collect
 			}
 		}
-		if !flushed {
-			timer.Stop()
-			s.dispatch(buf, &s.nFull)
-		}
+		timer.Stop()
+		s.dispatch(buf, reason)
 	}
 }
 
@@ -546,20 +574,25 @@ func (s *Server) batchLoop() {
 // on the way: when the handoff would block (every replica is mid-batch) while
 // more requests already wait in the intake queue, one request's queueing time
 // is about to double — a new replica pays for itself, so the pool grows
-// toward MaxWorkers before the blocking send.
+// toward MaxWorkers before the blocking send. An idle flush never scales:
+// no batch was in flight, so a handoff that would block only means a worker
+// has finished its batch but not yet come back for the next.
 func (s *Server) dispatch(buf []*request, reason *int64) {
 	if len(buf) == 0 {
 		return
 	}
 	atomic.AddInt64(reason, 1)
+	s.inflight.Add(1)
 	j := &job{reqs: buf}
-	select {
-	case s.jobCh <- j:
-		return
-	default:
-	}
-	if len(s.reqCh) > 0 {
-		s.maybeScaleUp()
+	if reason != &s.nIdle {
+		select {
+		case s.jobCh <- j:
+			return
+		default:
+		}
+		if len(s.reqCh) > 0 {
+			s.maybeScaleUp()
+		}
 	}
 	s.jobCh <- j
 }
@@ -632,8 +665,10 @@ func (s *Server) worker(m *model.GraphTransformer) {
 }
 
 // runJob builds the batch sequence, runs one grad-free forward and fans the
-// per-request rows back out as responses.
+// per-request rows back out as responses. The job leaves the in-flight count
+// only once its replica is ready for the next one.
 func (s *Server) runJob(m *model.GraphTransformer, j *job) {
+	defer s.jobDone()
 	start := time.Now()
 	nodes := make([]int32, len(j.reqs))
 	for i, r := range j.reqs {
@@ -662,4 +697,16 @@ func (s *Server) runJob(m *model.GraphTransformer, j *job) {
 	m.Runtime().StepReset()
 	atomic.AddInt64(&s.nBatches, 1)
 	atomic.AddInt64(&s.sumBatch, int64(len(j.reqs)))
+}
+
+// jobDone takes a finished batch out of the in-flight count and, when none
+// is left, wakes the scheduler without blocking: a token already waiting in
+// wake says the same thing.
+func (s *Server) jobDone() {
+	if s.inflight.Add(-1) == 0 {
+		select {
+		case s.wake <- struct{}{}:
+		default:
+		}
+	}
 }

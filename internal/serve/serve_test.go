@@ -48,6 +48,15 @@ func mustServer(t testing.TB, snap *Snapshot, ds *graph.NodeDataset, opts Option
 	return s
 }
 
+// holdEngine puts one phantom batch in flight — the state a running forward
+// produces — so the scheduler parks a partial batch until MaxBatch fills or
+// MaxDelay passes. release takes it out again, waking the scheduler as a
+// finishing forward does; calls after the first do nothing.
+func holdEngine(s *Server) (release func()) {
+	s.inflight.Add(1)
+	return sync.OnceFunc(s.jobDone)
+}
+
 // bitsEqual compares two float32 slices bitwise.
 func bitsEqual(a, b []float32) bool {
 	if len(a) != len(b) {
@@ -128,9 +137,10 @@ func TestBatchCompositionIndependence(t *testing.T) {
 	}
 }
 
-// TestQueuedPathFlushOnFull: with an effectively infinite deadline the
-// scheduler may flush only when MaxBatch requests are pending, and the queued
-// path must agree bitwise with the direct PredictBatch path.
+// TestQueuedPathFlushOnFull: with an effectively infinite deadline and the
+// engine held busy the scheduler may flush only when MaxBatch requests are
+// pending, and the queued path must agree bitwise with the direct
+// PredictBatch path.
 func TestQueuedPathFlushOnFull(t *testing.T) {
 	ds := testDataset(192, 5)
 	snap := testSnapshot(t, ds, 6)
@@ -139,6 +149,7 @@ func TestQueuedPathFlushOnFull(t *testing.T) {
 	})
 	nodes := []int32{1, 2, 3, 4}
 	direct := s.PredictBatch(nodes)
+	defer holdEngine(s)()
 
 	chans := make([]<-chan Response, len(nodes))
 	for i, n := range nodes {
@@ -169,13 +180,15 @@ func TestQueuedPathFlushOnFull(t *testing.T) {
 	}
 }
 
-// TestFlushOnDeadline: with a huge MaxBatch the only way out is the deadline.
+// TestFlushOnDeadline: with a huge MaxBatch and the engine held busy the only
+// way out is the deadline.
 func TestFlushOnDeadline(t *testing.T) {
 	ds := testDataset(192, 7)
 	snap := testSnapshot(t, ds, 8)
 	s := mustServer(t, snap, ds, Options{
 		Workers: 1, MaxBatch: 64, MaxDelay: 20 * time.Millisecond,
 	})
+	defer holdEngine(s)()
 	c1 := s.PredictAsync(context.Background(), 10)
 	c2 := s.PredictAsync(context.Background(), 20)
 	for _, ch := range []<-chan Response{c1, c2} {
@@ -563,10 +576,11 @@ func TestHTTPClosedServerReturns503(t *testing.T) {
 func TestPredictCancelledWhileQueued(t *testing.T) {
 	ds := testDataset(96, 40)
 	snap := testSnapshot(t, ds, 41)
-	// Huge batch + huge deadline: nothing flushes on its own, so queued
-	// requests sit in the scheduler until cancelled.
+	// Huge batch + huge deadline + a busy engine: nothing flushes on its
+	// own, so queued requests sit in the scheduler until cancelled.
 	s := mustServer(t, snap, ds, Options{Workers: 1, MaxBatch: 64, MaxDelay: time.Hour})
 	defer s.Close()
+	defer holdEngine(s)()
 
 	ctx, cancel := context.WithCancel(context.Background())
 	ch := s.PredictAsync(ctx, 3)

@@ -10,8 +10,9 @@ import (
 
 // Serving: the batched inference subsystem. A trained model is frozen into a
 // Snapshot, and a Server fronts grad-free forward passes with a request
-// queue plus a dynamic micro-batching scheduler (flush on batch size or
-// latency deadline, whichever first) over a pool of Runtime-backed replica
+// queue plus a work-conserving micro-batching scheduler (flush at once when
+// no batch is in flight, else on batch size or latency deadline, whichever
+// first) over a pool of Runtime-backed replica
 // workers. See DESIGN.md ("Serving") for the scheduler's trade-offs.
 type (
 	// Server is the batched inference engine over one dataset's graph.
