@@ -420,6 +420,44 @@ func TestSparseHandlesEmptyRows(t *testing.T) {
 	}
 }
 
+// TestSparseQueryRowsSubset: a pattern holding only some rows of a square one
+// (columns still indexing every key) gives those rows' outputs of the square
+// forward bit for bit; its Backward and a column past the last key panic.
+func TestSparseQueryRowsSubset(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	full := sparse.FromGraph(graph.ErdosRenyi(10, 0.3, rng))
+	q, k, v := randQKV(rng, 10, 4, 3)
+	want := NewSparse(full).Forward(q, k, v)
+	rows := []int{2, 7, 9}
+	sub := &sparse.Pattern{S: len(rows), RowPtr: []int32{0}}
+	qs := tensor.New(len(rows), 4)
+	for i, r := range rows {
+		sub.ColIdx = append(sub.ColIdx, full.Row(r)...)
+		sub.RowPtr = append(sub.RowPtr, int32(len(sub.ColIdx)))
+		copy(qs.Row(i), q.Row(r))
+	}
+	kr := NewSparse(sub)
+	got := kr.Forward(qs, k, v)
+	for i, r := range rows {
+		for j, x := range got.Row(i) {
+			if math.Float32bits(x) != math.Float32bits(want.Row(r)[j]) {
+				t.Fatalf("row %d col %d: %v subset, %v square", r, j, x, want.Row(r)[j])
+			}
+		}
+	}
+	mustPanic := func(what string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("%s: no panic", what)
+			}
+		}()
+		f()
+	}
+	mustPanic("backward", func() { kr.Backward(tensor.New(len(rows), 3)) })
+	mustPanic("column past the keys", func() { NewSparse(sub).Forward(qs, k.SliceRows(0, 5), v.SliceRows(0, 5)) })
+}
+
 func TestClusterSparseBlockAtBoundary(t *testing.T) {
 	// a hand-built reformed layout whose block overhangs S: out-of-range
 	// cells must be masked, not crash.

@@ -1,6 +1,8 @@
 package attention
 
 import (
+	"fmt"
+
 	"torchgt/internal/tensor"
 
 	"torchgt/internal/sparse"
@@ -10,10 +12,17 @@ import (
 // the pattern are attended, giving O(E) compute. Per-entry additive bias
 // (Graphormer's SPD buckets restricted to the pattern) is supported via
 // SetEdgeBias.
+//
+// The pattern's rows are the queries and its columns index the keys, which
+// need not be the same rows: Forward takes P.S queries against any number
+// of keys past the largest column, so an inference pass can compute only
+// some query rows of a sequence (model.Inputs.Targets). Backward needs the
+// square case.
 type Sparse struct {
 	P *sparse.Pattern
 
-	// transpose index (CSC) for race-free backward over columns
+	// transpose index (CSC) for race-free backward over columns, built by
+	// the first Backward — inference never needs it
 	colPtr   []int32
 	rowIdx   []int32 // row of each CSC entry
 	entryIdx []int32 // original CSR entry index of each CSC entry
@@ -31,9 +40,12 @@ type Sparse struct {
 // SetWorkspace implements WorkspaceUser.
 func (s *Sparse) SetWorkspace(ws *tensor.Workspace) { s.ws = ws }
 
-// NewSparse constructs the kernel and builds the transpose index once.
-func NewSparse(p *sparse.Pattern) *Sparse {
-	s := &Sparse{P: p}
+// NewSparse constructs the kernel over p.
+func NewSparse(p *sparse.Pattern) *Sparse { return &Sparse{P: p} }
+
+// buildTranspose builds the CSC index of the (square) pattern.
+func (s *Sparse) buildTranspose() {
+	p := s.P
 	nnz := p.NNZ()
 	s.colPtr = make([]int32, p.S+1)
 	for _, j := range p.ColIdx {
@@ -54,7 +66,6 @@ func NewSparse(p *sparse.Pattern) *Sparse {
 			s.entryIdx[pos] = e
 		}
 	}
-	return s
 }
 
 // Name implements Kernel.
@@ -76,11 +87,19 @@ func (s *Sparse) SetEdgeBias(b []float32) {
 // no bias was set).
 func (s *Sparse) EdgeBiasGrad() []float32 { return s.biasGrad }
 
-// Forward implements Kernel.
+// Forward implements Kernel: q has one row per pattern row, k and v one row
+// per key, at least one more than the largest pattern column.
 func (s *Sparse) Forward(q, k, v *tensor.Mat) *tensor.Mat {
-	checkQKV(q, k, v)
+	if q.Cols != k.Cols || k.Rows != v.Rows {
+		panic("attention: inconsistent q/k/v shapes")
+	}
 	if q.Rows != s.P.S {
-		panic("attention: sequence length does not match pattern")
+		panic(fmt.Sprintf("attention: %d query rows for a %d-row pattern", q.Rows, s.P.S))
+	}
+	for _, j := range s.P.ColIdx {
+		if int(j) >= k.Rows {
+			panic(fmt.Sprintf("attention: pattern column %d out of range of %d keys", j, k.Rows))
+		}
 	}
 	s.q, s.k, s.v = q, k, v
 	scale := scaleFor(q.Cols)
@@ -117,6 +136,12 @@ func (s *Sparse) Forward(q, k, v *tensor.Mat) *tensor.Mat {
 // dQ; column pass (over the transpose index) computes dK and dV.
 func (s *Sparse) Backward(dO *tensor.Mat) (dq, dk, dv *tensor.Mat) {
 	q, k, v := s.q, s.k, s.v
+	if q.Rows != k.Rows {
+		panic(fmt.Sprintf("attention: sparse backward needs as many queries as keys (%d vs %d)", q.Rows, k.Rows))
+	}
+	if s.colPtr == nil {
+		s.buildTranspose()
+	}
 	scale := scaleFor(q.Cols)
 	nnz := s.P.NNZ()
 	s.ds = s.ws.GetVec(nnz)

@@ -54,13 +54,19 @@ func (b *Block) Params() []*nn.Param {
 	return nn.CollectParams(b.LN1, b.Attn, b.LN2, b.FC1, b.FC2)
 }
 
-// Forward runs the block. Residual-sum buffers come from the runtime's
-// step workspace; they are consumed within the step (the next layer caches
-// what its backward needs), so pooling them is safe.
-func (b *Block) Forward(x *tensor.Mat, spec *AttentionSpec, train bool) *tensor.Mat {
+// Forward runs the block. rows, when non-nil, are the rows of x the block
+// computes: LN1, WK and WV still run on all of x (the keys and values the
+// attention reads), while the queries, both residuals and the FFN run on
+// those rows only, so the output has one row per entry of rows and spec's
+// pattern must have exactly those rows, its columns indexing x (see
+// rowSchedule). nil computes every row. Residual-sum buffers come from the
+// runtime's step workspace; they are consumed within the step (the next layer
+// caches what its backward needs), so pooling them is safe.
+func (b *Block) Forward(x *tensor.Mat, spec *AttentionSpec, train bool, rows []int32) *tensor.Mat {
 	ws := normPlan(b.plan).workspace(0)
-	h := b.Attn.Forward(b.LN1.Forward(x), spec)
+	h := b.Attn.Forward(b.LN1.Forward(x), spec, rows)
 	h = b.Drop1.Forward(h, train)
+	x = pickRows(ws, x, rows)
 	x1 := ws.GetUninit(x.Rows, x.Cols)
 	tensor.Add(x1, x, h)
 

@@ -175,7 +175,7 @@ func TestFlashMHAPlansBitwise(t *testing.T) {
 		tensor.RandN(dout, rng, 1)
 		var out0, dx0 *tensor.Mat
 		for i, m := range mhas {
-			out := m.Forward(x, spec)
+			out := m.Forward(x, spec, nil)
 			dx := m.Backward(dout)
 			if i == 0 {
 				out0, dx0 = out, dx

@@ -143,10 +143,12 @@ func (m *MHA) newKernelInner(head int, spec *AttentionSpec, s int, ws *tensor.Wo
 
 // Forward runs multi-head attention over x — the token sequence (S×Hidden),
 // or under a row-sharded plan this rank's rows of it — using spec's kernels.
-// The projections are row-wise; the per-head section, which needs the whole
-// sequence, is scheduled by the attached Plan.
-func (m *MHA) Forward(x *tensor.Mat, spec *AttentionSpec) *tensor.Mat {
-	q := m.WQ.Forward(x)
+// With rows non-nil only those rows of x are queries, and the output has one
+// row per entry of rows (see Block.Forward). The projections are row-wise;
+// the per-head section, which needs the whole sequence, is scheduled by the
+// attached Plan.
+func (m *MHA) Forward(x *tensor.Mat, spec *AttentionSpec, rows []int32) *tensor.Mat {
+	q := m.WQ.Forward(pickRows(normPlan(m.plan).workspace(0), x, rows))
 	k := m.WK.Forward(x)
 	v := m.WV.Forward(x)
 	concat := normPlan(m.plan).forwardHeads(m, q, k, v, spec)

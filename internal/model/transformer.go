@@ -33,6 +33,8 @@ type GraphTransformer struct {
 
 	plan         Plan
 	rowLo, rowHi int // the plan's rows() of the last forward
+
+	sched rowSchedule // the receptive field of the last pruned Targets forward
 }
 
 // SetPlan swaps the execution plan — serial or head-parallel (*Runtime), or
@@ -91,6 +93,14 @@ type Inputs struct {
 	// are and Forward returns all of them — segment s's logits are rows
 	// [SegRows[s], SegRows[s+1]), an ego context's target being the first.
 	SegRows []int32
+	// Targets, when non-nil, are the sequence rows whose logits the caller
+	// reads (node form, inference only): Forward then returns
+	// len(Targets)×OutDim in Targets order, duplicates and any order allowed.
+	// Under a ModeSparse spec on a single-process plan it computes, layer by
+	// layer, only the rows a target depends on (rowSchedule), with the bits
+	// the full forward gives them; other modes and plans compute every row
+	// and gather the targets at the end.
+	Targets []int32
 }
 
 // NewGraphTransformer builds the model from cfg.
@@ -249,6 +259,9 @@ func (g *GraphTransformer) embed(in *Inputs, train bool) *tensor.Mat {
 // Under a row-sharded plan (DistSeqParallel) every layer here runs on this
 // rank's rows of the sequence only and the logits are gathered at the end, so
 // the return value is the same S×OutDim matrix on every rank.
+//
+// With Inputs.Targets set (inference, node form) Forward returns only the
+// target rows' logits, pruned under a sparse spec as Targets describes.
 func (g *GraphTransformer) Forward(in *Inputs, spec *AttentionSpec, train bool) *tensor.Mat {
 	plan := g.Plan()
 	plan.StepReset()
@@ -256,10 +269,20 @@ func (g *GraphTransformer) Forward(in *Inputs, spec *AttentionSpec, train bool) 
 	g.rowLo, g.rowHi = plan.rows(in.X.Rows)
 	winRows := 0 // dropout sees the whole sequence
 	if plan.gradChain() != nil {
-		if g.Global != nil || in.SegRows != nil {
-			panic("model: a row-sharded plan runs the full-sequence node form only (no global token, no packed segments)")
+		if g.Global != nil || in.SegRows != nil || in.Targets != nil {
+			panic("model: a row-sharded plan runs the full-sequence node form only (no global token, no packed segments, no targets)")
 		}
 		winRows = in.X.Rows
+	}
+	if in.Targets != nil {
+		if train || g.Global != nil {
+			panic("model: Inputs.Targets is an inference input of the node form (train=false, no global token)")
+		}
+		for _, t := range in.Targets {
+			if t < 0 || int(t) >= in.X.Rows {
+				panic(fmt.Sprintf("model: target row %d out of range [0, %d)", t, in.X.Rows))
+			}
+		}
 	}
 	g.InDrop.SetWindow(g.rowLo, winRows)
 	for _, b := range g.Blocks {
@@ -267,8 +290,31 @@ func (g *GraphTransformer) Forward(in *Inputs, spec *AttentionSpec, train bool) 
 		b.Drop2.SetWindow(g.rowLo, winRows)
 	}
 	h := g.embed(in, train)
-	for _, b := range g.Blocks {
-		h = b.Forward(h, spec, train)
+	ws := plan.workspace(0)
+	var sched *rowSchedule
+	// The sequence-parallel plans reshard q, k and v by the same row ranges,
+	// so only the single-process plan runs a pruned schedule.
+	if _, serial := plan.(*Runtime); serial && len(in.Targets) > 0 && spec.Mode == ModeSparse {
+		if err := spec.Validate(h.Rows); err != nil {
+			panic(err)
+		}
+		sched = &g.sched
+		sched.build(spec, in.Targets, len(g.Blocks))
+		h = pickRows(ws, h, sched.first())
+	}
+	for l, b := range g.Blocks {
+		if sched == nil {
+			h = b.Forward(h, spec, train, nil)
+		} else {
+			h = b.Forward(h, sched.blocks[l].spec, train, sched.blocks[l].rows)
+		}
+	}
+	if in.Targets != nil {
+		sel := in.Targets
+		if sched != nil {
+			sel = sched.final
+		}
+		h = pickRows(ws, h, sel)
 	}
 	h = g.FinalLN.Forward(h)
 	if g.Global == nil {

@@ -60,6 +60,33 @@ func BenchmarkServeBatch1(b *testing.B)  { benchPredictBatch(b, 1, QuantNone) }
 func BenchmarkServeBatch8(b *testing.B)  { benchPredictBatch(b, 8, QuantNone) }
 func BenchmarkServeBatch32(b *testing.B) { benchPredictBatch(b, 32, QuantNone) }
 
+// BenchmarkServeBatch8Full runs BenchmarkServeBatch8's built batch through a
+// forward without Targets: every row through every layer, the work a served
+// batch did before the forward was pruned to the targets' receptive field.
+// CI gates BenchmarkServeBatch8/BenchmarkServeBatch8Full, which holds the
+// whole served request — batch build included — below the bare full forward.
+func BenchmarkServeBatch8Full(b *testing.B) {
+	prev := tensor.SetWorkers(1)
+	defer tensor.SetWorkers(prev)
+	s, nodes := benchServer(b, 8, 8, QuantNone)
+	m, err := s.snap.Materialize()
+	if err != nil {
+		b.Fatal(err)
+	}
+	m.SetRuntime(model.NewRuntime(model.ExecOptions{Workers: 1, PoolEnabled: true}))
+	batch, err := s.buildBatch(nodes)
+	if err != nil {
+		b.Fatal(err)
+	}
+	batch.in.Targets = nil
+	m.Forward(batch.in, batch.spec, false)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.Forward(batch.in, batch.spec, false)
+	}
+}
+
 // BenchmarkServePredictIdle is one Predict through the scheduler on an idle
 // engine at the default MaxBatch and MaxDelay: a lone request must cost about
 // one batch-1 forward (BenchmarkServeBatch1), not that plus MaxDelay of

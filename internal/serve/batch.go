@@ -11,13 +11,16 @@ import (
 	"torchgt/internal/tensor"
 )
 
-// Batch assembly: a flushed batch of node requests becomes ONE model forward.
-// Every request contributes a deterministic ego-graph segment (truncated BFS
-// in CSR order — no sampling, so the same node always yields the same
-// context), and the segments are concatenated into a single sequence.
-// Segments are pure functions of (graph, node, options), so the server
-// memoises them: steady-state traffic pays only for concatenation and the
-// forward pass.
+// Batch assembly: a flushed batch of node requests becomes ONE model forward
+// that reads one logits row per request. Every request contributes a
+// deterministic ego-graph segment (truncated BFS in CSR order — no sampling,
+// so the same node always yields the same context), and the segments are
+// concatenated into a single sequence whose target rows — the segment starts
+// — are the forward's Inputs.Targets: under the sparse kernel it computes
+// only the rows those targets depend on, layer by layer (DESIGN.md
+// "Serving"). Segments are pure functions of (graph, node, options), so the
+// server memoises them: steady-state traffic pays only for concatenation and
+// the forward pass.
 //
 // Structural encodings follow the TRAINING convention of train.NodeTrainer —
 // degree buckets are computed once over the full served graph and indexed by
@@ -80,7 +83,8 @@ type segment struct {
 // context shape, node), so they live in the EgoCache — shared across
 // snapshot generations when the server was built by a Registry — and a hit
 // skips BFS, subgraph induction and pattern construction entirely. The hit
-// path allocates nothing.
+// path allocates nothing. A segment built while the source reports an I/O
+// error may hold truncated adjacency, so it is returned but never cached.
 func (s *Server) segmentFor(node int32) *segment {
 	k := ctxKey{gver: s.gver, hops: int32(s.opts.CtxHops), size: int32(s.opts.CtxSize), node: node}
 	if seg, ok := s.cache.get(k); ok {
@@ -88,17 +92,21 @@ func (s *Server) segmentFor(node int32) *segment {
 	}
 	nodes := egoNodes(s.src, node, s.opts.CtxHops, s.opts.CtxSize)
 	sp := sparse.FromGraph(graph.InducedSubgraphOf(s.src, nodes, nil)) // self-loops added
-	return s.cache.put(k, &segment{nodes: nodes, pat: sp, buckets: sp.LocalEdgeBuckets(false, 0)})
+	seg := &segment{nodes: nodes, pat: sp, buckets: sp.LocalEdgeBuckets(false, 0)}
+	if s.src.SourceErr() != nil {
+		return seg
+	}
+	return s.cache.put(k, seg)
 }
 
-// builtBatch is one ready-to-execute forward pass. packer holds the pooled
-// block-diagonal assembler whose buffers the spec aliases; runJob returns it
-// to the pool once the forward is done with them.
+// builtBatch is one ready-to-execute forward pass; in.Targets holds the
+// sequence row of each request's target node, in request order. packer holds
+// the pooled block-diagonal assembler whose buffers the spec and the targets
+// alias; runJob returns it to the pool once the forward is done with them.
 type builtBatch struct {
-	in      *model.Inputs
-	spec    *model.AttentionSpec
-	targets []int // sequence row of each request's target node
-	packer  *sparse.Packer
+	in     *model.Inputs
+	spec   *model.AttentionSpec
+	packer *sparse.Packer
 }
 
 // buildBatch materialises the concatenated sequence for one batch of target
@@ -106,7 +114,9 @@ type builtBatch struct {
 // so responses and cache hits agree with pre-reorder labels while everything
 // downstream runs in the locality-optimised layout). It is a pure function
 // of (dataset, options, nodes) — all the determinism guarantees rest on
-// that; the segment cache only memoises it.
+// that; the segment cache only memoises it. A source that reports an I/O
+// error once the batch's rows are read fails the batch with a SourceError:
+// the rows it returned are zero-filled, not the dataset's.
 func (s *Server) buildBatch(nodes []int32) (*builtBatch, error) {
 	src, cfg := s.src, s.snap.Config()
 	numNodes := src.NumNodes()
@@ -123,13 +133,11 @@ func (s *Server) buildBatch(nodes []int32) (*builtBatch, error) {
 	x := tensor.New(total, src.FeatDim())
 	degIn := make([]int32, total)
 	degOut := make([]int32, total)
-	targets := make([]int, len(nodes))
 	packer := s.packers.Get().(*sparse.Packer)
 	packer.Reset()
 
 	base := 0
-	for i, seg := range segs {
-		targets[i] = base
+	for _, seg := range segs {
 		for p, v := range seg.nodes {
 			src.CopyFeatureRow(x.Row(base+p), v)
 			// full-graph structural encodings, indexed by node id — the
@@ -141,7 +149,13 @@ func (s *Server) buildBatch(nodes []int32) (*builtBatch, error) {
 		base += len(seg.nodes)
 	}
 
-	in := &model.Inputs{X: x}
+	if err := src.SourceErr(); err != nil {
+		s.packers.Put(packer)
+		return nil, &SourceError{Err: err}
+	}
+
+	// Request i's target is the first row of its segment.
+	in := &model.Inputs{X: x, Targets: packer.Bounds()[:len(segs)]}
 	if cfg.UseDegreeEnc {
 		in.DegInIdx, in.DegOutIdx = degIn, degOut
 	}
@@ -150,7 +164,7 @@ func (s *Server) buildBatch(nodes []int32) (*builtBatch, error) {
 		s.packers.Put(packer)
 		return nil, err
 	}
-	return &builtBatch{in: in, spec: spec, targets: targets, packer: packer}, nil
+	return &builtBatch{in: in, spec: spec, packer: packer}, nil
 }
 
 // clipDegree buckets a raw full-graph degree the way training did:

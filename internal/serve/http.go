@@ -17,7 +17,8 @@ import (
 //	GET  /stats         engine / control-plane counters as JSON
 //	GET  /healthz       readiness probe: 200 only while able to serve —
 //	                    503 before the first generation is live, while a
-//	                    swap is draining, and after Close
+//	                    swap is draining, once a node source has hit an I/O
+//	                    error, and after Close
 //	GET  /metrics       Prometheus text exposition
 //	POST /publish       (registry) ?model=m, body = snapshot bytes → version
 //	POST /swap          (registry) ?model=m&version=N (0/absent = latest)
@@ -54,13 +55,15 @@ func parsePredict(r *http.Request) (string, int32, error) {
 }
 
 // statusFor maps a prediction error to its HTTP status: overload is 429
-// (retryable after backoff), shutdown/not-ready are 503, an expired request
-// context is 408, anything else (bad node, unknown model) is 400.
+// (retryable after backoff), shutdown/not-ready and a failed node source are
+// 503, an expired request context is 408, anything else (bad node, unknown
+// model) is 400.
 func statusFor(err error) int {
+	var srcErr *SourceError
 	switch {
 	case errors.Is(err, ErrOverloaded):
 		return http.StatusTooManyRequests
-	case errors.Is(err, ErrClosed), errors.Is(err, ErrNotReady):
+	case errors.Is(err, ErrClosed), errors.Is(err, ErrNotReady), errors.As(err, &srcErr):
 		return http.StatusServiceUnavailable
 	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
 		return http.StatusRequestTimeout
@@ -110,7 +113,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/stats", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, s.Stats())
 	})
-	mux.HandleFunc("/healthz", healthz(func() bool { return !s.Closed() }))
+	mux.HandleFunc("/healthz", healthz(func() bool { return !s.Closed() && s.src.SourceErr() == nil }))
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		_ = s.WriteMetrics(w)

@@ -292,19 +292,23 @@ func (r *Registry) Predict(ctx context.Context, name string, node int32) Respons
 }
 
 // Ready implements the readiness contract of /healthz: true once at least
-// one model has an active generation and no swap is currently draining.
+// one model has an active generation, no swap is currently draining and no
+// model's node source has hit an I/O error (its error is sticky: every
+// further batch over it fails with a SourceError).
 func (r *Registry) Ready() bool {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	if r.closed || r.draining.Load() > 0 {
 		return false
 	}
+	live := false
 	for _, m := range r.models {
-		if m.active.Load() != nil {
-			return true
+		if m.src.SourceErr() != nil {
+			return false
 		}
+		live = live || m.active.Load() != nil
 	}
-	return false
+	return live
 }
 
 // ModelStatus is the control-plane view of one model.

@@ -38,6 +38,17 @@ import (
 // after Close. HTTP maps it to 503 so clients retry elsewhere.
 var ErrClosed = errors.New("serve: server closed")
 
+// SourceError fails a batch read while the node source reported an I/O error
+// (graph.NodeSource.SourceErr): a disk-resident source then hands back
+// zero-filled rows and truncated adjacency, so any answer would be silently
+// wrong. Err is the source's sticky error. HTTP maps it to 503, and /healthz
+// turns 503 with it.
+type SourceError struct{ Err error }
+
+func (e *SourceError) Error() string { return "serve: node source failed: " + e.Err.Error() }
+
+func (e *SourceError) Unwrap() error { return e.Err }
+
 // Options tunes the serving engine. The zero value picks the defaults noted
 // per field.
 type Options struct {
@@ -456,8 +467,8 @@ func (s *Server) Close() {
 	s.workersWG.Wait()
 }
 
-// Closed reports whether Close has been called — the readiness signal of the
-// bare-server /healthz probe.
+// Closed reports whether Close has been called — with the source's sticky
+// I/O error, the readiness signal of the bare-server /healthz probe.
 func (s *Server) Closed() bool {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -681,13 +692,13 @@ func (s *Server) runJob(m *model.GraphTransformer, j *job) {
 		}
 		return
 	}
-	logits := m.Forward(b.in, b.spec, false)
-	// The spec aliases the packer's buffers; the forward is done with them,
-	// so the packer can serve the next batch.
+	logits := m.Forward(b.in, b.spec, false) // row i: request i
+	// The spec and targets alias the packer's buffers; the forward is done
+	// with them, so the packer can serve the next batch.
 	s.packers.Put(b.packer)
 	infer := time.Since(start)
 	for i, r := range j.reqs {
-		probs := softmax(logits.Row(b.targets[i]))
+		probs := softmax(logits.Row(i))
 		r.resp <- Response{
 			Node: r.node, Class: argmax(probs), Probs: probs,
 			BatchSize: len(j.reqs), Queued: start.Sub(r.enq), Infer: infer,

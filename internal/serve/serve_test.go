@@ -441,7 +441,7 @@ func TestServingUsesFullGraphDegrees(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := b.in.DegOutIdx[b.targets[0]], clipDegree(ds.G.Degree(int(hub))); got != want {
+	if got, want := b.in.DegOutIdx[b.in.Targets[0]], clipDegree(ds.G.Degree(int(hub))); got != want {
 		t.Fatalf("serving degree bucket %d, full-graph bucket %d — ego-subgraph skew", got, want)
 	}
 }

@@ -158,9 +158,12 @@ func (tr *EgoTrainer) eachPack(pipe *sample.Pipeline, targets []int32, flush fun
 	return err
 }
 
-// forwardPack runs the model over the current pack and returns the logits of
-// all its rows; context s's target is row SegRows[s], the first of its block.
-func (tr *EgoTrainer) forwardPack(train bool) *tensor.Mat {
+// forwardPack runs the model over the current pack. With targets nil it
+// returns the logits of all its rows — context s's target is row SegRows[s],
+// the first of its block; otherwise those of the target rows only, in order
+// (an inference forward, computing only the rows they depend on).
+func (tr *EgoTrainer) forwardPack(train bool, targets []int32) *tensor.Mat {
+	tr.pack.in.Targets = targets
 	return tr.Model.Forward(&tr.pack.in, tr.pack.spec(false), train)
 }
 
@@ -172,7 +175,7 @@ func (tr *EgoTrainer) forwardPack(train bool) *tensor.Mat {
 func (tr *EgoTrainer) accumulate(pipe *sample.Pipeline, targets []int32) (float64, error) {
 	var total float64
 	err := tr.eachPack(pipe, targets, func() {
-		logits := tr.forwardPack(true)
+		logits := tr.forwardPack(true, nil)
 		dl := tensor.New(logits.Rows, logits.Cols)
 		for s, y := range tr.labels {
 			r := int(tr.pack.in.SegRows[s])
@@ -272,9 +275,9 @@ func (tr *EgoTrainer) evalSample(pipe *sample.Pipeline, testIdx []int32, n int, 
 	}
 	correct := 0
 	err := tr.eachPack(pipe, targets, func() {
-		logits := tr.forwardPack(false)
+		logits := tr.forwardPack(false, tr.pack.in.SegRows[:len(tr.labels)])
 		for s, y := range tr.labels {
-			row := logits.Row(int(tr.pack.in.SegRows[s]))
+			row := logits.Row(s)
 			best := 0
 			for j := 1; j < len(row); j++ {
 				if row[j] > row[best] {
