@@ -5,13 +5,12 @@
 //	torchgt-bench -exp table5            # one experiment, full scale
 //	torchgt-bench -exp all -scale smoke  # everything, fast
 //	torchgt-bench -exp table5 -data file://real.tgds  # run against your own data
-//	torchgt-bench -exp table5 -backend opt       # on the optimized kernels
 //	torchgt-bench -list
 //
 // Every run additionally writes one BENCH_<id>.json artifact per executed
 // experiment into -outdir (default .): the machine-readable record CI
-// uploads, carrying the full text report plus scale, backend, duration and
-// outcome.
+// uploads, carrying the full text report plus scale, kernel ISA, duration
+// and outcome.
 package main
 
 import (
@@ -29,7 +28,6 @@ import (
 
 	"torchgt"
 	"torchgt/internal/bench"
-	"torchgt/internal/cli"
 )
 
 // artifact is the schema of a BENCH_<id>.json file.
@@ -37,7 +35,6 @@ type artifact struct {
 	ID         string `json:"id"`
 	Title      string `json:"title"`
 	Scale      string `json:"scale"`
-	Backend    string `json:"backend"`
 	ISA        string `json:"isa"`
 	DurationMS int64  `json:"duration_ms"`
 	OK         bool   `json:"ok"`
@@ -50,7 +47,6 @@ func run(ctx context.Context, args []string) error {
 	exp := fs.String("exp", "all", "experiment id (see -list) or 'all'")
 	scale := fs.String("scale", "full", "smoke | full")
 	dataSpec := fs.String("data", "", "node-level dataset spec; routes every experiment's node dataset through it (subsampled to each experiment's scale)")
-	backend := cli.BackendFlag(fs)
 	outdir := fs.String("outdir", ".", "directory receiving one BENCH_<id>.json artifact per executed experiment")
 	list := fs.Bool("list", false, "list experiment ids and exit")
 	if err := fs.Parse(args); err != nil {
@@ -63,9 +59,7 @@ func run(ctx context.Context, args []string) error {
 		}
 		return nil
 	}
-	if err := cli.StartBackend(*backend, os.Stdout); err != nil {
-		return err
-	}
+	fmt.Printf("kernels: %s\n", torchgt.KernelISA())
 	if *dataSpec != "" {
 		bench.SetNodeDataSpec(*dataSpec)
 	}
@@ -92,7 +86,6 @@ func run(ctx context.Context, args []string) error {
 		runErr := torchgt.RunExperimentContext(ctx, id, io.MultiWriter(os.Stdout, &buf), full)
 		art := artifact{
 			ID: id, Title: e.Title, Scale: *scale,
-			Backend:    torchgt.ActiveBackend().Name(),
 			ISA:        torchgt.KernelISA(),
 			DurationMS: time.Since(t0).Milliseconds(),
 			OK:         runErr == nil,

@@ -12,7 +12,7 @@
 //	torchgt-serve -epochs 10 -save-snapshot model.snap -loads 200,800 # train, save, sweep
 //	torchgt-serve -epochs 10 -save-snapshot model.snap -train-only    # train, save, exit
 //	torchgt-serve -quant int8 -save-snapshot model-int8.snap          # quantized snapshot
-//	torchgt-serve -backend opt -quant bf16 -loads 200,800             # quantized serving path
+//	torchgt-serve -quant bf16 -loads 200,800                          # quantized serving path
 //
 // HTTP mode serves the full control plane (a Registry): the model named by
 // -model gets the loaded/trained snapshot published as version 1 and swapped
@@ -25,7 +25,7 @@
 // -quant int8|bf16 re-encodes the snapshot's weights for compact storage
 // (int8: per-output-channel scales; bf16: truncated float32) with a
 // documented, test-pinned accuracy bound; replicas dequantize once at
-// startup. -backend opt serves with the float32-polynomial exp/softmax/GELU paths.
+// startup.
 package main
 
 import (
@@ -68,7 +68,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	snapshotPath := fs.String("snapshot", "", "load a frozen snapshot instead of training (SIGHUP re-reads it in -http mode)")
 	saveSnapshot := fs.String("save-snapshot", "", "write the frozen snapshot to this path")
 	trainOnly := fs.Bool("train-only", false, "obtain + save the snapshot, then exit without serving")
-	backend := cli.BackendFlag(fs)
 	quant := fs.String("quant", "", "quantize the snapshot before serving/saving: none | int8 | bf16")
 
 	workers := fs.Int("workers", 0, "replica workers (0 = default)")
@@ -114,9 +113,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if err := cli.StartBackend(*backend, stdout); err != nil {
-		return err
-	}
+	fmt.Fprintf(stdout, "kernels: %s\n", torchgt.KernelISA())
 	spec := data.Resolve()
 	d, err := torchgt.OpenDataset(spec)
 	if err != nil {

@@ -44,7 +44,6 @@ func TestServeRefusals(t *testing.T) {
 		{"unknown preset", []string{"-dataset", "no-such"}, "unknown synth preset"},
 		{"bad mode", []string{"-mode", "nope"}, "nope"},
 		{"bad quant", []string{"-quant", "int3"}, "int3"},
-		{"bad backend", []string{"-backend", "nope"}, "nope"},
 		{"bad loads", []string{"-loads", "100,-5"}, "bad load"},
 		{"bad model spec", []string{"-model", "m@x"}, "bad version"},
 		{"missing snapshot", []string{"-snapshot", filepath.Join(dir, "none.snap")}, "none.snap"},
@@ -102,7 +101,7 @@ func TestServeShorthandEqualsSpec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"compute backend: ", "training gph-slim on arxiv-sim (96 nodes) for 1 epochs", "snapshot written to " + a} {
+	for _, want := range []string{"kernels: ", "training gph-slim on arxiv-sim (96 nodes) for 1 epochs", "snapshot written to " + a} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("output missing %q:\n%s", want, out)
 		}

@@ -14,7 +14,6 @@
 //	torchgt-train -seqlen 512 -patience 8
 //	torchgt-train -reorder 8 -method torchgt    # cluster-contiguous node layout
 //	torchgt-train -seqpar 4 -method torchgt
-//	torchgt-train -backend opt -epochs 20
 //	torchgt-train -rendezvous :7700 -world 4
 //	torchgt-train -rendezvous coord:7700 -world 4 -rank 2
 //
@@ -24,10 +23,6 @@
 // plan (P ranks resharding sequence↔heads through channel all-to-alls).
 // The trajectory is bitwise identical to the serial run, so every other
 // feature — events, checkpoints, resume, early stopping — composes with it.
-// -backend opt trains with the float32-polynomial exp/softmax/GELU paths
-// (within a small tolerance of the bitwise-pinned reference default; faster
-// than it only where the reference cannot run lane-wise — see DESIGN.md
-// "Compute backends and quantized serving").
 //
 // -rendezvous runs real cross-process sequence parallelism over TCP: rank 0
 // listens on the address, the other ranks dial in, and the world trains one
@@ -79,7 +74,6 @@ func run(ctx context.Context, args []string) error {
 	data.Register(fs)
 	modelName := fs.String("model", "gph-slim", "gph-slim | gph-large | gt | nodeformer")
 	method := fs.String("method", "torchgt", "gp-raw | gp-flash | gp-sparse | torchgt | torchgt-bf16 | nodeformer")
-	backend := cli.BackendFlag(fs)
 	epochs := fs.Int("epochs", 20, "training epochs")
 	lr := fs.Float64("lr", 2e-3, "learning rate")
 	seqLen := fs.Int("seqlen", 0, "mini-batched sequence length (node-level; 0 = full-graph sequence)")
@@ -122,9 +116,7 @@ func run(ctx context.Context, args []string) error {
 	if err != nil {
 		return err
 	}
-	if err := cli.StartBackend(*backend, os.Stdout); err != nil {
-		return err
-	}
+	fmt.Printf("kernels: %s\n", torchgt.KernelISA())
 	seed := data.Seed // -seed seeds the synthetic preset, the model and the run
 	cfgFor := func(in, out int) torchgt.ModelConfig {
 		switch *modelName {
@@ -262,7 +254,7 @@ var perRank = map[string]bool{
 }
 
 // fingerprint digests every other flag, set or defaulted, so ranks started
-// with a different learning rate, backend, dataset or layout — anything that
+// with a different learning rate, dataset or layout — anything that
 // would break the bitwise-equal-to-serial contract or leave one rank waiting
 // in a collective — never get past the rendezvous.
 func fingerprint(fs *flag.FlagSet) string {
@@ -278,7 +270,7 @@ func fingerprint(fs *flag.FlagSet) string {
 // egoFlags are the flags ego-sampled training consumes.
 var egoFlags = map[string]bool{
 	"ego": true, "ego-workers": true, "data": true, "dataset": true, "nodes": true, "seed": true,
-	"reorder": true, "model": true, "epochs": true, "lr": true, "seqlen": true, "backend": true,
+	"reorder": true, "model": true, "epochs": true, "lr": true, "seqlen": true,
 }
 
 // checkEgoFlags rejects explicitly given flags the ego path would drop: it
@@ -294,7 +286,7 @@ func checkEgoFlags(fs *flag.FlagSet) error {
 	if len(unused) == 0 {
 		return nil
 	}
-	return fmt.Errorf("-ego does not use %s (ego-sampled training takes the dataset flags, -model, -epochs, -lr, -seqlen, -ego-workers and -backend)",
+	return fmt.Errorf("-ego does not use %s (ego-sampled training takes the dataset flags, -model, -epochs, -lr, -seqlen and -ego-workers)",
 		strings.Join(unused, ", "))
 }
 

@@ -266,7 +266,7 @@ func TestTrainEgoRejectsUnusedFlags(t *testing.T) {
 	// every flag the ego path consumes passes the check (and then fails on the dataset)
 	err := run(context.Background(), []string{
 		"-ego", "-ego-workers", "2", "-data", "synth://no-such", "-dataset", "x", "-nodes", "8", "-seed", "3",
-		"-reorder", "2", "-model", "gt", "-epochs", "1", "-lr", "0.01", "-seqlen", "8", "-backend", "ref",
+		"-reorder", "2", "-model", "gt", "-epochs", "1", "-lr", "0.01", "-seqlen", "8",
 	})
 	if err == nil || strings.Contains(err.Error(), "-ego does not use") {
 		t.Fatalf("consumed flags must pass the -ego check, got %v", err)
@@ -275,17 +275,15 @@ func TestTrainEgoRejectsUnusedFlags(t *testing.T) {
 
 // TestTrainDistributedFingerprint: every flag that shapes the trajectory is
 // part of the rendezvous fingerprint, so ranks started with a different
-// learning rate or compute backend are refused at hello time instead of
+// learning rate or epoch count are refused at hello time instead of
 // silently breaking the bitwise-equal-to-serial contract — while the flags
 // that may differ per rank do not enter it.
 func TestTrainDistributedFingerprint(t *testing.T) {
 	for _, tc := range []struct{ name, flag, rank0, rank1 string }{
 		{"lr", "-lr", "0.002", "0.004"},
-		{"backend", "-backend", "ref", "opt"},
 		{"epochs", "-epochs", "2", "3"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			defer torchgt.SetBackend(torchgt.ActiveBackend().Name())
 			addr := freeAddr(t)
 			errs := make([]error, 2)
 			var wg sync.WaitGroup

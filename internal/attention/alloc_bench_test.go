@@ -69,29 +69,6 @@ func BenchmarkFlashStepPooled(b *testing.B) {
 	benchStep(b, func() Kernel { return NewFlash(false) }, true, 256, 32)
 }
 
-// benchStepOpt pins the optimized tensor backend for the duration of one
-// pooled step benchmark. The plain *StepPooled benchmarks run on the ambient
-// backend (reference unless TORCHGT_BACKEND overrides it). The Opt variants
-// hold the same allocs/op ceilings in ci/bench-baseline.json; their time is
-// not gated against the plain ones — the backends share the matrix kernels,
-// so a step differs only by its exp calls, less than the run-to-run noise.
-func benchStepOpt(b *testing.B, mk func() Kernel, s, d int) {
-	prev, err := tensor.SetBackend("opt")
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer tensor.SetBackend(prev)
-	benchStep(b, mk, true, s, d)
-}
-
-func BenchmarkDenseStepPooledOpt(b *testing.B) {
-	benchStepOpt(b, func() Kernel { return NewDense() }, 256, 32)
-}
-
-func BenchmarkFlashStepPooledOpt(b *testing.B) {
-	benchStepOpt(b, func() Kernel { return NewFlash(false) }, 256, 32)
-}
-
 func BenchmarkSparseStepUnpooled(b *testing.B) {
 	p := benchPattern(1024)
 	benchStep(b, func() Kernel { return NewSparse(p) }, false, 1024, 32)

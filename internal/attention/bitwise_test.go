@@ -10,30 +10,27 @@ import (
 	"torchgt/internal/tensor"
 )
 
-// Cross-backend equivalence for all six attention kernels. Acceptance
-// contract (mirrors internal/tensor/backend_test.go at the kernel level):
+// Bitwise pins for the attention kernels:
 //
-//   - the reference backend is bitwise pinned — TestRefFlashBitwiseMatchesNaive
-//     checks the restructured flash kernel against a line-for-line naive
-//     reimplementation of the pre-backend formulation;
-//   - the optimized backend stays within a small tolerance of reference on
-//     every kernel's forward output and gradients;
-//   - the optimized backend is self-deterministic: bitwise identical results
-//     across repeated runs and across worker counts.
+//   - TestRefFlashBitwiseMatchesNaive and
+//     TestClusterSparseForwardBitwiseMatchesNaive check the restructured
+//     kernels against line-for-line naive reimplementations;
+//   - TestKernelsWorkerCountInvariant holds all six kernels to bitwise
+//     identical results across repeated runs and worker counts.
 
-type backendKernelCase struct {
+type stepCase struct {
 	name string
 	mk   func() Kernel
 	s, d int
 }
 
-// backendKernelCases covers dense, flash, flash-bf16, sparse, cluster-sparse
+// stepCases covers dense, flash, flash-bf16, sparse, cluster-sparse
 // and kernelized. Sizes cross at least one flash tile boundary (tile = 64).
-func backendKernelCases(t *testing.T) []backendKernelCase {
+func stepCases(t *testing.T) []stepCase {
 	t.Helper()
 	p := benchPattern(96)
 	r, s := buildReformed(t, 10, 0.05)
-	return []backendKernelCase{
+	return []stepCase{
 		{"dense", func() Kernel { return NewDense() }, 96, 16},
 		{"flash", func() Kernel { return NewFlash(false) }, 96, 16},
 		{"flash-bf16", func() Kernel { return NewFlash(true) }, 96, 16},
@@ -56,19 +53,6 @@ func runKernelStep(mk func() Kernel, s, d int) (o, dq, dk, dv *tensor.Mat) {
 	return o, gq.Clone(), gk.Clone(), gv.Clone()
 }
 
-func withBackendNamed(t *testing.T, name string) {
-	t.Helper()
-	prev, err := tensor.SetBackend(name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		if _, err := tensor.SetBackend(prev); err != nil {
-			t.Fatal(err)
-		}
-	})
-}
-
 func mustBitwiseMat(t *testing.T, name string, a, b *tensor.Mat) {
 	t.Helper()
 	if !a.SameShape(b) {
@@ -81,37 +65,12 @@ func mustBitwiseMat(t *testing.T, name string, a, b *tensor.Mat) {
 	}
 }
 
-// TestOptKernelsMatchReference checks that every kernel produces outputs and
-// gradients within tolerance of the reference backend when run on the
-// optimized backend (fast exp ~1e-6 rel; the linear algebra is shared).
-func TestOptKernelsMatchReference(t *testing.T) {
-	for _, tc := range backendKernelCases(t) {
-		tc := tc
-		t.Run(tc.name, func(t *testing.T) {
-			withBackendNamed(t, "ref")
-			ro, rdq, rdk, rdv := runKernelStep(tc.mk, tc.s, tc.d)
-			withBackendNamed(t, "opt")
-			oo, odq, odk, odv := runKernelStep(tc.mk, tc.s, tc.d)
-			check := func(name string, r, o *tensor.Mat) {
-				if !r.Equal(o, 5e-3) {
-					t.Fatalf("%s: opt deviates from ref beyond tolerance", name)
-				}
-			}
-			check("o", ro, oo)
-			check("dq", rdq, odq)
-			check("dk", rdk, odk)
-			check("dv", rdv, odv)
-		})
-	}
-}
-
-// TestOptKernelsSelfDeterministic checks the optimized backend's determinism
-// contract on every kernel: repeated runs and different worker counts must be
-// bitwise identical (worker chunks only reorder independent output elements,
-// never the reduction order within one element).
-func TestOptKernelsSelfDeterministic(t *testing.T) {
-	withBackendNamed(t, "opt")
-	for _, tc := range backendKernelCases(t) {
+// TestKernelsWorkerCountInvariant checks the determinism contract on every
+// kernel: repeated runs and different worker counts must be bitwise
+// identical (worker chunks only reorder independent output elements, never
+// the reduction order within one element).
+func TestKernelsWorkerCountInvariant(t *testing.T) {
+	for _, tc := range stepCases(t) {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			prev := tensor.SetWorkers(1)
@@ -219,15 +178,14 @@ func naiveFlashStep(q, k, v, dO *tensor.Mat, tile int) (o, dq, dk, dv *tensor.Ma
 	return o, dq, dk, dv, lse
 }
 
-// TestRefFlashBitwiseMatchesNaive pins the flash kernel's arithmetic: on the
-// reference backend the tiled forward (exponentials through tensor.ExpShift;
-// IEEE a−b ≡ a+(−b)) and the single-pass backward must be bitwise identical
-// to the textbook loops above — per-element math.Exp, a row loop for dQ and
-// a separate column loop for dK/dV. Shapes cover one row, one short of a
+// TestRefFlashBitwiseMatchesNaive pins the flash kernel's arithmetic: the
+// tiled forward (exponentials through tensor.ExpShift; IEEE a−b ≡ a+(−b))
+// and the single-pass backward must be bitwise identical to the textbook
+// loops above — per-element math.Exp, a row loop for dQ and a separate
+// column loop for dK/dV. Shapes cover one row, one short of a
 // tile, a ragged tail and several tiles, with Dq ≠ Dv and neither a multiple
 // of the kernels' unroll widths; worker counts cover the forward's row split.
 func TestRefFlashBitwiseMatchesNaive(t *testing.T) {
-	withBackendNamed(t, "ref")
 	prev := tensor.Workers()
 	defer tensor.SetWorkers(prev)
 	rng := rand.New(rand.NewSource(31))

@@ -1,17 +1,15 @@
 // Package cli holds what the command-line tools share, so that a flag is
 // added once: the dataset flags with their one translation to a dataset
-// spec, and the -backend flag with the start-up line every tool prints.
+// spec.
 package cli
 
 import (
 	"flag"
 	"fmt"
-	"io"
 	"slices"
 	"strings"
 
 	"torchgt/internal/graph"
-	"torchgt/internal/tensor"
 )
 
 // Data is the dataset selection of a tool: an explicit spec, or the
@@ -64,21 +62,4 @@ func SynthSpec(dataset string, nodes int, seed int64) string {
 		return fmt.Sprintf("synth://%s?nodes=%d&seed=%d", dataset, nodes, seed)
 	}
 	return fmt.Sprintf("synth://%s?seed=%d", dataset, seed)
-}
-
-// BackendFlag binds -backend on fs.
-func BackendFlag(fs *flag.FlagSet) *string {
-	return fs.String("backend", "", "compute backend: ref (bitwise-pinned default) | opt (float32-polynomial exp/softmax/GELU)")
-}
-
-// StartBackend activates the compute backend -backend names ("" keeps the
-// process default) and prints the start-up line to out.
-func StartBackend(name string, out io.Writer) error {
-	if name != "" {
-		if _, err := tensor.SetBackend(name); err != nil {
-			return err
-		}
-	}
-	fmt.Fprintf(out, "compute backend: %s, kernels: %s\n", tensor.ActiveBackend().Name(), tensor.KernelISA())
-	return nil
 }

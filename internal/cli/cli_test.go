@@ -1,13 +1,10 @@
 package cli
 
 import (
-	"bytes"
 	"flag"
-	"strings"
 	"testing"
 
 	"torchgt/internal/data"
-	"torchgt/internal/tensor"
 )
 
 func TestResolve(t *testing.T) {
@@ -71,31 +68,5 @@ func TestSynthSpec(t *testing.T) {
 	}
 	if got := SynthSpec("zinc-sim", 0, -4); got != "synth://zinc-sim?seed=-4" {
 		t.Fatal(got)
-	}
-}
-
-func TestStartBackend(t *testing.T) {
-	prev := tensor.ActiveBackend().Name()
-	defer tensor.SetBackend(prev)
-
-	fs := flag.NewFlagSet("x", flag.ContinueOnError)
-	name := BackendFlag(fs)
-	if err := fs.Parse([]string{"-backend", "opt"}); err != nil {
-		t.Fatal(err)
-	}
-	var out bytes.Buffer
-	if err := StartBackend(*name, &out); err != nil {
-		t.Fatal(err)
-	}
-	if want := "compute backend: optimized, kernels: " + tensor.KernelISA() + "\n"; out.String() != want {
-		t.Fatalf("start-up line %q, want %q", out.String(), want)
-	}
-	out.Reset()
-	if err := StartBackend("", &out); err != nil || !strings.Contains(out.String(), "optimized") {
-		t.Fatalf("an empty -backend keeps the active backend: %q, %v", out.String(), err)
-	}
-	out.Reset()
-	if err := StartBackend("nope", &out); err == nil || out.Len() != 0 {
-		t.Fatalf("unknown backend: err %v, output %q", err, out.String())
 	}
 }

@@ -6,8 +6,8 @@ import (
 
 // GELU is the Gaussian error linear unit activation (tanh approximation, as
 // used by Graphormer's FFN). The canonical math lives in tensor (GELU /
-// GELUGrad) so this module and the backends' fused BiasGELU evaluate the
-// same float64 forms bitwise.
+// GELUGrad) so this module and the fused tensor.BiasGELU evaluate the same
+// float64 forms bitwise.
 type GELU struct {
 	x *tensor.Mat
 }

@@ -8,23 +8,10 @@ import (
 	"torchgt/internal/tensor"
 )
 
-// On the reference backend, the fused ForwardGELU/BackwardGELU pair must be
-// bitwise identical to the unfused Forward → GELU → backward chain it
-// replaced in model.Block — weights, bias gradients and input gradients
-// included.
+// The fused ForwardGELU/BackwardGELU pair must be bitwise identical to the
+// unfused Forward → GELU → backward chain it replaced in model.Block —
+// weights, bias gradients and input gradients included.
 func TestLinearFusedGELUMatchesUnfused(t *testing.T) {
-	// The bitwise claim is about the reference backend's fused kernel (the
-	// optimized backend's float32 GELU polynomial differs by design within
-	// tolerance), so pin it regardless of TORCHGT_BACKEND.
-	prev, err := tensor.SetBackend("ref")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		if _, err := tensor.SetBackend(prev); err != nil {
-			t.Fatal(err)
-		}
-	})
 	rng := rand.New(rand.NewSource(21))
 	mk := func() *Linear { return NewLinear("fc", 11, 17, true, rand.New(rand.NewSource(5))) }
 	lFused, lUnfused := mk(), mk()

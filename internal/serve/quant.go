@@ -15,7 +15,7 @@ import (
 // Quant selects the storage precision of a serving snapshot's weights.
 // Quantization is inference-only: a quantized snapshot cannot be resumed into
 // training, and replicas always dequantize to float32 at Materialize time
-// (the compute backends run f32 kernels either way — what quantization buys
+// (the kernels run in f32 either way — what quantization buys
 // is a 2–4× smaller snapshot file and a bounded, documented accuracy cost).
 //
 // Error bounds (asserted by TestInt8QuantErrorBound / TestBF16QuantErrorBound

@@ -4,8 +4,8 @@ import "math"
 
 // Canonical GELU math (tanh approximation, as used by Graphormer's FFN).
 // This is the single source of truth for the activation: nn.GELU and the
-// reference backend's fused BiasGELU both evaluate these float64 forms, which
-// keeps the fused and unfused paths bitwise identical.
+// fused BiasGELU both evaluate these float64 forms, which keeps the fused
+// and unfused paths bitwise identical.
 
 const geluC = 0.7978845608028654 // sqrt(2/π)
 

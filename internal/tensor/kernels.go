@@ -2,11 +2,10 @@ package tensor
 
 import "fmt"
 
-// The linear-algebra kernels: one implementation each, shared by both
-// backends (they never differed in output, only in speed — see Backend).
-// Every output element is reduced in a single accumulator, in strictly
-// ascending reduction-index order, whatever the panel, the tile position
-// within a worker chunk or the worker count: panels and tiles only reorder
+// The linear-algebra kernels: one implementation each. Every output element
+// is reduced in a single accumulator, in strictly ascending reduction-index
+// order, whatever the panel, the tile position within a worker chunk or the
+// worker count: panels and tiles only reorder
 // *independent* output elements relative to each other. That per-element
 // operation sequence (p ascending, av==0 skipped in MatMul/TMatMul) is the
 // package's determinism contract and must never change; kernels_test.go

@@ -3,8 +3,7 @@ package tensor
 // Element-wise and row/column ops. The matrix kernels (MatMul, MatMulT,
 // TMatMul, Dot, Axpy and the tile primitives) live in kernels.go; the
 // transcendental row ops (SoftmaxRows, ExpShift, BiasGELU, BiasGELUGrad)
-// dispatch through the active Backend from backend.go; everything here is
-// memory-bound bookkeeping.
+// live in vmath.go; everything here is memory-bound bookkeeping.
 
 // Add computes c = a + b element-wise (c may alias a or b).
 func Add(c, a, b *Mat) {
@@ -103,8 +102,7 @@ func SoftmaxInPlace(row []float32) {
 // ExpCut computes dst[i] = float32(math.Exp(float64(src[i]+shift))), and
 // exactly 0 where src[i]+shift <= cut: the exp pass of a softmax whose row
 // lies in several slices (ClusterSparse), with the caller's underflow cutoff.
-// Like SoftmaxInPlace it is the reference exponential whatever the active
-// backend. dst and src must have equal length (dst may alias src).
+// dst and src must have equal length (dst may alias src).
 func ExpCut(dst, src []float32, shift, cut float32) {
 	if len(dst) != len(src) {
 		panic("tensor: ExpCut length mismatch")

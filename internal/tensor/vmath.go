@@ -1,12 +1,16 @@
 package tensor
 
-import "math"
+import (
+	"fmt"
+	"math"
+)
 
-// The reference transcendentals, one row at a time: float64 math.Exp and the
-// float64 GELU forms of gelu.go, rounded to float32. These loops are the
-// definition. On amd64 with AVX2 and FMA the leading multiple-of-4 elements
-// of a row go through the lane-wise kernels of vmath_amd64.s instead, which
-// run the same IEEE operation sequence per lane and so return the same bits
+// The transcendentals, one row at a time: float64 math.Exp and the float64
+// GELU forms of gelu.go, rounded to float32, and the matrix row ops built on
+// them at the end of this file. These loops are the definition. On amd64
+// with AVX2 and FMA the leading multiple-of-4 elements of a row go through
+// the lane-wise kernels of vmath_amd64.s instead, which run the same IEEE
+// operation sequence per lane and so return the same bits
 // (vmath_test.go checks all 2³² inputs); the loops keep the remainder, the
 // groups the exp kernel hands back, and everything on any other machine.
 
@@ -80,4 +84,57 @@ func geluGradRow(dz, z, dy []float32) {
 	for j := lanes; j < len(z); j++ {
 		dz[j] = dy[j] * float32(GELUGrad(float64(z[j])))
 	}
+}
+
+// SoftmaxRows applies a numerically stable softmax to each row of m in place.
+func SoftmaxRows(m *Mat) {
+	ParallelFor(m.Rows, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			SoftmaxInPlace(m.Row(i))
+		}
+	})
+}
+
+// ExpShift computes dst[i] = exp(src[i]+shift). dst and src must have equal
+// length (dst may alias src). It is the vectorised exponential behind the
+// flash kernel's streaming softmax.
+func ExpShift(dst, src []float32, shift float32) {
+	if len(dst) != len(src) {
+		panic("tensor: ExpShift length mismatch")
+	}
+	expRow(dst, src, shift, negInf32)
+}
+
+// BiasGELU fuses the bias add and GELU activation of a Linear layer into a
+// single pass: u (holding X·W) becomes z = u + bias in place, and y receives
+// GELU(z). The element order and the float64 GELU form are those of the
+// unfused AddRowVec + nn.GELU.Forward sequence, so the fusion changes no
+// bit. y must be u's shape and must not alias it; len(bias) must equal
+// u.Cols.
+func BiasGELU(y, u *Mat, bias []float32) {
+	if !y.SameShape(u) || len(bias) != u.Cols {
+		panic(fmt.Sprintf("tensor: BiasGELU shapes y=%dx%d u=%dx%d bias=%d", y.Rows, y.Cols, u.Rows, u.Cols, len(bias)))
+	}
+	ParallelFor(u.Rows, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			geluRow(y.Row(i), u.Row(i), bias)
+		}
+	})
+}
+
+// BiasGELUGrad is the backward of BiasGELU: dz = dy ⊙ GELU'(z) in parallel,
+// then the column sums of dz accumulated (+=) into dbias — the bias gradient
+// — serially in row-ascending order, as the unfused ColSum did, so results
+// are worker-count independent. dz must not alias dy or z.
+func BiasGELUGrad(dz *Mat, dbias []float32, z, dy *Mat) {
+	if !dz.SameShape(z) || !dz.SameShape(dy) || len(dbias) != z.Cols {
+		panic(fmt.Sprintf("tensor: BiasGELUGrad shapes dz=%dx%d z=%dx%d dy=%dx%d dbias=%d",
+			dz.Rows, dz.Cols, z.Rows, z.Cols, dy.Rows, dy.Cols, len(dbias)))
+	}
+	ParallelFor(z.Rows, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			geluGradRow(dz.Row(i), z.Row(i), dy.Row(i))
+		}
+	})
+	ColSum(dbias, dz)
 }

@@ -10,7 +10,7 @@ import (
 	"time"
 )
 
-// The scalar expressions the reference row ops are defined as. The lane-wise
+// The scalar expressions the row ops are defined as. The lane-wise
 // kernels must return these bits — NaN payloads included — for every input.
 
 func wantExp(v, shift, cut float32) float32 {

@@ -332,12 +332,12 @@ func TestSessionSeqParallelPublic(t *testing.T) {
 	}
 }
 
-// TestReferenceTrajectoryPinned holds the reference backend's arithmetic
-// across releases, end to end: the per-epoch training losses of a short
+// TestReferenceTrajectoryPinned holds the reference arithmetic across
+// releases, end to end: the per-epoch training losses of a short
 // interleaved run (flash at epochs 0 and 2, cluster-sparse at 1 and 3, so
 // every long-S kernel, the matmuls and the optimiser are on the path) must
-// repeat, bit for bit, the values recorded before the backends came to share
-// one kernel set and the flash backward became a single pass. A kernel change
+// repeat, bit for bit, the values recorded before the matrix kernels were
+// unified into one set and the flash backward became a single pass. A kernel change
 // that reorders any floating-point reduction moves these; one that only
 // makes them faster does not.
 func TestReferenceTrajectoryPinned(t *testing.T) {
@@ -348,11 +348,6 @@ func TestReferenceTrajectoryPinned(t *testing.T) {
 		// compilers fuse: the losses below were recorded without fusion.
 		t.Skipf("losses pinned on amd64; %s may fuse multiply-adds outside the kernels", runtime.GOARCH)
 	}
-	prev, err := SetBackend("ref")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer SetBackend(prev)
 	d, err := OpenDataset("synth://arxiv-sim?nodes=256&seed=1")
 	if err != nil {
 		t.Fatal(err)

@@ -95,6 +95,19 @@ func TestDatasetNameLists(t *testing.T) {
 	}
 }
 
+func TestSetBackendAcceptsOnlyReference(t *testing.T) {
+	for _, name := range []string{"", "ref", "reference"} {
+		if prev, err := SetBackend(name); err != nil || prev != "reference" {
+			t.Fatalf("SetBackend(%q) = %q, %v", name, prev, err)
+		}
+	}
+	for _, name := range []string{"opt", "optimized", "Ref"} {
+		if _, err := SetBackend(name); err == nil || !strings.Contains(err.Error(), "opt backend was removed") {
+			t.Fatalf("SetBackend(%q): err %v", name, err)
+		}
+	}
+}
+
 func TestHardwareProfilesExposed(t *testing.T) {
 	if RTX3090Cluster.MemBytes >= A100Cluster.MemBytes {
 		t.Fatal("A100 must have more memory than 3090")
