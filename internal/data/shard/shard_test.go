@@ -1,9 +1,12 @@
 package shard
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -14,7 +17,7 @@ import (
 // testDataset builds a deterministic synthetic dataset with planted
 // communities (arxiv-sim is SBM-backed, so Blocks is populated — the
 // optional segment kinds get exercised too).
-func testDataset(t *testing.T, n int) *graph.NodeDataset {
+func testDataset(t testing.TB, n int) *graph.NodeDataset {
 	t.Helper()
 	ds, err := graph.LoadNodeScaled("arxiv-sim", n, 7)
 	if err != nil {
@@ -35,7 +38,7 @@ func withReorderPerm(ds *graph.NodeDataset) *graph.NodeDataset {
 	return &cp
 }
 
-func writeShards(t *testing.T, ds *graph.NodeDataset, shards int) string {
+func writeShards(t testing.TB, ds *graph.NodeDataset, shards int) string {
 	t.Helper()
 	dir := filepath.Join(t.TempDir(), "shards")
 	if _, err := Write(dir, ds, shards); err != nil {
@@ -44,7 +47,7 @@ func writeShards(t *testing.T, ds *graph.NodeDataset, shards int) string {
 	return dir
 }
 
-func openView(t *testing.T, dir string, opts Options) *View {
+func openView(t testing.TB, dir string, opts Options) *View {
 	t.Helper()
 	v, err := Open(dir, opts)
 	if err != nil {
@@ -210,37 +213,64 @@ func TestViewOutOfCore(t *testing.T) {
 }
 
 // TestViewConcurrent hammers one view from many goroutines (run under -race
-// in CI): the block cache and sticky-error paths must be thread-safe.
+// in CI): the block cache and sticky-error paths must be thread-safe, and
+// every value read must equal the in-memory dataset bit for bit. At budgets
+// of one and two 512-byte blocks nearly every access evicts a block another
+// goroutine still has pinned, so a buffer recycled before its reader is done
+// shows up as wrong data (and as a race under -race).
 func TestViewConcurrent(t *testing.T) {
 	ds := testDataset(t, 400)
+	mem := graph.SourceOf(ds)
 	dir := writeShards(t, ds, 3)
-	v := openView(t, dir, Options{CacheBytes: 8 << 10, BlockBytes: 512})
-	done := make(chan bool)
-	for w := 0; w < 8; w++ {
-		go func(seed int64) {
-			rng := rand.New(rand.NewSource(seed))
-			feat := make([]float32, v.FeatDim())
-			var buf []int32
-			ok := true
-			for k := 0; k < 500; k++ {
-				i := int32(rng.Intn(ds.G.N))
-				v.CopyFeatureRow(feat, i)
-				buf = v.AppendNeighbors(buf, i)
-				if v.Label(i) != ds.Y[i] || v.Degree(i) != ds.G.Degree(int(i)) {
-					ok = false
-				}
+	for _, budget := range []int64{512, 1024, 8 << 10} {
+		v := openView(t, dir, Options{CacheBytes: budget, BlockBytes: 512})
+		errc := make(chan error)
+		for w := 0; w < 8; w++ {
+			go func(seed int64) {
+				errc <- hammerView(v, mem, seed)
+			}(int64(w))
+		}
+		for w := 0; w < 8; w++ {
+			if err := <-errc; err != nil {
+				t.Fatalf("budget %d: %v", budget, err)
 			}
-			done <- ok
-		}(int64(w))
-	}
-	for w := 0; w < 8; w++ {
-		if !<-done {
-			t.Fatal("concurrent reads returned wrong data")
+		}
+		if err := v.SourceErr(); err != nil {
+			t.Fatalf("budget %d: SourceErr: %v", budget, err)
+		}
+		bs := int64(v.opts.BlockBytes)
+		if held := v.cache.residentBytes() + int64(len(v.cache.free))*bs; held > max(budget, bs)+maxFreeBlocks*bs {
+			t.Fatalf("budget %d: %d bytes resident or free", budget, held)
 		}
 	}
-	if err := v.SourceErr(); err != nil {
-		t.Fatalf("SourceErr: %v", err)
+}
+
+// hammerView reads 500 random rows through every row accessor and compares
+// each result with the in-memory source.
+func hammerView(v *View, mem graph.NodeSource, seed int64) error {
+	rng := rand.New(rand.NewSource(seed))
+	feat := make([]float32, v.FeatDim())
+	want := make([]float32, v.FeatDim())
+	var buf, wantAdj []int32
+	for k := 0; k < 500; k++ {
+		i := int32(rng.Intn(v.NumNodes()))
+		v.CopyFeatureRow(feat, i)
+		mem.CopyFeatureRow(want, i)
+		for j := range want {
+			if math.Float32bits(feat[j]) != math.Float32bits(want[j]) {
+				return fmt.Errorf("CopyFeatureRow(%d)[%d] = %v, want %v", i, j, feat[j], want[j])
+			}
+		}
+		buf = v.AppendNeighbors(buf, i)
+		wantAdj = mem.AppendNeighbors(wantAdj, i)
+		if !slices.Equal(buf, wantAdj) {
+			return fmt.Errorf("AppendNeighbors(%d) = %v, want %v", i, buf, wantAdj)
+		}
+		if v.Label(i) != mem.Label(i) || v.Degree(i) != mem.Degree(i) || v.InDegree(i) != mem.InDegree(i) {
+			return fmt.Errorf("row %d: label/degree/in-degree differ", i)
+		}
 	}
+	return nil
 }
 
 // TestOpenRejectsCorruption: truncated shards, header/manifest disagreement

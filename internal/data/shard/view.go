@@ -25,8 +25,9 @@ const (
 // Options tunes how a View reads shard payloads.
 type Options struct {
 	// CacheBytes is the LRU block-cache budget in bytes for the pread mode
-	// (default 64 MiB). The cache never holds more than this plus one
-	// in-flight block.
+	// (default 64 MiB). Resident blocks stay within it (or one block, if
+	// larger); a few recycled buffers and one pinned block per concurrent
+	// reader come on top.
 	CacheBytes int64
 	// BlockBytes is the cache block size (default 64 KiB; rounded up to a
 	// multiple of 8, minimum 512). Blocks are per segment, so element
@@ -187,11 +188,9 @@ func (v *View) SourceErr() error {
 
 // IOStats snapshots the block-cache and read counters.
 func (v *View) IOStats() graph.IOStats {
-	st := graph.IOStats{
-		BytesRead:   v.bytesRead.Load(),
-		BudgetBytes: v.opts.CacheBytes,
-	}
-	if v.cache != nil {
+	st := graph.IOStats{BytesRead: v.bytesRead.Load()}
+	if v.cache != nil { // mmap mode has no block cache, so no budget
+		st.BudgetBytes = v.opts.CacheBytes
 		st.Hits = v.cache.hits.Load()
 		st.Misses = v.cache.misses.Load()
 		st.Evictions = v.cache.evictions.Load()
@@ -200,11 +199,12 @@ func (v *View) IOStats() graph.IOStats {
 	return st
 }
 
-// block returns one cached (or freshly pread) block of a segment.
-func (v *View) block(si int, seg *Segment, kind uint8, idx int32) []byte {
+// block returns one cached (or freshly pread) block of a segment, pinned:
+// the caller releases it once it has decoded the bytes.
+func (v *View) block(si int, seg *Segment, kind uint8, idx int32) *blockEntry {
 	k := blockKey{seg: uint32(si)*maxSegsPerShard + uint32(kind), idx: idx}
-	if b, ok := v.cache.get(k); ok {
-		return b
+	if e, ok := v.cache.get(k); ok {
+		return e
 	}
 	bs := int64(v.opts.BlockBytes)
 	off := int64(idx) * bs
@@ -212,18 +212,21 @@ func (v *View) block(si int, seg *Segment, kind uint8, idx int32) []byte {
 	if rem := int64(seg.Length) - off; rem < n {
 		n = rem
 	}
-	buf := make([]byte, n)
-	if _, err := v.shards[si].f.ReadAt(buf, int64(seg.Offset)+off); err != nil {
+	e := v.cache.alloc(k, int(n))
+	if _, err := v.shards[si].f.ReadAt(e.data, int64(seg.Offset)+off); err != nil {
+		v.cache.release(e)
 		v.setErr(fmt.Errorf("shard: read %s of shard %d: %w", segKindName(kind), si, err))
 		return nil
 	}
 	v.bytesRead.Add(n)
-	return v.cache.put(k, buf)
+	return v.cache.put(e)
 }
 
 // segRead visits the byte range [pos, pos+n) of one shard segment in order,
 // possibly in several chunks (pread mode hands out cache blocks; mmap mode
-// hands out one mapped slice). Reports false after recording a sticky error.
+// hands out one mapped slice). A chunk is valid only until visit returns —
+// pread mode recycles the block's buffer after that. Reports false after
+// recording a sticky error.
 func (v *View) segRead(si int, kind uint8, pos, n int64, visit func(b []byte)) bool {
 	if n == 0 {
 		return true
@@ -240,16 +243,17 @@ func (v *View) segRead(si int, kind uint8, pos, n int64, visit func(b []byte)) b
 	}
 	bs := int64(v.opts.BlockBytes)
 	for b := pos / bs; n > 0; b++ {
-		blk := v.block(si, seg, kind, int32(b))
-		if blk == nil {
+		e := v.block(si, seg, kind, int32(b))
+		if e == nil {
 			return false
 		}
 		lo := pos - b*bs
-		hi := int64(len(blk))
+		hi := int64(len(e.data))
 		if lo+n < hi {
 			hi = lo + n
 		}
-		visit(blk[lo:hi])
+		visit(e.data[lo:hi])
+		v.cache.release(e)
 		n -= hi - lo
 		pos = (b + 1) * bs
 	}

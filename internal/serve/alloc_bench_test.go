@@ -2,8 +2,12 @@ package serve
 
 import (
 	"context"
+	"math/rand"
+	"path/filepath"
 	"testing"
 
+	"torchgt/internal/data/shard"
+	"torchgt/internal/graph"
 	"torchgt/internal/model"
 	"torchgt/internal/tensor"
 )
@@ -104,6 +108,74 @@ func BenchmarkServePredictIdle(b *testing.B) {
 		}
 	}
 }
+
+// benchCold serves cold 16-node batches at the ego-shard benchmark's
+// geometry: arxiv-sim at 8192 nodes, a 512-node request pool cycled through
+// a 64-entry ego cache (so every context is rebuilt), one tensor worker.
+// With shards set the source is an 8-way shard view through a 256 KiB cache
+// of 16 KiB blocks, and KiB_read/op reports its disk traffic per batch; else
+// it is the in-memory dataset. One pass over the pool warms the pools first.
+func benchCold(b *testing.B, shards bool) {
+	prev := tensor.SetWorkers(1)
+	defer tensor.SetWorkers(prev)
+	ds, err := graph.LoadNodeScaled("arxiv-sim", 8192, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var src graph.NodeSource = graph.SourceOf(ds)
+	var view *shard.View
+	if shards {
+		dir := filepath.Join(b.TempDir(), "shards")
+		if _, err := shard.Write(dir, ds, 8); err != nil {
+			b.Fatal(err)
+		}
+		if view, err = shard.Open(dir, shard.Options{CacheBytes: 256 << 10, BlockBytes: 16 << 10}); err != nil {
+			b.Fatal(err)
+		}
+		defer view.Close()
+		src = view
+	}
+	s, err := NewServerSource(testSnapshot(b, ds, 48), src, Options{
+		Workers: 1, MaxBatch: 16, CacheCap: 64,
+		Exec: &model.ExecOptions{Workers: 1, PoolEnabled: true},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	pool := rand.New(rand.NewSource(49)).Perm(ds.G.N)[:512]
+	batch := make([]int32, 16)
+	serve := func(i int) {
+		for j := range batch {
+			batch[j] = int32(pool[(i*16+j)%len(pool)])
+		}
+		if rs := s.PredictBatch(batch); rs[0].Err != nil {
+			b.Fatal(rs[0].Err)
+		}
+	}
+	for i := 0; i < len(pool)/16; i++ {
+		serve(i)
+	}
+	var read0 int64
+	if view != nil {
+		read0 = view.IOStats().BytesRead
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		serve(i)
+	}
+	b.StopTimer()
+	if view != nil {
+		b.ReportMetric(float64(view.IOStats().BytesRead-read0)/1024/float64(b.N), "KiB_read/op")
+	}
+}
+
+// BenchmarkServeBatch16Cold is the shard-backed cold batch; CI gates its
+// allocs and its ratio to BenchmarkServeBatch16ColdMem, the same batches over
+// the in-memory dataset.
+func BenchmarkServeBatch16Cold(b *testing.B)    { benchCold(b, true) }
+func BenchmarkServeBatch16ColdMem(b *testing.B) { benchCold(b, false) }
 
 // Quantized serving path: replicas dequantize at materialize time, so the
 // steady-state request cost must match the float32 server (same f32 kernels,

@@ -3,6 +3,8 @@ package serve
 import (
 	"fmt"
 	"math"
+	"slices"
+	"sync"
 
 	"torchgt/internal/encoding"
 	"torchgt/internal/graph"
@@ -20,7 +22,11 @@ import (
 // only the rows those targets depend on, layer by layer (DESIGN.md
 // "Serving"). Segments are pure functions of (graph, node, options), so the
 // server memoises them: steady-state traffic pays only for concatenation and
-// the forward pass.
+// the forward pass. The concatenation is one gather over the whole batch:
+// each distinct storage row is read once, in ascending order, and written to
+// every sequence position that holds it — over a shard view a cold batch
+// then touches each cache block as few times as it can, and since only the
+// read order changes the batch is the same bytes as a request-order copy.
 //
 // Structural encodings follow the TRAINING convention of train.NodeTrainer —
 // degree buckets are computed once over the full served graph and indexed by
@@ -136,18 +142,17 @@ func (s *Server) buildBatch(nodes []int32) (*builtBatch, error) {
 	packer := s.packers.Get().(*sparse.Packer)
 	packer.Reset()
 
-	base := 0
+	ord := gatherKeys.Get().(*[]uint64)
+	keys := (*ord)[:0]
 	for _, seg := range segs {
-		for p, v := range seg.nodes {
-			src.CopyFeatureRow(x.Row(base+p), v)
-			// full-graph structural encodings, indexed by node id — the
-			// training-side convention of train.NodeTrainer
-			degIn[base+p] = clipDegree(src.InDegree(v))
-			degOut[base+p] = clipDegree(src.Degree(v))
+		for _, v := range seg.nodes {
+			keys = append(keys, uint64(v)<<32|uint64(len(keys)))
 		}
 		packer.Append(seg.pat, seg.buckets)
-		base += len(seg.nodes)
 	}
+	gather(src, keys, x, degIn, degOut)
+	*ord = keys
+	gatherKeys.Put(ord)
 
 	if err := src.SourceErr(); err != nil {
 		s.packers.Put(packer)
@@ -165,6 +170,32 @@ func (s *Server) buildBatch(nodes []int32) (*builtBatch, error) {
 		return nil, err
 	}
 	return &builtBatch{in: in, spec: spec, packer: packer}, nil
+}
+
+// gatherKeys pools the (storage row, sequence position) sort keys of
+// buildBatch's gather.
+var gatherKeys = sync.Pool{New: func() any { return new([]uint64) }}
+
+// gather fills x, degIn and degOut from keys, one row<<32 | position key
+// per sequence position, which it sorts in place: each distinct storage row
+// is read once, in ascending order, and copied to its other positions.
+func gather(src graph.NodeSource, keys []uint64, x *tensor.Mat, degIn, degOut []int32) {
+	slices.Sort(keys)
+	prevRow, prev := int32(-1), 0
+	for _, k := range keys {
+		row, p := int32(k>>32), int(uint32(k))
+		if row == prevRow {
+			copy(x.Row(p), x.Row(prev))
+			degIn[p], degOut[p] = degIn[prev], degOut[prev]
+		} else {
+			src.CopyFeatureRow(x.Row(p), row)
+			// full-graph structural encodings, indexed by node id — the
+			// training-side convention of train.NodeTrainer
+			degIn[p] = clipDegree(src.InDegree(row))
+			degOut[p] = clipDegree(src.Degree(row))
+		}
+		prevRow, prev = row, p
+	}
 }
 
 // clipDegree buckets a raw full-graph degree the way training did:

@@ -2,11 +2,13 @@ package serve
 
 import (
 	"bytes"
+	"math/rand"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"torchgt/internal/data/shard"
+	"torchgt/internal/graph"
 )
 
 // TestServerBackingInvariant pins the serving half of the out-of-core
@@ -60,6 +62,57 @@ func TestServerBackingInvariant(t *testing.T) {
 	}
 	if st.BudgetBytes != 16<<10 {
 		t.Fatalf("budget %d, want %d", st.BudgetBytes, 16<<10)
+	}
+
+	// Randomised differential over cache geometries, pread and mmap: a
+	// budget below one block, 512-byte blocks, seeded sizes. The shared
+	// batch repeats a node and packs contexts that overlap (a node and its
+	// neighbours), so the storage-ordered gather visits rows in an order
+	// unrelated to the request order and reads shared rows once.
+	u := int32(7)
+	adj := graph.SourceOf(ds).AppendNeighbors(nil, u)
+	shared := []int32{u, u}
+	for _, w := range adj[:min(len(adj), 6)] {
+		shared = append(shared, w, u)
+	}
+	rng := rand.New(rand.NewSource(63))
+	geoms := []shard.Options{
+		{CacheBytes: 256, BlockBytes: 512},
+		{CacheBytes: 1 << 10, BlockBytes: 512},
+		{MMap: true},
+	}
+	for i := 0; i < 3; i++ {
+		geoms = append(geoms, shard.Options{
+			CacheBytes: int64(512 + rng.Intn(32<<10)),
+			BlockBytes: 512 << rng.Intn(5),
+		})
+	}
+	for _, g := range geoms {
+		random := make([]int32, 16)
+		for i := range random {
+			random[i] = int32(rng.Intn(ds.G.N))
+		}
+		v, err := shard.Open(dir, g)
+		if err != nil {
+			t.Fatalf("shard.Open(%+v): %v", g, err)
+		}
+		defer v.Close()
+		s, err := NewServerSource(snap, v, Options{Workers: 2})
+		if err != nil {
+			t.Fatalf("NewServerSource: %v", err)
+		}
+		t.Cleanup(s.Close)
+		for _, batch := range [][]int32{shared, random, nodes[:16]} {
+			want, got := mem.PredictBatch(batch), s.PredictBatch(batch)
+			for i := range want {
+				if got[i].Err != nil || got[i].Class != want[i].Class || !bitsEqual(got[i].Probs, want[i].Probs) {
+					t.Fatalf("%+v: node %d of batch %v differs from the in-memory server (err %v)", g, batch[i], batch, got[i].Err)
+				}
+			}
+		}
+		if err := v.SourceErr(); err != nil {
+			t.Fatalf("%+v: SourceErr: %v", g, err)
+		}
 	}
 }
 
