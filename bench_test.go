@@ -1,11 +1,10 @@
 package torchgt
 
-// One benchmark per paper table/figure (each regenerates the experiment at
-// smoke scale; run `cmd/torchgt-bench -scale full` for the paper-shape
-// reports), plus kernel micro-benchmarks for the compute substrate.
+// Kernel micro-benchmarks for the compute substrate. The paper's tables and
+// figures are regenerated by cmd/torchgt-bench; end-to-end numbers come from
+// benchmark/run.sh.
 
 import (
-	"io"
 	"math/rand"
 	"testing"
 
@@ -17,41 +16,6 @@ import (
 	"torchgt/internal/sparse"
 	"torchgt/internal/tensor"
 )
-
-func benchExperiment(b *testing.B, id string) {
-	b.Helper()
-	for i := 0; i < b.N; i++ {
-		if err := RunExperiment(id, io.Discard, false); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkTable1(b *testing.B)  { benchExperiment(b, "table1") }
-func BenchmarkTable2(b *testing.B)  { benchExperiment(b, "table2") }
-func BenchmarkTable5(b *testing.B)  { benchExperiment(b, "table5") }
-func BenchmarkTable6(b *testing.B)  { benchExperiment(b, "table6") }
-func BenchmarkTable7(b *testing.B)  { benchExperiment(b, "table7") }
-func BenchmarkTable8(b *testing.B)  { benchExperiment(b, "table8") }
-func BenchmarkFigure1(b *testing.B) { benchExperiment(b, "fig1") }
-func BenchmarkFigure2(b *testing.B) { benchExperiment(b, "fig2") }
-func BenchmarkFigure5(b *testing.B) { benchExperiment(b, "fig5") }
-func BenchmarkFigure6(b *testing.B) { benchExperiment(b, "fig6") }
-func BenchmarkFigure7(b *testing.B) { benchExperiment(b, "fig7") }
-func BenchmarkFigure8(b *testing.B) { benchExperiment(b, "fig8") }
-
-func BenchmarkFigure9a(b *testing.B)      { benchExperiment(b, "fig9a") }
-func BenchmarkFigure9b(b *testing.B)      { benchExperiment(b, "fig9b") }
-func BenchmarkFigure10(b *testing.B)      { benchExperiment(b, "fig10") }
-func BenchmarkFigure11(b *testing.B)      { benchExperiment(b, "fig11") }
-func BenchmarkFigure12(b *testing.B)      { benchExperiment(b, "fig12") }
-func BenchmarkPreprocessing(b *testing.B) { benchExperiment(b, "preproc") }
-func BenchmarkDistRuntime(b *testing.B)   { benchExperiment(b, "dist") }
-
-func BenchmarkAblationReorder(b *testing.B) { benchExperiment(b, "ablation-reorder") }
-func BenchmarkAblationDb(b *testing.B)      { benchExperiment(b, "ablation-db") }
-
-// ---- kernel micro-benchmarks ----
 
 func benchQKV(s, d int) (q, k, v *tensor.Mat) {
 	rng := rand.New(rand.NewSource(1))

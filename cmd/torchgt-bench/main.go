@@ -1,4 +1,6 @@
-// torchgt-bench regenerates the paper's tables and figures.
+// torchgt-bench regenerates the paper's tables, figures, ablations and
+// pre-processing study (§IV). Engineering numbers — epoch time, latency,
+// allocations — come from benchmark/run.sh, not from here.
 //
 // Usage:
 //
@@ -59,27 +61,32 @@ func run(ctx context.Context, args []string) error {
 		}
 		return nil
 	}
+	// Validate everything before touching -outdir: a mistyped -scale must
+	// not silently fall through to full scale (minutes per experiment).
+	if *scale != "smoke" && *scale != "full" {
+		return fmt.Errorf("-scale must be smoke or full, got %q", *scale)
+	}
+	full := *scale == "full"
+	ids := torchgt.ExperimentIDs()
+	if *exp != "all" {
+		if _, ok := bench.Get(*exp); !ok {
+			return fmt.Errorf("unknown experiment %q (have %v)", *exp, ids)
+		}
+		ids = []string{*exp}
+	}
 	fmt.Printf("kernels: %s\n", torchgt.KernelISA())
 	if *dataSpec != "" {
 		bench.SetNodeDataSpec(*dataSpec)
 	}
-	ids := torchgt.ExperimentIDs()
-	if *exp != "all" {
-		ids = []string{*exp}
-	}
 	if err := os.MkdirAll(*outdir, 0o755); err != nil {
 		return err
 	}
-	full := *scale != "smoke"
 	var firstErr error
 	for _, id := range ids {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		e, ok := bench.Get(id)
-		if !ok {
-			return fmt.Errorf("unknown experiment %q (have %v)", id, torchgt.ExperimentIDs())
-		}
+		e, _ := bench.Get(id)
 		fmt.Printf("\n================ %s — %s ================\n", e.ID, e.Title)
 		var buf bytes.Buffer
 		t0 := time.Now()

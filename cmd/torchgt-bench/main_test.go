@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -39,8 +40,32 @@ func TestBenchWritesArtifact(t *testing.T) {
 	}
 }
 
+// An unknown id — including one of the removed engineering experiments —
+// errors before -outdir is created and names the ids that do exist.
 func TestBenchUnknownExperiment(t *testing.T) {
-	if err := run(context.Background(), []string{"-exp", "no-such", "-outdir", t.TempDir()}); err == nil {
-		t.Fatal("unknown experiment id must error")
+	for _, id := range []string{"no-such", "seqpar"} {
+		outdir := filepath.Join(t.TempDir(), "out")
+		err := run(context.Background(), []string{"-exp", id, "-scale", "smoke", "-outdir", outdir})
+		if err == nil || !strings.Contains(err.Error(), "unknown experiment") ||
+			!strings.Contains(err.Error(), "table5") || !strings.Contains(err.Error(), "ablation-db") {
+			t.Fatalf("-exp %s: want an unknown-experiment error listing the ids, got %v", id, err)
+		}
+		if _, err := os.Stat(outdir); !os.IsNotExist(err) {
+			t.Fatalf("-exp %s: -outdir must not be created, stat: %v", id, err)
+		}
+	}
+}
+
+// A mistyped -scale is refused up front instead of running at full scale.
+func TestBenchRejectsUnknownScale(t *testing.T) {
+	for _, scale := range []string{"smok", "Full", ""} {
+		outdir := filepath.Join(t.TempDir(), "out")
+		err := run(context.Background(), []string{"-exp", "fig9a", "-scale", scale, "-outdir", outdir})
+		if err == nil || !strings.Contains(err.Error(), "-scale") {
+			t.Fatalf("-scale %q: want a -scale error, got %v", scale, err)
+		}
+		if _, err := os.Stat(outdir); !os.IsNotExist(err) {
+			t.Fatalf("-scale %q: -outdir must not be created, stat: %v", scale, err)
+		}
 	}
 }

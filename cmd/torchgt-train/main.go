@@ -35,7 +35,7 @@
 // methods need -beta B here: it pins βthre, which the Auto Tuner would
 // otherwise move from wall-clock epoch times that differ from rank to rank;
 // every flag but the per-rank ones (-rank, -rendezvous, the output paths,
-// -exec-workers, -unpooled) must agree across ranks. If a peer dies mid-run
+// -exec-workers) must agree across ranks. If a peer dies mid-run
 // the survivors roll back to the last completed optimiser step, write a
 // checkpoint (with -checkpoint-dir) and exit with code 75 — resume at a
 // smaller world with -resume + -rendezvous. See DESIGN.md "Cross-process
@@ -83,7 +83,6 @@ func run(ctx context.Context, args []string) error {
 	beta := fs.Float64("beta", -1, "pin βthre for the torchgt methods instead of running the Auto Tuner (negative = tuner; required with -rendezvous, where wall-clock tuning would diverge across ranks)")
 	seqPar := fs.Int("seqpar", 1, "sequence-parallel ranks (simulated; bitwise-identical to serial, heads must divide)")
 	execWorkers := fs.Int("exec-workers", 0, "attention-head parallelism (0 = all cores)")
-	unpooled := fs.Bool("unpooled", false, "disable workspace pooling (debug/benchmark)")
 	patience := fs.Int("patience", 0, "early-stopping patience in epochs (0 = off)")
 	ckptDir := fs.String("checkpoint-dir", "", "write periodic checkpoints into this directory (also the SIGINT checkpoint)")
 	ckptEvery := fs.Int("checkpoint-every", 10, "checkpoint period in epochs (with -checkpoint-dir)")
@@ -150,7 +149,7 @@ func run(ctx context.Context, args []string) error {
 	addIf(fresh || given["epochs"], torchgt.WithEpochs(*epochs))
 	addIf(fresh || given["lr"], torchgt.WithLR(*lr))
 	addIf(fresh, torchgt.WithSeed(seed))
-	addIf(fresh, torchgt.WithExec(torchgt.ExecOptions{Workers: *execWorkers, PoolEnabled: !*unpooled}))
+	addIf(fresh, torchgt.WithExec(torchgt.ExecOptions{Workers: *execWorkers, PoolEnabled: true}))
 	// An explicit -patience always applies (0 disables early stopping, also
 	// when a resumed checkpoint carried a non-zero patience).
 	addIf(given["patience"] || (fresh && *patience > 0), torchgt.WithEarlyStopping(*patience))
@@ -250,7 +249,7 @@ func run(ctx context.Context, args []string) error {
 // kernels (which moves no bit).
 var perRank = map[string]bool{
 	"rank": true, "rendezvous": true, "checkpoint-dir": true, "final-weights": true,
-	"exec-workers": true, "unpooled": true,
+	"exec-workers": true,
 }
 
 // fingerprint digests every other flag, set or defaulted, so ranks started

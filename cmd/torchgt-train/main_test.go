@@ -256,7 +256,6 @@ func TestTrainEgoRejectsUnusedFlags(t *testing.T) {
 		{"-pack"},
 		{"-dp", "2"},
 		{"-exec-workers", "2"},
-		{"-unpooled"},
 	} {
 		err := run(context.Background(), append([]string{"-ego", "-data", "synth://no-such", "-epochs", "1"}, tc...))
 		if err == nil || !strings.Contains(err.Error(), "-ego does not use") || !strings.Contains(err.Error(), tc[0]) {
@@ -307,10 +306,10 @@ func TestTrainDistributedFingerprint(t *testing.T) {
 	}
 
 	fs := flag.NewFlagSet("x", flag.ContinueOnError)
-	for _, name := range []string{"rank", "rendezvous", "checkpoint-dir", "final-weights", "exec-workers", "unpooled", "lr"} {
+	for _, name := range []string{"rank", "rendezvous", "checkpoint-dir", "final-weights", "exec-workers", "lr"} {
 		fs.String(name, "", "")
 	}
-	if err := fs.Parse([]string{"-rank", "3", "-rendezvous", "h:1", "-checkpoint-dir", "d", "-final-weights", "w", "-exec-workers", "2", "-unpooled", "1", "-lr", "0.5"}); err != nil {
+	if err := fs.Parse([]string{"-rank", "3", "-rendezvous", "h:1", "-checkpoint-dir", "d", "-final-weights", "w", "-exec-workers", "2", "-lr", "0.5"}); err != nil {
 		t.Fatal(err)
 	}
 	if got := fingerprint(fs); got != "lr=0.5 " {

@@ -1,8 +1,9 @@
-// Package bench is the experiment harness: one entry point per table and
-// figure of the paper's evaluation (§IV), each regenerating the
-// corresponding rows/series at laptop scale. Shapes (orderings, ratios,
-// crossovers) are the reproduction target; absolute numbers are not.
-// EXPERIMENTS.md records paper-vs-measured for every experiment.
+// Package bench is the experiment harness: one entry point per table,
+// figure, ablation and pre-processing study of the paper's evaluation (§IV),
+// each regenerating the corresponding rows/series at laptop scale. Shapes
+// (orderings, ratios, crossovers) are the reproduction target; absolute
+// numbers are not. Engineering measurements (epoch time, latency,
+// allocations, collective traffic) live in benchmark/ and the package tests.
 package bench
 
 import (
@@ -49,22 +50,6 @@ func IDs() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// RunAll executes every experiment at the given scale, writing a combined
-// report. Cancelling ctx aborts between (and within) experiments.
-func RunAll(ctx context.Context, w io.Writer, scale Scale) error {
-	for _, id := range IDs() {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		e := registry[id]
-		fmt.Fprintf(w, "\n================ %s — %s ================\n", e.ID, e.Title)
-		if err := e.Run(ctx, w, scale); err != nil {
-			return fmt.Errorf("%s: %w", id, err)
-		}
-	}
-	return nil
 }
 
 // table prints an aligned text table.

@@ -18,7 +18,7 @@ func init() {
 	register(&Experiment{ID: "table6", Title: "Epoch time on one A100 server, simulated (Table VI)", Run: runTable6})
 	register(&Experiment{ID: "table7", Title: "BF16 vs FP32 accuracy & throughput (Table VII)", Run: runTable7})
 	register(&Experiment{ID: "table8", Title: "Transfer threshold βthre sensitivity (Table VIII)", Run: runTable8})
-	register(&Experiment{ID: "fig6", Title: "Sub-block size db: occupancy / hit rate / throughput (Fig. 6)", Run: runFig6})
+	register(&Experiment{ID: "fig6", Title: "Sub-block size db: simulated occupancy / hit rate / throughput (Fig. 6)", Run: runFig6})
 	register(&Experiment{ID: "preproc", Title: "Pre-processing cost vs training time (§IV-E)", Run: runPreproc})
 }
 
@@ -228,13 +228,13 @@ func runFig6(ctx context.Context, w io.Writer, scale Scale) error {
 	}
 	for _, spec := range []gpusim.GPUSpec{gpusim.RTX3090Spec, gpusim.A100Spec} {
 		stats := gpusim.SweepDb(cl, 1.0, []int{4, 8, 16, 32}, 64, spec)
-		tb := &table{header: []string{"db", "warp occupancy", "L1 hit", "L2 hit", "useful frac", "norm. throughput"}}
+		tb := &table{header: []string{"db", "sim-warp occupancy", "sim-L1 hit", "sim-L2 hit", "sim-useful frac", "sim-norm. throughput"}}
 		base := stats[0].Throughput
 		for _, st := range stats {
 			tb.addRow(fmt.Sprint(st.Db), pct(st.WarpOccupancy), pct(st.L1HitRate), pct(st.L2HitRate),
 				pct(st.UsefulFraction), f2(st.Throughput/base))
 		}
-		fmt.Fprintf(w, "\n%s (chosen k=%d, chosen db=%d):\n", spec.Name, k,
+		fmt.Fprintf(w, "\n%s, simulated by the GPU cache/warp model (chosen k=%d, chosen db=%d):\n", spec.Name, k,
 			gpusim.ChooseDb(cl, 1.0, 64, spec))
 		tb.write(w)
 	}

@@ -6,17 +6,12 @@ import (
 	"io"
 
 	"torchgt/internal/dist"
-	"torchgt/internal/encoding"
-	"torchgt/internal/model"
-	"torchgt/internal/nn"
-	"torchgt/internal/sparse"
 )
 
 func init() {
 	register(&Experiment{ID: "fig7", Title: "Multi-server scalability, simulated A100 cluster (Fig. 7)", Run: runFig7})
 	register(&Experiment{ID: "fig9a", Title: "Max sequence length vs number of GPUs (Fig. 9a)", Run: runFig9a})
 	register(&Experiment{ID: "fig9b", Title: "Training throughput vs sequence length (Fig. 9b)", Run: runFig9b})
-	register(&Experiment{ID: "dist", Title: "Cluster-aware graph parallelism: real P-worker run + comm volume", Run: runDist})
 }
 
 func gphShape() dist.ModelShape {
@@ -86,52 +81,5 @@ func runFig9b(ctx context.Context, w io.Writer, scale Scale) error {
 	}
 	tb.write(w)
 	fmt.Fprintln(w, "expected shape: gp-flash throughput collapses with S (O(S²)); torchgt stays roughly flat")
-	return nil
-}
-
-// runDist runs the real channel-based P-rank sequence-parallel plan and
-// reports measured communication volume against the paper's 4·S·d/P formula.
-func runDist(ctx context.Context, w io.Writer, scale Scale) error {
-	nodes, p, steps := 1024, 4, 3
-	if scale == ScaleSmoke {
-		nodes, steps = 256, 2
-	}
-	ds, err := loadNode("arxiv-sim", nodes, 49)
-	if err != nil {
-		return err
-	}
-	cfg := model.GraphormerSlim(ds.X.Cols, ds.NumClasses, 50)
-	cfg.Dropout = 0
-	degIn, degOut := encoding.DegreeBuckets(ds.G, 63)
-	in := &model.Inputs{X: ds.X, DegInIdx: degIn, DegOutIdx: degOut}
-	pat := sparse.FromGraph(ds.G)
-	spec := &model.AttentionSpec{Mode: model.ModeSparse, Pattern: pat}
-
-	m := model.NewGraphTransformer(cfg)
-	plan := model.NewSeqParallel(p, model.ExecOptions{PoolEnabled: true})
-	m.SetPlan(plan)
-	params := m.Params()
-	opt := nn.NewAdam(1e-3)
-	opt.ClipNorm = 5
-	var lastLoss float64
-	for st := 0; st < steps; st++ {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		logits := m.Forward(in, spec, true)
-		loss, dl := nn.SoftmaxCrossEntropy(logits, ds.Y, ds.TrainMask)
-		m.Backward(dl)
-		plan.SyncGradients(params)
-		opt.Step(params)
-		plan.StepReset()
-		lastLoss = loss
-	}
-	seqBytesPerRankStep := int64(nodes/p) * int64(cfg.Hidden) * 4 * int64(p-1) / int64(p) * int64(8*cfg.Layers)
-	fmt.Fprintf(w, "P=%d ranks, %d steps, final loss %.4f\n", p, steps, lastLoss)
-	fmt.Fprintf(w, "measured comm volume: %d bytes total (%.1f KB/rank/step)\n",
-		plan.Comm().TotalBytes(), float64(plan.Comm().TotalBytes())/float64(p*steps)/1024)
-	fmt.Fprintf(w, "Ulysses resharding volume per rank per step: %d bytes (= 8L reshards of (S/P)(d)(P-1)/P); O(S/P) per the paper's §III-C\n",
-		seqBytesPerRankStep)
-	fmt.Fprintln(w, "expected shape: sequence-parallel volume scales as S/P, unlike all-gather's O(S)")
 	return nil
 }

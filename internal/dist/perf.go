@@ -51,8 +51,7 @@ var A100 = HardwareProfile{
 // package's loopback benchmarks (per-collective latency ~100µs, effective
 // stream bandwidth ~1 GB/s through the frame codec); the flop rate is the
 // rough throughput of the Go microkernels, so predictions land at
-// CPU-seconds, not GPU-milliseconds. Feeds the seqpar experiment's
-// predicted-vs-measured cross-process row.
+// CPU-seconds, not GPU-milliseconds.
 var Loopback = HardwareProfile{
 	Name: "tcp-loopback", MemBytes: 16 << 30,
 	TFLOPS: 0.02, Efficiency: 0.5, MemBWGBs: 20, NetGBs: 1,

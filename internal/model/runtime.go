@@ -8,8 +8,9 @@ import (
 )
 
 // ExecOptions tunes the execution engine that runs a model's hot paths.
-// The zero value selects the defaults: head-level parallelism bounded by the
-// tensor worker pool, with workspace pooling enabled.
+// The zero value gives head-level parallelism bounded by the tensor worker
+// pool with workspace pooling OFF (every step allocates from the heap);
+// DefaultRuntime is the pooled configuration.
 type ExecOptions struct {
 	// Workers bounds how many attention heads run concurrently per layer
 	// (each on its own workspace). 0 picks tensor.Workers(); 1 forces

@@ -23,7 +23,6 @@ import (
 	"io"
 
 	"torchgt/internal/bench"
-	"torchgt/internal/dist"
 	"torchgt/internal/graph"
 	"torchgt/internal/model"
 	"torchgt/internal/train"
@@ -46,8 +45,6 @@ type (
 	Point = train.Point
 	// Method selects the training system (GP-Raw … TorchGT).
 	Method = train.Method
-	// HardwareProfile is an analytic testbed model for simulations.
-	HardwareProfile = dist.HardwareProfile
 )
 
 // Training methods from the paper's evaluation.
@@ -61,8 +58,9 @@ const (
 )
 
 // ExecOptions tunes the runtime execution engine: head-level parallelism
-// (Workers) and workspace pooling (PoolEnabled). The zero value means
-// "defaults" — full parallelism, pooling on.
+// (Workers) and workspace pooling (PoolEnabled). The zero value means full
+// head parallelism with pooling OFF; set PoolEnabled to pool. A session
+// without WithExec gets both on.
 type ExecOptions = model.ExecOptions
 
 // Runtime is the execution engine behind a model's hot paths: per-worker
@@ -73,12 +71,6 @@ type Runtime = model.Runtime
 
 // NewRuntime builds an execution engine from opts.
 func NewRuntime(opts ExecOptions) *Runtime { return model.NewRuntime(opts) }
-
-// Hardware profiles of the paper's two testbeds.
-var (
-	RTX3090Cluster = dist.RTX3090
-	A100Cluster    = dist.A100
-)
 
 // ParseMethod converts a CLI name ("torchgt", "gp-flash", …) to a Method.
 func ParseMethod(s string) (Method, error) { return train.ParseMethod(s) }
@@ -106,14 +98,9 @@ var (
 // ExperimentIDs lists every reproducible table/figure id.
 func ExperimentIDs() []string { return bench.IDs() }
 
-// RunExperiment regenerates one paper table/figure, writing its report to w.
-// full=false runs a fast smoke-scale variant.
-func RunExperiment(id string, w io.Writer, full bool) error {
-	return RunExperimentContext(context.Background(), id, w, full)
-}
-
-// RunExperimentContext is RunExperiment under a context: experiments train
-// through the Session engine, so cancellation stops at the next
+// RunExperimentContext regenerates one paper table/figure, writing its
+// report to w; full=false runs a fast smoke-scale variant. Experiments train
+// through the Session engine, so cancelling ctx stops at the next
 // optimiser-step boundary.
 func RunExperimentContext(ctx context.Context, id string, w io.Writer, full bool) error {
 	e, ok := bench.Get(id)
@@ -125,18 +112,4 @@ func RunExperimentContext(ctx context.Context, id string, w io.Writer, full bool
 		scale = bench.ScaleFull
 	}
 	return e.Run(ctx, w, scale)
-}
-
-// RunAllExperiments regenerates every registered table and figure.
-func RunAllExperiments(w io.Writer, full bool) error {
-	return RunAllExperimentsContext(context.Background(), w, full)
-}
-
-// RunAllExperimentsContext is RunAllExperiments under a context.
-func RunAllExperimentsContext(ctx context.Context, w io.Writer, full bool) error {
-	scale := bench.ScaleSmoke
-	if full {
-		scale = bench.ScaleFull
-	}
-	return bench.RunAll(ctx, w, scale)
 }
