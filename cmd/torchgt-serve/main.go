@@ -1,7 +1,9 @@
 // torchgt-serve runs the batched inference engine: it obtains a trained
 // model (training one quickly, or loading a frozen snapshot), starts the
-// dynamic micro-batching server, and either serves HTTP or sweeps a set of
-// offered loads and prints a latency/throughput report.
+// dynamic micro-batching server — a fixed pool of -workers replicas, each
+// batch one block-diagonal sparse forward pruned to its requests' targets —
+// and either serves HTTP or sweeps a set of offered loads and prints a
+// latency/throughput report.
 //
 // Usage:
 //
@@ -71,11 +73,8 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	quant := fs.String("quant", "", "quantize the snapshot before serving/saving: none | int8 | bf16")
 
 	workers := fs.Int("workers", 0, "replica workers (0 = default)")
-	minWorkers := fs.Int("min-workers", 0, "replica-scaling floor (0 = fixed pool at -workers)")
-	maxWorkers := fs.Int("max-workers", 0, "replica-scaling ceiling (0 = fixed pool at -workers)")
 	batch := fs.Int("batch", 16, "max batch size (flush-on-size trigger)")
 	deadline := fs.Duration("deadline", 2*time.Millisecond, "longest a request waits for company while a forward is running (flush-on-deadline trigger; an idle engine flushes at once)")
-	mode := fs.String("mode", "sparse", "attention kernel: sparse | dense | flash | flash-bf16 | cluster-sparse | kernelized")
 	hops := fs.Int("hops", 2, "ego-context BFS radius per request")
 	ctxSize := fs.Int("ctx", 32, "max ego-context size per request")
 	maxPending := fs.Int("max-pending", 0, "admission bound per model: requests beyond it shed with 429 (0 = default)")
@@ -101,10 +100,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		return fmt.Errorf("-train-only needs -save-snapshot")
 	}
 
-	m, err := torchgt.ParseServeMode(*mode)
-	if err != nil {
-		return err
-	}
 	qm, err := torchgt.ParseQuantMode(*quant)
 	if err != nil {
 		return err
@@ -180,9 +175,8 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	}
 
 	opts := torchgt.ServeOptions{
-		Workers: *workers, MinWorkers: *minWorkers, MaxWorkers: *maxWorkers,
-		MaxBatch: *batch, MaxDelay: *deadline,
-		Mode: m, CtxHops: *hops, CtxSize: *ctxSize, CacheCap: *cacheCap,
+		Workers: *workers, MaxBatch: *batch, MaxDelay: *deadline,
+		CtxHops: *hops, CtxSize: *ctxSize, CacheCap: *cacheCap,
 	}
 
 	if *httpAddr != "" {
@@ -195,8 +189,8 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	}
 	defer srv.Close()
 	o := srv.Options()
-	fmt.Fprintf(stdout, "server: %d workers, batch≤%d, deadline %s, %s kernel, ctx %d nodes\n",
-		o.Workers, o.MaxBatch, o.MaxDelay, o.Mode, o.CtxSize)
+	fmt.Fprintf(stdout, "server: %d workers, batch≤%d, deadline %s, ctx %d nodes\n",
+		o.Workers, o.MaxBatch, o.MaxDelay, o.CtxSize)
 
 	targets := make([]int32, 256)
 	for i := range targets {

@@ -42,7 +42,8 @@ func TestServeRefusals(t *testing.T) {
 		{"graph-level preset name", []string{"-dataset", "zinc-sim"}, "graph-level dataset"},
 		{"disk-resident data without a snapshot", []string{"-data", "shard://" + shards}, "disk-resident"},
 		{"unknown preset", []string{"-dataset", "no-such"}, "unknown synth preset"},
-		{"bad mode", []string{"-mode", "nope"}, "nope"},
+		{"no kernel choice", []string{"-mode", "dense"}, "-mode"},
+		{"no replica scaling", []string{"-max-workers", "3"}, "-max-workers"},
 		{"bad quant", []string{"-quant", "int3"}, "int3"},
 		{"bad loads", []string{"-loads", "100,-5"}, "bad load"},
 		{"bad model spec", []string{"-model", "m@x"}, "bad version"},

@@ -16,7 +16,9 @@ import (
 //     TestClusterSparseForwardBitwiseMatchesNaive check the restructured
 //     kernels against line-for-line naive reimplementations;
 //   - TestKernelsWorkerCountInvariant holds all six kernels to bitwise
-//     identical results across repeated runs and worker counts.
+//     identical results across repeated runs and worker counts;
+//   - TestFlashBF16MatchesBF16Wrap holds the flash kernel's own BF16 mode to
+//     the FP32 kernel under BF16Wrap.
 
 type stepCase struct {
 	name string
@@ -213,6 +215,23 @@ func TestRefFlashBitwiseMatchesNaive(t *testing.T) {
 				mustBitwiseMat(t, "dv", ndv, fdv)
 			}
 		}
+	}
+}
+
+// TestFlashBF16MatchesBF16Wrap pins the two ways to run flash attention
+// under bfloat16 storage emulation to the same bits: the kernel's own BF16
+// flag, and the FP32 kernel inside BF16Wrap — the path a model takes for an
+// AttentionSpec{Mode: ModeFlash, BF16: true}.
+func TestFlashBF16MatchesBF16Wrap(t *testing.T) {
+	for _, s := range []int{1, 63, 96, 130} {
+		own := func() Kernel { return NewFlash(true) }
+		wrapped := func() Kernel { return &BF16Wrap{Inner: NewFlash(false)} }
+		ao, adq, adk, adv := runKernelStep(own, s, 16)
+		bo, bdq, bdk, bdv := runKernelStep(wrapped, s, 16)
+		mustBitwiseMat(t, "o", ao, bo)
+		mustBitwiseMat(t, "dq", adq, bdq)
+		mustBitwiseMat(t, "dk", adk, bdk)
+		mustBitwiseMat(t, "dv", adv, bdv)
 	}
 }
 

@@ -41,7 +41,7 @@ func runAblationInterleave(ctx context.Context, w io.Writer, scale Scale) error 
 	cfg := model.GraphormerSlim(ds.X.Cols, ds.NumClasses, 64)
 	tb := &table{header: []string{"interval", "dense steps", "test acc", "pairs/epoch", "tepoch(s)"}}
 	for _, interval := range []int{1, 4, 8, 16, 1 << 30} {
-		tr := train.NewNodeTrainer(train.NodeConfig{
+		tr := train.NewNodeTrainer(train.Config{
 			Method: train.TorchGT, Epochs: epochs, LR: 2e-3,
 			Interval: interval, FixedBeta: -1, Seed: 65,
 		}, cfg, ds)
@@ -203,7 +203,7 @@ func runAblationSampling(ctx context.Context, w io.Writer, scale Scale) error {
 		return err
 	}
 
-	long := train.NewNodeTrainer(train.NodeConfig{
+	long := train.NewNodeTrainer(train.Config{
 		Method: train.TorchGT, Epochs: egoSteps, LR: 2e-3, FixedBeta: -1, Seed: 77,
 	}, cfg, ds)
 	longRes, err := long.RunCtx(ctx)

@@ -79,7 +79,7 @@ func runFig8(ctx context.Context, w io.Writer, scale Scale) error {
 		}
 		var results []*train.Result
 		for _, m := range []train.Method{train.TorchGT, train.GPFlash} {
-			tr := train.NewNodeTrainer(train.NodeConfig{
+			tr := train.NewNodeTrainer(train.Config{
 				Method: m, Epochs: epochs, LR: 2e-3, FixedBeta: -1, Seed: 53,
 			}, cfg, ds)
 			res, err := tr.RunCtx(ctx)
@@ -113,7 +113,7 @@ func runFig10(ctx context.Context, w io.Writer, scale Scale) error {
 		}
 		var results []*train.Result
 		for _, m := range []train.Method{train.TorchGT, train.GPFlash, train.GPSparse} {
-			tr := train.NewNodeTrainer(train.NodeConfig{
+			tr := train.NewNodeTrainer(train.Config{
 				Method: m, Epochs: epochs, LR: 2e-3, FixedBeta: -1, Seed: 57,
 			}, cfg, ds)
 			res, err := tr.RunCtx(ctx)
@@ -150,7 +150,7 @@ func runFig11(ctx context.Context, w io.Writer, scale Scale) error {
 		{"sparse", train.GPSparse},
 	} {
 		cfg := model.GraphormerSlim(16, 1, 60)
-		tr := train.NewGraphTrainer(train.GraphConfig{
+		tr := train.NewGraphTrainer(train.Config{
 			Method: mc.method, Epochs: epochs, LR: 2e-3, BatchSize: 8, Seed: 61,
 		}, cfg, zinc)
 		res, err := tr.RunCtx(ctx)

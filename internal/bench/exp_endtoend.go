@@ -71,7 +71,7 @@ func runTable5(ctx context.Context, w io.Writer, scale Scale) error {
 
 			var flashEpoch float64
 			for _, method := range []train.Method{train.GPFlash, train.TorchGT} {
-				tr := train.NewNodeTrainer(train.NodeConfig{
+				tr := train.NewNodeTrainer(train.Config{
 					Method: method, Epochs: epochs, LR: 2e-3, FixedBeta: -1, Seed: 33,
 				}, cfg, ds)
 				res, err := tr.RunCtx(ctx)
@@ -143,7 +143,7 @@ func runTable7(ctx context.Context, w io.Writer, scale Scale) error {
 			{"torchgt-bf16", train.TorchGTBF16},
 			{"torchgt-fp32", train.TorchGT},
 		} {
-			tr := train.NewNodeTrainer(train.NodeConfig{
+			tr := train.NewNodeTrainer(train.Config{
 				Method: mc.method, Epochs: epochs, LR: 2e-3, FixedBeta: -1, Seed: 37,
 			}, cfg, ds)
 			res, err := tr.RunCtx(ctx)
@@ -188,7 +188,7 @@ func runTable8(ctx context.Context, w io.Writer, scale Scale) error {
 		for _, r := range rows {
 			// finer cluster grid (k=16 → 256 clusters) so the βthre ladder
 			// meets a spread of cluster densities
-			tr := train.NewNodeTrainer(train.NodeConfig{
+			tr := train.NewNodeTrainer(train.Config{
 				Method: train.TorchGT, Epochs: epochs, LR: 2e-3,
 				FixedBeta: r.beta, UseFixedBeta: r.beta >= 0,
 				ClusterK: 16, Db: 8, Seed: 41,
@@ -256,7 +256,7 @@ func runPreproc(ctx context.Context, w io.Writer, scale Scale) error {
 			return err
 		}
 		cfg := model.GraphormerSlim(ds.X.Cols, ds.NumClasses, 46)
-		tr := train.NewNodeTrainer(train.NodeConfig{
+		tr := train.NewNodeTrainer(train.Config{
 			Method: train.TorchGT, Epochs: epochs, LR: 2e-3, FixedBeta: -1, Seed: 47,
 		}, cfg, ds)
 		res, err := tr.RunCtx(ctx)

@@ -63,7 +63,7 @@ func runTable1(ctx context.Context, w io.Writer, scale Scale) error {
 		{"GT", model.GTConfig(fd, nodeDS.NumClasses, 4)},
 		{"Graphormer", model.GraphormerSlim(fd, nodeDS.NumClasses, 5)},
 	} {
-		tr := train.NewNodeTrainer(train.NodeConfig{
+		tr := train.NewNodeTrainer(train.Config{
 			Method: train.TorchGT, Epochs: epochs, LR: 2e-3, FixedBeta: -1, Seed: 6,
 		}, mc.cfg, nodeDS)
 		res, err := tr.RunCtx(ctx)
@@ -105,7 +105,7 @@ func runTable1(ctx context.Context, w io.Writer, scale Scale) error {
 		{"GT", model.GTConfig(16, 1, 9)},
 		{"Graphormer", model.GraphormerSlim(16, 1, 10)},
 	} {
-		tr := train.NewGraphTrainer(train.GraphConfig{
+		tr := train.NewGraphTrainer(train.Config{
 			Method: train.TorchGT, Epochs: gEpochs, LR: 2e-3, BatchSize: 8, Seed: 11,
 		}, mc.cfg, zinc)
 		if _, err := tr.RunCtx(ctx); err != nil {
@@ -169,7 +169,7 @@ func runFig1(ctx context.Context, w io.Writer, scale Scale) error {
 			if eps < 1 {
 				eps = 1
 			}
-			tr := train.NewSeqTrainer(train.SeqConfig{
+			tr := train.NewSeqTrainer(train.Config{
 				Method: method, Epochs: eps, SeqLen: s, Seed: seed + 2,
 			}, cfg, ds)
 			res, err := tr.RunCtx(ctx)

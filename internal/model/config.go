@@ -22,8 +22,6 @@ const (
 	ModeDense AttnMode = iota
 	// ModeFlash is tiled streaming attention, FP32 (GP-Flash).
 	ModeFlash
-	// ModeFlashBF16 is tiled attention with BF16 storage emulation.
-	ModeFlashBF16
 	// ModeSparse is the topology-induced pattern (GP-Sparse).
 	ModeSparse
 	// ModeClusterSparse is the Elastic-Computation-Reformation kernel.
@@ -38,8 +36,6 @@ func (m AttnMode) String() string {
 		return "dense"
 	case ModeFlash:
 		return "flash"
-	case ModeFlashBF16:
-		return "flash-bf16"
 	case ModeSparse:
 		return "sparse"
 	case ModeClusterSparse:
@@ -55,7 +51,7 @@ func (m AttnMode) String() string {
 type AttentionSpec struct {
 	Mode AttnMode
 	// BF16 wraps the kernel in bfloat16 storage emulation (Table VII's
-	// TorchGT-BF16). ModeFlashBF16 implies it already.
+	// TorchGT-BF16).
 	BF16 bool
 	// Pattern is required for ModeSparse.
 	Pattern *sparse.Pattern

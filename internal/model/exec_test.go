@@ -67,7 +67,7 @@ func TestHeadParallelAllModes(t *testing.T) {
 	specs := []*AttentionSpec{
 		{Mode: ModeDense, DenseBuckets: spd},
 		{Mode: ModeFlash},
-		{Mode: ModeFlashBF16},
+		{Mode: ModeFlash, BF16: true},
 		sparseSpec(g),
 		{Mode: ModeKernelized},
 	}

@@ -84,7 +84,7 @@ func (m *MHA) KernelFor(head int, spec *AttentionSpec, s int) attention.Kernel {
 // drawing bias scratch from ws.
 func (m *MHA) newKernel(head int, spec *AttentionSpec, s int, ws *tensor.Workspace) attention.Kernel {
 	k := m.newKernelInner(head, spec, s, ws)
-	if spec.BF16 && spec.Mode != ModeFlashBF16 {
+	if spec.BF16 {
 		k = &attention.BF16Wrap{Inner: k}
 	}
 	return attention.WithWorkspace(k, ws)
@@ -107,8 +107,6 @@ func (m *MHA) newKernelInner(head int, spec *AttentionSpec, s int, ws *tensor.Wo
 		return d
 	case ModeFlash:
 		return attention.NewFlash(false)
-	case ModeFlashBF16:
-		return attention.NewFlash(true)
 	case ModeSparse:
 		sp := attention.NewSparse(spec.Pattern)
 		if m.BiasTable != nil && spec.EdgeBuckets != nil {

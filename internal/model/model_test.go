@@ -75,7 +75,7 @@ func TestGraphTransformerAllModesRun(t *testing.T) {
 	specs := []*AttentionSpec{
 		{Mode: ModeDense, DenseBuckets: spd},
 		{Mode: ModeFlash},
-		{Mode: ModeFlashBF16},
+		{Mode: ModeFlash, BF16: true},
 		sparseSpec(g),
 		{Mode: ModeClusterSparse, Reformed: r, KeepBuckets: keepBuckets},
 		{Mode: ModeKernelized},

@@ -156,7 +156,7 @@ func TestTargetsGatherOnlyUnderOtherModes(t *testing.T) {
 	specs := []*AttentionSpec{
 		{Mode: ModeDense, DenseBuckets: dense},
 		{Mode: ModeFlash},
-		{Mode: ModeFlashBF16},
+		{Mode: ModeFlash, BF16: true},
 		{Mode: ModeClusterSparse, Reformed: r, KeepBuckets: make([]int32, r.Keep.NNZ())},
 		{Mode: ModeKernelized},
 	}

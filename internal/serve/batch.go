@@ -18,8 +18,8 @@ import (
 // deterministic ego-graph segment (truncated BFS in CSR order — no sampling,
 // so the same node always yields the same context), and the segments are
 // concatenated into a single sequence whose target rows — the segment starts
-// — are the forward's Inputs.Targets: under the sparse kernel it computes
-// only the rows those targets depend on, layer by layer (DESIGN.md
+// — are the forward's Inputs.Targets: the sparse kernel computes only the
+// rows those targets depend on, layer by layer (DESIGN.md
 // "Serving"). Segments are pure functions of (graph, node, options), so the
 // server memoises them: steady-state traffic pays only for concatenation and
 // the forward pass. The concatenation is one gather over the whole batch:
@@ -36,16 +36,12 @@ import (
 // are rejected at NewServer: their training-time PE depends on the trainer
 // seed and reordering, which a snapshot cannot reconstruct.
 //
-// Under the default sparse kernel the attention pattern is the block-diagonal
-// union of the per-segment topology patterns: requests attend only within
-// their own context, so a request's logits are bitwise independent of what it
-// happens to be batched with. Batching is purely a throughput mechanism, not
-// a semantic one — the property the determinism tests pin down. The dense /
-// flash / kernelized modes instead attend across the whole concatenated
-// sequence (cheaper bookkeeping, cross-request leakage); cluster-sparse
-// treats each segment as one cluster and reforms dense sub-blocks where a
-// segment is locally dense, exercising the paper's elastic kernel at serve
-// time.
+// The attention is the paper's topology-induced sparse kernel over the
+// block-diagonal union of the per-segment patterns: requests attend only
+// within their own context, so a request's logits are bitwise independent of
+// what it happens to be batched with. Batching is purely a throughput
+// mechanism, not a semantic one — the property the determinism tests pin
+// down.
 
 // egoNodes returns the deterministic BFS neighbourhood of target: up to hops
 // levels, capped at maxCtx nodes, neighbours visited in CSR order. Target is
@@ -164,11 +160,10 @@ func (s *Server) buildBatch(nodes []int32) (*builtBatch, error) {
 	if cfg.UseDegreeEnc {
 		in.DegInIdx, in.DegOutIdx = degIn, degOut
 	}
-	spec, err := specFor(s.opts, packer.Pattern(), packer.Buckets(), packer.Bounds())
-	if err != nil {
-		s.packers.Put(packer)
-		return nil, err
-	}
+	// The packer's block-diagonal pattern and bias buckets are the sparse
+	// spec as they stand: each segment's CSR is already sorted and segments
+	// occupy disjoint ascending ranges.
+	spec := &model.AttentionSpec{Mode: model.ModeSparse, Pattern: packer.Pattern(), EdgeBuckets: packer.Buckets()}
 	return &builtBatch{in: in, spec: spec, packer: packer}, nil
 }
 
@@ -205,97 +200,6 @@ func clipDegree(d int) int32 {
 		return encoding.MaxDegreeBucket
 	}
 	return int32(d)
-}
-
-// Mode selects the attention kernel of the serving forward pass. It is a
-// serve-local enum (rather than model.AttnMode) so that the zero value can
-// mean "the safe default": block-diagonal sparse attention.
-type Mode int
-
-const (
-	// ModeSparse (the default) is block-diagonal topology-induced sparse
-	// attention: each request attends only within its own ego context, so
-	// outputs are independent of batch composition.
-	ModeSparse Mode = iota
-	// ModeDense materialises scores over the whole concatenated sequence.
-	ModeDense
-	// ModeFlash is tiled streaming attention over the whole sequence.
-	ModeFlash
-	// ModeFlashBF16 is ModeFlash with BF16 storage emulation.
-	ModeFlashBF16
-	// ModeClusterSparse treats each request segment as one cluster and
-	// reforms locally dense regions into db×db sub-blocks (the paper's
-	// elastic kernel, applied at serve time).
-	ModeClusterSparse
-	// ModeKernelized is linear attention over the whole sequence.
-	ModeKernelized
-)
-
-func (m Mode) String() string {
-	switch m {
-	case ModeSparse:
-		return "sparse"
-	case ModeDense:
-		return "dense"
-	case ModeFlash:
-		return "flash"
-	case ModeFlashBF16:
-		return "flash-bf16"
-	case ModeClusterSparse:
-		return "cluster-sparse"
-	case ModeKernelized:
-		return "kernelized"
-	}
-	return "unknown"
-}
-
-// ParseMode converts a CLI name into a Mode.
-func ParseMode(s string) (Mode, error) {
-	for _, m := range []Mode{ModeSparse, ModeDense, ModeFlash, ModeFlashBF16, ModeClusterSparse, ModeKernelized} {
-		if m.String() == s {
-			return m, nil
-		}
-	}
-	return 0, fmt.Errorf("serve: unknown attention mode %q", s)
-}
-
-// specFor builds the attention spec of a batch for the configured kernel.
-// pattern/buckets/bounds come from the batch packer: the block-diagonal
-// pattern over the concatenated segments, the concatenated per-entry bias
-// buckets, and the segment boundaries. The sparse modes consume them
-// directly — identical, entry for entry, to the pair-sort path they replace,
-// since each segment's CSR is already sorted and segments occupy disjoint
-// ascending ranges.
-func specFor(opts Options, pattern *sparse.Pattern, buckets []int32, bounds []int32) (*model.AttentionSpec, error) {
-	switch opts.Mode {
-	case ModeSparse:
-		return &model.AttentionSpec{
-			Mode: model.ModeSparse, Pattern: pattern,
-			EdgeBuckets: buckets, BF16: opts.BF16,
-		}, nil
-	case ModeClusterSparse:
-		cl, err := sparse.NewClusterLayout(pattern, bounds)
-		if err != nil {
-			return nil, err
-		}
-		r := sparse.Reform(cl, opts.Db, opts.Beta)
-		return &model.AttentionSpec{
-			Mode: model.ModeClusterSparse, Reformed: r,
-			KeepBuckets: r.Keep.LocalEdgeBuckets(false, 0), BF16: opts.BF16,
-		}, nil
-	case ModeDense:
-		return &model.AttentionSpec{Mode: model.ModeDense, BF16: opts.BF16}, nil
-	case ModeFlash:
-		if opts.BF16 {
-			return &model.AttentionSpec{Mode: model.ModeFlashBF16}, nil
-		}
-		return &model.AttentionSpec{Mode: model.ModeFlash}, nil
-	case ModeFlashBF16:
-		return &model.AttentionSpec{Mode: model.ModeFlashBF16}, nil
-	case ModeKernelized:
-		return &model.AttentionSpec{Mode: model.ModeKernelized, BF16: opts.BF16}, nil
-	}
-	return nil, fmt.Errorf("serve: unsupported attention mode %v", int(opts.Mode))
 }
 
 // softmax converts one logits row into a probability vector (numerically

@@ -5,37 +5,39 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 )
 
-// HTTP front ends (stdlib only). A bare Server exposes the single-model
-// surface; a Registry exposes the control plane on top of it:
+// The HTTP front end (stdlib only) is the Registry's control plane:
 //
 //	GET|POST /predict   one classification request (query ?node=N&model=m, or
 //	                    JSON body {"node":N,"model":"m"})
-//	GET  /stats         engine / control-plane counters as JSON
+//	GET  /stats         control-plane and engine counters as JSON
 //	GET  /healthz       readiness probe: 200 only while able to serve —
 //	                    503 before the first generation is live, while a
 //	                    swap is draining, once a node source has hit an I/O
 //	                    error, and after Close
 //	GET  /metrics       Prometheus text exposition
-//	POST /publish       (registry) ?model=m, body = snapshot bytes → version
-//	POST /swap          (registry) ?model=m&version=N (0/absent = latest)
-//	GET  /models        (registry) rollout state of every model
+//	POST /publish       ?model=m, body = snapshot bytes → version
+//	POST /swap          ?model=m&version=N (0/absent = latest)
+//	GET  /models        rollout state of every model
 //
 // Every in-flight HTTP /predict is one queued prediction, so concurrent HTTP
 // traffic batches exactly like programmatic traffic. Admission-shed requests
 // get 429 with a Retry-After header — the HTTP face of ErrOverloaded.
 
-// predictBody is the JSON form of one prediction request.
+// predictBody is the JSON form of one prediction request. Node is a pointer
+// so that a body without it is told apart from a request for node 0.
 type predictBody struct {
 	Model string `json:"model,omitempty"`
-	Node  int32  `json:"node"`
+	Node  *int32 `json:"node"`
 }
 
 // parsePredict extracts (model, node) from query parameters or, for POST, a
-// JSON body. A malformed body or node id fails with a descriptive error.
+// JSON body holding one object and nothing after it. A malformed body, a
+// missing node or a bad node id fails with a descriptive error.
 func parsePredict(r *http.Request) (string, int32, error) {
 	if r.Method == http.MethodPost {
 		var pb predictBody
@@ -44,7 +46,13 @@ func parsePredict(r *http.Request) (string, int32, error) {
 		if err := dec.Decode(&pb); err != nil {
 			return "", 0, fmt.Errorf("serve: malformed JSON body: %w", err)
 		}
-		return pb.Model, pb.Node, nil
+		if _, err := dec.Token(); err != io.EOF {
+			return "", 0, errors.New("serve: malformed JSON body: data after the request object")
+		}
+		if pb.Node == nil {
+			return "", 0, errors.New(`serve: JSON body has no "node"`)
+		}
+		return pb.Model, *pb.Node, nil
 	}
 	raw := r.URL.Query().Get("node")
 	node, err := strconv.ParseInt(raw, 10, 32)
@@ -96,31 +104,6 @@ func writePredictResponse(w http.ResponseWriter, resp Response) {
 	})
 }
 
-// Handler exposes one bare server over HTTP (no registry, no admission
-// control — the single-snapshot surface).
-func (s *Server) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/predict", func(w http.ResponseWriter, r *http.Request) {
-		_, node, err := parsePredict(r)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		// The request's own context drives queue cancellation: a client that
-		// disconnects while queued frees its batch slot immediately.
-		writePredictResponse(w, s.Predict(r.Context(), node))
-	})
-	mux.HandleFunc("/stats", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, s.Stats())
-	})
-	mux.HandleFunc("/healthz", healthz(func() bool { return !s.Closed() && s.src.SourceErr() == nil }))
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		_ = s.WriteMetrics(w)
-	})
-	return mux
-}
-
 // Handler exposes the registry control plane over HTTP.
 func (r *Registry) Handler() http.Handler {
 	mux := http.NewServeMux()
@@ -130,6 +113,8 @@ func (r *Registry) Handler() http.Handler {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
+		// The request's own context drives queue cancellation: a client that
+		// disconnects while queued frees its batch slot immediately.
 		writePredictResponse(w, r.Predict(req.Context(), model, node))
 	})
 	mux.HandleFunc("/publish", func(w http.ResponseWriter, req *http.Request) {

@@ -7,8 +7,10 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -194,51 +196,92 @@ func TestHTTPRegistryControlPlane(t *testing.T) {
 	}
 }
 
-// TestHTTPServerHealthzReadiness: the bare server's /healthz is a real
-// readiness probe — 200 while serving, 503 once closed.
+// TestHTTPServerHealthzReadiness: /healthz is a real readiness probe — 200
+// while serving, 503 once closed — and /metrics still answers after Close
+// (ready=0), so the last scrape sees the drain.
 func TestHTTPServerHealthzReadiness(t *testing.T) {
 	ds := testDataset(96, 104)
-	snap := testSnapshot(t, ds, 105)
-	s, err := NewServer(snap, ds, Options{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := s.Handler()
+	r := liveRegistry(t, ds, testSnapshot(t, ds, 105), Options{Workers: 1})
+	h := r.Handler()
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/healthz", nil))
 	if rec.Code != http.StatusOK {
-		t.Fatalf("open server healthz: %d", rec.Code)
+		t.Fatalf("live registry healthz: %d", rec.Code)
 	}
-	s.Close()
+	r.Close()
 	rec = httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/healthz", nil))
 	if rec.Code != http.StatusServiceUnavailable {
-		t.Fatalf("closed server healthz: got %d, want 503", rec.Code)
+		t.Fatalf("closed registry healthz: got %d, want 503", rec.Code)
 	}
-	// /metrics still answers (ready=0) so the last scrape sees the drain.
 	rec = httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
 	if rec.Code != http.StatusOK || metricValue(t, rec.Body.String(), "torchgt_ready") != 0 {
-		t.Fatalf("closed server metrics: %d", rec.Code)
+		t.Fatalf("closed registry metrics: %d", rec.Code)
 	}
 }
 
-// TestHTTPServerPredictPostBody: the bare server accepts the JSON body form
-// too, and rejects malformed bodies.
+// TestHTTPServerPredictPostBody: /predict accepts the JSON body form, and
+// rejects with 400 a malformed body, one without "node" (which must not
+// answer for node 0) and one with data after the object.
 func TestHTTPServerPredictPostBody(t *testing.T) {
 	ds := testDataset(96, 106)
-	snap := testSnapshot(t, ds, 107)
-	s := mustServer(t, snap, ds, Options{Workers: 1, MaxBatch: 2, MaxDelay: time.Millisecond})
-	h := s.Handler()
+	r := liveRegistry(t, ds, testSnapshot(t, ds, 107), Options{Workers: 1, MaxBatch: 2, MaxDelay: time.Millisecond})
+	h := r.Handler()
+	post := func(body string) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/predict", strings.NewReader(body)))
+		return rec
+	}
 
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/predict", strings.NewReader(`{"node":5}`)))
-	if rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), `"class"`) {
-		t.Fatalf("POST predict: %d %s", rec.Code, rec.Body.String())
+	for _, body := range []string{`{"node":5}`, `{"model":"m","node":5}`, "{\"node\":5}\n\t "} {
+		if rec := post(body); rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), `"class"`) {
+			t.Fatalf("POST %q: %d %s", body, rec.Code, rec.Body.String())
+		}
 	}
-	rec = httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/predict", strings.NewReader(`{"node":`)))
-	if rec.Code != http.StatusBadRequest {
-		t.Fatalf("malformed POST body: got %d, want 400", rec.Code)
+	for _, body := range []string{`{"node":`, `{"model":"m"}`, `{}`, `{"node":null}`, `{"node":3} garbage`, `{"node":3}{"node":4}`} {
+		if rec := post(body); rec.Code != http.StatusBadRequest {
+			t.Fatalf("POST %q: got %d %s, want 400", body, rec.Code, rec.Body.String())
+		}
 	}
+}
+
+// FuzzParsePredict: any /predict request either fails to parse or names a
+// node its body or query really holds — a POST body must be one JSON object
+// with a "node" field and nothing after it.
+func FuzzParsePredict(f *testing.F) {
+	for _, body := range []string{`{"node":5}`, `{"model":"m","node":5}`, `{"model":"m"}`, `{"node":3} garbage`, `{"node":`, `{"node":1,"bogus":2}`, "[]", ""} {
+		f.Add(true, body, "")
+	}
+	for _, query := range []string{"node=5", "node=5&model=m", "node=banana", "model=m", "node=99999999999"} {
+		f.Add(false, "", query)
+	}
+	f.Fuzz(func(t *testing.T, post bool, body, query string) {
+		req := &http.Request{Method: http.MethodGet, URL: &url.URL{RawQuery: query}, Body: io.NopCloser(strings.NewReader(body))}
+		if post {
+			req.Method = http.MethodPost
+		}
+		model, node, err := parsePredict(req)
+		if err != nil {
+			return
+		}
+		if !post {
+			want, perr := strconv.ParseInt(req.URL.Query().Get("node"), 10, 32)
+			if perr != nil || int32(want) != node || model != req.URL.Query().Get("model") {
+				t.Fatalf("query %q parsed as model %q node %d", query, model, node)
+			}
+			return
+		}
+		dec := json.NewDecoder(strings.NewReader(body))
+		var fields struct {
+			Model string
+			Node  *int32
+		}
+		if err := dec.Decode(&fields); err != nil || fields.Node == nil || *fields.Node != node || fields.Model != model {
+			t.Fatalf("body %q parsed as model %q node %d", body, model, node)
+		}
+		if rest := body[dec.InputOffset():]; strings.Trim(rest, " \t\r\n") != "" {
+			t.Fatalf("body %q accepted with %q after the object", body, rest)
+		}
+	})
 }

@@ -66,9 +66,8 @@ type engineRow struct {
 	st     Stats
 }
 
-// engineFamilies renders the per-engine counters for a set of (label, Stats)
-// rows — shared between the registry exposition (one row per model) and the
-// bare-server exposition (a single unlabelled row).
+// engineFamilies renders the per-engine counters, one labelled row per
+// model.
 func engineFamilies(p *promBuf, rows []engineRow) {
 	p.family("torchgt_engine_requests_total", "counter", "Requests accepted into the engine intake queue.")
 	for _, r := range rows {
@@ -93,14 +92,9 @@ func engineFamilies(p *promBuf, rows []engineRow) {
 	for _, r := range rows {
 		p.sample("torchgt_engine_queue_depth", r.labels, float64(r.st.QueueDepth))
 	}
-	p.family("torchgt_engine_workers", "gauge", "Current replica workers.")
+	p.family("torchgt_engine_workers", "gauge", "Running replica workers.")
 	for _, r := range rows {
 		p.sample("torchgt_engine_workers", r.labels, float64(r.st.Workers))
-	}
-	p.family("torchgt_engine_scale_total", "counter", "Replica scaling events by direction.")
-	for _, r := range rows {
-		p.sample("torchgt_engine_scale_total", append(r.labels[:len(r.labels):len(r.labels)], [2]string{"dir", "up"}), float64(r.st.ScaleUps))
-		p.sample("torchgt_engine_scale_total", append(r.labels[:len(r.labels):len(r.labels)], [2]string{"dir", "down"}), float64(r.st.ScaleDowns))
 	}
 	p.family("torchgt_engine_avg_batch_size", "gauge", "Average executed batch size.")
 	for _, r := range rows {
@@ -213,21 +207,6 @@ func (r *Registry) WriteMetrics(w io.Writer) error {
 	engineFamilies(p, rows)
 	cacheFamilies(p, st.Cache)
 	shardIOFamilies(p, ioRows)
-	_, err := io.WriteString(w, p.b.String())
-	return err
-}
-
-// WriteMetrics renders a bare server's engine and cache counters in
-// Prometheus text format (no model labels — there is no registry).
-func (s *Server) WriteMetrics(w io.Writer) error {
-	p := &promBuf{}
-	p.family("torchgt_ready", "gauge", "1 while the server accepts requests.")
-	p.sample("torchgt_ready", nil, b2f(!s.Closed()))
-	engineFamilies(p, []engineRow{{labels: nil, st: s.Stats()}})
-	cacheFamilies(p, s.cache.Stats())
-	if st, ok := s.SourceIOStats(); ok {
-		shardIOFamilies(p, []ioRow{{labels: nil, st: st}})
-	}
 	_, err := io.WriteString(w, p.b.String())
 	return err
 }

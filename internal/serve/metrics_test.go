@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bytes"
 	"context"
 	"strings"
 	"testing"
@@ -93,25 +92,24 @@ func TestRegistryMetricsExposition(t *testing.T) {
 	}
 }
 
-// TestServerMetricsExposition: the bare (registry-less) server also speaks
-// Prometheus, with unlabelled engine and cache families.
+// TestServerMetricsExposition: batches run on the engine directly
+// (PredictBatch, bypassing admission) are counted in the model's labelled
+// engine families.
 func TestServerMetricsExposition(t *testing.T) {
 	ds := testDataset(96, 92)
-	snap := testSnapshot(t, ds, 93)
-	s := mustServer(t, snap, ds, Options{Workers: 1})
-	if rs := s.PredictBatch([]int32{1, 2, 3}); rs[0].Err != nil {
+	r := liveRegistry(t, ds, testSnapshot(t, ds, 93), Options{Workers: 1})
+	if rs := activeServer(t, r, "m").PredictBatch([]int32{1, 2, 3}); rs[0].Err != nil {
 		t.Fatal(rs[0].Err)
 	}
-	var buf bytes.Buffer
-	if err := s.WriteMetrics(&buf); err != nil {
-		t.Fatal(err)
-	}
-	text := buf.String()
+	text := scrape(t, r)
 	validateExposition(t, text)
-	if metricValue(t, text, "torchgt_engine_requests_total") != 3 {
+	if metricValue(t, text, `torchgt_engine_requests_total{model="m"}`) != 3 {
 		t.Fatalf("engine requests not exported:\n%s", text)
 	}
+	if metricValue(t, text, `torchgt_requests_total{model="m"}`) != 0 {
+		t.Fatal("PredictBatch must not pass admission control")
+	}
 	if metricValue(t, text, "torchgt_ready") != 1 {
-		t.Fatal("open server must export ready=1")
+		t.Fatal("live registry must export ready=1")
 	}
 }

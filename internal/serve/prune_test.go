@@ -14,44 +14,42 @@ import (
 // TestPredictBatchMatchesFullForward: a served answer is the full forward's
 // — every row through every layer — of the same built batch, read at the
 // request's target row, bit for bit: pruning to the targets' receptive field
-// moves nothing. Float32 and int8 snapshots, BF16 kernels, and batches with a
-// repeated node.
+// moves nothing. Float32 and int8 snapshots, and batches with a repeated
+// node.
 func TestPredictBatchMatchesFullForward(t *testing.T) {
 	ds := testDataset(160, 81)
 	batches := [][]int32{{3}, {5, 80, 5, 17}, {0, 9, 33, 57, 101, 150, 120, 159, 2, 64, 77, 31, 8, 140, 99, 44}}
 	for _, q := range []Quant{QuantNone, QuantInt8} {
-		for _, bf16 := range []bool{false, true} {
-			name := fmt.Sprintf("quant=%v/bf16=%v", q, bf16)
-			snap := testSnapshot(t, ds, 82)
-			if q != QuantNone {
-				var err error
-				if snap, err = snap.Quantize(q); err != nil {
-					t.Fatal(err)
-				}
+		name := fmt.Sprintf("quant=%v", q)
+		snap := testSnapshot(t, ds, 82)
+		if q != QuantNone {
+			var err error
+			if snap, err = snap.Quantize(q); err != nil {
+				t.Fatal(err)
 			}
-			s := mustServer(t, snap, ds, Options{Workers: 2, BF16: bf16})
-			ref, err := snap.Materialize()
+		}
+		s := mustServer(t, snap, ds, Options{Workers: 2})
+		ref, err := snap.Materialize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, nodes := range batches {
+			got := s.PredictBatch(nodes)
+			b, err := s.buildBatch(nodes)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, nodes := range batches {
-				got := s.PredictBatch(nodes)
-				b, err := s.buildBatch(nodes)
-				if err != nil {
-					t.Fatal(err)
+			targets := b.in.Targets
+			b.in.Targets = nil
+			logits := ref.Forward(b.in, b.spec, false)
+			for i, n := range nodes {
+				want := softmax(logits.Row(int(targets[i])))
+				if got[i].Err != nil || !bitsEqual(got[i].Probs, want) || got[i].Class != argmax(want) {
+					t.Fatalf("%s: node %d of a %d-batch: served %v (class %d, err %v), full forward %v",
+						name, n, len(nodes), got[i].Probs, got[i].Class, got[i].Err, want)
 				}
-				targets := b.in.Targets
-				b.in.Targets = nil
-				logits := ref.Forward(b.in, b.spec, false)
-				for i, n := range nodes {
-					want := softmax(logits.Row(int(targets[i])))
-					if got[i].Err != nil || !bitsEqual(got[i].Probs, want) || got[i].Class != argmax(want) {
-						t.Fatalf("%s: node %d of a %d-batch: served %v (class %d, err %v), full forward %v",
-							name, n, len(nodes), got[i].Probs, got[i].Class, got[i].Err, want)
-					}
-				}
-				s.packers.Put(b.packer)
 			}
+			s.packers.Put(b.packer)
 		}
 	}
 }
@@ -90,8 +88,8 @@ func (f *failingSource) SourceErr() error {
 
 // TestServeFailsCleanlyOnSourceError: once the node source reports an I/O
 // error, no request is answered from its zero-filled rows — PredictBatch
-// fails with a SourceError wrapping it, /predict answers 503 instead of 200
-// and /healthz 503, on the bare server and the registry alike — and no
+// fails with a SourceError wrapping it, the registry's /predict answers 503
+// instead of 200 and /healthz 503 — and no
 // context built from its truncated adjacency is left in the ego cache: after
 // the source recovers, the answers are a healthy server's, bit for bit.
 func TestServeFailsCleanlyOnSourceError(t *testing.T) {
@@ -114,19 +112,17 @@ func TestServeFailsCleanlyOnSourceError(t *testing.T) {
 	if _, err := reg.Swap("m", 0); err != nil {
 		t.Fatal(err)
 	}
-	handlers := map[string]http.Handler{"server": srv.Handler(), "registry": reg.Handler()}
-	get := func(h http.Handler, path string) int {
+	h := reg.Handler()
+	get := func(path string) int {
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
 		return rec.Code
 	}
-	for name, h := range handlers {
-		if code := get(h, "/predict?node=5"); code != http.StatusOK {
-			t.Fatalf("%s: healthy /predict: %d", name, code)
-		}
-		if code := get(h, "/healthz"); code != http.StatusOK {
-			t.Fatalf("%s: healthy /healthz: %d", name, code)
-		}
+	if code := get("/predict?node=5"); code != http.StatusOK {
+		t.Fatalf("healthy /predict: %d", code)
+	}
+	if code := get("/healthz"); code != http.StatusOK {
+		t.Fatalf("healthy /healthz: %d", code)
 	}
 	nodes := []int32{7, 40, 101}
 	want := mustServer(t, snap, ds, Options{Workers: 1}).PredictBatch(nodes)
@@ -139,13 +135,11 @@ func TestServeFailsCleanlyOnSourceError(t *testing.T) {
 			t.Fatalf("node %d over a failed source: err %v, want a SourceError wrapping the read failure", nodes[i], r.Err)
 		}
 	}
-	for name, h := range handlers {
-		if code := get(h, "/predict?node=40"); code != http.StatusServiceUnavailable {
-			t.Fatalf("%s: /predict over a failed source: %d, want 503", name, code)
-		}
-		if code := get(h, "/healthz"); code != http.StatusServiceUnavailable {
-			t.Fatalf("%s: /healthz over a failed source: %d, want 503", name, code)
-		}
+	if code := get("/predict?node=40"); code != http.StatusServiceUnavailable {
+		t.Fatalf("/predict over a failed source: %d, want 503", code)
+	}
+	if code := get("/healthz"); code != http.StatusServiceUnavailable {
+		t.Fatalf("/healthz over a failed source: %d, want 503", code)
 	}
 	if got := srv.Cache().Stats().Size; got != cached {
 		t.Fatalf("ego cache grew %d → %d over a failed source", cached, got)

@@ -38,8 +38,7 @@ import (
 // ErrOverloaded — typed backpressure the HTTP layer maps to 429 — and
 // counted, so overload is observable instead of an unbounded queue. Below
 // the admission bound the engine's own bounded intake queue still applies
-// its blocking backpressure, and queue-depth-driven replica scaling
-// (Options.MinWorkers/MaxWorkers) absorbs sustained load.
+// its blocking backpressure to the fixed pool of Options.Workers replicas.
 //
 // All generations of all models share one EgoCache keyed by graph version,
 // so a hot swap over the same served graph keeps every warmed ego context.
@@ -56,7 +55,7 @@ var ErrNotReady = errors.New("serve: model has no active generation")
 // ModelOptions configures one registered model.
 type ModelOptions struct {
 	// Serve configures every generation's engine (workers, batching,
-	// kernel, scaling bounds). The registry forces the shared ego cache in.
+	// ego-context shape). The registry forces the shared ego cache in.
 	Serve Options
 	// MaxPending is the admission bound: the maximum number of requests in
 	// flight (queued or executing) before arrivals are shed with

@@ -38,6 +38,20 @@ func testRegistry(t *testing.T, ds *graph.NodeDataset, opts ModelOptions) *Regis
 	return r
 }
 
+// liveRegistry is testRegistry with snap published and swapped in: model "m"
+// serves at generation 1.
+func liveRegistry(t *testing.T, ds *graph.NodeDataset, snap *Snapshot, opts Options) *Registry {
+	t.Helper()
+	r := testRegistry(t, ds, ModelOptions{Serve: opts})
+	if _, err := r.Publish("m", snap); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Swap("m", 0); err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
 // activeServer returns the engine of the named model's active generation.
 func activeServer(t *testing.T, r *Registry, name string) *Server {
 	t.Helper()

@@ -26,33 +26,31 @@ func TestServeReorderedDatasetExternalIDs(t *testing.T) {
 	raw := *rd
 	raw.Reorder = nil
 
-	for _, mode := range []Mode{ModeSparse, ModeClusterSparse} {
-		t.Run(mode.String(), func(t *testing.T) {
-			opts := Options{Workers: 1, Mode: mode}
-			sExt := mustServer(t, testSnapshot(t, rd, 7), rd, opts)
-			sInt := mustServer(t, testSnapshot(t, rd, 7), &raw, opts)
+	t.Run("sparse", func(t *testing.T) {
+		opts := Options{Workers: 1}
+		sExt := mustServer(t, testSnapshot(t, rd, 7), rd, opts)
+		sInt := mustServer(t, testSnapshot(t, rd, 7), &raw, opts)
 
-			batch := []int32{0, 3, 17, 100, 255, 17}
-			rows := make([]int32, len(batch))
-			for i, n := range batch {
-				rows[i] = rd.Reorder[n]
+		batch := []int32{0, 3, 17, 100, 255, 17}
+		rows := make([]int32, len(batch))
+		for i, n := range batch {
+			rows[i] = rd.Reorder[n]
+		}
+		ext := sExt.PredictBatch(batch)
+		internal := sInt.PredictBatch(rows)
+		checkResponses(t, ext)
+		for i := range batch {
+			if ext[i].Node != batch[i] {
+				t.Fatalf("response %d echoes node %d, want the external ID %d", i, ext[i].Node, batch[i])
 			}
-			ext := sExt.PredictBatch(batch)
-			internal := sInt.PredictBatch(rows)
-			checkResponses(t, ext)
-			for i := range batch {
-				if ext[i].Node != batch[i] {
-					t.Fatalf("response %d echoes node %d, want the external ID %d", i, ext[i].Node, batch[i])
-				}
-				if ext[i].Class != internal[i].Class {
-					t.Fatalf("external %d: class %d != %d via pre-translated row", batch[i], ext[i].Class, internal[i].Class)
-				}
-				if !bitsEqual(ext[i].Probs, internal[i].Probs) {
-					t.Fatalf("external %d: probs differ from the pre-translated row (not bitwise)", batch[i])
-				}
+			if ext[i].Class != internal[i].Class {
+				t.Fatalf("external %d: class %d != %d via pre-translated row", batch[i], ext[i].Class, internal[i].Class)
 			}
-		})
-	}
+			if !bitsEqual(ext[i].Probs, internal[i].Probs) {
+				t.Fatalf("external %d: probs differ from the pre-translated row (not bitwise)", batch[i])
+			}
+		}
+	})
 }
 
 // TestServeReorderedRangeCheck pins that request validation happens in the

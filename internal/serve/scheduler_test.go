@@ -117,27 +117,6 @@ func TestPredictBatchCountsAsInFlight(t *testing.T) {
 	}
 }
 
-// TestOneAtATimeTrafficNeverScales: requests that each find the engine idle
-// must not spawn replicas, however quickly the next follows.
-func TestOneAtATimeTrafficNeverScales(t *testing.T) {
-	ds := testDataset(128, 126)
-	snap := testSnapshot(t, ds, 127)
-	s := mustServer(t, snap, ds, Options{Workers: 1, MinWorkers: 1, MaxWorkers: 3})
-	nodes := []int32{0, 9, 33, 57, 101, 127}
-	want := s.PredictBatch(nodes)
-	for round := 0; round < 8; round++ {
-		for i, n := range nodes {
-			r := s.Predict(context.Background(), n)
-			if r.Err != nil || !bitsEqual(r.Probs, want[i].Probs) {
-				t.Fatalf("node %d: err %v, bitwise equal %v", n, r.Err, bitsEqual(r.Probs, want[i].Probs))
-			}
-		}
-	}
-	if st := s.Stats(); st.ScaleUps != 0 || st.Workers != 1 {
-		t.Fatalf("one-at-a-time traffic scaled the pool: %+v", st)
-	}
-}
-
 // TestSchedulerHammer mixes concurrent Predict, PredictAsync, PredictBatch,
 // cancellations and a Close in mid-traffic (a -race target): every request
 // gets exactly one response — the reference answer, its context's error or
@@ -147,8 +126,7 @@ func TestSchedulerHammer(t *testing.T) {
 	ds := testDataset(96, 128)
 	snap := testSnapshot(t, ds, 129)
 	s := mustServer(t, snap, ds, Options{
-		Workers: 2, MinWorkers: 1, MaxWorkers: 3, IdleTimeout: time.Millisecond,
-		MaxBatch: 4, MaxDelay: time.Millisecond,
+		Workers: 2, MaxBatch: 4, MaxDelay: time.Millisecond,
 	})
 	nodes := []int32{0, 7, 19, 31, 44, 58, 63, 77, 85, 95}
 	ref := map[int32][]float32{}

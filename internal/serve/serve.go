@@ -1,8 +1,8 @@
 // Package serve is the batched inference subsystem: it takes a frozen model
 // snapshot (extracted from a training run) and fronts grad-free forward
 // passes with a request queue and a dynamic micro-batching scheduler, backed
-// by a pool of replica workers that each own a model.Runtime with pooled
-// workspaces.
+// by a fixed pool of replica workers that each own a model.Runtime with
+// pooled workspaces.
 //
 // The scheduler is work-conserving: a request waits for company only while a
 // forward is running. Pending requests flush as one batch on the first of
@@ -15,8 +15,8 @@
 // deadline alone.
 //
 // Determinism: per-request ego contexts are built by deterministic truncated
-// BFS, and the default block-diagonal sparse kernel confines attention to
-// each request's own segment, so responses are bitwise reproducible across
+// BFS, and the block-diagonal sparse kernel confines attention to each
+// request's own segment, so responses are bitwise reproducible across
 // runs, worker counts and batch compositions. See batch.go.
 package serve
 
@@ -68,28 +68,11 @@ type Options struct {
 	// QueueCap bounds the intake queue (default 4×MaxBatch). A full queue
 	// blocks Predict — backpressure instead of unbounded memory growth.
 	QueueCap int
-	// Mode selects the attention kernel for batch forwards. The zero value
-	// is ModeSparse: block-diagonal per-request attention, the only mode
-	// whose outputs are independent of batch composition.
-	Mode Mode
-	// BF16 wraps kernels in bfloat16 storage emulation.
-	BF16 bool
 	// CtxHops is the ego-context BFS radius per request (default 2).
 	CtxHops int
 	// CtxSize caps the context size per request, target included
 	// (default 32).
 	CtxSize int
-	// MinWorkers / MaxWorkers bound queue-depth-driven replica scaling.
-	// Both default to Workers (a fixed pool — the pre-scaling behaviour).
-	// With MaxWorkers > Workers the scheduler spawns an extra replica
-	// whenever a full batch is already waiting behind the one being
-	// dispatched; with MinWorkers < Workers a replica idle for IdleTimeout
-	// retires. Scaling events are counted in Stats.
-	MinWorkers int
-	MaxWorkers int
-	// IdleTimeout is how long a replica may sit idle before it retires
-	// (default 250ms; only relevant when MinWorkers allows shrinking).
-	IdleTimeout time.Duration
 	// Cache is the shared ego-context cache. Nil builds a private cache of
 	// CacheCap entries. Sharing one cache across servers (what Registry
 	// does) lets a hot swap keep every warmed context of the same graph.
@@ -97,11 +80,6 @@ type Options struct {
 	// CacheCap sizes the private cache when Cache is nil (default
 	// DefaultCacheCap).
 	CacheCap int
-	// Db is the cluster-sparse sub-block size (default 8; ModeClusterSparse only).
-	Db int
-	// Beta is the cluster-sparse transfer threshold βthre (default 0.25;
-	// ModeClusterSparse only).
-	Beta float64
 	// Exec overrides each replica's execution engine (head-parallel
 	// workers, workspace pooling); nil keeps the pooled default.
 	Exec *model.ExecOptions
@@ -128,27 +106,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.CtxSize <= 0 {
 		o.CtxSize = 32
-	}
-	if o.MinWorkers <= 0 {
-		o.MinWorkers = o.Workers
-	}
-	if o.MaxWorkers <= 0 {
-		o.MaxWorkers = o.Workers
-	}
-	if o.MinWorkers > o.Workers {
-		o.Workers = o.MinWorkers
-	}
-	if o.MaxWorkers < o.Workers {
-		o.MaxWorkers = o.Workers
-	}
-	if o.IdleTimeout <= 0 {
-		o.IdleTimeout = 250 * time.Millisecond
-	}
-	if o.Db <= 0 {
-		o.Db = 8
-	}
-	if o.Beta <= 0 {
-		o.Beta = 0.25
 	}
 	return o
 }
@@ -190,9 +147,7 @@ type Stats struct {
 	FlushIdle     int64 // partial batches flushed because no batch was in flight
 	FlushShutdown int64 // partial batches drained at Close
 	Cancelled     int64 // requests whose context expired while queued
-	Workers       int64 // current replica count (gauge)
-	ScaleUps      int64 // replicas spawned by queue-depth scaling
-	ScaleDowns    int64 // replicas retired after IdleTimeout
+	Workers       int64 // running replica workers (gauge)
 	QueueDepth    int64 // requests waiting in the intake queue (gauge)
 	AvgBatchSize  float64
 }
@@ -206,7 +161,6 @@ type Server struct {
 	snap *Snapshot
 	src  graph.NodeSource
 	opts Options
-	exec model.ExecOptions // replica runtime configuration (scale-up reuses it)
 
 	// The ego-context cache (possibly shared across servers).
 	cache *EgoCache
@@ -232,14 +186,13 @@ type Server struct {
 	wake     chan struct{}
 
 	workersWG sync.WaitGroup
-	nWorkers  atomic.Int64 // current replica count
+	nWorkers  atomic.Int64 // running replica workers
 
-	nRequests, nBatches    int64
-	nFull, nDeadline       int64
-	nIdle                  int64
-	nShutdown, sumBatch    int64
-	nCancelled             int64
-	nScaleUps, nScaleDowns int64
+	nRequests, nBatches int64
+	nFull, nDeadline    int64
+	nIdle               int64
+	nShutdown, sumBatch int64
+	nCancelled          int64
 }
 
 // validateServable checks that a snapshot configuration can serve node-level
@@ -287,9 +240,6 @@ func NewServerSource(snap *Snapshot, src graph.NodeSource, opts Options) (*Serve
 	if err := validateServable(snap.Config(), src); err != nil {
 		return nil, err
 	}
-	if _, err := specFor(opts, sparse.FromPairs(1, nil), nil, []int32{0, 1}); err != nil {
-		return nil, err
-	}
 
 	exec := model.ExecOptions{PoolEnabled: true}
 	if opts.Exec != nil {
@@ -322,7 +272,6 @@ func NewServerSource(snap *Snapshot, src graph.NodeSource, opts Options) (*Serve
 		snap:    snap,
 		src:     src,
 		opts:    opts,
-		exec:    exec,
 		cache:   cache,
 		gver:    cache.versionOf(src.GraphKey()),
 		reqCh:   make(chan *request, opts.QueueCap),
@@ -467,14 +416,6 @@ func (s *Server) Close() {
 	s.workersWG.Wait()
 }
 
-// Closed reports whether Close has been called — with the source's sticky
-// I/O error, the readiness signal of the bare-server /healthz probe.
-func (s *Server) Closed() bool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.closed
-}
-
 // Stats snapshots the engine counters.
 func (s *Server) Stats() Stats {
 	st := Stats{
@@ -486,8 +427,6 @@ func (s *Server) Stats() Stats {
 		FlushShutdown: atomic.LoadInt64(&s.nShutdown),
 		Cancelled:     atomic.LoadInt64(&s.nCancelled),
 		Workers:       s.nWorkers.Load(),
-		ScaleUps:      atomic.LoadInt64(&s.nScaleUps),
-		ScaleDowns:    atomic.LoadInt64(&s.nScaleDowns),
 		QueueDepth:    int64(len(s.reqCh)),
 	}
 	if st.Batches > 0 {
@@ -581,98 +520,24 @@ func (s *Server) batchLoop() {
 	}
 }
 
-// dispatch hands a batch to the worker pool and takes the scale-up decision
-// on the way: when the handoff would block (every replica is mid-batch) while
-// more requests already wait in the intake queue, one request's queueing time
-// is about to double — a new replica pays for itself, so the pool grows
-// toward MaxWorkers before the blocking send. An idle flush never scales:
-// no batch was in flight, so a handoff that would block only means a worker
-// has finished its batch but not yet come back for the next.
+// dispatch counts the flush and hands the batch to the worker pool,
+// blocking until a replica takes it.
 func (s *Server) dispatch(buf []*request, reason *int64) {
 	if len(buf) == 0 {
 		return
 	}
 	atomic.AddInt64(reason, 1)
 	s.inflight.Add(1)
-	j := &job{reqs: buf}
-	if reason != &s.nIdle {
-		select {
-		case s.jobCh <- j:
-			return
-		default:
-		}
-		if len(s.reqCh) > 0 {
-			s.maybeScaleUp()
-		}
-	}
-	s.jobCh <- j
+	s.jobCh <- &job{reqs: buf}
 }
 
-// maybeScaleUp spawns one extra replica when queue depth warrants it. Called
-// only from the batchLoop goroutine, so the WaitGroup Add always happens
-// before batchLoop can close jobCh (and therefore before workersWG.Wait can
-// reach zero).
-func (s *Server) maybeScaleUp() {
-	if s.nWorkers.Load() >= int64(s.opts.MaxWorkers) {
-		return
-	}
-	m, err := s.snap.Materialize()
-	if err != nil {
-		return // the existing pool keeps serving; nothing to report per-request
-	}
-	m.SetRuntime(model.NewRuntime(s.exec))
-	s.nWorkers.Add(1)
-	atomic.AddInt64(&s.nScaleUps, 1)
-	s.workersWG.Add(1)
-	go s.worker(m)
-}
-
-// worker executes jobs on one replica until the job channel closes, or —
-// when the pool may shrink — until it has been idle for IdleTimeout and the
-// pool is above MinWorkers.
+// worker executes jobs on one replica until the job channel closes.
 func (s *Server) worker(m *model.GraphTransformer) {
 	defer s.workersWG.Done()
-	if s.opts.MinWorkers >= s.opts.MaxWorkers {
-		// Fixed pool: no idle timer on the hot path.
-		for j := range s.jobCh {
-			s.runJob(m, j)
-		}
-		s.nWorkers.Add(-1)
-		return
+	for j := range s.jobCh {
+		s.runJob(m, j)
 	}
-	idle := time.NewTimer(s.opts.IdleTimeout)
-	defer idle.Stop()
-	for {
-		select {
-		case j, ok := <-s.jobCh:
-			if !ok {
-				s.nWorkers.Add(-1)
-				return
-			}
-			s.runJob(m, j)
-			if !idle.Stop() {
-				select {
-				case <-idle.C:
-				default:
-				}
-			}
-			idle.Reset(s.opts.IdleTimeout)
-		case <-idle.C:
-			// Retire only if the pool stays at or above MinWorkers — the
-			// CAS loop makes concurrent retirements take distinct slots.
-			for {
-				cur := s.nWorkers.Load()
-				if cur <= int64(s.opts.MinWorkers) {
-					break
-				}
-				if s.nWorkers.CompareAndSwap(cur, cur-1) {
-					atomic.AddInt64(&s.nScaleDowns, 1)
-					return
-				}
-			}
-			idle.Reset(s.opts.IdleTimeout)
-		}
-	}
+	s.nWorkers.Add(-1)
 }
 
 // runJob builds the batch sequence, runs one grad-free forward and fans the

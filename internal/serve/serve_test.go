@@ -206,34 +206,6 @@ func TestFlushOnDeadline(t *testing.T) {
 	}
 }
 
-// TestAllKernelModesServe exercises every attention kernel family end to end
-// through the serving path.
-func TestAllKernelModesServe(t *testing.T) {
-	ds := testDataset(128, 9)
-	snap := testSnapshot(t, ds, 10)
-	modes := []struct {
-		name string
-		opts Options
-	}{
-		{"sparse", Options{Mode: ModeSparse}},
-		{"sparse-bf16", Options{Mode: ModeSparse, BF16: true}},
-		{"dense", Options{Mode: ModeDense}},
-		{"flash", Options{Mode: ModeFlash}},
-		{"flash-bf16", Options{Mode: ModeFlashBF16}},
-		{"cluster-sparse", Options{Mode: ModeClusterSparse}},
-		{"kernelized", Options{Mode: ModeKernelized}},
-	}
-	for _, m := range modes {
-		t.Run(m.name, func(t *testing.T) {
-			opts := m.opts
-			opts.Workers = 1
-			s := mustServer(t, snap, ds, opts)
-			rs := s.PredictBatch([]int32{0, 31, 64, 127})
-			checkResponses(t, rs)
-		})
-	}
-}
-
 func TestSnapshotFileRoundTrip(t *testing.T) {
 	ds := testDataset(128, 11)
 	snap := testSnapshot(t, ds, 12)
@@ -352,10 +324,6 @@ func TestServerValidation(t *testing.T) {
 	}
 	if _, err := NewServer(wsnap, ds, Options{}); err == nil {
 		t.Fatal("class-count mismatch must be rejected")
-	}
-
-	if _, err := NewServer(snap, ds, Options{Mode: Mode(99)}); err == nil {
-		t.Fatal("unknown attention mode must be rejected")
 	}
 
 	// Laplacian-PE models: training-time PE is unreconstructable from a
@@ -511,8 +479,8 @@ func TestEgoNodesDeterministicAndBounded(t *testing.T) {
 func TestHTTPEndpoints(t *testing.T) {
 	ds := testDataset(96, 27)
 	snap := testSnapshot(t, ds, 28)
-	s := mustServer(t, snap, ds, Options{Workers: 1, MaxBatch: 4, MaxDelay: time.Millisecond})
-	ts := httptest.NewServer(s.Handler())
+	r := liveRegistry(t, ds, snap, Options{Workers: 1, MaxBatch: 4, MaxDelay: time.Millisecond})
+	ts := httptest.NewServer(r.Handler())
 	defer ts.Close()
 
 	get := func(path string) (int, string) {
@@ -556,13 +524,9 @@ func TestHTTPEndpoints(t *testing.T) {
 // not a client error.
 func TestHTTPClosedServerReturns503(t *testing.T) {
 	ds := testDataset(96, 29)
-	snap := testSnapshot(t, ds, 30)
-	s, err := NewServer(snap, ds, Options{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := s.Handler()
-	s.Close()
+	r := liveRegistry(t, ds, testSnapshot(t, ds, 30), Options{Workers: 1})
+	h := r.Handler()
+	r.Close()
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/predict?node=5", nil))
 	if rec.Code != http.StatusServiceUnavailable {
@@ -606,63 +570,5 @@ func TestPredictCancelledWhileQueued(t *testing.T) {
 			t.Fatalf("cancellations not counted: %+v", s.Stats())
 		}
 		time.Sleep(time.Millisecond)
-	}
-}
-
-// TestReplicaAutoscaling: under sustained queue pressure the pool grows
-// toward MaxWorkers (each scale-up is a fresh replica materialized from the
-// snapshot), and once traffic stops idle replicas retire back to MinWorkers.
-func TestReplicaAutoscaling(t *testing.T) {
-	// The forward pass must dominate batch assembly or a single replica is
-	// genuinely sufficient and the scheduler (correctly) never scales: use a
-	// wide model and large ego contexts so each batch costs real compute.
-	ds := testDataset(512, 71)
-	cfg := model.GraphormerSlim(ds.X.Cols, ds.NumClasses, 72)
-	cfg.Hidden = 128
-	snap, err := Freeze(model.NewGraphTransformer(cfg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := mustServer(t, snap, ds, Options{
-		Workers: 1, MinWorkers: 1, MaxWorkers: 3,
-		MaxBatch: 4, QueueCap: 16, MaxDelay: time.Millisecond,
-		CtxSize: 64, IdleTimeout: 20 * time.Millisecond,
-	})
-
-	var wg sync.WaitGroup
-	for i := 0; i < 64; i++ {
-		wg.Add(1)
-		go func(n int32) {
-			defer wg.Done()
-			if r := s.Predict(context.Background(), n%int32(ds.G.N)); r.Err != nil {
-				t.Errorf("predict under load: %v", r.Err)
-			}
-		}(int32(i * 3))
-	}
-	wg.Wait()
-
-	st := s.Stats()
-	if st.ScaleUps == 0 {
-		t.Fatalf("sustained pressure produced no scale-ups: %+v", st)
-	}
-	if st.Workers > 3 {
-		t.Fatalf("pool exceeded MaxWorkers: %+v", st)
-	}
-
-	// Idle replicas must retire back down to MinWorkers and be counted.
-	waitFor(t, "pool to shrink to MinWorkers", func() bool {
-		st := s.Stats()
-		return st.Workers == 1 && st.ScaleDowns > 0
-	})
-
-	// Scaled pools keep the determinism contract: replicas are materialized
-	// from the same snapshot, so results match a fresh single-worker server.
-	ref := mustServer(t, snap, ds, Options{Workers: 1, CtxSize: 64})
-	for _, n := range []int32{1, 17, 63} {
-		a := s.Predict(context.Background(), n)
-		b := ref.Predict(context.Background(), n)
-		if a.Err != nil || b.Err != nil || !bitsEqual(a.Probs, b.Probs) {
-			t.Fatalf("node %d: scaled pool diverged from reference", n)
-		}
 	}
 }

@@ -156,6 +156,9 @@ func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 	if s.blob, err = io.ReadAll(br); err != nil {
 		return nil, err
 	}
+	if err := checkConfig(h.Config, len(s.blob)); err != nil {
+		return nil, fmt.Errorf("serve: corrupt snapshot header: %w", err)
+	}
 	// A snapshot that cannot materialize (truncated blob, config/weight
 	// mismatch) is rejected at load time, not at first request.
 	m, err := s.Materialize()
@@ -164,4 +167,53 @@ func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 	}
 	s.numParams = nn.NumParams(m)
 	return s, nil
+}
+
+// checkConfig refuses a header configuration before anything is allocated
+// for it: shapes NewGraphTransformer cannot build, and a parameter count the
+// blob cannot hold — every encoding, int8 included, spends at least one byte
+// per parameter, so a header may not promise more parameters than blobBytes.
+func checkConfig(c model.Config, blobBytes int) error {
+	switch {
+	case c.Layers <= 0 || c.Hidden <= 0 || c.InDim <= 0 || c.OutDim <= 0:
+		return fmt.Errorf("layers %d, hidden %d, in %d, out %d: all must be positive", c.Layers, c.Hidden, c.InDim, c.OutDim)
+	case c.Heads < 1 || c.Hidden%c.Heads != 0:
+		return fmt.Errorf("%d heads do not divide hidden %d", c.Heads, c.Hidden)
+	case c.FFNHidden < 0 || c.NumBuckets < 0 || c.LapDim < 0:
+		return fmt.Errorf("ffn %d, buckets %d, lap dim %d: none may be negative", c.FFNHidden, c.NumBuckets, c.LapDim)
+	}
+	if n := paramCount(c); n > float64(blobBytes) {
+		return fmt.Errorf("configuration has %.0f parameters, the %d-byte blob cannot hold them", n, blobBytes)
+	}
+	return nil
+}
+
+// paramCount is nn.NumParams of model.NewGraphTransformer(c), computed from
+// the shapes alone (with the constructor's defaults for a zero FFNHidden or
+// NumBuckets). It is a float64 so a hostile header cannot overflow it: every
+// count a real model reaches is exact.
+func paramCount(c model.Config) float64 {
+	h, f, nb := float64(c.Hidden), float64(c.FFNHidden), float64(c.NumBuckets)
+	if f == 0 {
+		f = 4 * h
+	}
+	if nb == 0 {
+		nb = 8
+	}
+	linear := func(in, out float64) float64 { return in*out + out }
+	n := linear(float64(c.InDim), h) + 2*h + linear(h, float64(c.OutDim)) // input projection, final LayerNorm, head
+	if c.UseDegreeEnc {
+		n += 2 * 64 * h // the in- and out-degree tables
+	}
+	if c.UseLapPE {
+		n += linear(float64(c.LapDim), h)
+	}
+	if c.GlobalToken {
+		n += h
+	}
+	block := 4*h + 4*linear(h, h) + linear(h, f) + linear(f, h) // two LayerNorms, Q/K/V/O, FFN
+	if c.UseSPDBias {
+		block += nb * float64(c.Heads)
+	}
+	return n + float64(c.Layers)*block
 }

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"math/rand"
 	"path/filepath"
 	"strings"
@@ -116,9 +117,8 @@ func TestServerBackingInvariant(t *testing.T) {
 	}
 }
 
-// TestShardIOMetricsExposition: the torchgt_shard_io_* families appear on
-// both metric surfaces (bare server and registry, the latter with model
-// labels), and only for disk-resident backings.
+// TestShardIOMetricsExposition: the torchgt_shard_io_* families appear with
+// model labels, and only for disk-resident backings.
 func TestShardIOMetricsExposition(t *testing.T) {
 	ds := testDataset(200, 71)
 	dir := filepath.Join(t.TempDir(), "shards")
@@ -131,26 +131,6 @@ func TestShardIOMetricsExposition(t *testing.T) {
 	}
 	defer v.Close()
 	snap := testSnapshot(t, ds, 72)
-
-	srv, err := NewServerSource(snap, v, Options{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(srv.Close)
-	srv.PredictBatch([]int32{1, 50, 180})
-	var buf bytes.Buffer
-	if err := srv.WriteMetrics(&buf); err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{
-		"torchgt_shard_io_cache_misses_total",
-		"torchgt_shard_io_read_bytes_total",
-		"torchgt_shard_io_budget_bytes 8192",
-	} {
-		if !strings.Contains(buf.String(), want) {
-			t.Fatalf("bare-server metrics missing %q:\n%s", want, buf.String())
-		}
-	}
 
 	reg := NewRegistry(0)
 	t.Cleanup(func() { reg.Close() })
@@ -166,11 +146,28 @@ func TestShardIOMetricsExposition(t *testing.T) {
 	if _, err := reg.Publish("mem", snap); err != nil {
 		t.Fatal(err)
 	}
-	buf.Reset()
+	if _, err := reg.Swap("ooc", 0); err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int32{1, 50, 180} {
+		if resp := reg.Predict(context.Background(), "ooc", n); resp.Err != nil {
+			t.Fatal(resp.Err)
+		}
+	}
+	var buf bytes.Buffer
 	if err := reg.WriteMetrics(&buf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
+	validateExposition(t, out)
+	for _, sample := range []string{
+		`torchgt_shard_io_cache_misses_total{model="ooc"}`,
+		`torchgt_shard_io_read_bytes_total{model="ooc"}`,
+	} {
+		if metricValue(t, out, sample) == 0 {
+			t.Fatalf("%s not counted:\n%s", sample, out)
+		}
+	}
 	if !strings.Contains(out, `torchgt_shard_io_budget_bytes{model="ooc"} 8192`) {
 		t.Fatalf("registry metrics missing labelled shard budget:\n%s", out)
 	}

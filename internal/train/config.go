@@ -72,15 +72,6 @@ type Config struct {
 	DataSpec string
 }
 
-// NodeConfig, GraphConfig and SeqConfig are kept as aliases of the shared
-// Config so existing construction sites keep compiling; the per-task structs
-// they replaced had independently drifting defaults.
-type (
-	NodeConfig  = Config
-	GraphConfig = Config
-	SeqConfig   = Config
-)
-
 // withDefaults is the single source of truth for every training default.
 func (c Config) withDefaults() Config {
 	if c.Epochs <= 0 {

@@ -21,7 +21,7 @@ func trainerCases() map[string]func() (Task, *model.GraphTransformer) {
 			cfg := model.GraphormerSlim(12, 4, 2)
 			cfg.Layers = 2
 			cfg.Heads = 4
-			tr := NewNodeTrainer(NodeConfig{
+			tr := NewNodeTrainer(Config{
 				Method: TorchGT, Epochs: 5, LR: 2e-3, ClusterK: 4, Db: 4, Seed: 3, Interval: 4,
 			}, cfg, ds)
 			return tr, tr.Model
@@ -31,7 +31,7 @@ func trainerCases() map[string]func() (Task, *model.GraphTransformer) {
 			cfg := model.GraphormerSlim(8, 2, 6)
 			cfg.Layers = 2
 			cfg.Heads = 2
-			tr := NewGraphTrainer(GraphConfig{
+			tr := NewGraphTrainer(Config{
 				Method: TorchGT, Epochs: 5, LR: 2e-3, BatchSize: 8, Seed: 7,
 			}, cfg, ds)
 			return tr, tr.Model
@@ -41,7 +41,7 @@ func trainerCases() map[string]func() (Task, *model.GraphTransformer) {
 			cfg := model.GraphormerSlim(12, 4, 12)
 			cfg.Layers = 2
 			cfg.Heads = 2
-			tr := NewSeqTrainer(SeqConfig{
+			tr := NewSeqTrainer(Config{
 				Method: GPFlash, Epochs: 5, LR: 2e-3, SeqLen: 64, Seed: 13,
 			}, cfg, ds)
 			return tr, tr.Model

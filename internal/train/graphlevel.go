@@ -28,7 +28,7 @@ type graphEntry struct {
 // adapter: each optimiser step accumulates gradients over BatchSize graphs.
 type GraphTrainer struct {
 	taskBase
-	Cfg        GraphConfig
+	Cfg        Config
 	Model      *model.GraphTransformer
 	DS         *graph.GraphDataset
 	entries    []*graphEntry
@@ -45,7 +45,7 @@ type GraphTrainer struct {
 
 // NewGraphTrainer precomputes patterns, SPD tables and interleave policies
 // for every graph (the paper's pre-processing stage).
-func NewGraphTrainer(cfg GraphConfig, modelCfg model.Config, ds *graph.GraphDataset) *GraphTrainer {
+func NewGraphTrainer(cfg Config, modelCfg model.Config, ds *graph.GraphDataset) *GraphTrainer {
 	cfg = cfg.withDefaults()
 	modelCfg.GlobalToken = true
 	t0 := time.Now()

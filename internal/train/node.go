@@ -46,7 +46,7 @@ type reformEntry struct {
 // NewNodeTrainer prepares a trainer: for TorchGT methods this performs the
 // paper's pre-processing (partition, cluster reorder, pattern construction,
 // condition checks) and records its cost.
-func NewNodeTrainer(cfg NodeConfig, modelCfg model.Config, ds *graph.NodeDataset) *NodeTrainer {
+func NewNodeTrainer(cfg Config, modelCfg model.Config, ds *graph.NodeDataset) *NodeTrainer {
 	cfg = cfg.withDefaults()
 	t0 := time.Now()
 	tr := &NodeTrainer{Cfg: cfg, DS: ds, reformCache: map[float64]*reformEntry{}}

@@ -47,7 +47,7 @@ func TestPackedTrainingBitwiseEqual(t *testing.T) {
 				cfg.Heads = 2
 				// Interval 2 makes half the epochs dense overlays under
 				// TorchGT; BatchSize 7 over ~24 train graphs leaves a tail.
-				tr := NewGraphTrainer(GraphConfig{
+				tr := NewGraphTrainer(Config{
 					Method: tc.method, Epochs: 4, LR: 2e-3,
 					BatchSize: 7, Interval: 2, Seed: 31, Pack: pack,
 				}, cfg, ds)
@@ -113,7 +113,7 @@ func TestPackedStepGroupsOnlySparseRuns(t *testing.T) {
 	cfg := model.GraphormerSlim(4, 1, 11)
 	cfg.Layers = 2
 	cfg.Heads = 1
-	tr := NewGraphTrainer(GraphConfig{
+	tr := NewGraphTrainer(Config{
 		Method: TorchGT, Epochs: 1, LR: 1e-3,
 		BatchSize: 5, Interval: 1, Seed: 3, Pack: true,
 	}, cfg, ds)

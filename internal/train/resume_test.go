@@ -129,7 +129,7 @@ func TestResumeBitwiseNode(t *testing.T) {
 	cfg.Heads = 4
 	// TorchGT with the Auto Tuner: resume must carry tuner + interleave state.
 	build := func() (Task, *model.GraphTransformer) {
-		tr := NewNodeTrainer(NodeConfig{
+		tr := NewNodeTrainer(Config{
 			Method: TorchGT, Epochs: 7, LR: 2e-3, ClusterK: 4, Db: 4, Seed: 3, Interval: 4,
 		}, cfg, ds)
 		return tr, tr.Model
@@ -143,7 +143,7 @@ func TestResumeBitwiseGraph(t *testing.T) {
 	cfg.Layers = 2
 	cfg.Heads = 2
 	build := func() (Task, *model.GraphTransformer) {
-		tr := NewGraphTrainer(GraphConfig{Method: TorchGT, Epochs: 6, LR: 2e-3, BatchSize: 8, Seed: 7}, cfg, ds)
+		tr := NewGraphTrainer(Config{Method: TorchGT, Epochs: 6, LR: 2e-3, BatchSize: 8, Seed: 7}, cfg, ds)
 		return tr, tr.Model
 	}
 	testResumeBitwise(t, build, nil, ds)
@@ -155,7 +155,7 @@ func TestResumeBitwiseSeq(t *testing.T) {
 	cfg.Layers = 2
 	cfg.Heads = 2
 	build := func() (Task, *model.GraphTransformer) {
-		tr := NewSeqTrainer(SeqConfig{Method: GPFlash, Epochs: 6, LR: 2e-3, SeqLen: 64, Seed: 13}, cfg, ds)
+		tr := NewSeqTrainer(Config{Method: GPFlash, Epochs: 6, LR: 2e-3, SeqLen: 64, Seed: 13}, cfg, ds)
 		return tr, tr.Model
 	}
 	testResumeBitwise(t, build, ds, nil)
@@ -185,7 +185,7 @@ func TestCancelMidEpochThenContinue(t *testing.T) {
 	cfg.Layers = 1
 	cfg.Heads = 2
 	mk := func() *GraphTrainer {
-		return NewGraphTrainer(GraphConfig{Method: GPSparse, Epochs: 4, LR: 2e-3, BatchSize: 4, Seed: 7}, cfg, ds)
+		return NewGraphTrainer(Config{Method: GPSparse, Epochs: 4, LR: 2e-3, BatchSize: 4, Seed: 7}, cfg, ds)
 	}
 
 	straight := mk()
@@ -217,7 +217,7 @@ func TestCancelMidEpochCheckpointResume(t *testing.T) {
 	cfg.Layers = 1
 	cfg.Heads = 2
 	mk := func() *SeqTrainer {
-		return NewSeqTrainer(SeqConfig{Method: GPFlash, Epochs: 4, LR: 2e-3, SeqLen: 48, Seed: 23}, cfg, ds)
+		return NewSeqTrainer(Config{Method: GPFlash, Epochs: 4, LR: 2e-3, SeqLen: 48, Seed: 23}, cfg, ds)
 	}
 	straight := mk()
 	wantRes := straight.Run()
@@ -249,7 +249,7 @@ func TestEarlyStopping(t *testing.T) {
 	cfg := model.GraphormerSlim(12, 4, 32)
 	cfg.Layers = 1
 	cfg.Heads = 2
-	tr := NewNodeTrainer(NodeConfig{
+	tr := NewNodeTrainer(Config{
 		Method: GPSparse, Epochs: 50, LR: 2e-3, Seed: 33, EarlyStopPatience: 2,
 	}, cfg, ds)
 	var stops []EarlyStopEvent
@@ -274,7 +274,7 @@ func TestLoopEvents(t *testing.T) {
 	cfg := model.GraphormerSlim(12, 4, 42)
 	cfg.Layers = 2
 	cfg.Heads = 2
-	tr := NewNodeTrainer(NodeConfig{
+	tr := NewNodeTrainer(Config{
 		Method: TorchGT, Epochs: 6, LR: 2e-3, ClusterK: 4, Db: 4, Seed: 43, Interval: 2,
 	}, cfg, ds)
 	var epochs []int
@@ -308,7 +308,7 @@ func writeNodeCheckpoint(t *testing.T, ds *graph.NodeDataset) string {
 	cfg := model.GraphormerSlim(12, 4, 52)
 	cfg.Layers = 1
 	cfg.Heads = 2
-	tr := NewNodeTrainer(NodeConfig{Method: GPSparse, Epochs: 2, LR: 2e-3, Seed: 53}, cfg, ds)
+	tr := NewNodeTrainer(Config{Method: GPSparse, Epochs: 2, LR: 2e-3, Seed: 53}, cfg, ds)
 	tr.Run()
 	path := filepath.Join(t.TempDir(), "ok.ckpt")
 	if err := tr.Loop().Checkpoint(path); err != nil {
@@ -446,7 +446,7 @@ func TestResultMatchesRun(t *testing.T) {
 	cfg := model.GraphormerSlim(12, 4, 62)
 	cfg.Layers = 1
 	cfg.Heads = 2
-	tr := NewNodeTrainer(NodeConfig{Method: GPSparse, Epochs: 3, LR: 2e-3, Seed: 63}, cfg, ds)
+	tr := NewNodeTrainer(Config{Method: GPSparse, Epochs: 3, LR: 2e-3, Seed: 63}, cfg, ds)
 	res, err := tr.RunCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)

@@ -19,7 +19,7 @@ import (
 // "seq" Task adapter: one optimiser step per sampled sequence.
 type SeqTrainer struct {
 	taskBase
-	Cfg   SeqConfig
+	Cfg   Config
 	Model *model.GraphTransformer
 	DS    *graph.NodeDataset
 
@@ -30,7 +30,7 @@ type SeqTrainer struct {
 }
 
 // NewSeqTrainer builds the trainer.
-func NewSeqTrainer(cfg SeqConfig, modelCfg model.Config, ds *graph.NodeDataset) *SeqTrainer {
+func NewSeqTrainer(cfg Config, modelCfg model.Config, ds *graph.NodeDataset) *SeqTrainer {
 	cfg = cfg.withDefaults()
 	if cfg.SeqLen <= 0 || cfg.SeqLen > ds.G.N {
 		cfg.SeqLen = ds.G.N

@@ -51,7 +51,7 @@ func TestSeqParallelBitwiseNodeTorchGT(t *testing.T) {
 	cfg.Layers = 2
 	cfg.Heads = 4
 	build := func(seqpar int) (Task, *model.GraphTransformer) {
-		tr := NewNodeTrainer(NodeConfig{
+		tr := NewNodeTrainer(Config{
 			Method: TorchGT, Epochs: 5, LR: 2e-3, ClusterK: 4, Db: 4, Seed: 33,
 			Interval: 2, FixedBeta: 0.5, UseFixedBeta: true, SeqParallel: seqpar,
 		}, cfg, ds)
@@ -72,7 +72,7 @@ func TestSeqParallelBitwiseGraph(t *testing.T) {
 	cfg.Layers = 2
 	cfg.Heads = 4
 	build := func(seqpar int) (Task, *model.GraphTransformer) {
-		tr := NewGraphTrainer(GraphConfig{
+		tr := NewGraphTrainer(Config{
 			Method: GPFlash, Epochs: 4, LR: 2e-3, BatchSize: 8, Seed: 37, SeqParallel: seqpar,
 		}, cfg, ds)
 		return tr, tr.Model
@@ -90,7 +90,7 @@ func TestSeqParallelBitwiseSeq(t *testing.T) {
 	cfg.Layers = 2
 	cfg.Heads = 4
 	build := func(seqpar int) (Task, *model.GraphTransformer) {
-		tr := NewSeqTrainer(SeqConfig{
+		tr := NewSeqTrainer(Config{
 			Method: GPFlash, Epochs: 3, LR: 2e-3, SeqLen: 50, Seed: 43, SeqParallel: seqpar,
 		}, cfg, ds)
 		return tr, tr.Model
@@ -109,7 +109,7 @@ func TestSeqParallelCancelCheckpointResume(t *testing.T) {
 	cfg.Layers = 1
 	cfg.Heads = 2
 	mk := func() *SeqTrainer {
-		return NewSeqTrainer(SeqConfig{
+		return NewSeqTrainer(Config{
 			Method: GPFlash, Epochs: 4, LR: 2e-3, SeqLen: 48, Seed: 53, SeqParallel: 2,
 		}, cfg, ds)
 	}

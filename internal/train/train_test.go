@@ -81,7 +81,7 @@ func trainNode(t *testing.T, method Method, epochs int) *Result {
 	cfg := model.GraphormerSlim(12, 4, 2)
 	cfg.Layers = 2
 	cfg.Heads = 4
-	tr := NewNodeTrainer(NodeConfig{
+	tr := NewNodeTrainer(Config{
 		Method: method, Epochs: epochs, LR: 2e-3, ClusterK: 4, Db: 4,
 		FixedBeta: -1, Seed: 3, Interval: 4,
 	}, cfg, ds)
@@ -140,7 +140,7 @@ func TestGraphTrainerClassification(t *testing.T) {
 	cfg := model.GraphormerSlim(8, 2, 6)
 	cfg.Layers = 2
 	cfg.Heads = 2
-	tr := NewGraphTrainer(GraphConfig{Method: TorchGT, Epochs: 12, LR: 2e-3, BatchSize: 8, Seed: 7}, cfg, ds)
+	tr := NewGraphTrainer(Config{Method: TorchGT, Epochs: 12, LR: 2e-3, BatchSize: 8, Seed: 7}, cfg, ds)
 	res := tr.Run()
 	// the test split is tiny (6 graphs) so generalisation is noisy; assert
 	// the pipeline *learns* via train-set accuracy and loss descent.
@@ -164,7 +164,7 @@ func TestGraphTrainerRegression(t *testing.T) {
 	cfg := model.GraphormerSlim(8, 1, 9)
 	cfg.Layers = 2
 	cfg.Heads = 2
-	tr := NewGraphTrainer(GraphConfig{Method: GPSparse, Epochs: 12, LR: 2e-3, Seed: 10}, cfg, ds)
+	tr := NewGraphTrainer(Config{Method: GPSparse, Epochs: 12, LR: 2e-3, Seed: 10}, cfg, ds)
 	res := tr.Run()
 	mae := tr.EvalMAE()
 	if mae <= 0 {
@@ -188,7 +188,7 @@ func TestSeqTrainerLongerIsBetter(t *testing.T) {
 		cfg := model.GraphormerSlim(12, 2, 12)
 		cfg.Layers = 2
 		cfg.Heads = 4
-		tr := NewSeqTrainer(SeqConfig{Method: GPFlash, Epochs: 8, SeqLen: seqLen, Seed: 13}, cfg, ds)
+		tr := NewSeqTrainer(Config{Method: GPFlash, Epochs: 8, SeqLen: seqLen, Seed: 13}, cfg, ds)
 		return tr.Run().FinalTestAcc
 	}
 	short := run(32)
@@ -204,7 +204,7 @@ func TestNodeTrainerFixedBetaVariants(t *testing.T) {
 	cfg.Layers = 1
 	cfg.Heads = 2
 	for _, beta := range []float64{0, 0.05, 1} {
-		tr := NewNodeTrainer(NodeConfig{
+		tr := NewNodeTrainer(Config{
 			Method: TorchGT, Epochs: 3, ClusterK: 4, Db: 4,
 			FixedBeta: beta, UseFixedBeta: true, Seed: 22,
 		}, cfg, ds)
@@ -296,7 +296,7 @@ func TestNodeTrainerWarmupSchedule(t *testing.T) {
 	cfg := model.GraphormerSlim(12, 4, 41)
 	cfg.Layers = 1
 	cfg.Heads = 2
-	tr := NewNodeTrainer(NodeConfig{
+	tr := NewNodeTrainer(Config{
 		Method: GPSparse, Epochs: 6, LR: 2e-3, Warmup: 3, Seed: 42,
 	}, cfg, ds)
 	res := tr.Run()

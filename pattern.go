@@ -16,7 +16,6 @@ type Pattern = sparse.Pattern
 const (
 	ModeDense         = model.ModeDense
 	ModeFlash         = model.ModeFlash
-	ModeFlashBF16     = model.ModeFlashBF16
 	ModeSparse        = model.ModeSparse
 	ModeClusterSparse = model.ModeClusterSparse
 	ModeKernelized    = model.ModeKernelized

@@ -12,16 +12,16 @@ import (
 // Snapshot, and a Server fronts grad-free forward passes with a request
 // queue plus a work-conserving micro-batching scheduler (flush at once when
 // no batch is in flight, else on batch size or latency deadline, whichever
-// first) over a pool of Runtime-backed replica
-// workers. See DESIGN.md ("Serving") for the scheduler's trade-offs.
+// first) over a fixed pool of Runtime-backed replica workers. See DESIGN.md
+// ("Serving") for the scheduler's trade-offs.
 type (
 	// Server is the batched inference engine over one dataset's graph.
 	// Predict takes a context.Context: cancellation is honoured while the
 	// request is queued (it frees its batch slot and fails with ctx's
 	// error), mirroring the Session training lifecycle.
 	Server = serve.Server
-	// ServeOptions tunes the engine: worker/replica count, batch size,
-	// flush deadline, attention kernel and ego-context shape.
+	// ServeOptions tunes the engine: replica count, batch size, flush
+	// deadline and ego-context shape.
 	ServeOptions = serve.Options
 	// ServeResponse is the result of one classification request.
 	ServeResponse = serve.Response
@@ -29,23 +29,7 @@ type (
 	ServeStats = serve.Stats
 	// Snapshot is a frozen trained model: configuration + immutable weights.
 	Snapshot = serve.Snapshot
-	// ServeMode selects the serving attention kernel (sparse by default).
-	ServeMode = serve.Mode
 )
-
-// Serving attention kernels.
-const (
-	ServeSparse        = serve.ModeSparse
-	ServeDense         = serve.ModeDense
-	ServeFlash         = serve.ModeFlash
-	ServeFlashBF16     = serve.ModeFlashBF16
-	ServeClusterSparse = serve.ModeClusterSparse
-	ServeKernelized    = serve.ModeKernelized
-)
-
-// ParseServeMode converts a CLI name ("sparse", "dense", "flash",
-// "flash-bf16", "cluster-sparse", "kernelized") into a ServeMode.
-func ParseServeMode(s string) (ServeMode, error) { return serve.ParseMode(s) }
 
 // QuantMode selects a snapshot weight encoding for the inference-only
 // quantized serving path (none, int8 per-output-channel, bf16).

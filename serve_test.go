@@ -42,12 +42,8 @@ func TestPublicServing(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	mode, err := ParseServeMode("sparse")
-	if err != nil || mode != ServeSparse {
-		t.Fatalf("mode parse failed: %v %v", mode, err)
-	}
 	srv, err := NewServer(loaded, ds, ServeOptions{
-		Workers: 2, MaxBatch: 4, MaxDelay: time.Millisecond, Mode: mode,
+		Workers: 2, MaxBatch: 4, MaxDelay: time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
