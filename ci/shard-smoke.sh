@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # CI shard-smoke lane: the out-of-core path end to end through the real
-# binaries. Generates a synthetic dataset, shards it, checks inspect/merge
-# (merge must be bitwise-identical to the monolithic container), trains with
+# binaries. Generates a synthetic dataset, shards it, checks inspect/convert
+# (converting the shards back must be bitwise-identical to the monolithic
+# container, and io=mmap must be refused), trains with
 # ego sampling against the disk-resident view under a cache budget far below
 # the dataset size (accuracy must match the in-memory run exactly), and
 # serves /predict shard-backed (responses must match the in-memory server,
@@ -31,15 +32,22 @@ go build -o "$WORK/torchgt-data" ./cmd/torchgt-data
 go build -o "$WORK/torchgt-train" ./cmd/torchgt-train
 go build -o "$WORK/torchgt-serve" ./cmd/torchgt-serve
 
-echo "== gen + shard + inspect"
-"$WORK/torchgt-data" gen -dataset arxiv-sim -nodes $NODES -seed $SEED -o "$WORK/mono.tgds"
+echo "== convert + shard + inspect"
+"$WORK/torchgt-data" convert -in "synth://arxiv-sim?nodes=$NODES&seed=$SEED" -o "$WORK/mono.tgds"
 "$WORK/torchgt-data" shard -in "file://$WORK/mono.tgds" -shards 8 -o "$WORK/shards"
 "$WORK/torchgt-data" inspect -data "shard://$WORK/shards" | tee "$WORK/inspect.txt"
 grep -q "sharded dataset" "$WORK/inspect.txt"
 grep -q "shard 0007" "$WORK/inspect.txt"
 
-echo "== merge must reproduce the monolithic container bitwise"
-"$WORK/torchgt-data" merge -in "shard://$WORK/shards" -o "$WORK/merged.tgds"
+echo "== io=mmap is refused: pread is the only I/O mode"
+if "$WORK/torchgt-data" inspect -data "shard://$WORK/shards?io=mmap" 2>"$WORK/mmap.txt"; then
+    echo "io=mmap was accepted" >&2
+    exit 1
+fi
+grep -q "pread is the only I/O mode" "$WORK/mmap.txt"
+
+echo "== convert must reproduce the monolithic container bitwise"
+"$WORK/torchgt-data" convert -in "shard://$WORK/shards" -o "$WORK/merged.tgds"
 cmp "$WORK/mono.tgds" "$WORK/merged.tgds"
 
 # The cache budget (128 KiB) is far below the dataset's feature payload; the

@@ -1,24 +1,24 @@
-// torchgt-data is the dataset tool: it generates synthetic presets,
-// converts external data (edge lists, JSONL) into the universal tGDS
-// container, inspects any dataset spec, and re-splits datasets — all over
-// the same URI-style specs the training, serving and bench tools accept.
+// torchgt-data is the dataset tool over the same URI-style specs the
+// training, serving and bench tools accept. convert is the one command that
+// writes a tGDS container: it opens any spec — a synthetic preset, external
+// data (edge lists, JSONL), a spec with transforms, a sharded directory —
+// and writes what it opened. shard writes a node dataset as an out-of-core
+// sharded directory (manifest + per-shard segment files) that opens
+// disk-resident through shard:// specs.
 //
 // Usage:
 //
 //	torchgt-data list
-//	torchgt-data gen -dataset arxiv-sim -nodes 4096 -seed 1 -o arxiv.tgds
+//	torchgt-data convert -in "synth://arxiv-sim?nodes=4096&seed=1" -o arxiv.tgds
 //	torchgt-data convert -in "edgelist://edges.csv?labels=labels.csv" -o real.tgds
+//	torchgt-data convert -in "file://real.tgds?resplit=0.7:0.1&seed=3" -o resplit.tgds
 //	torchgt-data inspect -data "synth://products-sim?subsample=2048"
-//	torchgt-data inspect -data file://real.tgds
-//	torchgt-data split -in file://real.tgds -train 0.7 -val 0.1 -seed 3 -o resplit.tgds
 //	torchgt-data shard -in file://real.tgds -shards 8 -o real-shards
 //	torchgt-data inspect -data shard://real-shards
-//	torchgt-data merge -in shard://real-shards -o merged.tgds
+//	torchgt-data convert -in shard://real-shards -o merged.tgds
 //
-// shard writes a dataset as an out-of-core sharded directory (manifest +
-// per-shard segment files) that opens disk-resident through shard:// specs;
-// merge materialises a sharded directory back into one monolithic tGDS
-// container, bitwise-identical to the dataset the shards were written from.
+// convert over a shard:// spec materialises the shards into one container,
+// bitwise-identical to the dataset they were written from.
 package main
 
 import (
@@ -29,7 +29,8 @@ import (
 	"strings"
 
 	"torchgt"
-	"torchgt/internal/cli"
+	"torchgt/internal/data"
+	"torchgt/internal/data/shard"
 )
 
 func main() {
@@ -43,12 +44,9 @@ const usage = `usage: torchgt-data <command> [flags]
 
 commands:
   list      list providers, presets and the spec grammar
-  gen       generate a synthetic preset and write a tGDS container
   convert   open any dataset spec and write a tGDS container
   inspect   open any dataset spec and print a summary
-  split     re-draw a dataset's train/val/test split and write a tGDS container
   shard     write a node dataset as an out-of-core sharded directory
-  merge     materialise a sharded directory back into one tGDS container
 `
 
 func run(args []string, out io.Writer) error {
@@ -60,18 +58,12 @@ func run(args []string, out io.Writer) error {
 	switch cmd {
 	case "list", "-list", "--list":
 		return runList(out)
-	case "gen":
-		return runGen(rest, out)
 	case "convert":
 		return runConvert(rest, out)
 	case "inspect":
 		return runInspect(rest, out)
-	case "split":
-		return runSplit(rest, out)
 	case "shard":
 		return runShard(rest, out)
-	case "merge":
-		return runMerge(rest, out)
 	case "help", "-h", "--help":
 		fmt.Fprint(out, usage)
 		return nil
@@ -92,28 +84,13 @@ func runList(out io.Writer) error {
 	for _, n := range torchgt.GraphDatasetNames() {
 		fmt.Fprintln(out, "  ", n)
 	}
-	fmt.Fprintln(out, "transforms (any spec): subsample=N  selfloops=1  permute=1  resplit=TRAIN:VAL")
+	fmt.Fprintln(out, "transforms (any in-memory spec):", strings.Join(data.TransformParams(), "  "))
 	return nil
-}
-
-func runGen(args []string, out io.Writer) error {
-	fs := flag.NewFlagSet("gen", flag.ContinueOnError)
-	dataset := fs.String("dataset", "", "synthetic preset name (see list)")
-	nodes := fs.Int("nodes", 0, "node count override for node-level presets (0 = preset size)")
-	seed := fs.Int64("seed", 1, "generation seed")
-	outPath := fs.String("o", "", "output tGDS path (omit to print a summary only)")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if *dataset == "" {
-		return fmt.Errorf("gen: -dataset is required (see torchgt-data list)")
-	}
-	return openAndWrite(cli.SynthSpec(*dataset, *nodes, *seed), *outPath, out)
 }
 
 func runConvert(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("convert", flag.ContinueOnError)
-	in := fs.String("in", "", "input dataset spec (edgelist://, jsonl://, synth://, file://)")
+	in := fs.String("in", "", "input dataset spec (any scheme; shard:// is materialised)")
 	outPath := fs.String("o", "", "output tGDS path")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -121,7 +98,19 @@ func runConvert(args []string, out io.Writer) error {
 	if *in == "" || *outPath == "" {
 		return fmt.Errorf("convert: -in and -o are required")
 	}
-	return openAndWrite(*in, *outPath, out)
+	d, err := torchgt.OpenDataset(*in)
+	if err != nil {
+		return err
+	}
+	if d, err = d.Materialize(); err != nil {
+		return err
+	}
+	if err := torchgt.SaveDataset(*outPath, d); err != nil {
+		return err
+	}
+	describe(out, d)
+	fmt.Fprintf(out, "written to %s (open with -data file://%s)\n", *outPath, *outPath)
+	return nil
 }
 
 func runInspect(args []string, out io.Writer) error {
@@ -133,29 +122,23 @@ func runInspect(args []string, out io.Writer) error {
 	if *spec == "" {
 		return fmt.Errorf("inspect: -data is required")
 	}
-	sp, err := torchgt.ParseDatasetSpec(*spec)
-	if err != nil {
-		return err
-	}
-	if sp.Scheme == "shard" {
-		return inspectShards(out, sp.Name)
-	}
 	d, err := torchgt.OpenDataset(*spec)
 	if err != nil {
 		return err
+	}
+	if v, ok := d.Stream.(*shard.View); ok {
+		defer v.Close()
+		describeShards(out, v.Manifest())
+		return nil
 	}
 	describe(out, d)
 	return nil
 }
 
-// inspectShards prints a sharded directory's manifest: header, shard table
+// describeShards prints a sharded directory's manifest: header, shard table
 // (row ranges, edges, file sizes) and each shard's segment layout — all
 // without reading any payload bytes.
-func inspectShards(out io.Writer, dir string) error {
-	man, err := torchgt.LoadShardManifest(dir)
-	if err != nil {
-		return err
-	}
+func describeShards(out io.Writer, man *torchgt.ShardManifest) {
 	fmt.Fprintf(out, "sharded dataset %s (manifest v1): %d nodes, %d edges, %d classes, feat dim %d\n",
 		man.Name, man.NumNodes, man.NumEdges, man.Classes, man.FeatDim)
 	fmt.Fprintf(out, "%d shards", len(man.Shards))
@@ -173,7 +156,6 @@ func inspectShards(out io.Writer, dir string) error {
 			fmt.Fprintf(out, "  %-8s offset %8d  %10d bytes\n", g.KindName(), g.Offset, g.Length)
 		}
 	}
-	return nil
 }
 
 func runShard(args []string, out io.Writer) error {
@@ -206,82 +188,6 @@ func runShard(args []string, out io.Writer) error {
 	return nil
 }
 
-func runMerge(args []string, out io.Writer) error {
-	fs := flag.NewFlagSet("merge", flag.ContinueOnError)
-	in := fs.String("in", "", "input sharded directory (or shard:// spec)")
-	outPath := fs.String("o", "", "output tGDS path")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if *in == "" || *outPath == "" {
-		return fmt.Errorf("merge: -in and -o are required")
-	}
-	spec := *in
-	if !strings.Contains(spec, "://") {
-		spec = "shard://" + spec
-	}
-	d, err := torchgt.OpenDataset(spec)
-	if err != nil {
-		return err
-	}
-	if d, err = d.Materialize(); err != nil {
-		return err
-	}
-	if err := torchgt.SaveDataset(*outPath, d); err != nil {
-		return err
-	}
-	describe(out, d)
-	fmt.Fprintf(out, "merged to %s (open with -data file://%s)\n", *outPath, *outPath)
-	return nil
-}
-
-func runSplit(args []string, out io.Writer) error {
-	fs := flag.NewFlagSet("split", flag.ContinueOnError)
-	in := fs.String("in", "", "input dataset spec")
-	trainFrac := fs.Float64("train", 0.6, "train fraction")
-	valFrac := fs.Float64("val", 0.2, "validation fraction")
-	seed := fs.Int64("seed", 1, "split seed")
-	outPath := fs.String("o", "", "output tGDS path")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if *in == "" || *outPath == "" {
-		return fmt.Errorf("split: -in and -o are required")
-	}
-	d, err := torchgt.OpenDataset(*in)
-	if err != nil {
-		return err
-	}
-	d, err = torchgt.ApplyTransforms(d, torchgt.TransformResplit(*trainFrac, *valFrac, *seed))
-	if err != nil {
-		return err
-	}
-	if err := torchgt.SaveDataset(*outPath, d); err != nil {
-		return err
-	}
-	describe(out, d)
-	fmt.Fprintf(out, "written to %s\n", *outPath)
-	return nil
-}
-
-// openAndWrite opens a spec, prints its summary and optionally writes the
-// tGDS container.
-func openAndWrite(spec, outPath string, out io.Writer) error {
-	d, err := torchgt.OpenDataset(spec)
-	if err != nil {
-		return err
-	}
-	describe(out, d)
-	if outPath == "" {
-		return nil
-	}
-	if err := torchgt.SaveDataset(outPath, d); err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "written to %s (open with -data file://%s)\n", outPath, outPath)
-	return nil
-}
-
 // describe prints the summary block for either dataset kind.
 func describe(out io.Writer, d *torchgt.Dataset) {
 	if gd := d.Graph; gd != nil {
@@ -296,14 +202,6 @@ func describe(out io.Writer, d *torchgt.Dataset) {
 			float64(nodesTot)/float64(len(gd.Graphs)), float64(edgesTot)/float64(len(gd.Graphs)))
 		fmt.Fprintf(out, "splits: train %d / val %d / test %d\n",
 			len(gd.TrainIdx), len(gd.ValIdx), len(gd.TestIdx))
-		return
-	}
-	if d.Node == nil {
-		// Disk-resident stream: summarise through the access interface
-		// without materialising (split counts would read every row).
-		src := d.Source()
-		fmt.Fprintf(out, "dataset %s (disk-resident): %d nodes, %d edges, %d classes, feat dim %d\n",
-			src.DatasetName(), src.NumNodes(), src.NumEdges(), src.Classes(), src.FeatDim())
 		return
 	}
 	ds := d.Node

@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"torchgt/internal/data"
 )
 
 func TestDataToolSubcommands(t *testing.T) {
@@ -17,20 +19,21 @@ func TestDataToolSubcommands(t *testing.T) {
 	if err := run([]string{"list"}, &out); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"synth://", "edgelist://", "arxiv-sim", "zinc-sim", "resplit"} {
+	wants := []string{"synth://", "edgelist://", "shard://", "arxiv-sim", "zinc-sim", "reorder=cluster", "reorderk=K"}
+	for _, want := range append(wants, data.TransformParams()...) {
 		if !strings.Contains(out.String(), want) {
 			t.Fatalf("list output missing %q:\n%s", want, out.String())
 		}
 	}
 
-	// gen → tGDS
+	// a synthetic preset → tGDS
 	tgds := filepath.Join(dir, "arxiv.tgds")
 	out.Reset()
-	if err := run([]string{"gen", "-dataset", "arxiv-sim", "-nodes", "128", "-seed", "2", "-o", tgds}, &out); err != nil {
+	if err := run([]string{"convert", "-in", "synth://arxiv-sim?nodes=128&seed=2", "-o", tgds}, &out); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(out.String(), "128 nodes") {
-		t.Fatalf("gen summary:\n%s", out.String())
+		t.Fatalf("convert summary:\n%s", out.String())
 	}
 
 	// inspect the generated container
@@ -60,14 +63,14 @@ func TestDataToolSubcommands(t *testing.T) {
 		t.Fatalf("convert summary:\n%s", out.String())
 	}
 
-	// split rewrites the masks
+	// a resplit spec rewrites the masks
 	split := filepath.Join(dir, "resplit.tgds")
 	out.Reset()
-	if err := run([]string{"split", "-in", "file://" + conv, "-train", "0.5", "-val", "0.25", "-seed", "4", "-o", split}, &out); err != nil {
+	if err := run([]string{"convert", "-in", "file://" + conv + "?resplit=0.5:0.25&seed=4", "-o", split}, &out); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(split); err != nil {
-		t.Fatal(err)
+	if !strings.Contains(out.String(), "splits: train 17 / val 5 / test 8") {
+		t.Fatalf("resplit summary:\n%s", out.String())
 	}
 
 	// graph-level inspect path
@@ -83,8 +86,13 @@ func TestDataToolSubcommands(t *testing.T) {
 	if err := run([]string{"frobnicate"}, &out); err == nil {
 		t.Fatal("unknown command must error")
 	}
-	if err := run([]string{"gen"}, &out); err == nil {
-		t.Fatal("gen without -dataset must error")
+	for _, removed := range []string{"gen", "split", "merge"} {
+		if err := run([]string{removed}, &out); err == nil || !strings.Contains(err.Error(), "unknown command") {
+			t.Fatalf("%s: %v, want an unknown command", removed, err)
+		}
+	}
+	if err := run([]string{"convert", "-in", "file://" + tgds}, &out); err == nil {
+		t.Fatal("convert without -o must error")
 	}
 	if err := run([]string{"convert", "-in", "synth://nope", "-o", filepath.Join(dir, "x.tgds")}, &out); err == nil {
 		t.Fatal("unknown preset must error")
@@ -94,16 +102,16 @@ func TestDataToolSubcommands(t *testing.T) {
 	}
 }
 
-// TestShardToolRoundTrip drives shard → inspect → merge through the CLI:
+// TestShardToolRoundTrip drives shard → inspect → convert through the CLI:
 // the sharded directory must inspect with its per-shard layout, open
-// disk-resident, and merge back into a container bitwise-identical to the
+// disk-resident, and convert back into a container bitwise-identical to the
 // one the shards were written from.
 func TestShardToolRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	var out bytes.Buffer
 
 	tgds := filepath.Join(dir, "mono.tgds")
-	if err := run([]string{"gen", "-dataset", "arxiv-sim", "-nodes", "200", "-seed", "6", "-o", tgds}, &out); err != nil {
+	if err := run([]string{"convert", "-in", "synth://arxiv-sim?nodes=200&seed=6", "-o", tgds}, &out); err != nil {
 		t.Fatal(err)
 	}
 
@@ -126,16 +134,21 @@ func TestShardToolRoundTrip(t *testing.T) {
 		}
 	}
 
-	// inspect through the generic spec path also stays disk-resident
+	// inspect checks the spec's parameters exactly as opening it does
 	out.Reset()
-	if err := run([]string{"inspect", "-data", "shard://" + shards + "?cache=32KiB"}, &out); err != nil {
+	if err := run([]string{"inspect", "-data", "shard://" + shards + "?cache=32KiB&io=pread"}, &out); err != nil {
 		t.Fatal(err)
+	}
+	for _, bad := range []string{"?bogus=1", "?io=mmap", "?cache=lots", "?selfloops=1"} {
+		if err := run([]string{"inspect", "-data", "shard://" + shards + bad}, &out); err == nil {
+			t.Fatalf("inspect accepted shard://…%s", bad)
+		}
 	}
 
 	merged := filepath.Join(dir, "merged.tgds")
 	out.Reset()
-	if err := run([]string{"merge", "-in", "shard://" + shards, "-o", merged}, &out); err != nil {
-		t.Fatalf("merge: %v", err)
+	if err := run([]string{"convert", "-in", "shard://" + shards, "-o", merged}, &out); err != nil {
+		t.Fatalf("convert shard://: %v", err)
 	}
 	a, err := os.ReadFile(tgds)
 	if err != nil {
@@ -146,13 +159,7 @@ func TestShardToolRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a, b) {
-		t.Fatal("merged container is not bitwise-identical to the original")
-	}
-
-	// merge also takes a bare directory path (shard:// is implied)
-	merged2 := filepath.Join(dir, "merged2.tgds")
-	if err := run([]string{"merge", "-in", shards, "-o", merged2}, &out); err != nil {
-		t.Fatalf("merge with bare dir: %v", err)
+		t.Fatal("converted container is not bitwise-identical to the original")
 	}
 
 	// errors
@@ -162,7 +169,7 @@ func TestShardToolRoundTrip(t *testing.T) {
 	if err := run([]string{"shard", "-in", "file://" + tgds, "-shards", "0", "-o", filepath.Join(dir, "z")}, &out); err == nil {
 		t.Fatal("zero shard count must error")
 	}
-	if err := run([]string{"merge", "-in", "shard://" + filepath.Join(dir, "nope"), "-o", merged}, &out); err == nil {
-		t.Fatal("merging a missing directory must error")
+	if err := run([]string{"convert", "-in", "shard://" + filepath.Join(dir, "nope"), "-o", merged}, &out); err == nil {
+		t.Fatal("converting a missing directory must error")
 	}
 }

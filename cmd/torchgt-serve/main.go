@@ -64,7 +64,7 @@ func main() {
 func run(ctx context.Context, args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("torchgt-serve", flag.ContinueOnError)
 	var data cli.Data
-	data.Register(fs)
+	data.Bind(fs)
 	method := fs.String("method", "torchgt", "training method for the quick train")
 	epochs := fs.Int("epochs", 10, "training epochs before serving")
 	snapshotPath := fs.String("snapshot", "", "load a frozen snapshot instead of training (SIGHUP re-reads it in -http mode)")
@@ -136,7 +136,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		fmt.Fprintf(stdout, "loaded snapshot %s (%s, %d params%s)\n", *snapshotPath, snap.Config().Name, snap.NumParams(), desc)
 	} else {
 		if ds == nil {
-			return fmt.Errorf("%s is disk-resident; the quick train needs the arrays in memory — pass -snapshot, or materialize once with torchgt-data merge", spec)
+			return fmt.Errorf("%s is disk-resident; the quick train needs the arrays in memory — pass -snapshot, or materialize once with torchgt-data convert", spec)
 		}
 		tm, err := torchgt.ParseMethod(*method)
 		if err != nil {

@@ -71,7 +71,7 @@ func main() {
 func run(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("torchgt-train", flag.ContinueOnError)
 	var data cli.Data
-	data.Register(fs)
+	data.Bind(fs)
 	modelName := fs.String("model", "gph-slim", "gph-slim | gph-large | gt | nodeformer")
 	method := fs.String("method", "torchgt", "gp-raw | gp-flash | gp-sparse | torchgt | torchgt-bf16 | nodeformer")
 	epochs := fs.Int("epochs", 20, "training epochs")

@@ -8,15 +8,16 @@ import (
 	"torchgt/internal/train"
 )
 
-// The public data API. Datasets are named by URI-style specs resolved
-// through a provider registry:
+// The public data API. Datasets are named by URI-style specs, one provider
+// per scheme:
 //
 //	synth://arxiv-sim?nodes=4096&seed=1      built-in synthetic presets
 //	file://run/arxiv.tgds                    saved tGDS containers (either kind)
 //	edgelist://run/edges.csv?labels=l.csv    external edge-list ingestion
 //	jsonl://run/molecules.jsonl              external graph-level ingestion
+//	shard://run/arxiv-shards                 out-of-core sharded node datasets
 //
-// Declarative transforms ride on the spec (?subsample=2048&selfloops=1&
+// Transforms exist only as spec parameters (?subsample=2048&selfloops=1&
 // permute=1&reorder=cluster&reorderk=8&resplit=0.7:0.1) and run in that
 // fixed order. The contract is
 // determinism: the same spec opens to a bitwise-identical dataset, which
@@ -26,16 +27,11 @@ import (
 type (
 	// DatasetSpec is a parsed dataset spec (scheme, name, seed, params).
 	DatasetSpec = data.Spec
-	// Dataset is the union a spec resolves to: exactly one of Node and
-	// Graph is non-nil.
+	// Dataset is the union a spec resolves to: exactly one of Node, Graph
+	// and Stream (a disk-resident shard:// view) is non-nil.
 	Dataset = data.Dataset
 	// DatasetKind distinguishes node-level from graph-level datasets.
 	DatasetKind = data.Kind
-	// DatasetProvider materialises datasets for one spec scheme; register
-	// custom ones with RegisterDatasetProvider.
-	DatasetProvider = data.Provider
-	// DatasetTransform is a deterministic dataset rewrite stage.
-	DatasetTransform = data.Transform
 	// NodeSource is the access contract node-level consumers read through:
 	// CSR neighbour lookup, feature rows, labels and splits, addressed by
 	// storage row. In-memory datasets and disk-resident shard:// views both
@@ -56,13 +52,10 @@ const (
 // a scheme are file paths ("run/a.tgds" ≡ "file://run/a.tgds").
 func ParseDatasetSpec(s string) (DatasetSpec, error) { return data.ParseSpec(s) }
 
-// OpenDataset resolves a spec string through the provider registry and
+// OpenDataset resolves a spec string through its scheme's provider and
 // applies its declarative transforms. The same spec always opens to a
-// bitwise-identical dataset.
+// bitwise-identical dataset. A parsed spec opens as OpenDataset(sp.String()).
 func OpenDataset(spec string) (*Dataset, error) { return data.OpenString(spec) }
-
-// OpenDatasetSpec is OpenDataset over an already-parsed spec.
-func OpenDatasetSpec(sp DatasetSpec) (*Dataset, error) { return data.Open(sp) }
 
 // OpenNodeSource resolves a spec that must be node-level and returns its
 // access interface without materialising it: shard:// datasets stay
@@ -81,52 +74,15 @@ func DatasetIOStatsOf(src NodeSource) (st DatasetIOStats, ok bool) {
 	return DatasetIOStats{}, false
 }
 
-// RegisterDatasetProvider installs a provider for a new spec scheme.
-// Built-in schemes (synth, file, edgelist, jsonl) cannot be shadowed.
-func RegisterDatasetProvider(p DatasetProvider) error { return data.Register(p) }
-
-// DatasetSchemes lists the registered provider schemes.
+// DatasetSchemes lists the spec schemes (synth, file, edgelist, jsonl,
+// shard).
 func DatasetSchemes() []string { return data.Schemes() }
 
-// SaveDataset writes a dataset of either kind to path in the universal
-// tGDS container format (atomic write). Read it back with OpenDataset
-// ("file://path") or LoadDatasetFile.
+// SaveDataset writes an in-memory dataset of either kind to path in the
+// universal tGDS container format (atomic write); a streamed dataset must
+// be materialised first (Dataset.Materialize). Read it back with
+// OpenDataset("file://" + path).
 func SaveDataset(path string, d *Dataset) error { return data.SaveDataset(path, d) }
-
-// SaveGraphDataset writes a graph-level dataset to a tGDS container.
-func SaveGraphDataset(path string, ds *GraphDataset) error {
-	return data.SaveDataset(path, &Dataset{Graph: ds})
-}
-
-// LoadDatasetFile reads a tGDS dataset container of either kind.
-func LoadDatasetFile(path string) (*Dataset, error) {
-	sp := DatasetSpec{Scheme: "file", Name: path, Seed: 1}
-	return data.Open(sp)
-}
-
-// Dataset transforms for programmatic use; the spec parameters apply the
-// same stages declaratively.
-var (
-	// TransformSelfLoops adds a self-loop to every node.
-	TransformSelfLoops = data.WithSelfLoops
-	// TransformPermute relabels nodes with a seeded permutation.
-	TransformPermute = data.Permute
-	// TransformSubsample keeps a seeded sample of n nodes (or graphs).
-	TransformSubsample = data.Subsample
-	// TransformResplit redraws the train/val/test assignment.
-	TransformResplit = data.Resplit
-	// TransformReorderCluster relabels a node dataset cluster-contiguously
-	// (k-way partition, clusters laid out as contiguous ID ranges) and
-	// records the external→storage permutation in Dataset.Node.Reorder, so
-	// labels keep their external meaning at the serving boundary.
-	TransformReorderCluster = data.ReorderCluster
-)
-
-// ApplyTransforms runs transforms over a dataset in order, returning a new
-// dataset (the input is never mutated).
-func ApplyTransforms(d *Dataset, ts ...DatasetTransform) (*Dataset, error) {
-	return data.Apply(d, ts...)
-}
 
 // taskFor wraps an opened dataset in the TaskSpec matching kind, recording
 // the canonical spec string so Sessions persist it into checkpoints.
@@ -162,8 +118,9 @@ func taskFor(kind string, d *Dataset, spec string) (TaskSpec, error) {
 
 // TaskFromSpec opens a dataset spec and wraps it in the task matching its
 // kind: node datasets train node classification over the full sequence
-// (NodeTask), graph-level datasets train graph-level targets
-// (GraphLevelTask). Sessions built from spec tasks record the spec in
+// (NodeTask; convert with Seq for sampled sequences), graph-level datasets
+// train graph-level targets (GraphLevelTask). It is the one way to build a
+// task from a spec. Sessions built from spec tasks record the spec in
 // checkpoints, so ResumeSessionFromSpec can re-open the data.
 func TaskFromSpec(spec string) (TaskSpec, error) {
 	d, err := data.OpenString(spec)
@@ -176,39 +133,8 @@ func TaskFromSpec(spec string) (TaskSpec, error) {
 	return taskFor(train.TaskGraph, d, spec)
 }
 
-// NodeTaskFromSpec opens a spec that must resolve to a node dataset and
-// wraps it in the NodeTask regime.
-func NodeTaskFromSpec(spec string) (TaskSpec, error) {
-	d, err := data.OpenString(spec)
-	if err != nil {
-		return TaskSpec{}, err
-	}
-	return taskFor(train.TaskNode, d, spec)
-}
-
-// NodeSeqTaskFromSpec opens a spec that must resolve to a node dataset and
-// wraps it in the mini-batched sequence regime (set the length with
-// WithSeqLen).
-func NodeSeqTaskFromSpec(spec string) (TaskSpec, error) {
-	d, err := data.OpenString(spec)
-	if err != nil {
-		return TaskSpec{}, err
-	}
-	return taskFor(train.TaskSeq, d, spec)
-}
-
-// GraphLevelTaskFromSpec opens a spec that must resolve to a graph-level
-// dataset and wraps it in the GraphLevelTask regime.
-func GraphLevelTaskFromSpec(spec string) (TaskSpec, error) {
-	d, err := data.OpenString(spec)
-	if err != nil {
-		return TaskSpec{}, err
-	}
-	return taskFor(train.TaskGraph, d, spec)
-}
-
 // Seq converts a node-classification task to the mini-batched sequence
-// regime (the NodeSeqTask training mode) without re-opening its dataset;
+// regime (set the length with WithSeqLen) without re-opening its dataset;
 // the recorded spec carries over. Graph-level tasks cannot be converted.
 func (t TaskSpec) Seq() (TaskSpec, error) {
 	if t.node == nil {

@@ -78,11 +78,11 @@ func TestOpenDatasetAndTransformsPublic(t *testing.T) {
 	if d.Kind() != DatasetKindNode || d.Node.G.N != 64 {
 		t.Fatalf("opened %v with %d nodes", d.Kind(), d.Node.G.N)
 	}
-	d2, err := ApplyTransforms(d, TransformSelfLoops(), TransformResplit(0.5, 0.25, 3))
+	d2, err := OpenDataset("synth://arxiv-sim?nodes=128&subsample=64&selfloops=1&resplit=0.5:0.25")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !d2.Node.G.HasEdge(5, 5) {
+	if d2.Node.G.N != 64 || !d2.Node.G.HasEdge(5, 5) {
 		t.Fatal("self-loop transform lost")
 	}
 	if _, err := ParseDatasetSpec("nope://"); err == nil {
@@ -109,7 +109,7 @@ func TestSaveDatasetRoundTripsBothKinds(t *testing.T) {
 	if err := SaveDataset(npath, nd); err != nil {
 		t.Fatal(err)
 	}
-	back, err := LoadDatasetFile(npath)
+	back, err := OpenDataset("file://" + npath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestSaveDatasetRoundTripsBothKinds(t *testing.T) {
 
 	gds := loadGraphLevel(t, "zinc-sim", 5)
 	gpath := filepath.Join(dir, "graphs.tgds")
-	if err := SaveGraphDataset(gpath, gds); err != nil {
+	if err := SaveDataset(gpath, &Dataset{Graph: gds}); err != nil {
 		t.Fatal(err)
 	}
 	gback, err := OpenDataset("file://" + gpath)
@@ -149,12 +149,6 @@ func TestTaskFromSpecKinds(t *testing.T) {
 	if gtask.Data().Kind() != DatasetKindGraph {
 		t.Fatal("graph-level task kind")
 	}
-	if _, err := NodeTaskFromSpec("synth://zinc-sim"); err == nil {
-		t.Fatal("graph-level spec through NodeTaskFromSpec must error")
-	}
-	if _, err := GraphLevelTaskFromSpec("synth://arxiv-sim?nodes=64"); err == nil {
-		t.Fatal("node spec through GraphLevelTaskFromSpec must error")
-	}
 	if _, err := TaskFromSpec("synth://no-such"); err == nil {
 		t.Fatal("unknown preset must error")
 	}
@@ -171,7 +165,7 @@ func TestTaskFromSpecKinds(t *testing.T) {
 // to an uninterrupted run.
 func TestSessionRecordsSpecAndResumes(t *testing.T) {
 	spec := "synth://arxiv-sim?nodes=96&seed=6"
-	task, err := NodeTaskFromSpec(spec)
+	task, err := TaskFromSpec(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +243,7 @@ func TestResumeSessionFromSpecErrors(t *testing.T) {
 	if err := SaveDataset(tgds, d); err != nil {
 		t.Fatal(err)
 	}
-	task, err := NodeTaskFromSpec("file://" + tgds)
+	task, err := TaskFromSpec("file://" + tgds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +272,7 @@ func TestResumeSessionFromSpecErrors(t *testing.T) {
 // at the wrong data.
 func TestResumeSessionClearsStaleSpec(t *testing.T) {
 	spec := "synth://arxiv-sim?nodes=96&seed=8"
-	task, err := NodeTaskFromSpec(spec)
+	task, err := TaskFromSpec(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,7 +325,7 @@ func TestResumeSessionClearsStaleSpec(t *testing.T) {
 }
 
 func TestTaskSpecSeqConversion(t *testing.T) {
-	task, err := NodeTaskFromSpec("synth://arxiv-sim?nodes=96&seed=4")
+	task, err := TaskFromSpec("synth://arxiv-sim?nodes=96&seed=4")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,7 +347,7 @@ func TestTaskSpecSeqConversion(t *testing.T) {
 	if _, err := s.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	gtask, err := GraphLevelTaskFromSpec("synth://zinc-sim?subsample=20")
+	gtask, err := TaskFromSpec("synth://zinc-sim?subsample=20")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -382,7 +376,7 @@ func TestEdgeListSpecTrainsEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	spec := fmt.Sprintf("edgelist://%s?labels=%s&featdim=8&seed=2", edges, labels)
-	task, err := NodeTaskFromSpec(spec)
+	task, err := TaskFromSpec(spec)
 	if err != nil {
 		t.Fatal(err)
 	}

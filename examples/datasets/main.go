@@ -1,4 +1,4 @@
-// Datasets: the provider-registry data API end to end — generate a
+// Datasets: the spec-based data API end to end — generate a
 // synthetic preset from a spec, save it as a universal tGDS container,
 // ingest an external CSV edge list, stack declarative transforms, and
 // train through a Session built straight from a spec string (which records
@@ -66,7 +66,7 @@ func main() {
 
 	// 5. A Session built from a spec task records the spec in checkpoints:
 	//    ResumeSessionFromSpec re-opens the data by itself.
-	task, err := torchgt.NodeTaskFromSpec(spec)
+	task, err := torchgt.TaskFromSpec(spec)
 	if err != nil {
 		log.Fatal(err)
 	}

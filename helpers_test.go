@@ -26,6 +26,16 @@ func loadGraphLevel(tb testing.TB, name string, seed int64) *GraphDataset {
 	return d.Graph
 }
 
+// seqTask wraps ds in the mini-batched sequence regime.
+func seqTask(tb testing.TB, ds *NodeDataset) TaskSpec {
+	tb.Helper()
+	task, err := NodeTask(ds).Seq()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return task
+}
+
 // runSession trains a fresh session to completion.
 func runSession(tb testing.TB, method Method, cfg ModelConfig, task TaskSpec, opts ...SessionOption) (*Session, *Result) {
 	tb.Helper()

@@ -23,8 +23,8 @@ type Data struct {
 	Reorder int    // -reorder
 }
 
-// Register binds the five dataset flags on fs.
-func (d *Data) Register(fs *flag.FlagSet) {
+// Bind binds the five dataset flags on fs.
+func (d *Data) Bind(fs *flag.FlagSet) {
 	fs.StringVar(&d.Spec, "data", "", "dataset spec (synth://, file://, edgelist://, jsonl://, shard://); overrides -dataset")
 	fs.StringVar(&d.Dataset, "dataset", "arxiv-sim", "synthetic dataset name (see torchgt-data list)")
 	fs.IntVar(&d.Nodes, "nodes", 2048, "node count for synthetic node-level datasets (0 = preset size)")

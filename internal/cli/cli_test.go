@@ -26,7 +26,7 @@ func TestResolve(t *testing.T) {
 	} {
 		fs := flag.NewFlagSet("x", flag.ContinueOnError)
 		var d Data
-		d.Register(fs)
+		d.Bind(fs)
 		if err := fs.Parse(tc.args); err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}

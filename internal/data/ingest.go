@@ -39,7 +39,6 @@ import (
 //	name         dataset name (default: file basename)
 type edgeListProvider struct{}
 
-func (edgeListProvider) Scheme() string { return "edgelist" }
 func (edgeListProvider) ParamKeys() []string {
 	return []string{"undirected", "labels", "features", "featdim", "classes", "trainfrac", "valfrac", "name"}
 }
@@ -414,7 +413,6 @@ func readFeatures(path string, n int) (*tensor.Mat, error) {
 //	name       dataset name (default: file basename)
 type jsonlProvider struct{}
 
-func (jsonlProvider) Scheme() string { return "jsonl" }
 func (jsonlProvider) ParamKeys() []string {
 	return []string{"task", "undirected", "featdim", "classes", "trainfrac", "valfrac", "name"}
 }

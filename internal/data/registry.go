@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"sync"
 
 	"torchgt/internal/graph"
 )
@@ -86,8 +85,8 @@ type Materializer interface {
 // Materialize converts a streamed dataset into its in-memory form; in-memory
 // datasets pass through unchanged. The stream is closed once its contents
 // have been copied out — callers keep only the returned dataset, and leaving
-// the view open would leak its file descriptors and mmaps for the life of
-// the process.
+// the view open would leak its file descriptors for the life of the
+// process.
 func (d *Dataset) Materialize() (*Dataset, error) {
 	if d.Stream == nil {
 		return d, nil
@@ -113,44 +112,28 @@ func (d *Dataset) Materialize() (*Dataset, error) {
 	return &Dataset{Node: nd}, nil
 }
 
-// Provider materialises datasets for one spec scheme.
-type Provider interface {
-	// Scheme is the spec scheme the provider answers ("synth", "file", …).
-	Scheme() string
+// provider materialises datasets for one spec scheme.
+type provider interface {
 	// ParamKeys lists the spec parameters the provider understands, so
 	// Open can reject typos ("seed" and the transform parameters are
-	// handled by the registry).
+	// handled by Open itself).
 	ParamKeys() []string
 	// Open materialises the dataset named by sp. Implementations must be
 	// deterministic: the same spec yields a bitwise-identical dataset.
 	Open(sp Spec) (*Dataset, error)
 }
 
-var (
-	regMu     sync.RWMutex
-	providers = map[string]Provider{}
-)
-
-// Register installs a provider for its scheme. Registering a scheme twice
-// is an error (the builtins cannot be shadowed).
-func Register(p Provider) error {
-	regMu.Lock()
-	defer regMu.Unlock()
-	s := p.Scheme()
-	if s == "" {
-		return fmt.Errorf("data: provider has an empty scheme")
-	}
-	if _, dup := providers[s]; dup {
-		return fmt.Errorf("data: provider scheme %q already registered", s)
-	}
-	providers[s] = p
-	return nil
+// providers is the fixed table of spec schemes.
+var providers = map[string]provider{
+	"synth":    synthProvider{},
+	"file":     fileProvider{},
+	"edgelist": edgeListProvider{},
+	"jsonl":    jsonlProvider{},
+	"shard":    shardProvider{},
 }
 
-// Schemes lists the registered provider schemes, sorted.
+// Schemes lists the provider schemes, sorted.
 func Schemes() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
 	out := make([]string, 0, len(providers))
 	for s := range providers {
 		out = append(out, s)
@@ -159,39 +142,22 @@ func Schemes() []string {
 	return out
 }
 
-// Open resolves sp through the registry: the provider materialises the
-// dataset, then the spec's declarative transforms run over it in their
-// fixed order (see transformsFromSpec).
+// Open resolves sp through its scheme's provider, then runs the spec's
+// declarative transforms over the dataset in their fixed order (see
+// transformsFromSpec).
 func Open(sp Spec) (*Dataset, error) {
-	regMu.RLock()
 	p, ok := providers[sp.Scheme]
-	regMu.RUnlock()
 	if !ok {
 		return nil, fmt.Errorf("data: no provider for scheme %q (have %v)", sp.Scheme, Schemes())
 	}
 	if err := sp.checkParams(p.ParamKeys()...); err != nil {
 		return nil, err
 	}
-	d, err := p.Open(sp)
+	ts, err := transformsFromSpec(sp)
 	if err != nil {
 		return nil, err
 	}
-	n := 0
-	if d != nil {
-		if d.Node != nil {
-			n++
-		}
-		if d.Graph != nil {
-			n++
-		}
-		if d.Stream != nil {
-			n++
-		}
-	}
-	if n != 1 {
-		return nil, fmt.Errorf("data: provider %q returned an invalid dataset for %s", sp.Scheme, sp.String())
-	}
-	ts, err := transformsFromSpec(sp)
+	d, err := p.Open(sp)
 	if err != nil {
 		return nil, err
 	}
@@ -200,6 +166,9 @@ func Open(sp Spec) (*Dataset, error) {
 		// stream they would silently force a full load, so they are
 		// refused instead.
 		if len(ts) > 0 {
+			if c, ok := d.Stream.(io.Closer); ok {
+				c.Close()
+			}
 			return nil, fmt.Errorf("data: spec %s: transforms are not supported on streamed datasets (shard the transformed dataset instead)", sp.String())
 		}
 		return d, nil

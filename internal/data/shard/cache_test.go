@@ -140,20 +140,6 @@ func TestViewIOStatsSweepPinned(t *testing.T) {
 	}
 }
 
-// TestViewMMapReportsNoBudget: an mmap view has no block cache, so it
-// reports no cache budget (and no cache traffic).
-func TestViewMMapReportsNoBudget(t *testing.T) {
-	if !mmapSupported {
-		t.Skip("mmap unsupported: the view degrades to pread")
-	}
-	ds := testDataset(t, 200)
-	v := openView(t, writeShards(t, ds, 2), Options{MMap: true})
-	compareSources(t, ds, v, "mmap")
-	if st := v.IOStats(); st != (graph.IOStats{}) {
-		t.Fatalf("mmap view reports %+v, want zero stats", st)
-	}
-}
-
 func fill(e *blockEntry, b byte) *blockEntry {
 	for i := range e.data {
 		e.data[i] = b

@@ -1,7 +1,7 @@
 // Package shard implements the out-of-core sharded tGDS layout: one node
 // dataset split into K per-shard segment files plus a manifest, read back
-// through an mmap/io.ReaderAt-backed View that satisfies graph.NodeSource
-// without materialising the graph.
+// through a View that satisfies graph.NodeSource by preading through a
+// bounded block cache, without materialising the graph.
 //
 // On disk a sharded dataset is a directory:
 //

@@ -163,8 +163,8 @@ func compareSources(t *testing.T, ds *graph.NodeDataset, v *View, label string) 
 }
 
 // TestViewBitwiseEqual pins the out-of-core determinism contract: every
-// access path of the view equals the in-memory source bitwise, in pread mode
-// (tiny cache, tiny blocks — chunked reads), default pread and mmap mode.
+// access path of the view equals the in-memory source bitwise, with a tiny
+// cache of tiny blocks (chunked reads) and with the defaults.
 func TestViewBitwiseEqual(t *testing.T) {
 	ds := withReorderPerm(testDataset(t, 257)) // odd size: uneven shard tiling
 	dir := writeShards(t, ds, 5)
@@ -174,7 +174,6 @@ func TestViewBitwiseEqual(t *testing.T) {
 	}{
 		{"pread-tiny", Options{CacheBytes: 4 << 10, BlockBytes: 512}},
 		{"pread-default", Options{}},
-		{"mmap", Options{MMap: true}},
 	}
 	for _, c := range cases {
 		v := openView(t, dir, c.opts)
@@ -395,6 +394,51 @@ func TestCloseIsSticky(t *testing.T) {
 	v.CopyFeatureRow(feat, 0) // must not panic
 	if v.SourceErr() == nil {
 		t.Fatal("SourceErr nil after Close")
+	}
+}
+
+// TestViewTruncatedUnderLiveView: a shard file that shrinks under an open
+// view is read with pread, so a read past its new end is a sticky error
+// naming the shard and segment; the row comes back zero-filled, nothing
+// panics, and the other shards keep answering.
+func TestViewTruncatedUnderLiveView(t *testing.T) {
+	ds := testDataset(t, 300)
+	dir := writeShards(t, ds, 3)
+	v := openView(t, dir, Options{CacheBytes: 4 << 10, BlockBytes: 512})
+	info := &v.Manifest().Shards[1]
+	feat := info.seg(segFeat)
+	// Cut the file halfway through its feature segment: the last rows'
+	// features and every later segment are gone.
+	path := filepath.Join(dir, fmt.Sprintf(shardFilePat, 1))
+	if err := os.Truncate(path, int64(feat.Offset+feat.Length/2)); err != nil {
+		t.Fatal(err)
+	}
+	if err := v.SourceErr(); err != nil {
+		t.Fatalf("SourceErr before any read: %v", err)
+	}
+	row := make([]float32, v.FeatDim())
+	v.CopyFeatureRow(row, 0) // shard 0 is intact
+	if !slices.Equal(row, ds.X.Row(0)) || v.SourceErr() != nil {
+		t.Fatalf("intact shard: row %v, err %v", row, v.SourceErr())
+	}
+
+	last := int32(info.RowStart + info.RowCount - 1)
+	for j := range row {
+		row[j] = 1
+	}
+	v.CopyFeatureRow(row, last)
+	err := v.SourceErr()
+	if err == nil || !strings.Contains(err.Error(), "read feat of shard 1") {
+		t.Fatalf("SourceErr = %v, want the failed feat read of shard 1", err)
+	}
+	if slices.ContainsFunc(row, func(x float32) bool { return x != 0 }) {
+		t.Fatalf("row read past the truncated end is %v, want zeros", row)
+	}
+	if l := v.Label(last); l != 0 {
+		t.Fatalf("label past the truncated end: %d, want 0", l)
+	}
+	if got := v.SourceErr(); got != err {
+		t.Fatalf("sticky error replaced: %v, then %v", err, got)
 	}
 }
 

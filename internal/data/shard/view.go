@@ -24,8 +24,7 @@ const (
 
 // Options tunes how a View reads shard payloads.
 type Options struct {
-	// CacheBytes is the LRU block-cache budget in bytes for the pread mode
-	// (default 64 MiB). Resident blocks stay within it (or one block, if
+	// CacheBytes is the LRU block-cache budget in bytes (default 64 MiB). Resident blocks stay within it (or one block, if
 	// larger); a few recycled buffers and one pinned block per concurrent
 	// reader come on top.
 	CacheBytes int64
@@ -33,11 +32,6 @@ type Options struct {
 	// multiple of 8, minimum 512). Blocks are per segment, so element
 	// alignment survives any block size.
 	BlockBytes int
-	// MMap maps shard files read-only instead of going through the block
-	// cache — zero-copy access paths, with residency left to the page
-	// cache. On platforms without mmap support it silently degrades to
-	// pread (the access results are identical either way).
-	MMap bool
 }
 
 func (o Options) withDefaults() Options {
@@ -53,22 +47,18 @@ func (o Options) withDefaults() Options {
 	if r := o.BlockBytes % segAlign; r != 0 {
 		o.BlockBytes += segAlign - r
 	}
-	if o.MMap && !mmapSupported {
-		o.MMap = false
-	}
 	return o
 }
 
 type viewShard struct {
 	f    *os.File
 	info *ShardInfo
-	data []byte // mmap mode only
 }
 
 // View is the disk-resident graph.NodeSource over a sharded dataset: every
 // access path (CSR neighbour lookup, feature-row fetch, labels, splits,
-// reorder translation) reads through either an LRU block cache over
-// io.ReaderAt or a read-only mmap, never materialising the dataset. Views
+// reorder translation) preads through an LRU block cache, never
+// materialising the dataset. Views
 // are safe for concurrent use. I/O failures after Open are sticky: accessors
 // return zero values and SourceErr reports the first error, which consumers
 // check at batch boundaries.
@@ -79,7 +69,7 @@ type View struct {
 	shards []viewShard
 	starts []uint32 // RowStart per shard, for the row→shard binary search
 
-	cache     *blockCache // nil in mmap mode
+	cache     *blockCache
 	bytesRead atomic.Int64
 
 	errMu  sync.Mutex
@@ -101,10 +91,7 @@ func Open(dir string, opts Options) (*View, error) {
 		return nil, err
 	}
 	opts = opts.withDefaults()
-	v := &View{man: man, dir: dir, opts: opts}
-	if !opts.MMap {
-		v.cache = newBlockCache(opts.CacheBytes, opts.BlockBytes)
-	}
+	v := &View{man: man, dir: dir, opts: opts, cache: newBlockCache(opts.CacheBytes, opts.BlockBytes)}
 	for i := range man.Shards {
 		info := &man.Shards[i]
 		path := filepath.Join(dir, fmt.Sprintf(shardFilePat, i))
@@ -130,22 +117,13 @@ func Open(dir string, opts Options) (*View, error) {
 			v.Close()
 			return nil, err
 		}
-		sh := viewShard{f: f, info: info}
-		if opts.MMap {
-			sh.data, err = mmapFile(f, int64(info.FileSize))
-			if err != nil {
-				f.Close()
-				v.Close()
-				return nil, fmt.Errorf("shard: mmap %s: %w", path, err)
-			}
-		}
-		v.shards = append(v.shards, sh)
+		v.shards = append(v.shards, viewShard{f: f, info: info})
 		v.starts = append(v.starts, info.RowStart)
 	}
 	return v, nil
 }
 
-// Close releases file handles and mappings. Accessors called after Close
+// Close releases the file handles. Accessors called after Close
 // fail through the sticky error.
 func (v *View) Close() error {
 	if v.closed.Swap(true) {
@@ -154,12 +132,6 @@ func (v *View) Close() error {
 	v.setErr(fmt.Errorf("shard: view closed"))
 	var first error
 	for i := range v.shards {
-		if v.shards[i].data != nil {
-			if err := munmapFile(v.shards[i].data); err != nil && first == nil {
-				first = err
-			}
-			v.shards[i].data = nil
-		}
 		if err := v.shards[i].f.Close(); err != nil && first == nil {
 			first = err
 		}
@@ -188,15 +160,14 @@ func (v *View) SourceErr() error {
 
 // IOStats snapshots the block-cache and read counters.
 func (v *View) IOStats() graph.IOStats {
-	st := graph.IOStats{BytesRead: v.bytesRead.Load()}
-	if v.cache != nil { // mmap mode has no block cache, so no budget
-		st.BudgetBytes = v.opts.CacheBytes
-		st.Hits = v.cache.hits.Load()
-		st.Misses = v.cache.misses.Load()
-		st.Evictions = v.cache.evictions.Load()
-		st.CachedBytes = v.cache.residentBytes()
+	return graph.IOStats{
+		Hits:        v.cache.hits.Load(),
+		Misses:      v.cache.misses.Load(),
+		Evictions:   v.cache.evictions.Load(),
+		BytesRead:   v.bytesRead.Load(),
+		CachedBytes: v.cache.residentBytes(),
+		BudgetBytes: v.opts.CacheBytes,
 	}
-	return st
 }
 
 // block returns one cached (or freshly pread) block of a segment, pinned:
@@ -223,23 +194,17 @@ func (v *View) block(si int, seg *Segment, kind uint8, idx int32) *blockEntry {
 }
 
 // segRead visits the byte range [pos, pos+n) of one shard segment in order,
-// possibly in several chunks (pread mode hands out cache blocks; mmap mode
-// hands out one mapped slice). A chunk is valid only until visit returns —
-// pread mode recycles the block's buffer after that. Reports false after
+// one cache block at a time. A chunk is valid only until visit returns —
+// the block's buffer may be recycled after that. Reports false after
 // recording a sticky error.
 func (v *View) segRead(si int, kind uint8, pos, n int64, visit func(b []byte)) bool {
 	if n == 0 {
 		return true
 	}
-	sh := &v.shards[si]
-	seg := sh.info.seg(kind)
+	seg := v.shards[si].info.seg(kind)
 	if seg == nil || pos < 0 || pos+n > int64(seg.Length) {
 		v.setErr(fmt.Errorf("shard: %s range [%d, %d) outside segment", segKindName(kind), pos, pos+n))
 		return false
-	}
-	if sh.data != nil {
-		visit(sh.data[int64(seg.Offset)+pos : int64(seg.Offset)+pos+n])
-		return true
 	}
 	bs := int64(v.opts.BlockBytes)
 	for b := pos / bs; n > 0; b++ {
@@ -341,26 +306,31 @@ func (v *View) AppendNeighbors(buf []int32, i int32) []int32 {
 	if cap(buf) < int(e-s) {
 		buf = make([]int32, 0, int(e-s))
 	}
-	v.segRead(si, segColIdx, int64(s)*4, int64(e-s)*4, func(b []byte) {
+	if !v.segRead(si, segColIdx, int64(s)*4, int64(e-s)*4, func(b []byte) {
 		for o := 0; o+4 <= len(b); o += 4 {
 			buf = append(buf, int32(binary.LittleEndian.Uint32(b[o:])))
 		}
-	})
+	}) {
+		return buf[:0]
+	}
 	return buf
 }
 
-// CopyFeatureRow writes row i's features into dst.
+// CopyFeatureRow writes row i's features into dst; a failed read leaves
+// the row zero-filled.
 func (v *View) CopyFeatureRow(dst []float32, i int32) {
 	si := v.shardOf(i)
 	local := int64(i) - int64(v.starts[si])
 	fd := int64(v.man.FeatDim)
 	j := 0
-	v.segRead(si, segFeat, local*fd*4, fd*4, func(b []byte) {
+	if !v.segRead(si, segFeat, local*fd*4, fd*4, func(b []byte) {
 		for o := 0; o+4 <= len(b); o += 4 {
 			dst[j] = math.Float32frombits(binary.LittleEndian.Uint32(b[o:]))
 			j++
 		}
-	})
+	}) {
+		clear(dst[:fd])
+	}
 }
 
 // Label returns the class label of storage row i.
@@ -409,7 +379,7 @@ func (v *View) readAllU32(si int, kind uint8, dst []int32) bool {
 }
 
 // Materialize reconstructs the full in-memory NodeDataset from the shards —
-// the merge path of `torchgt-data merge`, and the bridge consumers that
+// what `torchgt-data convert -in shard://…` writes back out, and the bridge consumers that
 // genuinely need full arrays (full-sequence trainers, checkpoint resume)
 // take. The result is bitwise-identical to the monolithic dataset the
 // shards were written from (pinned by TestShardRoundTripBitwise).

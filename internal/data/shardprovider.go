@@ -2,6 +2,7 @@ package data
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -10,18 +11,17 @@ import (
 
 // shardProvider answers shard:// specs: the name is the shard directory
 // (written by `torchgt-data shard`), and the dataset stays disk-resident —
-// Open returns a Dataset whose Stream is the mmap/pread-backed shard view.
+// Open returns a Dataset whose Stream is the shard view, which preads
+// through a bounded block cache.
 //
 //	shard://run/arxiv-shards
 //	shard://run/arxiv-shards?cache=16MiB&block=32KiB
-//	shard://run/arxiv-shards?io=mmap
 //
 // Determinism holds across backings: every access path of the view is
 // bitwise-identical to the materialised dataset the shards were written
-// from, regardless of cache budget, block size or I/O mode.
+// from, regardless of cache budget or block size. io=pread is accepted
+// and names the only I/O mode.
 type shardProvider struct{}
-
-func (shardProvider) Scheme() string { return "shard" }
 
 func (shardProvider) ParamKeys() []string { return []string{"cache", "block", "io"} }
 
@@ -41,12 +41,8 @@ func (shardProvider) Open(sp Spec) (*Dataset, error) {
 		}
 		opts.BlockBytes = int(n)
 	}
-	switch v := sp.param("io"); v {
-	case "", "pread":
-	case "mmap":
-		opts.MMap = true
-	default:
-		return nil, fmt.Errorf("data: parameter io=%q: want pread or mmap", v)
+	if v := sp.param("io"); v != "" && v != "pread" {
+		return nil, fmt.Errorf("data: parameter io=%q: pread is the only I/O mode", v)
 	}
 	view, err := shard.Open(sp.Name, opts)
 	if err != nil {
@@ -56,7 +52,8 @@ func (shardProvider) Open(sp Spec) (*Dataset, error) {
 }
 
 // parseByteSize parses "65536", "64KiB", "16MiB", "1GiB" (binary multiples;
-// the short forms K/M/G and KB/MB/GB mean the same).
+// the short forms K/M/G and KB/MB/GB mean the same). Negative sizes and
+// sizes past MaxInt64 bytes are errors.
 func parseByteSize(s string) (int64, error) {
 	t := strings.ToLower(strings.TrimSpace(s))
 	mult := int64(1)
@@ -75,14 +72,8 @@ func parseByteSize(s string) (int64, error) {
 		}
 	}
 	n, err := strconv.ParseInt(strings.TrimSpace(t), 10, 64)
-	if err != nil {
+	if err != nil || n < 0 || n > math.MaxInt64/mult {
 		return 0, fmt.Errorf("bad byte size %q", s)
 	}
 	return n * mult, nil
-}
-
-func init() {
-	if err := Register(shardProvider{}); err != nil {
-		panic(err)
-	}
 }

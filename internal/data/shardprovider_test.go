@@ -1,6 +1,8 @@
 package data
 
 import (
+	"io"
+	"math"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -59,7 +61,7 @@ func TestShardProviderOpensStream(t *testing.T) {
 	}
 	nodeEqual(t, ds, md.Node)
 
-	// Materialize releases the stream's file descriptors and mmaps: the old
+	// Materialize releases the stream's file descriptors: the old
 	// view is closed (sticky error), only the returned dataset stays live.
 	if d.Stream.SourceErr() == nil {
 		t.Fatal("Materialize left the shard stream open")
@@ -93,7 +95,11 @@ func TestShardProviderParamErrors(t *testing.T) {
 		{"zero cache", "?cache=0", "positive byte size"},
 		{"bad block", "?block=huge", "byte size"},
 		{"block too big", "?block=2GiB", "up to 1GiB"},
-		{"bad io", "?io=directio", "want pread or mmap"},
+		{"bad io", "?io=directio", "pread is the only I/O mode"},
+		{"mmap io", "?io=mmap", "pread is the only I/O mode"},
+		{"wrapping cache", "?cache=17179869185GiB", "positive byte size"},
+		{"wrapping block", "?block=17179869185GiB", "up to 1GiB"},
+		{"negative-wrapping cache", "?cache=9007199254740993KiB", "positive byte size"},
 		{"unknown param", "?prefetch=8", "prefetch"},
 	} {
 		_, err := OpenString(spec + tc.suffix)
@@ -108,6 +114,11 @@ func TestShardProviderParamErrors(t *testing.T) {
 	if _, err := OpenString("shard://" + filepath.Join(t.TempDir(), "nope")); err == nil {
 		t.Error("missing shard directory accepted")
 	}
+	d, err := OpenString(spec + "?io=pread")
+	if err != nil {
+		t.Fatalf("io=pread refused: %v", err)
+	}
+	d.Stream.(io.Closer).Close()
 }
 
 func TestParseByteSize(t *testing.T) {
@@ -117,13 +128,16 @@ func TestParseByteSize(t *testing.T) {
 	}{
 		{"65536", 65536}, {"64KiB", 64 << 10}, {"16MiB", 16 << 20}, {"1GiB", 1 << 30},
 		{"64kb", 64 << 10}, {"2m", 2 << 20}, {"1g", 1 << 30}, {" 8 KiB ", 8 << 10},
+		{"8589934591GiB", 8589934591 << 30}, {"9223372036854775807", math.MaxInt64},
 	} {
 		got, err := parseByteSize(tc.in)
 		if err != nil || got != tc.want {
 			t.Errorf("parseByteSize(%q) = %d, %v; want %d", tc.in, got, err, tc.want)
 		}
 	}
-	for _, bad := range []string{"", "KiB", "12.5MiB", "big", "0x10"} {
+	for _, bad := range []string{"", "KiB", "12.5MiB", "big", "0x10",
+		// n*mult past MaxInt64 must not wrap (to 1GiB, or below zero).
+		"-1", "-4KiB", "17179869185GiB", "8589934592GiB", "9007199254740993KiB", "9223372036854775807k"} {
 		if _, err := parseByteSize(bad); err == nil {
 			t.Errorf("parseByteSize(%q) accepted", bad)
 		}

@@ -1,8 +1,9 @@
-// Package data is the dataset layer of TorchGT-Go: a provider registry that
-// resolves URI-style dataset specs into node- or graph-level datasets. A
-// spec names where the data comes from (a synthetic preset, a saved tGDS
-// container, an external edge list or JSONL file), how it is parameterised,
-// and which declarative transforms run over it. The contract is
+// Package data is the dataset layer of TorchGT-Go: a fixed table of
+// providers that resolves URI-style dataset specs into node- or
+// graph-level datasets. A spec names where the data comes from (a
+// synthetic preset, a saved tGDS container, an external edge list or JSONL
+// file, a shard directory), how it is parameterised, and which declarative
+// transforms run over it. The contract is
 // determinism: opening the same spec twice yields bitwise-identical
 // datasets — fields, masks and CSR arrays — which is what lets Session
 // checkpoints record a spec and re-open the data on resume.
@@ -28,8 +29,8 @@ import (
 // string with ParseSpec; the canonical form (String) sorts parameters and
 // always spells the seed, so equal specs compare equal as strings.
 type Spec struct {
-	// Scheme selects the provider ("synth", "file", "edgelist", "jsonl",
-	// or a caller-registered scheme).
+	// Scheme selects the provider ("synth", "file", "edgelist", "jsonl"
+	// or "shard").
 	Scheme string
 	// Name is the provider-specific identifier: the synthetic preset name
 	// or the file path.
@@ -168,8 +169,8 @@ func (sp Spec) checkParams(allowed ...string) error {
 	for _, k := range allowed {
 		ok[k] = true
 	}
-	for _, k := range transformParams {
-		ok[k] = true
+	for _, p := range transformParams {
+		ok[p.key] = true
 	}
 	for k := range sp.Params {
 		if !ok[k] {

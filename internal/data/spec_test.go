@@ -1,6 +1,7 @@
 package data
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -81,20 +82,8 @@ func TestOpenUnknownSchemeAndParams(t *testing.T) {
 	if _, err := OpenString("synth://zinc-sim?nodes=128"); err == nil {
 		t.Fatal("nodes on a graph-level preset must error")
 	}
-}
-
-func TestRegisterRejectsDuplicates(t *testing.T) {
-	if err := Register(synthProvider{}); err == nil {
-		t.Fatal("re-registering a builtin scheme must error")
-	}
-	found := false
-	for _, s := range Schemes() {
-		if s == "synth" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("schemes %v missing synth", Schemes())
+	if got := fmt.Sprint(Schemes()); got != "[edgelist file jsonl shard synth]" {
+		t.Fatalf("schemes %s, want the five built-ins", got)
 	}
 }
 

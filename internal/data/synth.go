@@ -12,7 +12,6 @@ import (
 // graph package's generators (graph.LoadNodeScaled, graph.LoadGraphLevel).
 type synthProvider struct{}
 
-func (synthProvider) Scheme() string      { return "synth" }
 func (synthProvider) ParamKeys() []string { return []string{"nodes"} }
 
 func (synthProvider) Open(sp Spec) (*Dataset, error) {
@@ -40,12 +39,4 @@ func (synthProvider) Open(sp Spec) (*Dataset, error) {
 			strings.Join(graph.GraphLevelDatasetNames(), ", "))
 	}
 	return &Dataset{Node: ds}, nil
-}
-
-func init() {
-	for _, p := range []Provider{synthProvider{}, fileProvider{}, edgeListProvider{}, jsonlProvider{}} {
-		if err := Register(p); err != nil {
-			panic(err)
-		}
-	}
 }

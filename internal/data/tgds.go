@@ -188,7 +188,7 @@ func WriteDataset(w io.Writer, d *Dataset) error {
 // instead of panicking mid-write or producing a misaligned file.
 func checkWritable(d *Dataset) error {
 	if d.Stream != nil {
-		return fmt.Errorf("data: streamed dataset %q cannot be written as a monolithic container directly; materialize it first (torchgt-data merge)", d.Name())
+		return fmt.Errorf("data: streamed dataset %q cannot be written as a monolithic container directly; materialize it first (torchgt-data convert)", d.Name())
 	}
 	if nd := d.Node; nd != nil {
 		n := nd.G.N
@@ -472,7 +472,6 @@ func bytesToBools(b []byte) []bool {
 // fileProvider opens saved tGDS containers of either kind.
 type fileProvider struct{}
 
-func (fileProvider) Scheme() string      { return "file" }
 func (fileProvider) ParamKeys() []string { return nil }
 
 func (fileProvider) Open(sp Spec) (*Dataset, error) { return LoadDataset(sp.Name) }

@@ -29,8 +29,21 @@ type Transform interface {
 // data down), then selfloops, permute, reorder (locality layout is derived
 // from the final graph structure, after any adversarial shuffle), and
 // resplit last (splits refer to the final node/graph set). reorderk rides
-// along with reorder.
-var transformParams = []string{"subsample", "selfloops", "permute", "reorder", "reorderk", "resplit"}
+// along with reorder. Each key is listed with the form of its value.
+var transformParams = []struct{ key, value string }{
+	{"subsample", "N"}, {"selfloops", "1"}, {"permute", "1"},
+	{"reorder", "cluster"}, {"reorderk", "K"}, {"resplit", "TRAIN:VAL"},
+}
+
+// TransformParams lists the transform spec parameters in application
+// order, each as key=value-form ("subsample=N", …).
+func TransformParams() []string {
+	out := make([]string, len(transformParams))
+	for i, p := range transformParams {
+		out[i] = p.key + "=" + p.value
+	}
+	return out
+}
 
 // Per-stage seed offsets: each seeded transform draws from its own stream
 // so adding one stage never shifts another's randomness.

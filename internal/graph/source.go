@@ -87,7 +87,7 @@ type IOStats struct {
 	BytesRead int64 `json:"bytes_read"` // bytes actually read from disk
 
 	CachedBytes int64 `json:"cached_bytes"` // resident cache bytes (gauge)
-	BudgetBytes int64 `json:"budget_bytes"` // configured cache budget (0 in mmap mode: no block cache)
+	BudgetBytes int64 `json:"budget_bytes"` // configured block-cache budget
 }
 
 // IOStatsSource is implemented by sources backed by disk I/O, exposing

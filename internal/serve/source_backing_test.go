@@ -3,7 +3,11 @@ package serve
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -65,8 +69,8 @@ func TestServerBackingInvariant(t *testing.T) {
 		t.Fatalf("budget %d, want %d", st.BudgetBytes, 16<<10)
 	}
 
-	// Randomised differential over cache geometries, pread and mmap: a
-	// budget below one block, 512-byte blocks, seeded sizes. The shared
+	// Randomised differential over cache geometries: a budget below one
+	// block, 512-byte blocks, seeded sizes. The shared
 	// batch repeats a node and packs contexts that overlap (a node and its
 	// neighbours), so the storage-ordered gather visits rows in an order
 	// unrelated to the request order and reads shared rows once.
@@ -80,7 +84,6 @@ func TestServerBackingInvariant(t *testing.T) {
 	geoms := []shard.Options{
 		{CacheBytes: 256, BlockBytes: 512},
 		{CacheBytes: 1 << 10, BlockBytes: 512},
-		{MMap: true},
 	}
 	for i := 0; i < 3; i++ {
 		geoms = append(geoms, shard.Options{
@@ -114,6 +117,66 @@ func TestServerBackingInvariant(t *testing.T) {
 		if err := v.SourceErr(); err != nil {
 			t.Fatalf("%+v: SourceErr: %v", g, err)
 		}
+	}
+}
+
+// TestServeTruncatedShardAnswers503: a shard file truncated under the live
+// view a registry serves turns /predict and /healthz into 503s — the read
+// past the new end is a sticky source error, not a panic or a 200 built
+// from zero-filled rows.
+func TestServeTruncatedShardAnswers503(t *testing.T) {
+	ds := testDataset(300, 65)
+	dir := filepath.Join(t.TempDir(), "shards")
+	if _, err := shard.Write(dir, ds, 3); err != nil {
+		t.Fatal(err)
+	}
+	v, err := shard.Open(dir, shard.Options{CacheBytes: 1 << 10, BlockBytes: 512})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer v.Close()
+	reg := NewRegistry(0)
+	t.Cleanup(reg.Close)
+	if err := reg.RegisterSource("m", v, ModelOptions{Serve: Options{Workers: 1}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := reg.Publish("m", testSnapshot(t, ds, 66)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := reg.Swap("m", 0); err != nil {
+		t.Fatal(err)
+	}
+	h := reg.Handler()
+	get := func(path string) int {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+		return rec.Code
+	}
+	if code := get("/predict?node=5"); code != http.StatusOK {
+		t.Fatalf("healthy /predict: %d", code)
+	}
+	if code := get("/healthz"); code != http.StatusOK {
+		t.Fatalf("healthy /healthz: %d", code)
+	}
+
+	// Keep only each shard file's header: every segment is gone.
+	for i, sh := range v.Manifest().Shards {
+		end := sh.FileSize
+		for _, g := range sh.Segments {
+			end = min(end, g.Offset)
+		}
+		if err := os.Truncate(filepath.Join(dir, fmt.Sprintf("shard_%04d.tgs", i)), int64(end)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if code := get("/predict?node=250"); code != http.StatusServiceUnavailable {
+		t.Fatalf("/predict over a truncated shard: %d, want 503", code)
+	}
+	if code := get("/healthz"); code != http.StatusServiceUnavailable {
+		t.Fatalf("/healthz over a truncated shard: %d, want 503", code)
+	}
+	if v.SourceErr() == nil {
+		t.Fatal("truncated shard left no sticky source error")
 	}
 }
 

@@ -48,11 +48,10 @@ type (
 )
 
 // TaskSpec names the training regime and carries its dataset. Construct one
-// with NodeTask, GraphLevelTask or NodeSeqTask over an in-memory dataset,
-// or with TaskFromSpec / NodeTaskFromSpec / NodeSeqTaskFromSpec /
-// GraphLevelTaskFromSpec over a dataset spec string — spec-built tasks
-// record the spec in Session checkpoints so ResumeSessionFromSpec can
-// re-open the data.
+// with NodeTask or GraphLevelTask over an in-memory dataset, or with
+// TaskFromSpec over a dataset spec string — spec-built tasks record the
+// spec in Session checkpoints so ResumeSessionFromSpec can re-open the
+// data. Seq turns a node task into the mini-batched sequence regime.
 type TaskSpec struct {
 	kind string
 	node *NodeDataset
@@ -66,10 +65,6 @@ func NodeTask(ds *NodeDataset) TaskSpec { return TaskSpec{kind: train.TaskNode, 
 // GraphLevelTask trains on a graph-level dataset (classification or
 // regression; Session.EvalMAE reports the regression headline metric).
 func GraphLevelTask(ds *GraphDataset) TaskSpec { return TaskSpec{kind: train.TaskGraph, gds: ds} }
-
-// NodeSeqTask trains node classification with mini-batched sampled
-// sequences (the Fig. 1 regime); set the length with WithSeqLen.
-func NodeSeqTask(ds *NodeDataset) TaskSpec { return TaskSpec{kind: train.TaskSeq, node: ds} }
 
 // sessionSettings accumulates functional options before the engine is built.
 type sessionSettings struct {
@@ -131,7 +126,8 @@ func WithBatchSize(n int) SessionOption { return func(s *sessionSettings) { s.cf
 // sequence parallelism.
 func WithPack() SessionOption { return func(s *sessionSettings) { s.cfg.Pack = true } }
 
-// WithSeqLen sets the sampled sequence length for NodeSeqTask.
+// WithSeqLen sets the sampled sequence length for a node task converted
+// with Seq (the Fig. 1 regime).
 func WithSeqLen(n int) SessionOption { return func(s *sessionSettings) { s.cfg.SeqLen = n } }
 
 // WithInterval sets the dual-interleave period (default 8).
@@ -276,7 +272,7 @@ func buildTrainer(task TaskSpec, cfg train.Config, mcfg ModelConfig, forResume b
 		tr := train.NewGraphTrainer(cfg, mcfg, ds)
 		return tr, tr.Model, tr, nil
 	}
-	return nil, nil, nil, fmt.Errorf("torchgt: empty TaskSpec (use NodeTask, GraphLevelTask or NodeSeqTask)")
+	return nil, nil, nil, fmt.Errorf("torchgt: empty TaskSpec (use NodeTask, GraphLevelTask or TaskFromSpec)")
 }
 
 // Run trains until the configured epochs complete, early stopping triggers,

@@ -56,7 +56,7 @@ func TestSessionResumePublic(t *testing.T) {
 	}{
 		{"node", nodeCfg, NodeTask(nds), nil},
 		{"graph", graphCfg, GraphLevelTask(gds), []SessionOption{WithBatchSize(8)}},
-		{"seq", nodeCfg, NodeSeqTask(nds), []SessionOption{WithSeqLen(64)}},
+		{"seq", nodeCfg, seqTask(t, nds), []SessionOption{WithSeqLen(64)}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -233,7 +233,7 @@ func TestSessionValidation(t *testing.T) {
 	if err := s.Checkpoint(path); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ResumeSession(path, NodeSeqTask(ds)); err == nil {
+	if _, err := ResumeSession(path, seqTask(t, ds)); err == nil {
 		t.Fatal("task-kind mismatch must fail")
 	}
 	other := sessionNodeDS(t, 128, 98) // same shape, fine

@@ -1,11 +1,6 @@
 package torchgt
 
-import (
-	"fmt"
-
-	"torchgt/internal/data/shard"
-	"torchgt/internal/graph"
-)
+import "torchgt/internal/data/shard"
 
 // Out-of-core sharded datasets. A node dataset too large to hold in memory
 // is written once as a directory of shard files plus a manifest
@@ -14,13 +9,14 @@ import (
 //
 //	shard://run/arxiv-shards                      defaults (64MiB cache)
 //	shard://run/arxiv-shards?cache=8MiB&block=32KiB
-//	shard://run/arxiv-shards?io=mmap
 //
+// Shard bytes are read one way: pread through a bounded block cache.
 // Every access path of the sharded view — neighbours, features, labels,
 // splits, degrees — is bitwise-identical to the dataset the shards were
 // written from, so ego-sampled training (TrainNodeEgoSource) and serving
 // (NewServerSource, ServeRegistry.RegisterSource) produce the same numbers
-// over either backing. See DESIGN.md ("Out-of-core datasets").
+// over either backing. Dataset.Materialize loads a shard:// dataset back
+// into memory. See DESIGN.md ("Out-of-core datasets").
 type (
 	// ShardManifest describes a sharded dataset: header plus the shard and
 	// segment tables.
@@ -43,19 +39,3 @@ func ShardNodeDataset(dir string, ds *NodeDataset, shards int) (*ShardManifest, 
 // LoadShardManifest reads and validates the manifest of a sharded dataset
 // directory without touching the shard payloads.
 func LoadShardManifest(dir string) (*ShardManifest, error) { return shard.LoadManifest(dir) }
-
-// MaterializeNodeSource reconstructs the full in-memory dataset behind a
-// node source: shard views load every segment once (the reconstruction is
-// bitwise-identical to the dataset the shards were written from, pinned by
-// test); sources wrapping an in-memory dataset unwrap for free.
-func MaterializeNodeSource(src NodeSource) (*NodeDataset, error) {
-	if nd := graph.MemDataset(src); nd != nil {
-		return nd, nil
-	}
-	if m, ok := src.(interface {
-		Materialize() (*graph.NodeDataset, error)
-	}); ok {
-		return m.Materialize()
-	}
-	return nil, fmt.Errorf("torchgt: source %q cannot be materialized", src.DatasetName())
-}

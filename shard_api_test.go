@@ -49,21 +49,22 @@ func TestShardPublicSurface(t *testing.T) {
 		t.Fatal("in-memory source claims I/O stats")
 	}
 
-	// MaterializeNodeSource reconstructs the arrays from either backing.
-	md, err := MaterializeNodeSource(src)
+	// Dataset.Materialize reconstructs the arrays from the shards.
+	sd, err := OpenDataset("shard://" + dir)
 	if err != nil {
-		t.Fatalf("MaterializeNodeSource(shard): %v", err)
+		t.Fatal(err)
 	}
-	if md.G.N != ds.G.N || md.X.Rows != ds.X.Rows {
+	md, err := sd.Materialize()
+	if err != nil {
+		t.Fatalf("Materialize(shard): %v", err)
+	}
+	if md.Node.G.N != ds.G.N || md.Node.X.Rows != ds.X.Rows {
 		t.Fatal("materialized dataset has wrong shape")
 	}
 	for i := range ds.X.Data {
-		if md.X.Data[i] != ds.X.Data[i] {
+		if md.Node.X.Data[i] != ds.X.Data[i] {
 			t.Fatalf("materialized features diverge at %d", i)
 		}
-	}
-	if mm, err := MaterializeNodeSource((&Dataset{Node: ds}).Source()); err != nil || mm != ds {
-		t.Fatalf("MaterializeNodeSource(memory) = %v, %v; want the dataset itself", mm, err)
 	}
 
 	// Ego training lands on the same trajectory over either backing.

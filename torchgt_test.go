@@ -60,7 +60,7 @@ func TestPublicSeqTrainer(t *testing.T) {
 	ds := loadNode(t, "pokec-sim", 256, 8)
 	cfg := NodeFormerLite(ds.X.Cols, ds.NumClasses, 9)
 	cfg.Layers = 2
-	_, res := runSession(t, MethodNodeFormer, cfg, NodeSeqTask(ds), WithEpochs(2), WithSeqLen(64), WithSeed(10))
+	_, res := runSession(t, MethodNodeFormer, cfg, seqTask(t, ds), WithEpochs(2), WithSeqLen(64), WithSeed(10))
 	if len(res.Curve) != 2 {
 		t.Fatalf("curve length %d", len(res.Curve))
 	}
