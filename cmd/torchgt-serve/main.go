@@ -13,8 +13,6 @@
 //	torchgt-serve -snapshot model.snap -http :8080                    # HTTP serving
 //	torchgt-serve -epochs 10 -save-snapshot model.snap -loads 200,800 # train, save, sweep
 //	torchgt-serve -epochs 10 -save-snapshot model.snap -train-only    # train, save, exit
-//	torchgt-serve -quant int8 -save-snapshot model-int8.snap          # quantized snapshot
-//	torchgt-serve -quant bf16 -loads 200,800                          # quantized serving path
 //
 // HTTP mode serves the full control plane (a Registry): the model named by
 // -model gets the loaded/trained snapshot published as version 1 and swapped
@@ -24,10 +22,9 @@
 //	torchgt-serve -swap :8080 -model arxiv@1                   # roll back to version 1
 //	kill -HUP <pid>                                            # re-read -snapshot, publish + swap
 //
-// -quant int8|bf16 re-encodes the snapshot's weights for compact storage
-// (int8: per-output-channel scales; bf16: truncated float32) with a
-// documented, test-pinned accuracy bound; replicas dequantize once at
-// startup.
+// A snapshot holds float32 weights; -save-snapshot writes it atomically, so
+// overwriting the file a live server re-reads on SIGHUP never exposes a torn
+// one.
 package main
 
 import (
@@ -70,7 +67,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	snapshotPath := fs.String("snapshot", "", "load a frozen snapshot instead of training (SIGHUP re-reads it in -http mode)")
 	saveSnapshot := fs.String("save-snapshot", "", "write the frozen snapshot to this path")
 	trainOnly := fs.Bool("train-only", false, "obtain + save the snapshot, then exit without serving")
-	quant := fs.String("quant", "", "quantize the snapshot before serving/saving: none | int8 | bf16")
 
 	workers := fs.Int("workers", 0, "replica workers (0 = default)")
 	batch := fs.Int("batch", 16, "max batch size (flush-on-size trigger)")
@@ -100,10 +96,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		return fmt.Errorf("-train-only needs -save-snapshot")
 	}
 
-	qm, err := torchgt.ParseQuantMode(*quant)
-	if err != nil {
-		return err
-	}
 	rates, err := parseLoads(*loads)
 	if err != nil {
 		return err
@@ -129,11 +121,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		if snap, err = torchgt.LoadSnapshot(*snapshotPath); err != nil {
 			return err
 		}
-		desc := ""
-		if q := snap.Quant(); q != torchgt.QuantNone {
-			desc = fmt.Sprintf(", %s-quantized", q)
-		}
-		fmt.Fprintf(stdout, "loaded snapshot %s (%s, %d params%s)\n", *snapshotPath, snap.Config().Name, snap.NumParams(), desc)
+		fmt.Fprintf(stdout, "loaded snapshot %s (%s, %d params)\n", *snapshotPath, snap.Config().Name, snap.NumParams())
 	} else {
 		if ds == nil {
 			return fmt.Errorf("%s is disk-resident; the quick train needs the arrays in memory — pass -snapshot, or materialize once with torchgt-data convert", spec)
@@ -157,12 +145,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 			return err
 		}
 		fmt.Fprintf(stdout, "trained: final test accuracy %.2f%%\n", res.FinalTestAcc*100)
-	}
-	if qm != torchgt.QuantNone && snap.Quant() != qm {
-		if snap, err = torchgt.QuantizeSnapshot(snap, qm); err != nil {
-			return err
-		}
-		fmt.Fprintf(stdout, "snapshot quantized to %s\n", snap.Quant())
 	}
 	if *saveSnapshot != "" {
 		if err := torchgt.SaveSnapshot(*saveSnapshot, snap); err != nil {

@@ -44,7 +44,7 @@ func TestServeRefusals(t *testing.T) {
 		{"unknown preset", []string{"-dataset", "no-such"}, "unknown synth preset"},
 		{"no kernel choice", []string{"-mode", "dense"}, "-mode"},
 		{"no replica scaling", []string{"-max-workers", "3"}, "-max-workers"},
-		{"bad quant", []string{"-quant", "int3"}, "int3"},
+		{"no snapshot quantization", []string{"-quant", "int8"}, "-quant"},
 		{"bad loads", []string{"-loads", "100,-5"}, "bad load"},
 		{"bad model spec", []string{"-model", "m@x"}, "bad version"},
 		{"missing snapshot", []string{"-snapshot", filepath.Join(dir, "none.snap")}, "none.snap"},
@@ -126,12 +126,12 @@ func TestServeShorthandEqualsSpec(t *testing.T) {
 		t.Fatal("the shorthand and its spec trained different snapshots")
 	}
 
-	out, err = serve(t, "-data", "synth://arxiv-sim?nodes=96&seed=4", "-snapshot", a, "-quant", "int8",
+	out, err = serve(t, "-data", "synth://arxiv-sim?nodes=96&seed=4", "-snapshot", a,
 		"-loads", "100", "-duration", "100ms", "-workers", "1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"loaded snapshot " + a, "snapshot quantized to int8", "server: 1 workers", "totals: "} {
+	for _, want := range []string{"loaded snapshot " + a, "server: 1 workers", "totals: "} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("output missing %q:\n%s", want, out)
 		}

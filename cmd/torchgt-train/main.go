@@ -389,7 +389,7 @@ func finish(ctx context.Context, sess *torchgt.Session, ckptDir, finalWeights st
 			if tr != nil {
 				p = fmt.Sprintf("%s.rank%d", p, tr.Rank())
 			}
-			if err := sess.SaveWeights(p); err != nil {
+			if err := torchgt.SaveModel(p, sess.Model()); err != nil {
 				return err
 			}
 			fmt.Printf("final weights written to %s\n", p)

@@ -97,14 +97,35 @@ func LoadParams(r io.Reader, params []*Param) error {
 	return nil
 }
 
-// SaveCheckpoint writes a module's parameters to path.
+// SaveCheckpoint writes a module's parameters to path, atomically.
 func SaveCheckpoint(path string, m Module) error {
-	f, err := os.Create(path)
+	return WriteFileAtomic(path, func(w *bufio.Writer) error { return SaveParams(w, m.Params()) })
+}
+
+// WriteFileAtomic writes a file through write: the bytes go to path+".tmp",
+// which is flushed, closed (its error checked) and renamed over path, so a
+// reader of path sees the old file or the new one, never a torn one. The
+// temporary file is removed on every failure.
+func WriteFileAtomic(path string, write func(w *bufio.Writer) error) error {
+	tmp := path + ".tmp"
+	f, err := os.Create(tmp)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	return SaveParams(f, m.Params())
+	defer os.Remove(tmp)
+	bw := bufio.NewWriter(f)
+	if err := write(bw); err != nil {
+		f.Close()
+		return err
+	}
+	if err := bw.Flush(); err != nil {
+		f.Close()
+		return err
+	}
+	if err := f.Close(); err != nil {
+		return err
+	}
+	return os.Rename(tmp, path)
 }
 
 // LoadCheckpoint restores a module's parameters from path; the module must

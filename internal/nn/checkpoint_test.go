@@ -1,8 +1,11 @@
 package nn
 
 import (
+	"bufio"
 	"bytes"
+	"errors"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"testing"
 )
@@ -74,5 +77,28 @@ func TestSaveLoadCheckpointFile(t *testing.T) {
 	}
 	if err := LoadCheckpoint(filepath.Join(t.TempDir(), "missing.bin"), l); err == nil {
 		t.Fatal("missing file must error")
+	}
+}
+
+// TestWriteFileAtomicKeepsOldFileOnError: a write that fails part-way leaves
+// the previous file whole and no temporary sibling.
+func TestWriteFileAtomicKeepsOldFileOnError(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "w.bin")
+	if err := os.WriteFile(path, []byte("old"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	boom := errors.New("boom")
+	err := WriteFileAtomic(path, func(w *bufio.Writer) error {
+		w.WriteString("a partly written new file")
+		return boom
+	})
+	if !errors.Is(err, boom) {
+		t.Fatalf("WriteFileAtomic returned %v, want the writer's error", err)
+	}
+	if got, err := os.ReadFile(path); err != nil || string(got) != "old" {
+		t.Fatalf("after a failed write the file holds %q (%v), want %q", got, err, "old")
+	}
+	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
+		t.Fatalf("a failed write left %s.tmp behind (%v)", path, err)
 	}
 }

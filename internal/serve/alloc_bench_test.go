@@ -20,16 +20,10 @@ import (
 
 // benchServer builds a one-worker engine (maxBatch 0 keeps the default) and
 // warms it with one PredictBatch of batch nodes.
-func benchServer(b *testing.B, batch, maxBatch int, q Quant) (*Server, []int32) {
+func benchServer(b *testing.B, batch, maxBatch int) (*Server, []int32) {
 	b.Helper()
 	ds := testDataset(256, 41)
 	snap := testSnapshot(b, ds, 42)
-	if q != QuantNone {
-		var err error
-		if snap, err = snap.Quantize(q); err != nil {
-			b.Fatal(err)
-		}
-	}
 	s, err := NewServer(snap, ds, Options{
 		Workers: 1, MaxBatch: maxBatch,
 		Exec: &model.ExecOptions{Workers: 1, PoolEnabled: true},
@@ -46,10 +40,10 @@ func benchServer(b *testing.B, batch, maxBatch int, q Quant) (*Server, []int32) 
 	return s, nodes
 }
 
-func benchPredictBatch(b *testing.B, batch int, q Quant) {
+func benchPredictBatch(b *testing.B, batch int) {
 	prev := tensor.SetWorkers(1)
 	defer tensor.SetWorkers(prev)
-	s, nodes := benchServer(b, batch, batch, q)
+	s, nodes := benchServer(b, batch, batch)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -60,9 +54,9 @@ func benchPredictBatch(b *testing.B, batch int, q Quant) {
 	}
 }
 
-func BenchmarkServeBatch1(b *testing.B)  { benchPredictBatch(b, 1, QuantNone) }
-func BenchmarkServeBatch8(b *testing.B)  { benchPredictBatch(b, 8, QuantNone) }
-func BenchmarkServeBatch32(b *testing.B) { benchPredictBatch(b, 32, QuantNone) }
+func BenchmarkServeBatch1(b *testing.B)  { benchPredictBatch(b, 1) }
+func BenchmarkServeBatch8(b *testing.B)  { benchPredictBatch(b, 8) }
+func BenchmarkServeBatch32(b *testing.B) { benchPredictBatch(b, 32) }
 
 // BenchmarkServeBatch8Full runs BenchmarkServeBatch8's built batch through a
 // forward without Targets: every row through every layer, the work a served
@@ -72,7 +66,7 @@ func BenchmarkServeBatch32(b *testing.B) { benchPredictBatch(b, 32, QuantNone) }
 func BenchmarkServeBatch8Full(b *testing.B) {
 	prev := tensor.SetWorkers(1)
 	defer tensor.SetWorkers(prev)
-	s, nodes := benchServer(b, 8, 8, QuantNone)
+	s, nodes := benchServer(b, 8, 8)
 	m, err := s.snap.Materialize()
 	if err != nil {
 		b.Fatal(err)
@@ -98,7 +92,7 @@ func BenchmarkServeBatch8Full(b *testing.B) {
 func BenchmarkServePredictIdle(b *testing.B) {
 	prev := tensor.SetWorkers(1)
 	defer tensor.SetWorkers(prev)
-	s, nodes := benchServer(b, 1, 0, QuantNone)
+	s, nodes := benchServer(b, 1, 0)
 	ctx := context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -176,13 +170,6 @@ func benchCold(b *testing.B, shards bool) {
 // the in-memory dataset.
 func BenchmarkServeBatch16Cold(b *testing.B)    { benchCold(b, true) }
 func BenchmarkServeBatch16ColdMem(b *testing.B) { benchCold(b, false) }
-
-// Quantized serving path: replicas dequantize at materialize time, so the
-// steady-state request cost must match the float32 server (same f32 kernels,
-// same pooled buffers). These benchmarks hold the quantized path to the same
-// allocs/op ceilings in ci/bench-baseline.json.
-func BenchmarkServeBatch8Int8(b *testing.B) { benchPredictBatch(b, 8, QuantInt8) }
-func BenchmarkServeBatch8BF16(b *testing.B) { benchPredictBatch(b, 8, QuantBF16) }
 
 // BenchmarkEgoCacheHit measures the warm ego-context lookup — the hot path a
 // repeat query takes instead of a BFS rebuild. The contract (enforced by the

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"errors"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
@@ -14,43 +13,33 @@ import (
 // TestPredictBatchMatchesFullForward: a served answer is the full forward's
 // — every row through every layer — of the same built batch, read at the
 // request's target row, bit for bit: pruning to the targets' receptive field
-// moves nothing. Float32 and int8 snapshots, and batches with a repeated
-// node.
+// moves nothing. Batches include a repeated node.
 func TestPredictBatchMatchesFullForward(t *testing.T) {
 	ds := testDataset(160, 81)
 	batches := [][]int32{{3}, {5, 80, 5, 17}, {0, 9, 33, 57, 101, 150, 120, 159, 2, 64, 77, 31, 8, 140, 99, 44}}
-	for _, q := range []Quant{QuantNone, QuantInt8} {
-		name := fmt.Sprintf("quant=%v", q)
-		snap := testSnapshot(t, ds, 82)
-		if q != QuantNone {
-			var err error
-			if snap, err = snap.Quantize(q); err != nil {
-				t.Fatal(err)
-			}
-		}
-		s := mustServer(t, snap, ds, Options{Workers: 2})
-		ref, err := snap.Materialize()
+	snap := testSnapshot(t, ds, 82)
+	s := mustServer(t, snap, ds, Options{Workers: 2})
+	ref, err := snap.Materialize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, nodes := range batches {
+		got := s.PredictBatch(nodes)
+		b, err := s.buildBatch(nodes)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, nodes := range batches {
-			got := s.PredictBatch(nodes)
-			b, err := s.buildBatch(nodes)
-			if err != nil {
-				t.Fatal(err)
+		targets := b.in.Targets
+		b.in.Targets = nil
+		logits := ref.Forward(b.in, b.spec, false)
+		for i, n := range nodes {
+			want := softmax(logits.Row(int(targets[i])))
+			if got[i].Err != nil || !bitsEqual(got[i].Probs, want) || got[i].Class != argmax(want) {
+				t.Fatalf("node %d of a %d-batch: served %v (class %d, err %v), full forward %v",
+					n, len(nodes), got[i].Probs, got[i].Class, got[i].Err, want)
 			}
-			targets := b.in.Targets
-			b.in.Targets = nil
-			logits := ref.Forward(b.in, b.spec, false)
-			for i, n := range nodes {
-				want := softmax(logits.Row(int(targets[i])))
-				if got[i].Err != nil || !bitsEqual(got[i].Probs, want) || got[i].Class != argmax(want) {
-					t.Fatalf("%s: node %d of a %d-batch: served %v (class %d, err %v), full forward %v",
-						name, n, len(nodes), got[i].Probs, got[i].Class, got[i].Err, want)
-				}
-			}
-			s.packers.Put(b.packer)
 		}
+		s.packers.Put(b.packer)
 	}
 }
 

@@ -20,9 +20,8 @@ import (
 // the only currency between training and serving.
 type Snapshot struct {
 	cfg       model.Config
-	blob      []byte // parameter encoding (nn checkpoint, or quantized blob)
+	blob      []byte // float32 parameters, as nn.SaveParams writes them
 	numParams int    // scalar parameter count, recorded at freeze/load time
-	quant     Quant  // weight storage precision (QuantNone for Freeze output)
 }
 
 // Freeze extracts a serving snapshot from a trained model. The model's own
@@ -54,56 +53,46 @@ func (s *Snapshot) Materialize() (*model.GraphTransformer, error) {
 	cfg := s.cfg
 	cfg.Dropout = 0
 	m := model.NewGraphTransformer(cfg)
-	if s.quant == QuantNone {
-		if err := nn.LoadParams(bytes.NewReader(s.blob), m.Params()); err != nil {
-			return nil, fmt.Errorf("serve: materialize: %w", err)
-		}
-	} else {
-		if err := decodeQuantParams(bytes.NewReader(s.blob), m.Params()); err != nil {
-			return nil, fmt.Errorf("serve: materialize: %w", err)
-		}
+	if err := nn.LoadParams(bytes.NewReader(s.blob), m.Params()); err != nil {
+		return nil, fmt.Errorf("serve: materialize: %w", err)
 	}
 	return m, nil
 }
 
 // Snapshot file format: magic, version, a length-prefixed JSON header (the
-// model configuration and the quantization mode), then the parameter blob.
+// model configuration), then the float32 parameter blob.
 const (
 	snapshotMagic   = 0x74475376 // "tGSv"
 	snapshotVersion = 2
 	maxConfigBytes  = 1 << 16
 )
 
-// snapshotHeader is the JSON header.
+// snapshotHeader is the JSON header. Encoding is read only to refuse the
+// quantized weights earlier builds could write ("" and "none" are float32);
+// Save leaves it out.
 type snapshotHeader struct {
-	Config model.Config `json:"config"`
-	Quant  string       `json:"quant"`
+	Config   model.Config `json:"config"`
+	Encoding string       `json:"quant,omitempty"`
 }
 
-// Save writes the snapshot to path.
+// Save writes the snapshot to path, atomically.
 func (s *Snapshot) Save(path string) error {
-	f, err := os.Create(path)
+	hdr, err := json.Marshal(snapshotHeader{Config: s.cfg})
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	bw := bufio.NewWriter(f)
-	hdr, err := json.Marshal(snapshotHeader{Config: s.cfg, Quant: s.quant.String()})
-	if err != nil {
-		return err
-	}
-	for _, v := range []uint32{snapshotMagic, snapshotVersion, uint32(len(hdr))} {
-		if err := binary.Write(bw, binary.LittleEndian, v); err != nil {
+	return nn.WriteFileAtomic(path, func(bw *bufio.Writer) error {
+		for _, v := range []uint32{snapshotMagic, snapshotVersion, uint32(len(hdr))} {
+			if err := binary.Write(bw, binary.LittleEndian, v); err != nil {
+				return err
+			}
+		}
+		if _, err := bw.Write(hdr); err != nil {
 			return err
 		}
-	}
-	if _, err := bw.Write(hdr); err != nil {
+		_, err := bw.Write(s.blob)
 		return err
-	}
-	if _, err := bw.Write(s.blob); err != nil {
-		return err
-	}
-	return bw.Flush()
+	})
 }
 
 // LoadSnapshot reads a snapshot written by Save and verifies it materializes
@@ -148,17 +137,17 @@ func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 	if err := json.Unmarshal(hdr, &h); err != nil {
 		return nil, fmt.Errorf("serve: corrupt snapshot header: %w", err)
 	}
-	q, err := ParseQuant(h.Quant)
-	if err != nil {
-		return nil, fmt.Errorf("serve: corrupt snapshot header: %w", err)
+	if h.Encoding != "" && h.Encoding != "none" {
+		return nil, fmt.Errorf("serve: snapshot weights are %q-quantized, and this build reads float32 snapshots only; freeze the model again to write a current snapshot", h.Encoding)
 	}
-	s := &Snapshot{cfg: h.Config, quant: q}
-	if s.blob, err = io.ReadAll(br); err != nil {
+	blob, err := io.ReadAll(br)
+	if err != nil {
 		return nil, err
 	}
-	if err := checkConfig(h.Config, len(s.blob)); err != nil {
+	if err := checkConfig(h.Config, len(blob)); err != nil {
 		return nil, fmt.Errorf("serve: corrupt snapshot header: %w", err)
 	}
+	s := &Snapshot{cfg: h.Config, blob: blob}
 	// A snapshot that cannot materialize (truncated blob, config/weight
 	// mismatch) is rejected at load time, not at first request.
 	m, err := s.Materialize()
@@ -171,8 +160,8 @@ func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 
 // checkConfig refuses a header configuration before anything is allocated
 // for it: shapes NewGraphTransformer cannot build, and a parameter count the
-// blob cannot hold — every encoding, int8 included, spends at least one byte
-// per parameter, so a header may not promise more parameters than blobBytes.
+// blob cannot hold — the blob spends four bytes per float32 parameter, so a
+// header may not promise more parameters than blobBytes/4.
 func checkConfig(c model.Config, blobBytes int) error {
 	switch {
 	case c.Layers <= 0 || c.Hidden <= 0 || c.InDim <= 0 || c.OutDim <= 0:
@@ -182,7 +171,7 @@ func checkConfig(c model.Config, blobBytes int) error {
 	case c.FFNHidden < 0 || c.NumBuckets < 0 || c.LapDim < 0:
 		return fmt.Errorf("ffn %d, buckets %d, lap dim %d: none may be negative", c.FFNHidden, c.NumBuckets, c.LapDim)
 	}
-	if n := paramCount(c); n > float64(blobBytes) {
+	if n := paramCount(c); 4*n > float64(blobBytes) {
 		return fmt.Errorf("configuration has %.0f parameters, the %d-byte blob cannot hold them", n, blobBytes)
 	}
 	return nil

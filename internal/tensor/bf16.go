@@ -33,26 +33,3 @@ func RoundBF16Slice(s []float32) {
 
 // RoundBF16Mat rounds every element of m to bfloat16 precision in place.
 func RoundBF16Mat(m *Mat) { RoundBF16Slice(m.Data) }
-
-// MaxRelErrorBF16 reports the worst-case relative rounding error incurred by
-// RoundBF16 over s: max over finite, non-zero elements of
-// |RoundBF16(v)−v| / |v|. Subnormal inputs are included — their relative
-// error can reach 1 (they round to zero), which is exactly why quantized
-// serving documents its bound for normal-range weights. Elements that are
-// zero, NaN, or Inf contribute nothing. Used by the serving error-bound test
-// to tie the measured snapshot deviation back to the per-weight 2⁻⁸ bf16
-// bound.
-func MaxRelErrorBF16(s []float32) float64 {
-	worst := 0.0
-	for _, v := range s {
-		fv := float64(v)
-		if fv == 0 || math.IsNaN(fv) || math.IsInf(fv, 0) {
-			continue
-		}
-		rel := math.Abs(float64(RoundBF16(v))-fv) / math.Abs(fv)
-		if rel > worst {
-			worst = rel
-		}
-	}
-	return worst
-}

@@ -7,7 +7,7 @@ import (
 
 // Edge-case coverage for RoundBF16 beyond the property tests in ops_test.go:
 // subnormals, signed zero, NaN payloads, and the saturation boundary near
-// MaxFloat32 — the corners the quantized bf16 serving path leans on.
+// MaxFloat32.
 
 func TestRoundBF16Subnormals(t *testing.T) {
 	// The smallest positive float32 subnormal has no bf16 representation
@@ -100,33 +100,5 @@ func TestRoundBF16SaturationBoundary(t *testing.T) {
 	above := math.Float32frombits(0x7f7f0000 | 0x8000)
 	if got := RoundBF16(above); math.IsInf(float64(got), 0) || got != maxBF16 {
 		t.Fatalf("midpoint value must saturate to maxBF16, got %v", got)
-	}
-}
-
-func TestMaxRelErrorBF16(t *testing.T) {
-	// For normal values the bound is 2⁻⁸; the helper must confirm it on a
-	// dense scan and report 0 for exactly-representable inputs.
-	vals := make([]float32, 0, 4096)
-	for i := 0; i < 4096; i++ {
-		vals = append(vals, float32(1+float64(i)/4096))
-	}
-	worst := MaxRelErrorBF16(vals)
-	if worst > 1.0/256+1e-9 {
-		t.Fatalf("normal-range worst rel err %v exceeds 2^-8", worst)
-	}
-	if worst == 0 {
-		t.Fatal("scan must find some rounding error")
-	}
-	if MaxRelErrorBF16([]float32{1, 2, 0.5, -4}) != 0 {
-		t.Fatal("exactly representable values must give 0")
-	}
-	// Zeros, NaN, Inf are ignored rather than polluting the max.
-	if MaxRelErrorBF16([]float32{0, float32(math.NaN()), float32(math.Inf(1))}) != 0 {
-		t.Fatal("non-finite / zero entries must contribute nothing")
-	}
-	// Subnormals may reach rel err 1 (round to zero) — included by design.
-	tiny := math.Float32frombits(1)
-	if MaxRelErrorBF16([]float32{tiny}) != 1 {
-		t.Fatalf("min subnormal rel err = %v, want 1", MaxRelErrorBF16([]float32{tiny}))
 	}
 }

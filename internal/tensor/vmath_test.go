@@ -186,21 +186,16 @@ func edgeInputs() []float32 {
 }
 
 // TestLaneMathMatchesScalar is the equality proof behind the lane-wise
-// exp/GELU kernels. Their input domain is float32, so it is enumerated: all
-// 2³² bit patterns on the AVX2 path in the full run (the portable path is the
-// scalar loop itself and takes the -short sample), 2²⁴ of them — an odd
-// stride, so every low-order bit varies — under -short. Then every branch
-// edge with its neighbours, under each shift and cut, bias and upstream
-// gradient, both packed (groups that mix in-range and out-of-range lanes) and
-// one value at a time (a full group plus a three-element tail).
+// exp/GELU kernels. Their input domain is float32: 2²⁴ bit patterns — an odd
+// stride, so every low-order bit varies — then every branch edge with its
+// neighbours, under each shift and cut, bias and upstream gradient, both
+// packed (groups that mix in-range and out-of-range lanes) and one value at a
+// time (a full group plus a three-element tail). TestLaneMathExhaustive
+// (build tag exhaustive) sweeps all 2³² patterns.
 func TestLaneMathMatchesScalar(t *testing.T) { forEachISA(t, testLaneMathMatchesScalar) }
 
 func testLaneMathMatchesScalar(t *testing.T) {
-	stride := uint64(257)
-	if !testing.Short() && mathLanes(4) > 0 {
-		stride = 1
-	}
-	sweepPatterns(t, stride)
+	sweepPatterns(t, 257)
 
 	var scratch [3][]float32
 	edges := edgeInputs()

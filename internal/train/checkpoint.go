@@ -122,43 +122,23 @@ func (l *Loop) Checkpoint(path string) error {
 		return fmt.Errorf("train: checkpoint params: %w", err)
 	}
 
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp)
-	bw := bufio.NewWriter(f)
-	for _, v := range []uint32{checkpointMagic, checkpointVersion, uint32(len(hdr))} {
-		if err := binary.Write(bw, binary.LittleEndian, v); err != nil {
-			f.Close()
+	return nn.WriteFileAtomic(path, func(bw *bufio.Writer) error {
+		for _, v := range []uint32{checkpointMagic, checkpointVersion, uint32(len(hdr))} {
+			if err := binary.Write(bw, binary.LittleEndian, v); err != nil {
+				return err
+			}
+		}
+		if _, err := bw.Write(hdr); err != nil {
 			return err
 		}
-	}
-	if _, err := bw.Write(hdr); err != nil {
-		f.Close()
-		return err
-	}
-	if err := binary.Write(bw, binary.LittleEndian, uint64(params.Len())); err != nil {
-		f.Close()
-		return err
-	}
-	if _, err := bw.Write(params.Bytes()); err != nil {
-		f.Close()
-		return err
-	}
-	if err := l.writeMoments(bw); err != nil {
-		f.Close()
-		return err
-	}
-	if err := bw.Flush(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
+		if err := binary.Write(bw, binary.LittleEndian, uint64(params.Len())); err != nil {
+			return err
+		}
+		if _, err := bw.Write(params.Bytes()); err != nil {
+			return err
+		}
+		return l.writeMoments(bw)
+	})
 }
 
 // writeMoments appends the Adam moment tensors in parameter order.

@@ -31,36 +31,6 @@ type (
 	Snapshot = serve.Snapshot
 )
 
-// QuantMode selects a snapshot weight encoding for the inference-only
-// quantized serving path (none, int8 per-output-channel, bf16).
-type QuantMode = serve.Quant
-
-// Snapshot weight encodings. Quantization is serving-only: training always
-// runs in float32, and replicas dequantize once at materialization, so the
-// serving forward pass itself is unchanged. Error bounds are documented on
-// QuantizeSnapshot and pinned by test.
-const (
-	QuantNone = serve.QuantNone
-	QuantInt8 = serve.QuantInt8
-	QuantBF16 = serve.QuantBF16
-)
-
-// ParseQuantMode converts a CLI name ("none", "int8", "bf16"; "" and "f32"
-// mean none) into a QuantMode.
-func ParseQuantMode(s string) (QuantMode, error) { return serve.ParseQuant(s) }
-
-// QuantModeNames lists the selectable quantization spellings.
-func QuantModeNames() []string { return serve.QuantNames() }
-
-// QuantizeSnapshot re-encodes a float32 snapshot's weights for compact
-// storage and distribution. QuantInt8 stores matrix parameters as int8 with
-// one float32 scale per output channel (absolute error per weight ≤
-// maxabs_column/254; bias/gain vectors stay float32 exactly). QuantBF16
-// stores every parameter as bfloat16 (relative error ≤ 2⁻⁸). QuantNone
-// returns the snapshot unchanged. The result serves through NewServer like
-// any snapshot and round-trips through SaveSnapshot/LoadSnapshot.
-func QuantizeSnapshot(s *Snapshot, q QuantMode) (*Snapshot, error) { return s.Quantize(q) }
-
 // Freeze extracts an immutable serving snapshot from a trained model.
 func Freeze(m *GraphTransformer) (*Snapshot, error) { return serve.Freeze(m) }
 

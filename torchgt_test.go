@@ -3,6 +3,8 @@ package torchgt
 import (
 	"bytes"
 	"context"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -131,6 +133,66 @@ func TestPublicCheckpointRoundTrip(t *testing.T) {
 	b := m2.Forward(in, spec, false)
 	if !a.Equal(b, 0) {
 		t.Fatal("loaded model diverges from saved model")
+	}
+}
+
+// TestSaveOverwritesAtomically: saving a snapshot or a model over an
+// existing file replaces it whole (the reload carries the second model's
+// weights) and leaves no temporary sibling; saving into a missing directory
+// is an error.
+func TestSaveOverwritesAtomically(t *testing.T) {
+	ds := loadNode(t, "arxiv-sim", 64, 22)
+	cfg := GraphormerSlim(ds.X.Cols, ds.NumClasses, 23)
+	cfg.Layers = 1
+	dir := t.TempDir()
+	snapPath, modelPath := filepath.Join(dir, "m.snap"), filepath.Join(dir, "m.ckpt")
+	var last *GraphTransformer
+	for _, seed := range []int64{1, 2} {
+		cfg.Seed = seed
+		last = NewGraphTransformer(cfg)
+		snap, err := Freeze(last)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := SaveSnapshot(snapPath, snap); err != nil {
+			t.Fatal(err)
+		}
+		if err := SaveModel(modelPath, last); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snap, err := LoadSnapshot(snapPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	replica, err := snap.Materialize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	weightsEqual(t, replica, last)
+	cfg.Seed = 99
+	reloaded := NewGraphTransformer(cfg)
+	if err := LoadModel(modelPath, reloaded); err != nil {
+		t.Fatal(err)
+	}
+	weightsEqual(t, reloaded, last)
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	if strings.Join(names, " ") != "m.ckpt m.snap" {
+		t.Fatalf("directory after two saves holds %v, want only m.ckpt and m.snap", names)
+	}
+	missing := filepath.Join(dir, "no-such-dir")
+	if err := SaveSnapshot(filepath.Join(missing, "m.snap"), snap); err == nil {
+		t.Fatal("SaveSnapshot into a missing directory must fail")
+	}
+	if err := SaveModel(filepath.Join(missing, "m.ckpt"), last); err == nil {
+		t.Fatal("SaveModel into a missing directory must fail")
 	}
 }
 

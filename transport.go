@@ -3,11 +3,9 @@ package torchgt
 import (
 	"context"
 	"fmt"
-	"os"
 
 	"torchgt/internal/dist/transport"
 	"torchgt/internal/model"
-	"torchgt/internal/nn"
 	"torchgt/internal/train"
 )
 
@@ -125,19 +123,4 @@ func applyDist(st *sessionSettings, loop *train.Loop) error {
 	}
 	m.SetPlan(plan)
 	return nil
-}
-
-// SaveWeights writes just the model's parameters (the nn checkpoint
-// encoding, no optimiser or RNG state) to path. Distributed launchers use
-// it to compare final weights across ranks bitwise; load with LoadModel.
-func (s *Session) SaveWeights(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := nn.SaveParams(f, s.loop.Model().Params()); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
