@@ -11,8 +11,8 @@
 //
 // Every run additionally writes one BENCH_<id>.json artifact per executed
 // experiment into -outdir (default .): the machine-readable record CI
-// uploads, carrying the full text report plus scale, kernel ISA, duration
-// and outcome.
+// uploads, carrying the full text report plus scale, kernel ISA, the machine
+// it ran on (CPU model, CPU count, GOMAXPROCS), duration and outcome.
 package main
 
 import (
@@ -25,6 +25,8 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"runtime"
+	"strings"
 	"syscall"
 	"time"
 
@@ -38,6 +40,9 @@ type artifact struct {
 	Title      string `json:"title"`
 	Scale      string `json:"scale"`
 	ISA        string `json:"isa"`
+	CPU        string `json:"cpu"`
+	NProc      int    `json:"nproc"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
 	DurationMS int64  `json:"duration_ms"`
 	OK         bool   `json:"ok"`
 	Error      string `json:"error,omitempty"`
@@ -81,6 +86,7 @@ func run(ctx context.Context, args []string) error {
 	if err := os.MkdirAll(*outdir, 0o755); err != nil {
 		return err
 	}
+	cpu := cpuModel()
 	var firstErr error
 	for _, id := range ids {
 		if err := ctx.Err(); err != nil {
@@ -94,6 +100,9 @@ func run(ctx context.Context, args []string) error {
 		art := artifact{
 			ID: id, Title: e.Title, Scale: *scale,
 			ISA:        torchgt.KernelISA(),
+			CPU:        cpu,
+			NProc:      runtime.NumCPU(),
+			GOMAXPROCS: runtime.GOMAXPROCS(0),
 			DurationMS: time.Since(t0).Milliseconds(),
 			OK:         runErr == nil,
 			Report:     buf.String(),
@@ -112,6 +121,21 @@ func run(ctx context.Context, args []string) error {
 		}
 	}
 	return firstErr
+}
+
+// cpuModel names the processor as /proc/cpuinfo does ("model name"), or
+// the architecture where that file or line is missing: timings from one
+// machine compare only with timings from the same one.
+func cpuModel() string {
+	b, err := os.ReadFile("/proc/cpuinfo")
+	if err == nil {
+		for _, line := range strings.Split(string(b), "\n") {
+			if k, v, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(k) == "model name" {
+				return strings.TrimSpace(v)
+			}
+		}
+	}
+	return runtime.GOARCH
 }
 
 func writeArtifact(dir string, art *artifact) error {

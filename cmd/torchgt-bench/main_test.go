@@ -1,10 +1,12 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -34,6 +36,14 @@ func TestBenchWritesArtifact(t *testing.T) {
 	}
 	if art.Title == "" || (art.ISA != "avx2" && art.ISA != "portable") {
 		t.Fatalf("artifact missing isa/title: %+v", art)
+	}
+	if art.CPU == "" || art.NProc != runtime.NumCPU() || art.GOMAXPROCS != runtime.GOMAXPROCS(0) {
+		t.Fatalf("artifact must name its machine (cpu %q, nproc %d, gomaxprocs %d)", art.CPU, art.NProc, art.GOMAXPROCS)
+	}
+	for _, key := range []string{`"cpu"`, `"nproc"`, `"gomaxprocs"`} {
+		if !bytes.Contains(b, []byte(key)) {
+			t.Fatalf("artifact has no %s field:\n%s", key, b)
+		}
 	}
 	if art.Report == "" {
 		t.Fatal("artifact must embed the text report")

@@ -5,29 +5,17 @@ import (
 	"torchgt/internal/tensor"
 )
 
-// blockRef locates one row (or column) of one sub-block.
-type blockRef struct {
-	block int32
-	off   int32 // row-in-block (for rowBlocks) or col-in-block (for colBlocks)
-}
-
 // ClusterSparse computes attention over a sparse.Reformed layout: kept
 // clusters stay in CSR form while transferred clusters are dense db×db
 // sub-blocks. Sub-block scores are computed block-centrically (contiguous
 // Q and K rows — the locality the paper's reformation buys), then a
 // row-centric pass performs the softmax across both structures. The entries
 // inside sub-blocks carry a single shared additive bias (they all represent
-// distance-1 pairs after compaction).
+// distance-1 pairs after compaction). The keep part's transpose and the
+// block coverage come from R.Keep.Transpose() and R.Coverage(), built once
+// per layout and shared by every head.
 type ClusterSparse struct {
 	R *sparse.Reformed
-
-	// keep-part CSC transpose (as in Sparse)
-	colPtr   []int32
-	rowIdx   []int32
-	entryIdx []int32
-	// block coverage indexes
-	rowBlocks [][]blockRef
-	colBlocks [][]blockRef
 
 	keepBias     []float32 // per keep-entry bias
 	keepBiasGrad []float32
@@ -47,44 +35,14 @@ type ClusterSparse struct {
 // SetWorkspace implements WorkspaceUser.
 func (c *ClusterSparse) SetWorkspace(ws *tensor.Workspace) { c.ws = ws }
 
-// NewClusterSparse builds the kernel's indexes from a reformed layout.
-func NewClusterSparse(r *sparse.Reformed) *ClusterSparse {
-	c := &ClusterSparse{R: r}
-	p := r.Keep
-	nnz := p.NNZ()
-	c.colPtr = make([]int32, p.S+1)
-	for _, j := range p.ColIdx {
-		c.colPtr[j+1]++
-	}
-	for i := 0; i < p.S; i++ {
-		c.colPtr[i+1] += c.colPtr[i]
-	}
-	c.rowIdx = make([]int32, nnz)
-	c.entryIdx = make([]int32, nnz)
-	next := append([]int32(nil), c.colPtr[:p.S]...)
-	for i := 0; i < p.S; i++ {
-		for e := p.RowPtr[i]; e < p.RowPtr[i+1]; e++ {
-			j := p.ColIdx[e]
-			pos := next[j]
-			next[j]++
-			c.rowIdx[pos] = int32(i)
-			c.entryIdx[pos] = e
-		}
-	}
-	c.rowBlocks = make([][]blockRef, r.S)
-	c.colBlocks = make([][]blockRef, r.S)
-	db := int32(r.Db)
-	for b, blk := range r.Blocks {
-		for off := int32(0); off < db; off++ {
-			if ri := blk.Row0 + off; ri < int32(r.S) {
-				c.rowBlocks[ri] = append(c.rowBlocks[ri], blockRef{int32(b), off})
-			}
-			if ci := blk.Col0 + off; ci < int32(r.S) {
-				c.colBlocks[ci] = append(c.colBlocks[ci], blockRef{int32(b), off})
-			}
-		}
-	}
-	return c
+// NewClusterSparse constructs the kernel over a reformed layout.
+func NewClusterSparse(r *sparse.Reformed) *ClusterSparse { return &ClusterSparse{R: r} }
+
+// span names the positions [a0, a0+db) of a block side that lie inside the
+// sequence, as a slice of seq (= 0, 1, …, S−1).
+func span(seq []int32, a0 int32, db int) []int32 {
+	lo := min(int(a0), len(seq))
+	return seq[lo:min(lo+db, len(seq))]
 }
 
 // Name implements Kernel.
@@ -126,52 +84,52 @@ func (c *ClusterSparse) Forward(q, k, v *tensor.Mat) *tensor.Mat {
 	db := c.R.Db
 	nb := len(c.R.Blocks)
 	keep := c.R.Keep
-	c.keepProbs = c.ws.GetVec(keep.NNZ())
-	c.blockProbs = c.ws.GetVec(nb * db * db)
+	cov := c.R.Coverage()
+	// every keep entry and every in-sequence block row is scored below
+	c.keepProbs = c.ws.GetUninit(1, keep.NNZ()).Data
+	c.blockProbs = c.ws.GetUninit(1, nb*db*db).Data
 
 	// Phase 1 (block-centric): dense db×db score tiles with contiguous rows.
 	tensor.ParallelFor(nb, func(lo, hi int) {
 		for b := lo; b < hi; b++ {
 			blk := c.R.Blocks[b]
 			base := b * db * db
-			for rb := 0; rb < db; rb++ {
-				ri := int(blk.Row0) + rb
-				if ri >= c.R.S {
-					break
-				}
-				qi := q.Row(ri)
+			cols := span(cov.Seq, blk.Col0, db)
+			for _, ri := range span(cov.Seq, blk.Row0, db) {
+				rb := int(ri - blk.Row0)
 				dst := c.blockProbs[base+rb*db : base+(rb+1)*db]
-				for cb := 0; cb < db; cb++ {
-					ci := int(blk.Col0) + cb
-					if ci >= c.R.S {
+				tensor.GatherDots(dst[:len(cols)], q.Row(int(ri)), k, cols)
+				for cb := range dst {
+					if cb < len(cols) {
+						dst[cb] = float32(dst[cb]*scale) + c.blockBias
+					} else {
 						dst[cb] = negInf
-						continue
 					}
-					dst[cb] = tensor.Dot(qi, k.Row(ci))*scale + c.blockBias
 				}
 			}
 		}
 	})
 
 	// Phase 2 (row-centric): softmax across keep entries + covering blocks.
+	// A worker's rows take their keep scores first, then the softmax and the
+	// output: one pass over K, then one over V, so under a cluster-ordered
+	// layout each pass's window of rows can stay in cache.
 	o := c.ws.Get(q.Rows, v.Cols)
 	tensor.ParallelFor(q.Rows, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			e0, e1 := keep.RowPtr[i], keep.RowPtr[i+1]
-			refs := c.rowBlocks[i]
+			kp := c.keepProbs[e0:e1]
+			tensor.GatherDots(kp, q.Row(i), k, keep.ColIdx[e0:e1])
+			scaleScores(kp, scale, c.keepBias, int(e0))
+		}
+		for i := lo; i < hi; i++ {
+			e0, e1 := keep.RowPtr[i], keep.RowPtr[i+1]
+			refs := cov.Rows[i]
 			if e0 == e1 && len(refs) == 0 {
 				continue
 			}
-			qi := q.Row(i)
-			// keep scores
+			cols := keep.ColIdx[e0:e1]
 			kp := c.keepProbs[e0:e1]
-			for e := e0; e < e1; e++ {
-				sc := tensor.Dot(qi, k.Row(int(keep.ColIdx[e]))) * scale
-				if c.keepBias != nil {
-					sc += c.keepBias[e]
-				}
-				kp[e-e0] = sc
-			}
 			// combined max
 			mx := negInf
 			for _, s := range kp {
@@ -180,7 +138,7 @@ func (c *ClusterSparse) Forward(q, k, v *tensor.Mat) *tensor.Mat {
 				}
 			}
 			for _, ref := range refs {
-				base := int(ref.block)*db*db + int(ref.off)*db
+				base := int(ref.Block)*db*db + int(ref.Off)*db
 				for _, s := range c.blockProbs[base : base+db] {
 					if s > mx {
 						mx = s
@@ -194,7 +152,7 @@ func (c *ClusterSparse) Forward(q, k, v *tensor.Mat) *tensor.Mat {
 				sum += float64(e)
 			}
 			for _, ref := range refs {
-				base := int(ref.block)*db*db + int(ref.off)*db
+				base := int(ref.Block)*db*db + int(ref.Off)*db
 				row := c.blockProbs[base : base+db]
 				tensor.ExpCut(row, row, -mx, expCut)
 				for _, e := range row {
@@ -205,19 +163,18 @@ func (c *ClusterSparse) Forward(q, k, v *tensor.Mat) *tensor.Mat {
 			oi := o.Row(i)
 			for x := range kp {
 				kp[x] *= inv
-				tensor.Axpy(kp[x], v.Row(int(keep.ColIdx[int(e0)+x])), oi)
 			}
+			tensor.GatherWeightedRowSum(oi, v, kp, cols, false)
+			// block entries at probability 0 are left out, so a NaN in a V
+			// row this row gives no weight cannot reach it
 			for _, ref := range refs {
-				blk := c.R.Blocks[ref.block]
-				base := int(ref.block)*db*db + int(ref.off)*db
+				base := int(ref.Block)*db*db + int(ref.Off)*db
 				row := c.blockProbs[base : base+db]
 				for cb := range row {
 					row[cb] *= inv
-					ci := int(blk.Col0) + cb
-					if ci < c.R.S && row[cb] != 0 {
-						tensor.Axpy(row[cb], v.Row(ci), oi)
-					}
 				}
+				bc := span(cov.Seq, c.R.Blocks[ref.Block].Col0, db)
+				tensor.GatherWeightedRowSum(oi, v, row[:len(bc)], bc, true)
 			}
 		}
 	})
@@ -231,91 +188,94 @@ func (c *ClusterSparse) Backward(dO *tensor.Mat) (dq, dk, dv *tensor.Mat) {
 	scale := scaleFor(q.Cols)
 	keep := c.R.Keep
 	db := c.R.Db
-	c.keepDs = c.ws.GetVec(keep.NNZ())
-	c.blockDs = c.ws.GetVec(len(c.blockProbs))
+	t := keep.Transpose()
+	cov := c.R.Coverage()
+	nnz, nbe := keep.NNZ(), len(c.blockProbs)
+	c.keepDs = c.ws.GetUninit(1, nnz).Data // every entry takes its dp below
+	c.blockDs = c.ws.GetVec(nbe)
 	dq = c.ws.Get(q.Rows, q.Cols)
 	dk = c.ws.Get(k.Rows, k.Cols)
 	dv = c.ws.Get(v.Rows, v.Cols)
+	// the weight each entry gives each gradient, in the order that gradient
+	// reads them: dq by rows (keep CSR, blocks row-major), dk and dv by
+	// columns (keep CSC, blocks column-major)
+	w := c.ws.GetUninit(3, nnz+nbe)
+	defer c.ws.Put(w)
+	wq, wk, wv := w.Row(0), w.Row(1), w.Row(2)
+	bq, bk, bv := wq[nnz:], wk[nnz:], wv[nnz:]
 
-	// row pass: per-row softmax backward across both structures, dq
+	// row pass: per-row softmax backward across both structures, then dq —
+	// for a worker's rows, one pass over V, then one over K
 	tensor.ParallelFor(q.Rows, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			e0, e1 := keep.RowPtr[i], keep.RowPtr[i+1]
-			refs := c.rowBlocks[i]
+			refs := cov.Rows[i]
 			if e0 == e1 && len(refs) == 0 {
 				continue
 			}
 			dOi := dO.Row(i)
-			var dot float32
-			for e := e0; e < e1; e++ {
-				dp := tensor.Dot(dOi, v.Row(int(keep.ColIdx[e])))
-				c.keepDs[e] = dp
-				dot += dp * c.keepProbs[e]
+			cols := keep.ColIdx[e0:e1]
+			kds, kp, wqi := c.keepDs[e0:e1], c.keepProbs[e0:e1], wq[e0:e1]
+			// dp per entry (held in the ds buffers), Σ dp·p across both
+			tensor.GatherDots(kds, dOi, v, cols)
+			dot := weightedSum(0, kds, kp)
+			for _, ref := range refs {
+				base := int(ref.Block)*db*db + int(ref.Off)*db
+				bc := span(cov.Seq, c.R.Blocks[ref.Block].Col0, db)
+				bds := c.blockDs[base : base+len(bc)]
+				tensor.GatherDots(bds, dOi, v, bc)
+				dot = weightedSum(dot, bds, c.blockProbs[base:])
+			}
+			softmaxGrad(kds, kp, dot, scale, wqi)
+			for x, at := range t.Pos[e0:e1] {
+				wk[at], wv[at] = wqi[x], kp[x]
 			}
 			for _, ref := range refs {
-				blk := c.R.Blocks[ref.block]
-				base := int(ref.block)*db*db + int(ref.off)*db
-				for cb := 0; cb < db; cb++ {
-					ci := int(blk.Col0) + cb
-					if ci >= c.R.S {
-						continue
-					}
-					dp := tensor.Dot(dOi, v.Row(ci))
-					c.blockDs[base+cb] = dp
-					dot += dp * c.blockProbs[base+cb]
+				base := int(ref.Block)*db*db + int(ref.Off)*db
+				bc := span(cov.Seq, c.R.Blocks[ref.Block].Col0, db)
+				bds, bp, bqi := c.blockDs[base:base+len(bc)], c.blockProbs[base:], bq[base:]
+				softmaxGrad(bds, bp, dot, scale, bqi)
+				// column cb of the block holds its rows' weights db apart
+				for cb := range bds {
+					at := int(ref.Block)*db*db + cb*db + int(ref.Off)
+					bk[at], bv[at] = bqi[cb], bp[cb]
 				}
 			}
+		}
+		for i := lo; i < hi; i++ {
+			e0, e1 := keep.RowPtr[i], keep.RowPtr[i+1]
 			dqi := dq.Row(i)
-			for e := e0; e < e1; e++ {
-				ds := c.keepProbs[e] * (c.keepDs[e] - dot)
-				c.keepDs[e] = ds
-				tensor.Axpy(ds*scale, k.Row(int(keep.ColIdx[e])), dqi)
-			}
-			for _, ref := range refs {
-				blk := c.R.Blocks[ref.block]
-				base := int(ref.block)*db*db + int(ref.off)*db
-				for cb := 0; cb < db; cb++ {
-					ci := int(blk.Col0) + cb
-					if ci >= c.R.S {
-						continue
-					}
-					ds := c.blockProbs[base+cb] * (c.blockDs[base+cb] - dot)
-					c.blockDs[base+cb] = ds
-					tensor.Axpy(ds*scale, k.Row(ci), dqi)
-				}
+			tensor.GatherWeightedRowSum(dqi, k, wq[e0:e1], keep.ColIdx[e0:e1], false)
+			for _, ref := range cov.Rows[i] {
+				blk := c.R.Blocks[ref.Block]
+				base := int(ref.Block)*db*db + int(ref.Off)*db
+				nc := len(span(cov.Seq, blk.Col0, db))
+				tensor.WeightedRowSum(dqi, k, bq[base:base+nc], int(blk.Col0), int(blk.Col0)+nc)
 			}
 		}
 	})
-	// column pass over keep CSC
-	tensor.ParallelFor(k.Rows, func(lo, hi int) {
+	// column pass: per column the keep part over its CSC, then the blocks
+	// covering it — for a worker's columns, dk (over Q) first, then dv
+	// (over dO)
+	colPass := func(g, m *tensor.Mat, wkeep, wblock []float32, lo, hi int) {
 		for j := lo; j < hi; j++ {
-			dkj := dk.Row(j)
-			dvj := dv.Row(j)
-			for x := c.colPtr[j]; x < c.colPtr[j+1]; x++ {
-				i := int(c.rowIdx[x])
-				e := c.entryIdx[x]
-				tensor.Axpy(c.keepDs[e]*scale, q.Row(i), dkj)
-				tensor.Axpy(c.keepProbs[e], dO.Row(i), dvj)
-			}
-			// block contributions covering column j
-			for _, ref := range c.colBlocks[j] {
-				blk := c.R.Blocks[ref.block]
-				base := int(ref.block) * db * db
-				cb := int(ref.off)
-				for rb := 0; rb < db; rb++ {
-					ri := int(blk.Row0) + rb
-					if ri >= c.R.S {
-						break
-					}
-					idx := base + rb*db + cb
-					tensor.Axpy(c.blockDs[idx]*scale, q.Row(ri), dkj)
-					tensor.Axpy(c.blockProbs[idx], dO.Row(ri), dvj)
-				}
+			gj := g.Row(j)
+			x0, x1 := t.ColPtr[j], t.ColPtr[j+1]
+			tensor.GatherWeightedRowSum(gj, m, wkeep[x0:x1], t.RowIdx[x0:x1], false)
+			for _, ref := range cov.Cols[j] {
+				blk := c.R.Blocks[ref.Block]
+				at := int(ref.Block)*db*db + int(ref.Off)*db
+				nr := len(span(cov.Seq, blk.Row0, db))
+				tensor.WeightedRowSum(gj, m, wblock[at:at+nr], int(blk.Row0), int(blk.Row0)+nr)
 			}
 		}
+	}
+	tensor.ParallelFor(k.Rows, func(lo, hi int) {
+		colPass(dk, q, wk, bk, lo, hi)
+		colPass(dv, dO, wv, bv, lo, hi)
 	})
 	if c.keepBias != nil {
-		c.keepBiasGrad = c.ws.GetVec(keep.NNZ())
+		c.keepBiasGrad = c.ws.GetUninit(1, keep.NNZ()).Data
 		copy(c.keepBiasGrad, c.keepDs)
 	} else {
 		c.keepBiasGrad = nil

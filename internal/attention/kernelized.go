@@ -101,7 +101,7 @@ func (kz *Kernelized) Backward(dO *tensor.Mat) (dq, dk, dv *tensor.Mat) {
 		ni := kz.num.Row(i)
 		for x := range dOi {
 			dNi[x] = dOi[x] * inv
-			dd += dOi[x] * ni[x]
+			dd += float32(dOi[x] * ni[x])
 		}
 		dDen[i] = -dd * inv * inv
 	}

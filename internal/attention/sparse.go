@@ -21,12 +21,6 @@ import (
 type Sparse struct {
 	P *sparse.Pattern
 
-	// transpose index (CSC) for race-free backward over columns, built by
-	// the first Backward — inference never needs it
-	colPtr   []int32
-	rowIdx   []int32 // row of each CSC entry
-	entryIdx []int32 // original CSR entry index of each CSC entry
-
 	bias     []float32 // per-entry additive bias (aligned with P.ColIdx)
 	biasGrad []float32
 
@@ -40,33 +34,9 @@ type Sparse struct {
 // SetWorkspace implements WorkspaceUser.
 func (s *Sparse) SetWorkspace(ws *tensor.Workspace) { s.ws = ws }
 
-// NewSparse constructs the kernel over p.
+// NewSparse constructs the kernel over p. Backward walks p's columns through
+// p.Transpose(), built once per pattern and shared by every head.
 func NewSparse(p *sparse.Pattern) *Sparse { return &Sparse{P: p} }
-
-// buildTranspose builds the CSC index of the (square) pattern.
-func (s *Sparse) buildTranspose() {
-	p := s.P
-	nnz := p.NNZ()
-	s.colPtr = make([]int32, p.S+1)
-	for _, j := range p.ColIdx {
-		s.colPtr[j+1]++
-	}
-	for i := 0; i < p.S; i++ {
-		s.colPtr[i+1] += s.colPtr[i]
-	}
-	s.rowIdx = make([]int32, nnz)
-	s.entryIdx = make([]int32, nnz)
-	next := append([]int32(nil), s.colPtr[:p.S]...)
-	for i := 0; i < p.S; i++ {
-		for e := p.RowPtr[i]; e < p.RowPtr[i+1]; e++ {
-			j := p.ColIdx[e]
-			pos := next[j]
-			next[j]++
-			s.rowIdx[pos] = int32(i)
-			s.entryIdx[pos] = e
-		}
-	}
-}
 
 // Name implements Kernel.
 func (s *Sparse) Name() string { return "sparse" }
@@ -97,35 +67,32 @@ func (s *Sparse) Forward(q, k, v *tensor.Mat) *tensor.Mat {
 		panic(fmt.Sprintf("attention: %d query rows for a %d-row pattern", q.Rows, s.P.S))
 	}
 	for _, j := range s.P.ColIdx {
-		if int(j) >= k.Rows {
+		if j < 0 || int(j) >= k.Rows {
 			panic(fmt.Sprintf("attention: pattern column %d out of range of %d keys", j, k.Rows))
 		}
 	}
 	s.q, s.k, s.v = q, k, v
 	scale := scaleFor(q.Cols)
 	nnz := s.P.NNZ()
-	s.probs = s.ws.GetVec(nnz)
+	s.probs = s.ws.GetUninit(1, nnz).Data // every entry is scored below
 	o := s.ws.Get(q.Rows, v.Cols)
+	// a worker's rows take their scores, then their softmax and output: one
+	// pass over K, then one over V
 	tensor.ParallelFor(q.Rows, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			e0, e1 := s.P.RowPtr[i], s.P.RowPtr[i+1]
+			row := s.probs[e0:e1]
+			tensor.GatherDots(row, q.Row(i), k, s.P.ColIdx[e0:e1])
+			scaleScores(row, scale, s.bias, int(e0))
+		}
 		for i := lo; i < hi; i++ {
 			e0, e1 := s.P.RowPtr[i], s.P.RowPtr[i+1]
 			if e0 == e1 {
 				continue
 			}
-			qi := q.Row(i)
 			row := s.probs[e0:e1]
-			for e := e0; e < e1; e++ {
-				sc := tensor.Dot(qi, k.Row(int(s.P.ColIdx[e]))) * scale
-				if s.bias != nil {
-					sc += s.bias[e]
-				}
-				row[e-e0] = sc
-			}
 			tensor.SoftmaxInPlace(row)
-			oi := o.Row(i)
-			for e := e0; e < e1; e++ {
-				tensor.Axpy(row[e-e0], v.Row(int(s.P.ColIdx[e])), oi)
-			}
+			tensor.GatherWeightedRowSum(o.Row(i), v, row, s.P.ColIdx[e0:e1], false)
 		}
 	})
 	s.o = o
@@ -139,54 +106,90 @@ func (s *Sparse) Backward(dO *tensor.Mat) (dq, dk, dv *tensor.Mat) {
 	if q.Rows != k.Rows {
 		panic(fmt.Sprintf("attention: sparse backward needs as many queries as keys (%d vs %d)", q.Rows, k.Rows))
 	}
-	if s.colPtr == nil {
-		s.buildTranspose()
-	}
+	t := s.P.Transpose()
 	scale := scaleFor(q.Cols)
 	nnz := s.P.NNZ()
-	s.ds = s.ws.GetVec(nnz)
+	s.ds = s.ws.GetUninit(1, nnz).Data // every entry takes its dp below
 	dq = s.ws.Get(q.Rows, q.Cols)
 	dk = s.ws.Get(k.Rows, k.Cols)
 	dv = s.ws.Get(v.Rows, v.Cols)
+	// the weight each entry gives each gradient, in the order that gradient
+	// reads them: dq by rows (CSR), dk and dv by columns (CSC)
+	w := s.ws.GetUninit(3, nnz)
+	defer s.ws.Put(w)
+	wq, wk, wv := w.Row(0), w.Row(1), w.Row(2)
+	// rows: dp and the softmax backward (over V), then dq (over K); columns:
+	// dk (over Q), then dv (over dO) — one matrix per pass over a worker's
+	// rows or columns
 	tensor.ParallelFor(q.Rows, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			e0, e1 := s.P.RowPtr[i], s.P.RowPtr[i+1]
-			if e0 == e1 {
-				continue
+			ds, p, wqi := s.ds[e0:e1], s.probs[e0:e1], wq[e0:e1]
+			// dp per entry (held in ds), then softmax backward within the row
+			tensor.GatherDots(ds, dO.Row(i), v, s.P.ColIdx[e0:e1])
+			softmaxGrad(ds, p, weightedSum(0, ds, p), scale, wqi)
+			for x, at := range t.Pos[e0:e1] {
+				wk[at], wv[at] = wqi[x], p[x]
 			}
-			dOi := dO.Row(i)
-			// dp per entry, then softmax backward within the row
-			var dot float32
-			for e := e0; e < e1; e++ {
-				dp := tensor.Dot(dOi, v.Row(int(s.P.ColIdx[e])))
-				s.ds[e] = dp // temporarily store dp
-				dot += dp * s.probs[e]
-			}
-			dqi := dq.Row(i)
-			for e := e0; e < e1; e++ {
-				ds := s.probs[e] * (s.ds[e] - dot)
-				s.ds[e] = ds
-				tensor.Axpy(ds*scale, k.Row(int(s.P.ColIdx[e])), dqi)
-			}
+		}
+		for i := lo; i < hi; i++ {
+			e0, e1 := s.P.RowPtr[i], s.P.RowPtr[i+1]
+			tensor.GatherWeightedRowSum(dq.Row(i), k, wq[e0:e1], s.P.ColIdx[e0:e1], false)
 		}
 	})
 	tensor.ParallelFor(k.Rows, func(lo, hi int) {
 		for j := lo; j < hi; j++ {
-			dkj := dk.Row(j)
-			dvj := dv.Row(j)
-			for c := s.colPtr[j]; c < s.colPtr[j+1]; c++ {
-				i := int(s.rowIdx[c])
-				e := s.entryIdx[c]
-				tensor.Axpy(s.ds[e]*scale, q.Row(i), dkj)
-				tensor.Axpy(s.probs[e], dO.Row(i), dvj)
-			}
+			x0, x1 := t.ColPtr[j], t.ColPtr[j+1]
+			tensor.GatherWeightedRowSum(dk.Row(j), q, wk[x0:x1], t.RowIdx[x0:x1], false)
+		}
+		for j := lo; j < hi; j++ {
+			x0, x1 := t.ColPtr[j], t.ColPtr[j+1]
+			tensor.GatherWeightedRowSum(dv.Row(j), dO, wv[x0:x1], t.RowIdx[x0:x1], false)
 		}
 	})
 	if s.bias != nil {
-		s.biasGrad = s.ws.GetVec(nnz)
+		s.biasGrad = s.ws.GetUninit(1, nnz).Data
 		copy(s.biasGrad, s.ds)
 	} else {
 		s.biasGrad = nil
 	}
 	return dq, dk, dv
+}
+
+// The per-row steps the sparse kernels share. Each spells out the scalar
+// sequence the kernels ran pair by pair — Dot, Axpy — so moving it onto the
+// indexed-row kernels moves no bit; every product that feeds an add is
+// written float32(x*y), so no compiler may fuse the two into one rounding.
+
+// scaleScores turns a row of raw dots into scores, dot·scale + bias[e0+x]
+// (no bias when bias is nil).
+func scaleScores(row []float32, scale float32, bias []float32, e0 int) {
+	for x, d := range row {
+		sc := float32(d * scale)
+		if bias != nil {
+			sc += bias[e0+x]
+		}
+		row[x] = sc
+	}
+}
+
+// weightedSum continues s with a[x]·b[x] for x ascending.
+func weightedSum(s float32, a, b []float32) float32 {
+	b = b[:len(a)]
+	for x, v := range a {
+		s += float32(v * b[x])
+	}
+	return s
+}
+
+// softmaxGrad turns a row's dp (held in ds) into score gradients
+// p·(dp − dot), where dot is the row's Σ dp·p, and writes each one's
+// weight in dq, k's coefficient ds·scale, to wq.
+func softmaxGrad(ds, probs []float32, dot, scale float32, wq []float32) {
+	probs, wq = probs[:len(ds)], wq[:len(ds)]
+	for x, dp := range ds {
+		g := probs[x] * (dp - dot)
+		ds[x] = g
+		wq[x] = float32(g * scale)
+	}
 }

@@ -87,6 +87,8 @@ type Reformed struct {
 	Blocks      []SubBlock
 	Transferred int // clusters transferred
 	Clusters    int // total non-empty clusters
+
+	idx indexes // built on first use; see index.go
 }
 
 // EffectivePattern materialises the union pattern actually attended after

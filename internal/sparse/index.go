@@ -1,0 +1,97 @@
+package sparse
+
+import "sync"
+
+// The kernel indexes of a pattern: what the sparse attention kernels look
+// up on every step but that depends only on the pattern. Each is built on
+// first use, once per Pattern or Reformed, and shared read-only by every
+// head, layer and rank that attends over it — so a pattern must not change
+// after its first Transpose or Coverage call.
+
+// CSC is the transpose of a square pattern: the entries of column j, in
+// ascending row order, are positions [ColPtr[j], ColPtr[j+1]); RowIdx holds
+// their rows, and Pos[e] is the position of the pattern's CSR entry e.
+type CSC struct {
+	ColPtr []int32
+	RowIdx []int32
+	Pos    []int32
+}
+
+// indexes holds a Pattern's or Reformed's lazily built kernel indexes.
+type indexes struct {
+	once sync.Once
+	csc  *CSC
+	cov  *Coverage
+}
+
+// Transpose returns the pattern's CSC index, building it on first use.
+func (p *Pattern) Transpose() *CSC {
+	p.idx.once.Do(func() { p.idx.csc = buildCSC(p) })
+	return p.idx.csc
+}
+
+func buildCSC(p *Pattern) *CSC {
+	c := &CSC{
+		ColPtr: make([]int32, p.S+1),
+		RowIdx: make([]int32, p.NNZ()),
+		Pos:    make([]int32, p.NNZ()),
+	}
+	for _, j := range p.ColIdx {
+		c.ColPtr[j+1]++
+	}
+	for i := 0; i < p.S; i++ {
+		c.ColPtr[i+1] += c.ColPtr[i]
+	}
+	next := append([]int32(nil), c.ColPtr[:p.S]...)
+	for i := 0; i < p.S; i++ {
+		for e := p.RowPtr[i]; e < p.RowPtr[i+1]; e++ {
+			j := p.ColIdx[e]
+			c.RowIdx[next[j]] = int32(i)
+			c.Pos[e] = next[j]
+			next[j]++
+		}
+	}
+	return c
+}
+
+// BlockRef locates one row (or column) of one sub-block: Blocks[Block], at
+// offset Off from its Row0 (or Col0).
+type BlockRef struct {
+	Block int32
+	Off   int32
+}
+
+// Coverage indexes a Reformed layout's sub-blocks by the sequence positions
+// they cover: Rows[i] lists the blocks with a row at position i, Cols[j]
+// those with a column at position j, in block order. Seq is 0, 1, …, S−1, so
+// Seq[a:b] names the contiguous positions [a, b) to an indexed kernel.
+type Coverage struct {
+	Rows, Cols [][]BlockRef
+	Seq        []int32
+}
+
+// Coverage returns the layout's block coverage index, building it on first
+// use.
+func (r *Reformed) Coverage() *Coverage {
+	r.idx.once.Do(func() { r.idx.cov = buildCoverage(r) })
+	return r.idx.cov
+}
+
+func buildCoverage(r *Reformed) *Coverage {
+	c := &Coverage{Rows: make([][]BlockRef, r.S), Cols: make([][]BlockRef, r.S), Seq: make([]int32, r.S)}
+	for i := range c.Seq {
+		c.Seq[i] = int32(i)
+	}
+	db := int32(r.Db)
+	for b, blk := range r.Blocks {
+		for off := int32(0); off < db; off++ {
+			if ri := blk.Row0 + off; ri < int32(r.S) {
+				c.Rows[ri] = append(c.Rows[ri], BlockRef{int32(b), off})
+			}
+			if ci := blk.Col0 + off; ci < int32(r.S) {
+				c.Cols[ci] = append(c.Cols[ci], BlockRef{int32(b), off})
+			}
+		}
+	}
+	return c
+}

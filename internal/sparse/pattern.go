@@ -18,6 +18,8 @@ type Pattern struct {
 	S      int
 	RowPtr []int32
 	ColIdx []int32
+
+	idx indexes // built on first use; see index.go
 }
 
 // NNZ returns the number of attended pairs.

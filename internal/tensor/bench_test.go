@@ -88,3 +88,35 @@ func BenchmarkBiasGELURefPortable(b *testing.B) {
 	defer portable()()
 	benchBiasGELU(b)
 }
+
+// benchGatherRows is the indexed-row work of one sparse-attention head pass
+// at node-full's shape: 1024 query rows at the GraphormerSlim head width 8,
+// each attending about nine keys (9 216 pairs) named by an index list — the
+// dots against the keys, then the weighted sum of their value rows.
+func benchGatherRows(b *testing.B) {
+	const s, d, deg = 1024, 8, 9
+	rng := rand.New(rand.NewSource(1))
+	q, k, v, o := randMat(rng, s, d), randMat(rng, s, d), randMat(rng, s, d), New(s, d)
+	idx := make([]int32, s*deg)
+	for e := range idx {
+		idx[e] = int32(rng.Intn(s))
+	}
+	p := make([]float32, deg)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for r := 0; r < s; r++ {
+			cols := idx[r*deg : (r+1)*deg]
+			GatherDots(p, q.Row(r), k, cols)
+			GatherWeightedRowSum(o.Row(r), v, p, cols, false)
+		}
+	}
+}
+
+func BenchmarkGatherRows(b *testing.B) { benchGatherRows(b) }
+
+// BenchmarkGatherRowsPortable is BenchmarkGatherRows on the Go loops: the
+// denominator of the CI ratio that locks the gather micro-kernels' win.
+func BenchmarkGatherRowsPortable(b *testing.B) {
+	defer portable()()
+	benchGatherRows(b)
+}

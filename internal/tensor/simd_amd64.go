@@ -1,6 +1,9 @@
 package tensor
 
-import "unsafe"
+import (
+	"fmt"
+	"unsafe"
+)
 
 // Go side of the AVX2 micro-kernels in simd_amd64.s and vmath_amd64.s: CPU
 // detection and the bounds-checked wrappers kernels.go calls for the columns
@@ -16,6 +19,12 @@ func scatterAVX2(m *float32, ldm uintptr, w, x *float32, rows, n uintptr)
 
 //go:noescape
 func dotColsAVX2(dst, x *float32, k uintptr, bt *float32, ldbt, n uintptr)
+
+//go:noescape
+func gatherDotsAVX2(dst, x *float32, k uintptr, m *float32, off *uintptr, n uintptr)
+
+//go:noescape
+func gatherAccumAVX2(acc, m *float32, ldm uintptr, w *float32, idx *int32, k, n, keep uintptr)
 
 //go:noescape
 func expLanesAVX2(dst, src *float32, n uintptr, shift, cut float32) uintptr
@@ -93,6 +102,77 @@ func dotCols(dst, x, bt []float32, ld int) {
 	}
 	dotColsAVX2(unsafe.SliceData(dst), unsafe.SliceData(x), uintptr(len(x)),
 		unsafe.SliceData(bt), uintptr(ld), uintptr(len(dst)))
+}
+
+// checkGatherRows checks that no index in idx is negative and that row r of
+// an ld-strided matrix m has n elements for every listed r — the extent the
+// gather micro-kernels will touch.
+func checkGatherRows(m []float32, ld, n int, idx []int32) {
+	var hi uint32 // a negative index reads as one above 2³¹
+	for _, r := range idx {
+		hi = max(hi, uint32(r))
+	}
+	if len(idx) > 0 && int(hi)*ld+n > len(m) {
+		panic(fmt.Sprintf("tensor: row index %d out of range of %d rows", int32(hi), len(m)/ld))
+	}
+}
+
+// gatherDotCols computes dst[e] = the first len(x) columns (a multiple of 8)
+// of Dot(x, row idx[e] of m), rows ld elements apart. The micro-kernel takes
+// its rows as byte offsets, computed here 64 entries at a time; it works in
+// groups of eight and four entries, so a last one to three are padded with
+// a copy of the one before and written through a stack buffer.
+func gatherDotCols(dst, x, m []float32, ld int, idx []int32) {
+	if len(idx) == 0 {
+		return
+	}
+	_ = dst[len(idx)-1]
+	checkGatherRows(m, ld, len(x), idx)
+	if len(x) == 0 {
+		clear(dst[:len(idx)])
+		return
+	}
+	var off [64]uintptr
+	for len(idx) > 0 {
+		n := min(len(idx), len(off))
+		for e, r := range idx[:n] {
+			off[e] = uintptr(r) * uintptr(ld) * 4
+		}
+		n4 := (n + 3) &^ 3
+		if n4 == n {
+			gatherDotsAVX2(unsafe.SliceData(dst), unsafe.SliceData(x), uintptr(len(x)),
+				unsafe.SliceData(m), &off[0], uintptr(n))
+		} else {
+			for e := n; e < n4; e++ {
+				off[e] = off[n-1]
+			}
+			var pd [len(off)]float32
+			gatherDotsAVX2(&pd[0], unsafe.SliceData(x), uintptr(len(x)),
+				unsafe.SliceData(m), &off[0], uintptr(n4))
+			copy(dst[:n], pd[:n])
+		}
+		dst, idx = dst[n:], idx[n:]
+	}
+}
+
+// gatherAccumCols adds w[e]·(row idx[e] of m) to acc for e ascending over
+// len(acc) columns (a multiple of 8), rows ld elements apart; with skipZero
+// a ±0 weight's term is left out.
+func gatherAccumCols(acc, m []float32, ld int, w []float32, idx []int32, skipZero bool) {
+	if len(w) == 0 {
+		return
+	}
+	_ = idx[len(w)-1]
+	checkGatherRows(m, ld, len(acc), idx[:len(w)])
+	if len(acc) == 0 {
+		return
+	}
+	keep := uintptr(1)
+	if skipZero {
+		keep = 0
+	}
+	gatherAccumAVX2(unsafe.SliceData(acc), unsafe.SliceData(m), uintptr(ld), unsafe.SliceData(w),
+		unsafe.SliceData(idx), uintptr(len(w)), uintptr(len(acc)), keep)
 }
 
 // expLanes is expRow over len(src) elements (a multiple of 4), up to the

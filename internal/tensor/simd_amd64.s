@@ -369,3 +369,244 @@ dot8store:
 dotdone:
 	VZEROUPPER
 	RET
+
+// ROWPROD multiplies x's eight columns (Y15) by the same eight columns of the
+// row whose byte offset from BX is the uintptr at off(R10).
+#define ROWPROD(off, dst) \
+	MOVQ off(R10), AX; \
+	VMULPS (BX)(AX*1), Y15, dst
+
+// GROUP4 turns the product vectors of four entries a, b, c, d (eight columns
+// each) into g = [Σa0…3 Σb0…3 Σc0…3 Σd0…3 | Σa4…7 Σb4…7 Σc4…7 Σd4…7], each Σ
+// Dot's group ((p0+p1)+p2)+p3: a 4×4 transpose inside each 128-bit half puts
+// one entry per lane and one column per register, so the three adds run
+// lane-wise in the scalar order. Clobbers Y5–Y8.
+#define GROUP4(a, b, c, d, g) \
+	VUNPCKLPS b, a, Y5; \
+	VUNPCKHPS b, a, Y6; \
+	VUNPCKLPS d, c, Y7; \
+	VUNPCKHPS d, c, Y8; \
+	VSHUFPS $0x44, Y7, Y5, g; \
+	VSHUFPS $0xEE, Y7, Y5, Y5; \
+	VADDPS Y5, g, g; \
+	VSHUFPS $0x44, Y8, Y6, Y5; \
+	VADDPS Y5, g, g; \
+	VSHUFPS $0xEE, Y8, Y6, Y6; \
+	VADDPS Y6, g, g
+
+// func gatherDotsAVX2(dst, x *float32, k uintptr, m *float32, off *uintptr, n uintptr)
+//
+// dst[e] = Dot(x[0:k], the k floats off[e] bytes into m) for e in [0,n), n a
+// positive multiple of 4 and k a positive multiple of 8. Each lane of a running sum
+// is one entry, and dst holds the sums between column blocks: per eight
+// columns (outer loop) and group of eight entries (inner loop), GROUP4 forms
+// the four-term groups of the first and second four columns for entries 0–3
+// and 4–7, VPERM2F128 regroups them into one register per column half, and
+// they are added to the group's sum in column order — s += g0; s += g1 —
+// which is Dot's sequence, group by group. A last group of four runs the
+// same steps on one GROUP4 and 128-bit sums. Sums start from +0. Column
+// blocks outside, groups inside: the groups' sums are independent chains
+// the CPU can overlap, where one group's pass over all its columns would be
+// one long chain of dependent adds.
+TEXT ·gatherDotsAVX2(SB), NOSPLIT, $0-48
+	MOVQ dst+0(FP), DI
+	MOVQ n+40(FP), R11
+	VXORPS X0, X0, X0
+gdzero:
+	VMOVUPS X0, (DI)
+	ADDQ $16, DI
+	SUBQ $4, R11
+	JNZ  gdzero
+	MOVQ x+8(FP), CX
+	MOVQ m+24(FP), BX
+	MOVQ k+16(FP), R12
+
+gdcols:
+	VMOVUPS (CX), Y15
+	MOVQ dst+0(FP), DI
+	MOVQ off+32(FP), R10
+	MOVQ n+40(FP), R11
+gdgroup:
+	CMPQ R11, $8
+	JLT  gdfour
+	ROWPROD(0, Y1)
+	ROWPROD(8, Y2)
+	ROWPROD(16, Y3)
+	ROWPROD(24, Y4)
+	GROUP4(Y1, Y2, Y3, Y4, Y9)
+	ROWPROD(32, Y1)
+	ROWPROD(40, Y2)
+	ROWPROD(48, Y3)
+	ROWPROD(56, Y4)
+	GROUP4(Y1, Y2, Y3, Y4, Y10)
+	VPERM2F128 $0x20, Y10, Y9, Y11
+	VPERM2F128 $0x31, Y10, Y9, Y12
+	VMOVUPS (DI), Y0
+	VADDPS Y11, Y0, Y0
+	VADDPS Y12, Y0, Y0
+	VMOVUPS Y0, (DI)
+	ADDQ $32, DI
+	ADDQ $64, R10
+	SUBQ $8, R11
+	JMP  gdgroup
+gdfour:
+	TESTQ R11, R11
+	JZ    gdnext
+	ROWPROD(0, Y1)
+	ROWPROD(8, Y2)
+	ROWPROD(16, Y3)
+	ROWPROD(24, Y4)
+	GROUP4(Y1, Y2, Y3, Y4, Y9)
+	VEXTRACTF128 $1, Y9, X10
+	VMOVUPS (DI), X0
+	VADDPS X9, X0, X0
+	VADDPS X10, X0, X0
+	VMOVUPS X0, (DI)
+gdnext:
+	ADDQ $32, CX
+	ADDQ $32, BX
+	SUBQ $8, R12
+	JNZ  gdcols
+
+	VZEROUPPER
+	RET
+
+// GTERM adds one entry's term to acc: Y8 (its broadcast weight) times eight
+// columns of its row at off(CX), rounded into tmp before the add.
+#define GTERM(off, tmp, acc) \
+	VMULPS off(CX), Y8, tmp; \
+	VADDPS tmp, acc, acc
+
+// func gatherAccumAVX2(acc, m *float32, ldm uintptr, w *float32, idx *int32, k, n, keep uintptr)
+//
+// acc[j] += w[e]·m[idx[e]·ldm + j] for j in [0,n), e ascending over [0,k):
+// accumAVX2's load form with the row named by an index. keep = 0 skips a
+// term whose weight is ±0 (the same test as accumAVX2), keep = 1 keeps
+// every term.
+TEXT ·gatherAccumAVX2(SB), NOSPLIT, $0-64
+	MOVQ acc+0(FP), DI
+	MOVQ m+8(FP), DX
+	MOVQ ldm+16(FP), R9
+	MOVQ w+24(FP), SI
+	MOVQ idx+32(FP), R8
+	MOVQ n+48(FP), R10
+	MOVQ keep+56(FP), R11
+	SHLQ $2, R9
+
+ga64:
+	CMPQ R10, $64
+	JLT  ga32
+	VMOVUPS (DI), Y0
+	VMOVUPS 32(DI), Y1
+	VMOVUPS 64(DI), Y2
+	VMOVUPS 96(DI), Y3
+	VMOVUPS 128(DI), Y4
+	VMOVUPS 160(DI), Y5
+	VMOVUPS 192(DI), Y6
+	VMOVUPS 224(DI), Y7
+	MOVQ SI, AX
+	MOVQ R8, BX
+	MOVQ k+40(FP), R13
+ga64term:
+	MOVL (AX), CX
+	ORL  R11, CX
+	ADDL CX, CX
+	JZ   ga64next
+	MOVL (BX), CX
+	IMULQ R9, CX
+	ADDQ DX, CX
+	VBROADCASTSS (AX), Y8
+	GTERM(0, Y9, Y0)
+	GTERM(32, Y10, Y1)
+	GTERM(64, Y11, Y2)
+	GTERM(96, Y12, Y3)
+	GTERM(128, Y9, Y4)
+	GTERM(160, Y10, Y5)
+	GTERM(192, Y11, Y6)
+	GTERM(224, Y12, Y7)
+ga64next:
+	ADDQ $4, AX
+	ADDQ $4, BX
+	DECQ R13
+	JNZ  ga64term
+	VMOVUPS Y0, (DI)
+	VMOVUPS Y1, 32(DI)
+	VMOVUPS Y2, 64(DI)
+	VMOVUPS Y3, 96(DI)
+	VMOVUPS Y4, 128(DI)
+	VMOVUPS Y5, 160(DI)
+	VMOVUPS Y6, 192(DI)
+	VMOVUPS Y7, 224(DI)
+	ADDQ $256, DI
+	ADDQ $256, DX
+	SUBQ $64, R10
+	JMP  ga64
+
+ga32:
+	CMPQ R10, $32
+	JLT  ga8
+	VMOVUPS (DI), Y0
+	VMOVUPS 32(DI), Y1
+	VMOVUPS 64(DI), Y2
+	VMOVUPS 96(DI), Y3
+	MOVQ SI, AX
+	MOVQ R8, BX
+	MOVQ k+40(FP), R13
+ga32term:
+	MOVL (AX), CX
+	ORL  R11, CX
+	ADDL CX, CX
+	JZ   ga32next
+	MOVL (BX), CX
+	IMULQ R9, CX
+	ADDQ DX, CX
+	VBROADCASTSS (AX), Y8
+	GTERM(0, Y9, Y0)
+	GTERM(32, Y10, Y1)
+	GTERM(64, Y11, Y2)
+	GTERM(96, Y12, Y3)
+ga32next:
+	ADDQ $4, AX
+	ADDQ $4, BX
+	DECQ R13
+	JNZ  ga32term
+	VMOVUPS Y0, (DI)
+	VMOVUPS Y1, 32(DI)
+	VMOVUPS Y2, 64(DI)
+	VMOVUPS Y3, 96(DI)
+	ADDQ $128, DI
+	ADDQ $128, DX
+	SUBQ $32, R10
+	JMP  ga32
+
+ga8:
+	CMPQ R10, $8
+	JLT  gadone
+	VMOVUPS (DI), Y0
+	MOVQ SI, AX
+	MOVQ R8, BX
+	MOVQ k+40(FP), R13
+ga8term:
+	MOVL (AX), CX
+	ORL  R11, CX
+	ADDL CX, CX
+	JZ   ga8next
+	MOVL (BX), CX
+	IMULQ R9, CX
+	ADDQ DX, CX
+	VBROADCASTSS (AX), Y8
+	GTERM(0, Y9, Y0)
+ga8next:
+	ADDQ $4, AX
+	ADDQ $4, BX
+	DECQ R13
+	JNZ  ga8term
+	VMOVUPS Y0, (DI)
+	ADDQ $32, DI
+	ADDQ $32, DX
+	SUBQ $8, R10
+	JMP  ga8
+
+gadone:
+	VZEROUPPER
+	RET

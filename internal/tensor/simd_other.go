@@ -20,6 +20,14 @@ func dotCols(dst, x, bt []float32, ld int) {
 	panic("tensor: no SIMD kernels on this architecture")
 }
 
+func gatherDotCols(dst, x, m []float32, ld int, idx []int32) {
+	panic("tensor: no SIMD kernels on this architecture")
+}
+
+func gatherAccumCols(acc, m []float32, ld int, w []float32, idx []int32, skipZero bool) {
+	panic("tensor: no SIMD kernels on this architecture")
+}
+
 func expLanes(dst, src []float32, shift, cut float32) int {
 	panic("tensor: no SIMD kernels on this architecture")
 }
