@@ -14,8 +14,8 @@
 //	torchgt-train -seqlen 512 -patience 8
 //	torchgt-train -reorder 8 -method torchgt    # cluster-contiguous node layout
 //	torchgt-train -seqpar 4 -method torchgt
-//	torchgt-train -rendezvous :7700 -world 4
-//	torchgt-train -rendezvous coord:7700 -world 4 -rank 2
+//	torchgt-train -beta 0.01 -rendezvous :7700 -world 4
+//	torchgt-train -beta 0.01 -rendezvous coord:7700 -world 4 -rank 2
 //
 // -data accepts any dataset spec (see torchgt-data list); the session
 // records the spec in checkpoints, so -resume needs no dataset flags at
@@ -34,12 +34,11 @@
 // into R data-parallel replicas (world = R × sequence ranks). The torchgt
 // methods need -beta B here: it pins βthre, which the Auto Tuner would
 // otherwise move from wall-clock epoch times that differ from rank to rank;
-// every flag but the per-rank ones (-rank, -rendezvous, the output paths,
-// -exec-workers) must agree across ranks. If a peer dies mid-run
-// the survivors roll back to the last completed optimiser step, write a
-// checkpoint (with -checkpoint-dir) and exit with code 75 — resume at a
-// smaller world with -resume + -rendezvous. See DESIGN.md "Cross-process
-// execution".
+// every flag but the per-rank ones (-rank, -rendezvous, the output paths)
+// must agree across ranks. If a peer dies mid-run the survivors roll back to
+// the last completed optimiser step, write a checkpoint (with
+// -checkpoint-dir) and exit with code 75 — resume at a smaller world with
+// -resume + -rendezvous. See DESIGN.md "Cross-process execution".
 package main
 
 import (
@@ -79,10 +78,8 @@ func run(ctx context.Context, args []string) error {
 	seqLen := fs.Int("seqlen", 0, "mini-batched sequence length (node-level; 0 = full-graph sequence)")
 	ego := fs.Bool("ego", false, "train with ego-graph sampling through the NodeSource interface; shard:// specs stay disk-resident (out-of-core)")
 	egoWorkers := fs.Int("ego-workers", 0, "sampling-pipeline workers for -ego (0 = synchronous; any count is bitwise-identical)")
-	pack := fs.Bool("pack", false, "pack contiguous sparse-mode graphs of each graph-level batch into one block-diagonal forward (bitwise-identical gradients)")
 	beta := fs.Float64("beta", -1, "pin βthre for the torchgt methods instead of running the Auto Tuner (negative = tuner; required with -rendezvous, where wall-clock tuning would diverge across ranks)")
 	seqPar := fs.Int("seqpar", 1, "sequence-parallel ranks (simulated; bitwise-identical to serial, heads must divide)")
-	execWorkers := fs.Int("exec-workers", 0, "attention-head parallelism (0 = all cores)")
 	patience := fs.Int("patience", 0, "early-stopping patience in epochs (0 = off)")
 	ckptDir := fs.String("checkpoint-dir", "", "write periodic checkpoints into this directory (also the SIGINT checkpoint)")
 	ckptEvery := fs.Int("checkpoint-every", 10, "checkpoint period in epochs (with -checkpoint-dir)")
@@ -149,14 +146,12 @@ func run(ctx context.Context, args []string) error {
 	addIf(fresh || given["epochs"], torchgt.WithEpochs(*epochs))
 	addIf(fresh || given["lr"], torchgt.WithLR(*lr))
 	addIf(fresh, torchgt.WithSeed(seed))
-	addIf(fresh, torchgt.WithExec(torchgt.ExecOptions{Workers: *execWorkers, PoolEnabled: true}))
 	// An explicit -patience always applies (0 disables early stopping, also
 	// when a resumed checkpoint carried a non-zero patience).
 	addIf(given["patience"] || (fresh && *patience > 0), torchgt.WithEarlyStopping(*patience))
 	addIf(given["beta"], torchgt.WithFixedBeta(*beta))
 	addIf(fresh && *seqLen > 0, torchgt.WithSeqLen(*seqLen))
-	addIf((fresh || given["pack"]) && *pack, torchgt.WithPack())
-	// Structural like seed/exec: a resumed checkpoint keeps its own plan.
+	// Structural like the seed: a resumed checkpoint keeps its own plan.
 	addIf(fresh && *seqPar > 1, torchgt.WithSeqParallel(*seqPar))
 	if *ckptDir != "" {
 		if err := os.MkdirAll(*ckptDir, 0o755); err != nil {
@@ -245,11 +240,9 @@ func run(ctx context.Context, args []string) error {
 }
 
 // perRank names the flags that may differ between the ranks of one job:
-// where a rank sits, where it reads and writes, and how it schedules its own
-// kernels (which moves no bit).
+// where a rank sits and where it reads and writes.
 var perRank = map[string]bool{
 	"rank": true, "rendezvous": true, "checkpoint-dir": true, "final-weights": true,
-	"exec-workers": true,
 }
 
 // fingerprint digests every other flag, set or defaulted, so ranks started

@@ -253,9 +253,7 @@ func TestTrainEgoRejectsUnusedFlags(t *testing.T) {
 		{"-seqpar", "2"},
 		{"-final-weights", "w.bin"},
 		{"-beta", "0.1"},
-		{"-pack"},
 		{"-dp", "2"},
-		{"-exec-workers", "2"},
 	} {
 		err := run(context.Background(), append([]string{"-ego", "-data", "synth://no-such", "-epochs", "1"}, tc...))
 		if err == nil || !strings.Contains(err.Error(), "-ego does not use") || !strings.Contains(err.Error(), tc[0]) {
@@ -269,6 +267,17 @@ func TestTrainEgoRejectsUnusedFlags(t *testing.T) {
 	})
 	if err == nil || strings.Contains(err.Error(), "-ego does not use") {
 		t.Fatalf("consumed flags must pass the -ego check, got %v", err)
+	}
+}
+
+// TestTrainScheduleFlagsGone: the engine picks its own head fan-out and
+// graph-level batches always pack, so neither schedule has a flag.
+func TestTrainScheduleFlagsGone(t *testing.T) {
+	for _, tc := range [][]string{{"-exec-workers", "2"}, {"-pack"}} {
+		err := run(context.Background(), append([]string{"-dataset", "zinc-sim", "-epochs", "1"}, tc...))
+		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+			t.Errorf("%v: want an unknown-flag error, got %v", tc, err)
+		}
 	}
 }
 
@@ -306,10 +315,10 @@ func TestTrainDistributedFingerprint(t *testing.T) {
 	}
 
 	fs := flag.NewFlagSet("x", flag.ContinueOnError)
-	for _, name := range []string{"rank", "rendezvous", "checkpoint-dir", "final-weights", "exec-workers", "lr"} {
+	for _, name := range []string{"rank", "rendezvous", "checkpoint-dir", "final-weights", "lr"} {
 		fs.String(name, "", "")
 	}
-	if err := fs.Parse([]string{"-rank", "3", "-rendezvous", "h:1", "-checkpoint-dir", "d", "-final-weights", "w", "-exec-workers", "2", "-lr", "0.5"}); err != nil {
+	if err := fs.Parse([]string{"-rank", "3", "-rendezvous", "h:1", "-checkpoint-dir", "d", "-final-weights", "w", "-lr", "0.5"}); err != nil {
 		t.Fatal(err)
 	}
 	if got := fingerprint(fs); got != "lr=0.5 " {

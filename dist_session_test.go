@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
+
+	"torchgt/internal/graph"
 )
 
 // distCurveEqual compares convergence curves produced by different execution
@@ -142,6 +144,50 @@ func TestDistDataParallelBitwise(t *testing.T) {
 	for r := 0; r < world; r++ {
 		weightsEqual(t, serial.Model(), sessions[r].Model())
 		distCurveEqual(t, fmt.Sprintf("rank %d", r), serialRes, results[r])
+	}
+}
+
+// TestDistDataParallelGraphLevel: graph-level training under pure data
+// parallelism (WithDistPlan(world, 1)) follows the serial trajectory bit for
+// bit, with batches of one graph (stepped graph by graph) and with batches
+// that pack their sparse runs into one block-diagonal forward. Either way a
+// step's head section is longer than its feature rows: one global readout
+// token per graph.
+func TestDistDataParallelGraphLevel(t *testing.T) {
+	const world = 2
+	zinc := func() *GraphDataset {
+		return graph.MakeGraphDataset(graph.GraphDatasetConfig{
+			Name: "zinc-sim", Task: graph.GraphRegression, NumGraphs: 40,
+			MinNodes: 12, MaxNodes: 36, FeatDim: 16, Seed: 131,
+		})
+	}
+	cfg := GraphormerSlim(16, 1, 132)
+	cfg.Layers = 1
+	for _, batch := range []int{1, 8} {
+		t.Run(fmt.Sprintf("batch=%d", batch), func(t *testing.T) {
+			base := []SessionOption{WithEpochs(2), WithLR(2e-3), WithSeed(133), WithBatchSize(batch)}
+			serial, serialRes := runSession(t, MethodGPSparse, cfg, GraphLevelTask(zinc()), base...)
+			cluster := MemCluster(world)
+			sessions := make([]*Session, world)
+			for r := range sessions {
+				opts := append([]SessionOption{WithTransport(cluster[r]), WithDistPlan(world, 1)}, base...)
+				s, err := NewSession(MethodGPSparse, cfg, GraphLevelTask(zinc()), opts...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sessions[r] = s
+			}
+			results, errs := runWorld(sessions, nil)
+			for r, err := range errs {
+				if err != nil {
+					t.Fatalf("rank %d: %v", r, err)
+				}
+			}
+			for r := range sessions {
+				weightsEqual(t, serial.Model(), sessions[r].Model())
+				distCurveEqual(t, fmt.Sprintf("rank %d", r), serialRes, results[r])
+			}
+		})
 	}
 }
 

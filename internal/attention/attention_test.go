@@ -314,9 +314,6 @@ func TestInterleavePolicyDirac(t *testing.T) {
 			t.Fatal("conditions OK ⇒ always sparse")
 		}
 	}
-	if pol.DenseFraction() != 0 {
-		t.Fatal("dense fraction must be 0")
-	}
 }
 
 func TestInterleavePolicyStarInterleaves(t *testing.T) {
@@ -341,9 +338,6 @@ func TestInterleavePolicyStarInterleaves(t *testing.T) {
 	if dense != 4 || sparseSteps != 12 {
 		t.Fatalf("interval schedule wrong: dense=%d sparse=%d", dense, sparseSteps)
 	}
-	if pol.DenseFraction() != 0.25 {
-		t.Fatalf("dense fraction=%v", pol.DenseFraction())
-	}
 }
 
 func TestInterleavePolicyDisconnectedFailsC3(t *testing.T) {
@@ -354,14 +348,11 @@ func TestInterleavePolicyDisconnectedFailsC3(t *testing.T) {
 	}
 }
 
-func TestDensePeakScoreBytes(t *testing.T) {
+func TestDensePairs(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	q, k, v := randQKV(rng, 16, 4, 4)
 	d := NewDense()
 	d.Forward(q, k, v)
-	if d.PeakScoreBytes() != 16*16*4 {
-		t.Fatalf("peak bytes=%d", d.PeakScoreBytes())
-	}
 	if d.Pairs() != 256 {
 		t.Fatalf("pairs=%d", d.Pairs())
 	}

@@ -89,12 +89,3 @@ func (d *Dense) Backward(dO *tensor.Mat) (dq, dk, dv *tensor.Mat) {
 	d.ws.Put(ds)
 	return dq, dk, dv
 }
-
-// PeakScoreBytes reports the S×S buffer footprint of the last Forward — the
-// quantity that makes GP-Raw go OOM in the paper's Table V.
-func (d *Dense) PeakScoreBytes() int64 {
-	if d.p == nil {
-		return 0
-	}
-	return d.p.Bytes()
-}

@@ -72,14 +72,3 @@ func (p *InterleavePolicy) UseSparse(step int) bool {
 	}
 	return step%p.Interval != 0
 }
-
-// DenseFraction returns the long-run fraction of dense steps.
-func (p *InterleavePolicy) DenseFraction() float64 {
-	if p.ConditionsOK {
-		return 0
-	}
-	if p.Interval <= 1 {
-		return 1
-	}
-	return 1 / float64(p.Interval)
-}

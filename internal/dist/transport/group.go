@@ -241,19 +241,3 @@ func (g *Group) AllReduceMean(mats []*tensor.Mat) error {
 	}
 	return nil
 }
-
-// AllReduceScalar sums one float across the group (loss reporting), folding
-// in fixed member order.
-func (g *Group) AllReduceScalar(v float64) (float64, error) {
-	m := tensor.New(1, 1)
-	m.Data[0] = float32(v)
-	gathered, err := g.AllGather(m)
-	if err != nil {
-		return 0, err
-	}
-	var s float64
-	for _, gm := range gathered {
-		s += float64(gm.Data[0])
-	}
-	return s, nil
-}

@@ -58,26 +58,6 @@ func ComputeSPD(g *graph.Graph, maxDist int) *SPDTable {
 	return &SPDTable{N: g.N, MaxDist: maxDist, Dist: g.AllPairsSPD(maxDist)}
 }
 
-// EdgeSPDBuckets returns, for each stored edge of g, the SPD bucket of its
-// endpoint pair under a sparse attention pattern: self-loops get bucket 0,
-// direct edges bucket 1. This is the large-graph path where all-pairs BFS is
-// unaffordable and the attention pattern only contains graph edges anyway.
-func EdgeSPDBuckets(g *graph.Graph) []int32 {
-	out := make([]int32, g.NumEdges())
-	idx := 0
-	for u := 0; u < g.N; u++ {
-		for _, v := range g.Neighbors(u) {
-			if int32(u) == v {
-				out[idx] = 0
-			} else {
-				out[idx] = 1
-			}
-			idx++
-		}
-	}
-	return out
-}
-
 // LaplacianPE computes m-dimensional Laplacian positional encodings: the
 // eigenvectors of the symmetric normalised Laplacian associated with the
 // smallest non-trivial eigenvalues, approximated by orthogonal power

@@ -51,27 +51,6 @@ func TestComputeSPDBuckets(t *testing.T) {
 	}
 }
 
-func TestEdgeSPDBuckets(t *testing.T) {
-	g := graph.FromEdges(3, []graph.Edge{{U: 0, V: 1}}, true).WithSelfLoops()
-	buckets := EdgeSPDBuckets(g)
-	if len(buckets) != g.NumEdges() {
-		t.Fatal("length mismatch")
-	}
-	idx := 0
-	for u := 0; u < g.N; u++ {
-		for _, v := range g.Neighbors(u) {
-			want := int32(1)
-			if int32(u) == v {
-				want = 0
-			}
-			if buckets[idx] != want {
-				t.Fatalf("bucket (%d,%d)=%d want %d", u, v, buckets[idx], want)
-			}
-			idx++
-		}
-	}
-}
-
 func TestLaplacianPEShapeAndOrthogonality(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	g := graph.ErdosRenyi(60, 0.15, rng)

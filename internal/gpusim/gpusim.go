@@ -179,11 +179,6 @@ func SimulateIndexingWithWork(r *sparse.Reformed, realEntries int64, d int, spec
 	return stats
 }
 
-// SimulateIndexing replays the kernel assuming fully-useful blocks.
-func SimulateIndexing(r *sparse.Reformed, d int, spec GPUSpec) IndexingStats {
-	return SimulateIndexingWithWork(r, 0, d, spec)
-}
-
 // SweepDb reforms the layout at each candidate db and simulates the kernel,
 // returning one stats row per db (the Fig. 6 sweep).
 func SweepDb(cl *sparse.ClusterLayout, betaThre float64, dbs []int, d int, spec GPUSpec) []IndexingStats {

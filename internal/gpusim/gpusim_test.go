@@ -154,8 +154,8 @@ func TestA100ReachesMemoryLessOften(t *testing.T) {
 	// filters locality before L2 sees the stream.)
 	cl := buildLayout(t, 4)
 	r := sparse.Reform(cl, 16, 1.0)
-	s3090 := SimulateIndexing(r, 64, RTX3090Spec)
-	sa100 := SimulateIndexing(r, 64, A100Spec)
+	s3090 := SimulateIndexingWithWork(r, 0, 64, RTX3090Spec)
+	sa100 := SimulateIndexingWithWork(r, 0, 64, A100Spec)
 	mem3090 := (1 - s3090.L1HitRate) * (1 - s3090.L2HitRate)
 	memA100 := (1 - sa100.L1HitRate) * (1 - sa100.L2HitRate)
 	if memA100 > mem3090+0.01 {

@@ -182,11 +182,6 @@ func NodeDatasetNames() []string {
 	return []string{"arxiv-sim", "products-sim", "amazon-sim", "papers100m-sim", "pokec-sim", "aminer-sim", "flickr-sim"}
 }
 
-// LoadNode builds the named preset node-level dataset at its default scale.
-func LoadNode(name string, seed int64) (*NodeDataset, error) {
-	return LoadNodeScaled(name, 0, seed)
-}
-
 // LoadNodeScaled builds the named preset with NumNodes overridden (0 keeps
 // the preset size). Used by tests and benchmarks to run at reduced scale.
 func LoadNodeScaled(name string, numNodes int, seed int64) (*NodeDataset, error) {

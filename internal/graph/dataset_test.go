@@ -55,7 +55,7 @@ func TestLoadNodePresets(t *testing.T) {
 			t.Fatalf("%s: classes=%d", name, d.NumClasses)
 		}
 	}
-	if _, err := LoadNode("nope", 1); err == nil {
+	if _, err := LoadNodeScaled("nope", 256, 1); err == nil {
 		t.Fatal("expected error for unknown dataset")
 	}
 }

@@ -61,37 +61,6 @@ func BarabasiAlbert(n, m int, rng *rand.Rand) *Graph {
 	return FromEdges(n, edges, true)
 }
 
-// RMAT samples an R-MAT graph with the classic (a, b, c, d) quadrant
-// probabilities, n rounded up to a power of two internally but nodes outside
-// [0, n) are rejected. Produces skewed, community-free power-law graphs.
-func RMAT(n, numEdges int, a, b, c float64, rng *rand.Rand) *Graph {
-	levels := 0
-	for 1<<levels < n {
-		levels++
-	}
-	var edges []Edge
-	for len(edges) < numEdges {
-		u, v := 0, 0
-		for l := 0; l < levels; l++ {
-			r := rng.Float64()
-			switch {
-			case r < a: // top-left
-			case r < a+b:
-				v |= 1 << l
-			case r < a+b+c:
-				u |= 1 << l
-			default:
-				u |= 1 << l
-				v |= 1 << l
-			}
-		}
-		if u < n && v < n && u != v {
-			edges = append(edges, Edge{int32(u), int32(v)})
-		}
-	}
-	return FromEdges(n, edges, true)
-}
-
 // SBMConfig parameterises a (degree-corrected) stochastic block model.
 type SBMConfig struct {
 	BlockSizes []int   // nodes per block
@@ -216,29 +185,4 @@ func ShuffledIDs(n int, rng *rand.Rand) []int32 {
 	}
 	rng.Shuffle(n, func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
 	return perm
-}
-
-// WattsStrogatz samples a small-world graph: a ring lattice where each node
-// connects to k/2 neighbours on each side, with every edge rewired to a
-// random endpoint with probability beta. Ring lattices always contain a
-// Hamiltonian path, which makes this generator useful for exercising the
-// C2 condition of Dual-interleaved Attention.
-func WattsStrogatz(n, k int, beta float64, rng *rand.Rand) *Graph {
-	if k < 2 {
-		k = 2
-	}
-	var edges []Edge
-	for i := 0; i < n; i++ {
-		for j := 1; j <= k/2; j++ {
-			target := (i + j) % n
-			if beta > 0 && rng.Float64() < beta {
-				target = rng.Intn(n)
-				if target == i {
-					target = (i + 1) % n
-				}
-			}
-			edges = append(edges, Edge{int32(i), int32(target)})
-		}
-	}
-	return FromEdges(n, edges, true)
 }

@@ -152,10 +152,6 @@ func TestConnectivityAndComponents(t *testing.T) {
 	if g2.IsConnected() {
 		t.Fatal("two components")
 	}
-	comp, n := g2.ConnectedComponents()
-	if n != 2 || comp[0] != comp[1] || comp[2] != comp[3] || comp[0] == comp[2] {
-		t.Fatalf("components wrong: %v (%d)", comp, n)
-	}
 }
 
 func TestAllPairsSPD(t *testing.T) {
@@ -257,7 +253,6 @@ func TestGeneratorsValidAndSymmetric(t *testing.T) {
 		gs := []*Graph{
 			ErdosRenyi(40, 0.15, rng),
 			BarabasiAlbert(50, 3, rng),
-			RMAT(64, 200, 0.45, 0.2, 0.2, rng),
 			MoleculeLike(20, 3, rng),
 		}
 		for _, g := range gs {
@@ -344,25 +339,5 @@ func TestShuffledIDsIsPermutation(t *testing.T) {
 			t.Fatal("duplicate in permutation")
 		}
 		seen[v] = true
-	}
-}
-
-func TestWattsStrogatz(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	// β=0: pure ring lattice, k=4 → degree 4 everywhere, Hamiltonian
-	g := WattsStrogatz(50, 4, 0, rng)
-	if g.MinDegree() != 4 || g.MaxDegree() != 4 {
-		t.Fatalf("ring lattice degrees wrong: %d..%d", g.MinDegree(), g.MaxDegree())
-	}
-	if _, ok := g.GreedyHamiltonianPath(); !ok {
-		t.Fatal("ring lattice must contain a Hamiltonian path")
-	}
-	// β=0.3: rewired but still valid and connected-ish
-	g2 := WattsStrogatz(100, 6, 0.3, rng)
-	if err := g2.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if g2.NumEdges() == 0 {
-		t.Fatal("rewired graph empty")
 	}
 }

@@ -41,35 +41,6 @@ func (g *Graph) IsConnected() bool {
 	return true
 }
 
-// ConnectedComponents labels each node with a component ID and returns the
-// labels plus the number of components.
-func (g *Graph) ConnectedComponents() ([]int32, int) {
-	comp := make([]int32, g.N)
-	for i := range comp {
-		comp[i] = -1
-	}
-	var c int32
-	for s := 0; s < g.N; s++ {
-		if comp[s] >= 0 {
-			continue
-		}
-		comp[s] = c
-		queue := []int32{int32(s)}
-		for len(queue) > 0 {
-			u := queue[0]
-			queue = queue[1:]
-			for _, v := range g.Neighbors(int(u)) {
-				if comp[v] < 0 {
-					comp[v] = c
-					queue = append(queue, v)
-				}
-			}
-		}
-		c++
-	}
-	return comp, int(c)
-}
-
 // AllPairsSPD computes all-pairs shortest-path hop distances by running BFS
 // from every node, capped at maxDist (distances beyond the cap and
 // unreachable pairs are reported as maxDist+1). Intended for the small graphs

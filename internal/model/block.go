@@ -32,10 +32,6 @@ func (b *Block) SetPlan(p Plan) {
 	b.FC2.SetChain(c)
 }
 
-// SetRuntime attaches a single-process execution engine (pre-Plan entry
-// point).
-func (b *Block) SetRuntime(rt *Runtime) { b.SetPlan(rt) }
-
 // NewBlock constructs a transformer block.
 func NewBlock(name string, hidden, heads, ffnHidden, numBuckets int, dropout float64, rng *rand.Rand) *Block {
 	return &Block{

@@ -63,8 +63,9 @@ type DistSeqParallel struct {
 
 // NewDistSeqParallel builds the hybrid plan for this process from its
 // transport: world = replicas × P, with ranks [replica·P, (replica+1)·P)
-// forming each sequence-parallel group. opts follows ExecOptions semantics
-// (Workers is ignored: a rank's heads run sequentially, as on one GPU).
+// forming each sequence-parallel group. opts.PoolEnabled draws the rank's
+// scratch from pooled workspaces; a rank's heads run sequentially, as on
+// one GPU.
 func NewDistSeqParallel(t transport.Transport, replicas int, opts ExecOptions) (*DistSeqParallel, error) {
 	if replicas < 1 {
 		replicas = 1
@@ -178,7 +179,13 @@ func (p *DistSeqParallel) gradChain() nn.GradChain {
 }
 
 // forwardHeads implements Plan: this rank's side of the Ulysses section.
+// A group of one holds the whole token sequence, which a global readout
+// token (one per packed segment) makes longer than the feature rows that
+// rows saw, so q's rows are the head section's length.
 func (p *DistSeqParallel) forwardHeads(m *MHA, q, k, v *tensor.Mat, spec *AttentionSpec) *tensor.Mat {
+	if p.P == 1 {
+		p.seq = q.Rows
+	}
 	m.beginHeads(spec, p.seq)
 	if m.BiasTable != nil {
 		if p.biasTables == nil {

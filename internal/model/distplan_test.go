@@ -200,7 +200,7 @@ func TestDistSeqParallelMatchesSerial(t *testing.T) {
 	for _, s := range []int{192, 190, 3} {
 		for _, interleaved := range []bool{false, true} {
 			task := newDistTask(s, interleaved)
-			want := task.train(NewRuntime(ExecOptions{Workers: 1}), steps)
+			want := task.train(nil, steps)
 			for _, p := range []int{1, 2, 4} {
 				for _, w := range []struct {
 					name string
@@ -261,7 +261,7 @@ func TestDistSeqParallelAccumulatesAcrossBackwards(t *testing.T) {
 		}
 		return flat
 	}
-	want := twice(NewRuntime(ExecOptions{Workers: 1}))
+	want := twice(nil)
 	ts := memWorld(t, 2)
 	got := make([][]float32, 2)
 	var wg sync.WaitGroup

@@ -9,26 +9,32 @@ import (
 	"torchgt/internal/tensor"
 )
 
-func execModel(seed int64, rt *Runtime) (*GraphTransformer, *Inputs, *AttentionSpec) {
+// slotRuntime builds the pooled default engine with n head slots: a
+// Runtime takes its slot count from tensor.Workers() when it is built.
+func slotRuntime(n int) *Runtime {
+	prev := tensor.SetWorkers(n)
+	defer tensor.SetWorkers(prev)
+	return DefaultRuntime()
+}
+
+func execModel(seed int64, plan Plan) (*GraphTransformer, *Inputs, *AttentionSpec) {
 	cfg := GraphormerSlim(6, 3, seed)
 	cfg.Layers = 2
 	cfg.Dropout = 0 // deterministic across runtimes
 	m := NewGraphTransformer(cfg)
-	if rt != nil {
-		m.SetRuntime(rt)
-	}
+	m.SetPlan(plan)
 	g := tinyGraph(11, 16)
 	in := tinyInputs(g, 6, 12)
 	return m, in, sparseSpec(g)
 }
 
-// TestHeadParallelMatchesSequential runs the same model weights under a
-// sequential unpooled engine and a head-parallel pooled one: logits and every
-// parameter gradient must be bitwise identical (heads are independent and
-// write disjoint state).
+// TestHeadParallelMatchesSequential runs the same model weights under the
+// nil plan (sequential, unpooled) and a pooled engine of four head slots:
+// logits and every parameter gradient must be bitwise identical (heads are
+// independent and write disjoint state).
 func TestHeadParallelMatchesSequential(t *testing.T) {
-	seq, in, spec := execModel(3, NewRuntime(ExecOptions{Workers: 1}))
-	par, _, _ := execModel(3, NewRuntime(ExecOptions{Workers: 4, PoolEnabled: true}))
+	seq, in, spec := execModel(3, nil)
+	par, _, _ := execModel(3, slotRuntime(4))
 
 	for step := 0; step < 3; step++ {
 		lseq := seq.Forward(in, spec, true)
@@ -60,7 +66,7 @@ func TestHeadParallelAllModes(t *testing.T) {
 	cfg := GraphormerSlim(6, 3, 3)
 	cfg.Layers = 1
 	m := NewGraphTransformer(cfg)
-	m.SetRuntime(NewRuntime(ExecOptions{Workers: 4, PoolEnabled: true}))
+	m.SetPlan(slotRuntime(4))
 	in := tinyInputs(g, 6, 4)
 
 	spd := g.AllPairsSPD(6)
@@ -88,8 +94,8 @@ func TestHeadParallelAllModes(t *testing.T) {
 // TestPooledModelMatchesUnpooled pins down that workspace pooling changes no
 // numbers across repeated steps (buffer recycling must not leak state).
 func TestPooledModelMatchesUnpooled(t *testing.T) {
-	plain, in, spec := execModel(9, NewRuntime(ExecOptions{Workers: 1}))
-	pooled, _, _ := execModel(9, NewRuntime(ExecOptions{Workers: 1, PoolEnabled: true}))
+	plain, in, spec := execModel(9, nil)
+	pooled, _, _ := execModel(9, slotRuntime(1))
 	for step := 0; step < 4; step++ {
 		a := plain.Forward(in, spec, true)
 		b := pooled.Forward(in, spec, true)
@@ -108,39 +114,42 @@ func TestPooledModelMatchesUnpooled(t *testing.T) {
 		}
 		nn.ZeroGrads(pa)
 		nn.ZeroGrads(pb)
-		pooled.Runtime().StepReset()
+		pooled.Plan().StepReset()
 	}
-	st := pooled.Runtime().AllocStats()
+	st := pooled.Plan().AllocStats()
 	if st.Gets == 0 || st.PoolHits == 0 {
 		t.Fatalf("pooled engine not exercised: %+v", st)
 	}
 }
 
-// TestRuntimeDefaults checks option resolution and the nil-runtime fallback.
+// TestRuntimeDefaults checks the slot count, pooling and the nil-runtime
+// fallback.
 func TestRuntimeDefaults(t *testing.T) {
 	var nilRT *Runtime
-	if nilRT.Options().Workers != 1 {
-		t.Fatal("nil runtime must report sequential execution")
-	}
 	nilRT.StepReset() // no-op
 	if nilRT.workspace(0) != nil {
 		t.Fatal("nil runtime has no workspaces")
 	}
 	rt := NewRuntime(ExecOptions{})
-	if rt.Options().Workers < 1 {
-		t.Fatal("defaults must resolve workers")
+	if len(rt.wss) != tensor.Workers() {
+		t.Fatalf("runtime has %d slots, want tensor.Workers() = %d", len(rt.wss), tensor.Workers())
 	}
-	if rt.Options().PoolEnabled {
+	if rt.workspace(0) != nil {
 		t.Fatal("zero options leave pooling off")
 	}
-	if DefaultRuntime().Options().PoolEnabled != true {
-		t.Fatal("default engine pools")
+	if len(slotRuntime(3).wss) != 3 {
+		t.Fatal("the slot count is tensor.Workers() at construction")
+	}
+	for i, ws := range DefaultRuntime().wss {
+		if ws == nil {
+			t.Fatalf("default engine: slot %d is not pooled", i)
+		}
 	}
 }
 
 // TestFlashMHAPlansBitwise pins the flash kernel's place in the plans: its
 // backward is serial within a head, so all its parallelism is the plans'
-// head fan-out — and sequential heads (nil plan), two head workers and a
+// head fan-out — and sequential heads (nil plan), two head slots and a
 // two-rank sequence-parallel plan must produce the same bits, forward and
 // backward, over a sequence that crosses a tile and splits unevenly, and
 // across repeated steps (workspace recycling).
@@ -151,7 +160,7 @@ func TestFlashMHAPlansBitwise(t *testing.T) {
 		plan Plan
 	}{
 		{"nil", nil},
-		{"runtime-2", NewRuntime(ExecOptions{Workers: 2, PoolEnabled: true})},
+		{"runtime-2", slotRuntime(2)},
 		{"seqpar-2", NewSeqParallel(2, ExecOptions{PoolEnabled: true})},
 	}
 	mhas := make([]*MHA, len(plans))

@@ -61,9 +61,6 @@ type GCN struct {
 	rt *Runtime
 }
 
-// SetRuntime attaches an execution engine (nil → unpooled).
-func (m *GCN) SetRuntime(rt *Runtime) { m.rt = rt }
-
 // NewGCN builds the baseline for graph g.
 func NewGCN(g *graph.Graph, inDim, hidden, outDim int, dropout float64, seed int64) *GCN {
 	rng := rand.New(rand.NewSource(seed))
@@ -117,9 +114,6 @@ type GAT struct {
 
 	rt *Runtime
 }
-
-// SetRuntime attaches an execution engine (nil → unpooled).
-func (m *GAT) SetRuntime(rt *Runtime) { m.rt = rt }
 
 // NewGAT builds the baseline over graph g.
 func NewGAT(g *graph.Graph, inDim, hidden, outDim int, seed int64) *GAT {
@@ -185,9 +179,6 @@ type GCNGraph struct {
 
 	rt *Runtime
 }
-
-// SetRuntime attaches an execution engine (nil → unpooled).
-func (m *GCNGraph) SetRuntime(rt *Runtime) { m.rt = rt }
 
 // NewGCNGraph builds the baseline.
 func NewGCNGraph(inDim, hidden, outDim int, seed int64) *GCNGraph {

@@ -60,10 +60,6 @@ func (m *MHA) SetPlan(p Plan) {
 	m.WO.SetChain(c)
 }
 
-// SetRuntime attaches a single-process execution engine (nil reverts to
-// sequential, unpooled execution). Kept as the pre-Plan entry point.
-func (m *MHA) SetRuntime(rt *Runtime) { m.SetPlan(rt) }
-
 // Params implements nn.Module.
 func (m *MHA) Params() []*nn.Param {
 	ps := nn.CollectParams(m.WQ, m.WK, m.WV, m.WO)
@@ -71,13 +67,6 @@ func (m *MHA) Params() []*nn.Param {
 		ps = append(ps, m.BiasTable.Params()...)
 	}
 	return ps
-}
-
-// KernelFor instantiates the kernel for one head according to the spec,
-// wiring head-specific bias values in. Exported for the distributed runtime,
-// which creates kernels per worker-local head.
-func (m *MHA) KernelFor(head int, spec *AttentionSpec, s int) attention.Kernel {
-	return m.newKernel(head, spec, s, nil)
 }
 
 // newKernel instantiates the kernel for one head according to the spec,

@@ -13,7 +13,8 @@ import (
 // strategy is pluggable:
 //
 //   - *Runtime — the single-process engine: heads fan out across worker-slot
-//     workspaces (Workers: 1 degrades to fully sequential execution). A nil
+//     workspaces, one slot per tensor.Workers() (one slot degrades to
+//     sequential execution). A nil
 //     *Runtime is itself a valid Plan: sequential, heap-allocated.
 //   - *SeqParallel — the simulated multi-GPU engine: P rank goroutines own
 //     S/P sequence rows each and reshard sequence↔heads through
@@ -122,10 +123,9 @@ type SeqParallel struct {
 	shared *tensor.Workspace // serial sections: residuals, concat, dq/dk/dv
 }
 
-// NewSeqParallel builds a sequence-parallel plan of p ranks. opts follows
-// ExecOptions semantics: PoolEnabled draws per-rank kernel scratch from
-// pooled workspaces (Workers is ignored — within a rank, that rank's heads
-// run sequentially, as they would on one GPU).
+// NewSeqParallel builds a sequence-parallel plan of p ranks. opts.PoolEnabled
+// draws per-rank kernel scratch from pooled workspaces. Within a rank, that
+// rank's heads run sequentially, as they would on one GPU.
 func NewSeqParallel(p int, opts ExecOptions) *SeqParallel {
 	if p < 1 {
 		p = 1

@@ -30,7 +30,7 @@ func seqparModel(seed int64, heads int, p Plan) (*GraphTransformer, *Inputs, *At
 // (uneven and short shards) and across repeated steps (workspace recycling).
 func TestSeqParallelMatchesSerial(t *testing.T) {
 	for _, p := range []int{1, 2, 4} {
-		serial, in, spec := seqparModel(3, 4, NewRuntime(ExecOptions{Workers: 1}))
+		serial, in, spec := seqparModel(3, 4, nil)
 		sp := NewSeqParallel(p, ExecOptions{PoolEnabled: true})
 		par, _, _ := seqparModel(3, 4, sp)
 

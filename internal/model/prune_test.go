@@ -88,7 +88,7 @@ func assertTargetRows(t *testing.T, name string, got, full *tensor.Mat, targets 
 // TestTargetsForwardMatchesFullForward is the differential test of pruned
 // inference: for random block-diagonal batches with and without self-loops
 // (empty pattern rows, isolated targets), duplicated and unsorted targets,
-// 1–4 layers, SPD bias on and off, BF16 on and off and 1 or 3 head workers,
+// 1–4 layers, SPD bias on and off, BF16 on and off and 1 or 3 head slots,
 // Forward with Targets returns exactly the full forward's target rows, by
 // Float32bits, while attending fewer pairs. Each model serves two batches of
 // different sizes, so the reused schedule buffers are exercised too.
@@ -104,7 +104,7 @@ func TestTargetsForwardMatchesFullForward(t *testing.T) {
 						cfg := GraphormerSlim(5, 3, int64(layers))
 						cfg.Layers, cfg.Hidden, cfg.Heads, cfg.UseSPDBias = layers, 16, 4, bias
 						m := NewGraphTransformer(cfg)
-						m.SetRuntime(NewRuntime(ExecOptions{Workers: workers, PoolEnabled: true}))
+						m.SetPlan(slotRuntime(workers))
 						for rep := 0; rep < 2; rep++ {
 							in, spec, targets := targetBatch(rng, 5, loops, bias)
 							spec.BF16 = bf16

@@ -8,42 +8,27 @@ import (
 )
 
 // ExecOptions tunes the execution engine that runs a model's hot paths.
-// The zero value gives head-level parallelism bounded by the tensor worker
-// pool with workspace pooling OFF (every step allocates from the heap);
-// DefaultRuntime is the pooled configuration.
+// The zero value runs with workspace pooling OFF (every step allocates from
+// the heap); DefaultRuntime is the pooled configuration.
 type ExecOptions struct {
-	// Workers bounds how many attention heads run concurrently per layer
-	// (each on its own workspace). 0 picks tensor.Workers(); 1 forces
-	// sequential heads.
-	Workers int
 	// PoolEnabled draws per-step scratch from pooled workspaces instead of
 	// the heap, making steady-state training steps allocation-free.
 	PoolEnabled bool
 }
 
-func (o ExecOptions) withDefaults() ExecOptions {
-	if o.Workers <= 0 {
-		o.Workers = tensor.Workers()
-	}
-	return o
-}
-
 // Runtime is the single-process execution Plan shared by every layer of one
-// model: a set of worker-slot workspaces plus the head fan-out scheduler.
-// One runtime is owned by one model (or one rank's replica); it must not be
-// shared across concurrently-trained models. A nil *Runtime is valid and
-// degrades to sequential, heap-allocated execution, which keeps old call
-// sites working (and doubles as the "serial" plan).
+// model: one workspace per worker slot plus the head fan-out scheduler. It
+// has tensor.Workers() slots (GOMAXPROCS unless the process sets another
+// count), fixed when it is built. One runtime is owned by one model (or one rank's replica); it must
+// not be shared across concurrently-trained models. A nil *Runtime is valid
+// and degrades to sequential, heap-allocated execution (the "serial" plan).
 type Runtime struct {
-	opts ExecOptions
-	wss  []*tensor.Workspace // one per worker slot; nil slots when pooling disabled
+	wss []*tensor.Workspace // one per worker slot; nil slots when pooling disabled
 }
 
 // NewRuntime builds an execution engine from opts.
 func NewRuntime(opts ExecOptions) *Runtime {
-	opts = opts.withDefaults()
-	r := &Runtime{opts: opts}
-	r.wss = make([]*tensor.Workspace, opts.Workers)
+	r := &Runtime{wss: make([]*tensor.Workspace, tensor.Workers())}
 	if opts.PoolEnabled {
 		for i := range r.wss {
 			r.wss[i] = tensor.NewWorkspace()
@@ -52,18 +37,10 @@ func NewRuntime(opts ExecOptions) *Runtime {
 	return r
 }
 
-// DefaultRuntime is the engine models get when the caller does not supply
-// one: pooled workspaces, full worker parallelism.
+// DefaultRuntime is the engine every model gets: pooled workspaces, one
+// per worker slot.
 func DefaultRuntime() *Runtime {
 	return NewRuntime(ExecOptions{PoolEnabled: true})
-}
-
-// Options reports the resolved execution options.
-func (r *Runtime) Options() ExecOptions {
-	if r == nil {
-		return ExecOptions{Workers: 1}
-	}
-	return r.opts
 }
 
 // Ranks implements Plan: the single-process engine is one simulated device.
@@ -111,12 +88,12 @@ func (r *Runtime) finishBackward(nn.Module) {}
 // forEachHead fans body out over heads across the runtime's worker slots.
 // Each invocation gets the workspace of the slot it runs on; head h writes
 // only head-h-owned state, so bodies are race-free by construction. With one
-// worker (or a nil runtime) the loop degrades to sequential execution on
+// slot (or a nil runtime) the loop degrades to sequential execution on
 // slot 0 — numerically identical, since heads are independent.
 func (r *Runtime) forEachHead(heads int, body func(h int, ws *tensor.Workspace)) {
 	w := 1
 	if r != nil {
-		w = r.opts.Workers
+		w = len(r.wss)
 	}
 	if w > heads {
 		w = heads

@@ -60,20 +60,8 @@ func (g *GraphTransformer) SetPlan(p Plan) {
 	g.Head.SetChain(c)
 }
 
-// SetRuntime swaps in a single-process execution engine (head parallelism +
-// workspace pooling). A nil runtime reverts to sequential, unpooled
-// execution. Kept as the pre-Plan entry point; SetPlan generalises it.
-func (g *GraphTransformer) SetRuntime(rt *Runtime) { g.SetPlan(rt) }
-
 // Plan reports the model's execution plan.
 func (g *GraphTransformer) Plan() Plan { return normPlan(g.plan) }
-
-// Runtime reports the model's single-process execution engine, or nil when
-// the model runs under a different plan (e.g. SeqParallel).
-func (g *GraphTransformer) Runtime() *Runtime {
-	rt, _ := g.plan.(*Runtime)
-	return rt
-}
 
 // Inputs carries per-step input tensors alongside features.
 type Inputs struct {
@@ -131,7 +119,7 @@ func NewGraphTransformer(cfg Config) *GraphTransformer {
 	gt.FinalLN = nn.NewLayerNorm(cfg.Name+".lnf", cfg.Hidden)
 	gt.Head = nn.NewLinear(cfg.Name+".head", cfg.Hidden, cfg.OutDim, true, rng)
 	gt.InDrop = nn.NewDropout(cfg.Dropout, rng.Int63())
-	gt.SetRuntime(DefaultRuntime())
+	gt.SetPlan(DefaultRuntime())
 	return gt
 }
 

@@ -56,7 +56,7 @@ func (a *Adam) Step(params []*Param) {
 		var sq float64
 		for _, p := range params {
 			for _, g := range p.Grad.Data {
-				sq += float64(g) * float64(g)
+				sq += float64(float64(g) * float64(g))
 			}
 		}
 		norm := math.Sqrt(sq)
@@ -81,10 +81,10 @@ func (a *Adam) Step(params []*Param) {
 		lr := float32(a.LR)
 		for i, g := range p.Grad.Data {
 			if a.WeightDecay > 0 {
-				p.W.Data[i] -= lr * float32(a.WeightDecay) * p.W.Data[i]
+				p.W.Data[i] -= float32(lr * float32(a.WeightDecay) * p.W.Data[i])
 			}
-			m.Data[i] = b1*m.Data[i] + (1-b1)*g
-			v.Data[i] = b2*v.Data[i] + (1-b2)*g*g
+			m.Data[i] = float32(b1*m.Data[i]) + float32((1-b1)*g)
+			v.Data[i] = float32(b2*v.Data[i]) + float32((1-b2)*g*g)
 			mhat := float64(m.Data[i]) / bc1
 			vhat := float64(v.Data[i]) / bc2
 			p.W.Data[i] -= float32(float64(lr) * mhat / (math.Sqrt(vhat) + a.Eps))

@@ -54,11 +54,3 @@ func (e *Embedding) Backward(dy *tensor.Mat) {
 	}
 	chainPass(e.chain, e.W.Grad.Data)
 }
-
-// LookupScalar reads a 1-column table value (for bias tables).
-func (e *Embedding) LookupScalar(id int32) float32 { return e.W.W.At(int(id), 0) }
-
-// AccumScalarGrad adds g to the gradient of a 1-column table entry.
-func (e *Embedding) AccumScalarGrad(id int32, g float32) {
-	e.W.Grad.Data[int(id)*e.Dim] += g
-}

@@ -131,16 +131,3 @@ func (l *Linear) BackwardGELU(dy *tensor.Mat) *tensor.Mat {
 	tensor.MatMulT(dx, dz, l.W.W)
 	return dx
 }
-
-// ActivationBytes reports the cached activation footprint after Forward (and
-// the pre-activation kept by the fused ForwardGELU path, when used).
-func (l *Linear) ActivationBytes() int64 {
-	var n int64
-	if l.x != nil {
-		n += l.x.Bytes()
-	}
-	if l.z != nil {
-		n += l.z.Bytes()
-	}
-	return n
-}

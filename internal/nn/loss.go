@@ -30,7 +30,7 @@ func SoftmaxCrossEntropy(logits *tensor.Mat, labels []int32, mask []bool) (float
 		p := append([]float32(nil), row...)
 		tensor.SoftmaxInPlace(p)
 		y := labels[i]
-		loss += -math.Log(math.Max(float64(p[y]), 1e-12)) * inv
+		loss += float64(-math.Log(math.Max(float64(p[y]), 1e-12)) * inv)
 		dr := dl.Row(i)
 		for j := range dr {
 			dr[j] = p[j] * float32(inv)
@@ -38,31 +38,6 @@ func SoftmaxCrossEntropy(logits *tensor.Mat, labels []int32, mask []bool) (float
 		dr[y] -= float32(inv)
 	}
 	return loss, dl
-}
-
-// SoftmaxCrossEntropySum is the unnormalised variant used by the
-// distributed runtime: it returns the summed loss, un-scaled per-row
-// gradients and the number of contributing rows, so workers can normalise by
-// the global count after an all-reduce.
-func SoftmaxCrossEntropySum(logits *tensor.Mat, labels []int32, mask []bool) (float64, *tensor.Mat, int) {
-	dl := tensor.New(logits.Rows, logits.Cols)
-	var loss float64
-	n := 0
-	for i := 0; i < logits.Rows; i++ {
-		if mask != nil && !mask[i] {
-			continue
-		}
-		n++
-		row := logits.Row(i)
-		p := append([]float32(nil), row...)
-		tensor.SoftmaxInPlace(p)
-		y := labels[i]
-		loss += -math.Log(math.Max(float64(p[y]), 1e-12))
-		dr := dl.Row(i)
-		copy(dr, p)
-		dr[y] -= 1
-	}
-	return loss, dl, n
 }
 
 // MSE computes mean squared error over predictions (pred is R×1) against
@@ -77,7 +52,7 @@ func MSE(pred *tensor.Mat, targets []float32) (float64, *tensor.Mat) {
 	inv := 1.0 / float64(n)
 	for i := 0; i < n; i++ {
 		diff := pred.At(i, 0) - targets[i]
-		loss += float64(diff) * float64(diff) * inv
+		loss += float64(float64(diff) * float64(diff) * inv)
 		d.Set(i, 0, 2*diff*float32(inv))
 	}
 	return loss, d

@@ -52,7 +52,7 @@ func (ln *LayerNorm) Forward(x *tensor.Mat) *tensor.Mat {
 			var varsum float64
 			for _, v := range row {
 				d := float64(v) - mean
-				varsum += d * d
+				varsum += float64(d * d)
 			}
 			inv := float32(1.0 / math.Sqrt(varsum/float64(len(row))+float64(ln.Eps)))
 			ln.invStd[i] = inv
@@ -61,7 +61,7 @@ func (ln *LayerNorm) Forward(x *tensor.Mat) *tensor.Mat {
 			for j, v := range row {
 				h := (v - float32(mean)) * inv
 				xh[j] = h
-				yr[j] = h*gamma[j] + beta[j]
+				yr[j] = float32(h*gamma[j]) + beta[j]
 			}
 		}
 	})
@@ -81,14 +81,14 @@ func (ln *LayerNorm) Backward(dy *tensor.Mat) *tensor.Mat {
 			xh := ln.xhat.Row(i)
 			var sumDh, sumDhXh float32
 			for j := range dyr {
-				dh := dyr[j] * gamma[j]
+				dh := float32(dyr[j] * gamma[j])
 				sumDh += dh
-				sumDhXh += dh * xh[j]
+				sumDhXh += float32(dh * xh[j])
 			}
 			inv := ln.invStd[i]
 			dxr := dx.Row(i)
 			for j := range dyr {
-				dh := dyr[j] * gamma[j]
+				dh := float32(dyr[j] * gamma[j])
 				dxr[j] = (dh - sumDh/n - xh[j]*sumDhXh/n) * inv
 			}
 		}
@@ -101,7 +101,7 @@ func (ln *LayerNorm) Backward(dy *tensor.Mat) *tensor.Mat {
 		dyr := dy.Row(i)
 		xh := ln.xhat.Row(i)
 		for j, v := range dyr {
-			dg[j] += v * xh[j]
+			dg[j] += float32(v * xh[j])
 			db[j] += v
 		}
 	}

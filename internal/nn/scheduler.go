@@ -38,7 +38,7 @@ func (s WarmupCosine) LR(t int) float64 {
 		return s.Floor
 	}
 	progress := float64(t-s.Warmup) / span
-	return s.Floor + (s.Peak-s.Floor)*0.5*(1+math.Cos(math.Pi*progress))
+	return s.Floor + float64((s.Peak-s.Floor)*0.5*(1+math.Cos(math.Pi*progress)))
 }
 
 // WarmupPoly is Graphormer's polynomial-decay schedule: linear warmup to
@@ -68,7 +68,7 @@ func (s WarmupPoly) LR(t int) float64 {
 		p = 1
 	}
 	progress := float64(t-s.Warmup) / span
-	return s.Floor + (s.Peak-s.Floor)*math.Pow(1-progress, p)
+	return s.Floor + float64((s.Peak-s.Floor)*math.Pow(1-progress, p))
 }
 
 // StepWith applies one optimiser step at the scheduler's rate for step t.

@@ -3,8 +3,6 @@ package nn
 import (
 	"math"
 	"testing"
-
-	"torchgt/internal/tensor"
 )
 
 func TestConstantLR(t *testing.T) {
@@ -75,35 +73,5 @@ func TestStepWithAppliesScheduledRate(t *testing.T) {
 	}
 	if opt.LR != 0 {
 		t.Fatal("scheduler should set opt.LR")
-	}
-}
-
-func TestConfusionMatrixAndMacroF1(t *testing.T) {
-	// 2 classes; logits pick class by larger value
-	logits := tensor.FromSlice(4, 2, []float32{
-		2, 1, // pred 0
-		0, 3, // pred 1
-		5, 0, // pred 0
-		1, 2, // pred 1
-	})
-	labels := []int32{0, 1, 1, 1}
-	cm := ConfusionMatrix(logits, labels, nil, 2)
-	if cm[0][0] != 1 || cm[1][0] != 1 || cm[1][1] != 2 || cm[0][1] != 0 {
-		t.Fatalf("confusion matrix wrong: %v", cm)
-	}
-	f1 := MacroF1(logits, labels, nil, 2)
-	// class0: tp=1 fp=1 fn=0 → p=.5 r=1 f1=2/3; class1: tp=2 fp=0 fn=1 → p=1 r=2/3 f1=0.8
-	want := (2.0/3.0 + 0.8) / 2
-	if math.Abs(f1-want) > 1e-9 {
-		t.Fatalf("macro f1 = %v, want %v", f1, want)
-	}
-}
-
-func TestMacroF1Masked(t *testing.T) {
-	logits := tensor.FromSlice(2, 2, []float32{2, 1, 0, 3})
-	labels := []int32{0, 0}
-	mask := []bool{true, false}
-	if MacroF1(logits, labels, mask, 2) != 0.5 { // class0 perfect, class1 absent
-		t.Fatal("masked macro f1 wrong")
 	}
 }

@@ -8,7 +8,6 @@ import (
 
 	"torchgt/internal/data/shard"
 	"torchgt/internal/graph"
-	"torchgt/internal/model"
 	"torchgt/internal/tensor"
 )
 
@@ -19,15 +18,13 @@ import (
 // attention alloc benchmarks).
 
 // benchServer builds a one-worker engine (maxBatch 0 keeps the default) and
-// warms it with one PredictBatch of batch nodes.
+// warms it with one PredictBatch of batch nodes. Callers pin tensor workers
+// to 1 first, so each replica's runtime runs its heads on one slot.
 func benchServer(b *testing.B, batch, maxBatch int) (*Server, []int32) {
 	b.Helper()
 	ds := testDataset(256, 41)
 	snap := testSnapshot(b, ds, 42)
-	s, err := NewServer(snap, ds, Options{
-		Workers: 1, MaxBatch: maxBatch,
-		Exec: &model.ExecOptions{Workers: 1, PoolEnabled: true},
-	})
+	s, err := NewServer(snap, ds, Options{Workers: 1, MaxBatch: maxBatch})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -71,7 +68,6 @@ func BenchmarkServeBatch8Full(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	m.SetRuntime(model.NewRuntime(model.ExecOptions{Workers: 1, PoolEnabled: true}))
 	batch, err := s.buildBatch(nodes)
 	if err != nil {
 		b.Fatal(err)
@@ -129,10 +125,7 @@ func benchCold(b *testing.B, shards bool) {
 		defer view.Close()
 		src = view
 	}
-	s, err := NewServerSource(testSnapshot(b, ds, 48), src, Options{
-		Workers: 1, MaxBatch: 16, CacheCap: 64,
-		Exec: &model.ExecOptions{Workers: 1, PoolEnabled: true},
-	})
+	s, err := NewServerSource(testSnapshot(b, ds, 48), src, Options{Workers: 1, MaxBatch: 16, CacheCap: 64})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -80,9 +80,6 @@ type Options struct {
 	// CacheCap sizes the private cache when Cache is nil (default
 	// DefaultCacheCap).
 	CacheCap int
-	// Exec overrides each replica's execution engine (head-parallel
-	// workers, workspace pooling); nil keeps the pooled default.
-	Exec *model.ExecOptions
 }
 
 func (o Options) withDefaults() Options {
@@ -241,12 +238,9 @@ func NewServerSource(snap *Snapshot, src graph.NodeSource, opts Options) (*Serve
 		return nil, err
 	}
 
-	exec := model.ExecOptions{PoolEnabled: true}
-	if opts.Exec != nil {
-		exec = *opts.Exec
-	}
 	// Replica 0 decodes the frozen blob; further replicas copy its weights
 	// directly (model.CopyWeightsFrom), skipping repeated checkpoint decode.
+	// Each keeps the pooled runtime NewGraphTransformer attached.
 	replicas := make([]*model.GraphTransformer, opts.Workers)
 	first, err := snap.Materialize()
 	if err != nil {
@@ -259,9 +253,6 @@ func NewServerSource(snap *Snapshot, src graph.NodeSource, opts Options) (*Serve
 			return nil, fmt.Errorf("serve: replica %d: %w", i, err)
 		}
 		replicas[i] = m
-	}
-	for _, m := range replicas {
-		m.SetRuntime(model.NewRuntime(exec))
 	}
 
 	cache := opts.Cache
@@ -570,7 +561,7 @@ func (s *Server) runJob(m *model.GraphTransformer, j *job) {
 		}
 	}
 	// Step boundary: responses hold heap copies, recycle the workspaces.
-	m.Runtime().StepReset()
+	m.Plan().StepReset()
 	atomic.AddInt64(&s.nBatches, 1)
 	atomic.AddInt64(&s.sumBatch, int64(len(j.reqs)))
 }

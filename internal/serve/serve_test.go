@@ -15,6 +15,7 @@ import (
 
 	"torchgt/internal/graph"
 	"torchgt/internal/model"
+	"torchgt/internal/tensor"
 )
 
 func testDataset(n int, seed int64) *graph.NodeDataset {
@@ -89,26 +90,45 @@ func checkResponses(t *testing.T, rs []Response) {
 	}
 }
 
+// slotServer builds a server whose replicas fan heads over n slots: a
+// model's runtime takes its slot count from tensor.Workers() when it is
+// built.
+func slotServer(t testing.TB, n int, snap *Snapshot, ds *graph.NodeDataset, opts Options) *Server {
+	prev := tensor.SetWorkers(n)
+	defer tensor.SetWorkers(prev)
+	return mustServer(t, snap, ds, opts)
+}
+
 // TestDeterministicAcrossWorkersAndRuns pins the acceptance criterion: a
-// fixed batch produces bitwise-equal outputs across repeated runs and across
-// engines with different worker counts and head parallelism.
+// fixed batch produces bitwise-equal outputs across repeated runs, across
+// engines with different worker counts and head slots, and against the nil
+// plan (sequential heads, no pooling).
 func TestDeterministicAcrossWorkersAndRuns(t *testing.T) {
 	ds := testDataset(192, 1)
 	snap := testSnapshot(t, ds, 2)
 	batch := []int32{0, 5, 17, 100, 191, 5}
 
-	seq := mustServer(t, snap, ds, Options{
-		Workers: 1, Exec: &model.ExecOptions{Workers: 1},
-	})
-	par := mustServer(t, snap, ds, Options{
-		Workers: 3, Exec: &model.ExecOptions{Workers: 4, PoolEnabled: true},
-	})
+	seq := slotServer(t, 1, snap, ds, Options{Workers: 1})
+	par := slotServer(t, 4, snap, ds, Options{Workers: 3})
 
 	a := seq.PredictBatch(batch)
 	checkResponses(t, a)
 	b := par.PredictBatch(batch)
 	c := seq.PredictBatch(batch) // repeat on a warm engine
+	ref, err := snap.Materialize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref.SetPlan(nil)
+	built, err := seq.buildBatch(batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	logits := ref.Forward(built.in, built.spec, false)
 	for i := range batch {
+		if !bitsEqual(a[i].Probs, softmax(logits.Row(i))) {
+			t.Fatalf("node %d: outputs differ from the nil plan", batch[i])
+		}
 		if !bitsEqual(a[i].Probs, b[i].Probs) {
 			t.Fatalf("node %d: outputs differ across worker counts", batch[i])
 		}

@@ -148,21 +148,6 @@ func Dense(s int) *Pattern {
 	return &Pattern{S: s, RowPtr: rowPtr, ColIdx: colIdx}
 }
 
-// SubPattern returns the pattern induced on token range [lo, hi) with
-// positions shifted to [0, hi-lo): only pairs with both endpoints inside the
-// range survive. Used to restrict attention to a local shard.
-func (p *Pattern) SubPattern(lo, hi int) *Pattern {
-	var pairs []graph.Edge
-	for i := lo; i < hi; i++ {
-		for _, j := range p.Row(i) {
-			if int(j) >= lo && int(j) < hi {
-				pairs = append(pairs, graph.Edge{U: int32(i - lo), V: j - int32(lo)})
-			}
-		}
-	}
-	return FromPairs(hi-lo, pairs)
-}
-
 // BigBird builds an NLP-style structure-agnostic sparse pattern (window +
 // global + random attention, after Zaheer et al.) over s tokens. The paper's
 // issue I2 argues such patterns "fail to consider the inherent graph

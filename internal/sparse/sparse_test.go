@@ -64,28 +64,6 @@ func TestWithGlobalToken(t *testing.T) {
 	}
 }
 
-func TestSubPattern(t *testing.T) {
-	p := ringPattern(8)
-	sub := p.SubPattern(2, 6)
-	if sub.S != 4 {
-		t.Fatal("size wrong")
-	}
-	if !sub.Has(0, 1) { // old (2,3)
-		t.Fatal("internal pair missing")
-	}
-	if !sub.Has(0, 0) {
-		t.Fatal("self loop must survive")
-	}
-	// pair (1,2)->(... ,0) old edge (1,2): 1 outside → dropped
-	for i := 0; i < sub.S; i++ {
-		for _, j := range sub.Row(i) {
-			if j < 0 || int(j) >= 4 {
-				t.Fatal("out of range")
-			}
-		}
-	}
-}
-
 func TestPatternPermuteRoundTrip(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))

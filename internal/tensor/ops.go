@@ -38,15 +38,6 @@ func Scale(m *Mat, s float32) {
 	}
 }
 
-// Hadamard computes c = a ⊙ b element-wise.
-func Hadamard(c, a, b *Mat) {
-	a.mustSameShape(b)
-	a.mustSameShape(c)
-	for i := range c.Data {
-		c.Data[i] = a.Data[i] * b.Data[i]
-	}
-}
-
 // AddRowVec adds vector v (len = m.Cols) to every row of m.
 func AddRowVec(m *Mat, v []float32) {
 	if len(v) != m.Cols {

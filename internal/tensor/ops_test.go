@@ -203,14 +203,10 @@ func TestAddRowVecAndColSum(t *testing.T) {
 	}
 }
 
-func TestHadamardScaleSub(t *testing.T) {
+func TestSubScale(t *testing.T) {
 	a := FromSlice(1, 3, []float32{1, 2, 3})
 	b := FromSlice(1, 3, []float32{4, 5, 6})
 	c := New(1, 3)
-	Hadamard(c, a, b)
-	if c.Data[0] != 4 || c.Data[2] != 18 {
-		t.Fatal("Hadamard wrong")
-	}
 	Sub(c, b, a)
 	if c.Data[0] != 3 || c.Data[2] != 3 {
 		t.Fatal("Sub wrong")

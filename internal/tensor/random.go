@@ -20,10 +20,3 @@ func XavierInit(m *Mat, rng *rand.Rand) {
 		m.Data[i] = float32((rng.Float64()*2 - 1) * limit)
 	}
 }
-
-// RandUniform fills m with Uniform[lo, hi) samples.
-func RandUniform(m *Mat, rng *rand.Rand, lo, hi float64) {
-	for i := range m.Data {
-		m.Data[i] = float32(lo + rng.Float64()*(hi-lo))
-	}
-}

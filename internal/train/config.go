@@ -38,12 +38,6 @@ type Config struct {
 	Warmup int
 	// BatchSize is the graph-level optimiser batch (default 16; graph task).
 	BatchSize int
-	// Pack coalesces contiguous sparse-attention graphs of a graph-level
-	// batch into single block-diagonal packed forwards (graph task),
-	// reducing per-step attention-call count. Per-step gradients are
-	// bitwise identical to the unpacked loop — packing is purely a
-	// throughput knob. Off by default; ignored under SeqParallel.
-	Pack bool
 	// SeqLen is the sampled sequence length (seq task; 0 or larger than the
 	// graph clamps to the full node count at trainer construction).
 	SeqLen int
@@ -55,10 +49,6 @@ type Config struct {
 	// when the task has one, test accuracy otherwise); 0 disables.
 	EarlyStopPatience int
 	Seed              int64
-	// Exec overrides the model's execution engine (head-parallel workers +
-	// workspace pooling); nil keeps the pooled default. Under sequence
-	// parallelism only PoolEnabled applies (per-rank workspaces).
-	Exec *model.ExecOptions
 	// SeqParallel runs the model under the simulated sequence-parallel
 	// execution plan of this many ranks (0 or 1 = single device). Training
 	// under the plan is bitwise identical to serial training; the model's
@@ -104,22 +94,15 @@ func (c Config) withDefaults() Config {
 // applyExec attaches the configured execution plan to a freshly built model
 // — the single construction path used by every trainer. SeqParallel > 1
 // selects the sequence-parallel plan (per-rank workspaces, comm resharding
-// at attention boundaries); otherwise an explicit Exec override swaps in a
-// head-parallel Runtime, and nil Exec keeps the model's pooled default.
+// at attention boundaries); otherwise the model keeps its pooled
+// head-parallel Runtime.
 func (c Config) applyExec(m *model.GraphTransformer) {
-	if c.SeqParallel > 1 {
-		if m.Cfg.Heads%c.SeqParallel != 0 {
-			panic(fmt.Sprintf("train: %d attention heads not divisible by %d sequence-parallel ranks",
-				m.Cfg.Heads, c.SeqParallel))
-		}
-		eo := model.ExecOptions{PoolEnabled: true}
-		if c.Exec != nil {
-			eo = *c.Exec
-		}
-		m.SetPlan(model.NewSeqParallel(c.SeqParallel, eo))
+	if c.SeqParallel <= 1 {
 		return
 	}
-	if c.Exec != nil {
-		m.SetRuntime(model.NewRuntime(*c.Exec))
+	if m.Cfg.Heads%c.SeqParallel != 0 {
+		panic(fmt.Sprintf("train: %d attention heads not divisible by %d sequence-parallel ranks",
+			m.Cfg.Heads, c.SeqParallel))
 	}
+	m.SetPlan(model.NewSeqParallel(c.SeqParallel, model.ExecOptions{PoolEnabled: true}))
 }

@@ -151,12 +151,12 @@ func (tr *GraphTrainer) Steps(int) int {
 // accumulating gradients for the Loop's optimiser application. globalStep is
 // the dual-interleave clock.
 //
-// With Cfg.Pack set, contiguous runs of sparse-attention graphs in the
-// (shuffled) batch are coalesced into one block-diagonal packed forward each
-// — same graphs, same order, bitwise-identical gradients and RNG streams,
-// fewer attention calls. Dense-overlay steps and mixed-precision boundaries
-// fall back to the per-graph path, as does sequence-parallel execution
-// (whose plan shards one sequence, not a packed batch).
+// Contiguous runs of sparse-attention graphs in the (shuffled) batch are
+// coalesced into one block-diagonal packed forward each — same graphs, same
+// order, bitwise-identical gradients and RNG streams, fewer attention calls.
+// Dense-overlay steps and mixed-precision boundaries fall back to the
+// per-graph path, as does the in-process sequence-parallel plan (which
+// shards one sequence, not a packed batch).
 func (tr *GraphTrainer) Step(_, s, globalStep int) {
 	lo := s * tr.Cfg.BatchSize
 	hi := lo + tr.Cfg.BatchSize
@@ -164,7 +164,7 @@ func (tr *GraphTrainer) Step(_, s, globalStep int) {
 		hi = len(tr.order)
 	}
 	batch := tr.order[lo:hi]
-	if !tr.Cfg.Pack || tr.Cfg.SeqParallel > 1 {
+	if tr.Cfg.SeqParallel > 1 {
 		for _, oi := range batch {
 			tr.stepOne(tr.DS.TrainIdx[oi], globalStep)
 		}
@@ -235,8 +235,8 @@ func (tr *GraphTrainer) stepPacked(gis []int, bf16 bool) {
 	tr.epPairs += tr.Model.Pairs()
 }
 
-// Forwards reports how many model forwards Step has issued so far — with
-// packing on, fewer than the number of graphs trained.
+// Forwards reports how many model forwards Step has issued so far — fewer
+// than the number of graphs trained whenever a batch packs.
 func (tr *GraphTrainer) Forwards() int64 { return tr.forwards }
 
 // EpochPoint implements Task. For regression the Curve's Loss is the train

@@ -13,10 +13,10 @@ import (
 	"torchgt/internal/model"
 )
 
-// downgradeToV1 rewrites a v2 checkpoint file as a faithful version-1 file:
-// the version word becomes 1 and the meta JSON loses the DataSpec key that
-// did not exist before the format bump.
-func downgradeToV1(t *testing.T, path string) string {
+// rewriteCheckpoint writes a copy of the v2 checkpoint at path, named path
+// plus suffix, with the version word set to version and edit applied to the
+// meta JSON's train_config.
+func rewriteCheckpoint(t *testing.T, path, suffix string, version uint32, edit func(cfg map[string]json.RawMessage)) string {
 	t.Helper()
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -35,7 +35,7 @@ func downgradeToV1(t *testing.T, path string) string {
 	if err := json.Unmarshal(meta["train_config"], &cfg); err != nil {
 		t.Fatal(err)
 	}
-	delete(cfg, "DataSpec")
+	edit(cfg)
 	cfgRaw, err := json.Marshal(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -47,18 +47,63 @@ func downgradeToV1(t *testing.T, path string) string {
 	}
 
 	var out bytes.Buffer
-	for _, v := range []uint32{checkpointMagic, 1, uint32(len(metaRaw))} {
+	for _, v := range []uint32{checkpointMagic, version, uint32(len(metaRaw))} {
 		if err := binary.Write(&out, le, v); err != nil {
 			t.Fatal(err)
 		}
 	}
 	out.Write(metaRaw)
 	out.Write(raw[12+metaLen:])
-	v1 := path + ".v1"
-	if err := os.WriteFile(v1, out.Bytes(), 0o644); err != nil {
+	rewritten := path + suffix
+	if err := os.WriteFile(rewritten, out.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	return v1
+	return rewritten
+}
+
+// downgradeToV1 rewrites a v2 checkpoint file as a faithful version-1 file:
+// the version word becomes 1 and the meta JSON loses the DataSpec key that
+// did not exist before the format bump.
+func downgradeToV1(t *testing.T, path string) string {
+	return rewriteCheckpoint(t, path, ".v1", 1, func(cfg map[string]json.RawMessage) { delete(cfg, "DataSpec") })
+}
+
+// TestResumeIgnoresDeletedScheduleKeys: version-2 checkpoints written while
+// the training config still carried the execution engine's options ("Exec")
+// and the graph-level packing switch ("Pack") resume, and finish bitwise
+// equal to a run that was never interrupted. Neither key moved a bit.
+func TestResumeIgnoresDeletedScheduleKeys(t *testing.T) {
+	ds := smallGraphDataset(95)
+	mcfg := model.GraphormerSlim(8, 2, 96)
+	mcfg.Layers = 2
+	mcfg.Heads = 2
+	dir := t.TempDir()
+	tr := NewGraphTrainer(Config{Method: TorchGT, Epochs: 5, LR: 2e-3, BatchSize: 8, Interval: 2, Seed: 97}, mcfg, ds)
+	full := NewLoop(tr, tr.Model, tr.Cfg)
+	full.CheckpointEvery = 2
+	full.CheckpointDir = dir
+	fullRes, err := full.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	old := rewriteCheckpoint(t, filepath.Join(dir, "epoch-00002.ckpt"), ".old", checkpointVersion, func(cfg map[string]json.RawMessage) {
+		cfg["Exec"] = json.RawMessage(`{"Workers":4,"PoolEnabled":true}`)
+		cfg["Pack"] = json.RawMessage(`true`)
+	})
+	resumed, err := Resume(old, bindFor(nil, ds))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resumed.Epoch() != 2 {
+		t.Fatalf("resumed at epoch %d, want 2", resumed.Epoch())
+	}
+	resRes, err := resumed.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameWeights(t, tr.Model, resumed.Model())
+	assertSameCurve(t, fullRes.Curve, resRes.Curve)
 }
 
 // TestResumeRejectsOtherVersions: a checkpoint written before the DataSpec

@@ -1,14 +1,28 @@
 package train
 
 import (
+	"context"
 	"testing"
 
 	"torchgt/internal/graph"
 	"torchgt/internal/model"
 )
 
-// Packed-vs-unpacked equivalence: Cfg.Pack coalesces contiguous sparse-mode
-// graphs of a batch into one block-diagonal forward. The contract is BITWISE
+// perGraph is the unpacked reference for the graph trainer: the same Task
+// with every batch stepped one graph at a time.
+type perGraph struct{ *GraphTrainer }
+
+func (p perGraph) Step(_, s, globalStep int) {
+	lo := s * p.Cfg.BatchSize
+	hi := min(lo+p.Cfg.BatchSize, len(p.order))
+	for _, oi := range p.order[lo:hi] {
+		p.stepOne(p.DS.TrainIdx[oi], globalStep)
+	}
+}
+
+// Packed-vs-unpacked equivalence: GraphTrainer.Step coalesces contiguous
+// sparse-mode graphs of a batch into one block-diagonal forward, and the
+// perGraph reference runs them one by one. The contract is BITWISE
 // equality — same weights, same losses, same RNG stream — because every
 // float reduction (linear dW per segment, bias column sums, LayerNorm
 // stats, dropout draws, global-token gradients) accumulates in exactly the
@@ -49,9 +63,16 @@ func TestPackedTrainingBitwiseEqual(t *testing.T) {
 				// TorchGT; BatchSize 7 over ~24 train graphs leaves a tail.
 				tr := NewGraphTrainer(Config{
 					Method: tc.method, Epochs: 4, LR: 2e-3,
-					BatchSize: 7, Interval: 2, Seed: 31, Pack: pack,
+					BatchSize: 7, Interval: 2, Seed: 31,
 				}, cfg, ds)
-				res := tr.Run()
+				var task Task = tr
+				if !pack {
+					task = perGraph{tr}
+				}
+				res, err := NewLoop(task, tr.Model, tr.Cfg).Run(context.Background())
+				if err != nil {
+					t.Fatal(err)
+				}
 				return tr, res
 			}
 			trU, resU := run(false)
@@ -115,7 +136,7 @@ func TestPackedStepGroupsOnlySparseRuns(t *testing.T) {
 	cfg.Heads = 1
 	tr := NewGraphTrainer(Config{
 		Method: TorchGT, Epochs: 1, LR: 1e-3,
-		BatchSize: 5, Interval: 1, Seed: 3, Pack: true,
+		BatchSize: 5, Interval: 1, Seed: 3,
 	}, cfg, ds)
 	tr.BeginEpoch(0)
 	steps := tr.Steps(0)

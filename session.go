@@ -93,12 +93,6 @@ func WithLR(lr float64) SessionOption { return func(s *sessionSettings) { s.cfg.
 // WithSeed sets the training seed.
 func WithSeed(seed int64) SessionOption { return func(s *sessionSettings) { s.cfg.Seed = seed } }
 
-// WithExec overrides the execution engine (head-parallel workers, workspace
-// pooling).
-func WithExec(e ExecOptions) SessionOption {
-	return func(s *sessionSettings) { ec := e; s.cfg.Exec = &ec }
-}
-
 // WithSeqParallel trains under the simulated sequence-parallel execution
 // plan of p ranks: every rank owns S/p sequence rows, attention reshards
 // sequence↔heads through channel all-to-alls at each layer (the
@@ -118,13 +112,6 @@ func WithSeqParallel(p int) SessionOption {
 
 // WithBatchSize sets the graph-level optimiser batch (default 16).
 func WithBatchSize(n int) SessionOption { return func(s *sessionSettings) { s.cfg.BatchSize = n } }
-
-// WithPack coalesces each graph-level batch's contiguous runs of
-// sparse-attention graphs into single block-diagonal packed forwards,
-// reducing the attention-call count. Gradients stay bitwise identical to
-// the unpacked loop — packing is purely a throughput knob. Ignored under
-// sequence parallelism.
-func WithPack() SessionOption { return func(s *sessionSettings) { s.cfg.Pack = true } }
 
 // WithSeqLen sets the sampled sequence length for a node task converted
 // with Seq (the Fig. 1 regime).

@@ -57,21 +57,6 @@ const (
 	MethodNodeFormer  = train.NodeFormerKernel
 )
 
-// ExecOptions tunes the runtime execution engine: head-level parallelism
-// (Workers) and workspace pooling (PoolEnabled). The zero value means full
-// head parallelism with pooling OFF; set PoolEnabled to pool. A session
-// without WithExec gets both on.
-type ExecOptions = model.ExecOptions
-
-// Runtime is the execution engine behind a model's hot paths: per-worker
-// scratch workspaces plus the attention-head fan-out scheduler. Attach one
-// to a model with GraphTransformer.SetRuntime; reset it at step boundaries
-// in custom loops with StepReset.
-type Runtime = model.Runtime
-
-// NewRuntime builds an execution engine from opts.
-func NewRuntime(opts ExecOptions) *Runtime { return model.NewRuntime(opts) }
-
 // ParseMethod converts a CLI name ("torchgt", "gp-flash", …) to a Method.
 func ParseMethod(s string) (Method, error) { return train.ParseMethod(s) }
 

@@ -113,11 +113,7 @@ func applyDist(st *sessionSettings, loop *train.Loop) error {
 		return fmt.Errorf("torchgt: model has %d attention heads, not divisible by %d sequence-parallel ranks (WithDistPlan)",
 			m.Cfg.Heads, seqRanks)
 	}
-	eo := model.ExecOptions{PoolEnabled: true}
-	if cfg.Exec != nil {
-		eo = *cfg.Exec
-	}
-	plan, err := model.NewDistSeqParallel(t, replicas, eo)
+	plan, err := model.NewDistSeqParallel(t, replicas, model.ExecOptions{PoolEnabled: true})
 	if err != nil {
 		return err
 	}
