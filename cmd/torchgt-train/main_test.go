@@ -270,17 +270,6 @@ func TestTrainEgoRejectsUnusedFlags(t *testing.T) {
 	}
 }
 
-// TestTrainScheduleFlagsGone: the engine picks its own head fan-out and
-// graph-level batches always pack, so neither schedule has a flag.
-func TestTrainScheduleFlagsGone(t *testing.T) {
-	for _, tc := range [][]string{{"-exec-workers", "2"}, {"-pack"}} {
-		err := run(context.Background(), append([]string{"-dataset", "zinc-sim", "-epochs", "1"}, tc...))
-		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
-			t.Errorf("%v: want an unknown-flag error, got %v", tc, err)
-		}
-	}
-}
-
 // TestTrainDistributedFingerprint: every flag that shapes the trajectory is
 // part of the rendezvous fingerprint, so ranks started with a different
 // learning rate or epoch count are refused at hello time instead of

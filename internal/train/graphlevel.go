@@ -152,11 +152,13 @@ func (tr *GraphTrainer) Steps(int) int {
 // the dual-interleave clock.
 //
 // Contiguous runs of sparse-attention graphs in the (shuffled) batch are
-// coalesced into one block-diagonal packed forward each — same graphs, same
-// order, bitwise-identical gradients and RNG streams, fewer attention calls.
-// Dense-overlay steps and mixed-precision boundaries fall back to the
-// per-graph path, as does the in-process sequence-parallel plan (which
-// shards one sequence, not a packed batch).
+// coalesced into block-diagonal packed forwards of at most packRows feature
+// rows — same graphs, same order, bitwise-identical gradients and RNG
+// streams, fewer attention calls. A graph longer than the budget runs alone,
+// so large-graph batches keep the per-graph path's memory. Dense-overlay
+// steps and mixed-precision boundaries fall back to the per-graph path, as
+// does the in-process sequence-parallel plan (which shards one sequence, not
+// a packed batch).
 func (tr *GraphTrainer) Step(_, s, globalStep int) {
 	lo := s * tr.Cfg.BatchSize
 	hi := lo + tr.Cfg.BatchSize
@@ -178,15 +180,15 @@ func (tr *GraphTrainer) Step(_, s, globalStep int) {
 			i++
 			continue
 		}
-		run := []int{gi}
+		run, rows := []int{gi}, tr.entries[gi].inputs.X.Rows
 		j := i + 1
 		for ; j < len(batch); j++ {
 			gj := tr.DS.TrainIdx[batch[j]]
-			if sj := tr.specFor(gj, globalStep); sj.Mode != model.ModeSparse || sj.BF16 != spec.BF16 {
+			n := tr.entries[gj].inputs.X.Rows
+			if sj := tr.specFor(gj, globalStep); sj.Mode != model.ModeSparse || sj.BF16 != spec.BF16 || rows+n > packRows {
 				break
-			} else {
-				run = append(run, gj)
 			}
+			run, rows = append(run, gj), rows+n
 		}
 		if len(run) == 1 {
 			tr.stepOne(gi, globalStep)

@@ -71,7 +71,7 @@ func egoStepBench(b *testing.B) (*EgoTrainer, *sample.Pipeline, []int32, *nn.Ada
 }
 
 // BenchmarkEgoStep is one optimiser step of ego-sampled training: 32 targets
-// sampled, packed into block-diagonal forwards/backwards of egoPackRows rows,
+// sampled, packed into block-diagonal forwards/backwards of packRows rows,
 // one Adam step. CI caps its allocations and gates it against the same work
 // done one context at a time (BenchmarkEgoStepBatch1x32).
 func BenchmarkEgoStep(b *testing.B) {

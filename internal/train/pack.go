@@ -6,6 +6,15 @@ import (
 	"torchgt/internal/tensor"
 )
 
+// packRows is the row budget of one packed forward/backward, for both
+// trainers: a pack is flushed before a segment that would take it past this
+// many feature rows, and a longer segment runs alone. Longer packs run a
+// little faster, but activations grow with the pack — a whole batch of
+// graphs with hundreds of nodes in one forward multiplies peak RSS. The
+// budget changes wall-clock and memory only: every pack size yields the same
+// bits. The sizing tables are in DESIGN.md "Locality: reordering and packing".
+const packRows = 256
+
 // pack is a block-diagonal packed batch under construction, shared by the
 // graph-level trainer (a run of small graphs) and the ego trainer (a run of
 // sampled contexts): the segments' features, degree buckets and PEs

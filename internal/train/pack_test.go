@@ -181,3 +181,80 @@ func TestPackedStepGroupsOnlySparseRuns(t *testing.T) {
 		t.Fatalf("forwards = %d, want %d (dense graphs each alone, one per sparse run)", tr.Forwards(), want)
 	}
 }
+
+// TestPackedStepKeepsRowBudget pins the row budget: a run of sparse-mode
+// graphs is cut before the graph that would take its pack past packRows
+// feature rows, and a graph longer than the budget runs alone — so batches
+// of large graphs step exactly as the per-graph path does. Graphs of 60–339
+// nodes under gp-sparse give packs of two or three graphs, lone graphs under
+// the budget and lone graphs over it; the forward count must equal the
+// greedy replay's, and the trajectory the per-graph reference's bit for bit.
+func TestPackedStepKeepsRowBudget(t *testing.T) {
+	skipIfShort(t)
+	dcfg := graph.GraphDatasetConfig{
+		Name: "budget", Task: graph.GraphRegression, NumGraphs: 20,
+		MinNodes: 60, MaxNodes: 340, FeatDim: 4, Seed: 5,
+	}
+	run := func(pack bool) (*GraphTrainer, *Result) {
+		cfg := model.GraphormerSlim(4, 1, 7)
+		cfg.Layers, cfg.Hidden, cfg.Heads = 1, 16, 2
+		tr := NewGraphTrainer(Config{
+			Method: GPSparse, Epochs: 1, LR: 1e-3, BatchSize: 8, Seed: 9,
+		}, cfg, graph.MakeGraphDataset(dcfg))
+		var task Task = tr
+		if !pack {
+			task = perGraph{tr}
+		}
+		res, err := NewLoop(task, tr.Model, tr.Cfg).Run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tr, res
+	}
+	trU, resU := run(false)
+	tr, resP := run(true)
+	if resU.Curve[0].Loss != resP.Curve[0].Loss {
+		t.Fatalf("loss differs: %v per graph vs %v packed (not bitwise)", resU.Curve[0].Loss, resP.Curve[0].Loss)
+	}
+	pu, pp := trU.Model.Params(), tr.Model.Params()
+	for x := range pu {
+		for i, v := range pu[x].W.Data {
+			if v != pp[x].W.Data[i] {
+				t.Fatalf("param %s element %d differs: %v vs %v (not bitwise)", pu[x].Name, i, v, pp[x].W.Data[i])
+			}
+		}
+	}
+
+	// Replay the epoch's batches: a pack takes graphs while their rows fit.
+	var want int64
+	packed, over := 0, 0
+	for s := 0; s < tr.Steps(0); s++ {
+		lo := s * tr.Cfg.BatchSize
+		rows, n := 0, 0
+		for _, oi := range tr.order[lo:min(lo+tr.Cfg.BatchSize, len(tr.order))] {
+			r := tr.DS.Graphs[tr.DS.TrainIdx[oi]].N
+			if r > packRows {
+				over++
+			}
+			if n > 0 && rows+r > packRows {
+				if n > 1 {
+					packed++
+				}
+				want++
+				rows, n = 0, 0
+			}
+			rows, n = rows+r, n+1
+		}
+		if n > 1 {
+			packed++
+		}
+		want++
+	}
+	if packed == 0 || over == 0 {
+		t.Fatalf("fixture lost its size mix (packs of ≥2 graphs=%d, graphs over the budget=%d)", packed, over)
+	}
+	if tr.Forwards() != want {
+		t.Fatalf("forwards = %d, want %d (packs cut at %d rows)", tr.Forwards(), want, packRows)
+	}
+	t.Logf("forwards: %d per graph -> %d packed (%d packs of ≥2 graphs)", trU.Forwards(), tr.Forwards(), packed)
+}

@@ -123,17 +123,9 @@ func (tr *EgoTrainer) nextSerial(n int) uint64 {
 	return s
 }
 
-// egoPackRows is the row budget of one packed forward/backward: sampled
-// contexts are coalesced, in sampling order, into block-diagonal packs of at
-// most this many rows (8 contexts of the default 32). Longer packs run faster
-// still, but their activations lift the disk-resident workload's peak RSS —
-// the sizing table is in DESIGN.md "Locality: reordering and packing" — and
-// the budget changes wall-clock only: every pack size yields the same bits.
-const egoPackRows = 256
-
 // eachPack samples targets in order and coalesces their contexts — features,
 // degree buckets, label, and the subgraph's pattern with its edge buckets —
-// into packs of at most egoPackRows rows, calling flush on each pack as it
+// into packs of at most packRows rows, calling flush on each pack as it
 // fills and on the last partial one. The sampler keeps prefetching while a
 // flush computes. On a source I/O error (reported once every target has been
 // visited) the remaining pack is dropped, not flushed.
@@ -144,7 +136,7 @@ func (tr *EgoTrainer) eachPack(pipe *sample.Pipeline, targets []int32, flush fun
 	}
 	reset()
 	err := pipe.Each(targets, tr.nextSerial(len(targets)), func(c *sample.Context) {
-		if rows := tr.pack.rows(); rows > 0 && rows+c.X.Rows > egoPackRows {
+		if rows := tr.pack.rows(); rows > 0 && rows+c.X.Rows > packRows {
 			flush()
 			reset()
 		}
