@@ -56,7 +56,7 @@ cmp "$WORK/mono.tgds" "$WORK/merged.tgds"
 echo "== out-of-core ego training vs in-memory (accuracy must match bitwise)"
 "$WORK/torchgt-train" -ego -data "file://$WORK/mono.tgds" \
     -epochs 2 -seqlen 16 -seed 3 | tee "$WORK/ego-mem.txt"
-"$WORK/torchgt-train" -ego -ego-workers 4 \
+"$WORK/torchgt-train" -ego \
     -data "shard://$WORK/shards?cache=128KiB&block=8KiB" \
     -epochs 2 -seqlen 16 -seed 3 | tee "$WORK/ego-shard.txt"
 grep -q "disk-resident" "$WORK/ego-shard.txt"

@@ -12,6 +12,7 @@
 //	torchgt-train -checkpoint-dir ckpts -checkpoint-every 5 -epochs 100
 //	torchgt-train -resume ckpts/epoch-00010.ckpt
 //	torchgt-train -seqlen 512 -patience 8
+//	torchgt-train -ego -data shard://run/arxiv-shards -seqlen 32
 //	torchgt-train -reorder 8 -method torchgt    # cluster-contiguous node layout
 //	torchgt-train -seqpar 4 -method torchgt
 //	torchgt-train -beta 0.01 -rendezvous :7700 -world 4
@@ -23,6 +24,13 @@
 // plan (P ranks resharding sequence↔heads through channel all-to-alls).
 // The trajectory is bitwise identical to the serial run, so every other
 // feature — events, checkpoints, resume, early stopping — composes with it.
+//
+// -ego trains on sampled 2-hop ego-graphs of -seqlen nodes (default 32), 32
+// targets per optimiser step, with gp-sparse attention (the default method
+// under -ego, and the only one it takes). It runs on the same session as
+// every other mode — SIGINT checkpoints, -resume and -patience apply — and
+// reads through the dataset's node source, so shard:// specs stay
+// disk-resident end to end; their block-cache counters print at the end.
 //
 // -rendezvous runs real cross-process sequence parallelism over TCP: rank 0
 // listens on the address, the other ranks dial in, and the world trains one
@@ -62,10 +70,21 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	if err := run(ctx, os.Args[1:]); err != nil {
+		var code exitCode
+		if errors.As(err, &code) {
+			os.Exit(int(code))
+		}
 		fmt.Fprintln(os.Stderr, "torchgt-train:", err)
 		os.Exit(1)
 	}
 }
+
+// exitCode is returned by run when the process must exit with this status,
+// its message already printed: 130 after an interrupt, 75 after a lost peer
+// rank, or a launched rank's own code.
+type exitCode int
+
+func (c exitCode) Error() string { return fmt.Sprintf("exit status %d", int(c)) }
 
 func run(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("torchgt-train", flag.ContinueOnError)
@@ -75,9 +94,8 @@ func run(ctx context.Context, args []string) error {
 	method := fs.String("method", "torchgt", "gp-raw | gp-flash | gp-sparse | torchgt | torchgt-bf16 | nodeformer")
 	epochs := fs.Int("epochs", 20, "training epochs")
 	lr := fs.Float64("lr", 2e-3, "learning rate")
-	seqLen := fs.Int("seqlen", 0, "mini-batched sequence length (node-level; 0 = full-graph sequence)")
-	ego := fs.Bool("ego", false, "train with ego-graph sampling through the NodeSource interface; shard:// specs stay disk-resident (out-of-core)")
-	egoWorkers := fs.Int("ego-workers", 0, "sampling-pipeline workers for -ego (0 = synchronous; any count is bitwise-identical)")
+	seqLen := fs.Int("seqlen", 0, "mini-batched sequence length (node-level; 0 = full-graph sequence); with -ego, nodes per ego-graph (0 = 32)")
+	ego := fs.Bool("ego", false, "train on sampled ego-graphs of -seqlen nodes (gp-sparse); shard:// specs stay disk-resident (out-of-core)")
 	beta := fs.Float64("beta", -1, "pin βthre for the torchgt methods instead of running the Auto Tuner (negative = tuner; required with -rendezvous, where wall-clock tuning would diverge across ranks)")
 	seqPar := fs.Int("seqpar", 1, "sequence-parallel ranks (simulated; bitwise-identical to serial, heads must divide)")
 	patience := fs.Int("patience", 0, "early-stopping patience in epochs (0 = off)")
@@ -94,13 +112,11 @@ func run(ctx context.Context, args []string) error {
 	}
 
 	// Only explicitly-given flags override a resumed checkpoint's
-	// configuration, and -ego refuses the ones it would silently drop.
+	// configuration.
 	given := map[string]bool{}
 	fs.Visit(func(f *flag.Flag) { given[f.Name] = true })
-	if *ego {
-		if err := checkEgoFlags(fs); err != nil {
-			return err
-		}
+	if *ego && !given["method"] {
+		*method = "gp-sparse"
 	}
 	// Launcher mode: -rendezvous without -rank forks the whole world as
 	// local worker processes and waits for them.
@@ -125,15 +141,6 @@ func run(ctx context.Context, args []string) error {
 		default:
 			return torchgt.GraphormerSlim(in, out, seed)
 		}
-	}
-
-	// Ego-sampled training reads through the NodeSource interface and needs
-	// none of the session machinery; it is the path that keeps shard://
-	// datasets disk-resident end to end.
-	if *ego {
-		return runEgo(data.Resolve(), cfgFor, torchgt.EgoConfig{
-			Epochs: *epochs, LR: *lr, Seed: seed, MaxSize: *seqLen, Workers: *egoWorkers,
-		})
 	}
 	fresh := *resume == ""
 
@@ -195,46 +202,54 @@ func run(ctx context.Context, args []string) error {
 	if err != nil {
 		return err
 	}
-	if *seqLen > 0 && task.Data().Node != nil {
-		if task, err = task.Seq(); err != nil { // same opened dataset, sequence regime
+	// same opened dataset, sampled regime
+	if *ego {
+		if task, err = task.Ego(); err != nil {
+			return err
+		}
+	} else if *seqLen > 0 && task.Data().Kind() == torchgt.DatasetKindNode {
+		if task, err = task.Seq(); err != nil {
 			return err
 		}
 	}
 
 	d := task.Data()
+	src := d.Source() // nil for graph-level datasets
+	in, out := 0, 0
 	if gd := d.Graph; gd != nil {
-		outDim := gd.NumClasses
-		if outDim == 0 {
-			outDim = 1
-		}
-		sess, err := openSession(*resume, m, cfgFor(gd.FeatDim, outDim), task, opts)
-		if err != nil {
-			return err
-		}
-		if err := finish(ctx, sess, *ckptDir, *finalWeights, tr); err != nil {
-			return err
-		}
-		if mae := sess.EvalMAE(); mae > 0 {
-			fmt.Printf("final test MAE: %.4f\n", mae)
-		} else {
-			fmt.Printf("final test accuracy: %.2f%%\n", sess.Result().FinalTestAcc*100)
-		}
-		return nil
+		in, out = gd.FeatDim, max(gd.NumClasses, 1)
+	} else {
+		in, out = src.FeatDim(), src.Classes()
 	}
-
-	nd := d.Node
-	sess, err := openSession(*resume, m, cfgFor(nd.X.Cols, nd.NumClasses), task, opts)
+	_, disk := torchgt.DatasetIOStatsOf(src)
+	if *ego {
+		kind := "in-memory"
+		if disk {
+			kind = "disk-resident"
+		}
+		fmt.Printf("ego training on %s (%s, %d nodes)\n", src.DatasetName(), kind, src.NumNodes())
+	}
+	sess, err := openSession(*resume, m, cfgFor(in, out), task, opts)
 	if err != nil {
 		return err
 	}
 	if err := finish(ctx, sess, *ckptDir, *finalWeights, tr); err != nil {
 		return err
 	}
-	res := sess.Result()
-	fmt.Printf("final test accuracy: %.2f%%  (preprocess %.3fs, avg epoch %.3fs)\n",
-		res.FinalTestAcc*100, res.PreprocessTime.Seconds(), res.AvgEpochTime.Seconds())
+	if mae := sess.EvalMAE(); mae > 0 {
+		fmt.Printf("final test MAE: %.4f\n", mae)
+	} else {
+		res := sess.Result()
+		fmt.Printf("final test accuracy: %.2f%%  (preprocess %.3fs, avg epoch %.3fs)\n",
+			res.FinalTestAcc*100, res.PreprocessTime.Seconds(), res.AvgEpochTime.Seconds())
+	}
 	if cb := sess.CommBytes(); cb > 0 {
 		fmt.Printf("sequence-parallel collective traffic: %.1f MB\n", float64(cb)/(1<<20))
+	}
+	if st, _ := torchgt.DatasetIOStatsOf(src); *ego && disk {
+		fmt.Printf("shard I/O: %d cache hits, %d misses, %d evictions, %.1f MB read, %.1f/%.1f MB cached\n",
+			st.Hits, st.Misses, st.Evictions, float64(st.BytesRead)/(1<<20),
+			float64(st.CachedBytes)/(1<<20), float64(st.BudgetBytes)/(1<<20))
 	}
 	return nil
 }
@@ -257,57 +272,6 @@ func fingerprint(fs *flag.FlagSet) string {
 		}
 	})
 	return b.String()
-}
-
-// egoFlags are the flags ego-sampled training consumes.
-var egoFlags = map[string]bool{
-	"ego": true, "ego-workers": true, "data": true, "dataset": true, "nodes": true, "seed": true,
-	"reorder": true, "model": true, "epochs": true, "lr": true, "seqlen": true,
-}
-
-// checkEgoFlags rejects explicitly given flags the ego path would drop: it
-// runs outside the session machinery, so methods, plans, checkpoints,
-// resume and the distributed flags do not apply to it.
-func checkEgoFlags(fs *flag.FlagSet) error {
-	var unused []string
-	fs.Visit(func(f *flag.Flag) {
-		if !egoFlags[f.Name] {
-			unused = append(unused, "-"+f.Name)
-		}
-	})
-	if len(unused) == 0 {
-		return nil
-	}
-	return fmt.Errorf("-ego does not use %s (ego-sampled training takes the dataset flags, -model, -epochs, -lr, -seqlen and -ego-workers)",
-		strings.Join(unused, ", "))
-}
-
-// runEgo trains with ego-graph sampling over the source the spec resolves
-// to; shard:// specs never materialise — steps read sampled contexts through
-// the view's block cache, whose counters print at the end.
-func runEgo(spec string, cfgFor func(in, out int) torchgt.ModelConfig, ego torchgt.EgoConfig) error {
-	src, err := torchgt.OpenNodeSource(spec)
-	if err != nil {
-		return err
-	}
-	kind := "in-memory"
-	if _, ok := torchgt.DatasetIOStatsOf(src); ok {
-		kind = "disk-resident"
-	}
-	fmt.Printf("ego training on %s (%s, %d nodes, %d workers)\n",
-		src.DatasetName(), kind, src.NumNodes(), ego.Workers)
-	res, err := torchgt.TrainNodeEgoSource(cfgFor(src.FeatDim(), src.Classes()), src, ego)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("final test accuracy: %.2f%%  (avg epoch %.3fs)\n",
-		res.FinalTestAcc*100, res.AvgEpochTime.Seconds())
-	if st, ok := torchgt.DatasetIOStatsOf(src); ok {
-		fmt.Printf("shard I/O: %d cache hits, %d misses, %d evictions, %.1f MB read, %.1f/%.1f MB cached\n",
-			st.Hits, st.Misses, st.Evictions, float64(st.BytesRead)/(1<<20),
-			float64(st.CachedBytes)/(1<<20), float64(st.BudgetBytes)/(1<<20))
-	}
-	return nil
 }
 
 // openSession builds a fresh session or resumes a checkpoint with an
@@ -364,7 +328,7 @@ func launchWorld(ctx context.Context, args []string, world int) error {
 		}
 	}
 	if code != 0 {
-		os.Exit(code)
+		return exitCode(code)
 	}
 	return nil
 }
@@ -398,14 +362,14 @@ func finish(ctx context.Context, sess *torchgt.Session, ckptDir, finalWeights st
 		fmt.Fprintf(os.Stderr, "peer rank lost; state rolled back to the last completed step (epoch %d)\n", sess.Epoch())
 		if ckptDir == "" {
 			fmt.Fprintln(os.Stderr, "no -checkpoint-dir set; progress not saved")
-			os.Exit(75)
+			return exitCode(75)
 		}
 		path := filepath.Join(ckptDir, "ranklost.ckpt")
 		if cerr := sess.Checkpoint(path); cerr != nil {
 			return cerr
 		}
 		fmt.Printf("survivor checkpoint written to %s (resume at a new world size: -resume %s -rendezvous ... -world M)\n", path, path)
-		os.Exit(75)
+		return exitCode(75)
 	}
 	if !errors.Is(err, context.Canceled) {
 		return err
@@ -413,15 +377,14 @@ func finish(ctx context.Context, sess *torchgt.Session, ckptDir, finalWeights st
 	fmt.Printf("\ninterrupted at epoch %d\n", sess.Epoch())
 	if ckptDir == "" {
 		fmt.Println("no -checkpoint-dir set; progress not saved")
-		os.Exit(130)
+		return exitCode(130)
 	}
 	path := filepath.Join(ckptDir, "interrupted.ckpt")
 	if err := sess.Checkpoint(path); err != nil {
 		return err
 	}
 	fmt.Printf("checkpoint written to %s (resume with -resume %s)\n", path, path)
-	os.Exit(130)
-	return nil
+	return exitCode(130)
 }
 
 // printEvents streams session events as they happen.

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"net"
@@ -229,7 +230,7 @@ func TestTrainEgoOutOfCore(t *testing.T) {
 		t.Fatalf("-ego over synth spec: %v", err)
 	}
 	err = run(context.Background(), []string{
-		"-ego", "-ego-workers", "3",
+		"-ego",
 		"-data", "shard://" + shards + "?cache=16KiB&block=1KiB",
 		"-epochs", "1", "-seqlen", "8", "-seed", "9",
 	})
@@ -239,34 +240,58 @@ func TestTrainEgoOutOfCore(t *testing.T) {
 
 }
 
-// TestTrainEgoRejectsUnusedFlags: ego-sampled training runs outside the
-// session machinery, so every explicitly given flag it would silently drop
-// is refused, by name, before any data is touched.
-func TestTrainEgoRejectsUnusedFlags(t *testing.T) {
-	for _, tc := range [][]string{
-		{"-resume", "x.ckpt"},
-		{"-rendezvous", "127.0.0.1:1", "-world", "2"},
-		{"-checkpoint-dir", "ckpts"},
-		{"-checkpoint-every", "2"},
-		{"-patience", "5"},
-		{"-method", "gp-flash"},
-		{"-seqpar", "2"},
-		{"-final-weights", "w.bin"},
-		{"-beta", "0.1"},
-		{"-dp", "2"},
+// TestTrainEgoCheckpointResume: -ego runs on the session path, so an
+// interrupt (here a cancelled context) writes the -checkpoint-dir
+// checkpoint and exits 130, periodic checkpoints are written, and -resume
+// from either finishes with weights byte-equal to an uninterrupted run.
+// Methods and plans ego training cannot run are refused by NewSession.
+func TestTrainEgoCheckpointResume(t *testing.T) {
+	dir := t.TempDir()
+	ego := []string{"-ego", "-dataset", "arxiv-sim", "-nodes", "160", "-seed", "9", "-epochs", "3", "-seqlen", "8"}
+	with := func(extra ...string) []string { return append(append([]string{}, ego...), extra...) }
+	weights := func(name string) []byte {
+		t.Helper()
+		b, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+
+	periodic := filepath.Join(dir, "periodic")
+	if err := run(context.Background(), with("-checkpoint-dir", periodic, "-checkpoint-every", "1",
+		"-final-weights", filepath.Join(dir, "straight.bin"))); err != nil {
+		t.Fatalf("uninterrupted -ego run: %v", err)
+	}
+
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	interrupted := filepath.Join(dir, "interrupted")
+	var code exitCode
+	if err := run(cancelled, with("-checkpoint-dir", interrupted)); !errors.As(err, &code) || code != 130 {
+		t.Fatalf("interrupted -ego run: want exit status 130, got %v", err)
+	}
+
+	for i, ckpt := range []string{
+		filepath.Join(interrupted, "interrupted.ckpt"),
+		filepath.Join(periodic, "epoch-00001.ckpt"),
 	} {
-		err := run(context.Background(), append([]string{"-ego", "-data", "synth://no-such", "-epochs", "1"}, tc...))
-		if err == nil || !strings.Contains(err.Error(), "-ego does not use") || !strings.Contains(err.Error(), tc[0]) {
-			t.Errorf("-ego %v: want an error naming %s, got %v", tc, tc[0], err)
+		out := fmt.Sprintf("resumed%d.bin", i)
+		if err := run(context.Background(), []string{"-resume", ckpt, "-final-weights", filepath.Join(dir, out)}); err != nil {
+			t.Fatalf("-resume %s: %v", ckpt, err)
+		}
+		if !bytes.Equal(weights(out), weights("straight.bin")) {
+			t.Fatalf("-resume %s: final weights differ from the uninterrupted run", ckpt)
 		}
 	}
-	// every flag the ego path consumes passes the check (and then fails on the dataset)
-	err := run(context.Background(), []string{
-		"-ego", "-ego-workers", "2", "-data", "synth://no-such", "-dataset", "x", "-nodes", "8", "-seed", "3",
-		"-reorder", "2", "-model", "gt", "-epochs", "1", "-lr", "0.01", "-seqlen", "8",
-	})
-	if err == nil || strings.Contains(err.Error(), "-ego does not use") {
-		t.Fatalf("consumed flags must pass the -ego check, got %v", err)
+
+	for _, tc := range []struct{ flag, value, want string }{
+		{"-seqpar", "2", "WithSeqParallel"},
+		{"-method", "gp-flash", "method must be gp-sparse"},
+	} {
+		if err := run(context.Background(), with(tc.flag, tc.value)); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("-ego %s %s: want an error naming %q, got %v", tc.flag, tc.value, tc.want, err)
+		}
 	}
 }
 

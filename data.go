@@ -86,42 +86,38 @@ func SaveDataset(path string, d *Dataset) error { return data.SaveDataset(path, 
 
 // taskFor wraps an opened dataset in the TaskSpec matching kind, recording
 // the canonical spec string so Sessions persist it into checkpoints.
-// Streamed (shard://) datasets are materialised here: the full-sequence
-// session trainers range over whole arrays, so a disk-resident graph has to
-// load once up front — use TrainNodeEgoSource for training that stays
-// out-of-core.
+// Streamed (shard://) datasets stay disk-resident: ego-sampled training
+// reads them through the view's block cache, and the full-sequence trainers,
+// which range over whole arrays, load them when they are built.
 func taskFor(kind string, d *Dataset, spec string) (TaskSpec, error) {
 	sp, err := data.ParseSpec(spec)
 	if err != nil {
 		return TaskSpec{}, err
 	}
-	canonical := sp.String()
-	if d.Stream != nil {
-		if d, err = d.Materialize(); err != nil {
-			return TaskSpec{}, fmt.Errorf("torchgt: materializing %s for full-sequence training: %w", canonical, err)
-		}
-	}
 	switch kind {
-	case train.TaskNode, train.TaskSeq:
-		if d.Node == nil {
+	case train.TaskNode, train.TaskSeq, train.TaskEgo:
+		if d.Kind() != DatasetKindNode {
 			return TaskSpec{}, fmt.Errorf("torchgt: spec %q is a graph-level dataset, a node dataset is required", spec)
 		}
-		return TaskSpec{kind: kind, node: d.Node, spec: canonical}, nil
 	case train.TaskGraph:
 		if d.Graph == nil {
 			return TaskSpec{}, fmt.Errorf("torchgt: spec %q is a node dataset, a graph-level dataset is required", spec)
 		}
-		return TaskSpec{kind: kind, gds: d.Graph, spec: canonical}, nil
+	default:
+		return TaskSpec{}, fmt.Errorf("torchgt: unknown task kind %q", kind)
 	}
-	return TaskSpec{}, fmt.Errorf("torchgt: unknown task kind %q", kind)
+	return TaskSpec{kind: kind, data: d, spec: sp.String()}, nil
 }
 
 // TaskFromSpec opens a dataset spec and wraps it in the task matching its
 // kind: node datasets train node classification over the full sequence
-// (NodeTask; convert with Seq for sampled sequences), graph-level datasets
-// train graph-level targets (GraphLevelTask). It is the one way to build a
-// task from a spec. Sessions built from spec tasks record the spec in
-// checkpoints, so ResumeSessionFromSpec can re-open the data.
+// (NodeTask; convert with Seq for sampled sequences, with Ego for sampled
+// ego-graphs), graph-level datasets train graph-level targets
+// (GraphLevelTask). It is the one way to build a task from a spec. A
+// shard:// dataset is opened disk-resident and loaded only when a
+// full-sequence trainer is built over it. Sessions built from spec tasks
+// record the spec in checkpoints, so ResumeSessionFromSpec can re-open the
+// data.
 func TaskFromSpec(spec string) (TaskSpec, error) {
 	d, err := data.OpenString(spec)
 	if err != nil {
@@ -137,18 +133,50 @@ func TaskFromSpec(spec string) (TaskSpec, error) {
 // regime (set the length with WithSeqLen) without re-opening its dataset;
 // the recorded spec carries over. Graph-level tasks cannot be converted.
 func (t TaskSpec) Seq() (TaskSpec, error) {
-	if t.node == nil {
+	if !t.isNode() {
 		return TaskSpec{}, fmt.Errorf("torchgt: only node tasks train as sampled sequences")
 	}
-	return TaskSpec{kind: train.TaskSeq, node: t.node, spec: t.spec}, nil
+	return TaskSpec{kind: train.TaskSeq, data: t.data, spec: t.spec}, nil
 }
 
-// Data returns the dataset the task carries (nil for the zero TaskSpec).
+// Ego converts a node-classification task to ego-graph sampled training
+// (the baseline family of §II-C) without re-opening its dataset; the
+// recorded spec carries over. A step trains WithBatchSize targets (default
+// 32), each on its sampled 2-hop ego-graph of at most WithSeqLen nodes
+// (default 32), under MethodGPSparse only. A shard:// task stays
+// disk-resident — a step reads only its sampled contexts, through the
+// view's block cache — and trains bitwise-equal to the in-memory dataset.
+func (t TaskSpec) Ego() (TaskSpec, error) {
+	if !t.isNode() {
+		return TaskSpec{}, fmt.Errorf("torchgt: only node tasks train on sampled ego-graphs")
+	}
+	return TaskSpec{kind: train.TaskEgo, data: t.data, spec: t.spec}, nil
+}
+
+func (t TaskSpec) isNode() bool { return t.data != nil && t.data.Kind() == DatasetKindNode }
+
+// nodeData returns the task's in-memory node dataset, loading a
+// disk-resident one (and closing its stream) on first use: the
+// full-sequence trainers range over whole arrays.
+func (t TaskSpec) nodeData() (*NodeDataset, error) {
+	if t.data.Stream != nil {
+		d, err := t.data.Materialize()
+		if err != nil {
+			return nil, fmt.Errorf("torchgt: materializing %s for full-sequence training: %w", t.spec, err)
+		}
+		*t.data = *d
+	}
+	return t.data.Node, nil
+}
+
+// Data returns the dataset the task carries (nil for the zero TaskSpec): a
+// disk-resident task's Stream until a full-sequence trainer loads it.
 func (t TaskSpec) Data() *Dataset {
-	if t.node == nil && t.gds == nil {
+	if t.data == nil || (t.data.Node == nil && t.data.Graph == nil && t.data.Stream == nil) {
 		return nil
 	}
-	return &Dataset{Node: t.node, Graph: t.gds}
+	d := *t.data
+	return &d
 }
 
 // DataSpec returns the canonical dataset spec the task was built from, or

@@ -14,7 +14,7 @@ import (
 )
 
 // Experiment is a runnable reproduction unit. Run honours ctx: experiments
-// drive their training through the shared Loop engine (trainer RunCtx), so
+// drive their training through the shared Loop engine (trainer.Loop().Run), so
 // cancellation stops at the next optimiser-step boundary.
 type Experiment struct {
 	ID    string // e.g. "table5", "fig9a"

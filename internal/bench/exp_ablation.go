@@ -45,7 +45,7 @@ func runAblationInterleave(ctx context.Context, w io.Writer, scale Scale) error 
 			Method: train.TorchGT, Epochs: epochs, LR: 2e-3,
 			Interval: interval, FixedBeta: -1, Seed: 65,
 		}, cfg, ds)
-		res, err := tr.RunCtx(ctx)
+		res, err := tr.Loop().Run(ctx)
 		if err != nil {
 			return err
 		}
@@ -69,7 +69,7 @@ func runAblationInterleave(ctx context.Context, w io.Writer, scale Scale) error 
 	fmt.Fprintln(w, "expected shape: larger intervals cut attended pairs sharply at comparable accuracy;")
 	fmt.Fprintln(w, "on planted-label data the sparse pattern is already sufficient (labels are locally")
 	fmt.Fprintln(w, "decodable), so unlike the paper's real graphs the dense overlays are not needed for")
-	fmt.Fprintln(w, "accuracy here — see EXPERIMENTS.md deviation #1")
+	fmt.Fprintln(w, "accuracy here — see DESIGN.md \"Experiment harness\", deviation #1")
 	return nil
 }
 
@@ -195,10 +195,13 @@ func runAblationSampling(ctx context.Context, w io.Writer, scale Scale) error {
 	}
 	egoSteps := egoEpochs * (trainNodes + batch - 1) / batch
 
-	ego := train.NewEgoTrainer(train.EgoConfig{
-		Epochs: egoEpochs, LR: 2e-3, Hops: 2, MaxSize: 16, Batch: batch, Seed: 77,
-	}, cfg, ds)
-	egoRes, err := ego.Run()
+	ego, err := train.NewEgoTask(train.Config{
+		Method: train.GPSparse, Epochs: egoEpochs, LR: 2e-3, SeqLen: 16, BatchSize: batch, Seed: 77,
+	}, cfg, graph.SourceOf(ds))
+	if err != nil {
+		return err
+	}
+	egoRes, err := ego.Loop().Run(ctx)
 	if err != nil {
 		return err
 	}
@@ -206,7 +209,7 @@ func runAblationSampling(ctx context.Context, w io.Writer, scale Scale) error {
 	long := train.NewNodeTrainer(train.Config{
 		Method: train.TorchGT, Epochs: egoSteps, LR: 2e-3, FixedBeta: -1, Seed: 77,
 	}, cfg, ds)
-	longRes, err := long.RunCtx(ctx)
+	longRes, err := long.Loop().Run(ctx)
 	if err != nil {
 		return err
 	}
@@ -218,7 +221,7 @@ func runAblationSampling(ctx context.Context, w io.Writer, scale Scale) error {
 	fmt.Fprintln(w, "paper claim (§II-C issue I2): sampling's truncated context loses accuracy on")
 	fmt.Fprintln(w, "real graphs. KNOWN NEGATIVE RESULT here: planted SBM labels are decodable from")
 	fmt.Fprintln(w, "any 2-hop ego graph, so sampling cannot lose on this data regardless of update")
-	fmt.Fprintln(w, "matching — see EXPERIMENTS.md deviation #1. The experiment records the matched-")
+	fmt.Fprintln(w, "matching — see DESIGN.md \"Experiment harness\", deviation #1. The experiment records the matched-")
 	fmt.Fprintln(w, "update comparison for completeness.")
 	return nil
 }

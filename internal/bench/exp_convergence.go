@@ -82,7 +82,7 @@ func runFig8(ctx context.Context, w io.Writer, scale Scale) error {
 			tr := train.NewNodeTrainer(train.Config{
 				Method: m, Epochs: epochs, LR: 2e-3, FixedBeta: -1, Seed: 53,
 			}, cfg, ds)
-			res, err := tr.RunCtx(ctx)
+			res, err := tr.Loop().Run(ctx)
 			if err != nil {
 				return err
 			}
@@ -116,7 +116,7 @@ func runFig10(ctx context.Context, w io.Writer, scale Scale) error {
 			tr := train.NewNodeTrainer(train.Config{
 				Method: m, Epochs: epochs, LR: 2e-3, FixedBeta: -1, Seed: 57,
 			}, cfg, ds)
-			res, err := tr.RunCtx(ctx)
+			res, err := tr.Loop().Run(ctx)
 			if err != nil {
 				return err
 			}
@@ -153,7 +153,7 @@ func runFig11(ctx context.Context, w io.Writer, scale Scale) error {
 		tr := train.NewGraphTrainer(train.Config{
 			Method: mc.method, Epochs: epochs, LR: 2e-3, BatchSize: 8, Seed: 61,
 		}, cfg, zinc)
-		res, err := tr.RunCtx(ctx)
+		res, err := tr.Loop().Run(ctx)
 		if err != nil {
 			return err
 		}

@@ -74,7 +74,7 @@ func runTable5(ctx context.Context, w io.Writer, scale Scale) error {
 				tr := train.NewNodeTrainer(train.Config{
 					Method: method, Epochs: epochs, LR: 2e-3, FixedBeta: -1, Seed: 33,
 				}, cfg, ds)
-				res, err := tr.RunCtx(ctx)
+				res, err := tr.Loop().Run(ctx)
 				if err != nil {
 					return err
 				}
@@ -146,7 +146,7 @@ func runTable7(ctx context.Context, w io.Writer, scale Scale) error {
 			tr := train.NewNodeTrainer(train.Config{
 				Method: mc.method, Epochs: epochs, LR: 2e-3, FixedBeta: -1, Seed: 37,
 			}, cfg, ds)
-			res, err := tr.RunCtx(ctx)
+			res, err := tr.Loop().Run(ctx)
 			if err != nil {
 				return err
 			}
@@ -193,7 +193,7 @@ func runTable8(ctx context.Context, w io.Writer, scale Scale) error {
 				FixedBeta: r.beta, UseFixedBeta: r.beta >= 0,
 				ClusterK: 16, Db: 8, Seed: 41,
 			}, cfg, ds)
-			res, err := tr.RunCtx(ctx)
+			res, err := tr.Loop().Run(ctx)
 			if err != nil {
 				return err
 			}
@@ -259,7 +259,7 @@ func runPreproc(ctx context.Context, w io.Writer, scale Scale) error {
 		tr := train.NewNodeTrainer(train.Config{
 			Method: train.TorchGT, Epochs: epochs, LR: 2e-3, FixedBeta: -1, Seed: 47,
 		}, cfg, ds)
-		res, err := tr.RunCtx(ctx)
+		res, err := tr.Loop().Run(ctx)
 		if err != nil {
 			return err
 		}

@@ -66,7 +66,7 @@ func runTable1(ctx context.Context, w io.Writer, scale Scale) error {
 		tr := train.NewNodeTrainer(train.Config{
 			Method: train.TorchGT, Epochs: epochs, LR: 2e-3, FixedBeta: -1, Seed: 6,
 		}, mc.cfg, nodeDS)
-		res, err := tr.RunCtx(ctx)
+		res, err := tr.Loop().Run(ctx)
 		if err != nil {
 			return err
 		}
@@ -108,7 +108,7 @@ func runTable1(ctx context.Context, w io.Writer, scale Scale) error {
 		tr := train.NewGraphTrainer(train.Config{
 			Method: train.TorchGT, Epochs: gEpochs, LR: 2e-3, BatchSize: 8, Seed: 11,
 		}, mc.cfg, zinc)
-		if _, err := tr.RunCtx(ctx); err != nil {
+		if _, err := tr.Loop().Run(ctx); err != nil {
 			return err
 		}
 		zincMAE[mc.name] = tr.EvalMAE()
@@ -172,7 +172,7 @@ func runFig1(ctx context.Context, w io.Writer, scale Scale) error {
 			tr := train.NewSeqTrainer(train.Config{
 				Method: method, Epochs: eps, SeqLen: s, Seed: seed + 2,
 			}, cfg, ds)
-			res, err := tr.RunCtx(ctx)
+			res, err := tr.Loop().Run(ctx)
 			if err != nil {
 				return err
 			}

@@ -181,7 +181,7 @@ func (pm *PerfModel) StepTime(kind Kind, pairsPerHead int64, s int, shape ModelS
 		// and the closing barrier. (The chain's running values are sent
 		// without waiting and ride between those rounds.)
 		hops := float64(8*shape.Layers + 3)
-		commSec = (reshard+chain+gather)/(hw.NetGBs*1e9) + hops*hw.NetLatencyUs*1e-6
+		commSec = (reshard+chain+gather)/(hw.NetGBs*1e9) + float64(hops*hw.NetLatencyUs*1e-6)
 	}
 
 	c := Cost{

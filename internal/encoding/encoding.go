@@ -85,7 +85,7 @@ func LaplacianPE(g *graph.Graph, m, iters int, rng *rand.Rand) *tensor.Mat {
 		for i := 0; i < n; i++ {
 			var s float32
 			for _, v := range g.Neighbors(i) {
-				s += dinv[i] * dinv[v] * x[v]
+				s += float32(dinv[i] * dinv[v] * x[v])
 			}
 			dst[i] = x[i] + s
 		}

@@ -174,7 +174,7 @@ func SimulateIndexingWithWork(r *sparse.Reformed, realEntries int64, d int, spec
 	// average latency per access from hit distribution
 	l1h := stats.L1HitRate
 	l2h := stats.L2HitRate
-	avgLat := l1h*spec.LatL1 + (1-l1h)*(l2h*spec.LatL2+(1-l2h)*spec.LatMem)
+	avgLat := float64(l1h*spec.LatL1) + float64((1-l1h)*(float64(l2h*spec.LatL2)+float64((1-l2h)*spec.LatMem)))
 	stats.Throughput = stats.WarpOccupancy * stats.UsefulFraction / avgLat * 1e4
 	return stats
 }

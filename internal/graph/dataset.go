@@ -253,7 +253,7 @@ func MakeGraphDataset(cfg GraphDatasetConfig) *GraphDataset {
 	// thresholds the same score at quantiles.
 	scores := make([]float64, cfg.NumGraphs)
 	for i, r := range recs {
-		scores[i] = 0.5*r.density + 2.0*r.tri + 3.0*r.featMean + rng.NormFloat64()*0.05
+		scores[i] = float64(0.5*r.density) + float64(2.0*r.tri) + float64(3.0*r.featMean) + float64(rng.NormFloat64()*0.05)
 	}
 	switch cfg.Task {
 	case GraphRegression:

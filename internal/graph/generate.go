@@ -98,7 +98,7 @@ func SBM(cfg SBMConfig, rng *rand.Rand) (*Graph, []int32) {
 	for i := range w {
 		if cfg.PowerLaw > 0 {
 			u := rng.Float64()
-			w[i] = math.Pow(1-u*0.999, -1.0/cfg.PowerLaw) // Pareto-ish
+			w[i] = math.Pow(1-float64(u*0.999), -1.0/cfg.PowerLaw) // Pareto-ish
 		} else {
 			w[i] = 1
 		}

@@ -1,9 +1,9 @@
 package model
 
 // Presets mirror the paper's Table IV model configurations. GPHLarge's full
-// size (hidden 768, 32 heads, 12 layers) is faithful to the paper; the
-// benchmark harness trains a width-scaled variant on CPU and records the
-// scale factor in EXPERIMENTS.md.
+// size (hidden 768, 32 heads, 12 layers) is faithful to the paper; CPU runs
+// train a width-scaled variant (DESIGN.md "Experiment harness", deviation
+// #2).
 
 // GraphormerSlim returns the GPH-Slim configuration: 4 layers, hidden 64,
 // 8 heads, degree encodings + SPD bias.

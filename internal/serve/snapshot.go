@@ -189,10 +189,10 @@ func paramCount(c model.Config) float64 {
 	if nb == 0 {
 		nb = 8
 	}
-	linear := func(in, out float64) float64 { return in*out + out }
-	n := linear(float64(c.InDim), h) + 2*h + linear(h, float64(c.OutDim)) // input projection, final LayerNorm, head
+	linear := func(in, out float64) float64 { return float64(in*out) + out }
+	n := linear(float64(c.InDim), h) + float64(2*h) + linear(h, float64(c.OutDim)) // input projection, final LayerNorm, head
 	if c.UseDegreeEnc {
-		n += 2 * 64 * h // the in- and out-degree tables
+		n += float64(2 * 64 * h) // the in- and out-degree tables
 	}
 	if c.UseLapPE {
 		n += linear(float64(c.LapDim), h)
@@ -200,9 +200,9 @@ func paramCount(c model.Config) float64 {
 	if c.GlobalToken {
 		n += h
 	}
-	block := 4*h + 4*linear(h, h) + linear(h, f) + linear(f, h) // two LayerNorms, Q/K/V/O, FFN
+	block := float64(4*h) + float64(4*linear(h, h)) + linear(h, f) + linear(f, h) // two LayerNorms, Q/K/V/O, FFN
 	if c.UseSPDBias {
-		block += nb * float64(c.Heads)
+		block += float64(nb * float64(c.Heads))
 	}
-	return n + float64(c.Layers)*block
+	return n + float64(float64(c.Layers)*block)
 }

@@ -107,7 +107,7 @@ func (m *Mat) SliceRows(lo, hi int) *Mat {
 func (m *Mat) Norm() float64 {
 	var s float64
 	for _, v := range m.Data {
-		s += float64(v) * float64(v)
+		s += float64(float64(v) * float64(v))
 	}
 	return math.Sqrt(s)
 }

@@ -106,7 +106,7 @@ func ExpCut(dst, src []float32, shift, cut float32) {
 func SoftmaxBackwardRow(dx, y, dy []float32) {
 	var dot float32
 	for k := range y {
-		dot += dy[k] * y[k]
+		dot += float32(dy[k] * y[k])
 	}
 	for j := range y {
 		dx[j] = y[j] * (dy[j] - dot)

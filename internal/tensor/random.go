@@ -17,6 +17,7 @@ func RandN(m *Mat, rng *rand.Rand, std float64) {
 func XavierInit(m *Mat, rng *rand.Rand) {
 	limit := math.Sqrt(6.0 / float64(m.Rows+m.Cols))
 	for i := range m.Data {
-		m.Data[i] = float32((rng.Float64()*2 - 1) * limit)
+		// converting the draw keeps arm64 from fusing its scaling into the doubling
+		m.Data[i] = float32((float64(rng.Float64())*2 - 1) * limit)
 	}
 }

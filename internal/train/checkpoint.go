@@ -237,7 +237,7 @@ func Resume(path string, bind func(kind string, cfg Config, mcfg model.Config) (
 		return nil, err
 	}
 	switch meta.Task {
-	case TaskNode, TaskGraph, TaskSeq:
+	case TaskNode, TaskGraph, TaskSeq, TaskEgo:
 	default:
 		return nil, fmt.Errorf("train: checkpoint has unknown task kind %q", meta.Task)
 	}

@@ -7,11 +7,12 @@ import (
 )
 
 // Config is the single shared configuration for every training task. The
-// node-, graph-level and sequence-sampled regimes are adapters over one Loop
-// engine (see loop.go), so they share this struct: each task reads the fields
-// that apply to it and ignores the rest. Zero values pick the defaults below
-// — withDefaults is the ONLY place defaults live; the public Session options
-// in package torchgt set fields raw.
+// node-, graph-level, sequence-sampled and ego-sampled regimes are adapters
+// over one Loop engine (see loop.go), so they share this struct: each task
+// reads the fields that apply to it and ignores the rest. Zero values pick
+// the defaults below — withDefaults is the only place shared defaults live
+// (the ego task sets its two, BatchSize and SeqLen, ahead of it); the public
+// Session options in package torchgt set fields raw.
 type Config struct {
 	Method Method
 	// Epochs is the number of training epochs (default 20).
@@ -36,10 +37,13 @@ type Config struct {
 	// Warmup enables a linear-warmup + polynomial-decay LR schedule over the
 	// run when > 0 (warmup epochs); 0 keeps a constant LR.
 	Warmup int
-	// BatchSize is the graph-level optimiser batch (default 16; graph task).
+	// BatchSize is the optimiser batch: graphs per step for the graph task
+	// (default 16), targets per step for the ego task (default 32).
 	BatchSize int
-	// SeqLen is the sampled sequence length (seq task; 0 or larger than the
-	// graph clamps to the full node count at trainer construction).
+	// SeqLen is the sampled sequence length: nodes per sequence for the seq
+	// task (0 or larger than the graph clamps to the full node count at
+	// trainer construction), nodes per ego-graph for the ego task (default
+	// 32).
 	SeqLen int
 	// DenseBiasMaxN caps the graph size for which the O(N²) dense SPD bias
 	// is built (default 256; graph task).

@@ -1,6 +1,7 @@
 package train
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -20,9 +21,10 @@ import (
 // refEgoRun is the oracle for the packed ego trainer: EgoTrainer.Run as it
 // was before packing — one forward/backward per sampled context, the loss a
 // masked cross-entropy on row 0, one model call per evaluated target — over
-// the same trainer state (pipeline, serials, shuffle and eval RNG). It
-// returns the per-epoch mean losses and test accuracies.
-func refEgoRun(t *testing.T, tr *EgoTrainer) (losses, accs []float64) {
+// the same trainer state (pipeline, serials counted in program order,
+// shuffle and eval RNG). It returns the per-epoch mean losses and test
+// accuracies, and the sample serials it consumed.
+func refEgoRun(t *testing.T, tr *EgoTrainer) (losses, accs []float64, serial uint64) {
 	t.Helper()
 	if err := tr.validate(); err != nil {
 		t.Fatal(err)
@@ -36,7 +38,11 @@ func refEgoRun(t *testing.T, tr *EgoTrainer) (losses, accs []float64) {
 	opt := nn.NewAdam(tr.Cfg.LR)
 	opt.ClipNorm = 5
 	rng := newRand(tr.Cfg.Seed)
-	pipe := tr.pipeline()
+	nextSerial := func(n int) uint64 {
+		s := serial
+		serial += uint64(n)
+		return s
+	}
 	var trainIdx, testIdx []int32
 	for i, n := 0, tr.Src.NumNodes(); i < n; i++ {
 		if s := tr.Src.SplitOf(int32(i)); s.Train() {
@@ -55,7 +61,7 @@ func refEgoRun(t *testing.T, tr *EgoTrainer) (losses, accs []float64) {
 			targets[i] = testIdx[rng.Intn(len(testIdx))]
 		}
 		correct := 0
-		if err := pipe.Each(targets, tr.nextSerial(n), func(c *sample.Context) {
+		if err := tr.pipe.Each(targets, nextSerial(n), func(c *sample.Context) {
 			row := forward(c, false).Row(0)
 			best := 0
 			for j := 1; j < len(row); j++ {
@@ -74,10 +80,10 @@ func refEgoRun(t *testing.T, tr *EgoTrainer) (losses, accs []float64) {
 	for ep := 0; ep < tr.Cfg.Epochs; ep++ {
 		rng.Shuffle(len(trainIdx), func(i, j int) { trainIdx[i], trainIdx[j] = trainIdx[j], trainIdx[i] })
 		var epLoss float64
-		for lo := 0; lo < len(trainIdx); lo += tr.Cfg.Batch {
-			targets := trainIdx[lo:min(lo+tr.Cfg.Batch, len(trainIdx))]
+		for lo := 0; lo < len(trainIdx); lo += tr.Cfg.BatchSize {
+			targets := trainIdx[lo:min(lo+tr.Cfg.BatchSize, len(trainIdx))]
 			var total float64
-			if err := pipe.Each(targets, tr.nextSerial(len(targets)), func(c *sample.Context) {
+			if err := tr.pipe.Each(targets, nextSerial(len(targets)), func(c *sample.Context) {
 				logits := forward(c, true)
 				mask := make([]bool, len(c.Nodes))
 				mask[0] = true
@@ -96,7 +102,7 @@ func refEgoRun(t *testing.T, tr *EgoTrainer) (losses, accs []float64) {
 		accs = append(accs, eval(200))
 	}
 	accs = append(accs, eval(400))
-	return losses, accs
+	return losses, accs, serial
 }
 
 // TestEgoPackedMatchesPerContextLoop pins the packed ego path to the loop it
@@ -141,7 +147,7 @@ func TestEgoPackedMatchesPerContextLoop(t *testing.T) {
 					t.Run(name, func(t *testing.T) {
 						cfg := EgoConfig{Epochs: 2, MaxSize: maxSize, Batch: batch, Seed: 63, Workers: workers}
 						ref := NewEgoTrainerSource(cfg, mcfg, src.s)
-						wantLoss, wantAcc := refEgoRun(t, ref)
+						wantLoss, wantAcc, wantSerials := refEgoRun(t, ref)
 						got := NewEgoTrainerSource(cfg, mcfg, src.s)
 						res, err := got.Run()
 						if err != nil {
@@ -165,8 +171,11 @@ func TestEgoPackedMatchesPerContextLoop(t *testing.T) {
 								t.Fatalf("dropout %d drew %d, per-context loop %d", i, dg[i].RNGDraws(), dr[i].RNGDraws())
 							}
 						}
-						if got.serial != ref.serial {
-							t.Fatalf("sample serials %d, per-context loop %d", got.serial, ref.serial)
+						// the serials the loop position derives: every epoch's, then
+						// the final evaluation's
+						serials := uint64(len(res.Curve))*got.epochSerials + uint64(min(egoEvalFinal, len(got.testIdx)))
+						if serials != wantSerials {
+							t.Fatalf("sample serials %d, per-context loop %d", serials, wantSerials)
 						}
 					})
 				}
@@ -187,8 +196,8 @@ func TestEgoBenchmarkTrajectoryPinned(t *testing.T) {
 		t.Fatal(err)
 	}
 	ds := d.Node
-	tr := NewEgoTrainer(EgoConfig{Epochs: 3, MaxSize: 32, Batch: 32, Seed: 1, Workers: 2},
-		model.GraphormerSlim(ds.X.Cols, ds.NumClasses, 1), ds)
+	tr := NewEgoTrainerSource(EgoConfig{Epochs: 3, MaxSize: 32, Batch: 32, Seed: 1, Workers: 2},
+		model.GraphormerSlim(ds.X.Cols, ds.NumClasses, 1), graph.SourceOf(ds))
 	res, err := tr.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -223,37 +232,41 @@ func (f *failingSource) CopyFeatureRow(dst []float32, node int32) {
 func (f *failingSource) SourceErr() error { return f.err }
 
 // TestEgoStepTakesNoStepOnSourceError: a step whose samples hit the source's
-// sticky I/O error reports it without touching the weights, the optimiser or
-// the gradient accumulators — the old loop stepped once on the zero-filled
-// samples before Run saw the error.
+// sticky I/O error ends the run with that error, on the engine Session.Run
+// drives, without touching the weights, the optimiser or the gradient
+// accumulators — the step is rolled back as a lost peer rank's is, and the
+// Loop stays at the step boundary before it.
 func TestEgoStepTakesNoStepOnSourceError(t *testing.T) {
 	ds := smallNodeDataset(71)
 	mcfg := model.GraphormerSlim(12, 4, 72)
 	mcfg.Layers, mcfg.Heads = 1, 2
 	src := &failingSource{NodeSource: graph.SourceOf(ds), okRows: math.MaxInt}
-	tr := NewEgoTrainerSource(EgoConfig{Epochs: 1, MaxSize: 16, Batch: 20, Seed: 73}, mcfg, src)
-	opt := nn.NewAdam(tr.Cfg.LR)
-	pipe := tr.pipeline()
-	targets := make([]int32, 52)
-	for i := range targets {
-		targets[i] = int32(i)
+	tr := NewEgoTrainerSource(EgoConfig{Epochs: 1, MaxSize: 16, Batch: 40, Seed: 73}, mcfg, src)
+	l := tr.Loop()
+	// Err() is checked at the epoch top and before each step: the third
+	// check cancels after one healthy step.
+	if _, err := l.Run(&countdownCtx{Context: context.Background(), n: 3}); err != context.Canceled {
+		t.Fatalf("healthy step: want context.Canceled, got %v", err)
 	}
-	if _, err := tr.step(pipe, targets[:12], opt); err != nil {
-		t.Fatalf("healthy step: %v", err)
-	}
-	before := model.NewGraphTransformer(tr.modelCfg)
+	before := model.NewGraphTransformer(tr.Model.Cfg)
 	if err := before.CopyWeightsFrom(tr.Model); err != nil {
 		t.Fatal(err)
 	}
+	draws := tr.rngSrc.Draws()
 	// Reads fail after 300 more rows: past the failing step's first full
 	// pack, which has then already been through forward and backward.
 	src.okRows = 300
-	if _, err := tr.step(pipe, targets[12:], opt); err == nil {
-		t.Fatal("step over a failed source returned no error")
+	res, err := l.Run(context.Background())
+	if err == nil || err == context.Canceled || !errors.Is(err, src.err) {
+		t.Fatalf("run over a failed source: want the source's error, got %v", err)
+	}
+	if len(res.Curve) != 0 || l.stepInEpoch != 1 || tr.rngSrc.Draws() != draws {
+		t.Fatalf("failed step moved the loop: %d epochs, step %d, %d draws (want 0, 1, %d)",
+			len(res.Curve), l.stepInEpoch, tr.rngSrc.Draws(), draws)
 	}
 	assertSameWeights(t, before, tr.Model)
-	if opt.StepCount() != 1 {
-		t.Fatalf("optimiser stepped %d times, want 1", opt.StepCount())
+	if l.opt.StepCount() != 1 {
+		t.Fatalf("optimiser stepped %d times, want 1", l.opt.StepCount())
 	}
 	for _, p := range tr.Model.Params() {
 		for i, g := range p.Grad.Data {
@@ -261,8 +274,5 @@ func TestEgoStepTakesNoStepOnSourceError(t *testing.T) {
 				t.Fatalf("param %s grad[%d] = %v left behind by the failed step", p.Name, i, g)
 			}
 		}
-	}
-	if _, err := tr.Run(); err == nil {
-		t.Fatal("Run over a failed source returned no error")
 	}
 }

@@ -1,7 +1,6 @@
 package train
 
 import (
-	"context"
 	"math/rand"
 	"time"
 
@@ -28,16 +27,13 @@ type graphEntry struct {
 // adapter: each optimiser step accumulates gradients over BatchSize graphs.
 type GraphTrainer struct {
 	taskBase
-	Cfg        Config
-	Model      *model.GraphTransformer
-	DS         *graph.GraphDataset
-	entries    []*graphEntry
-	preprocess time.Duration
+	Cfg     Config
+	Model   *model.GraphTransformer
+	DS      *graph.GraphDataset
+	entries []*graphEntry
 
-	rng    *rand.Rand        // epoch shuffles
-	rngSrc *nn.CountedSource // its checkpointable source
-	order  []int             // current epoch's order over TrainIdx
-	loop   *Loop
+	rng   *rand.Rand // epoch shuffles (source: rngSrc)
+	order []int      // current epoch's order over TrainIdx
 
 	pack     pack  // reused across packed steps
 	forwards int64 // model forwards issued by Step (packing telemetry)
@@ -50,6 +46,7 @@ func NewGraphTrainer(cfg Config, modelCfg model.Config, ds *graph.GraphDataset) 
 	modelCfg.GlobalToken = true
 	t0 := time.Now()
 	tr := &GraphTrainer{Cfg: cfg, DS: ds}
+	tr.cfg = &tr.Cfg
 	tr.rng, tr.rngSrc = nn.NewCountedRand(cfg.Seed + 17)
 	rng := newRand(cfg.Seed)
 	for gi, g := range ds.Graphs {
@@ -84,6 +81,7 @@ func NewGraphTrainer(cfg Config, modelCfg model.Config, ds *graph.GraphDataset) 
 	tr.preprocess = time.Since(t0)
 	tr.Model = model.NewGraphTransformer(modelCfg)
 	cfg.applyExec(tr.Model)
+	NewLoop(tr, tr.Model, tr.Cfg)
 	return tr
 }
 
@@ -120,16 +118,6 @@ func (tr *GraphTrainer) lossFor(gi int, logits *tensor.Mat) (float64, *tensor.Ma
 
 // Kind implements Task.
 func (tr *GraphTrainer) Kind() string { return TaskGraph }
-
-// Preprocess implements Task.
-func (tr *GraphTrainer) Preprocess() time.Duration { return tr.preprocess }
-
-func (tr *GraphTrainer) runRNG() *nn.CountedSource { return tr.rngSrc }
-
-func (tr *GraphTrainer) reconfigure(cfg Config) {
-	tr.Cfg.Epochs, tr.Cfg.LR = cfg.Epochs, cfg.LR
-	tr.Cfg.Warmup, tr.Cfg.EarlyStopPatience = cfg.Warmup, cfg.EarlyStopPatience
-}
 
 // BeginEpoch implements Task: shuffle the training graphs.
 func (tr *GraphTrainer) BeginEpoch(int) {
@@ -256,30 +244,6 @@ func (tr *GraphTrainer) Finish(res *Result) {
 	if res.FinalTestAcc > res.BestTestAcc {
 		res.BestTestAcc = res.FinalTestAcc
 	}
-}
-
-// StopMetric implements Task: graph datasets carry no validation split in
-// the curve, so early stopping tracks test accuracy (−MAE for regression).
-func (tr *GraphTrainer) StopMetric(p Point) float64 { return p.TestAcc }
-
-// Loop returns (building on first use) the engine driving this trainer.
-func (tr *GraphTrainer) Loop() *Loop {
-	if tr.loop == nil {
-		tr.loop = NewLoop(tr, tr.Model, tr.Cfg)
-	}
-	return tr.loop
-}
-
-// Run trains and returns the result.
-func (tr *GraphTrainer) Run() *Result {
-	res, _ := tr.RunCtx(context.Background())
-	return res
-}
-
-// RunCtx trains under ctx: cancellation stops at the next step boundary and
-// returns the partial result with ctx's error.
-func (tr *GraphTrainer) RunCtx(ctx context.Context) (*Result, error) {
-	return tr.Loop().Run(ctx)
 }
 
 // evaluate returns accuracy for classification or negative MAE for

@@ -2,6 +2,7 @@ package train
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"path/filepath"
 	"time"
@@ -55,17 +56,19 @@ const (
 	TaskNode  = "node"
 	TaskGraph = "graph"
 	TaskSeq   = "seq"
+	TaskEgo   = "ego"
 )
 
-// Task adapts one training regime (node / graph-level / sequence-sampled) to
-// the shared Loop engine. The Loop owns the optimiser, LR schedule, epoch
-// iteration, cancellation, events, early stopping and checkpointing; the
-// task owns the model, data access, per-step forward/backward and
-// evaluation. One Task.Step is exactly one optimiser step's worth of work
-// (it may span several micro-batches); the Loop applies the optimiser and
-// recycles workspaces after each.
+// Task adapts one training regime (node / graph-level / sequence-sampled /
+// ego-sampled) to the shared Loop engine. The Loop owns the optimiser, LR
+// schedule, epoch iteration, cancellation, events, early stopping and
+// checkpointing; the task owns the model, data access, per-step
+// forward/backward and evaluation. One Task.Step is exactly one optimiser
+// step's worth of work (it may span several micro-batches); the Loop applies
+// the optimiser and recycles workspaces after each.
 type Task interface {
-	// Kind names the task regime ("node", "graph", "seq") for checkpoints.
+	// Kind names the task regime ("node", "graph", "seq", "ego") for
+	// checkpoints.
 	Kind() string
 	// Preprocess reports the construction-time preprocessing cost.
 	Preprocess() time.Duration
@@ -104,20 +107,40 @@ type Task interface {
 	base() *taskBase
 }
 
-// taskBase carries the event hook and per-epoch accumulators shared by all
-// task adapters.
+// taskBase carries what every task adapter shares: the event hook, the
+// task's own Config copy, its preprocessing cost, its run-time RNG source
+// and the per-epoch accumulators.
 type taskBase struct {
-	emit    func(Event)
-	epLoss  float64
-	epTerms int
-	epPairs int64
+	emit       func(Event)
+	cfg        *Config           // nil for tasks without one
+	preprocess time.Duration     // construction-time preprocessing
+	rngSrc     *nn.CountedSource // nil for tasks that draw none at run time
+	loop       *Loop             // the engine last built around the task
+	epLoss     float64
+	epTerms    int
+	epPairs    int64
 }
 
 func (b *taskBase) setEmit(f func(Event)) { b.emit = f }
 
-// reconfigure is a no-op default for tasks without config-keyed decisions;
-// the real trainers override it to refresh their Config copy.
-func (b *taskBase) reconfigure(Config) {}
+// Loop returns the engine driving the task: the one its constructor built,
+// or the one Resume rebuilt around it.
+func (b *taskBase) Loop() *Loop { return b.loop }
+
+// Preprocess implements Task.
+func (b *taskBase) Preprocess() time.Duration { return b.preprocess }
+
+func (b *taskBase) runRNG() *nn.CountedSource { return b.rngSrc }
+
+// StopMetric implements Task: test accuracy (−MAE for graph regression);
+// the node task, which has a validation split, overrides it.
+func (b *taskBase) StopMetric(p Point) float64 { return p.TestAcc }
+
+func (b *taskBase) reconfigure(cfg Config) {
+	if c := b.cfg; c != nil {
+		c.Epochs, c.LR, c.Warmup, c.EarlyStopPatience = cfg.Epochs, cfg.LR, cfg.Warmup, cfg.EarlyStopPatience
+	}
+}
 
 func (b *taskBase) base() *taskBase { return b }
 
@@ -131,8 +154,8 @@ func (b *taskBase) resetEpoch() { b.epLoss, b.epTerms, b.epPairs = 0, 0, 0 }
 
 // Loop is the shared training engine: one implementation of the epoch/step
 // iteration, optimiser application, cancellation, event emission, early
-// stopping and checkpointing, driven by a Task adapter. It replaces the
-// three per-regime Run loops that previously drifted apart.
+// stopping and checkpointing, driven by a Task adapter — the one loop every
+// training regime runs on.
 //
 // A Loop is resumable in two senses: Run returns at the next step boundary
 // when its context is cancelled and may be called again to continue, and
@@ -186,6 +209,7 @@ func NewLoop(task Task, m *model.GraphTransformer, cfg Config) *Loop {
 	l.params = m.Params()
 	l.preprocess = task.Preprocess()
 	task.setEmit(l.fire)
+	task.base().loop = l
 	return l
 }
 
@@ -265,7 +289,10 @@ func (l *Loop) Run(ctx context.Context) (*Result, error) {
 			l.stepInEpoch++
 		}
 		dt := time.Since(t0)
-		pt := l.Task.EpochPoint(l.epoch, dt)
+		var pt Point
+		if err := l.abortable(func() { pt = l.Task.EpochPoint(l.epoch, dt) }); err != nil {
+			return l.Result(), err
+		}
 		l.curve = append(l.curve, pt)
 		l.epoch++
 		l.stepInEpoch = 0
@@ -288,7 +315,9 @@ func (l *Loop) Run(ctx context.Context) (*Result, error) {
 		}
 	}
 	res := summarise(l.Cfg.Method, l.curve, l.preprocess)
-	l.Task.Finish(res)
+	if err := l.abortable(func() { l.Task.Finish(res) }); err != nil {
+		return l.Result(), err
+	}
 	l.final = res
 	l.finished = true
 	return res, nil
@@ -301,55 +330,81 @@ func (l *Loop) Run(ctx context.Context) (*Result, error) {
 // because distributed sessions attach their plan after the trainer is built.
 type gradSyncer interface{ SyncGradients([]*nn.Param) }
 
-// runStep executes one optimiser step as a transaction. Under a distributed
-// plan a peer rank can disappear mid-step — the collective panics with a
-// transport.ErrRankLost — in which case every stream the half-finished step
-// touched is rolled back to the last completed step boundary (dropout and
-// task RNG positions, epoch accumulators, gradients, workspaces) and the
-// error is returned: the Loop is then in exactly the state a step-granular
-// cancellation would have left, so Checkpoint produces a file from which
-// the surviving ranks resume bitwise-identically at a new world size. Any
-// other panic propagates unchanged.
-func (l *Loop) runStep() (err error) {
-	drops := l.model.Dropouts()
-	dropDraws := make([]uint64, len(drops))
-	for i, d := range drops {
-		dropDraws[i] = d.RNGDraws()
-	}
-	var taskDraws uint64
+// sourceError abandons a step or an evaluation whose data source failed (a
+// disk-resident view's sticky I/O error): the task panics with it, the Loop
+// rolls the work back and Run returns it.
+type sourceError struct {
+	epoch int
+	err   error
+}
+
+func (e *sourceError) Error() string { return fmt.Sprintf("train: epoch %d: %v", e.epoch, e.err) }
+func (e *sourceError) Unwrap() error { return e.err }
+
+// abortable runs f and returns, as an error, the panic with which a task
+// abandons its work: a lost peer rank (transport.ErrRankLost) or a failed
+// data source (sourceError). The task RNG is then put back where f found it.
+// Any other panic propagates unchanged.
+func (l *Loop) abortable(f func()) (err error) {
 	src := l.Task.runRNG()
+	var draws uint64
 	if src != nil {
-		taskDraws = src.Draws()
+		draws = src.Draws()
 	}
-	b := l.Task.base()
-	epLoss, epTerms, epPairs := b.epLoss, b.epTerms, b.epPairs
 	defer func() {
 		rec := recover()
 		if rec == nil {
 			return
 		}
 		e, ok := rec.(error)
-		if !ok || !transport.IsRankLost(e) {
+		var se *sourceError
+		if !ok || !(transport.IsRankLost(e) || errors.As(e, &se)) {
 			panic(rec)
 		}
+		if src != nil {
+			src.Seek(draws)
+		}
+		err = e
+	}()
+	f()
+	return nil
+}
+
+// runStep executes one optimiser step as a transaction. Under a distributed
+// plan a peer rank can disappear mid-step — the collective panics with a
+// transport.ErrRankLost — and a disk-resident source can fail under a
+// sampling task (sourceError). Either way every stream the half-finished
+// step touched is rolled back to the last completed step boundary (dropout
+// and task RNG positions, epoch accumulators, gradients, workspaces) and the
+// error is returned: the Loop is then in exactly the state a step-granular
+// cancellation would have left, so Checkpoint produces a file from which
+// the surviving ranks resume bitwise-identically at a new world size.
+func (l *Loop) runStep() error {
+	drops := l.model.Dropouts()
+	dropDraws := make([]uint64, len(drops))
+	for i, d := range drops {
+		dropDraws[i] = d.RNGDraws()
+	}
+	b := l.Task.base()
+	epLoss, epTerms, epPairs := b.epLoss, b.epTerms, b.epPairs
+	err := l.abortable(func() {
+		l.Task.Step(l.epoch, l.stepInEpoch, l.globalStep)
+		if gs, ok := l.model.Plan().(gradSyncer); ok {
+			// the gradient-synchronisation collective that closes every
+			// parallel optimiser step (fixed rank order)
+			gs.SyncGradients(l.params)
+		}
+	})
+	if err != nil {
 		for i, d := range drops {
 			d.SeekRNG(dropDraws[i])
-		}
-		if src != nil {
-			src.Seek(taskDraws)
 		}
 		b.epLoss, b.epTerms, b.epPairs = epLoss, epTerms, epPairs
 		l.model.Plan().StepReset()
 		for _, p := range l.params {
 			p.ZeroGrad()
 		}
-		err = e
-	}()
-	l.Task.Step(l.epoch, l.stepInEpoch, l.globalStep)
-	if gs, ok := l.model.Plan().(gradSyncer); ok {
-		// the gradient-synchronisation collective that closes every
-		// parallel optimiser step (fixed rank order)
-		gs.SyncGradients(l.params)
+		return err
 	}
 	nn.StepWith(l.opt, l.sched, l.epoch, l.params)
 	// step boundary: every gradient is consumed, recycle workspaces

@@ -8,7 +8,6 @@ import (
 	"torchgt/internal/graph"
 	"torchgt/internal/model"
 	"torchgt/internal/nn"
-	"torchgt/internal/sample"
 )
 
 // nullTask is a Task whose steps do nothing, isolating the Loop engine's own
@@ -54,34 +53,36 @@ func BenchmarkSessionOverhead(b *testing.B) {
 // egoStepBench sets up the ego trainer's step on the benchmark's shape —
 // GPH-Slim, contexts of 32, two sampling workers, an in-memory source — and
 // 32 training targets.
-func egoStepBench(b *testing.B) (*EgoTrainer, *sample.Pipeline, []int32, *nn.Adam) {
+func egoStepBench(b *testing.B) (*EgoTrainer, []int32, *nn.Adam) {
 	ds, err := graph.LoadNodeScaled("arxiv-sim", 2048, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
-	tr := NewEgoTrainer(EgoConfig{MaxSize: 32, Batch: 32, Seed: 1, Workers: 2},
-		model.GraphormerSlim(ds.X.Cols, ds.NumClasses, 1), ds)
+	tr := NewEgoTrainerSource(EgoConfig{MaxSize: 32, Batch: 32, Seed: 1, Workers: 2},
+		model.GraphormerSlim(ds.X.Cols, ds.NumClasses, 1), graph.SourceOf(ds))
 	targets := make([]int32, 32)
 	for i := range targets {
 		targets[i] = int32(i * 61 % ds.G.N)
 	}
 	opt := nn.NewAdam(tr.Cfg.LR)
 	opt.ClipNorm = 5
-	return tr, tr.pipeline(), targets, opt
+	return tr, targets, opt
 }
 
 // BenchmarkEgoStep is one optimiser step of ego-sampled training: 32 targets
-// sampled, packed into block-diagonal forwards/backwards of packRows rows,
-// one Adam step. CI caps its allocations and gates it against the same work
-// done one context at a time (BenchmarkEgoStepBatch1x32).
+// sampled (fresh serials every step), packed into block-diagonal
+// forwards/backwards of packRows rows, one Adam step. CI caps its
+// allocations and gates it against the same work done one context at a time
+// (BenchmarkEgoStepBatch1x32).
 func BenchmarkEgoStep(b *testing.B) {
-	tr, pipe, targets, opt := egoStepBench(b)
+	tr, targets, opt := egoStepBench(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := tr.step(pipe, targets, opt); err != nil {
+		if _, err := tr.accumulate(targets, uint64(i*len(targets))); err != nil {
 			b.Fatal(err)
 		}
+		opt.Step(tr.Model.Params())
 	}
 }
 
@@ -89,12 +90,12 @@ func BenchmarkEgoStep(b *testing.B) {
 // pack of its own — 32 forwards/backwards of one 32-token context, then the
 // Adam step: what the step cost before contexts were packed.
 func BenchmarkEgoStepBatch1x32(b *testing.B) {
-	tr, pipe, targets, opt := egoStepBench(b)
+	tr, targets, opt := egoStepBench(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for t := range targets {
-			if _, err := tr.accumulate(pipe, targets[t:t+1]); err != nil {
+			if _, err := tr.accumulate(targets[t:t+1], uint64(i*len(targets)+t)); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -1,7 +1,6 @@
 package train
 
 import (
-	"context"
 	"time"
 
 	"torchgt/internal/attention"
@@ -31,11 +30,9 @@ type NodeTrainer struct {
 	tuner   *AutoTuner
 
 	reformCache map[float64]*reformEntry
-	preprocess  time.Duration
 
 	lastLogits *tensor.Mat // training logits of the last step (epoch eval)
 	lastSparse bool        // interleave phase of the previous epoch
-	loop       *Loop
 }
 
 type reformEntry struct {
@@ -50,6 +47,7 @@ func NewNodeTrainer(cfg Config, modelCfg model.Config, ds *graph.NodeDataset) *N
 	cfg = cfg.withDefaults()
 	t0 := time.Now()
 	tr := &NodeTrainer{Cfg: cfg, DS: ds, reformCache: map[float64]*reformEntry{}}
+	tr.cfg = &tr.Cfg
 
 	usesTorchGT := cfg.Method == TorchGT || cfg.Method == TorchGTBF16
 	if usesTorchGT {
@@ -81,6 +79,7 @@ func NewNodeTrainer(cfg Config, modelCfg model.Config, ds *graph.NodeDataset) *N
 		rng := newRand(cfg.Seed)
 		tr.inputs.LapPE = encoding.LaplacianPE(tr.DS.G, modelCfg.LapDim, 30, rng)
 	}
+	NewLoop(tr, tr.Model, tr.Cfg)
 	return tr
 }
 
@@ -143,16 +142,6 @@ func (tr *NodeTrainer) specFor(epoch int) *model.AttentionSpec {
 // Kind implements Task.
 func (tr *NodeTrainer) Kind() string { return TaskNode }
 
-// Preprocess implements Task.
-func (tr *NodeTrainer) Preprocess() time.Duration { return tr.preprocess }
-
-func (tr *NodeTrainer) runRNG() *nn.CountedSource { return nil }
-
-func (tr *NodeTrainer) reconfigure(cfg Config) {
-	tr.Cfg.Epochs, tr.Cfg.LR = cfg.Epochs, cfg.LR
-	tr.Cfg.Warmup, tr.Cfg.EarlyStopPatience = cfg.Warmup, cfg.EarlyStopPatience
-}
-
 // BeginEpoch implements Task, emitting interleave phase-switch events for
 // the TorchGT schedule.
 func (tr *NodeTrainer) BeginEpoch(ep int) {
@@ -214,23 +203,3 @@ func (tr *NodeTrainer) Finish(res *Result) {
 
 // StopMetric implements Task: the node task has a validation split.
 func (tr *NodeTrainer) StopMetric(p Point) float64 { return p.ValAcc }
-
-// Loop returns (building on first use) the engine driving this trainer.
-func (tr *NodeTrainer) Loop() *Loop {
-	if tr.loop == nil {
-		tr.loop = NewLoop(tr, tr.Model, tr.Cfg)
-	}
-	return tr.loop
-}
-
-// Run trains for the configured number of epochs and returns the result.
-func (tr *NodeTrainer) Run() *Result {
-	res, _ := tr.RunCtx(context.Background())
-	return res
-}
-
-// RunCtx trains under ctx: cancellation stops at the next step boundary and
-// returns the partial result with ctx's error.
-func (tr *NodeTrainer) RunCtx(ctx context.Context) (*Result, error) {
-	return tr.Loop().Run(ctx)
-}

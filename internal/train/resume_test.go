@@ -25,6 +25,12 @@ func bindFor(nds *graph.NodeDataset, gds *graph.GraphDataset) func(string, Confi
 		case TaskGraph:
 			tr := NewGraphTrainer(cfg, mcfg, gds)
 			return tr, tr.Model, nil
+		case TaskEgo:
+			tr, err := NewEgoTask(cfg, mcfg, graph.SourceOf(nds))
+			if err != nil {
+				return nil, nil, err
+			}
+			return tr, tr.Model, nil
 		default:
 			tr := NewSeqTrainer(cfg, mcfg, nds)
 			return tr, tr.Model, nil
@@ -118,6 +124,8 @@ func taskCfg(task Task) Config {
 		return tr.Cfg
 	case *SeqTrainer:
 		return tr.Cfg
+	case *EgoTrainer:
+		return tr.Cfg
 	}
 	panic("unknown task")
 }
@@ -161,6 +169,24 @@ func TestResumeBitwiseSeq(t *testing.T) {
 	testResumeBitwise(t, build, ds, nil)
 }
 
+// TestResumeBitwiseEgo: the ego task's shuffle permutes the previous
+// epoch's order, so the resumed trainer must replay epochs 0–2's draws to
+// reach epoch 3's order.
+func TestResumeBitwiseEgo(t *testing.T) {
+	ds := smallNodeDataset(15)
+	cfg := model.GraphormerSlim(12, 4, 16)
+	cfg.Layers = 1
+	cfg.Heads = 2
+	build := func() (Task, *model.GraphTransformer) {
+		tr, err := NewEgoTask(Config{Method: GPSparse, Epochs: 5, LR: 2e-3, SeqLen: 12, BatchSize: 16, Seed: 17}, cfg, graph.SourceOf(ds))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tr, tr.Model
+	}
+	testResumeBitwise(t, build, ds, nil)
+}
+
 // countdownCtx reports cancellation from the nth Err() call onward — a
 // deterministic way to cancel at an exact step boundary.
 type countdownCtx struct {
@@ -189,19 +215,19 @@ func TestCancelMidEpochThenContinue(t *testing.T) {
 	}
 
 	straight := mk()
-	wantRes := straight.Run()
+	wantRes := runTask(straight)
 
 	tr := mk()
 	// Err() call pattern per epoch: 1 (epoch top) + 1 per step. Cancelling on
 	// the 4th call stops after optimiser step 2 of epoch 0, mid-epoch.
-	res, err := tr.RunCtx(&countdownCtx{Context: context.Background(), n: 4})
+	res, err := tr.Loop().Run(&countdownCtx{Context: context.Background(), n: 4})
 	if err != context.Canceled {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
 	if len(res.Curve) != 0 {
 		t.Fatalf("partial result should hold 0 completed epochs, got %d", len(res.Curve))
 	}
-	gotRes, err := tr.RunCtx(context.Background())
+	gotRes, err := tr.Loop().Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,10 +246,10 @@ func TestCancelMidEpochCheckpointResume(t *testing.T) {
 		return NewSeqTrainer(Config{Method: GPFlash, Epochs: 4, LR: 2e-3, SeqLen: 48, Seed: 23}, cfg, ds)
 	}
 	straight := mk()
-	wantRes := straight.Run()
+	wantRes := runTask(straight)
 
 	tr := mk()
-	if _, err := tr.RunCtx(&countdownCtx{Context: context.Background(), n: 5}); err != context.Canceled {
+	if _, err := tr.Loop().Run(&countdownCtx{Context: context.Background(), n: 5}); err != context.Canceled {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
 	path := filepath.Join(t.TempDir(), "mid.ckpt")
@@ -258,7 +284,7 @@ func TestEarlyStopping(t *testing.T) {
 			stops = append(stops, s)
 		}
 	}
-	res := tr.Run()
+	res := runTask(tr)
 	if len(res.Curve) >= 50 {
 		t.Fatalf("early stopping never triggered (%d epochs)", len(res.Curve))
 	}
@@ -287,7 +313,7 @@ func TestLoopEvents(t *testing.T) {
 			phases++
 		}
 	}
-	tr.Run()
+	runTask(tr)
 	if len(epochs) != 6 {
 		t.Fatalf("want 6 epoch events, got %d", len(epochs))
 	}
@@ -309,7 +335,7 @@ func writeNodeCheckpoint(t *testing.T, ds *graph.NodeDataset) string {
 	cfg.Layers = 1
 	cfg.Heads = 2
 	tr := NewNodeTrainer(Config{Method: GPSparse, Epochs: 2, LR: 2e-3, Seed: 53}, cfg, ds)
-	tr.Run()
+	runTask(tr)
 	path := filepath.Join(t.TempDir(), "ok.ckpt")
 	if err := tr.Loop().Checkpoint(path); err != nil {
 		t.Fatal(err)
@@ -447,7 +473,7 @@ func TestResultMatchesRun(t *testing.T) {
 	cfg.Layers = 1
 	cfg.Heads = 2
 	tr := NewNodeTrainer(Config{Method: GPSparse, Epochs: 3, LR: 2e-3, Seed: 63}, cfg, ds)
-	res, err := tr.RunCtx(context.Background())
+	res, err := tr.Loop().Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

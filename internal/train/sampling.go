@@ -1,7 +1,9 @@
 package train
 
 import (
+	"context"
 	"fmt"
+	"math/rand"
 	"time"
 
 	"torchgt/internal/graph"
@@ -12,130 +14,212 @@ import (
 	"torchgt/internal/tensor"
 )
 
-// EgoConfig configures ego-graph sampled training — the Gophormer/NAGphormer
-// family the paper groups under "sampling or pooling methods that select a
-// subset of nodes per iteration" (issue I2): each training example is one
-// target node plus a capped-size sampled neighbourhood, so connectivity
-// outside the ego-graph is dropped. The paper's claim — that this sacrifices
-// accuracy against long-sequence training — is reproduced by the
-// ablation-sampling experiment.
+// Ego-graph sampled training — the Gophormer/NAGphormer family the paper
+// groups under "sampling or pooling methods that select a subset of nodes per
+// iteration" (issue I2): each training example is one target node plus a
+// capped-size sampled neighbourhood, so connectivity outside the ego-graph is
+// dropped. The paper's claim — that this sacrifices accuracy against
+// long-sequence training — is reproduced by the ablation-sampling experiment.
+const (
+	egoHops      = 2   // neighbourhood radius of every sampled context
+	egoWorkers   = 2   // sampling pipeline prefetch workers (bitwise-neutral)
+	egoEvalEpoch = 200 // test targets classified after every epoch (at most)
+	egoEvalFinal = 400 // test targets of the final evaluation (at most)
+)
+
+// EgoConfig configures NewEgoTrainerSource, the adapter that builds the ego
+// task from the ego-specific knobs; zero values pick the task's defaults.
 type EgoConfig struct {
 	Epochs  int
-	LR      float64
-	Hops    int // neighbourhood radius (default 2)
 	MaxSize int // max ego-graph size incl. target (default 32)
 	Batch   int // targets per optimiser step (default 32)
 	Seed    int64
 	// Workers sets the sampling pipeline's prefetch concurrency (≤1 =
-	// synchronous). Sampling is deterministic per (seed, serial, target),
-	// so the worker count changes wall-clock only, never results — which
-	// is what makes it safe to raise for disk-resident (shard://) sources
-	// where the samples hide read latency.
+	// synchronous). Sampling is deterministic per (seed, serial, target), so
+	// the worker count changes wall-clock only, never results.
 	Workers int
-}
-
-func (c EgoConfig) withDefaults() EgoConfig {
-	if c.Epochs <= 0 {
-		c.Epochs = 20
-	}
-	if c.Hops == 0 {
-		c.Hops = 2
-	}
-	if c.MaxSize == 0 {
-		c.MaxSize = 32
-	}
-	if c.Batch == 0 {
-		c.Batch = 32
-	}
-	if c.LR == 0 {
-		c.LR = 1e-3
-	}
-	return c
 }
 
 // EgoTrainer trains node classification from sampled ego-graphs drawn
 // through a graph.NodeSource — the in-memory dataset or a disk-resident
 // shard view, interchangeably: the sampled sequences are bitwise-identical
-// across backings and worker counts.
+// across backings and worker counts. It is the "ego" Task adapter: one
+// optimiser step per Cfg.BatchSize targets, each a context of at most
+// Cfg.SeqLen nodes.
 type EgoTrainer struct {
-	Cfg      EgoConfig
-	Model    *model.GraphTransformer
-	Src      graph.NodeSource
-	modelCfg model.Config
-	serial   uint64
+	taskBase
+	Cfg   Config
+	Model *model.GraphTransformer
+	Src   graph.NodeSource
+
+	pipe              *sample.Pipeline
+	rng               *rand.Rand // epoch shuffles + evaluation targets (source: rngSrc)
+	trainIdx, testIdx []int32
+	shuffled          int    // epochs whose shuffle trainIdx carries
+	epochSerials      uint64 // sample serials one epoch reserves
 
 	pack   pack    // the contexts of the pack being filled
 	labels []int32 // their targets' classes
 }
 
-// NewEgoTrainer builds the trainer over an in-memory dataset; the model is
-// the node form (no global token), read out at each context's target row.
-func NewEgoTrainer(cfg EgoConfig, modelCfg model.Config, ds *graph.NodeDataset) *EgoTrainer {
-	return NewEgoTrainerSource(cfg, modelCfg, graph.SourceOf(ds))
+// NewEgoTask builds the ego task over src for the Loop engine. cfg.SeqLen is
+// the context size and cfg.BatchSize the targets per step (both default 32).
+// Attention is always sparse over each sampled ego-graph, so callers pass
+// Method GPSparse for the result to record. It reports an error for a nil or
+// mismatched source and for a source without training nodes.
+func NewEgoTask(cfg Config, modelCfg model.Config, src graph.NodeSource) (*EgoTrainer, error) {
+	tr := newEgoTrainer(cfg, egoWorkers, modelCfg, src)
+	if err := tr.validate(); err != nil {
+		return nil, err
+	}
+	return tr, nil
 }
 
-// NewEgoTrainerSource builds the trainer over any node source.
+// NewEgoTrainerSource builds the ego task from an EgoConfig (gp-sparse,
+// constant learning rate 1e-3); Run validates it.
 func NewEgoTrainerSource(cfg EgoConfig, modelCfg model.Config, src graph.NodeSource) *EgoTrainer {
+	return newEgoTrainer(Config{
+		Method: GPSparse, Epochs: cfg.Epochs, SeqLen: cfg.MaxSize, BatchSize: cfg.Batch, Seed: cfg.Seed,
+	}, cfg.Workers, modelCfg, src)
+}
+
+func newEgoTrainer(cfg Config, workers int, modelCfg model.Config, src graph.NodeSource) *EgoTrainer {
+	// the ego task's own defaults, ahead of the shared ones
+	if cfg.BatchSize == 0 {
+		cfg.BatchSize = 32
+	}
+	if cfg.SeqLen <= 0 {
+		cfg.SeqLen = 32
+	}
 	cfg = cfg.withDefaults()
 	modelCfg.GlobalToken = false
-	return &EgoTrainer{Cfg: cfg, Model: model.NewGraphTransformer(modelCfg), modelCfg: modelCfg, Src: src}
+	tr := &EgoTrainer{Cfg: cfg, Model: model.NewGraphTransformer(modelCfg), Src: src}
+	tr.cfg = &tr.Cfg
+	tr.rng, tr.rngSrc = nn.NewCountedRand(cfg.Seed)
+	NewLoop(tr, tr.Model, tr.Cfg)
+	if src == nil {
+		return tr
+	}
+	tr.pipe = sample.NewPipeline(sample.New(src, sample.Config{
+		Hops: egoHops, MaxSize: cfg.SeqLen, Seed: cfg.Seed, Workers: workers,
+	}))
+	for i, n := 0, src.NumNodes(); i < n; i++ {
+		s := src.SplitOf(int32(i))
+		if s.Train() {
+			tr.trainIdx = append(tr.trainIdx, int32(i))
+		} else if s.Test() {
+			tr.testIdx = append(tr.testIdx, int32(i))
+		}
+	}
+	tr.epochSerials = uint64(len(tr.trainIdx) + min(egoEvalEpoch, len(tr.testIdx)))
+	return tr
 }
 
-// validate checks the source against the model before training, so Run
-// reports a descriptive error instead of a mid-epoch panic.
+// validate checks the source against the model before training, so a bad
+// configuration is a descriptive error instead of a mid-epoch panic.
 func (tr *EgoTrainer) validate() error {
 	if tr.Src == nil {
 		return fmt.Errorf("train: ego trainer has no dataset")
 	}
-	if tr.modelCfg.InDim != tr.Src.FeatDim() {
+	mcfg := tr.Model.Cfg
+	if mcfg.InDim != tr.Src.FeatDim() {
 		return fmt.Errorf("train: model expects %d input features, dataset %q has %d",
-			tr.modelCfg.InDim, tr.Src.DatasetName(), tr.Src.FeatDim())
+			mcfg.InDim, tr.Src.DatasetName(), tr.Src.FeatDim())
 	}
-	if tr.Src.Classes() > 0 && tr.modelCfg.OutDim != tr.Src.Classes() {
+	if tr.Src.Classes() > 0 && mcfg.OutDim != tr.Src.Classes() {
 		return fmt.Errorf("train: model emits %d classes, dataset %q has %d",
-			tr.modelCfg.OutDim, tr.Src.DatasetName(), tr.Src.Classes())
+			mcfg.OutDim, tr.Src.DatasetName(), tr.Src.Classes())
 	}
-	hasTrain := false
-	for i, n := 0, tr.Src.NumNodes(); i < n; i++ {
-		if tr.Src.SplitOf(int32(i)).Train() {
-			hasTrain = true
-			break
-		}
-	}
-	if !hasTrain {
+	if len(tr.trainIdx) == 0 {
 		return fmt.Errorf("train: dataset %q has no training nodes", tr.Src.DatasetName())
 	}
 	return nil
 }
 
-// pipeline builds the prefetching sampler pipeline for this trainer.
-func (tr *EgoTrainer) pipeline() *sample.Pipeline {
-	return sample.NewPipeline(sample.New(tr.Src, sample.Config{
-		Hops: tr.Cfg.Hops, MaxSize: tr.Cfg.MaxSize, Seed: tr.Cfg.Seed, Workers: tr.Cfg.Workers,
-	}))
+// Kind implements Task.
+func (tr *EgoTrainer) Kind() string { return TaskEgo }
+
+// BeginEpoch implements Task: shuffle the training targets. Each shuffle
+// permutes the previous epoch's order, so a trainer resumed at epoch ep > 0
+// first replays the draws of epochs 0..ep−1 — their shuffles and evaluation
+// picks — from the start of the stream, landing where the checkpointed
+// stream position says it is.
+func (tr *EgoTrainer) BeginEpoch(ep int) {
+	tr.resetEpoch()
+	if tr.shuffled == 0 && ep > 0 {
+		tr.rngSrc.Seek(0)
+		for ; tr.shuffled < ep; tr.shuffled++ {
+			tr.shuffle()
+			tr.evalTargets(egoEvalEpoch)
+		}
+	}
+	tr.shuffle()
+	tr.shuffled = ep + 1
 }
 
-// nextSerial reserves n sample serial numbers. Serials count submissions in
-// program order, so they are independent of worker count.
-func (tr *EgoTrainer) nextSerial(n int) uint64 {
-	s := tr.serial
-	tr.serial += uint64(n)
-	return s
+func (tr *EgoTrainer) shuffle() {
+	tr.rng.Shuffle(len(tr.trainIdx), func(i, j int) { tr.trainIdx[i], tr.trainIdx[j] = tr.trainIdx[j], tr.trainIdx[i] })
 }
 
-// eachPack samples targets in order and coalesces their contexts — features,
-// degree buckets, label, and the subgraph's pattern with its edge buckets —
-// into packs of at most packRows rows, calling flush on each pack as it
-// fills and on the last partial one. The sampler keeps prefetching while a
-// flush computes. On a source I/O error (reported once every target has been
-// visited) the remaining pack is dropped, not flushed.
-func (tr *EgoTrainer) eachPack(pipe *sample.Pipeline, targets []int32, flush func()) error {
+// Steps implements Task: one optimiser step per BatchSize targets.
+func (tr *EgoTrainer) Steps(int) int {
+	return (len(tr.trainIdx) + tr.Cfg.BatchSize - 1) / tr.Cfg.BatchSize
+}
+
+// Step implements Task: sample and train the s-th batch of targets. Sample
+// serials follow from the loop position — an epoch reserves one per training
+// target, then one per evaluated target — so they need no checkpoint state.
+// A source failure abandons the step (see sourceError): the samples behind
+// it are zero-filled, so no step may be taken on them.
+func (tr *EgoTrainer) Step(ep, s, _ int) {
+	lo := s * tr.Cfg.BatchSize
+	hi := min(lo+tr.Cfg.BatchSize, len(tr.trainIdx))
+	loss, err := tr.accumulate(tr.trainIdx[lo:hi], uint64(ep)*tr.epochSerials+uint64(lo))
+	if err != nil {
+		panic(&sourceError{epoch: ep, err: err})
+	}
+	tr.epLoss += loss
+}
+
+// EpochPoint implements Task: the mean training loss per target and the
+// accuracy on up to egoEvalEpoch sampled test targets.
+func (tr *EgoTrainer) EpochPoint(ep int, dt time.Duration) Point {
+	acc := tr.evaluate(ep, egoEvalEpoch, uint64(ep)*tr.epochSerials+uint64(len(tr.trainIdx)))
+	return Point{Epoch: ep, Loss: tr.epLoss / float64(len(tr.trainIdx)), TestAcc: acc, EpochTime: dt}
+}
+
+// Finish implements Task: a wider sampled evaluation for the headline
+// accuracy, on the serials after the last completed epoch.
+func (tr *EgoTrainer) Finish(res *Result) {
+	ep := len(res.Curve)
+	res.FinalTestAcc = tr.evaluate(ep, egoEvalFinal, uint64(ep)*tr.epochSerials)
+	if res.FinalTestAcc > res.BestTestAcc {
+		res.BestTestAcc = res.FinalTestAcc
+	}
+}
+
+// Run validates the trainer and trains it to completion.
+func (tr *EgoTrainer) Run() (*Result, error) {
+	if err := tr.validate(); err != nil {
+		return nil, err
+	}
+	return tr.Loop().Run(context.Background())
+}
+
+// eachPack samples targets in order, from sample serial serial on, and
+// coalesces their contexts — features, degree buckets, label, and the
+// subgraph's pattern with its edge buckets — into packs of at most packRows
+// rows, calling flush on each pack as it fills and on the last partial one.
+// The sampler keeps prefetching while a flush computes. On a source I/O
+// error (reported once every target has been visited) the remaining pack is
+// dropped, not flushed.
+func (tr *EgoTrainer) eachPack(targets []int32, serial uint64, flush func()) error {
 	reset := func() {
 		tr.pack.reset()
 		tr.labels = tr.labels[:0]
 	}
 	reset()
-	err := pipe.Each(targets, tr.nextSerial(len(targets)), func(c *sample.Context) {
+	err := tr.pipe.Each(targets, serial, func(c *sample.Context) {
 		if rows := tr.pack.rows(); rows > 0 && rows+c.X.Rows > packRows {
 			flush()
 			reset()
@@ -164,9 +248,9 @@ func (tr *EgoTrainer) forwardPack(train bool, targets []int32) *tensor.Mat {
 // The per-context losses are those of a loop over the contexts one at a
 // time: each is the cross-entropy of its target row alone, summed in
 // sampling order, and the model segments every gradient reduction by context.
-func (tr *EgoTrainer) accumulate(pipe *sample.Pipeline, targets []int32) (float64, error) {
+func (tr *EgoTrainer) accumulate(targets []int32, serial uint64) (float64, error) {
 	var total float64
-	err := tr.eachPack(pipe, targets, func() {
+	err := tr.eachPack(targets, serial, func() {
 		logits := tr.forwardPack(true, nil)
 		dl := tensor.New(logits.Rows, logits.Cols)
 		for s, y := range tr.labels {
@@ -180,93 +264,26 @@ func (tr *EgoTrainer) accumulate(pipe *sample.Pipeline, targets []int32) (float6
 	return total, err
 }
 
-// step trains on one batch of targets — one optimiser step — and returns the
-// summed loss. The samples behind a failed source are zero-filled: on its
-// error no step is taken on them and no partial gradient is left behind.
-func (tr *EgoTrainer) step(pipe *sample.Pipeline, targets []int32, opt *nn.Adam) (float64, error) {
-	total, err := tr.accumulate(pipe, targets)
-	if err != nil {
-		nn.ZeroGrads(tr.Model.Params())
-		return 0, err
-	}
-	opt.Step(tr.Model.Params())
-	return total, nil
-}
-
-// Run trains over all train-mask targets each epoch and evaluates on a
-// sample of test nodes. Invalid configurations (nil or mismatched dataset,
-// no training nodes) are reported as errors rather than panics. On
-// disk-resident sources, I/O failures surface between batches as errors.
-func (tr *EgoTrainer) Run() (*Result, error) {
-	if err := tr.validate(); err != nil {
-		return nil, err
-	}
-	opt := nn.NewAdam(tr.Cfg.LR)
-	opt.ClipNorm = 5
-	rng := newRand(tr.Cfg.Seed)
-	pipe := tr.pipeline()
-	var trainIdx, testIdx []int32
-	for i, n := 0, tr.Src.NumNodes(); i < n; i++ {
-		s := tr.Src.SplitOf(int32(i))
-		if s.Train() {
-			trainIdx = append(trainIdx, int32(i))
-		} else if s.Test() {
-			testIdx = append(testIdx, int32(i))
-		}
-	}
-	var curve []Point
-	for ep := 0; ep < tr.Cfg.Epochs; ep++ {
-		t0 := time.Now()
-		rng.Shuffle(len(trainIdx), func(i, j int) { trainIdx[i], trainIdx[j] = trainIdx[j], trainIdx[i] })
-		var epLoss float64
-		for lo := 0; lo < len(trainIdx); lo += tr.Cfg.Batch {
-			hi := lo + tr.Cfg.Batch
-			if hi > len(trainIdx) {
-				hi = len(trainIdx)
-			}
-			l, err := tr.step(pipe, trainIdx[lo:hi], opt)
-			if err != nil {
-				return nil, fmt.Errorf("train: epoch %d: %w", ep, err)
-			}
-			epLoss += l
-		}
-		acc, err := tr.evalSample(pipe, testIdx, 200, rng)
-		if err != nil {
-			return nil, err
-		}
-		curve = append(curve, Point{
-			Epoch: ep, Loss: epLoss / float64(len(trainIdx)),
-			TestAcc: acc, EpochTime: time.Since(t0),
-		})
-	}
-	res := summarise(GPSparse, curve, 0)
-	final, err := tr.evalSample(pipe, testIdx, 400, rng)
-	if err != nil {
-		return nil, err
-	}
-	res.FinalTestAcc = final
-	if res.FinalTestAcc > res.BestTestAcc {
-		res.BestTestAcc = res.FinalTestAcc
-	}
-	return res, nil
-}
-
-// evalSample classifies up to n test targets via their ego-graphs. Target
-// selection draws from the trainer RNG (as before); the per-target sampling
-// randomness comes from the pipeline's serial stream.
-func (tr *EgoTrainer) evalSample(pipe *sample.Pipeline, testIdx []int32, n int, rng interface{ Intn(int) int }) (float64, error) {
-	if len(testIdx) == 0 {
-		return 0, nil
-	}
-	if n > len(testIdx) {
-		n = len(testIdx)
-	}
-	targets := make([]int32, n)
+// evalTargets draws up to n test targets, with replacement, from the task
+// RNG.
+func (tr *EgoTrainer) evalTargets(n int) []int32 {
+	targets := make([]int32, min(n, len(tr.testIdx)))
 	for i := range targets {
-		targets[i] = testIdx[rng.Intn(len(testIdx))]
+		targets[i] = tr.testIdx[tr.rng.Intn(len(tr.testIdx))]
+	}
+	return targets
+}
+
+// evaluate classifies up to n sampled test targets via their ego-graphs,
+// sampled from serial on, and returns the accuracy. A source failure
+// abandons the evaluation (see sourceError).
+func (tr *EgoTrainer) evaluate(ep, n int, serial uint64) float64 {
+	targets := tr.evalTargets(n)
+	if len(targets) == 0 {
+		return 0
 	}
 	correct := 0
-	err := tr.eachPack(pipe, targets, func() {
+	err := tr.eachPack(targets, serial, func() {
 		logits := tr.forwardPack(false, tr.pack.in.SegRows[:len(tr.labels)])
 		for s, y := range tr.labels {
 			row := logits.Row(s)
@@ -282,7 +299,7 @@ func (tr *EgoTrainer) evalSample(pipe *sample.Pipeline, testIdx []int32, n int, 
 		}
 	})
 	if err != nil {
-		return 0, err
+		panic(&sourceError{epoch: ep, err: err})
 	}
-	return float64(correct) / float64(n), nil
+	return float64(correct) / float64(len(targets))
 }

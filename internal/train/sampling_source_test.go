@@ -36,7 +36,7 @@ func TestEgoTrainerBackingInvariant(t *testing.T) {
 	run := func(src graph.NodeSource, workers int) *Result {
 		t.Helper()
 		tr := NewEgoTrainerSource(EgoConfig{
-			Epochs: 2, Hops: 2, MaxSize: 12, Batch: 16, Seed: 53, Workers: workers,
+			Epochs: 2, MaxSize: 12, Batch: 16, Seed: 53, Workers: workers,
 		}, modelCfg, src)
 		res, err := tr.Run()
 		if err != nil {

@@ -1,7 +1,6 @@
 package train
 
 import (
-	"context"
 	"math/rand"
 	"time"
 
@@ -23,10 +22,8 @@ type SeqTrainer struct {
 	Model *model.GraphTransformer
 	DS    *graph.NodeDataset
 
-	rng    *rand.Rand        // epoch shuffles + sampled evaluation
-	rngSrc *nn.CountedSource // its checkpointable source
-	perm   []int             // current epoch's node permutation
-	loop   *Loop
+	rng  *rand.Rand // epoch shuffles + sampled evaluation
+	perm []int      // current epoch's node permutation
 }
 
 // NewSeqTrainer builds the trainer.
@@ -36,8 +33,10 @@ func NewSeqTrainer(cfg Config, modelCfg model.Config, ds *graph.NodeDataset) *Se
 		cfg.SeqLen = ds.G.N
 	}
 	tr := &SeqTrainer{Cfg: cfg, Model: model.NewGraphTransformer(modelCfg), DS: ds}
+	tr.cfg = &tr.Cfg
 	tr.rng, tr.rngSrc = nn.NewCountedRand(cfg.Seed)
 	cfg.applyExec(tr.Model)
+	NewLoop(tr, tr.Model, tr.Cfg)
 	return tr
 }
 
@@ -72,16 +71,6 @@ func (tr *SeqTrainer) batch(nodes []int32) (*model.Inputs, *model.AttentionSpec,
 
 // Kind implements Task.
 func (tr *SeqTrainer) Kind() string { return TaskSeq }
-
-// Preprocess implements Task: sequence sampling needs no preprocessing.
-func (tr *SeqTrainer) Preprocess() time.Duration { return 0 }
-
-func (tr *SeqTrainer) runRNG() *nn.CountedSource { return tr.rngSrc }
-
-func (tr *SeqTrainer) reconfigure(cfg Config) {
-	tr.Cfg.Epochs, tr.Cfg.LR = cfg.Epochs, cfg.LR
-	tr.Cfg.Warmup, tr.Cfg.EarlyStopPatience = cfg.Warmup, cfg.EarlyStopPatience
-}
 
 // BeginEpoch implements Task: draw the epoch's node permutation.
 func (tr *SeqTrainer) BeginEpoch(int) {
@@ -132,29 +121,6 @@ func (tr *SeqTrainer) Finish(res *Result) {
 	if res.FinalTestAcc > res.BestTestAcc {
 		res.BestTestAcc = res.FinalTestAcc
 	}
-}
-
-// StopMetric implements Task: sampled evaluation has no validation split.
-func (tr *SeqTrainer) StopMetric(p Point) float64 { return p.TestAcc }
-
-// Loop returns (building on first use) the engine driving this trainer.
-func (tr *SeqTrainer) Loop() *Loop {
-	if tr.loop == nil {
-		tr.loop = NewLoop(tr, tr.Model, tr.Cfg)
-	}
-	return tr.loop
-}
-
-// Run trains with sampled sequences and returns the result.
-func (tr *SeqTrainer) Run() *Result {
-	res, _ := tr.RunCtx(context.Background())
-	return res
-}
-
-// RunCtx trains under ctx: cancellation stops at the next step boundary and
-// returns the partial result with ctx's error.
-func (tr *SeqTrainer) RunCtx(ctx context.Context) (*Result, error) {
-	return tr.Loop().Run(ctx)
 }
 
 // evalSampled estimates test accuracy over `batches` sampled sequences.

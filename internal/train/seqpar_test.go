@@ -114,10 +114,10 @@ func TestSeqParallelCancelCheckpointResume(t *testing.T) {
 		}, cfg, ds)
 	}
 	straight := mk()
-	wantRes := straight.Run()
+	wantRes := runTask(straight)
 
 	tr := mk()
-	if _, err := tr.RunCtx(&countdownCtx{Context: context.Background(), n: 5}); err != context.Canceled {
+	if _, err := tr.Loop().Run(&countdownCtx{Context: context.Background(), n: 5}); err != context.Canceled {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
 	path := filepath.Join(t.TempDir(), "seqpar-mid.ckpt")

@@ -1,6 +1,7 @@
 package train
 
 import (
+	"context"
 	"testing"
 
 	"torchgt/internal/graph"
@@ -13,6 +14,12 @@ func smallNodeDataset(seed int64) *graph.NodeDataset {
 		Name: "t", NumNodes: 192, NumBlocks: 8, NumClasses: 4, FeatDim: 12,
 		AvgDegIn: 8, AvgDegOut: 1, NoiseStd: 1.0, Seed: seed, Shuffle: true,
 	})
+}
+
+// runTask trains tr to completion on its Loop.
+func runTask(tr interface{ Loop() *Loop }) *Result {
+	res, _ := tr.Loop().Run(context.Background())
+	return res
 }
 
 // skipIfShort gates slow convergence tests out of the default CI test lane;
@@ -85,7 +92,7 @@ func trainNode(t *testing.T, method Method, epochs int) *Result {
 		Method: method, Epochs: epochs, LR: 2e-3, ClusterK: 4, Db: 4,
 		FixedBeta: -1, Seed: 3, Interval: 4,
 	}, cfg, ds)
-	return tr.Run()
+	return runTask(tr)
 }
 
 func TestNodeTrainerAllMethodsLearn(t *testing.T) {
@@ -141,7 +148,7 @@ func TestGraphTrainerClassification(t *testing.T) {
 	cfg.Layers = 2
 	cfg.Heads = 2
 	tr := NewGraphTrainer(Config{Method: TorchGT, Epochs: 12, LR: 2e-3, BatchSize: 8, Seed: 7}, cfg, ds)
-	res := tr.Run()
+	res := runTask(tr)
 	// the test split is tiny (6 graphs) so generalisation is noisy; assert
 	// the pipeline *learns* via train-set accuracy and loss descent.
 	if trainAcc := tr.evaluate(ds.TrainIdx); trainAcc < 0.75 {
@@ -165,7 +172,7 @@ func TestGraphTrainerRegression(t *testing.T) {
 	cfg.Layers = 2
 	cfg.Heads = 2
 	tr := NewGraphTrainer(Config{Method: GPSparse, Epochs: 12, LR: 2e-3, Seed: 10}, cfg, ds)
-	res := tr.Run()
+	res := runTask(tr)
 	mae := tr.EvalMAE()
 	if mae <= 0 {
 		t.Fatalf("MAE must be positive, got %v", mae)
@@ -189,7 +196,7 @@ func TestSeqTrainerLongerIsBetter(t *testing.T) {
 		cfg.Layers = 2
 		cfg.Heads = 4
 		tr := NewSeqTrainer(Config{Method: GPFlash, Epochs: 8, SeqLen: seqLen, Seed: 13}, cfg, ds)
-		return tr.Run().FinalTestAcc
+		return runTask(tr).FinalTestAcc
 	}
 	short := run(32)
 	long := run(256)
@@ -208,7 +215,7 @@ func TestNodeTrainerFixedBetaVariants(t *testing.T) {
 			Method: TorchGT, Epochs: 3, ClusterK: 4, Db: 4,
 			FixedBeta: beta, UseFixedBeta: true, Seed: 22,
 		}, cfg, ds)
-		res := tr.Run()
+		res := runTask(tr)
 		if len(res.Curve) != 3 {
 			t.Fatalf("β=%v: run failed", beta)
 		}
@@ -227,7 +234,7 @@ func TestEgoTrainerRunsAndLearns(t *testing.T) {
 	cfg := model.GraphormerSlim(12, 4, 31)
 	cfg.Layers = 2
 	cfg.Heads = 2
-	tr := NewEgoTrainer(EgoConfig{Epochs: 3, Hops: 2, MaxSize: 16, Batch: 32, Seed: 32}, cfg, ds)
+	tr := NewEgoTrainerSource(EgoConfig{Epochs: 3, MaxSize: 16, Batch: 32, Seed: 32}, cfg, graph.SourceOf(ds))
 	res, err := tr.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -247,25 +254,25 @@ func TestEgoTrainerRunsAndLearns(t *testing.T) {
 func TestEgoTrainerRunErrors(t *testing.T) {
 	cfg := model.GraphormerSlim(12, 4, 31)
 	cfg.Layers = 1
-	if _, err := NewEgoTrainer(EgoConfig{Epochs: 1}, cfg, nil).Run(); err == nil {
+	if _, err := NewEgoTrainerSource(EgoConfig{Epochs: 1}, cfg, graph.SourceOf(nil)).Run(); err == nil {
 		t.Fatal("nil dataset must error")
 	}
 	ds := smallNodeDataset(33)
 	badIn := model.GraphormerSlim(7, 4, 31)
 	badIn.Layers = 1
-	if _, err := NewEgoTrainer(EgoConfig{Epochs: 1}, badIn, ds).Run(); err == nil {
+	if _, err := NewEgoTrainerSource(EgoConfig{Epochs: 1}, badIn, graph.SourceOf(ds)).Run(); err == nil {
 		t.Fatal("feature-dim mismatch must error")
 	}
 	badOut := model.GraphormerSlim(12, 9, 31)
 	badOut.Layers = 1
-	if _, err := NewEgoTrainer(EgoConfig{Epochs: 1}, badOut, ds).Run(); err == nil {
+	if _, err := NewEgoTrainerSource(EgoConfig{Epochs: 1}, badOut, graph.SourceOf(ds)).Run(); err == nil {
 		t.Fatal("class-count mismatch must error")
 	}
 	unlabelled := smallNodeDataset(37)
 	for i := range unlabelled.TrainMask {
 		unlabelled.TrainMask[i] = false
 	}
-	if _, err := NewEgoTrainer(EgoConfig{Epochs: 1}, cfg, unlabelled).Run(); err == nil {
+	if _, err := NewEgoTrainerSource(EgoConfig{Epochs: 1}, cfg, graph.SourceOf(unlabelled)).Run(); err == nil {
 		t.Fatal("no training nodes must error")
 	}
 }
@@ -299,7 +306,7 @@ func TestNodeTrainerWarmupSchedule(t *testing.T) {
 	tr := NewNodeTrainer(Config{
 		Method: GPSparse, Epochs: 6, LR: 2e-3, Warmup: 3, Seed: 42,
 	}, cfg, ds)
-	res := tr.Run()
+	res := runTask(tr)
 	if len(res.Curve) != 6 {
 		t.Fatal("warmup run failed")
 	}

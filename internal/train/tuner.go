@@ -42,7 +42,7 @@ func (a *AutoTuner) Observe(loss, epochSeconds float64) float64 {
 		return a.Beta()
 	}
 	prevF := a.f
-	a.f = 0.9*a.f + 0.1*loss
+	a.f = float64(0.9*a.f) + float64(0.1*loss)
 	if epochSeconds <= 0 {
 		epochSeconds = 1e-9
 	}

@@ -10,8 +10,9 @@ import (
 )
 
 // Session is the lifecycle-aware training API: one object that unifies the
-// node-level, graph-level and sequence-sampled regimes over a single
-// training engine, built with functional options and driven by Run(ctx).
+// node-level, graph-level, sequence-sampled and ego-sampled regimes over a
+// single training engine, built with functional options and driven by
+// Run(ctx).
 //
 //	s, _ := torchgt.NewSession(torchgt.MethodTorchGT, cfg, torchgt.NodeTask(ds),
 //	    torchgt.WithEpochs(50),
@@ -51,20 +52,27 @@ type (
 // with NodeTask or GraphLevelTask over an in-memory dataset, or with
 // TaskFromSpec over a dataset spec string — spec-built tasks record the
 // spec in Session checkpoints so ResumeSessionFromSpec can re-open the
-// data. Seq turns a node task into the mini-batched sequence regime.
+// data. Seq turns a node task into the mini-batched sequence regime, Ego
+// into ego-graph sampled training.
 type TaskSpec struct {
 	kind string
-	node *NodeDataset
-	gds  *GraphDataset
+	// data is shared by the task and its conversions; a disk-resident
+	// (shard://) node dataset is loaded into it, in place, when the first
+	// full-sequence trainer is built over it.
+	data *Dataset
 	spec string // canonical dataset spec ("" for in-memory datasets)
 }
 
 // NodeTask trains node classification over the full graph sequence.
-func NodeTask(ds *NodeDataset) TaskSpec { return TaskSpec{kind: train.TaskNode, node: ds} }
+func NodeTask(ds *NodeDataset) TaskSpec {
+	return TaskSpec{kind: train.TaskNode, data: &Dataset{Node: ds}}
+}
 
 // GraphLevelTask trains on a graph-level dataset (classification or
 // regression; Session.EvalMAE reports the regression headline metric).
-func GraphLevelTask(ds *GraphDataset) TaskSpec { return TaskSpec{kind: train.TaskGraph, gds: ds} }
+func GraphLevelTask(ds *GraphDataset) TaskSpec {
+	return TaskSpec{kind: train.TaskGraph, data: &Dataset{Graph: ds}}
+}
 
 // sessionSettings accumulates functional options before the engine is built.
 type sessionSettings struct {
@@ -110,11 +118,13 @@ func WithSeqParallel(p int) SessionOption {
 	return func(s *sessionSettings) { s.cfg.SeqParallel = p }
 }
 
-// WithBatchSize sets the graph-level optimiser batch (default 16).
+// WithBatchSize sets the optimiser batch: graphs per step for graph-level
+// tasks (default 16), targets per step for ego tasks (default 32).
 func WithBatchSize(n int) SessionOption { return func(s *sessionSettings) { s.cfg.BatchSize = n } }
 
-// WithSeqLen sets the sampled sequence length for a node task converted
-// with Seq (the Fig. 1 regime).
+// WithSeqLen sets the sampled sequence length: nodes per sequence for a
+// node task converted with Seq (the Fig. 1 regime), nodes per ego-graph for
+// one converted with Ego (default 32).
 func WithSeqLen(n int) SessionOption { return func(s *sessionSettings) { s.cfg.SeqLen = n } }
 
 // WithInterval sets the dual-interleave period (default 8).
@@ -217,6 +227,14 @@ func buildTrainer(task TaskSpec, cfg train.Config, mcfg ModelConfig, forResume b
 	if forResume {
 		subject, suffix = "checkpoint model", " (mismatched ModelConfig)"
 	}
+	if task.kind == train.TaskEgo {
+		if cfg.Method != train.GPSparse {
+			return nil, nil, nil, fmt.Errorf("torchgt: ego-sampled training runs sparse attention over each sampled ego-graph: method must be %v, not %v", MethodGPSparse, cfg.Method)
+		}
+		if cfg.SeqParallel > 1 {
+			return nil, nil, nil, fmt.Errorf("torchgt: ego-sampled training has no sequence-parallel plan (WithSeqParallel %d)", cfg.SeqParallel)
+		}
+	}
 	if cfg.SeqParallel > 1 {
 		heads := mcfg.Heads
 		if heads == 0 {
@@ -228,18 +246,29 @@ func buildTrainer(task TaskSpec, cfg train.Config, mcfg ModelConfig, forResume b
 		}
 	}
 	switch task.kind {
-	case train.TaskNode, train.TaskSeq:
-		ds := task.node
-		if ds == nil {
+	case train.TaskNode, train.TaskSeq, train.TaskEgo:
+		src := task.data.Source()
+		if src == nil {
 			return nil, nil, nil, fmt.Errorf("torchgt: nil dataset")
 		}
-		if mcfg.InDim != ds.X.Cols {
+		if mcfg.InDim != src.FeatDim() {
 			return nil, nil, nil, fmt.Errorf("torchgt: %s expects %d input features, dataset %q has %d%s",
-				subject, mcfg.InDim, ds.Name, ds.X.Cols, suffix)
+				subject, mcfg.InDim, src.DatasetName(), src.FeatDim(), suffix)
 		}
-		if ds.NumClasses > 0 && mcfg.OutDim != ds.NumClasses {
+		if src.Classes() > 0 && mcfg.OutDim != src.Classes() {
 			return nil, nil, nil, fmt.Errorf("torchgt: %s emits %d classes, dataset %q has %d%s",
-				subject, mcfg.OutDim, ds.Name, ds.NumClasses, suffix)
+				subject, mcfg.OutDim, src.DatasetName(), src.Classes(), suffix)
+		}
+		if task.kind == train.TaskEgo {
+			tr, err := train.NewEgoTask(cfg, mcfg, src)
+			if err != nil {
+				return nil, nil, nil, err
+			}
+			return tr, tr.Model, nil, nil
+		}
+		ds, err := task.nodeData()
+		if err != nil {
+			return nil, nil, nil, err
 		}
 		if task.kind == train.TaskNode {
 			tr := train.NewNodeTrainer(cfg, mcfg, ds)
@@ -248,7 +277,7 @@ func buildTrainer(task TaskSpec, cfg train.Config, mcfg ModelConfig, forResume b
 		tr := train.NewSeqTrainer(cfg, mcfg, ds)
 		return tr, tr.Model, nil, nil
 	case train.TaskGraph:
-		ds := task.gds
+		ds := task.data.Graph
 		if ds == nil {
 			return nil, nil, nil, fmt.Errorf("torchgt: nil dataset")
 		}

@@ -6,6 +6,7 @@ import (
 	"math"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 )
@@ -374,5 +375,131 @@ func TestReferenceTrajectoryPinned(t *testing.T) {
 			t.Errorf("epoch %d: loss %v (0x%016x), pinned %v (0x%016x)",
 				i, p.Loss, got, math.Float64frombits(want[i]), want[i])
 		}
+	}
+}
+
+// countdownCtx reports cancellation from the nth Err() call onward — a
+// deterministic way to cancel at an exact step boundary.
+type countdownCtx struct {
+	context.Context
+	calls, n int
+}
+
+func (c *countdownCtx) Err() error {
+	c.calls++
+	if c.calls >= c.n {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestSessionEgoShardResume: an ego session over a disk-resident shard://
+// spec, cancelled at a step boundary inside its second epoch, checkpointed
+// and resumed from the spec the checkpoint records, lands bitwise where an
+// uninterrupted run lands.
+func TestSessionEgoShardResume(t *testing.T) {
+	ds := loadNode(t, "arxiv-sim", 256, 31)
+	dir := filepath.Join(t.TempDir(), "shards")
+	if _, err := ShardNodeDataset(dir, ds, 3); err != nil {
+		t.Fatal(err)
+	}
+	cfg := GraphormerSlim(ds.X.Cols, ds.NumClasses, 32)
+	cfg.Layers = 1
+	mk := func() *Session {
+		task, err := TaskFromSpec("shard://" + dir + "?cache=16KiB&block=1KiB")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if task.Data().Stream == nil {
+			t.Fatal("shard:// task was loaded into memory")
+		}
+		ego, err := task.Ego()
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := NewSession(MethodGPSparse, cfg, ego, WithEpochs(3), WithSeed(33), WithSeqLen(12), WithBatchSize(16))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	straight := mk()
+	want, err := straight.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	targets := 0
+	for _, m := range ds.TrainMask {
+		if m {
+			targets++
+		}
+	}
+	steps := (targets + 15) / 16
+	if steps < 2 {
+		t.Fatalf("%d steps per epoch: the cancel point needs two", steps)
+	}
+	// Err() is checked at each epoch top and before each step: call
+	// steps+4 comes before step 1 of epoch 1.
+	sess := mk()
+	res, err := sess.Run(&countdownCtx{Context: context.Background(), n: steps + 4})
+	if !errors.Is(err, context.Canceled) || len(res.Curve) != 1 {
+		t.Fatalf("want a cancel inside epoch 1, got %v after %d epochs", err, len(res.Curve))
+	}
+	path := filepath.Join(t.TempDir(), "mid.ckpt")
+	if err := sess.Checkpoint(path); err != nil {
+		t.Fatal(err)
+	}
+	resumed, err := ResumeSessionFromSpec(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := resumed.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	weightsEqual(t, straight.Model(), resumed.Model())
+	if len(got.Curve) != len(want.Curve) {
+		t.Fatalf("resumed curve has %d epochs, want %d", len(got.Curve), len(want.Curve))
+	}
+	for i, p := range want.Curve {
+		if math.Float64bits(got.Curve[i].Loss) != math.Float64bits(p.Loss) || got.Curve[i].TestAcc != p.TestAcc {
+			t.Fatalf("epoch %d: resumed (%v, %v), uninterrupted (%v, %v)", i, got.Curve[i].Loss, got.Curve[i].TestAcc, p.Loss, p.TestAcc)
+		}
+	}
+	if got.FinalTestAcc != want.FinalTestAcc {
+		t.Fatalf("final accuracy %v, uninterrupted %v", got.FinalTestAcc, want.FinalTestAcc)
+	}
+}
+
+// TestSessionEgoRefusals: ego-sampled training runs gp-sparse attention on
+// one process, so NewSession refuses other methods, the sequence-parallel
+// plan and a transport; graph-level tasks do not convert.
+func TestSessionEgoRefusals(t *testing.T) {
+	ds := loadNode(t, "arxiv-sim", 128, 41)
+	cfg := GraphormerSlim(ds.X.Cols, ds.NumClasses, 42)
+	cfg.Layers = 1
+	ego, err := NodeTask(ds).Ego()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := MemCluster(1)[0]
+	defer tr.Close()
+	for _, tc := range []struct {
+		name   string
+		method Method
+		opt    SessionOption
+		want   string
+	}{
+		{"method", MethodGPFlash, WithSeed(1), "method must be gp-sparse, not gp-flash"},
+		{"seqpar", MethodGPSparse, WithSeqParallel(2), "WithSeqParallel"},
+		{"transport", MethodGPSparse, WithTransport(tr), "WithTransport"},
+	} {
+		if _, err := NewSession(tc.method, cfg, ego, tc.opt); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: want an error naming %q, got %v", tc.name, tc.want, err)
+		}
+	}
+	if _, err := GraphLevelTask(loadGraphLevel(t, "zinc-sim", 43)).Ego(); err == nil {
+		t.Error("a graph-level task converted to ego training")
 	}
 }

@@ -13,7 +13,8 @@ import "torchgt/internal/data/shard"
 // Shard bytes are read one way: pread through a bounded block cache.
 // Every access path of the sharded view — neighbours, features, labels,
 // splits, degrees — is bitwise-identical to the dataset the shards were
-// written from, so ego-sampled training (TrainNodeEgoSource) and serving
+// written from, so ego-sampled training (a Session over TaskFromSpec's task
+// converted with Ego, which stays disk-resident) and serving
 // (NewServerSource, ServeRegistry.RegisterSource) produce the same numbers
 // over either backing. Dataset.Materialize loads a shard:// dataset back
 // into memory. See DESIGN.md ("Out-of-core datasets").

@@ -71,21 +71,25 @@ func TestShardPublicSurface(t *testing.T) {
 	cfg := GraphormerSlim(ds.X.Cols, ds.NumClasses, 6)
 	cfg.Layers = 1
 	cfg.Heads = 2
-	ego := EgoConfig{Epochs: 1, Seed: 7, MaxSize: 12, Batch: 16}
-	memRes, err := TrainNodeEgoSource(cfg, (&Dataset{Node: ds}).Source(), ego)
-	if err != nil {
-		t.Fatalf("TrainNodeEgoSource(memory): %v", err)
+	egoRun := func(task TaskSpec) *Result {
+		t.Helper()
+		ego, err := task.Ego()
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, res := runSession(t, MethodGPSparse, cfg, ego, WithEpochs(1), WithSeed(7), WithSeqLen(12), WithBatchSize(16))
+		return res
 	}
-	ego.Workers = 4
-	shardRes, err := TrainNodeEgoSource(cfg, src, ego)
+	shardTask, err := TaskFromSpec("shard://" + dir + "?cache=32KiB&block=2KiB")
 	if err != nil {
-		t.Fatalf("TrainNodeEgoSource(shard): %v", err)
+		t.Fatal(err)
 	}
+	memRes, shardRes := egoRun(NodeTask(ds)), egoRun(shardTask)
 	if memRes.FinalTestAcc != shardRes.FinalTestAcc {
 		t.Fatalf("ego training diverged across backings: %v vs %v",
 			memRes.FinalTestAcc, shardRes.FinalTestAcc)
 	}
-	if st, _ := DatasetIOStatsOf(src); st.Misses == 0 {
+	if st, _ := DatasetIOStatsOf(shardTask.Data().Stream); st.Misses == 0 {
 		t.Fatalf("training drove no I/O: %+v", st)
 	}
 

@@ -3,6 +3,7 @@ package torchgt
 import (
 	"bytes"
 	"context"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -82,6 +83,21 @@ func TestPublicExperiments(t *testing.T) {
 	}
 	if err := RunExperimentContext(context.Background(), "nope", &buf, false); err == nil {
 		t.Fatal("unknown experiment must error")
+	}
+}
+
+// TestAblationSamplingHonoursCancel: both halves of ablation-sampling train
+// on the Loop under ctx, so a cancelled context returns context.Canceled
+// before any training and writes no table.
+func TestAblationSamplingHonoursCancel(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	var buf bytes.Buffer
+	if err := RunExperimentContext(ctx, "ablation-sampling", &buf, false); !errors.Is(err, context.Canceled) {
+		t.Fatalf("want context.Canceled, got %v", err)
+	}
+	if buf.Len() != 0 {
+		t.Fatalf("cancelled experiment wrote %q", buf.String())
 	}
 }
 
@@ -200,8 +216,12 @@ func TestPublicEgoTrainer(t *testing.T) {
 	ds := loadNode(t, "arxiv-sim", 192, 23)
 	cfg := GraphormerSlim(ds.X.Cols, ds.NumClasses, 24)
 	cfg.Layers = 1
-	res, err := TrainNodeEgoSource(cfg, (&Dataset{Node: ds}).Source(), EgoConfig{Epochs: 2, MaxSize: 12, Batch: 32, Seed: 25})
-	if err != nil || len(res.Curve) != 2 {
-		t.Fatalf("ego trainer via facade failed: %v", err)
+	task, err := NodeTask(ds).Ego()
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, res := runSession(t, MethodGPSparse, cfg, task, WithEpochs(2), WithSeqLen(12), WithBatchSize(32), WithSeed(25))
+	if len(res.Curve) != 2 || res.Method != MethodGPSparse {
+		t.Fatalf("ego session: %d epochs, method %v", len(res.Curve), res.Method)
 	}
 }

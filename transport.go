@@ -89,6 +89,9 @@ func applyDist(st *sessionSettings, loop *train.Loop) error {
 	if st.transport == nil {
 		return fmt.Errorf("torchgt: WithDistPlan requires WithTransport")
 	}
+	if loop.Task.Kind() == train.TaskEgo {
+		return fmt.Errorf("torchgt: ego-sampled training has no cross-process plan (WithTransport)")
+	}
 	t := st.transport
 	replicas, seqRanks := st.distReplicas, st.distSeqRanks
 	if !st.distSet {
