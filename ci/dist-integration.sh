@@ -2,8 +2,9 @@
 # CI dist-integration lane: the cross-process acceptance check for the TCP
 # transport. Train the same job twice with the real torchgt-train binary —
 # once single-process under the in-process sequence-parallel plan, once as
-# four OS processes rendezvousing over TCP loopback — and require the final
-# weights of every rank to be bitwise identical to the single-process run.
+# four OS processes rendezvousing over TCP loopback — and require every
+# rank's serving snapshot (configuration + final weights) to be bitwise
+# identical to the single-process run's.
 # Run from the repository root.
 set -euo pipefail
 
@@ -24,15 +25,15 @@ COMMON=(-dataset arxiv-sim -nodes $NODES -method gp-sparse -epochs $EPOCHS -seed
 
 echo "== single-process reference (-seqpar $WORLD)"
 "$WORK/torchgt-train" "${COMMON[@]}" -seqpar $WORLD \
-    -final-weights "$WORK/single.bin"
+    -save-snapshot "$WORK/single.snap"
 
 echo "== $WORLD-process TCP world (-rendezvous $ADDR -world $WORLD)"
 "$WORK/torchgt-train" "${COMMON[@]}" -rendezvous "$ADDR" -world $WORLD \
-    -final-weights "$WORK/dist.bin"
+    -save-snapshot "$WORK/dist.snap"
 
-echo "== compare final weights bitwise"
+echo "== compare snapshots bitwise"
 for r in $(seq 0 $((WORLD - 1))); do
-    cmp "$WORK/single.bin" "$WORK/dist.bin.rank$r"
+    cmp "$WORK/single.snap" "$WORK/dist.snap.rank$r"
     echo "rank$r: weights bitwise-identical to single-process"
 done
 echo "dist-integration: PASS"

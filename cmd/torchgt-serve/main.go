@@ -71,7 +71,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	workers := fs.Int("workers", 0, "replica workers (0 = default)")
 	batch := fs.Int("batch", 16, "max batch size (flush-on-size trigger)")
 	deadline := fs.Duration("deadline", 2*time.Millisecond, "longest a request waits for company while a forward is running (flush-on-deadline trigger; an idle engine flushes at once)")
-	hops := fs.Int("hops", 2, "ego-context BFS radius per request")
 	ctxSize := fs.Int("ctx", 32, "max ego-context size per request")
 	maxPending := fs.Int("max-pending", 0, "admission bound per model: requests beyond it shed with 429 (0 = default)")
 	cacheCap := fs.Int("cache-cap", 0, "shared ego-context cache entries (0 = default)")
@@ -158,7 +157,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 
 	opts := torchgt.ServeOptions{
 		Workers: *workers, MaxBatch: *batch, MaxDelay: *deadline,
-		CtxHops: *hops, CtxSize: *ctxSize, CacheCap: *cacheCap,
+		CtxSize: *ctxSize, CacheCap: *cacheCap,
 	}
 
 	if *httpAddr != "" {

@@ -106,7 +106,7 @@ func run(ctx context.Context, args []string) error {
 	world := fs.Int("world", 1, "cross-process world size (with -rendezvous)")
 	rank := fs.Int("rank", -1, "this process's rank (with -rendezvous; omit to launch the whole world locally)")
 	dpReplicas := fs.Int("dp", 1, "data-parallel replicas: world = dp × sequence-parallel ranks (with -rendezvous)")
-	finalWeights := fs.String("final-weights", "", "write final model weights to this file (distributed ranks append .rank<N>)")
+	saveSnapshot := fs.String("save-snapshot", "", "write the trained model's serving snapshot to this path, loadable by torchgt-serve -snapshot (distributed ranks append .rank<N>)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -196,7 +196,7 @@ func run(ctx context.Context, args []string) error {
 			return fmt.Errorf("%w (pass -data or -dataset to supply the dataset explicitly)", err)
 		}
 		fmt.Printf("resumed %s at epoch %d (dataset re-opened from the recorded spec)\n", *resume, sess.Epoch())
-		return finish(ctx, sess, *ckptDir, *finalWeights, tr)
+		return finish(ctx, sess, *ckptDir, *saveSnapshot, tr)
 	}
 	task, err := torchgt.TaskFromSpec(data.Resolve())
 	if err != nil {
@@ -233,7 +233,7 @@ func run(ctx context.Context, args []string) error {
 	if err != nil {
 		return err
 	}
-	if err := finish(ctx, sess, *ckptDir, *finalWeights, tr); err != nil {
+	if err := finish(ctx, sess, *ckptDir, *saveSnapshot, tr); err != nil {
 		return err
 	}
 	if mae := sess.EvalMAE(); mae > 0 {
@@ -257,7 +257,7 @@ func run(ctx context.Context, args []string) error {
 // perRank names the flags that may differ between the ranks of one job:
 // where a rank sits and where it reads and writes.
 var perRank = map[string]bool{
-	"rank": true, "rendezvous": true, "checkpoint-dir": true, "final-weights": true,
+	"rank": true, "rendezvous": true, "checkpoint-dir": true, "save-snapshot": true,
 }
 
 // fingerprint digests every other flag, set or defaulted, so ranks started
@@ -337,19 +337,23 @@ func launchWorld(ctx context.Context, args []string, world int) error {
 // -checkpoint-dir is set) and exits cleanly. A lost peer rank checkpoints the
 // survivor's rolled-back state the same way and exits 75 — the job resumes
 // from that file at a new world size.
-func finish(ctx context.Context, sess *torchgt.Session, ckptDir, finalWeights string, tr torchgt.Transport) error {
+func finish(ctx context.Context, sess *torchgt.Session, ckptDir, snapPath string, tr torchgt.Transport) error {
 	fmt.Println("epoch  loss      test-acc  epoch-time")
 	_, err := sess.Run(ctx)
 	if err == nil {
-		if finalWeights != "" {
-			p := finalWeights
+		if snapPath != "" {
+			p := snapPath
 			if tr != nil {
 				p = fmt.Sprintf("%s.rank%d", p, tr.Rank())
 			}
-			if err := torchgt.SaveModel(p, sess.Model()); err != nil {
+			snap, err := torchgt.Freeze(sess.Model())
+			if err != nil {
 				return err
 			}
-			fmt.Printf("final weights written to %s\n", p)
+			if err := torchgt.SaveSnapshot(p, snap); err != nil {
+				return err
+			}
+			fmt.Printf("snapshot written to %s\n", p)
 		}
 		if tr != nil {
 			// Peers may still be consuming this rank's final collectives;

@@ -185,11 +185,11 @@ func runWorldOfTwo(addr string, extra ...string) []error {
 }
 
 // trainWorldOfTwo requires both ranks to train to completion and to write
-// bitwise-identical final weights.
+// bitwise-identical snapshots that load back.
 func trainWorldOfTwo(t *testing.T, addr string, extra ...string) {
 	t.Helper()
 	final := filepath.Join(t.TempDir(), "weights.bin")
-	for r, err := range runWorldOfTwo(addr, append(extra, "-final-weights", final)...) {
+	for r, err := range runWorldOfTwo(addr, append(extra, "-save-snapshot", final)...) {
 		if err != nil {
 			t.Fatalf("worker rank %d: %v", r, err)
 		}
@@ -204,6 +204,9 @@ func trainWorldOfTwo(t *testing.T, addr string, extra ...string) {
 	}
 	if !bytes.Equal(b0, b1) {
 		t.Fatal("rank 0 and rank 1 final weights differ")
+	}
+	if _, err := torchgt.LoadSnapshot(final + ".rank0"); err != nil {
+		t.Fatalf("-save-snapshot output does not load as a snapshot: %v", err)
 	}
 }
 
@@ -260,7 +263,7 @@ func TestTrainEgoCheckpointResume(t *testing.T) {
 
 	periodic := filepath.Join(dir, "periodic")
 	if err := run(context.Background(), with("-checkpoint-dir", periodic, "-checkpoint-every", "1",
-		"-final-weights", filepath.Join(dir, "straight.bin"))); err != nil {
+		"-save-snapshot", filepath.Join(dir, "straight.bin"))); err != nil {
 		t.Fatalf("uninterrupted -ego run: %v", err)
 	}
 
@@ -277,7 +280,7 @@ func TestTrainEgoCheckpointResume(t *testing.T) {
 		filepath.Join(periodic, "epoch-00001.ckpt"),
 	} {
 		out := fmt.Sprintf("resumed%d.bin", i)
-		if err := run(context.Background(), []string{"-resume", ckpt, "-final-weights", filepath.Join(dir, out)}); err != nil {
+		if err := run(context.Background(), []string{"-resume", ckpt, "-save-snapshot", filepath.Join(dir, out)}); err != nil {
 			t.Fatalf("-resume %s: %v", ckpt, err)
 		}
 		if !bytes.Equal(weights(out), weights("straight.bin")) {
@@ -329,10 +332,10 @@ func TestTrainDistributedFingerprint(t *testing.T) {
 	}
 
 	fs := flag.NewFlagSet("x", flag.ContinueOnError)
-	for _, name := range []string{"rank", "rendezvous", "checkpoint-dir", "final-weights", "lr"} {
+	for _, name := range []string{"rank", "rendezvous", "checkpoint-dir", "save-snapshot", "lr"} {
 		fs.String(name, "", "")
 	}
-	if err := fs.Parse([]string{"-rank", "3", "-rendezvous", "h:1", "-checkpoint-dir", "d", "-final-weights", "w", "-lr", "0.5"}); err != nil {
+	if err := fs.Parse([]string{"-rank", "3", "-rendezvous", "h:1", "-checkpoint-dir", "d", "-save-snapshot", "w", "-lr", "0.5"}); err != nil {
 		t.Fatal(err)
 	}
 	if got := fingerprint(fs); got != "lr=0.5 " {

@@ -144,7 +144,7 @@ func (edgeListProvider) Open(sp Spec) (*Dataset, error) {
 	}
 
 	rng := rand.New(rand.NewSource(sp.Seed))
-	nd.TrainMask, nd.ValMask, nd.TestMask = drawMasks(n, trainFrac, valFrac, rng)
+	nd.TrainMask, nd.ValMask, nd.TestMask = graph.RandomMasks(n, trainFrac, valFrac, rng)
 	return &Dataset{Node: nd}, nil
 }
 

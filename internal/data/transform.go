@@ -154,7 +154,7 @@ func (t permute) Apply(d *Dataset) (*Dataset, error) {
 	rng := rand.New(rand.NewSource(t.seed))
 	if nd := d.Node; nd != nil {
 		perm := graph.ShuffledIDs(nd.G.N, rng)
-		return &Dataset{Node: permuteNode(nd, perm)}, nil
+		return &Dataset{Node: nd.Permute(perm)}, nil
 	}
 	gd := d.Graph
 	out := *gd
@@ -170,38 +170,6 @@ func (t permute) Apply(d *Dataset) (*Dataset, error) {
 		out.Feats[i] = x
 	}
 	return &Dataset{Graph: &out}, nil
-}
-
-// permuteNode applies an old→new node relabelling to every per-node array.
-func permuteNode(nd *graph.NodeDataset, perm []int32) *graph.NodeDataset {
-	n := nd.G.N
-	out := &graph.NodeDataset{
-		Name: nd.Name, G: nd.G.Permute(perm), NumClasses: nd.NumClasses,
-		Y: make([]int32, n), X: tensor.New(n, nd.X.Cols),
-		TrainMask: make([]bool, n), ValMask: make([]bool, n), TestMask: make([]bool, n),
-	}
-	if nd.Blocks != nil {
-		out.Blocks = make([]int32, n)
-	}
-	for old := 0; old < n; old++ {
-		nw := perm[old]
-		out.Y[nw] = nd.Y[old]
-		if nd.Blocks != nil {
-			out.Blocks[nw] = nd.Blocks[old]
-		}
-		out.TrainMask[nw] = nd.TrainMask[old]
-		out.ValMask[nw] = nd.ValMask[old]
-		out.TestMask[nw] = nd.TestMask[old]
-		copy(out.X.Row(int(nw)), nd.X.Row(old))
-	}
-	if nd.Reorder != nil {
-		// compose: external IDs bound to old rows now land on perm[old].
-		out.Reorder = make([]int32, n)
-		for ext, old := range nd.Reorder {
-			out.Reorder[ext] = perm[old]
-		}
-	}
-	return out
 }
 
 type reorderCluster struct {
@@ -233,7 +201,7 @@ func (t reorderCluster) Apply(d *Dataset) (*Dataset, error) {
 	}
 	part := partition.Partition(nd.G, k, t.seed)
 	perm, _ := partition.ClusterOrder(part, k)
-	out := permuteNode(nd, perm)
+	out := nd.Permute(perm)
 	if out.Reorder == nil {
 		// first reorder: external IDs are the pre-reorder rows.
 		out.Reorder = append([]int32(nil), perm...)
@@ -357,7 +325,7 @@ func (t resplit) Apply(d *Dataset) (*Dataset, error) {
 	rng := rand.New(rand.NewSource(t.seed))
 	if nd := d.Node; nd != nil {
 		out := *nd
-		out.TrainMask, out.ValMask, out.TestMask = drawMasks(nd.G.N, t.trainFrac, t.valFrac, rng)
+		out.TrainMask, out.ValMask, out.TestMask = graph.RandomMasks(nd.G.N, t.trainFrac, t.valFrac, rng)
 		return &Dataset{Node: &out}, nil
 	}
 	gd := d.Graph
@@ -373,24 +341,4 @@ func (t resplit) Apply(d *Dataset) (*Dataset, error) {
 	out.ValIdx = append([]int(nil), perm[nTrain:nTrain+nVal]...)
 	out.TestIdx = append([]int(nil), perm[nTrain+nVal:]...)
 	return &Dataset{Graph: &out}, nil
-}
-
-// drawMasks draws per-node split masks exactly like the synthetic
-// generator does (one uniform draw per node).
-func drawMasks(n int, trainFrac, valFrac float64, rng *rand.Rand) (train, val, test []bool) {
-	train = make([]bool, n)
-	val = make([]bool, n)
-	test = make([]bool, n)
-	for i := 0; i < n; i++ {
-		r := rng.Float64()
-		switch {
-		case r < trainFrac:
-			train[i] = true
-		case r < trainFrac+valFrac:
-			val[i] = true
-		default:
-			test[i] = true
-		}
-	}
-	return
 }

@@ -62,6 +62,39 @@ func (d *NodeDataset) StorageRow(ext int32) int32 {
 	return d.Reorder[ext]
 }
 
+// Permute applies an old→new node relabelling (perm[old] = new) to every
+// per-node array, returning a new dataset; nil Blocks stay nil. A recorded
+// Reorder map is composed, so external IDs keep resolving to their rows.
+func (d *NodeDataset) Permute(perm []int32) *NodeDataset {
+	n := d.G.N
+	out := &NodeDataset{
+		Name: d.Name, G: d.G.Permute(perm), NumClasses: d.NumClasses,
+		Y: make([]int32, n), X: tensor.New(n, d.X.Cols),
+		TrainMask: make([]bool, n), ValMask: make([]bool, n), TestMask: make([]bool, n),
+	}
+	if d.Blocks != nil {
+		out.Blocks = make([]int32, n)
+	}
+	for old := 0; old < n; old++ {
+		nw := perm[old]
+		out.Y[nw] = d.Y[old]
+		if d.Blocks != nil {
+			out.Blocks[nw] = d.Blocks[old]
+		}
+		out.TrainMask[nw] = d.TrainMask[old]
+		out.ValMask[nw] = d.ValMask[old]
+		out.TestMask[nw] = d.TestMask[old]
+		copy(out.X.Row(int(nw)), d.X.Row(old))
+	}
+	if d.Reorder != nil {
+		out.Reorder = make([]int32, n)
+		for ext, old := range d.Reorder {
+			out.Reorder[ext] = perm[old]
+		}
+	}
+	return out
+}
+
 // GraphDataset is a set of small graphs with per-graph features and targets —
 // the stand-in for ZINC / ogbg-molpcba / MalNet.
 type GraphDataset struct {
@@ -139,7 +172,7 @@ func MakeNodeDataset(cfg NodeDatasetConfig) *NodeDataset {
 			row[j] = centre[j] + float32(rng.NormFloat64()*cfg.NoiseStd)
 		}
 	}
-	train, val, test := randomMasks(g.N, 0.6, 0.2, rng)
+	train, val, test := RandomMasks(g.N, 0.6, 0.2, rng)
 	return &NodeDataset{
 		Name: cfg.Name, G: g, Blocks: blocks, X: x, Y: y,
 		NumClasses: cfg.NumClasses,
@@ -147,7 +180,11 @@ func MakeNodeDataset(cfg NodeDatasetConfig) *NodeDataset {
 	}
 }
 
-func randomMasks(n int, trainFrac, valFrac float64, rng *rand.Rand) (train, val, test []bool) {
+// RandomMasks draws per-node train/val/test split masks, one uniform draw
+// per node: below trainFrac is train, below trainFrac+valFrac is val, the
+// rest is test. The synthetic generator, edge-list ingestion and the resplit
+// transform all split this way.
+func RandomMasks(n int, trainFrac, valFrac float64, rng *rand.Rand) (train, val, test []bool) {
 	train = make([]bool, n)
 	val = make([]bool, n)
 	test = make([]bool, n)

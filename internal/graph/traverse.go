@@ -1,5 +1,9 @@
 package graph
 
+// EgoHops is the BFS radius of every ego-graph context: the sampled
+// contexts of ego training and the per-request contexts of serving alike.
+const EgoHops = 2
+
 // BFS returns hop distances from src (-1 = unreachable), stopping early when
 // maxDist is exceeded (pass maxDist < 0 for unbounded).
 func (g *Graph) BFS(src int32, maxDist int) []int32 {

@@ -97,11 +97,6 @@ func LoadParams(r io.Reader, params []*Param) error {
 	return nil
 }
 
-// SaveCheckpoint writes a module's parameters to path, atomically.
-func SaveCheckpoint(path string, m Module) error {
-	return WriteFileAtomic(path, func(w *bufio.Writer) error { return SaveParams(w, m.Params()) })
-}
-
 // WriteFileAtomic writes a file through write: the bytes go to path+".tmp",
 // which is flushed, closed (its error checked) and renamed over path, so a
 // reader of path sees the old file or the new one, never a torn one. The
@@ -126,15 +121,4 @@ func WriteFileAtomic(path string, write func(w *bufio.Writer) error) error {
 		return err
 	}
 	return os.Rename(tmp, path)
-}
-
-// LoadCheckpoint restores a module's parameters from path; the module must
-// have been constructed with the same configuration.
-func LoadCheckpoint(path string, m Module) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return LoadParams(f, m.Params())
 }

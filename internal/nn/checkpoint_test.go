@@ -61,25 +61,6 @@ func TestLoadParamsRejectsMismatches(t *testing.T) {
 	}
 }
 
-func TestSaveLoadCheckpointFile(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	l := NewLinear("a", 2, 2, true, rng)
-	path := filepath.Join(t.TempDir(), "ckpt.bin")
-	if err := SaveCheckpoint(path, l); err != nil {
-		t.Fatal(err)
-	}
-	fresh := NewLinear("a", 2, 2, true, rand.New(rand.NewSource(7)))
-	if err := LoadCheckpoint(path, fresh); err != nil {
-		t.Fatal(err)
-	}
-	if !fresh.W.W.Equal(l.W.W, 0) {
-		t.Fatal("file round trip lost data")
-	}
-	if err := LoadCheckpoint(filepath.Join(t.TempDir(), "missing.bin"), l); err == nil {
-		t.Fatal("missing file must error")
-	}
-}
-
 // TestWriteFileAtomicKeepsOldFileOnError: a write that fails part-way leaves
 // the previous file whole and no temporary sibling.
 func TestWriteFileAtomicKeepsOldFileOnError(t *testing.T) {

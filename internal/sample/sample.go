@@ -19,18 +19,15 @@ import (
 	"torchgt/internal/tensor"
 )
 
-// Config sizes the sampler: the same knobs as the ego trainer.
+// Config sizes the sampler: the same knobs as the ego trainer. The radius
+// is graph.EgoHops, shared with serving.
 type Config struct {
-	Hops    int // neighbourhood radius (default 2)
 	MaxSize int // max ego-graph size incl. target (default 32)
 	Seed    int64
 	Workers int // pipeline concurrency; ≤1 runs synchronously
 }
 
 func (c Config) withDefaults() Config {
-	if c.Hops == 0 {
-		c.Hops = 2
-	}
 	if c.MaxSize <= 0 {
 		c.MaxSize = 32
 	}
@@ -109,7 +106,7 @@ func (s *Sampler) Sample(c *Context, target int32, serial uint64) {
 	c.seen[target] = struct{}{}
 	c.Nodes = append(c.Nodes[:0], target)
 	c.frontier = append(c.frontier[:0], target)
-	for hop := 0; hop < s.cfg.Hops && len(c.Nodes) < s.cfg.MaxSize; hop++ {
+	for hop := 0; hop < graph.EgoHops && len(c.Nodes) < s.cfg.MaxSize; hop++ {
 		c.next = c.next[:0]
 		for _, u := range c.frontier {
 			c.adj = s.src.AppendNeighbors(c.adj, u)

@@ -73,7 +73,7 @@ func equalSnap(a, b snapshot) bool {
 
 func runPipeline(t *testing.T, src graph.NodeSource, workers int, targets []int32) []snapshot {
 	t.Helper()
-	s := New(src, Config{Hops: 2, MaxSize: 24, Seed: 42, Workers: workers})
+	s := New(src, Config{MaxSize: 24, Seed: 42, Workers: workers})
 	var got []snapshot
 	if err := NewPipeline(s).Each(targets, 100, func(c *Context) {
 		got = append(got, snap(c))
@@ -127,7 +127,7 @@ func TestPipelineOrderUnderContention(t *testing.T) {
 	for i := range targets {
 		targets[i] = int32((i * 13) % ds.G.N)
 	}
-	s := New(src, Config{Hops: 1, MaxSize: 8, Seed: 5, Workers: 16})
+	s := New(src, Config{MaxSize: 8, Seed: 5, Workers: 16})
 	i := 0
 	err := NewPipeline(s).Each(targets, 7, func(c *Context) {
 		if c.Target != targets[i] || c.Serial != 7+uint64(i) {
@@ -152,7 +152,7 @@ func TestPipelineOrderUnderContention(t *testing.T) {
 func TestPipelineReusedAcrossCalls(t *testing.T) {
 	ds, src := testSource(t)
 	for _, workers := range []int{0, 1, 3} {
-		s := New(src, Config{Hops: 2, MaxSize: 24, Seed: 42, Workers: workers})
+		s := New(src, Config{MaxSize: 24, Seed: 42, Workers: workers})
 		p := NewPipeline(s)
 		pooled := map[*Context]bool{}
 		serial := uint64(100)
@@ -223,7 +223,7 @@ func TestPipelineShardBackingBitwise(t *testing.T) {
 // nodes are unique.
 func TestSampleBounds(t *testing.T) {
 	ds, src := testSource(t)
-	s := New(src, Config{Hops: 3, MaxSize: 16, Seed: 1})
+	s := New(src, Config{MaxSize: 16, Seed: 1})
 	c := s.NewContext()
 	for target := int32(0); target < int32(ds.G.N); target += 23 {
 		s.Sample(c, target, uint64(target))
@@ -266,7 +266,7 @@ func BenchmarkSampleSteady(b *testing.B) {
 		b.Fatalf("shard.Open: %v", err)
 	}
 	defer v.Close()
-	s := New(v, Config{Hops: 2, MaxSize: 32, Seed: 7})
+	s := New(v, Config{MaxSize: 32, Seed: 7})
 	c := s.NewContext()
 	b.ReportAllocs()
 	b.ResetTimer()

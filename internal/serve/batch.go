@@ -43,16 +43,16 @@ import (
 // mechanism, not a semantic one — the property the determinism tests pin
 // down.
 
-// egoNodes returns the deterministic BFS neighbourhood of target: up to hops
-// levels, capped at maxCtx nodes, neighbours visited in CSR order. Target is
+// egoNodes returns the deterministic BFS neighbourhood of target: up to
+// graph.EgoHops levels, capped at maxCtx nodes, neighbours visited in CSR order. Target is
 // always position 0. The walk reads adjacency through the source, so it is
 // identical whether the graph is in memory or streamed from shards.
-func egoNodes(src graph.NodeSource, target int32, hops, maxCtx int) []int32 {
+func egoNodes(src graph.NodeSource, target int32, maxCtx int) []int32 {
 	seen := map[int32]bool{target: true}
 	nodes := []int32{target}
 	frontier := []int32{target}
 	var adj []int32
-	for hop := 0; hop < hops && len(nodes) < maxCtx; hop++ {
+	for hop := 0; hop < graph.EgoHops && len(nodes) < maxCtx; hop++ {
 		var next []int32
 		for _, u := range frontier {
 			adj = src.AppendNeighbors(adj, u)
@@ -82,17 +82,17 @@ type segment struct {
 
 // segmentFor returns the (cached) context segment of one node (a storage
 // row). Segments are immutable once built and a pure function of (graph,
-// context shape, node), so they live in the EgoCache — shared across
+// context size, node), so they live in the EgoCache — shared across
 // snapshot generations when the server was built by a Registry — and a hit
 // skips BFS, subgraph induction and pattern construction entirely. The hit
 // path allocates nothing. A segment built while the source reports an I/O
 // error may hold truncated adjacency, so it is returned but never cached.
 func (s *Server) segmentFor(node int32) *segment {
-	k := ctxKey{gver: s.gver, hops: int32(s.opts.CtxHops), size: int32(s.opts.CtxSize), node: node}
+	k := ctxKey{gver: s.gver, size: int32(s.opts.CtxSize), node: node}
 	if seg, ok := s.cache.get(k); ok {
 		return seg
 	}
-	nodes := egoNodes(s.src, node, s.opts.CtxHops, s.opts.CtxSize)
+	nodes := egoNodes(s.src, node, s.opts.CtxSize)
 	sp := sparse.FromGraph(graph.InducedSubgraphOf(s.src, nodes, nil)) // self-loops added
 	seg := &segment{nodes: nodes, pat: sp, buckets: sp.LocalEdgeBuckets(false, 0)}
 	if s.src.SourceErr() != nil {

@@ -7,7 +7,7 @@ import (
 
 // EgoCache is the shared ego-context cache: it memoises the deterministic
 // BFS segment of a node so repeat queries skip the traversal and subgraph
-// induction entirely. Entries are keyed by (graph version, context shape,
+// induction entirely. Entries are keyed by (graph version, context size,
 // node) — the graph version is assigned per distinct graph identity, so one
 // cache can safely back many servers, models and snapshot generations: a hot
 // swap that keeps the same served graph keeps every warmed entry, while a
@@ -32,12 +32,12 @@ type EgoCache struct {
 	hits, misses, evictions atomic.Int64
 }
 
-// ctxKey is the cache key: graph version, context shape, node. A value type,
+// ctxKey is the cache key: graph version, context size, node. A value type,
 // so lookups allocate nothing.
 type ctxKey struct {
-	gver       uint64
-	hops, size int32
-	node       int32
+	gver uint64
+	size int32
+	node int32
 }
 
 type cacheEntry struct {
@@ -48,9 +48,9 @@ type cacheEntry struct {
 // DefaultCacheCap is the entry capacity of a cache built with size ≤ 0.
 const DefaultCacheCap = 1 << 16
 
-// NewEgoCache builds a shared ego-context cache holding up to capacity
+// newEgoCache builds a shared ego-context cache holding up to capacity
 // segments (≤ 0 means DefaultCacheCap).
-func NewEgoCache(capacity int) *EgoCache {
+func newEgoCache(capacity int) *EgoCache {
 	if capacity <= 0 {
 		capacity = DefaultCacheCap
 	}

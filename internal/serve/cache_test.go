@@ -3,15 +3,29 @@ package serve
 import (
 	"context"
 	"testing"
+
+	"torchgt/internal/graph"
 )
+
+// sharedServer builds a server over ds whose contexts live in cache — the
+// wiring a Registry gives every generation it builds.
+func sharedServer(t *testing.T, snap *Snapshot, ds *graph.NodeDataset, opts Options, cache *EgoCache) *Server {
+	t.Helper()
+	s, err := newServer(snap, graph.SourceOf(ds), opts, cache)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+	return s
+}
 
 // TestEgoCacheHitMissEviction exercises the counters and the CLOCK sweep on
 // a deliberately tiny cache.
 func TestEgoCacheHitMissEviction(t *testing.T) {
 	ds := testDataset(192, 80)
 	snap := testSnapshot(t, ds, 81)
-	cache := NewEgoCache(4)
-	s := mustServer(t, snap, ds, Options{Workers: 1, Cache: cache})
+	s := mustServer(t, snap, ds, Options{Workers: 1, CacheCap: 4})
+	cache := s.Cache()
 
 	// First touch of each node is a miss; repeat touches are hits.
 	for _, n := range []int32{0, 1, 2} {
@@ -50,20 +64,20 @@ func TestEgoCacheHitMissEviction(t *testing.T) {
 	}
 }
 
-// TestEgoCacheKeysByContextShape: the same node under different (hops, size)
+// TestEgoCacheKeysByContextShape: the same node under different CtxSize
 // options must occupy distinct entries — sharing a cache across differently
 // configured servers cannot alias their contexts.
 func TestEgoCacheKeysByContextShape(t *testing.T) {
 	ds := testDataset(192, 82)
 	snap := testSnapshot(t, ds, 83)
-	cache := NewEgoCache(0)
-	wide := mustServer(t, snap, ds, Options{Workers: 1, Cache: cache, CtxSize: 32})
-	tiny := mustServer(t, snap, ds, Options{Workers: 1, Cache: cache, CtxSize: 2})
+	cache := newEgoCache(0)
+	wide := sharedServer(t, snap, ds, Options{Workers: 1, CtxSize: 32}, cache)
+	tiny := sharedServer(t, snap, ds, Options{Workers: 1, CtxSize: 2}, cache)
 
 	a := wide.segmentFor(5)
 	b := tiny.segmentFor(5)
 	if len(b.nodes) > 2 || len(a.nodes) <= len(b.nodes) {
-		t.Fatalf("context shapes aliased: wide=%d tiny=%d nodes", len(a.nodes), len(b.nodes))
+		t.Fatalf("context sizes aliased: wide=%d tiny=%d nodes", len(a.nodes), len(b.nodes))
 	}
 	if cache.Stats().Misses != 2 {
 		t.Fatalf("expected two distinct cold fills, got %+v", cache.Stats())
@@ -73,7 +87,7 @@ func TestEgoCacheKeysByContextShape(t *testing.T) {
 // TestEgoCacheVersionsByGraph: two different graphs through one shared cache
 // get distinct versions, so equal node ids never collide.
 func TestEgoCacheVersionsByGraph(t *testing.T) {
-	cache := NewEgoCache(0)
+	cache := newEgoCache(0)
 	ds1 := testDataset(96, 84)
 	ds2 := testDataset(96, 85)
 	v1 := cache.versionOf(ds1.G)

@@ -55,7 +55,8 @@ var ErrNotReady = errors.New("serve: model has no active generation")
 // ModelOptions configures one registered model.
 type ModelOptions struct {
 	// Serve configures every generation's engine (workers, batching,
-	// ego-context shape). The registry forces the shared ego cache in.
+	// ego-context size). Every generation reads the registry's shared ego
+	// cache, so Serve.CacheCap is ignored.
 	Serve Options
 	// MaxPending is the admission bound: the maximum number of requests in
 	// flight (queued or executing) before arrivals are shed with
@@ -105,7 +106,7 @@ type Registry struct {
 // NewRegistry builds an empty registry whose models share one ego-context
 // cache of cacheCap entries (≤ 0 means DefaultCacheCap).
 func NewRegistry(cacheCap int) *Registry {
-	return &Registry{cache: NewEgoCache(cacheCap), models: make(map[string]*registered)}
+	return &Registry{cache: newEgoCache(cacheCap), models: make(map[string]*registered)}
 }
 
 // Cache exposes the shared ego-context cache (for stats reporting).
@@ -130,7 +131,6 @@ func (r *Registry) RegisterSource(name string, src graph.NodeSource, opts ModelO
 	if opts.MaxPending <= 0 {
 		opts.MaxPending = 1024
 	}
-	opts.Serve.Cache = r.cache
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.closed {
@@ -218,7 +218,7 @@ func (r *Registry) Swap(name string, version int) (uint64, error) {
 	if !ok {
 		return 0, fmt.Errorf("serve: model %s: version %d not published", name, version)
 	}
-	srv, err := NewServerSource(snap, m.src, m.opts.Serve)
+	srv, err := newServer(snap, m.src, m.opts.Serve, r.cache)
 	if err != nil {
 		return 0, fmt.Errorf("serve: model %s: swap to version %d: %w", name, version, err)
 	}

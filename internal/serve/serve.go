@@ -68,17 +68,14 @@ type Options struct {
 	// QueueCap bounds the intake queue (default 4×MaxBatch). A full queue
 	// blocks Predict — backpressure instead of unbounded memory growth.
 	QueueCap int
-	// CtxHops is the ego-context BFS radius per request (default 2).
-	CtxHops int
 	// CtxSize caps the context size per request, target included
-	// (default 32).
+	// (default 32). The context radius is graph.EgoHops, the one ego
+	// training samples with.
 	CtxSize int
-	// Cache is the shared ego-context cache. Nil builds a private cache of
-	// CacheCap entries. Sharing one cache across servers (what Registry
-	// does) lets a hot swap keep every warmed context of the same graph.
-	Cache *EgoCache
-	// CacheCap sizes the private cache when Cache is nil (default
-	// DefaultCacheCap).
+	// CacheCap sizes the server's ego-context cache (default
+	// DefaultCacheCap). A Registry ignores it: every server it builds
+	// shares the registry's cache, so a hot swap keeps every warmed
+	// context of the same graph.
 	CacheCap int
 }
 
@@ -97,9 +94,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.QueueCap <= 0 {
 		o.QueueCap = 4 * o.MaxBatch
-	}
-	if o.CtxHops <= 0 {
-		o.CtxHops = 2
 	}
 	if o.CtxSize <= 0 {
 		o.CtxSize = 32
@@ -227,6 +221,12 @@ func NewServer(snap *Snapshot, ds *graph.NodeDataset, opts Options) (*Server, er
 // disk-resident shard view, which serves graphs larger than memory through
 // its block cache.
 func NewServerSource(snap *Snapshot, src graph.NodeSource, opts Options) (*Server, error) {
+	return newServer(snap, src, opts, nil)
+}
+
+// newServer builds a server whose ego contexts live in cache, or in a
+// private cache of opts.CacheCap entries when cache is nil.
+func newServer(snap *Snapshot, src graph.NodeSource, opts Options, cache *EgoCache) (*Server, error) {
 	if snap == nil {
 		return nil, fmt.Errorf("serve: nil snapshot")
 	}
@@ -255,9 +255,8 @@ func NewServerSource(snap *Snapshot, src graph.NodeSource, opts Options) (*Serve
 		replicas[i] = m
 	}
 
-	cache := opts.Cache
 	if cache == nil {
-		cache = NewEgoCache(opts.CacheCap)
+		cache = newEgoCache(opts.CacheCap)
 	}
 	s := &Server{
 		snap:    snap,

@@ -472,8 +472,8 @@ func TestConcurrentMixedTraffic(t *testing.T) {
 func TestEgoNodesDeterministicAndBounded(t *testing.T) {
 	ds := testDataset(192, 26)
 	for _, target := range []int32{0, 7, 191} {
-		a := egoNodes(graph.SourceOf(ds), target, 2, 16)
-		b := egoNodes(graph.SourceOf(ds), target, 2, 16)
+		a := egoNodes(graph.SourceOf(ds), target, 16)
+		b := egoNodes(graph.SourceOf(ds), target, 16)
 		if len(a) == 0 || len(a) > 16 {
 			t.Fatalf("ego size %d out of bounds", len(a))
 		}

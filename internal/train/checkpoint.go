@@ -187,7 +187,12 @@ func readCheckpoint(path string) (*checkpointMeta, []byte, []byte, error) {
 		return nil, nil, nil, err
 	}
 	defer f.Close()
-	br := bufio.NewReader(f)
+	return decodeCheckpoint(f, path)
+}
+
+// decodeCheckpoint parses a checkpoint stream (named path in errors).
+func decodeCheckpoint(r io.Reader, path string) (*checkpointMeta, []byte, []byte, error) {
+	br := bufio.NewReader(r)
 	var magic, version, metaLen uint32
 	for _, dst := range []*uint32{&magic, &version, &metaLen} {
 		if err := binary.Read(br, binary.LittleEndian, dst); err != nil {
@@ -211,6 +216,9 @@ func readCheckpoint(path string) (*checkpointMeta, []byte, []byte, error) {
 	if err := json.Unmarshal(hdr, meta); err != nil {
 		return nil, nil, nil, fmt.Errorf("train: corrupt checkpoint meta: %w", err)
 	}
+	if err := checkRetiredKeys(hdr); err != nil {
+		return nil, nil, nil, fmt.Errorf("train: checkpoint %s: %w", path, err)
+	}
 	var paramsLen uint64
 	if err := binary.Read(br, binary.LittleEndian, &paramsLen); err != nil {
 		return nil, nil, nil, fmt.Errorf("train: corrupt checkpoint %s: %w", path, err)
@@ -224,6 +232,32 @@ func readCheckpoint(path string) (*checkpointMeta, []byte, []byte, error) {
 			path, len(rest), paramsLen)
 	}
 	return meta, rest[:paramsLen], rest[paramsLen:], nil
+}
+
+// checkRetiredKeys guards the train_config keys this build no longer has.
+// The JSON decode of Config ignores unknown keys, which is right for keys
+// that never moved a bit (the execution engine's Exec, the graph-level
+// Pack), but the LR schedule's Warmup and the dense-bias cap DenseBiasMaxN
+// became constants (no schedule, a cap of 256): a checkpoint that recorded
+// any other value would quietly resume on a different trajectory, so it is
+// refused with the key named.
+func checkRetiredKeys(hdr []byte) error {
+	var old struct {
+		TrainConfig struct {
+			Warmup        int
+			DenseBiasMaxN int
+		} `json:"train_config"`
+	}
+	if err := json.Unmarshal(hdr, &old); err != nil {
+		return fmt.Errorf("corrupt meta: %w", err)
+	}
+	if w := old.TrainConfig.Warmup; w != 0 {
+		return fmt.Errorf("train_config key Warmup is %d, but this build trains at a constant learning rate (no warmup schedule); resuming would change the trajectory", w)
+	}
+	if n := old.TrainConfig.DenseBiasMaxN; n != 0 && n != denseBiasMaxN {
+		return fmt.Errorf("train_config key DenseBiasMaxN is %d, but this build fixes it at %d; resuming would change the trajectory", n, denseBiasMaxN)
+	}
+	return nil
 }
 
 // Resume reconstructs a Loop from a checkpoint file so training continues

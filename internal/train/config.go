@@ -17,7 +17,7 @@ type Config struct {
 	Method Method
 	// Epochs is the number of training epochs (default 20).
 	Epochs int
-	// LR is the peak learning rate (default 1e-3).
+	// LR is the learning rate Adam runs at (default 1e-3).
 	LR float64
 	// Interval is the dual-interleave period (default 8; TorchGT methods).
 	Interval int
@@ -34,9 +34,6 @@ type Config struct {
 	FixedBeta float64
 	// UseFixedBeta interprets FixedBeta (otherwise the Auto Tuner runs).
 	UseFixedBeta bool
-	// Warmup enables a linear-warmup + polynomial-decay LR schedule over the
-	// run when > 0 (warmup epochs); 0 keeps a constant LR.
-	Warmup int
 	// BatchSize is the optimiser batch: graphs per step for the graph task
 	// (default 16), targets per step for the ego task (default 32).
 	BatchSize int
@@ -45,9 +42,6 @@ type Config struct {
 	// trainer construction), nodes per ego-graph for the ego task (default
 	// 32).
 	SeqLen int
-	// DenseBiasMaxN caps the graph size for which the O(N²) dense SPD bias
-	// is built (default 256; graph task).
-	DenseBiasMaxN int
 	// EarlyStopPatience stops the run after this many consecutive epochs
 	// without improvement of the task's stop metric (validation accuracy
 	// when the task has one, test accuracy otherwise); 0 disables.
@@ -85,9 +79,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.BatchSize == 0 {
 		c.BatchSize = 16
-	}
-	if c.DenseBiasMaxN == 0 {
-		c.DenseBiasMaxN = 256
 	}
 	if !c.UseFixedBeta {
 		c.FixedBeta = -1 // Auto Tuner

@@ -32,7 +32,7 @@ func refEgoRun(t *testing.T, tr *EgoTrainer) (losses, accs []float64, serial uin
 	forward := func(c *sample.Context, train bool) *tensor.Mat {
 		p := sparse.FromGraph(c.Sub)
 		in := &model.Inputs{X: c.X, DegInIdx: c.DegIn, DegOutIdx: c.DegOut}
-		spec := &model.AttentionSpec{Mode: model.ModeSparse, Pattern: p, EdgeBuckets: edgeBucketsFor(p, false, 0)}
+		spec := &model.AttentionSpec{Mode: model.ModeSparse, Pattern: p, EdgeBuckets: p.LocalEdgeBuckets(false, 0)}
 		return tr.Model.Forward(in, spec, train)
 	}
 	opt := nn.NewAdam(tr.Cfg.LR)

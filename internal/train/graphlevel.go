@@ -13,6 +13,10 @@ import (
 	"torchgt/internal/tensor"
 )
 
+// denseBiasMaxN caps the graph size for which the O(N²) dense SPD bias is
+// built; larger graphs run the dense interleave steps without it.
+const denseBiasMaxN = 256
+
 // graphEntry caches per-graph precomputation.
 type graphEntry struct {
 	inputs       *model.Inputs
@@ -57,8 +61,8 @@ func NewGraphTrainer(cfg Config, modelCfg model.Config, ds *graph.GraphDataset) 
 			e.inputs.LapPE = encoding.LaplacianPE(g, modelCfg.LapDim, 20, rng)
 		}
 		e.pattern = sparse.FromGraph(g).WithGlobalToken()
-		e.edgeBuckets = edgeBucketsFor(e.pattern, true, 2)
-		if g.N <= cfg.DenseBiasMaxN {
+		e.edgeBuckets = e.pattern.LocalEdgeBuckets(true, 2)
+		if g.N <= denseBiasMaxN {
 			spd := encoding.ComputeSPD(g, 5) // buckets 0..6
 			s := g.N + 1
 			db := make([][]int32, s)

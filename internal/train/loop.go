@@ -60,9 +60,8 @@ const (
 )
 
 // Task adapts one training regime (node / graph-level / sequence-sampled /
-// ego-sampled) to the shared Loop engine. The Loop owns the optimiser, LR
-// schedule, epoch iteration, cancellation, events, early stopping and
-// checkpointing; the task owns the model, data access, per-step
+// ego-sampled) to the shared Loop engine. The Loop owns the optimiser,
+// epoch iteration, cancellation, events, early stopping and checkpointing; the task owns the model, data access, per-step
 // forward/backward and evaluation. One Task.Step is exactly one optimiser
 // step's worth of work (it may span several micro-batches); the Loop applies
 // the optimiser and recycles workspaces after each.
@@ -95,7 +94,7 @@ type Task interface {
 
 	// setEmit wires the Loop's event dispatcher into the task.
 	setEmit(func(Event))
-	// reconfigure propagates resumed lifecycle fields (epochs, LR, warmup,
+	// reconfigure propagates resumed lifecycle fields (epochs, LR,
 	// patience) into the task's own config copy, so task decisions keyed on
 	// them — e.g. the node task's final-evaluation interleave phase at
 	// Cfg.Epochs — match an uninterrupted run with that configuration.
@@ -138,7 +137,7 @@ func (b *taskBase) StopMetric(p Point) float64 { return p.TestAcc }
 
 func (b *taskBase) reconfigure(cfg Config) {
 	if c := b.cfg; c != nil {
-		c.Epochs, c.LR, c.Warmup, c.EarlyStopPatience = cfg.Epochs, cfg.LR, cfg.Warmup, cfg.EarlyStopPatience
+		c.Epochs, c.LR, c.EarlyStopPatience = cfg.Epochs, cfg.LR, cfg.EarlyStopPatience
 	}
 }
 
@@ -160,7 +159,7 @@ func (b *taskBase) resetEpoch() { b.epLoss, b.epTerms, b.epPairs = 0, 0, 0 }
 // A Loop is resumable in two senses: Run returns at the next step boundary
 // when its context is cancelled and may be called again to continue, and
 // Checkpoint/Resume serialise the full training state (weights, optimiser
-// moments, RNG stream positions, tuner and schedule state) so a separate
+// moments, RNG stream positions, tuner and step position) so a separate
 // process continues bitwise-identically.
 type Loop struct {
 	Cfg  Config
@@ -176,7 +175,6 @@ type Loop struct {
 	CheckpointDir   string
 
 	opt    *nn.Adam
-	sched  nn.LRScheduler
 	params []*nn.Param
 
 	curve       []Point
@@ -202,10 +200,6 @@ func NewLoop(task Task, m *model.GraphTransformer, cfg Config) *Loop {
 	l := &Loop{Cfg: cfg, Task: task, model: m}
 	l.opt = nn.NewAdam(cfg.LR)
 	l.opt.ClipNorm = 5
-	l.sched = nn.ConstantLR{Base: cfg.LR}
-	if cfg.Warmup > 0 {
-		l.sched = nn.WarmupPoly{Peak: cfg.LR, Warmup: cfg.Warmup, Total: cfg.Epochs, Power: 1}
-	}
 	l.params = m.Params()
 	l.preprocess = task.Preprocess()
 	task.setEmit(l.fire)
@@ -217,24 +211,19 @@ func NewLoop(task Task, m *model.GraphTransformer, cfg Config) *Loop {
 func (l *Loop) Model() *model.GraphTransformer { return l.model }
 
 // Reconfigure updates the lifecycle fields of the running configuration
-// after a resume: total epochs, learning-rate schedule (LR/Warmup) and
-// early-stopping patience take effect immediately. Structural fields
-// (method, batch shape, seeds, exec, sequence parallelism) were baked into
-// the task at construction and are NOT re-read — they keep their running
-// values, so resuming with them changed is a no-op for those fields and
-// later checkpoints still record the configuration actually in effect.
+// after a resume: total epochs, learning rate and early-stopping patience
+// take effect immediately. Structural fields (method, batch shape, seeds,
+// sequence parallelism) were baked into the task at construction and are
+// NOT re-read — they keep their running values, so resuming with them
+// changed is a no-op for those fields and later checkpoints still record the
+// configuration actually in effect.
 func (l *Loop) Reconfigure(cfg Config) {
 	l.Cfg.Epochs = cfg.Epochs
 	l.Cfg.LR = cfg.LR
-	l.Cfg.Warmup = cfg.Warmup
 	l.Cfg.EarlyStopPatience = cfg.EarlyStopPatience
 	l.Cfg.DataSpec = cfg.DataSpec
 	l.Task.reconfigure(l.Cfg)
 	l.opt.LR = cfg.LR
-	l.sched = nn.ConstantLR{Base: cfg.LR}
-	if cfg.Warmup > 0 {
-		l.sched = nn.WarmupPoly{Peak: cfg.LR, Warmup: cfg.Warmup, Total: cfg.Epochs, Power: 1}
-	}
 }
 
 func (l *Loop) fire(e Event) {
@@ -406,7 +395,7 @@ func (l *Loop) runStep() error {
 		}
 		return err
 	}
-	nn.StepWith(l.opt, l.sched, l.epoch, l.params)
+	l.opt.Step(l.params)
 	// step boundary: every gradient is consumed, recycle workspaces
 	l.model.Plan().StepReset()
 	return nil

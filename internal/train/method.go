@@ -8,8 +8,6 @@ package train
 import (
 	"fmt"
 	"math/rand"
-
-	"torchgt/internal/sparse"
 )
 
 // newRand builds a deterministic RNG stream for a trainer seed.
@@ -61,11 +59,4 @@ func ParseMethod(s string) (Method, error) {
 		}
 	}
 	return 0, fmt.Errorf("train: unknown method %q", s)
-}
-
-// edgeBucketsFor assigns an SPD bias bucket to every pattern entry; the
-// convention lives in sparse.Pattern.LocalEdgeBuckets, shared with the
-// serving engine.
-func edgeBucketsFor(p *sparse.Pattern, hasGlobal bool, globalBucket int32) []int32 {
-	return p.LocalEdgeBuckets(hasGlobal, globalBucket)
 }

@@ -53,9 +53,9 @@ func NewNodeTrainer(cfg Config, modelCfg model.Config, ds *graph.NodeDataset) *N
 	if usesTorchGT {
 		part := partition.Partition(ds.G, cfg.ClusterK, cfg.Seed)
 		perm, bounds := partition.ClusterOrder(part, cfg.ClusterK)
-		tr.DS = reorderDataset(ds, perm)
+		tr.DS = ds.Permute(perm)
 		tr.pattern = sparse.FromGraph(tr.DS.G)
-		tr.buckets = edgeBucketsFor(tr.pattern, false, 0)
+		tr.buckets = tr.pattern.LocalEdgeBuckets(false, 0)
 		var err error
 		tr.layout, err = sparse.NewClusterLayout(tr.pattern, bounds)
 		if err != nil {
@@ -67,7 +67,7 @@ func NewNodeTrainer(cfg Config, modelCfg model.Config, ds *graph.NodeDataset) *N
 		}
 	} else if cfg.Method == GPSparse {
 		tr.pattern = sparse.FromGraph(ds.G)
-		tr.buckets = edgeBucketsFor(tr.pattern, false, 0)
+		tr.buckets = tr.pattern.LocalEdgeBuckets(false, 0)
 	}
 	tr.preprocess = time.Since(t0)
 
@@ -81,27 +81,6 @@ func NewNodeTrainer(cfg Config, modelCfg model.Config, ds *graph.NodeDataset) *N
 	}
 	NewLoop(tr, tr.Model, tr.Cfg)
 	return tr
-}
-
-// reorderDataset applies a node permutation to every per-node array.
-func reorderDataset(ds *graph.NodeDataset, perm []int32) *graph.NodeDataset {
-	n := ds.G.N
-	out := &graph.NodeDataset{
-		Name: ds.Name, G: ds.G.Permute(perm), NumClasses: ds.NumClasses,
-		Blocks: make([]int32, n), Y: make([]int32, n),
-		TrainMask: make([]bool, n), ValMask: make([]bool, n), TestMask: make([]bool, n),
-		X: tensor.New(n, ds.X.Cols),
-	}
-	for old := 0; old < n; old++ {
-		nw := perm[old]
-		out.Blocks[nw] = ds.Blocks[old]
-		out.Y[nw] = ds.Y[old]
-		out.TrainMask[nw] = ds.TrainMask[old]
-		out.ValMask[nw] = ds.ValMask[old]
-		out.TestMask[nw] = ds.TestMask[old]
-		copy(out.X.Row(int(nw)), ds.X.Row(old))
-	}
-	return out
 }
 
 // specFor builds the attention spec for one epoch.
@@ -128,7 +107,7 @@ func (tr *NodeTrainer) specFor(epoch int) *model.AttentionSpec {
 		entry, ok := tr.reformCache[beta]
 		if !ok {
 			r := sparse.Reform(tr.layout, tr.Cfg.Db, beta)
-			entry = &reformEntry{r: r, keepBuckets: edgeBucketsFor(r.Keep, false, 0)}
+			entry = &reformEntry{r: r, keepBuckets: r.Keep.LocalEdgeBuckets(false, 0)}
 			tr.reformCache[beta] = entry
 		}
 		return &model.AttentionSpec{

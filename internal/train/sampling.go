@@ -21,7 +21,6 @@ import (
 // dropped. The paper's claim — that this sacrifices accuracy against
 // long-sequence training — is reproduced by the ablation-sampling experiment.
 const (
-	egoHops      = 2   // neighbourhood radius of every sampled context
 	egoWorkers   = 2   // sampling pipeline prefetch workers (bitwise-neutral)
 	egoEvalEpoch = 200 // test targets classified after every epoch (at most)
 	egoEvalFinal = 400 // test targets of the final evaluation (at most)
@@ -101,7 +100,7 @@ func newEgoTrainer(cfg Config, workers int, modelCfg model.Config, src graph.Nod
 		return tr
 	}
 	tr.pipe = sample.NewPipeline(sample.New(src, sample.Config{
-		Hops: egoHops, MaxSize: cfg.SeqLen, Seed: cfg.Seed, Workers: workers,
+		MaxSize: cfg.SeqLen, Seed: cfg.Seed, Workers: workers,
 	}))
 	for i, n := 0, src.NumNodes(); i < n; i++ {
 		s := src.SplitOf(int32(i))
@@ -225,7 +224,7 @@ func (tr *EgoTrainer) eachPack(targets []int32, serial uint64, flush func()) err
 			reset()
 		}
 		p := sparse.FromGraph(c.Sub)
-		tr.pack.add(&model.Inputs{X: c.X, DegInIdx: c.DegIn, DegOutIdx: c.DegOut}, p, edgeBucketsFor(p, false, 0))
+		tr.pack.add(&model.Inputs{X: c.X, DegInIdx: c.DegIn, DegOutIdx: c.DegOut}, p, p.LocalEdgeBuckets(false, 0))
 		tr.labels = append(tr.labels, c.Label)
 	})
 	if err == nil && tr.pack.rows() > 0 {

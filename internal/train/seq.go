@@ -62,7 +62,7 @@ func (tr *SeqTrainer) batch(nodes []int32) (*model.Inputs, *model.AttentionSpec,
 		spec = &model.AttentionSpec{Mode: model.ModeKernelized}
 	case GPSparse, TorchGT, TorchGTBF16:
 		p := sparse.FromGraph(sub)
-		spec = &model.AttentionSpec{Mode: model.ModeSparse, Pattern: p, EdgeBuckets: edgeBucketsFor(p, false, 0)}
+		spec = &model.AttentionSpec{Mode: model.ModeSparse, Pattern: p, EdgeBuckets: p.LocalEdgeBuckets(false, 0)}
 	default:
 		spec = &model.AttentionSpec{Mode: model.ModeFlash}
 	}

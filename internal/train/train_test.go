@@ -279,7 +279,7 @@ func TestEgoTrainerRunErrors(t *testing.T) {
 
 func TestEgoSampleRespectsBounds(t *testing.T) {
 	ds := smallNodeDataset(33)
-	s := sample.New(graph.SourceOf(ds), sample.Config{MaxSize: 8, Hops: 3, Seed: 35})
+	s := sample.New(graph.SourceOf(ds), sample.Config{MaxSize: 8, Seed: 35})
 	c := s.NewContext()
 	rng := newRand(36)
 	for i := 0; i < 20; i++ {
@@ -294,26 +294,6 @@ func TestEgoSampleRespectsBounds(t *testing.T) {
 				t.Fatal("duplicate node in ego graph")
 			}
 			seen[v] = true
-		}
-	}
-}
-
-func TestNodeTrainerWarmupSchedule(t *testing.T) {
-	ds := smallNodeDataset(40)
-	cfg := model.GraphormerSlim(12, 4, 41)
-	cfg.Layers = 1
-	cfg.Heads = 2
-	tr := NewNodeTrainer(Config{
-		Method: GPSparse, Epochs: 6, LR: 2e-3, Warmup: 3, Seed: 42,
-	}, cfg, ds)
-	res := runTask(tr)
-	if len(res.Curve) != 6 {
-		t.Fatal("warmup run failed")
-	}
-	// val accuracy recorded
-	for _, p := range res.Curve {
-		if p.ValAcc < 0 || p.ValAcc > 1 {
-			t.Fatalf("val acc out of range: %v", p.ValAcc)
 		}
 	}
 }

@@ -21,7 +21,7 @@ type (
 	// error), mirroring the Session training lifecycle.
 	Server = serve.Server
 	// ServeOptions tunes the engine: replica count, batch size, flush
-	// deadline and ego-context shape.
+	// deadline, ego-context size and cache capacity.
 	ServeOptions = serve.Options
 	// ServeResponse is the result of one classification request.
 	ServeResponse = serve.Response
@@ -83,9 +83,6 @@ type (
 	ServeRegistryStats = serve.RegistryStats
 	// ServeModelStatus is one model's rollout state within RegistryStats.
 	ServeModelStatus = serve.ModelStatus
-	// EgoCache is the shared ego-context cache (BFS results keyed by graph
-	// version, context shape and node).
-	EgoCache = serve.EgoCache
 	// EgoCacheStats snapshots cache hit/miss/eviction counters.
 	EgoCacheStats = serve.CacheStats
 )
@@ -104,10 +101,6 @@ var (
 // NewServeRegistry creates an empty registry whose models share one
 // ego-context cache of cacheCap entries (0 = default capacity).
 func NewServeRegistry(cacheCap int) *ServeRegistry { return serve.NewRegistry(cacheCap) }
-
-// NewEgoCache builds a standalone shared ego-context cache, for wiring
-// several independently constructed Servers to one cache via ServeOptions.
-func NewEgoCache(capacity int) *EgoCache { return serve.NewEgoCache(capacity) }
 
 // ReadSnapshot decodes a snapshot from a stream (the io.Reader form of
 // LoadSnapshot — what Registry HTTP publish uses for uploaded bodies).

@@ -95,7 +95,7 @@ type SessionOption func(*sessionSettings)
 // ResumeSession it extends or shortens the run.
 func WithEpochs(n int) SessionOption { return func(s *sessionSettings) { s.cfg.Epochs = n } }
 
-// WithLR sets the peak learning rate (default 1e-3).
+// WithLR sets the learning rate (default 1e-3).
 func WithLR(lr float64) SessionOption { return func(s *sessionSettings) { s.cfg.LR = lr } }
 
 // WithSeed sets the training seed.
@@ -107,8 +107,8 @@ func WithSeed(seed int64) SessionOption { return func(s *sessionSettings) { s.cf
 // DeepSpeed-Ulysses schedule behind the paper's Cluster-aware Graph
 // Parallelism). The training trajectory is bitwise identical
 // to the serial plan at every p — sequence parallelism composes with Adam,
-// LR schedules, the beta tuner, dense↔cluster-sparse interleaving, typed
-// events and checkpoint/resume without changing a single number.
+// the beta tuner, dense↔cluster-sparse interleaving, typed events and
+// checkpoint/resume without changing a single number.
 //
 // The model's head count must be divisible by p (NewSession reports an
 // error otherwise); the sequence length need not be. p ≤ 1 keeps the
@@ -130,12 +130,6 @@ func WithSeqLen(n int) SessionOption { return func(s *sessionSettings) { s.cfg.S
 // WithInterval sets the dual-interleave period (default 8).
 func WithInterval(n int) SessionOption { return func(s *sessionSettings) { s.cfg.Interval = n } }
 
-// WithClusterK sets the cluster dimensionality k (default 8).
-func WithClusterK(k int) SessionOption { return func(s *sessionSettings) { s.cfg.ClusterK = k } }
-
-// WithDb sets the reformation sub-block size (default 16).
-func WithDb(db int) SessionOption { return func(s *sessionSettings) { s.cfg.Db = db } }
-
 // WithFixedBeta pins βthre to beta instead of running the Auto Tuner; a
 // negative beta re-enables the tuner.
 func WithFixedBeta(beta float64) SessionOption {
@@ -144,10 +138,6 @@ func WithFixedBeta(beta float64) SessionOption {
 		s.cfg.UseFixedBeta = beta >= 0
 	}
 }
-
-// WithWarmup enables linear warmup + polynomial decay over the run (warmup
-// epochs; 0 keeps a constant LR).
-func WithWarmup(epochs int) SessionOption { return func(s *sessionSettings) { s.cfg.Warmup = epochs } }
 
 // WithEarlyStopping stops the run after patience consecutive epochs without
 // improvement of the task's stop metric (validation accuracy for node
@@ -174,18 +164,6 @@ func WithEventSink(fn func(Event)) SessionOption {
 			s.sink = fn
 		}
 	}
-}
-
-// WithEventChannel streams events into ch with a non-blocking send: events
-// arriving while ch is full are dropped rather than stalling training.
-// Buffer the channel generously or use WithEventSink for lossless delivery.
-func WithEventChannel(ch chan<- Event) SessionOption {
-	return WithEventSink(func(e Event) {
-		select {
-		case ch <- e:
-		default:
-		}
-	})
 }
 
 // NewSession builds a training session for the given method, model
@@ -298,7 +276,7 @@ func buildTrainer(task TaskSpec, cfg train.Config, mcfg ModelConfig, forResume b
 func (s *Session) Run(ctx context.Context) (*Result, error) { return s.loop.Run(ctx) }
 
 // Checkpoint writes the session's full training state — weights, optimiser
-// moments, RNG stream positions, tuner/schedule state and the curve so far
+// moments, RNG stream positions, tuner state, step position and the curve so far
 // — to path. Safe after Run returns (completed or cancelled); do not call
 // concurrently with Run.
 func (s *Session) Checkpoint(path string) error { return s.loop.Checkpoint(path) }
@@ -345,9 +323,9 @@ func (s *Session) EvalMAE() float64 {
 //
 // With no extra options, training continues bitwise-identically to a run
 // that was never interrupted. Lifecycle options (WithEpochs, WithLR,
-// WithWarmup, WithEarlyStopping, WithCheckpointEvery, event sinks) take
-// effect on the resumed run; structural options (method, batch shape,
-// seeds, exec) are fixed by the checkpoint and ignored.
+// WithEarlyStopping, WithCheckpointEvery, WithEventSink) take effect on the
+// resumed run; structural options (method, batch shape, seeds, sequence
+// parallelism) are fixed by the checkpoint and ignored.
 func ResumeSession(path string, task TaskSpec, opts ...SessionOption) (*Session, error) {
 	var gtr *train.GraphTrainer
 	loop, err := train.Resume(path, func(kind string, cfg train.Config, mcfg model.Config) (train.Task, *GraphTransformer, error) {

@@ -170,34 +170,51 @@ func TestSessionCancellation(t *testing.T) {
 }
 
 // TestSessionEvents: the event stream carries epoch metrics in order, and
-// the channel sink drops (rather than blocks) when unbuffered consumers lag.
+// sinks run in registration order.
 func TestSessionEvents(t *testing.T) {
 	ds := sessionNodeDS(t, 128, 91)
 	cfg := GraphormerSlim(ds.X.Cols, ds.NumClasses, 92)
 	cfg.Layers = 1
-	ch := make(chan Event, 64)
-	s, err := NewSession(MethodTorchGT, cfg, NodeTask(ds),
-		WithEpochs(4), WithSeed(93), WithEventChannel(ch))
+	var epochs, seconds []int
+	s, err := NewSession(MethodTorchGT, cfg, NodeTask(ds), WithEpochs(4), WithSeed(93),
+		WithEventSink(func(e Event) {
+			if ep, ok := e.(EpochEvent); ok {
+				epochs = append(epochs, ep.Epoch)
+			}
+		}),
+		WithEventSink(func(e Event) {
+			if _, ok := e.(EpochEvent); ok {
+				seconds = append(seconds, len(epochs))
+			}
+		}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	close(ch)
-	var epochs []int
-	for e := range ch {
-		if ep, ok := e.(EpochEvent); ok {
-			epochs = append(epochs, ep.Epoch)
-		}
-	}
 	if len(epochs) != 4 {
 		t.Fatalf("want 4 epoch events, got %d", len(epochs))
 	}
 	for i, ep := range epochs {
-		if ep != i {
-			t.Fatalf("events out of order: %v", epochs)
+		if ep != i || seconds[i] != i+1 {
+			t.Fatalf("events out of order: epochs %v, second sink saw %v", epochs, seconds)
 		}
+	}
+}
+
+// TestSessionTorchGTWithoutBlocks: a node dataset without planted blocks —
+// hand-built, or read from a tGDS or shard file written without them —
+// trains under TorchGT, whose cluster reordering permutes every per-node
+// array but must leave the absent Blocks absent.
+func TestSessionTorchGTWithoutBlocks(t *testing.T) {
+	ds := sessionNodeDS(t, 128, 94)
+	ds.Blocks = nil
+	cfg := GraphormerSlim(ds.X.Cols, ds.NumClasses, 95)
+	cfg.Layers = 1
+	_, res := runSession(t, MethodTorchGT, cfg, NodeTask(ds), WithEpochs(1), WithSeed(96))
+	if len(res.Curve) != 1 {
+		t.Fatalf("want one epoch, got %d", len(res.Curve))
 	}
 }
 

@@ -127,19 +127,27 @@ func TestSetBackendAcceptsOnlyReference(t *testing.T) {
 	}
 }
 
+// TestPublicCheckpointRoundTrip: a model saved as a snapshot and loaded
+// back runs the identical forward.
 func TestPublicCheckpointRoundTrip(t *testing.T) {
 	ds := loadNode(t, "arxiv-sim", 128, 20)
 	cfg := GraphormerSlim(ds.X.Cols, ds.NumClasses, 21)
 	cfg.Layers = 1
 	m := NewGraphTransformer(cfg)
-	path := t.TempDir() + "/model.ckpt"
-	if err := SaveModel(path, m); err != nil {
+	snap, err := Freeze(m)
+	if err != nil {
 		t.Fatal(err)
 	}
-	cfg2 := cfg
-	cfg2.Seed = 999 // different init
-	m2 := NewGraphTransformer(cfg2)
-	if err := LoadModel(path, m2); err != nil {
+	path := t.TempDir() + "/model.snap"
+	if err := SaveSnapshot(path, snap); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := LoadSnapshot(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m2, err := loaded.Materialize()
+	if err != nil {
 		t.Fatal(err)
 	}
 	// identical weights ⇒ identical forward
@@ -152,63 +160,46 @@ func TestPublicCheckpointRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSaveOverwritesAtomically: saving a snapshot or a model over an
-// existing file replaces it whole (the reload carries the second model's
-// weights) and leaves no temporary sibling; saving into a missing directory
-// is an error.
+// TestSaveOverwritesAtomically: saving a snapshot over an existing file
+// replaces it whole (the reload carries the second model's weights) and
+// leaves no temporary sibling; saving into a missing directory is an error.
 func TestSaveOverwritesAtomically(t *testing.T) {
 	ds := loadNode(t, "arxiv-sim", 64, 22)
 	cfg := GraphormerSlim(ds.X.Cols, ds.NumClasses, 23)
 	cfg.Layers = 1
 	dir := t.TempDir()
-	snapPath, modelPath := filepath.Join(dir, "m.snap"), filepath.Join(dir, "m.ckpt")
+	snapPath := filepath.Join(dir, "m.snap")
 	var last *GraphTransformer
+	var snap *Snapshot
 	for _, seed := range []int64{1, 2} {
 		cfg.Seed = seed
 		last = NewGraphTransformer(cfg)
-		snap, err := Freeze(last)
-		if err != nil {
+		var err error
+		if snap, err = Freeze(last); err != nil {
 			t.Fatal(err)
 		}
 		if err := SaveSnapshot(snapPath, snap); err != nil {
 			t.Fatal(err)
 		}
-		if err := SaveModel(modelPath, last); err != nil {
-			t.Fatal(err)
-		}
 	}
-	snap, err := LoadSnapshot(snapPath)
+	loaded, err := LoadSnapshot(snapPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	replica, err := snap.Materialize()
+	replica, err := loaded.Materialize()
 	if err != nil {
 		t.Fatal(err)
 	}
 	weightsEqual(t, replica, last)
-	cfg.Seed = 99
-	reloaded := NewGraphTransformer(cfg)
-	if err := LoadModel(modelPath, reloaded); err != nil {
-		t.Fatal(err)
-	}
-	weightsEqual(t, reloaded, last)
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var names []string
-	for _, e := range entries {
-		names = append(names, e.Name())
+	if len(entries) != 1 || entries[0].Name() != "m.snap" {
+		t.Fatalf("directory after two saves holds %v, want only m.snap", entries)
 	}
-	if strings.Join(names, " ") != "m.ckpt m.snap" {
-		t.Fatalf("directory after two saves holds %v, want only m.ckpt and m.snap", names)
-	}
-	missing := filepath.Join(dir, "no-such-dir")
-	if err := SaveSnapshot(filepath.Join(missing, "m.snap"), snap); err == nil {
+	if err := SaveSnapshot(filepath.Join(dir, "no-such-dir", "m.snap"), snap); err == nil {
 		t.Fatal("SaveSnapshot into a missing directory must fail")
-	}
-	if err := SaveModel(filepath.Join(missing, "m.ckpt"), last); err == nil {
-		t.Fatal("SaveModel into a missing directory must fail")
 	}
 }
 
