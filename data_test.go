@@ -2,6 +2,7 @@ package torchgt
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -9,6 +10,7 @@ import (
 	"testing"
 
 	"torchgt/internal/graph"
+	"torchgt/internal/train"
 )
 
 // TestSynthSpecsBitwiseOverGenerators pins the synth:// provider at the
@@ -206,6 +208,55 @@ func TestSessionRecordsSpecAndResumes(t *testing.T) {
 	}
 	if fullRes.FinalTestAcc != resRes.FinalTestAcc {
 		t.Fatalf("final accuracy diverges: %v vs %v", fullRes.FinalTestAcc, resRes.FinalTestAcc)
+	}
+}
+
+// TestCheckpointInfoReadsHeaderOnly: the header is all the spec-based
+// resume reads before it rebuilds the task — a checkpoint cut off right
+// after its header still names its task, dataset spec and configurations —
+// while resuming from that file fails as a truncated checkpoint.
+func TestCheckpointInfoReadsHeaderOnly(t *testing.T) {
+	task, err := TaskFromSpec("synth://arxiv-sim?nodes=96&seed=8")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := GraphormerSlim(task.Data().Node.X.Cols, task.Data().Node.NumClasses, 8)
+	cfg.Layers = 1
+	cfg.Heads = 2
+	s, err := NewSession(MethodGPFlash, cfg, task, WithEpochs(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	full := filepath.Join(dir, "full.ckpt")
+	if err := s.Checkpoint(full); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// magic, version, meta length, meta
+	cut := filepath.Join(dir, "header.ckpt")
+	if err := os.WriteFile(cut, raw[:12+binary.LittleEndian.Uint32(raw[8:12])], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	kind, tcfg, mcfg, err := train.ReadCheckpointInfo(full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cKind, cCfg, cMcfg, err := train.ReadCheckpointInfo(cut)
+	if err != nil {
+		t.Fatalf("header-only checkpoint: %v", err)
+	}
+	if cKind != kind || kind != train.TaskNode || cCfg != tcfg || tcfg.DataSpec == "" || cMcfg.Layers != mcfg.Layers || mcfg.Layers != 1 {
+		t.Fatalf("header-only info %q %+v %+v, full file %q %+v %+v", cKind, cCfg, cMcfg, kind, tcfg, mcfg)
+	}
+	if _, err := ResumeSessionFromSpec(cut); err == nil || !strings.Contains(err.Error(), "truncated checkpoint") {
+		t.Fatalf("resume from a header-only checkpoint: %v", err)
 	}
 }
 

@@ -171,3 +171,47 @@ func benchFlashS1024(b *testing.B, backward bool) {
 
 func BenchmarkFlashForwardS1024(b *testing.B)  { benchFlashS1024(b, false) }
 func BenchmarkFlashBackwardS1024(b *testing.B) { benchFlashS1024(b, true) }
+
+// BenchmarkFlashStepS1024 is one head's whole step at the training shape,
+// forward then backward, on one worker: the numerator of the CI ratio
+// against BenchmarkFlashExpS1024.
+func BenchmarkFlashStepS1024(b *testing.B) {
+	prev := tensor.SetWorkers(1)
+	defer tensor.SetWorkers(prev)
+	const s, d = 1024, 8
+	rng := rand.New(rand.NewSource(4))
+	q, k, v, dO := tensor.New(s, d), tensor.New(s, d), tensor.New(s, d), tensor.New(s, d)
+	for _, m := range []*tensor.Mat{q, k, v, dO} {
+		tensor.RandN(m, rng, 0.5)
+	}
+	ws := tensor.NewWorkspace()
+	f := NewFlash(false)
+	f.SetWorkspace(ws)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f.Forward(q, k, v)
+		f.Backward(dO)
+		ws.Reset()
+	}
+}
+
+// BenchmarkFlashExpS1024 is the exponential work a flash step at S=1024
+// cannot avoid — exp of every score, once in the forward and once in the
+// backward's recompute: 2·S² elements through tensor.ExpShift, one 64-key
+// tile of FlashRows rows per call as the kernel makes them. The CI ratio
+// FlashStepS1024/FlashExpS1024 holds what the step costs beyond it.
+func BenchmarkFlashExpS1024(b *testing.B) {
+	const s, tile = 1024, 64
+	rng := rand.New(rand.NewSource(4))
+	src := make([]float32, tile*tensor.FlashRows)
+	for i := range src {
+		src[i] = float32(rng.NormFloat64()) - 3 // scores less a running max
+	}
+	dst := make([]float32, len(src))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for c := 0; c < 2*s*s/len(src); c++ {
+			tensor.ExpShift(dst, src, 0)
+		}
+	}
+}

@@ -185,14 +185,21 @@ func naiveFlashStep(q, k, v, dO *tensor.Mat, tile int) (o, dq, dk, dv *tensor.Ma
 // and the single-pass backward must be bitwise identical to the textbook
 // loops above — per-element math.Exp, a row loop for dQ and a separate
 // column loop for dK/dV. Shapes cover one row, one short of a
-// tile, a ragged tail and several tiles, with Dq ≠ Dv and neither a multiple
-// of the kernels' unroll widths; worker counts cover the forward's row split.
+// tile, a ragged tail and several tiles, and around the row block
+// (tensor.FlashRows = 8: one short, exact, one over, a ragged last block
+// of many); widths cover Dq ≠ Dv with neither a multiple of the kernels'
+// unroll widths, and the lane-wise widths 8 (the training head) and 16;
+// worker counts cover the forward's row split.
 func TestRefFlashBitwiseMatchesNaive(t *testing.T) {
 	prev := tensor.Workers()
 	defer tensor.SetWorkers(prev)
 	rng := rand.New(rand.NewSource(31))
-	const dqk, dv = 6, 7
-	for _, s := range []int{1, 63, 97, 130} {
+	for _, c := range []struct{ s, dqk, dv int }{
+		{1, 6, 7}, {63, 6, 7}, {97, 6, 7}, {130, 6, 7},
+		{7, 8, 8}, {8, 8, 8}, {9, 8, 8}, {257, 8, 8}, {97, 8, 8},
+		{7, 16, 16}, {8, 16, 16}, {9, 16, 16}, {257, 16, 16}, {63, 16, 8},
+	} {
+		s, dqk, dv := c.s, c.dqk, c.dv
 		for _, tile := range []int{8, 64} {
 			q, k, v := randQKV(rng, s, dqk, dv)
 			dO := tensor.New(s, dv)
@@ -207,7 +214,7 @@ func TestRefFlashBitwiseMatchesNaive(t *testing.T) {
 				mustBitwiseMat(t, "o", no, fo)
 				for i := range nlse {
 					if math.Float32bits(nlse[i]) != math.Float32bits(f.lse[i]) {
-						t.Fatalf("S=%d tile=%d: lse[%d] differs: %v vs %v", s, tile, i, nlse[i], f.lse[i])
+						t.Fatalf("S=%d Dh=%d/%d tile=%d: lse[%d] differs: %v vs %v", s, dqk, dv, tile, i, nlse[i], f.lse[i])
 					}
 				}
 				mustBitwiseMat(t, "dq", ndq, fdq)

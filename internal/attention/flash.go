@@ -63,67 +63,51 @@ func (f *Flash) Forward(q, k, v *tensor.Mat) *tensor.Mat {
 	scale := scaleFor(q.Cols)
 	o := f.ws.GetUninit(s, dv)
 	f.lse = f.ws.GetVec(s)
-	tile := f.Tile
-	if tile < 1 {
-		tile = 64
-	}
-	// K prepared once per head for the tile gemvs below (the lane-wise
-	// kernels want it transposed; the copy comes from the workspace)
-	kd := tensor.NewDotRows(f.ws, k)
-	// per-worker tile scratch, indexed by the ParallelFor worker slot
-	nw := tensor.WorkerCount(s)
-	scoreBuf := f.ws.GetVec(nw * tile)
-	accBuf := f.ws.GetVec(nw * dv)
-	tensor.ParallelForWorker(s, func(worker, lo, hi int) {
-		scores := scoreBuf[worker*tile : (worker+1)*tile]
-		acc := accBuf[worker*dv : (worker+1)*dv]
-		for i := lo; i < hi; i++ {
-			qi := q.Row(i)
-			m := float32(math.Inf(-1))
-			l := float32(0)
-			for x := range acc {
-				acc[x] = 0
+	tile := f.tileWidth()
+	// Rows go through the key tiles in blocks of R, one row per lane of the
+	// tensor.Flash* kernels; the blocks are split across workers, the last
+	// one ragged. Per-worker scratch: the tile's scores, the block's Q
+	// (lane-interleaved), its output sums, and its running max, sum and
+	// rescale factor.
+	const R = tensor.FlashRows
+	nb := (s + R - 1) / R
+	per := R * (tile + q.Cols + dv + 3)
+	buf := f.ws.GetVec(tensor.WorkerCount(nb) * per)
+	tensor.ParallelForWorker(nb, func(worker, lo, hi int) {
+		w := buf[worker*per : (worker+1)*per]
+		scores, w := w[:R*tile], w[R*tile:]
+		qT, w := w[:R*q.Cols], w[R*q.Cols:]
+		accT, w := w[:R*dv], w[R*dv:]
+		m, l, corr := w[:R], w[R:2*R], w[2*R:3*R]
+		for b := lo; b < hi; b++ {
+			i0 := b * R
+			nr := min(R, s-i0)
+			packLanes(qT, q, i0, nr)
+			clear(accT)
+			for r := range R {
+				m[r], l[r] = float32(math.Inf(-1)), 0
 			}
 			for j0 := 0; j0 < s; j0 += tile {
 				j1 := min(j0+tile, s)
-				n := j1 - j0
-				// tile scores: one batched row-gemv per tile (K_tile·qi;
-				// products commute, so bitwise equal to per-row Dot(qi, kj))
-				kd.MatVec(scores[:n], qi, j0, j1)
-				tileMax := float32(math.Inf(-1))
-				for x := 0; x < n; x++ {
-					sc := scores[x] * scale
-					scores[x] = sc
-					if sc > tileMax {
-						tileMax = sc
-					}
-				}
-				newM := m
-				if tileMax > newM {
-					newM = tileMax
-				}
-				// rescale running state
-				corr := float32(math.Exp(float64(m - newM)))
-				l *= corr
-				for x := range acc {
-					acc[x] *= corr
-				}
-				// exponentiate the tile in one dispatched pass
-				// (exp(sc−newM) ≡ exp(sc+(−newM)) bitwise in IEEE).
-				tensor.ExpShift(scores[:n], scores[:n], -newM)
-				for x := 0; x < n; x++ {
-					l += scores[x]
-				}
-				// acc += Σ p_j·v_j, j ascending — the batched axpy sequence
-				tensor.WeightedRowSum(acc, v, scores[:n], j0, j1)
-				m = newM
+				sc := scores[:R*(j1-j0)]
+				// scores shifted by the updated running max (corr receives
+				// old max − new max), then every exponential of the tile
+				// and the R rescale factors in two lane-wise exp calls
+				// (exp(x+0) ≡ exp(x): only a zero's sign can differ)
+				tensor.FlashScores(sc, qT, k, j0, j1, scale, m, corr)
+				tensor.ExpShift(corr, corr, 0)
+				tensor.ExpShift(sc, sc, 0)
+				// l = l·corr + Σ p_j and acc = acc·corr + Σ p_j·v_j, j ascending
+				tensor.FlashAccum(accT, l, sc, v, j0, j1, corr)
 			}
-			inv := 1 / l
-			oi := o.Row(i)
-			for x := range acc {
-				oi[x] = acc[x] * inv
+			for r := range nr {
+				inv := 1 / l[r]
+				oi := o.Row(i0 + r)
+				for x := range oi {
+					oi[x] = accT[x*R+r] * inv
+				}
+				f.lse[i0+r] = m[r] + float32(math.Log(float64(l[r])))
 			}
-			f.lse[i] = m + float32(math.Log(float64(l)))
 		}
 	})
 	if f.BF16 {
@@ -135,22 +119,23 @@ func (f *Flash) Forward(q, k, v *tensor.Mat) *tensor.Mat {
 
 // Backward implements Kernel using the FlashAttention recompute strategy:
 // probabilities are regenerated per tile from the cached logsumexp instead of
-// being stored — once. A single pass walks rows i ascending and, inside, key
-// tiles j ascending; each p_ij and dp_ij is computed there and folded into
-// all three gradients:
+// being stored — once. A single pass walks blocks of R rows ascending and,
+// inside, key tiles j ascending; each p_ij and dp_ij is computed there and
+// folded into all three gradients:
 //
 //	dq_i += ds_ij·scale · k_j    dk_j += ds_ij·scale · q_i    dv_j += p_ij · dO_i
 //
 // with ds_ij = p_ij·(dp_ij − D_i). Every accumulator still receives its
 // terms in the order of the textbook two-loop form (naiveFlashStep in the
-// tests): dq_i is touched only while the outer loop sits on row i, where j
-// ascends; dk_j and dv_j are touched exactly once per outer iteration, and
-// the outer loop is i ascending. So the result is bit-identical to a row
-// pass for dQ followed by a column pass for dK/dV, at half the score, exp
-// and dp work. The price is that rows can no longer be split across workers
-// (two rows would race on dk_j/dv_j, and any split-and-reduce would reorder
-// the sums), so the pass is serial within a head; parallelism comes from
-// above — the Runtime's head fan-out and the sequence-parallel ranks.
+// tests): dq_i is touched only while the outer loop sits on row i's block,
+// where j ascends; dk_j and dv_j take a block's rows in ascending i
+// (tensor.FlashScatter) and the blocks come in ascending i. So the result is
+// bit-identical to a row pass for dQ followed by a column pass for dK/dV, at
+// half the score, exp and dp work. The price is that rows can no longer be
+// split across workers (two blocks would race on dk_j/dv_j, and any
+// split-and-reduce would reorder the sums), so the pass is serial within a
+// head; parallelism comes from above — the Runtime's head fan-out and the
+// sequence-parallel ranks.
 func (f *Flash) Backward(dO *tensor.Mat) (dq, dk, dv *tensor.Mat) {
 	q, k, v := f.q, f.k, f.v
 	s := q.Rows
@@ -158,38 +143,69 @@ func (f *Flash) Backward(dO *tensor.Mat) (dq, dk, dv *tensor.Mat) {
 	dq = f.ws.Get(s, q.Cols)
 	dk = f.ws.Get(s, k.Cols)
 	dv = f.ws.Get(s, v.Cols)
-	tile := f.Tile
-	if tile < 1 {
-		tile = 64
-	}
-	probBuf := f.ws.GetVec(tile)
-	dsBuf := f.ws.GetVec(tile)
-	// K and V prepared once per head for the score and dp gemvs
-	kd, vd := tensor.NewDotRows(f.ws, k), tensor.NewDotRows(f.ws, v)
-	for i := 0; i < s; i++ {
-		qi := q.Row(i)
-		dOi := dO.Row(i)
-		dqi := dq.Row(i)
-		di := tensor.Dot(dOi, f.o.Row(i)) // D_i = dO_i · O_i
+	tile := f.tileWidth()
+	const R = tensor.FlashRows
+	w := f.ws.GetVec(R * (2*tile + 2*q.Cols + v.Cols + 2))
+	probs, w := w[:R*tile], w[R*tile:]
+	dsBuf, w := w[:R*tile], w[R*tile:]
+	qT, w := w[:R*q.Cols], w[R*q.Cols:]
+	dqT, w := w[:R*q.Cols], w[R*q.Cols:]
+	dOT, w := w[:R*v.Cols], w[R*v.Cols:]
+	lse, di := w[:R], w[R:2*R]
+	for i0 := 0; i0 < s; i0 += R {
+		nr := min(R, s-i0)
+		packLanes(qT, q, i0, nr)
+		packLanes(dOT, dO, i0, nr)
+		clear(dqT)
+		clear(lse)
+		clear(di)
+		for r := range nr {
+			lse[r] = f.lse[i0+r]
+			di[r] = tensor.Dot(dO.Row(i0+r), f.o.Row(i0+r)) // D_i = dO_i · O_i
+		}
 		for j0 := 0; j0 < s; j0 += tile {
 			j1 := min(j0+tile, s)
-			probs, ds := probBuf[:j1-j0], dsBuf[:j1-j0]
-			// p_ij = exp(q_i·k_j·scale − lse_i) and dp_ij = dO_i·v_j through
-			// the batched primitives: one gemv / one exp call per tile
-			// (exp(x − lse) ≡ exp(x + (−lse)) in IEEE arithmetic).
-			kd.MatVec(probs, qi, j0, j1)
-			for x := range probs {
-				probs[x] *= scale
+			p, ds := probs[:R*(j1-j0)], dsBuf[:R*(j1-j0)]
+			// p_ij = exp(q_i·k_j·scale − lse_i) (the shift applied in
+			// float32, then exp(x+0) ≡ exp(x)) and ds_ij = p_ij·(dO_i·v_j −
+			// D_i)·scale, R rows per call
+			tensor.FlashScores(p, qT, k, j0, j1, scale, lse, nil)
+			tensor.ExpShift(p, p, 0)
+			tensor.FlashDS(ds, p, dOT, v, j0, j1, di, scale)
+			tensor.FlashScatter(dv, j0, j1, p, dO, i0, nr)
+			tensor.FlashScatter(dk, j0, j1, ds, q, i0, nr)
+			tensor.FlashAccum(dqT, nil, ds, k, j0, j1, nil)
+		}
+		for r := range nr {
+			dqi := dq.Row(i0 + r)
+			for x := range dqi {
+				dqi[x] = dqT[x*R+r]
 			}
-			tensor.ExpShift(probs, probs, -f.lse[i])
-			vd.MatVec(ds, dOi, j0, j1)
-			for x := range ds {
-				ds[x] = probs[x] * (ds[x] - di) * scale
-			}
-			tensor.AxpyRows(dv, probs, dOi, j0, j1)
-			tensor.AxpyRows(dk, ds, qi, j0, j1)
-			tensor.WeightedRowSum(dqi, k, ds, j0, j1)
 		}
 	}
 	return dq, dk, dv
+}
+
+func (f *Flash) tileWidth() int {
+	if f.Tile < 1 {
+		return 64
+	}
+	return f.Tile
+}
+
+// packLanes stores rows [i0, i0+nr) of m lane-interleaved into dst —
+// dst[d·R+r] = m[i0+r][d] — and zeros in the lanes of a ragged block's
+// missing rows.
+func packLanes(dst []float32, m *tensor.Mat, i0, nr int) {
+	const R = tensor.FlashRows
+	for d := range m.Cols {
+		lanes := dst[d*R : d*R+R]
+		for r := range R {
+			if r < nr {
+				lanes[r] = m.Data[(i0+r)*m.Cols+d]
+			} else {
+				lanes[r] = 0
+			}
+		}
+	}
 }

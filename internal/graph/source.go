@@ -179,7 +179,8 @@ func MemDataset(src NodeSource) *NodeDataset {
 // given order. It collects the same edge multiset in the same order as the
 // in-memory version and builds through FromEdges, so the two are
 // bitwise-identical — the equivalence the out-of-core determinism pin rests
-// on. adjBuf is an optional scratch buffer reused across calls.
+// on. adjBuf is an optional scratch buffer; whatever AppendNeighbors grows
+// it to is carried from node to node.
 func InducedSubgraphOf(src NodeSource, nodes []int32, adjBuf []int32) *Graph {
 	newID := make(map[int32]int32, len(nodes))
 	for i, v := range nodes {
@@ -187,8 +188,8 @@ func InducedSubgraphOf(src NodeSource, nodes []int32, adjBuf []int32) *Graph {
 	}
 	var edges []Edge
 	for i, u := range nodes {
-		adj := src.AppendNeighbors(adjBuf, u)
-		for _, v := range adj {
+		adjBuf = src.AppendNeighbors(adjBuf, u)
+		for _, v := range adjBuf {
 			if j, ok := newID[v]; ok {
 				edges = append(edges, Edge{int32(i), j})
 			}

@@ -120,3 +120,44 @@ func BenchmarkGatherRowsPortable(b *testing.B) {
 	defer portable()()
 	benchGatherRows(b)
 }
+
+// benchFlashTiles is the row-block work of one flash head's step at the
+// training shape (S=1024, Dh=8, 64-key tiles) for one block of FlashRows
+// query rows, exponentials left out: per tile the forward's scores and
+// accumulation, the backward's recomputed scores, score gradients, dK/dV
+// scatter and dQ accumulation.
+func benchFlashTiles(b *testing.B) {
+	const s, d, tile, R = 1024, 8, 64, FlashRows
+	rng := rand.New(rand.NewSource(1))
+	q, k, v, dk, dv := randMat(rng, s, d), randMat(rng, s, d), randMat(rng, s, d), New(s, d), New(s, d)
+	qT, dOT, accT, dqT := randVec(rng, d*R), randVec(rng, d*R), make([]float32, d*R), make([]float32, d*R)
+	p, ds, sc := make([]float32, tile*R), make([]float32, tile*R), make([]float32, tile*R)
+	for i := range p {
+		p[i], ds[i] = rng.Float32(), rng.Float32()-0.5
+	}
+	m, sub, l, lse, di, corr := make([]float32, R), make([]float32, R), make([]float32, R), make([]float32, R), make([]float32, R), make([]float32, R)
+	for r := range R {
+		m[r], corr[r] = negInf32, 0.5
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j0 := 0; j0 < s; j0 += tile {
+			FlashScores(sc, qT, k, j0, j0+tile, 0.35, m, sub)
+			FlashAccum(accT, l, p, v, j0, j0+tile, corr)
+			FlashScores(sc, qT, k, j0, j0+tile, 0.35, lse, nil)
+			FlashDS(sc, p, dOT, v, j0, j0+tile, di, 0.35)
+			FlashScatter(dv, j0, j0+tile, p, q, 0, R)
+			FlashScatter(dk, j0, j0+tile, ds, q, 0, R)
+			FlashAccum(dqT, nil, ds, k, j0, j0+tile, nil)
+		}
+	}
+}
+
+func BenchmarkFlashTiles(b *testing.B) { benchFlashTiles(b) }
+
+// BenchmarkFlashTilesPortable is BenchmarkFlashTiles on the Go loops: the
+// denominator of the CI ratio that locks the flash micro-kernels' win.
+func BenchmarkFlashTilesPortable(b *testing.B) {
+	defer portable()()
+	benchFlashTiles(b)
+}

@@ -17,7 +17,7 @@ import "fmt"
 // converted. Where the compiler would not have fused, the conversion
 // compiles to nothing.
 //
-// Under these loops sit three AVX2 micro-kernels (simd_amd64.s), used when
+// Under these loops sit two AVX2 micro-kernels (simd_amd64.s), used when
 // the CPU has AVX2: each YMM lane carries one independent output element
 // through the same multiply, the same add and the same order, so which path
 // ran cannot be told from a result. They take the leading multiple-of-8
@@ -392,14 +392,14 @@ func tmatmulChunk(c, a, b *Mat, lo, hi int) {
 // orientation for attention scores Q·Kᵀ. Each C row is the row-gemv of a
 // B-row panel against the A row (C[i][j] = b_j·a_i; products commute
 // bitwise), so every element is the plain Dot of the two rows. B is prepared
-// once per call as a DotRows (on the lane-wise path: transposed into pooled
+// once per call as a dotRows (on the lane-wise path: transposed into pooled
 // scratch, returned before MatMulT does).
 func MatMulT(c, a, b *Mat) {
 	if a.Cols != b.Cols || c.Rows != a.Rows || c.Cols != b.Rows {
 		panic(fmt.Sprintf("tensor: MatMulT shapes %dx%d · (%dx%d)ᵀ -> %dx%d", a.Rows, a.Cols, b.Rows, b.Cols, c.Rows, c.Cols))
 	}
 	m := b.Rows
-	d := DotRows{m: b}
+	d := dotRows{m: b}
 	if d.lanewise() {
 		s, _ := takeSlab(len(b.Data))
 		defer s.release()
@@ -417,44 +417,25 @@ func MatMulT(c, a, b *Mat) {
 	})
 }
 
-// DotRows is a matrix prepared for repeated row-gemvs against it — the
-// pattern of the flash kernels, which take the dot of every K (and V) row
-// with one query row after another. MatVec is MatVecRows, bit for bit. What
-// the preparation buys: the lane-wise Dot keeps eight *rows'* running sums in
+// dotRows is a matrix prepared for repeated row-gemvs against it. What the
+// preparation buys: the lane-wise Dot keeps eight *rows'* running sums in
 // one register, and Dot's grouping (four products summed, then added to the
 // running sum) is along a row — so the eight lanes must step through their
 // rows together, which is a contiguous load only if the operand is stored
-// transposed. NewDotRows makes that copy once; on the portable path it makes
-// nothing and MatVec is MatVecRows itself.
-type DotRows struct {
+// transposed. On the portable path there is no copy and matVec is
+// matVecRows itself.
+type dotRows struct {
 	m *Mat // the operand as given
 	t *Mat // mᵀ, or nil on the portable path
 }
 
-// NewDotRows prepares m, drawing the transposed copy (if the active kernels
-// want one) from ws; it lives until the workspace's next Reset. m must not
-// change while the DotRows is in use.
-func NewDotRows(ws *Workspace, m *Mat) DotRows {
-	d := DotRows{m: m}
-	if d.lanewise() {
-		d.t = ws.GetUninit(m.Cols, m.Rows)
-		transposeInto(d.t, m)
-	}
-	return d
-}
-
 // lanewise reports whether the micro-kernel would take any of m's rows, i.e.
 // whether a transposed copy is worth making.
-func (d DotRows) lanewise() bool { return d.m.Cols > 0 && simdCols(d.m.Rows) > 0 }
+func (d dotRows) lanewise() bool { return d.m.Cols > 0 && simdCols(d.m.Rows) > 0 }
 
-// MatVec computes dst[r-lo] = m.Row(r)·x for rows r in [lo, hi), exactly as
-// MatVecRows(dst, m, x, lo, hi) does.
-func (d DotRows) MatVec(dst, x []float32, lo, hi int) {
-	checkMatVecRows(dst, d.m, x, lo, hi)
-	d.matVec(dst, x, lo, hi)
-}
-
-func (d DotRows) matVec(dst, x []float32, lo, hi int) {
+// matVec computes dst[r-lo] = m.Row(r)·x for rows r in [lo, hi), each the
+// plain Dot of the row with x.
+func (d dotRows) matVec(dst, x []float32, lo, hi int) {
 	n := 0
 	if d.t != nil {
 		n = simdCols(hi - lo)
@@ -490,22 +471,6 @@ func Axpy(alpha float32, x, y []float32) {
 	}
 	for ; i < n; i++ {
 		y[i] += float32(alpha * x[i])
-	}
-}
-
-// MatVecRows computes dst[r-lo] = m.Row(r)·x for rows r in [lo, hi) — the
-// batched row-gemv behind the flash/sparse tile score computation (one call
-// per tile instead of one Dot per row). Each element is the plain Dot of the
-// row with x (products commute exactly in IEEE, so Row·x ≡ x·Row bitwise).
-func MatVecRows(dst []float32, m *Mat, x []float32, lo, hi int) {
-	checkMatVecRows(dst, m, x, lo, hi)
-	matVecRows(dst, m, x, lo, hi)
-}
-
-func checkMatVecRows(dst []float32, m *Mat, x []float32, lo, hi int) {
-	if lo < 0 || hi < lo || hi > m.Rows || len(x) != m.Cols || len(dst) < hi-lo {
-		panic(fmt.Sprintf("tensor: MatVecRows rows [%d,%d) of %dx%d, len(x)=%d len(dst)=%d",
-			lo, hi, m.Rows, m.Cols, len(x), len(dst)))
 	}
 }
 
@@ -582,42 +547,5 @@ func WeightedRowSum(acc []float32, m *Mat, w []float32, lo, hi int) {
 	}
 	for ; r < hi; r++ {
 		Axpy(w[r-lo], m.Row(r)[nv:], acc[nv:])
-	}
-}
-
-// AxpyRows adds w[r-lo]·x to m.Row(r) for rows r in [lo, hi): the rank-1
-// update that scatters one vector into a block of rows, the dual of
-// WeightedRowSum's gather. Element for element it is
-// `for r { Axpy(w[r-lo], x, m.Row(r)) }`; each element receives exactly one
-// term, so there is no order to preserve within a call.
-func AxpyRows(m *Mat, w, x []float32, lo, hi int) {
-	if lo < 0 || hi < lo || hi > m.Rows || len(x) != m.Cols || len(w) < hi-lo {
-		panic(fmt.Sprintf("tensor: AxpyRows rows [%d,%d) of %dx%d, len(x)=%d len(w)=%d",
-			lo, hi, m.Rows, m.Cols, len(x), len(w)))
-	}
-	n := m.Cols
-	rows := m.Data[lo*n : hi*n]
-	w = w[:hi-lo]
-	nv := simdCols(n)
-	if nv > 0 {
-		scatterCols(rows, n, w, x[:nv])
-	}
-	if nv == n {
-		return
-	}
-	for r, wr := range w {
-		row := rows[r*n : r*n+n : r*n+n]
-		c := nv
-		for ; c+4 <= n; c += 4 {
-			xc := x[c : c+4 : c+4]
-			rc := row[c : c+4 : c+4]
-			rc[0] += float32(wr * xc[0])
-			rc[1] += float32(wr * xc[1])
-			rc[2] += float32(wr * xc[2])
-			rc[3] += float32(wr * xc[3])
-		}
-		for ; c < n; c++ {
-			row[c] += float32(wr * x[c])
-		}
 	}
 }

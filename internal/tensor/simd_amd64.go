@@ -15,9 +15,6 @@ import (
 func accumAVX2(c, a *float32, aStride uintptr, b *float32, ldb, k, n, mode uintptr)
 
 //go:noescape
-func scatterAVX2(m *float32, ldm uintptr, w, x *float32, rows, n uintptr)
-
-//go:noescape
 func dotColsAVX2(dst, x *float32, k uintptr, bt *float32, ldbt, n uintptr)
 
 //go:noescape
@@ -25,6 +22,15 @@ func gatherDotsAVX2(dst, x *float32, k uintptr, m *float32, off *uintptr, n uint
 
 //go:noescape
 func gatherAccumAVX2(acc, m *float32, ldm uintptr, w *float32, idx *int32, k, n, keep uintptr)
+
+//go:noescape
+func flashDotsAVX2(dst, xT, m *float32, ldm, n, dh uintptr, scale float32, mode uintptr, a, b *float32)
+
+//go:noescape
+func flashAccumAVX2(accT, l, w, v *float32, ldv, n, dv uintptr, corr *float32)
+
+//go:noescape
+func flashScatterAVX2(m *float32, ldm uintptr, w, x *float32, ldx, nr, n, cols uintptr)
 
 //go:noescape
 func expLanesAVX2(dst, src *float32, n uintptr, shift, cut float32) uintptr
@@ -77,17 +83,6 @@ func accumCols(c, a []float32, stride int, b []float32, ldb, k int, mode accumMo
 	}
 	accumAVX2(unsafe.SliceData(c), unsafe.SliceData(a), uintptr(stride),
 		unsafe.SliceData(b), uintptr(ldb), uintptr(k), uintptr(n), uintptr(mode))
-}
-
-// scatterCols adds w[r]·x[j] to rows[r·ld+j] for every r < len(w) and
-// j < len(x) (a multiple of 8).
-func scatterCols(rows []float32, ld int, w, x []float32) {
-	if len(w) == 0 || len(x) == 0 {
-		return
-	}
-	_ = rows[(len(w)-1)*ld+len(x)-1]
-	scatterAVX2(unsafe.SliceData(rows), uintptr(ld), unsafe.SliceData(w), unsafe.SliceData(x),
-		uintptr(len(w)), uintptr(len(x)))
 }
 
 // dotCols computes dst[j] = Dot(x, column j of bt) for every j < len(dst)
@@ -173,6 +168,65 @@ func gatherAccumCols(acc, m []float32, ld int, w []float32, idx []int32, skipZer
 	}
 	gatherAccumAVX2(unsafe.SliceData(acc), unsafe.SliceData(m), uintptr(ld), unsafe.SliceData(w),
 		unsafe.SliceData(idx), uintptr(len(w)), uintptr(len(acc)), keep)
+}
+
+// flashDots is flashDotsGo over n keys whose rows of m lie ldm elements
+// apart from m[0], each dh long; a holds FlashRows lanes, and b FlashRows
+// lanes in mode dotsMax, n·FlashRows in mode dotsDS and nothing in
+// dotsShift.
+func flashDots(dst, xT, m []float32, ldm, n, dh int, scale float32, mode uintptr, a, b []float32) {
+	_, _ = dst[:n*FlashRows], xT[:dh*FlashRows]
+	if n > 0 && dh > 0 {
+		_ = m[(n-1)*ldm+dh-1]
+	}
+	_ = a[FlashRows-1]
+	switch mode {
+	case dotsMax:
+		_ = b[FlashRows-1]
+	case dotsDS:
+		_ = b[:n*FlashRows]
+	case dotsShift:
+	default:
+		panic(fmt.Sprintf("tensor: flashDots mode %d", mode))
+	}
+	flashDotsAVX2(unsafe.SliceData(dst), unsafe.SliceData(xT), unsafe.SliceData(m), uintptr(ldm),
+		uintptr(n), uintptr(dh), scale, mode, unsafe.SliceData(a), unsafe.SliceData(b))
+}
+
+// flashAccum is flashAccumGo over n keys whose rows of v lie ldv elements
+// apart from v[0], each dv > 0 long; l and corr are FlashRows lanes or nil.
+func flashAccum(accT, l, w, v []float32, ldv, n, dv int, corr []float32) {
+	if dv < 1 {
+		panic("tensor: flashAccum without value columns")
+	}
+	_, _ = accT[:dv*FlashRows], w[:n*FlashRows]
+	if n > 0 {
+		_ = v[(n-1)*ldv+dv-1]
+	}
+	if l != nil {
+		_ = l[FlashRows-1]
+	}
+	if corr != nil {
+		_ = corr[FlashRows-1]
+	}
+	flashAccumAVX2(unsafe.SliceData(accT), unsafe.SliceData(l), unsafe.SliceData(w), unsafe.SliceData(v),
+		uintptr(ldv), uintptr(n), uintptr(dv), unsafe.SliceData(corr))
+}
+
+// flashScatter adds w[j·FlashRows+r]·x[r·ldx+c] to m[j·ldm+c] for rows r
+// ascending in [0, nr), keys j < n and columns c < cols (a multiple of 8).
+func flashScatter(m []float32, ldm int, w, x []float32, ldx, nr, n, cols int) {
+	if n == 0 || nr == 0 || cols == 0 {
+		return
+	}
+	if nr > FlashRows {
+		panic(fmt.Sprintf("tensor: flashScatter over %d rows", nr))
+	}
+	_ = m[(n-1)*ldm+cols-1]
+	_ = w[(n-1)*FlashRows+nr-1]
+	_ = x[(nr-1)*ldx+cols-1]
+	flashScatterAVX2(unsafe.SliceData(m), uintptr(ldm), unsafe.SliceData(w), unsafe.SliceData(x),
+		uintptr(ldx), uintptr(nr), uintptr(n), uintptr(cols))
 }
 
 // expLanes is expRow over len(src) elements (a multiple of 4), up to the

@@ -197,44 +197,6 @@ accdone:
 	VZEROUPPER
 	RET
 
-// func scatterAVX2(m *float32, ldm uintptr, w, x *float32, rows, n uintptr)
-//
-// m[r·ldm+j] += w[r]·x[j] for r in [0,rows), j in [0,n): one term per
-// element, so there is no order to keep.
-TEXT ·scatterAVX2(SB), NOSPLIT, $0-48
-	MOVQ m+0(FP), DI
-	MOVQ ldm+8(FP), R9
-	MOVQ w+16(FP), SI
-	MOVQ x+24(FP), DX
-	MOVQ rows+32(FP), CX
-	MOVQ n+40(FP), R10
-	SHLQ $2, R9
-	TESTQ CX, CX
-	JZ    scatdone
-scat8:
-	CMPQ R10, $8
-	JLT  scatdone
-	VMOVUPS (DX), Y1
-	MOVQ SI, AX
-	MOVQ DI, BX
-	MOVQ CX, R13
-scatrow:
-	VBROADCASTSS (AX), Y0
-	VMULPS Y1, Y0, Y0
-	VADDPS (BX), Y0, Y0
-	VMOVUPS Y0, (BX)
-	ADDQ $4, AX
-	ADDQ R9, BX
-	DECQ R13
-	JNZ  scatrow
-	ADDQ $32, DI
-	ADDQ $32, DX
-	SUBQ $8, R10
-	JMP  scat8
-scatdone:
-	VZEROUPPER
-	RET
-
 // func dotColsAVX2(dst, x *float32, k uintptr, bt *float32, ldbt, n uintptr)
 //
 // dst[j] = Dot(x[0:k], column j of bt) for j in [0,n), with Dot's grouping

@@ -12,10 +12,6 @@ func accumCols(c, a []float32, stride int, b []float32, ldb, k int, mode accumMo
 	panic("tensor: no SIMD kernels on this architecture")
 }
 
-func scatterCols(rows []float32, ld int, w, x []float32) {
-	panic("tensor: no SIMD kernels on this architecture")
-}
-
 func dotCols(dst, x, bt []float32, ld int) {
 	panic("tensor: no SIMD kernels on this architecture")
 }
@@ -25,6 +21,18 @@ func gatherDotCols(dst, x, m []float32, ld int, idx []int32) {
 }
 
 func gatherAccumCols(acc, m []float32, ld int, w []float32, idx []int32, skipZero bool) {
+	panic("tensor: no SIMD kernels on this architecture")
+}
+
+func flashDots(dst, xT, m []float32, ldm, n, dh int, scale float32, mode uintptr, a, b []float32) {
+	panic("tensor: no SIMD kernels on this architecture")
+}
+
+func flashAccum(accT, l, w, v []float32, ldv, n, dv int, corr []float32) {
+	panic("tensor: no SIMD kernels on this architecture")
+}
+
+func flashScatter(m []float32, ldm int, w, x []float32, ldx, nr, n, cols int) {
 	panic("tensor: no SIMD kernels on this architecture")
 }
 

@@ -210,37 +210,6 @@ func checkAccumCols(tb testing.TB, seed int64, blocks, k, stride, ldPad, cOff, a
 	b.intact(tb, "accumCols b", bin)
 }
 
-// checkScatterCols: rows[r·ld+j] += w[r]·x[j] over 8·blocks columns of nr
-// rows, ld = columns + ldPad; the ldPad elements between rows must not move.
-func checkScatterCols(tb testing.TB, seed int64, blocks, nr, ldPad, rowsOff, wOff, xOff int) {
-	needCols(tb)
-	rng := rand.New(rand.NewSource(seed))
-	n := 8 * blocks
-	ld := n + ldPad
-	rowsLen := 0
-	if nr > 0 && n > 0 {
-		rowsLen = (nr-1)*ld + n
-	}
-	rnd := func(int) float32 { return float32(rng.NormFloat64()) }
-	rows := newGuarded(rowsLen, rowsOff, rnd)
-	w := newGuarded(nr, wOff, rnd)
-	x := newGuarded(n, xOff, rnd)
-	win, xin := append([]float32(nil), w.win()...), append([]float32(nil), x.win()...)
-	want := append([]float32(nil), rows.win()...)
-	if rowsLen > 0 {
-		for r := 0; r < nr; r++ {
-			for j := 0; j < n; j++ {
-				want[r*ld+j] += float32(win[r] * xin[j])
-			}
-		}
-	}
-	scatterCols(rows.win(), ld, w.win(), x.win())
-	mustSameBits(tb, "scatterCols rows", rows.win(), want)
-	rows.intact(tb, "scatterCols rows", nil)
-	w.intact(tb, "scatterCols w", win)
-	x.intact(tb, "scatterCols x", xin)
-}
-
 // checkDotCols: dst[j] = Dot(x, column j of bt) over 8·blocks columns,
 // ld = columns + ldPad.
 func checkDotCols(tb testing.TB, seed int64, blocks, k, ldPad, dstOff, xOff, btOff int) {
@@ -270,6 +239,152 @@ func checkDotCols(tb testing.TB, seed int64, blocks, k, ldPad, dstOff, xOff, btO
 	dst.intact(tb, "dotCols dst", nil)
 	x.intact(tb, "dotCols x", xin)
 	bt.intact(tb, "dotCols bt", btin)
+}
+
+// checkFlashDots: flashDots over n key rows of a dh-wide m, ld = dh + ldPad
+// apart, in the given mode, against flashDotsGo on a compact copy of m.
+func checkFlashDots(tb testing.TB, seed int64, n, dh, ldPad int, mode uintptr, dstOff, xOff, mOff, aOff, bOff int) {
+	needCols(tb)
+	const R = FlashRows
+	rng := rand.New(rand.NewSource(seed))
+	ld := dh + ldPad
+	mLen := 0
+	if n > 0 && dh > 0 {
+		mLen = (n-1)*ld + dh
+	}
+	rnd := func(int) float32 { return float32(rng.NormFloat64()) }
+	xT := newGuarded(dh*R, xOff, rnd)
+	m := newGuarded(mLen, mOff, rnd)
+	a := newGuarded(R, aOff, rnd)
+	b := newGuarded(map[uintptr]int{dotsMax: R, dotsShift: 0, dotsDS: n * R}[mode], bOff, rnd)
+	dst := newGuarded(n*R, dstOff, func(int) float32 { return math.Float32frombits(canary) })
+	xin, mIn := append([]float32(nil), xT.win()...), append([]float32(nil), m.win()...)
+	ain, bin := append([]float32(nil), a.win()...), append([]float32(nil), b.win()...)
+	scale := float32(0.35)
+	compact := New(n, dh)
+	for j := 0; j < n && dh > 0; j++ {
+		copy(compact.Row(j), mIn[j*ld:j*ld+dh])
+	}
+	want, wantA, wantB := make([]float32, n*R), append([]float32(nil), ain...), append([]float32(nil), bin...)
+	flashDotsGo(want, xin, compact, 0, n, scale, mode, wantA, wantB)
+	flashDots(dst.win(), xT.win(), m.win(), ld, n, dh, scale, mode, a.win(), b.win())
+	mustSameBits(tb, "flashDots dst", dst.win(), want)
+	dst.intact(tb, "flashDots dst", nil)
+	xT.intact(tb, "flashDots xT", xin)
+	m.intact(tb, "flashDots m", mIn)
+	if mode == dotsMax {
+		mustSameBits(tb, "flashDots a", a.win(), wantA)
+		mustSameBits(tb, "flashDots b", b.win(), wantB)
+		a.intact(tb, "flashDots a", nil)
+		b.intact(tb, "flashDots b", nil)
+	} else {
+		a.intact(tb, "flashDots a", ain)
+		b.intact(tb, "flashDots b", bin)
+	}
+}
+
+// checkFlashAccum: flashAccum over n key rows of a dv-wide v (dv ≥ 1),
+// ld = dv + ldPad apart, with and without l and corr, against flashAccumGo
+// on a compact copy of v.
+func checkFlashAccum(tb testing.TB, seed int64, n, dv, ldPad int, withL, withCorr bool, accOff, lOff, wOff, vOff, cOff int) {
+	needCols(tb)
+	const R = FlashRows
+	rng := rand.New(rand.NewSource(seed))
+	ld := dv + ldPad
+	vLen := 0
+	if n > 0 {
+		vLen = (n-1)*ld + dv
+	}
+	rnd := func(int) float32 { return float32(rng.NormFloat64()) }
+	accT := newGuarded(dv*R, accOff, rnd)
+	w := newGuarded(n*R, wOff, rnd)
+	v := newGuarded(vLen, vOff, rnd)
+	l, corr := newGuarded(R, lOff, rnd), newGuarded(R, cOff, rnd)
+	win, vin, cin := append([]float32(nil), w.win()...), append([]float32(nil), v.win()...), append([]float32(nil), corr.win()...)
+	compact := New(n, dv)
+	for j := 0; j < n; j++ {
+		copy(compact.Row(j), vin[j*ld:j*ld+dv])
+	}
+	wantAcc, wantL := append([]float32(nil), accT.win()...), append([]float32(nil), l.win()...)
+	var lArg, cArg, wantLArg, wantCArg []float32
+	if withL {
+		lArg, wantLArg = l.win(), wantL
+	}
+	if withCorr {
+		cArg, wantCArg = corr.win(), cin
+	}
+	flashAccumGo(wantAcc, wantLArg, win, compact, 0, n, wantCArg)
+	flashAccum(accT.win(), lArg, w.win(), v.win(), ld, n, dv, cArg)
+	mustSameBits(tb, "flashAccum accT", accT.win(), wantAcc)
+	mustSameBits(tb, "flashAccum l", l.win(), wantL)
+	accT.intact(tb, "flashAccum accT", nil)
+	l.intact(tb, "flashAccum l", nil)
+	w.intact(tb, "flashAccum w", win)
+	v.intact(tb, "flashAccum v", vin)
+	corr.intact(tb, "flashAccum corr", cin)
+}
+
+// checkFlashScatter: flashScatter of nr rows (ldx = columns + xPad apart)
+// into n key rows (ldm = columns + mPad apart) over 8·blocks columns; w is
+// exactly as long as the last key's nr lanes, and the padding between rows
+// must not move.
+func checkFlashScatter(tb testing.TB, seed int64, blocks, n, nr, mPad, xPad, mOff, wOff, xOff int) {
+	needCols(tb)
+	const R = FlashRows
+	rng := rand.New(rand.NewSource(seed))
+	cols := 8 * blocks
+	ldm, ldx := cols+mPad, cols+xPad
+	mLen, wLen, xLen := 0, 0, 0
+	if n > 0 && nr > 0 && cols > 0 {
+		mLen, wLen, xLen = (n-1)*ldm+cols, (n-1)*R+nr, (nr-1)*ldx+cols
+	}
+	rnd := func(int) float32 { return float32(rng.NormFloat64()) }
+	m := newGuarded(mLen, mOff, rnd)
+	w := newGuarded(wLen, wOff, rnd)
+	x := newGuarded(xLen, xOff, rnd)
+	win, xin := append([]float32(nil), w.win()...), append([]float32(nil), x.win()...)
+	want := append([]float32(nil), m.win()...)
+	if mLen > 0 {
+		for j := 0; j < n; j++ {
+			for r := 0; r < nr; r++ {
+				for c := 0; c < cols; c++ {
+					want[j*ldm+c] += float32(win[j*R+r] * xin[r*ldx+c])
+				}
+			}
+		}
+	}
+	flashScatter(m.win(), ldm, w.win(), x.win(), ldx, nr, n, cols)
+	mustSameBits(tb, "flashScatter m", m.win(), want)
+	m.intact(tb, "flashScatter m", nil)
+	w.intact(tb, "flashScatter w", win)
+	x.intact(tb, "flashScatter x", xin)
+}
+
+// TestFlashWrappersStayInBounds sweeps the flash wrappers: key counts 0 to
+// 9 and 65, head widths around Dot's groups of four and the register path
+// at 8, every dots mode, value widths crossing the eight-column blocks of
+// the accumulate, row counts 1 to 8 (the scatter's register path at 8),
+// padded and unpadded rows, operands at every offset from the 32-byte
+// boundary.
+func TestFlashWrappersStayInBounds(t *testing.T) {
+	seed := int64(0)
+	for _, n := range []int{0, 1, 2, 3, 7, 9, 65} {
+		for _, dh := range []int{0, 1, 4, 5, 8, 9, 17} {
+			for off := 0; off < 9; off += 2 {
+				seed++
+				ldPad := off % 3
+				for _, mode := range []uintptr{dotsMax, dotsShift, dotsDS} {
+					checkFlashDots(t, seed, n, dh, ldPad, mode, off, (off+1)%9, (off+3)%9, (off+5)%9, (off+7)%9)
+				}
+				if dh > 0 {
+					checkFlashAccum(t, seed, n, dh, ldPad, off%4 < 2, off%3 == 0, off, (off+2)%9, (off+4)%9, (off+6)%9, (off+8)%9)
+				}
+				for _, nr := range []int{1, 5, 8} {
+					checkFlashScatter(t, seed, dh/4, n, nr, ldPad, (ldPad+1)%3, (off+1)%9, off, (off+4)%9)
+				}
+			}
+		}
+	}
 }
 
 // gatherOperands draws the operands of the gather wrappers: an m of rows
@@ -389,7 +504,6 @@ func TestSIMDWrappersStayInBounds(t *testing.T) {
 					for _, mode := range []accumMode{accumZeroSkip, accumLoadSkip, accumLoadKeep} {
 						checkAccumCols(t, seed, g, k, 1+ldPad, ldPad, off, (off+1)%9, (off+6)%9, mode)
 					}
-					checkScatterCols(t, seed, g, k, ldPad, off, (off+2)%9, (off+5)%9)
 					checkDotCols(t, seed, g, k, ldPad, (off+8)%9, off, (off+3)%9)
 				}
 			}
@@ -438,15 +552,6 @@ func FuzzAccumCols(f *testing.F) {
 	})
 }
 
-func FuzzScatterCols(f *testing.F) {
-	f.Add(int64(1), uint8(9), uint8(5), uint8(0), uint8(1), uint8(2), uint8(3))
-	f.Add(int64(2), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0))
-	f.Add(int64(3), uint8(1), uint8(33), uint8(5), uint8(7), uint8(15), uint8(9))
-	f.Fuzz(func(t *testing.T, seed int64, blocks, nr, ldPad, rowsOff, wOff, xOff uint8) {
-		checkScatterCols(t, seed, int(blocks%20), int(nr%40), int(ldPad%8), int(rowsOff%16), int(wOff%16), int(xOff%16))
-	})
-}
-
 func FuzzDotCols(f *testing.F) {
 	f.Add(int64(1), uint8(9), uint8(5), uint8(0), uint8(1), uint8(2), uint8(3))
 	f.Add(int64(2), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0))
@@ -473,5 +578,35 @@ func FuzzGatherAccumCols(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, blocks, ne, ldPad, rows, accOff, mOff, wOff uint8, skip bool) {
 		checkGatherAccumCols(t, seed, int(blocks%20), int(ne%70), int(ldPad%8), 1+int(rows%64),
 			int(accOff%16), int(mOff%16), int(wOff%16), skip)
+	})
+}
+
+func FuzzFlashDots(f *testing.F) {
+	f.Add(int64(1), uint8(9), uint8(8), uint8(0), uint8(0), uint8(1), uint8(2), uint8(3), uint8(4), uint8(5))
+	f.Add(int64(2), uint8(0), uint8(0), uint8(0), uint8(1), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0))
+	f.Add(int64(3), uint8(65), uint8(13), uint8(5), uint8(2), uint8(7), uint8(15), uint8(9), uint8(11), uint8(6))
+	f.Fuzz(func(t *testing.T, seed int64, n, dh, ldPad, mode, dstOff, xOff, mOff, aOff, bOff uint8) {
+		checkFlashDots(t, seed, int(n%80), int(dh%24), int(ldPad%8), uintptr(mode%3),
+			int(dstOff%16), int(xOff%16), int(mOff%16), int(aOff%16), int(bOff%16))
+	})
+}
+
+func FuzzFlashAccum(f *testing.F) {
+	f.Add(int64(1), uint8(9), uint8(8), uint8(0), true, true, uint8(1), uint8(2), uint8(3), uint8(4), uint8(5))
+	f.Add(int64(2), uint8(0), uint8(0), uint8(0), false, false, uint8(0), uint8(0), uint8(0), uint8(0), uint8(0))
+	f.Add(int64(3), uint8(65), uint8(18), uint8(5), true, false, uint8(7), uint8(15), uint8(9), uint8(11), uint8(6))
+	f.Fuzz(func(t *testing.T, seed int64, n, dv, ldPad uint8, withL, withCorr bool, accOff, lOff, wOff, vOff, cOff uint8) {
+		checkFlashAccum(t, seed, int(n%80), 1+int(dv%24), int(ldPad%8), withL, withCorr,
+			int(accOff%16), int(lOff%16), int(wOff%16), int(vOff%16), int(cOff%16))
+	})
+}
+
+func FuzzFlashScatter(f *testing.F) {
+	f.Add(int64(1), uint8(1), uint8(9), uint8(8), uint8(0), uint8(0), uint8(1), uint8(2), uint8(3))
+	f.Add(int64(2), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0))
+	f.Add(int64(3), uint8(3), uint8(65), uint8(5), uint8(5), uint8(3), uint8(7), uint8(15), uint8(9))
+	f.Fuzz(func(t *testing.T, seed int64, blocks, n, nr, mPad, xPad, mOff, wOff, xOff uint8) {
+		checkFlashScatter(t, seed, int(blocks%6), int(n%80), 1+int(nr%FlashRows), int(mPad%8), int(xPad%8),
+			int(mOff%16), int(wOff%16), int(xOff%16))
 	})
 }

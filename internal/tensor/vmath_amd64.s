@@ -118,6 +118,58 @@ GLOBL vmexp<>(SB), RODATA|NOPTR, $32
 	VADDPD kTwo, Y5, Y6; \
 	VFMADD213PD kOne, Y6, Y5
 
+// EXPFR2 is EXPFR on two groups at once, instruction by instruction: the
+// first in Y5 (clobbering Y6, Y7; exponents to X8), the second in Y10
+// (clobbering Y2, Y3; exponents to X15). Each group runs EXPFR's sequence
+// unchanged; interleaving only gives the CPU two independent chains.
+#define EXPFR2 \
+	VMULPD kLOG2E, Y5, Y6; \
+	VMULPD kLOG2E, Y10, Y2; \
+	VCVTPD2DQY Y6, X8; \
+	VCVTPD2DQY Y2, X15; \
+	VCVTDQ2PD X8, Y7; \
+	VCVTDQ2PD X15, Y3; \
+	VFNMADD231PD kLN2U, Y7, Y5; \
+	VFNMADD231PD kLN2U, Y3, Y10; \
+	VFNMADD231PD kLN2L, Y7, Y5; \
+	VFNMADD231PD kLN2L, Y3, Y10; \
+	VMULPD kSixteenth, Y5, Y5; \
+	VMULPD kSixteenth, Y10, Y10; \
+	VMOVUPD K(4), Y6; \
+	VMOVUPD K(4), Y2; \
+	VFMADD213PD K(5), Y5, Y6; \
+	VFMADD213PD K(5), Y10, Y2; \
+	VFMADD213PD K(6), Y5, Y6; \
+	VFMADD213PD K(6), Y10, Y2; \
+	VFMADD213PD K(7), Y5, Y6; \
+	VFMADD213PD K(7), Y10, Y2; \
+	VFMADD213PD K(8), Y5, Y6; \
+	VFMADD213PD K(8), Y10, Y2; \
+	VFMADD213PD K(9), Y5, Y6; \
+	VFMADD213PD K(9), Y10, Y2; \
+	VFMADD213PD kHalf, Y5, Y6; \
+	VFMADD213PD kHalf, Y10, Y2; \
+	VFMADD213PD kOne, Y5, Y6; \
+	VFMADD213PD kOne, Y10, Y2; \
+	VMULPD Y6, Y5, Y5; \
+	VMULPD Y2, Y10, Y10; \
+	VADDPD kTwo, Y5, Y6; \
+	VADDPD kTwo, Y10, Y2; \
+	VMULPD Y6, Y5, Y5; \
+	VMULPD Y2, Y10, Y10; \
+	VADDPD kTwo, Y5, Y6; \
+	VADDPD kTwo, Y10, Y2; \
+	VMULPD Y6, Y5, Y5; \
+	VMULPD Y2, Y10, Y10; \
+	VADDPD kTwo, Y5, Y6; \
+	VADDPD kTwo, Y10, Y2; \
+	VMULPD Y6, Y5, Y5; \
+	VMULPD Y2, Y10, Y10; \
+	VADDPD kTwo, Y5, Y6; \
+	VADDPD kTwo, Y10, Y2; \
+	VFMADD213PD kOne, Y6, Y5; \
+	VFMADD213PD kOne, Y2, Y10
+
 // EXPSCALE: Y5 = fr·2^e for exponents X8 inside the normal range (the
 // scalar `lastStep`: bias, shift into the exponent field, one multiply).
 #define EXPSCALE \
@@ -129,10 +181,13 @@ GLOBL vmexp<>(SB), RODATA|NOPTR, $32
 // func expLanesAVX2(dst, src *float32, n uintptr, shift, cut float32) uintptr
 //
 // dst[i] = float32(exp(float64(src[i]+shift))), or 0 where src[i]+shift <=
-// cut, four at a time from i = 0. Stops in front of the first group holding a
-// lane (not cut) whose exponent is outside the normal range — NaN, ±Inf and
-// everything too large convert to the integer indefinite, which is outside it
-// too — and returns how many elements it wrote.
+// cut, from i = 0: eight at a time (two groups of four through EXPFR2), then
+// four at a time. Stops in front of the first group holding a lane (not
+// cut) whose exponent is outside the normal range — NaN, ±Inf and
+// everything too large convert to the integer indefinite, which is outside
+// it too — and returns how many elements it wrote. An eight-wide step that
+// meets such a group writes nothing and hands over to the four-wide loop,
+// which redoes its first group and stops where it must.
 TEXT ·expLanesAVX2(SB), NOSPLIT, $0-40
 	MOVQ dst+0(FP), DI
 	MOVQ src+8(FP), SI
@@ -142,6 +197,44 @@ TEXT ·expLanesAVX2(SB), NOSPLIT, $0-40
 	VMOVDQU vmexp<>+0(SB), X12
 	VMOVDQU vmexp<>+16(SB), X11
 	XORQ AX, AX
+exp8:
+	LEAQ 8(AX), DX
+	CMPQ DX, CX
+	JA   exp4
+	VMOVUPS (SI)(AX*4), X0
+	VMOVUPS 16(SI)(AX*4), X4
+	VADDPS X14, X0, X0
+	VADDPS X14, X4, X4
+	VCMPPS $2, X13, X0, X1 // x <= cut
+	VCMPPS $2, X13, X4, X9
+	VCVTPS2PD X0, Y5
+	VCVTPS2PD X4, Y10
+	EXPFR2
+	VPCMPGTD X12, X8, X0 // e > -1023
+	VPCMPGTD X8, X11, X6 // 1024 > e
+	VPAND X6, X0, X0
+	VPOR X1, X0, X0
+	VPCMPGTD X12, X15, X4
+	VPCMPGTD X15, X11, X2
+	VPAND X2, X4, X4
+	VPOR X9, X4, X4
+	VPAND X4, X0, X0
+	VMOVMSKPS X0, DX
+	CMPL DX, $15
+	JNE  exp4
+	EXPSCALE
+	VPMOVSXDQ X15, Y3
+	VPADDQ kBias, Y3, Y3
+	VPSLLQ $52, Y3, Y3
+	VMULPD Y3, Y10, Y10
+	VCVTPD2PSY Y5, X0
+	VCVTPD2PSY Y10, X4
+	VANDNPS X0, X1, X0
+	VANDNPS X4, X9, X4
+	VMOVUPS X0, (DI)(AX*4)
+	VMOVUPS X4, 16(DI)(AX*4)
+	ADDQ $8, AX
+	JMP  exp8
 exp4:
 	LEAQ 4(AX), DX
 	CMPQ DX, CX

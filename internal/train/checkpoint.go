@@ -170,9 +170,15 @@ func (l *Loop) writeMoments(w io.Writer) error {
 
 // ReadCheckpointInfo reads just the header of a checkpoint file: the task
 // kind plus the training and model configurations. Used by callers that
-// must rebuild the matching trainer before restoring state.
+// must rebuild the matching trainer before restoring state; the weights and
+// optimiser moments after the header are not read.
 func ReadCheckpointInfo(path string) (kind string, cfg Config, mcfg model.Config, err error) {
-	meta, _, _, err := readCheckpoint(path)
+	f, err := os.Open(path)
+	if err != nil {
+		return "", Config{}, model.Config{}, err
+	}
+	defer f.Close()
+	meta, err := decodeCheckpointHeader(bufio.NewReader(f), path)
 	if err != nil {
 		return "", Config{}, model.Config{}, err
 	}
@@ -190,38 +196,49 @@ func readCheckpoint(path string) (*checkpointMeta, []byte, []byte, error) {
 	return decodeCheckpoint(f, path)
 }
 
-// decodeCheckpoint parses a checkpoint stream (named path in errors).
-func decodeCheckpoint(r io.Reader, path string) (*checkpointMeta, []byte, []byte, error) {
-	br := bufio.NewReader(r)
+// decodeCheckpointHeader parses a checkpoint's header — magic, version and
+// the JSON meta, retired keys refused — leaving br at the params length.
+func decodeCheckpointHeader(br *bufio.Reader, path string) (*checkpointMeta, error) {
 	var magic, version, metaLen uint32
 	for _, dst := range []*uint32{&magic, &version, &metaLen} {
 		if err := binary.Read(br, binary.LittleEndian, dst); err != nil {
-			return nil, nil, nil, fmt.Errorf("train: corrupt checkpoint %s: %w", path, err)
+			return nil, fmt.Errorf("train: corrupt checkpoint %s: %w", path, err)
 		}
 	}
 	if magic != checkpointMagic {
-		return nil, nil, nil, fmt.Errorf("train: %s is not a training checkpoint (magic %#x)", path, magic)
+		return nil, fmt.Errorf("train: %s is not a training checkpoint (magic %#x)", path, magic)
 	}
 	if version != checkpointVersion {
-		return nil, nil, nil, fmt.Errorf("train: unsupported checkpoint version %d in %s (this build reads and writes version %d only); retrain to write a current checkpoint", version, path, checkpointVersion)
+		return nil, fmt.Errorf("train: unsupported checkpoint version %d in %s (this build reads and writes version %d only); retrain to write a current checkpoint", version, path, checkpointVersion)
 	}
 	if metaLen == 0 || metaLen > maxMetaBytes {
-		return nil, nil, nil, fmt.Errorf("train: corrupt checkpoint header (%d bytes)", metaLen)
+		return nil, fmt.Errorf("train: corrupt checkpoint header (%d bytes)", metaLen)
 	}
 	hdr := make([]byte, metaLen)
 	if _, err := io.ReadFull(br, hdr); err != nil {
-		return nil, nil, nil, fmt.Errorf("train: corrupt checkpoint %s: %w", path, err)
+		return nil, fmt.Errorf("train: corrupt checkpoint %s: %w", path, err)
 	}
 	meta := &checkpointMeta{}
 	if err := json.Unmarshal(hdr, meta); err != nil {
-		return nil, nil, nil, fmt.Errorf("train: corrupt checkpoint meta: %w", err)
+		return nil, fmt.Errorf("train: corrupt checkpoint meta: %w", err)
 	}
 	if err := checkRetiredKeys(hdr); err != nil {
-		return nil, nil, nil, fmt.Errorf("train: checkpoint %s: %w", path, err)
+		return nil, fmt.Errorf("train: checkpoint %s: %w", path, err)
+	}
+	return meta, nil
+}
+
+// decodeCheckpoint parses a checkpoint stream (named path in errors): the
+// header, then the params blob and the moments section behind it.
+func decodeCheckpoint(r io.Reader, path string) (*checkpointMeta, []byte, []byte, error) {
+	br := bufio.NewReader(r)
+	meta, err := decodeCheckpointHeader(br, path)
+	if err != nil {
+		return nil, nil, nil, err
 	}
 	var paramsLen uint64
 	if err := binary.Read(br, binary.LittleEndian, &paramsLen); err != nil {
-		return nil, nil, nil, fmt.Errorf("train: corrupt checkpoint %s: %w", path, err)
+		return nil, nil, nil, fmt.Errorf("train: truncated checkpoint %s: no params length after the header: %w", path, err)
 	}
 	rest, err := io.ReadAll(br)
 	if err != nil {
