@@ -68,7 +68,11 @@ type Report struct {
 
 // parseBench reads `go test -bench` output from r, echoing every line to
 // echo (the CI log), and returns the parsed measurements keyed by benchmark
-// name with the -N GOMAXPROCS suffix stripped.
+// name with the -N GOMAXPROCS suffix stripped. A benchmark repeated by
+// -count keeps its fastest ns/op (with that line's N) and its largest B/op
+// and allocs/op: load on a shared box only ever slows a run, so the fastest
+// of a few is the steadiest sample of the two sides of a ratio, while an
+// allocation ceiling must hold on every run.
 func parseBench(r io.Reader, echo io.Writer) (map[string]Result, error) {
 	results := map[string]Result{}
 	sc := bufio.NewScanner(r)
@@ -90,6 +94,13 @@ func parseBench(r io.Reader, echo io.Writer) (map[string]Result, error) {
 		}
 		if m[5] != "" {
 			res.AllocsOp, _ = strconv.ParseFloat(m[5], 64)
+		}
+		if prev, ok := results[m[1]]; ok {
+			if prev.NsPerOp < res.NsPerOp {
+				res.N, res.NsPerOp = prev.N, prev.NsPerOp
+			}
+			res.BPerOp = max(res.BPerOp, prev.BPerOp)
+			res.AllocsOp = max(res.AllocsOp, prev.AllocsOp)
 		}
 		results[m[1]] = res
 	}

@@ -44,6 +44,39 @@ func TestParseBenchOutput(t *testing.T) {
 	}
 }
 
+// TestParseBenchRepeatedLines: under -count a benchmark prints one line per
+// run; the parse keeps the fastest ns/op with its N, whatever the order,
+// and the largest B/op and allocs/op of any run.
+func TestParseBenchRepeatedLines(t *testing.T) {
+	const out = `BenchmarkFlashForwardS1024-2   	      50	   4500000 ns/op
+BenchmarkFlashBackwardS1024-2  	      50	   7200000 ns/op	  96 B/op	   2 allocs/op
+BenchmarkFlashForwardS1024-2   	      60	   4100000 ns/op
+BenchmarkFlashBackwardS1024-2  	      50	   5300000 ns/op	 128 B/op	   1 allocs/op
+BenchmarkFlashForwardS1024-2   	      50	   4400000 ns/op
+BenchmarkFlashBackwardS1024-2  	      50	   6100000 ns/op	  64 B/op	   3 allocs/op
+`
+	results, err := parseBench(strings.NewReader(out), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(results) != 2 {
+		t.Fatalf("parsed %d results, want 2: %v", len(results), results)
+	}
+	if f := results["BenchmarkFlashForwardS1024"]; f.NsPerOp != 4100000 || f.N != 60 {
+		t.Fatalf("forward kept %+v, want the fastest run (4100000 ns/op, N=60)", f)
+	}
+	if b := results["BenchmarkFlashBackwardS1024"]; b.NsPerOp != 5300000 || b.N != 50 || b.BPerOp != 128 || b.AllocsOp != 3 {
+		t.Fatalf("backward kept %+v, want 5300000 ns/op, N=50, 128 B/op, 3 allocs/op", b)
+	}
+	report := evaluate(Baseline{
+		MaxAllocsPerOp:  map[string]float64{"BenchmarkFlashBackwardS1024": 2},
+		MaxNsPerOpRatio: map[string]float64{"BenchmarkFlashBackwardS1024/BenchmarkFlashForwardS1024": 1.5},
+	}, results)
+	if report.Pass || len(report.Violations) != 1 || !strings.Contains(report.Violations[0], "allocs/op") {
+		t.Fatalf("want only the allocs ceiling broken (3 > 2) and the ratio held (5.3/4.1), got %+v", report)
+	}
+}
+
 func TestEvaluateAllocCeilings(t *testing.T) {
 	results := parseSample(t)
 	base := Baseline{MaxAllocsPerOp: map[string]float64{

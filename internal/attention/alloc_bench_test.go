@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"torchgt/internal/graph"
+	"torchgt/internal/partition"
 	"torchgt/internal/sparse"
 	"torchgt/internal/tensor"
 )
@@ -213,5 +214,51 @@ func BenchmarkFlashExpS1024(b *testing.B) {
 		for c := 0; c < 2*s*s/len(src); c++ {
 			tensor.ExpShift(dst, src, 0)
 		}
+	}
+}
+
+// benchClusterLayout is node-full's sparse-epoch layout: arxiv-sim at 1024
+// nodes, partitioned 8 ways and put in cluster order, reformed with db=16
+// at β = the graph's sparsity — 9,256 keep entries and 56 sub-blocks,
+// 23,592 pairs.
+func benchClusterLayout(b *testing.B) *sparse.Reformed {
+	ds, err := graph.LoadNodeScaled("arxiv-sim", 1024, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	part := partition.Partition(ds.G, 8, 1)
+	perm, bounds := partition.ClusterOrder(part, 8)
+	g := ds.G.Permute(perm)
+	cl, err := sparse.NewClusterLayout(sparse.FromGraph(g), bounds)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return sparse.Reform(cl, 16, g.Sparsity())
+}
+
+// BenchmarkClusterSparseStepS1024 is one cluster-sparse head's forward and
+// backward at node-full's shape (S=1024, Dh=8, one worker): the numerator
+// of the CI ratio against BenchmarkFlashStepS1024, a step over all S² pairs.
+func BenchmarkClusterSparseStepS1024(b *testing.B) {
+	r := benchClusterLayout(b)
+	prev := tensor.SetWorkers(1)
+	defer tensor.SetWorkers(prev)
+	const d = 8
+	rng := rand.New(rand.NewSource(4))
+	q, k, v, dO := tensor.New(r.S, d), tensor.New(r.S, d), tensor.New(r.S, d), tensor.New(r.S, d)
+	for _, m := range []*tensor.Mat{q, k, v, dO} {
+		tensor.RandN(m, rng, 0.5)
+	}
+	ws := tensor.NewWorkspace()
+	c := WithWorkspace(NewClusterSparse(r), ws)
+	c.Forward(q, k, v)
+	c.Backward(dO)
+	ws.Reset()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.Forward(q, k, v)
+		c.Backward(dO)
+		ws.Reset()
 	}
 }

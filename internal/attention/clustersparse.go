@@ -7,13 +7,15 @@ import (
 
 // ClusterSparse computes attention over a sparse.Reformed layout: kept
 // clusters stay in CSR form while transferred clusters are dense db×db
-// sub-blocks. Sub-block scores are computed block-centrically (contiguous
-// Q and K rows — the locality the paper's reformation buys), then a
-// row-centric pass performs the softmax across both structures. The entries
-// inside sub-blocks carry a single shared additive bias (they all represent
-// distance-1 pairs after compaction). The keep part's transpose and the
-// block coverage come from R.Keep.Transpose() and R.Coverage(), built once
-// per layout and shared by every head.
+// sub-blocks. A worker takes its rows as one block: the keep entries go
+// through the tensor.CSR* kernels, each sub-block's rows among them through
+// the tensor.Tile* kernels (contiguous Q rows against contiguous K rows —
+// the locality the paper's reformation buys), and the softmax combines both
+// per row. The entries inside sub-blocks carry a single shared additive bias
+// (they all represent distance-1 pairs after compaction). The keep part's
+// validated CSR and CSC and the block coverage come from R.Keep.Index(),
+// R.Keep.Transpose() and R.Coverage(), built once per layout and shared by
+// every head.
 type ClusterSparse struct {
 	R *sparse.Reformed
 
@@ -38,11 +40,32 @@ func (c *ClusterSparse) SetWorkspace(ws *tensor.Workspace) { c.ws = ws }
 // NewClusterSparse constructs the kernel over a reformed layout.
 func NewClusterSparse(r *sparse.Reformed) *ClusterSparse { return &ClusterSparse{R: r} }
 
-// span names the positions [a0, a0+db) of a block side that lie inside the
-// sequence, as a slice of seq (= 0, 1, …, S−1).
-func span(seq []int32, a0 int32, db int) []int32 {
-	lo := min(int(a0), len(seq))
-	return seq[lo:min(lo+db, len(seq))]
+// side returns the offsets [a, b) of the block side starting at position a0
+// whose positions lie in [lo, hi) and inside the sequence (b = a when none
+// do).
+func (c *ClusterSparse) side(a0 int32, lo, hi int) (a, b int) {
+	a = max(lo, int(a0)) - int(a0)
+	b = max(a, min(hi, c.R.S, int(a0)+c.R.Db)-int(a0))
+	return a, b
+}
+
+// blockRow is the row of ref in p (block probabilities, scores or score
+// gradients): Db elements.
+func (c *ClusterSparse) blockRow(p []float32, ref sparse.BlockRef) []float32 {
+	base := (int(ref.Block)*c.R.Db + int(ref.Off)) * c.R.Db
+	return p[base : base+c.R.Db]
+}
+
+// tiles calls f, in block order, for every block with rows in [lo, hi):
+// its index b, its first row r0 and key c0, the offsets [ra, rb) of its rows
+// in range and the count nc of its keys inside the sequence.
+func (c *ClusterSparse) tiles(lo, hi int, f func(b, r0, ra, rb, c0, nc int)) {
+	for b, blk := range c.R.Blocks {
+		if ra, rb := c.side(blk.Row0, lo, hi); ra < rb {
+			_, nc := c.side(blk.Col0, 0, c.R.S)
+			f(b, int(blk.Row0), ra, rb, int(blk.Col0), nc)
+		}
+	}
 }
 
 // Name implements Kernel.
@@ -73,7 +96,11 @@ func (c *ClusterSparse) EdgeBiasGrad() []float32 { return c.keepBiasGrad }
 // BlockBiasGrad returns the accumulated shared block-bias grad after Backward.
 func (c *ClusterSparse) BlockBiasGrad() float32 { return c.blockBiasGrd }
 
-// Forward implements Kernel.
+// Forward implements Kernel. A worker takes its rows as one block: every
+// structure — the keep CSR, then each sub-block's tile rows among them —
+// goes through one kernel call per step (scores, exponentials, output),
+// and only the arithmetic that mixes the two per row (the maximum, the sum,
+// the scaling) walks the rows.
 func (c *ClusterSparse) Forward(q, k, v *tensor.Mat) *tensor.Mat {
 	checkQKV(q, k, v)
 	if q.Rows != c.R.S {
@@ -81,198 +108,165 @@ func (c *ClusterSparse) Forward(q, k, v *tensor.Mat) *tensor.Mat {
 	}
 	c.q, c.k, c.v = q, k, v
 	scale := scaleFor(q.Cols)
-	db := c.R.Db
-	nb := len(c.R.Blocks)
-	keep := c.R.Keep
-	cov := c.R.Coverage()
+	db, tile := c.R.Db, c.R.Db*c.R.Db
+	keep, ix, cov := c.R.Keep, c.R.Keep.Index(), c.R.Coverage()
+	rp := keep.RowPtr
 	// every keep entry and every in-sequence block row is scored below
 	c.keepProbs = c.ws.GetUninit(1, keep.NNZ()).Data
-	c.blockProbs = c.ws.GetUninit(1, nb*db*db).Data
-
-	// Phase 1 (block-centric): dense db×db score tiles with contiguous rows.
-	tensor.ParallelFor(nb, func(lo, hi int) {
-		for b := lo; b < hi; b++ {
-			blk := c.R.Blocks[b]
-			base := b * db * db
-			cols := span(cov.Seq, blk.Col0, db)
-			for _, ri := range span(cov.Seq, blk.Row0, db) {
-				rb := int(ri - blk.Row0)
-				dst := c.blockProbs[base+rb*db : base+(rb+1)*db]
-				tensor.GatherDots(dst[:len(cols)], q.Row(int(ri)), k, cols)
-				for cb := range dst {
-					if cb < len(cols) {
-						dst[cb] = float32(dst[cb]*scale) + c.blockBias
-					} else {
-						dst[cb] = negInf
-					}
-				}
-			}
-		}
-	})
-
-	// Phase 2 (row-centric): softmax across keep entries + covering blocks.
-	// A worker's rows take their keep scores first, then the softmax and the
-	// output: one pass over K, then one over V, so under a cluster-ordered
-	// layout each pass's window of rows can stay in cache.
+	c.blockProbs = c.ws.GetUninit(1, len(c.R.Blocks)*tile).Data
+	sh := c.ws.GetUninit(1, q.Rows)
+	defer c.ws.Put(sh)
 	o := c.ws.Get(q.Rows, v.Cols)
+	// one pass over K (the scores), then one over V (the output), so under
+	// a cluster-ordered layout each pass's window of rows can stay in cache
 	tensor.ParallelFor(q.Rows, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			e0, e1 := keep.RowPtr[i], keep.RowPtr[i+1]
-			kp := c.keepProbs[e0:e1]
-			tensor.GatherDots(kp, q.Row(i), k, keep.ColIdx[e0:e1])
-			scaleScores(kp, scale, c.keepBias, int(e0))
-		}
-		for i := lo; i < hi; i++ {
-			e0, e1 := keep.RowPtr[i], keep.RowPtr[i+1]
-			refs := cov.Rows[i]
-			if e0 == e1 && len(refs) == 0 {
-				continue
-			}
-			cols := keep.ColIdx[e0:e1]
-			kp := c.keepProbs[e0:e1]
-			// combined max
-			mx := negInf
-			for _, s := range kp {
-				if s > mx {
-					mx = s
-				}
-			}
-			for _, ref := range refs {
-				base := int(ref.Block)*db*db + int(ref.Off)*db
-				for _, s := range c.blockProbs[base : base+db] {
-					if s > mx {
-						mx = s
+		e0, e1 := rp[lo], rp[hi]
+		tensor.CSRDots(c.keepProbs, q, ix, lo, hi, k)
+		scaleScores(c.keepProbs[e0:e1], scale, c.keepBias, int(e0))
+		c.tiles(lo, hi, func(b, r0, ra, rb, c0, nc int) {
+			t := c.blockProbs[b*tile+ra*db : (b+1)*tile]
+			tensor.TileDots(t, db, q, r0+ra, rb-ra, k, c0, nc)
+			for r := range rb - ra {
+				row := t[r*db : (r+1)*db]
+				for cb := range row {
+					if cb < nc {
+						row[cb] = float32(row[cb]*scale) + c.blockBias
+					} else {
+						row[cb] = negInf
 					}
 				}
 			}
-			// exp (s + (−mx) is s − mx), then the sum in entry order
-			var sum float64
-			tensor.ExpCut(kp, kp, -mx, expCut)
-			for _, e := range kp {
-				sum += float64(e)
-			}
-			for _, ref := range refs {
-				base := int(ref.Block)*db*db + int(ref.Off)*db
-				row := c.blockProbs[base : base+db]
-				tensor.ExpCut(row, row, -mx, expCut)
-				for _, e := range row {
-					sum += float64(e)
-				}
-			}
-			inv := float32(1 / sum)
-			oi := o.Row(i)
-			for x := range kp {
-				kp[x] *= inv
-			}
-			tensor.GatherWeightedRowSum(oi, v, kp, cols, false)
-			// block entries at probability 0 are left out, so a NaN in a V
-			// row this row gives no weight cannot reach it
-			for _, ref := range refs {
-				base := int(ref.Block)*db*db + int(ref.Off)*db
-				row := c.blockProbs[base : base+db]
-				for cb := range row {
-					row[cb] *= inv
-				}
-				bc := span(cov.Seq, c.R.Blocks[ref.Block].Col0, db)
-				tensor.GatherWeightedRowSum(oi, v, row[:len(bc)], bc, true)
-			}
+		})
+
+		// the softmax across both structures: per row the maximum (keep
+		// entries, then the covering blocks in order) and the shift −max
+		// (s + (−mx) is s − mx), the exponentials of each structure in one
+		// call, the sum in entry order and the scaling; sh holds each row's
+		// maximum, then its shift, then 1/sum
+		for i := lo; i < hi; i++ {
+			sh.Data[i] = rowMax(negInf, c.keepProbs[rp[i]:rp[i+1]])
 		}
+		c.tiles(lo, hi, func(b, r0, ra, rb, _, _ int) {
+			for r := ra; r < rb; r++ {
+				sh.Data[r0+r] = rowMax(sh.Data[r0+r], c.blockProbs[(b*db+r)*db:][:db])
+			}
+		})
+		for i := lo; i < hi; i++ {
+			sh.Data[i] = -sh.Data[i]
+		}
+		tensor.CSRExp(c.keepProbs, c.keepProbs, ix, lo, hi, sh.Data, expCut)
+		c.tiles(lo, hi, func(b, r0, ra, rb, _, _ int) {
+			t := c.blockProbs[b*tile : (b+1)*tile]
+			tensor.CSRExp(t, t, cov.Tile, ra, rb, sh.Data[r0:], expCut)
+		})
+		for i := lo; i < hi; i++ {
+			kp := c.keepProbs[rp[i]:rp[i+1]]
+			sum := rowSum(0, kp)
+			for _, ref := range cov.Rows[i] {
+				sum = rowSum(sum, c.blockRow(c.blockProbs, ref))
+			}
+			sh.Data[i] = float32(1 / sum)
+			scaleRow(kp, sh.Data[i])
+		}
+		c.tiles(lo, hi, func(b, r0, ra, rb, _, _ int) {
+			for r := ra; r < rb; r++ {
+				scaleRow(c.blockProbs[(b*db+r)*db:][:db], sh.Data[r0+r])
+			}
+		})
+
+		// the output: keep entries, then the blocks in order; block cells at
+		// probability 0 are left out, so a NaN in a V row this row gives no
+		// weight cannot reach it
+		tensor.CSRAccum(o, ix, lo, hi, c.keepProbs, v)
+		c.tiles(lo, hi, func(b, r0, ra, rb, c0, nc int) {
+			tensor.TileAccum(o, r0+ra, rb-ra, c.blockProbs[b*tile+ra*db:], db, 1, v, c0, nc, true)
+		})
 	})
 	c.o = o
 	return o
 }
 
-// Backward implements Kernel.
+// Backward implements Kernel, in row blocks as Forward: a worker's rows
+// take their dp (one call per structure), the softmax backward per row,
+// then dq (keep, then the blocks in order); a worker's columns take dk and
+// dv the same way over the keep part's CSC and the blocks' transposed
+// weights.
 func (c *ClusterSparse) Backward(dO *tensor.Mat) (dq, dk, dv *tensor.Mat) {
 	q, k, v := c.q, c.k, c.v
 	scale := scaleFor(q.Cols)
-	keep := c.R.Keep
-	db := c.R.Db
-	t := keep.Transpose()
-	cov := c.R.Coverage()
+	db, tile := c.R.Db, c.R.Db*c.R.Db
+	keep, ix, t := c.R.Keep, c.R.Keep.Index(), c.R.Keep.Transpose()
+	rp := keep.RowPtr
 	nnz, nbe := keep.NNZ(), len(c.blockProbs)
 	c.keepDs = c.ws.GetUninit(1, nnz).Data // every entry takes its dp below
 	c.blockDs = c.ws.GetVec(nbe)
 	dq = c.ws.Get(q.Rows, q.Cols)
 	dk = c.ws.Get(k.Rows, k.Cols)
 	dv = c.ws.Get(v.Rows, v.Cols)
-	// the weight each entry gives each gradient, in the order that gradient
-	// reads them: dq by rows (keep CSR, blocks row-major), dk and dv by
-	// columns (keep CSC, blocks column-major)
-	w := c.ws.GetUninit(3, nnz+nbe)
+	// the weight each entry gives each gradient: the keep part's in the
+	// order that gradient reads them, dq by rows (CSR), dk and dv by columns
+	// (CSC); the blocks' row-major, dk and dv reading the tiles transposed
+	// (dv's weights are the probabilities)
+	w := c.ws.GetUninit(1, 3*nnz+nbe)
 	defer c.ws.Put(w)
-	wq, wk, wv := w.Row(0), w.Row(1), w.Row(2)
-	bq, bk, bv := wq[nnz:], wk[nnz:], wv[nnz:]
+	wq, wk, wv, bq := w.Data[:nnz], w.Data[nnz:2*nnz], w.Data[2*nnz:3*nnz], w.Data[3*nnz:]
 
-	// row pass: per-row softmax backward across both structures, then dq —
-	// for a worker's rows, one pass over V, then one over K
+	dots := c.ws.GetUninit(1, q.Rows)
+	defer c.ws.Put(dots)
+
+	// row pass: for a worker's rows, one pass over V, then one over K
 	tensor.ParallelFor(q.Rows, func(lo, hi int) {
+		e0, e1 := rp[lo], rp[hi]
+		// dp per entry (held in the ds buffers)
+		tensor.CSRDots(c.keepDs, dO, ix, lo, hi, v)
+		c.tiles(lo, hi, func(b, r0, ra, rb, c0, nc int) {
+			tensor.TileDots(c.blockDs[b*tile+ra*db:], db, dO, r0+ra, rb-ra, v, c0, nc)
+		})
+		// per row Σ dp·p across both structures (keep entries, then the
+		// blocks in order), then the softmax backward
 		for i := lo; i < hi; i++ {
-			e0, e1 := keep.RowPtr[i], keep.RowPtr[i+1]
-			refs := cov.Rows[i]
-			if e0 == e1 && len(refs) == 0 {
-				continue
-			}
-			dOi := dO.Row(i)
-			cols := keep.ColIdx[e0:e1]
-			kds, kp, wqi := c.keepDs[e0:e1], c.keepProbs[e0:e1], wq[e0:e1]
-			// dp per entry (held in the ds buffers), Σ dp·p across both
-			tensor.GatherDots(kds, dOi, v, cols)
-			dot := weightedSum(0, kds, kp)
-			for _, ref := range refs {
-				base := int(ref.Block)*db*db + int(ref.Off)*db
-				bc := span(cov.Seq, c.R.Blocks[ref.Block].Col0, db)
-				bds := c.blockDs[base : base+len(bc)]
-				tensor.GatherDots(bds, dOi, v, bc)
-				dot = weightedSum(dot, bds, c.blockProbs[base:])
-			}
-			softmaxGrad(kds, kp, dot, scale, wqi)
-			for x, at := range t.Pos[e0:e1] {
-				wk[at], wv[at] = wqi[x], kp[x]
-			}
-			for _, ref := range refs {
-				base := int(ref.Block)*db*db + int(ref.Off)*db
-				bc := span(cov.Seq, c.R.Blocks[ref.Block].Col0, db)
-				bds, bp, bqi := c.blockDs[base:base+len(bc)], c.blockProbs[base:], bq[base:]
-				softmaxGrad(bds, bp, dot, scale, bqi)
-				// column cb of the block holds its rows' weights db apart
-				for cb := range bds {
-					at := int(ref.Block)*db*db + cb*db + int(ref.Off)
-					bk[at], bv[at] = bqi[cb], bp[cb]
-				}
-			}
+			dots.Data[i] = weightedSum(0, c.keepDs[rp[i]:rp[i+1]], c.keepProbs[rp[i]:])
 		}
+		c.tiles(lo, hi, func(b, r0, ra, rb, _, nc int) {
+			for r := ra; r < rb; r++ {
+				at := (b*db + r) * db
+				dots.Data[r0+r] = weightedSum(dots.Data[r0+r], c.blockDs[at:at+nc], c.blockProbs[at:])
+			}
+		})
 		for i := lo; i < hi; i++ {
-			e0, e1 := keep.RowPtr[i], keep.RowPtr[i+1]
-			dqi := dq.Row(i)
-			tensor.GatherWeightedRowSum(dqi, k, wq[e0:e1], keep.ColIdx[e0:e1], false)
-			for _, ref := range cov.Rows[i] {
-				blk := c.R.Blocks[ref.Block]
-				base := int(ref.Block)*db*db + int(ref.Off)*db
-				nc := len(span(cov.Seq, blk.Col0, db))
-				tensor.WeightedRowSum(dqi, k, bq[base:base+nc], int(blk.Col0), int(blk.Col0)+nc)
-			}
+			a, z := rp[i], rp[i+1]
+			softmaxGrad(c.keepDs[a:z], c.keepProbs[a:z], dots.Data[i], scale, wq[a:z])
 		}
+		c.tiles(lo, hi, func(b, r0, ra, rb, _, nc int) {
+			for r := ra; r < rb; r++ {
+				at := (b*db + r) * db
+				softmaxGrad(c.blockDs[at:at+nc], c.blockProbs[at:], dots.Data[r0+r], scale, bq[at:])
+			}
+		})
+		for e := e0; e < e1; e++ {
+			at := t.Pos[e]
+			wk[at], wv[at] = wq[e], c.keepProbs[e]
+		}
+		tensor.CSRAccum(dq, ix, lo, hi, wq, k)
+		c.tiles(lo, hi, func(b, r0, ra, rb, c0, nc int) {
+			tensor.TileAccum(dq, r0+ra, rb-ra, bq[b*tile+ra*db:], db, 1, k, c0, nc, false)
+		})
 	})
 	// column pass: per column the keep part over its CSC, then the blocks
-	// covering it — for a worker's columns, dk (over Q) first, then dv
-	// (over dO)
+	// covering it in order — for a worker's columns, dk (over Q) first, then
+	// dv (over dO)
 	colPass := func(g, m *tensor.Mat, wkeep, wblock []float32, lo, hi int) {
-		for j := lo; j < hi; j++ {
-			gj := g.Row(j)
-			x0, x1 := t.ColPtr[j], t.ColPtr[j+1]
-			tensor.GatherWeightedRowSum(gj, m, wkeep[x0:x1], t.RowIdx[x0:x1], false)
-			for _, ref := range cov.Cols[j] {
-				blk := c.R.Blocks[ref.Block]
-				at := int(ref.Block)*db*db + int(ref.Off)*db
-				nr := len(span(cov.Seq, blk.Row0, db))
-				tensor.WeightedRowSum(gj, m, wblock[at:at+nr], int(blk.Row0), int(blk.Row0)+nr)
+		tensor.CSRAccum(g, t.Index, lo, hi, wkeep, m)
+		for b, blk := range c.R.Blocks {
+			if ca, cb := c.side(blk.Col0, lo, hi); ca < cb {
+				_, nr := c.side(blk.Row0, 0, c.R.S)
+				tensor.TileAccum(g, int(blk.Col0)+ca, cb-ca, wblock[b*tile+ca:], 1, db, m, int(blk.Row0), nr, false)
 			}
 		}
 	}
 	tensor.ParallelFor(k.Rows, func(lo, hi int) {
-		colPass(dk, q, wk, bk, lo, hi)
-		colPass(dv, dO, wv, bv, lo, hi)
+		colPass(dk, q, wk, bq, lo, hi)
+		colPass(dv, dO, wv, c.blockProbs, lo, hi)
 	})
 	if c.keepBias != nil {
 		c.keepBiasGrad = c.ws.GetUninit(1, keep.NNZ()).Data

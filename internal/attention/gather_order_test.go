@@ -10,9 +10,8 @@ import (
 	"torchgt/internal/tensor"
 )
 
-// The sparse kernels run their per-pair loops on the indexed-row kernels
-// (tensor.GatherDots, tensor.GatherWeightedRowSum) over indexes built once
-// per pattern. These oracles are the loops as they were written before —
+// The sparse kernels run their per-pair loops in row blocks (tensor.CSR*,
+// tensor.Tile*) over indexes built once per pattern. These oracles are the loops as they were written before —
 // one Dot or Axpy per attended pair, the column pass over a transpose found
 // by scanning the pattern — and the tests hold the kernels to them bit for
 // bit, at head widths that take the micro-kernels (8, 64), the Go loops
@@ -257,5 +256,59 @@ func TestClusterSparseZeroProbabilityBlocksIsolateNaN(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestClusterSparseRowBlocksBitwiseMatchesNaive: the row-block kernel at a
+// sub-block width the tile micro-kernels take (Db 16: two blocks of eight
+// keys per tile row), blocks overhanging S (a tile clipped to fewer keys
+// than a block of eight, and rows past S), blocks sharing rows and columns,
+// at head widths the micro-kernels take whole (8, 64), in part (20) and not
+// at all (6), on one worker and on three (so tiles straddle workers' row
+// ranges) — forward and backward against the per-pair oracles, with and
+// without the biases.
+func TestClusterSparseRowBlocksBitwiseMatchesNaive(t *testing.T) {
+	const s = 90
+	rng := rand.New(rand.NewSource(8))
+	r := &sparse.Reformed{S: s, Db: 16, Keep: irregularPattern(rng, s), Blocks: []sparse.SubBlock{
+		{Row0: 0, Col0: 32}, {Row0: 8, Col0: 32}, {Row0: 16, Col0: 0}, {Row0: 40, Col0: 72}, {Row0: 80, Col0: 85}, {Row0: 85, Col0: 16},
+	}}
+	for _, workers := range []int{1, 3} {
+		prev := tensor.SetWorkers(workers)
+		for _, d := range []int{6, 8, 20, 64} {
+			q, k, v := randQKV(rng, s, d, d)
+			for i := 0; i < s; i += 4 {
+				for x := range q.Row(i) {
+					q.Row(i)[x] *= 40 // spread the row's scores past the cutoff
+				}
+			}
+			dO := tensor.New(s, d)
+			tensor.RandN(dO, rng, 1)
+			bias := make([]float32, r.Keep.NNZ())
+			for i := range bias {
+				bias[i] = float32(rng.NormFloat64())
+			}
+			for _, biased := range []bool{false, true} {
+				c := NewClusterSparse(r)
+				if biased {
+					c.SetEdgeBias(bias)
+					c.SetBlockBias(0.4)
+				}
+				o := c.Forward(q, k, v)
+				mustBitwiseMat(t, "o", naiveClusterSparseForward(c, q, k, v), o)
+				dq, dk, dv := c.Backward(dO)
+				wdq, wdk, wdv, wkg, wbg := naiveClusterSparseBackward(c, dO)
+				mustBitwiseMat(t, "dq", wdq, dq)
+				mustBitwiseMat(t, "dk", wdk, dk)
+				mustBitwiseMat(t, "dv", wdv, dv)
+				if biased {
+					mustBitwiseVec(t, "keep bias grad", c.EdgeBiasGrad(), wkg)
+					if g := c.BlockBiasGrad(); math.Float32bits(g) != math.Float32bits(wbg) {
+						t.Fatalf("workers=%d d=%d: block bias grad %v, want %v", workers, d, g, wbg)
+					}
+				}
+			}
+		}
+		tensor.SetWorkers(prev)
 	}
 }

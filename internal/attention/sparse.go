@@ -2,10 +2,10 @@ package attention
 
 import (
 	"fmt"
-
-	"torchgt/internal/tensor"
+	"math"
 
 	"torchgt/internal/sparse"
+	"torchgt/internal/tensor"
 )
 
 // Sparse is topology-induced attention over a sparse.Pattern: only pairs in
@@ -66,34 +66,36 @@ func (s *Sparse) Forward(q, k, v *tensor.Mat) *tensor.Mat {
 	if q.Rows != s.P.S {
 		panic(fmt.Sprintf("attention: %d query rows for a %d-row pattern", q.Rows, s.P.S))
 	}
-	for _, j := range s.P.ColIdx {
-		if j < 0 || int(j) >= k.Rows {
-			panic(fmt.Sprintf("attention: pattern column %d out of range of %d keys", j, k.Rows))
-		}
+	ix := s.P.Index()
+	if j := ix.MaxCol(); j >= k.Rows {
+		panic(fmt.Sprintf("attention: pattern column %d out of range of %d keys", j, k.Rows))
 	}
 	s.q, s.k, s.v = q, k, v
 	scale := scaleFor(q.Cols)
-	nnz := s.P.NNZ()
-	s.probs = s.ws.GetUninit(1, nnz).Data // every entry is scored below
+	rp := s.P.RowPtr
+	s.probs = s.ws.GetUninit(1, s.P.NNZ()).Data // every entry is scored below
+	sh := s.ws.GetUninit(1, q.Rows)
+	defer s.ws.Put(sh)
 	o := s.ws.Get(q.Rows, v.Cols)
-	// a worker's rows take their scores, then their softmax and output: one
-	// pass over K, then one over V
+	// a worker's rows in one block: their scores (one pass over K), the
+	// softmax of each row — SoftmaxInPlace's steps, the exponentials of all
+	// the rows in one call — then the output (one pass over V)
 	tensor.ParallelFor(q.Rows, func(lo, hi int) {
+		e0, e1 := rp[lo], rp[hi]
+		tensor.CSRDots(s.probs, q, ix, lo, hi, k)
+		scaleScores(s.probs[e0:e1], scale, s.bias, int(e0))
 		for i := lo; i < hi; i++ {
-			e0, e1 := s.P.RowPtr[i], s.P.RowPtr[i+1]
-			row := s.probs[e0:e1]
-			tensor.GatherDots(row, q.Row(i), k, s.P.ColIdx[e0:e1])
-			scaleScores(row, scale, s.bias, int(e0))
-		}
-		for i := lo; i < hi; i++ {
-			e0, e1 := s.P.RowPtr[i], s.P.RowPtr[i+1]
-			if e0 == e1 {
-				continue
+			if row := s.probs[rp[i]:rp[i+1]]; len(row) > 0 {
+				sh.Data[i] = -rowMax(row[0], row[1:])
 			}
-			row := s.probs[e0:e1]
-			tensor.SoftmaxInPlace(row)
-			tensor.GatherWeightedRowSum(o.Row(i), v, row, s.P.ColIdx[e0:e1], false)
 		}
+		tensor.CSRExp(s.probs, s.probs, ix, lo, hi, sh.Data, noCut)
+		for i := lo; i < hi; i++ {
+			if row := s.probs[rp[i]:rp[i+1]]; len(row) > 0 {
+				scaleRow(row, float32(1/rowSum(0, row)))
+			}
+		}
+		tensor.CSRAccum(o, ix, lo, hi, s.probs, v)
 	})
 	s.o = o
 	return o
@@ -106,8 +108,9 @@ func (s *Sparse) Backward(dO *tensor.Mat) (dq, dk, dv *tensor.Mat) {
 	if q.Rows != k.Rows {
 		panic(fmt.Sprintf("attention: sparse backward needs as many queries as keys (%d vs %d)", q.Rows, k.Rows))
 	}
-	t := s.P.Transpose()
+	ix, t := s.P.Index(), s.P.Transpose()
 	scale := scaleFor(q.Cols)
+	rp := s.P.RowPtr
 	nnz := s.P.NNZ()
 	s.ds = s.ws.GetUninit(1, nnz).Data // every entry takes its dp below
 	dq = s.ws.Get(q.Rows, q.Cols)
@@ -122,30 +125,22 @@ func (s *Sparse) Backward(dO *tensor.Mat) (dq, dk, dv *tensor.Mat) {
 	// dk (over Q), then dv (over dO) — one matrix per pass over a worker's
 	// rows or columns
 	tensor.ParallelFor(q.Rows, func(lo, hi int) {
+		e0, e1 := rp[lo], rp[hi]
+		tensor.CSRDots(s.ds, dO, ix, lo, hi, v) // dp per entry, held in ds
 		for i := lo; i < hi; i++ {
-			e0, e1 := s.P.RowPtr[i], s.P.RowPtr[i+1]
-			ds, p, wqi := s.ds[e0:e1], s.probs[e0:e1], wq[e0:e1]
-			// dp per entry (held in ds), then softmax backward within the row
-			tensor.GatherDots(ds, dO.Row(i), v, s.P.ColIdx[e0:e1])
-			softmaxGrad(ds, p, weightedSum(0, ds, p), scale, wqi)
-			for x, at := range t.Pos[e0:e1] {
-				wk[at], wv[at] = wqi[x], p[x]
-			}
+			a, b := rp[i], rp[i+1]
+			ds, p := s.ds[a:b], s.probs[a:b]
+			softmaxGrad(ds, p, weightedSum(0, ds, p), scale, wq[a:b])
 		}
-		for i := lo; i < hi; i++ {
-			e0, e1 := s.P.RowPtr[i], s.P.RowPtr[i+1]
-			tensor.GatherWeightedRowSum(dq.Row(i), k, wq[e0:e1], s.P.ColIdx[e0:e1], false)
+		for e := e0; e < e1; e++ {
+			at := t.Pos[e]
+			wk[at], wv[at] = wq[e], s.probs[e]
 		}
+		tensor.CSRAccum(dq, ix, lo, hi, wq, k)
 	})
 	tensor.ParallelFor(k.Rows, func(lo, hi int) {
-		for j := lo; j < hi; j++ {
-			x0, x1 := t.ColPtr[j], t.ColPtr[j+1]
-			tensor.GatherWeightedRowSum(dk.Row(j), q, wk[x0:x1], t.RowIdx[x0:x1], false)
-		}
-		for j := lo; j < hi; j++ {
-			x0, x1 := t.ColPtr[j], t.ColPtr[j+1]
-			tensor.GatherWeightedRowSum(dv.Row(j), dO, wv[x0:x1], t.RowIdx[x0:x1], false)
-		}
+		tensor.CSRAccum(dk, t.Index, lo, hi, wk, q)
+		tensor.CSRAccum(dv, t.Index, lo, hi, wv, dO)
 	})
 	if s.bias != nil {
 		s.biasGrad = s.ws.GetUninit(1, nnz).Data
@@ -157,9 +152,39 @@ func (s *Sparse) Backward(dO *tensor.Mat) (dq, dk, dv *tensor.Mat) {
 }
 
 // The per-row steps the sparse kernels share. Each spells out the scalar
-// sequence the kernels ran pair by pair — Dot, Axpy — so moving it onto the
-// indexed-row kernels moves no bit; every product that feeds an add is
-// written float32(x*y), so no compiler may fuse the two into one rounding.
+// sequence the kernels ran row by row — SoftmaxInPlace, Dot, Axpy — so
+// moving a row's calls into row blocks moves no bit; every product that
+// feeds an add is written float32(x*y), so no compiler may fuse the two into
+// one rounding.
+
+// noCut exponentiates every entry: SoftmaxInPlace's softmax has no cutoff.
+var noCut = float32(math.Inf(-1))
+
+// rowMax continues mx with every s in row that is greater — `>`, so the
+// first of equals wins and a NaN never does.
+func rowMax(mx float32, row []float32) float32 {
+	for _, s := range row {
+		if s > mx {
+			mx = s
+		}
+	}
+	return mx
+}
+
+// rowSum continues sum with row's elements in order, in float64.
+func rowSum(sum float64, row []float32) float64 {
+	for _, e := range row {
+		sum += float64(e)
+	}
+	return sum
+}
+
+// scaleRow multiplies row by inv.
+func scaleRow(row []float32, inv float32) {
+	for x := range row {
+		row[x] *= inv
+	}
+}
 
 // scaleScores turns a row of raw dots into scores, dot·scale + bias[e0+x]
 // (no bias when bias is nil).

@@ -94,7 +94,7 @@ func (m *GCN) Backward(dLogits *tensor.Mat) {
 	ws := m.rt.workspace(0)
 	dh := m.A.apply(ws, m.L2.Backward(dLogits)) // Â symmetric
 	dh = m.Drop.Backward(dh)
-	m.L1.Backward(m.Act.Backward(dh))
+	m.L1.BackwardParams(m.Act.Backward(dh))
 }
 
 // GAT is a 2-layer graph attention baseline. As documented in DESIGN.md it
@@ -161,9 +161,9 @@ func (m *GAT) Backward(dLogits *tensor.Mat) {
 	tensor.AddInPlace(dh, m.WV2.Backward(dv2))
 	dh = m.Act.Backward(dh)
 	dq1, dk1, dv1 := m.att1.Backward(dh)
-	m.WQ1.Backward(dq1)
-	m.WK1.Backward(dk1)
-	m.WV1.Backward(dv1)
+	m.WQ1.BackwardParams(dq1)
+	m.WK1.BackwardParams(dk1)
+	m.WV1.BackwardParams(dv1)
 }
 
 // GCNGraph is a graph-level GCN baseline (Table I's ZINC column): two GCN
@@ -221,5 +221,5 @@ func (m *GCNGraph) Backward(dOut *tensor.Mat) {
 	}
 	dh = m.a.apply(ws, m.L2.Backward(dh))
 	dh = m.Act.Backward(dh)
-	m.L1.Backward(dh)
+	m.L1.BackwardParams(dh)
 }

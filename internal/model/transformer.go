@@ -363,13 +363,13 @@ func (g *GraphTransformer) Backward(dLogits *tensor.Mat) {
 		dh = dh.SliceRows(1, g.numToken)
 	}
 	if g.LapProj != nil {
-		g.LapProj.Backward(dh)
+		g.LapProj.BackwardParams(dh)
 	}
 	if g.DegIn != nil {
 		g.DegIn.Backward(dh)
 		g.DegOut.Backward(dh)
 	}
-	g.InProj.Backward(dh)
+	g.InProj.BackwardParams(dh)
 	g.Plan().finishBackward(g)
 }
 

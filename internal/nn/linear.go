@@ -88,15 +88,22 @@ func (l *Linear) accumWeightGrad(x, dy *tensor.Mat) {
 
 // Backward accumulates dW, db and returns dX.
 func (l *Linear) Backward(dy *tensor.Mat) *tensor.Mat {
+	l.BackwardParams(dy)
+	dx := tensor.New(dy.Rows, l.In)
+	tensor.MatMulT(dx, dy, l.W.W)
+	return dx
+}
+
+// BackwardParams accumulates dW and db as Backward does and computes no dX:
+// the backward of a layer that reads the model's input, whose gradient
+// nothing consumes.
+func (l *Linear) BackwardParams(dy *tensor.Mat) {
 	l.accumWeightGrad(l.x, dy)
 	if l.B != nil {
 		chainContinue(l.chain, l.B.Grad.Data)
 		tensor.ColSum(l.B.Grad.Data, dy)
 		chainPass(l.chain, l.B.Grad.Data)
 	}
-	dx := tensor.New(dy.Rows, l.In)
-	tensor.MatMulT(dx, dy, l.W.W)
-	return dx
 }
 
 // ForwardGELU computes Y = GELU(X·W + b) with the bias add and activation

@@ -58,6 +58,32 @@ func TestLinearGradCheck(t *testing.T) {
 	fdCheck(t, "linear.x", x, dx, loss, 1e-2)
 }
 
+// TestLinearBackwardParamsMatchesBackward: the parameter-only backward of a
+// first layer accumulates the same gradients, bit for bit, as Backward.
+func TestLinearBackwardParamsMatchesBackward(t *testing.T) {
+	for _, bias := range []bool{false, true} {
+		rng := rand.New(rand.NewSource(3))
+		a := NewLinear("a", 12, 8, bias, rng)
+		b := NewLinear("b", 12, 8, bias, rand.New(rand.NewSource(3)))
+		x, dy := tensor.New(9, 12), tensor.New(9, 8)
+		tensor.RandN(x, rng, 1)
+		tensor.RandN(dy, rng, 1)
+		for step := 0; step < 2; step++ { // the second step accumulates onto the first
+			a.Forward(x)
+			b.Forward(x)
+			a.Backward(dy)
+			b.BackwardParams(dy)
+		}
+		for i, p := range a.Params() {
+			for j, g := range p.Grad.Data {
+				if math.Float32bits(g) != math.Float32bits(b.Params()[i].Grad.Data[j]) {
+					t.Fatalf("bias=%v: %s grad[%d] = %v, want %v", bias, p.Name, j, b.Params()[i].Grad.Data[j], g)
+				}
+			}
+		}
+	}
+}
+
 func TestLinearNoBias(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	l := NewLinear("l", 3, 2, false, rng)

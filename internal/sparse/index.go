@@ -1,27 +1,45 @@
 package sparse
 
-import "sync"
+import (
+	"sync"
+
+	"torchgt/internal/tensor"
+)
 
 // The kernel indexes of a pattern: what the sparse attention kernels look
 // up on every step but that depends only on the pattern. Each is built on
 // first use, once per Pattern or Reformed, and shared read-only by every
 // head, layer and rank that attends over it — so a pattern must not change
-// after its first Transpose or Coverage call.
+// after its first Index, Transpose or Coverage call. The tensor.CSR forms
+// are validated when they are built and hold their own copies: the kernels
+// check a matrix against their recorded largest index in O(1) per call, and
+// the assembly under them never sees an index that was not checked.
 
 // CSC is the transpose of a square pattern: the entries of column j, in
 // ascending row order, are positions [ColPtr[j], ColPtr[j+1]); RowIdx holds
 // their rows, and Pos[e] is the position of the pattern's CSR entry e.
+// Index is the same index validated, columns as its rows.
 type CSC struct {
 	ColPtr []int32
 	RowIdx []int32
 	Pos    []int32
+	Index  *tensor.CSR
 }
 
 // indexes holds a Pattern's or Reformed's lazily built kernel indexes.
 type indexes struct {
-	once sync.Once
-	csc  *CSC
-	cov  *Coverage
+	csrOnce sync.Once
+	csr     *tensor.CSR
+	once    sync.Once
+	csc     *CSC
+	cov     *Coverage
+}
+
+// Index returns the pattern's rows as a validated tensor.CSR, building it
+// on first use.
+func (p *Pattern) Index() *tensor.CSR {
+	p.idx.csrOnce.Do(func() { p.idx.csr = tensor.NewCSR(p.RowPtr, p.ColIdx) })
+	return p.idx.csr
 }
 
 // Transpose returns the pattern's CSC index, building it on first use.
@@ -51,23 +69,24 @@ func buildCSC(p *Pattern) *CSC {
 			next[j]++
 		}
 	}
+	c.Index = tensor.NewCSR(c.ColPtr, c.RowIdx)
 	return c
 }
 
-// BlockRef locates one row (or column) of one sub-block: Blocks[Block], at
-// offset Off from its Row0 (or Col0).
+// BlockRef locates one row of one sub-block: Blocks[Block], at offset Off
+// from its Row0.
 type BlockRef struct {
 	Block int32
 	Off   int32
 }
 
 // Coverage indexes a Reformed layout's sub-blocks by the sequence positions
-// they cover: Rows[i] lists the blocks with a row at position i, Cols[j]
-// those with a column at position j, in block order. Seq is 0, 1, …, S−1, so
-// Seq[a:b] names the contiguous positions [a, b) to an indexed kernel.
+// they cover: Rows[i] lists the blocks with a row at position i, in block
+// order. Tile is the Db×Db rectangle of one sub-block's cells, row-major, as
+// a validated CSR.
 type Coverage struct {
-	Rows, Cols [][]BlockRef
-	Seq        []int32
+	Rows [][]BlockRef
+	Tile *tensor.CSR
 }
 
 // Coverage returns the layout's block coverage index, building it on first
@@ -78,18 +97,12 @@ func (r *Reformed) Coverage() *Coverage {
 }
 
 func buildCoverage(r *Reformed) *Coverage {
-	c := &Coverage{Rows: make([][]BlockRef, r.S), Cols: make([][]BlockRef, r.S), Seq: make([]int32, r.S)}
-	for i := range c.Seq {
-		c.Seq[i] = int32(i)
-	}
+	c := &Coverage{Rows: make([][]BlockRef, r.S), Tile: tensor.DenseCSR(r.Db, r.Db)}
 	db := int32(r.Db)
 	for b, blk := range r.Blocks {
 		for off := int32(0); off < db; off++ {
 			if ri := blk.Row0 + off; ri < int32(r.S) {
 				c.Rows[ri] = append(c.Rows[ri], BlockRef{int32(b), off})
-			}
-			if ci := blk.Col0 + off; ci < int32(r.S) {
-				c.Cols[ci] = append(c.Cols[ci], BlockRef{int32(b), off})
 			}
 		}
 	}

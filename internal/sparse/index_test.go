@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"torchgt/internal/graph"
+	"torchgt/internal/tensor"
 )
 
 // TestIndexesSharedAcrossGoroutines: heads, layers and ranks ask for a
@@ -23,18 +24,18 @@ func TestIndexesSharedAcrossGoroutines(t *testing.T) {
 	}
 	r := &Reformed{S: s, Db: 4, Keep: FromPairs(s, pairs), Blocks: []SubBlock{{Row0: 0, Col0: 8}, {Row0: 2, Col0: 8}, {Row0: 38, Col0: 36}}}
 	const n = 8
-	cscs, covs := make([]*CSC, n), make([]*Coverage, n)
+	cscs, covs, csrs := make([]*CSC, n), make([]*Coverage, n), make([]*tensor.CSR, n)
 	var wg sync.WaitGroup
 	for g := 0; g < n; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			cscs[g], covs[g] = r.Keep.Transpose(), r.Coverage()
+			cscs[g], covs[g], csrs[g] = r.Keep.Transpose(), r.Coverage(), r.Keep.Index()
 		}()
 	}
 	wg.Wait()
 	for g := 1; g < n; g++ {
-		if cscs[g] != cscs[0] || covs[g] != covs[0] {
+		if cscs[g] != cscs[0] || covs[g] != covs[0] || csrs[g] != csrs[0] {
 			t.Fatal("callers got different indexes: built more than once")
 		}
 	}
@@ -65,20 +66,20 @@ func TestIndexesSharedAcrossGoroutines(t *testing.T) {
 
 	cov := covs[0]
 	for i := 0; i < s; i++ {
-		var want, wantCols []BlockRef
+		var want []BlockRef
 		for b, blk := range r.Blocks {
 			if off := int32(i) - blk.Row0; off >= 0 && off < 4 {
 				want = append(want, BlockRef{int32(b), off})
 			}
-			if off := int32(i) - blk.Col0; off >= 0 && off < 4 {
-				wantCols = append(wantCols, BlockRef{int32(b), off})
-			}
 		}
-		if !slices.Equal(cov.Rows[i], want) || !slices.Equal(cov.Cols[i], wantCols) {
-			t.Fatalf("position %d: coverage rows %v cols %v, want %v %v", i, cov.Rows[i], cov.Cols[i], want, wantCols)
+		if !slices.Equal(cov.Rows[i], want) {
+			t.Fatalf("position %d: coverage rows %v, want %v", i, cov.Rows[i], want)
 		}
-		if cov.Seq[i] != int32(i) {
-			t.Fatalf("Seq[%d] = %d", i, cov.Seq[i])
-		}
+	}
+	if tile := cov.Tile; tile.Rows() != r.Db || tile.NNZ() != r.Db*r.Db {
+		t.Fatalf("tile index %d rows, %d entries; want %d, %d", tile.Rows(), tile.NNZ(), r.Db, r.Db*r.Db)
+	}
+	if ix := c.Index; ix.Rows() != s || ix.NNZ() != p.NNZ() {
+		t.Fatalf("transpose index %d rows, %d entries; want %d, %d", ix.Rows(), ix.NNZ(), s, p.NNZ())
 	}
 }

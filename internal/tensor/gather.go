@@ -2,9 +2,9 @@ package tensor
 
 import "fmt"
 
-// Indexed-row kernels: the per-pair inner loops of the sparse attention
-// family, where the rows one query meets are named by an index list instead
-// of lying next to each other. Each output element gets exactly the
+// Indexed-row kernels: one row's per-pair inner loop of the sparse
+// attention family, where the rows one query meets are named by an index
+// list instead of lying next to each other (csr.go takes many rows a call). Each output element gets exactly the
 // products and adds, in exactly the order, of the plain Dot/Axpy sequence
 // the comment on each function spells out, so a caller can move from that
 // sequence to one call without moving a bit. The AVX2 micro-kernels

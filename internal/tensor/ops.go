@@ -91,9 +91,9 @@ func SoftmaxInPlace(row []float32) {
 }
 
 // ExpCut computes dst[i] = float32(math.Exp(float64(src[i]+shift))), and
-// exactly 0 where src[i]+shift <= cut: the exp pass of a softmax whose row
-// lies in several slices (ClusterSparse), with the caller's underflow cutoff.
-// dst and src must have equal length (dst may alias src).
+// exactly 0 where src[i]+shift <= cut: the exp pass of one softmax row with
+// the caller's underflow cutoff — CSRExp over one row. dst and src must have
+// equal length (dst may alias src).
 func ExpCut(dst, src []float32, shift, cut float32) {
 	if len(dst) != len(src) {
 		panic("tensor: ExpCut length mismatch")

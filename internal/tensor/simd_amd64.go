@@ -9,7 +9,8 @@ import (
 // detection and the bounds-checked wrappers kernels.go calls for the columns
 // simdCols reports and vmath.go for the elements mathLanes reports. The
 // assembly trusts its arguments, so every extent it will touch is checked
-// here first, once per call.
+// here first, once per call — in O(1) where an index list comes from a
+// tensor.CSR, whose recorded largest index was checked when it was built.
 
 //go:noescape
 func accumAVX2(c, a *float32, aStride uintptr, b *float32, ldb, k, n, mode uintptr)
@@ -18,10 +19,16 @@ func accumAVX2(c, a *float32, aStride uintptr, b *float32, ldb, k, n, mode uintp
 func dotColsAVX2(dst, x *float32, k uintptr, bt *float32, ldbt, n uintptr)
 
 //go:noescape
-func gatherDotsAVX2(dst, x *float32, k uintptr, m *float32, off *uintptr, n uintptr)
+func pairDotsAVX2(dst, a *float32, lda uintptr, ai *int32, b *float32, ldb uintptr, bi *int32, n, k uintptr)
 
 //go:noescape
-func gatherAccumAVX2(acc, m *float32, ldm uintptr, w *float32, idx *int32, k, n, keep uintptr)
+func tileDotsAVX2(dst *float32, ldd uintptr, x *float32, ldx uintptr, mT *float32, nr, nb, k uintptr)
+
+//go:noescape
+func tileAccumAVX2(acc *float32, ldacc uintptr, w *float32, ldwr, ldwc uintptr, m *float32, ldm uintptr, nr, nc, k, keep uintptr)
+
+//go:noescape
+func csrAccumAVX2(acc *float32, ldacc uintptr, m *float32, ldm uintptr, w *float32, idx *int32, ptr *int32, rows, k, keep uintptr)
 
 //go:noescape
 func flashDotsAVX2(dst, xT, m *float32, ldm, n, dh uintptr, scale float32, mode uintptr, a, b *float32)
@@ -34,6 +41,9 @@ func flashScatterAVX2(m *float32, ldm uintptr, w, x *float32, ldx, nr, n, cols u
 
 //go:noescape
 func expLanesAVX2(dst, src *float32, n uintptr, shift, cut float32) uintptr
+
+//go:noescape
+func expSegAVX2(dst, src *float32, n uintptr, row *int32, shift *float32, cut float32) uintptr
 
 //go:noescape
 func geluAVX2(y, u, bias *float32, n uintptr)
@@ -101,8 +111,8 @@ func dotCols(dst, x, bt []float32, ld int) {
 
 // checkGatherRows checks that no index in idx is negative and that row r of
 // an ld-strided matrix m has n elements for every listed r — the extent the
-// gather micro-kernels will touch.
-func checkGatherRows(m []float32, ld, n int, idx []int32) {
+// gather micro-kernels will touch — and returns the largest index.
+func checkGatherRows(m []float32, ld, n int, idx []int32) int {
 	var hi uint32 // a negative index reads as one above 2³¹
 	for _, r := range idx {
 		hi = max(hi, uint32(r))
@@ -110,49 +120,36 @@ func checkGatherRows(m []float32, ld, n int, idx []int32) {
 	if len(idx) > 0 && int(hi)*ld+n > len(m) {
 		panic(fmt.Sprintf("tensor: row index %d out of range of %d rows", int32(hi), len(m)/ld))
 	}
+	return int(hi)
 }
 
 // gatherDotCols computes dst[e] = the first len(x) columns (a multiple of 8)
-// of Dot(x, row idx[e] of m), rows ld elements apart. The micro-kernel takes
-// its rows as byte offsets, computed here 64 entries at a time; it works in
-// groups of eight and four entries, so a last one to three are padded with
-// a copy of the one before and written through a stack buffer.
+// of Dot(x, row idx[e] of m), rows ld elements apart: pairDots with the x
+// side held on one row (its stride 0), the last one to three entries by
+// Dot's loop.
 func gatherDotCols(dst, x, m []float32, ld int, idx []int32) {
 	if len(idx) == 0 {
 		return
 	}
 	_ = dst[len(idx)-1]
-	checkGatherRows(m, ld, len(x), idx)
-	if len(x) == 0 {
+	hi := checkGatherRows(m, ld, len(x), idx)
+	k, n4 := len(x), len(idx)&^3
+	if k == 0 {
 		clear(dst[:len(idx)])
 		return
 	}
-	var off [64]uintptr
-	for len(idx) > 0 {
-		n := min(len(idx), len(off))
-		for e, r := range idx[:n] {
-			off[e] = uintptr(r) * uintptr(ld) * 4
-		}
-		n4 := (n + 3) &^ 3
-		if n4 == n {
-			gatherDotsAVX2(unsafe.SliceData(dst), unsafe.SliceData(x), uintptr(len(x)),
-				unsafe.SliceData(m), &off[0], uintptr(n))
-		} else {
-			for e := n; e < n4; e++ {
-				off[e] = off[n-1]
-			}
-			var pd [len(off)]float32
-			gatherDotsAVX2(&pd[0], unsafe.SliceData(x), uintptr(len(x)),
-				unsafe.SliceData(m), &off[0], uintptr(n4))
-			copy(dst[:n], pd[:n])
-		}
-		dst, idx = dst[n:], idx[n:]
+	if n4 > 0 {
+		pairDots(dst, x, 0, idx[:n4], 0, m, ld, idx[:n4], hi, k)
+	}
+	for e := n4; e < len(idx); e++ {
+		r := int(idx[e]) * ld
+		dst[e] = Dot(x, m[r:r+k])
 	}
 }
 
 // gatherAccumCols adds w[e]·(row idx[e] of m) to acc for e ascending over
 // len(acc) columns (a multiple of 8), rows ld elements apart; with skipZero
-// a ±0 weight's term is left out.
+// a ±0 weight's term is left out. It is csrAccum over one row.
 func gatherAccumCols(acc, m []float32, ld int, w []float32, idx []int32, skipZero bool) {
 	if len(w) == 0 {
 		return
@@ -166,8 +163,102 @@ func gatherAccumCols(acc, m []float32, ld int, w []float32, idx []int32, skipZer
 	if skipZero {
 		keep = 0
 	}
-	gatherAccumAVX2(unsafe.SliceData(acc), unsafe.SliceData(m), uintptr(ld), unsafe.SliceData(w),
-		unsafe.SliceData(idx), uintptr(len(w)), uintptr(len(acc)), keep)
+	ptr := [2]int32{0, int32(len(w))}
+	csrAccumAVX2(unsafe.SliceData(acc), 0, unsafe.SliceData(m), uintptr(ld), unsafe.SliceData(w),
+		unsafe.SliceData(idx), &ptr[0], 1, uintptr(len(acc)), keep)
+}
+
+// pairDots computes dst[e] = the first k columns (a multiple of 8) of
+// Dot(row ai[e] of a, row bi[e] of b) for len(ai) entries (a positive
+// multiple of 4), rows lda and ldb elements apart. The indexes come from a
+// validated CSR and no index in ai exceeds maxA, none in bi maxB, so the
+// extent the micro-kernel touches is checked here in O(1).
+func pairDots(dst, a []float32, lda int, ai []int32, maxA int, b []float32, ldb int, bi []int32, maxB int, k int) {
+	n := len(ai)
+	if n == 0 || n%4 != 0 || k == 0 || k%8 != 0 {
+		panic(fmt.Sprintf("tensor: pairDots over %d entries and %d columns", n, k))
+	}
+	_, _ = dst[n-1], bi[n-1]
+	_, _ = a[maxA*lda+k-1], b[maxB*ldb+k-1]
+	pairDotsAVX2(unsafe.SliceData(dst), unsafe.SliceData(a), uintptr(lda), unsafe.SliceData(ai),
+		unsafe.SliceData(b), uintptr(ldb), unsafe.SliceData(bi), uintptr(n), uintptr(k))
+}
+
+// csrAccum adds w[e]·(row idx[e] of m) to row t of acc (rows ldacc apart)
+// for every e in [ptr[t], ptr[t+1]), t < len(ptr)−1, over the first k
+// columns (a positive multiple of 8); with keep false a ±0 weight's term is
+// left out. ptr is a validated CSR's, non-decreasing, and no index exceeds
+// maxIdx, so the extent the micro-kernel touches is checked here in O(1).
+func csrAccum(acc []float32, ldacc int, m []float32, ldm int, w []float32, idx, ptr []int32, maxIdx, k int, keep bool) {
+	rows := len(ptr) - 1
+	if rows < 1 || k == 0 || k%8 != 0 {
+		panic(fmt.Sprintf("tensor: csrAccum over %d rows and %d columns", rows, k))
+	}
+	_ = acc[(rows-1)*ldacc+k-1]
+	if e0, e1 := ptr[0], ptr[rows]; e1 > e0 {
+		_, _ = w[e0:e1], idx[e0:e1]
+		_ = m[maxIdx*ldm+k-1]
+	}
+	kp := uintptr(0)
+	if keep {
+		kp = 1
+	}
+	csrAccumAVX2(unsafe.SliceData(acc), uintptr(ldacc), unsafe.SliceData(m), uintptr(ldm), unsafe.SliceData(w),
+		unsafe.SliceData(idx), unsafe.SliceData(ptr), uintptr(rows), uintptr(k), kp)
+}
+
+// tileAccum adds w[r·ldwr+c·ldwc]·(row c of m) to row r of acc for r < nr
+// and c ascending below nc, over the first k columns (a positive multiple of
+// 8), rows ldacc and ldm elements apart; with keep false a ±0 weight's term
+// is left out.
+func tileAccum(acc []float32, ldacc int, w []float32, ldwr, ldwc int, m []float32, ldm, nr, nc, k int, keep bool) {
+	if nr < 1 || nc < 0 || ldwr < 0 || ldwc < 0 || k == 0 || k%8 != 0 {
+		panic(fmt.Sprintf("tensor: tileAccum %dx%d over %d columns, weights %d and %d apart", nr, nc, k, ldwr, ldwc))
+	}
+	_ = acc[(nr-1)*ldacc+k-1]
+	if nc > 0 {
+		_ = w[(nr-1)*ldwr+(nc-1)*ldwc]
+		_ = m[(nc-1)*ldm+k-1]
+	}
+	kp := uintptr(0)
+	if keep {
+		kp = 1
+	}
+	tileAccumAVX2(unsafe.SliceData(acc), uintptr(ldacc), unsafe.SliceData(w), uintptr(ldwr), uintptr(ldwc),
+		unsafe.SliceData(m), uintptr(ldm), uintptr(nr), uintptr(nc), uintptr(k), kp)
+}
+
+// tileDots computes dst[r·ld+c] = the first k columns (a multiple of 8) of
+// Dot(row r of x, row c of m) for r < nr and c < nc (a positive multiple of
+// 8), rows ldx and ldm elements apart. It transposes the keys eight at a
+// time, one per lane, as many blocks of them per call as fit a stack
+// buffer, and every row of the tile goes through them.
+func tileDots(dst []float32, ld int, x []float32, ldx, nr int, m []float32, ldm, nc, k int) {
+	if nr < 1 || nc == 0 || nc%8 != 0 || nc > ld || k == 0 || k%8 != 0 {
+		panic(fmt.Sprintf("tensor: tileDots %dx%d over %d columns, ld=%d", nr, nc, k, ld))
+	}
+	_ = dst[(nr-1)*ld+nc-1]
+	_ = x[(nr-1)*ldx+k-1]
+	_ = m[(nc-1)*ldm+k-1]
+	var stack [1024]float32
+	mT := stack[:]
+	if 8*k > len(mT) {
+		mT = make([]float32, 8*k)
+	}
+	per := len(mT) / (8 * k) // key blocks per call
+	for b0 := 0; b0 < nc/8; b0 += per {
+		nb := min(per, nc/8-b0)
+		for b := range nb {
+			for l := range 8 {
+				key := (b0+b)*8 + l
+				for i, v := range m[key*ldm : key*ldm+k] {
+					mT[(b*k+i)*8+l] = v
+				}
+			}
+		}
+		tileDotsAVX2(&dst[b0*8], uintptr(ld), unsafe.SliceData(x), uintptr(ldx), unsafe.SliceData(mT),
+			uintptr(nr), uintptr(nb), uintptr(k))
+	}
 }
 
 // flashDots is flashDotsGo over n keys whose rows of m lie ldm elements
@@ -238,6 +329,18 @@ func expLanes(dst, src []float32, shift, cut float32) int {
 	}
 	_ = dst[len(src)-1]
 	return int(expLanesAVX2(unsafe.SliceData(dst), unsafe.SliceData(src), uintptr(len(src)), shift, cut))
+}
+
+// expSeg is expLanes with element i shifted by shift[row[i]]; no row index
+// exceeds maxRow.
+func expSeg(dst, src []float32, row []int32, maxRow int, shift []float32, cut float32) int {
+	if len(src) == 0 {
+		return 0
+	}
+	_, _ = dst[len(src)-1], row[len(src)-1]
+	_ = shift[maxRow]
+	return int(expSegAVX2(unsafe.SliceData(dst), unsafe.SliceData(src), uintptr(len(src)),
+		unsafe.SliceData(row), unsafe.SliceData(shift), cut))
 }
 
 // geluLanes is geluRow over len(u) elements (a multiple of 4).

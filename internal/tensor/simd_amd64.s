@@ -332,12 +332,6 @@ dotdone:
 	VZEROUPPER
 	RET
 
-// ROWPROD multiplies x's eight columns (Y15) by the same eight columns of the
-// row whose byte offset from BX is the uintptr at off(R10).
-#define ROWPROD(off, dst) \
-	MOVQ off(R10), AX; \
-	VMULPS (BX)(AX*1), Y15, dst
-
 // GROUP4 turns the product vectors of four entries a, b, c, d (eight columns
 // each) into g = [Σa0…3 Σb0…3 Σc0…3 Σd0…3 | Σa4…7 Σb4…7 Σc4…7 Σd4…7], each Σ
 // Dot's group ((p0+p1)+p2)+p3: a 4×4 transpose inside each 128-bit half puts
@@ -356,50 +350,359 @@ dotdone:
 	VSHUFPS $0xEE, Y8, Y6, Y6; \
 	VADDPS Y6, g, g
 
-// func gatherDotsAVX2(dst, x *float32, k uintptr, m *float32, off *uintptr, n uintptr)
+// GTERM adds one entry's term to acc: Y8 (its broadcast weight) times eight
+// columns of its row at off(CX), rounded into tmp before the add.
+#define GTERM(off, tmp, acc) \
+	VMULPS off(CX), Y8, tmp; \
+	VADDPS tmp, acc, acc
+
+// func csrAccumAVX2(acc *float32, ldacc uintptr, m *float32, ldm uintptr, w *float32, idx *int32, ptr *int32, rows, k, keep uintptr)
 //
-// dst[e] = Dot(x[0:k], the k floats off[e] bytes into m) for e in [0,n), n a
-// positive multiple of 4 and k a positive multiple of 8. Each lane of a running sum
-// is one entry, and dst holds the sums between column blocks: per eight
-// columns (outer loop) and group of eight entries (inner loop), GROUP4 forms
-// the four-term groups of the first and second four columns for entries 0–3
-// and 4–7, VPERM2F128 regroups them into one register per column half, and
-// they are added to the group's sum in column order — s += g0; s += g1 —
-// which is Dot's sequence, group by group. A last group of four runs the
-// same steps on one GROUP4 and 128-bit sums. Sums start from +0. Column
-// blocks outside, groups inside: the groups' sums are independent chains
-// the CPU can overlap, where one group's pass over all its columns would be
-// one long chain of dependent adds.
-TEXT ·gatherDotsAVX2(SB), NOSPLIT, $0-48
+// For every row t in [0,rows), rows of acc ldacc elements apart:
+// acc[t·ldacc + j] += w[e]·m[idx[e]·ldm + j] for j in [0,k), e ascending
+// over [ptr[t], ptr[t+1]) — accumAVX2's load form with the row named by an
+// index, one row after another in one call. w and idx are indexed by entry
+// position. keep = 0 skips a term whose weight is ±0 (the same test as
+// accumAVX2), keep = 1 keeps every term. Columns go 32, then 8 at a time;
+// rows >= 1.
+TEXT ·csrAccumAVX2(SB), NOSPLIT, $0-80
+	MOVQ acc+0(FP), R8
+	MOVQ ldm+24(FP), R9
+	MOVQ w+32(FP), SI
+	MOVQ idx+40(FP), BX
+	MOVQ ptr+48(FP), R10
+	MOVQ keep+72(FP), R11
+	MOVQ rows+56(FP), R12
+	SHLQ $2, R9
+
+carow:
+	MOVQ R8, DI
+	MOVQ m+16(FP), DX
+	MOVQ k+64(FP), R13
+
+ca32:
+	CMPQ R13, $32
+	JLT  ca8
+	VMOVUPS (DI), Y0
+	VMOVUPS 32(DI), Y1
+	VMOVUPS 64(DI), Y2
+	VMOVUPS 96(DI), Y3
+	MOVLQSX (R10), AX
+	JMP  ca32test
+ca32term:
+	MOVL (SI)(AX*4), CX
+	ORL  R11, CX
+	ADDL CX, CX
+	JZ   ca32next
+	MOVL (BX)(AX*4), CX
+	IMULQ R9, CX
+	ADDQ DX, CX
+	VBROADCASTSS (SI)(AX*4), Y8
+	GTERM(0, Y9, Y0)
+	GTERM(32, Y10, Y1)
+	GTERM(64, Y11, Y2)
+	GTERM(96, Y12, Y3)
+ca32next:
+	INCQ AX
+ca32test:
+	CMPL AX, 4(R10)
+	JLT  ca32term
+	VMOVUPS Y0, (DI)
+	VMOVUPS Y1, 32(DI)
+	VMOVUPS Y2, 64(DI)
+	VMOVUPS Y3, 96(DI)
+	ADDQ $128, DI
+	ADDQ $128, DX
+	SUBQ $32, R13
+	JMP  ca32
+
+ca8:
+	TESTQ R13, R13
+	JZ    canextrow
+	VMOVUPS (DI), Y0
+	MOVLQSX (R10), AX
+	JMP  ca8test
+ca8term:
+	MOVL (SI)(AX*4), CX
+	ORL  R11, CX
+	ADDL CX, CX
+	JZ   ca8next
+	MOVL (BX)(AX*4), CX
+	IMULQ R9, CX
+	ADDQ DX, CX
+	VBROADCASTSS (SI)(AX*4), Y8
+	GTERM(0, Y9, Y0)
+ca8next:
+	INCQ AX
+ca8test:
+	CMPL AX, 4(R10)
+	JLT  ca8term
+	VMOVUPS Y0, (DI)
+	ADDQ $32, DI
+	ADDQ $32, DX
+	SUBQ $8, R13
+	JMP  ca8
+
+canextrow:
+	MOVQ ldacc+8(FP), AX
+	SHLQ $2, AX
+	ADDQ AX, R8
+	ADDQ $4, R10
+	DECQ R12
+	JNZ  carow
+	VZEROUPPER
+	RET
+
+// func tileDotsAVX2(dst *float32, ldd uintptr, x *float32, ldx uintptr, mT *float32, nr, nb, k uintptr)
+//
+// dst[r·ldd + 8b + l] = Dot(row r of x, key 8b+l) over k columns (a
+// positive multiple of 4) for rows r < nr and key blocks b < nb, where mT
+// holds each block of eight keys transposed, one key per lane:
+// mT[(b·k + i)·8 + l] = key(8b+l)[i]. Each lane runs Dot's sequence — per
+// four columns ((p0+p1)+p2)+p3 left to right, added to the running sum
+// from +0 — with the row's column broadcast; the loops' trip counts are the
+// call's, so nothing in it is data-dependent.
+TEXT ·tileDotsAVX2(SB), NOSPLIT, $0-64
 	MOVQ dst+0(FP), DI
-	MOVQ n+40(FP), R11
+	MOVQ ldd+8(FP), R8
+	MOVQ x+16(FP), SI
+	MOVQ ldx+24(FP), R9
+	MOVQ nr+40(FP), R10
+	SHLQ $2, R8
+	SHLQ $2, R9
+tdrow:
+	MOVQ mT+32(FP), BX
+	MOVQ DI, DX
+	MOVQ nb+48(FP), R11
+tdblock:
+	VXORPS Y0, Y0, Y0
+	MOVQ SI, AX
+	MOVQ k+56(FP), R12
+tdgroup:
+	VBROADCASTSS (AX), Y1
+	VMULPS (BX), Y1, Y1
+	VBROADCASTSS 4(AX), Y2
+	VMULPS 32(BX), Y2, Y2
+	VADDPS Y2, Y1, Y1
+	VBROADCASTSS 8(AX), Y2
+	VMULPS 64(BX), Y2, Y2
+	VADDPS Y2, Y1, Y1
+	VBROADCASTSS 12(AX), Y2
+	VMULPS 96(BX), Y2, Y2
+	VADDPS Y2, Y1, Y1
+	VADDPS Y1, Y0, Y0
+	ADDQ $16, AX
+	ADDQ $128, BX
+	SUBQ $4, R12
+	JNZ  tdgroup
+	VMOVUPS Y0, (DX)
+	ADDQ $32, DX
+	DECQ R11
+	JNZ  tdblock
+	ADDQ R8, DI
+	ADDQ R9, SI
+	DECQ R10
+	JNZ  tdrow
+	VZEROUPPER
+	RET
+
+// TTERM adds one tile term to acc: the weight at wsrc, broadcast, times Y8
+// (eight columns of the key's row), rounded into Y9 before the add.
+#define TTERM(wsrc, acc) \
+	VBROADCASTSS wsrc, Y9; \
+	VMULPS Y8, Y9, Y9; \
+	VADDPS Y9, acc, acc
+
+// func tileAccumAVX2(acc *float32, ldacc uintptr, w *float32, ldwr, ldwc uintptr, m *float32, ldm uintptr, nr, nc, k, keep uintptr)
+//
+// acc[r·ldacc + j] += w[r·ldwr + c·ldwc]·m[c·ldm + j] for r in [0,nr), j in
+// [0,k) (a positive multiple of 8) and c ascending over [0,nc): accumAVX2's
+// load form for nr rows at once, the weights of a row ldwc apart (1 for a
+// row-major tile, its width for the transposed one). Four rows go together,
+// one accumulator chain each, sharing every load of m; then single rows.
+// keep = 0 skips a term whose weight is ±0, keep = 1 keeps every term.
+// nr >= 1.
+TEXT ·tileAccumAVX2(SB), NOSPLIT, $0-88
+	MOVQ acc+0(FP), DI
+	MOVQ ldacc+8(FP), R8
+	MOVQ w+16(FP), SI
+	MOVQ ldwr+24(FP), R9
+	MOVQ ldm+48(FP), R10
+	MOVQ nr+56(FP), R12
+	SHLQ $2, R8
+	SHLQ $2, R9
+	SHLQ $2, R10
+	MOVQ ldwc+32(FP), AX // to bytes, in its slot: the term loops add it from there
+	SHLQ $2, AX
+	MOVQ AX, ldwc+32(FP)
+
+ta4rows:
+	CMPQ R12, $4
+	JLT  ta1rows
+	MOVQ m+40(FP), DX
+	MOVQ k+72(FP), R11
+ta4cols:
+	LEAQ (DI)(R8*2), BX
+	VMOVUPS (DI), Y0
+	VMOVUPS (DI)(R8*1), Y1
+	VMOVUPS (BX), Y2
+	VMOVUPS (BX)(R8*1), Y3
+	MOVQ SI, AX
+	LEAQ (SI)(R9*2), BX
+	MOVQ DX, CX
+	MOVQ nc+64(FP), R13
+	TESTQ R13, R13
+	JZ    ta4store
+	CMPQ keep+80(FP), $0
+	JEQ  ta4skip
+ta4keep:
+	VMOVUPS (CX), Y8
+	TTERM((AX), Y0)
+	TTERM((AX)(R9*1), Y1)
+	TTERM((BX), Y2)
+	TTERM((BX)(R9*1), Y3)
+	ADDQ ldwc+32(FP), AX
+	ADDQ ldwc+32(FP), BX
+	ADDQ R10, CX
+	DECQ R13
+	JNZ  ta4keep
+	JMP  ta4store
+ta4skip:
+	VMOVUPS (CX), Y8
+	TESTL $0x7fffffff, (AX)
+	JZ    ta4s1
+	TTERM((AX), Y0)
+ta4s1:
+	TESTL $0x7fffffff, (AX)(R9*1)
+	JZ    ta4s2
+	TTERM((AX)(R9*1), Y1)
+ta4s2:
+	TESTL $0x7fffffff, (BX)
+	JZ    ta4s3
+	TTERM((BX), Y2)
+ta4s3:
+	TESTL $0x7fffffff, (BX)(R9*1)
+	JZ    ta4s4
+	TTERM((BX)(R9*1), Y3)
+ta4s4:
+	ADDQ ldwc+32(FP), AX
+	ADDQ ldwc+32(FP), BX
+	ADDQ R10, CX
+	DECQ R13
+	JNZ  ta4skip
+ta4store:
+	LEAQ (DI)(R8*2), BX
+	VMOVUPS Y0, (DI)
+	VMOVUPS Y1, (DI)(R8*1)
+	VMOVUPS Y2, (BX)
+	VMOVUPS Y3, (BX)(R8*1)
+	ADDQ $32, DI
+	ADDQ $32, DX
+	SUBQ $8, R11
+	JNZ  ta4cols
+	MOVQ k+72(FP), AX
+	SHLQ $2, AX
+	SUBQ AX, DI
+	LEAQ (DI)(R8*4), DI
+	LEAQ (SI)(R9*4), SI
+	SUBQ $4, R12
+	JMP  ta4rows
+
+ta1rows:
+	TESTQ R12, R12
+	JZ    tadone
+	MOVQ m+40(FP), DX
+	MOVQ k+72(FP), R11
+ta1cols:
+	VMOVUPS (DI), Y0
+	MOVQ SI, AX
+	MOVQ DX, CX
+	MOVQ nc+64(FP), R13
+	TESTQ R13, R13
+	JZ    ta1store
+ta1term:
+	CMPQ keep+80(FP), $0
+	JNE  ta1add
+	TESTL $0x7fffffff, (AX)
+	JZ    ta1next
+ta1add:
+	VMOVUPS (CX), Y8
+	TTERM((AX), Y0)
+ta1next:
+	ADDQ ldwc+32(FP), AX
+	ADDQ R10, CX
+	DECQ R13
+	JNZ  ta1term
+ta1store:
+	VMOVUPS Y0, (DI)
+	ADDQ $32, DI
+	ADDQ $32, DX
+	SUBQ $8, R11
+	JNZ  ta1cols
+	MOVQ k+72(FP), AX
+	SHLQ $2, AX
+	SUBQ AX, DI
+	ADDQ R8, DI
+	ADDQ R9, SI
+	DECQ R12
+	JMP  ta1rows
+
+tadone:
+	VZEROUPPER
+	RET
+
+// PAIRPROD multiplies one entry's eight columns of a by the same eight
+// columns of b: the rows named by the int32s at off(R8) and off(R9), lda and
+// ldb bytes apart (R11, R12), from this column block's SI and BX.
+#define PAIRPROD(off, dst) \
+	MOVL off(R8), AX; \
+	IMULQ R11, AX; \
+	VMOVUPS (SI)(AX*1), dst; \
+	MOVL off(R9), AX; \
+	IMULQ R12, AX; \
+	VMULPS (BX)(AX*1), dst, dst
+
+// func pairDotsAVX2(dst, a *float32, lda uintptr, ai *int32, b *float32, ldb uintptr, bi *int32, n, k uintptr)
+//
+// dst[e] = Dot(row ai[e] of a, row bi[e] of b) over k columns for e in
+// [0,n), rows lda and ldb elements apart, n a positive multiple of 4 and k a
+// positive multiple of 8: gatherDotsAVX2 with the x side indexed per entry
+// too — the same column blocks outside, groups of eight entries inside,
+// GROUP4 and the sums in column order, so Dot's sequence per entry.
+TEXT ·pairDotsAVX2(SB), NOSPLIT, $0-72
+	MOVQ dst+0(FP), DI
+	MOVQ n+56(FP), R10
 	VXORPS X0, X0, X0
-gdzero:
+pdzero:
 	VMOVUPS X0, (DI)
 	ADDQ $16, DI
-	SUBQ $4, R11
-	JNZ  gdzero
-	MOVQ x+8(FP), CX
-	MOVQ m+24(FP), BX
-	MOVQ k+16(FP), R12
+	SUBQ $4, R10
+	JNZ  pdzero
+	MOVQ a+8(FP), SI
+	MOVQ lda+16(FP), R11
+	MOVQ b+32(FP), BX
+	MOVQ ldb+40(FP), R12
+	SHLQ $2, R11
+	SHLQ $2, R12
+	MOVQ k+64(FP), R13
 
-gdcols:
-	VMOVUPS (CX), Y15
+pdcols:
 	MOVQ dst+0(FP), DI
-	MOVQ off+32(FP), R10
-	MOVQ n+40(FP), R11
-gdgroup:
-	CMPQ R11, $8
-	JLT  gdfour
-	ROWPROD(0, Y1)
-	ROWPROD(8, Y2)
-	ROWPROD(16, Y3)
-	ROWPROD(24, Y4)
+	MOVQ ai+24(FP), R8
+	MOVQ bi+48(FP), R9
+	MOVQ n+56(FP), R10
+pdgroup:
+	CMPQ R10, $8
+	JLT  pdfour
+	PAIRPROD(0, Y1)
+	PAIRPROD(4, Y2)
+	PAIRPROD(8, Y3)
+	PAIRPROD(12, Y4)
 	GROUP4(Y1, Y2, Y3, Y4, Y9)
-	ROWPROD(32, Y1)
-	ROWPROD(40, Y2)
-	ROWPROD(48, Y3)
-	ROWPROD(56, Y4)
+	PAIRPROD(16, Y1)
+	PAIRPROD(20, Y2)
+	PAIRPROD(24, Y3)
+	PAIRPROD(28, Y4)
 	GROUP4(Y1, Y2, Y3, Y4, Y10)
 	VPERM2F128 $0x20, Y10, Y9, Y11
 	VPERM2F128 $0x31, Y10, Y9, Y12
@@ -408,167 +711,28 @@ gdgroup:
 	VADDPS Y12, Y0, Y0
 	VMOVUPS Y0, (DI)
 	ADDQ $32, DI
-	ADDQ $64, R10
-	SUBQ $8, R11
-	JMP  gdgroup
-gdfour:
-	TESTQ R11, R11
-	JZ    gdnext
-	ROWPROD(0, Y1)
-	ROWPROD(8, Y2)
-	ROWPROD(16, Y3)
-	ROWPROD(24, Y4)
+	ADDQ $32, R8
+	ADDQ $32, R9
+	SUBQ $8, R10
+	JMP  pdgroup
+pdfour:
+	TESTQ R10, R10
+	JZ    pdnext
+	PAIRPROD(0, Y1)
+	PAIRPROD(4, Y2)
+	PAIRPROD(8, Y3)
+	PAIRPROD(12, Y4)
 	GROUP4(Y1, Y2, Y3, Y4, Y9)
 	VEXTRACTF128 $1, Y9, X10
 	VMOVUPS (DI), X0
 	VADDPS X9, X0, X0
 	VADDPS X10, X0, X0
 	VMOVUPS X0, (DI)
-gdnext:
-	ADDQ $32, CX
+pdnext:
+	ADDQ $32, SI
 	ADDQ $32, BX
-	SUBQ $8, R12
-	JNZ  gdcols
+	SUBQ $8, R13
+	JNZ  pdcols
 
-	VZEROUPPER
-	RET
-
-// GTERM adds one entry's term to acc: Y8 (its broadcast weight) times eight
-// columns of its row at off(CX), rounded into tmp before the add.
-#define GTERM(off, tmp, acc) \
-	VMULPS off(CX), Y8, tmp; \
-	VADDPS tmp, acc, acc
-
-// func gatherAccumAVX2(acc, m *float32, ldm uintptr, w *float32, idx *int32, k, n, keep uintptr)
-//
-// acc[j] += w[e]·m[idx[e]·ldm + j] for j in [0,n), e ascending over [0,k):
-// accumAVX2's load form with the row named by an index. keep = 0 skips a
-// term whose weight is ±0 (the same test as accumAVX2), keep = 1 keeps
-// every term.
-TEXT ·gatherAccumAVX2(SB), NOSPLIT, $0-64
-	MOVQ acc+0(FP), DI
-	MOVQ m+8(FP), DX
-	MOVQ ldm+16(FP), R9
-	MOVQ w+24(FP), SI
-	MOVQ idx+32(FP), R8
-	MOVQ n+48(FP), R10
-	MOVQ keep+56(FP), R11
-	SHLQ $2, R9
-
-ga64:
-	CMPQ R10, $64
-	JLT  ga32
-	VMOVUPS (DI), Y0
-	VMOVUPS 32(DI), Y1
-	VMOVUPS 64(DI), Y2
-	VMOVUPS 96(DI), Y3
-	VMOVUPS 128(DI), Y4
-	VMOVUPS 160(DI), Y5
-	VMOVUPS 192(DI), Y6
-	VMOVUPS 224(DI), Y7
-	MOVQ SI, AX
-	MOVQ R8, BX
-	MOVQ k+40(FP), R13
-ga64term:
-	MOVL (AX), CX
-	ORL  R11, CX
-	ADDL CX, CX
-	JZ   ga64next
-	MOVL (BX), CX
-	IMULQ R9, CX
-	ADDQ DX, CX
-	VBROADCASTSS (AX), Y8
-	GTERM(0, Y9, Y0)
-	GTERM(32, Y10, Y1)
-	GTERM(64, Y11, Y2)
-	GTERM(96, Y12, Y3)
-	GTERM(128, Y9, Y4)
-	GTERM(160, Y10, Y5)
-	GTERM(192, Y11, Y6)
-	GTERM(224, Y12, Y7)
-ga64next:
-	ADDQ $4, AX
-	ADDQ $4, BX
-	DECQ R13
-	JNZ  ga64term
-	VMOVUPS Y0, (DI)
-	VMOVUPS Y1, 32(DI)
-	VMOVUPS Y2, 64(DI)
-	VMOVUPS Y3, 96(DI)
-	VMOVUPS Y4, 128(DI)
-	VMOVUPS Y5, 160(DI)
-	VMOVUPS Y6, 192(DI)
-	VMOVUPS Y7, 224(DI)
-	ADDQ $256, DI
-	ADDQ $256, DX
-	SUBQ $64, R10
-	JMP  ga64
-
-ga32:
-	CMPQ R10, $32
-	JLT  ga8
-	VMOVUPS (DI), Y0
-	VMOVUPS 32(DI), Y1
-	VMOVUPS 64(DI), Y2
-	VMOVUPS 96(DI), Y3
-	MOVQ SI, AX
-	MOVQ R8, BX
-	MOVQ k+40(FP), R13
-ga32term:
-	MOVL (AX), CX
-	ORL  R11, CX
-	ADDL CX, CX
-	JZ   ga32next
-	MOVL (BX), CX
-	IMULQ R9, CX
-	ADDQ DX, CX
-	VBROADCASTSS (AX), Y8
-	GTERM(0, Y9, Y0)
-	GTERM(32, Y10, Y1)
-	GTERM(64, Y11, Y2)
-	GTERM(96, Y12, Y3)
-ga32next:
-	ADDQ $4, AX
-	ADDQ $4, BX
-	DECQ R13
-	JNZ  ga32term
-	VMOVUPS Y0, (DI)
-	VMOVUPS Y1, 32(DI)
-	VMOVUPS Y2, 64(DI)
-	VMOVUPS Y3, 96(DI)
-	ADDQ $128, DI
-	ADDQ $128, DX
-	SUBQ $32, R10
-	JMP  ga32
-
-ga8:
-	CMPQ R10, $8
-	JLT  gadone
-	VMOVUPS (DI), Y0
-	MOVQ SI, AX
-	MOVQ R8, BX
-	MOVQ k+40(FP), R13
-ga8term:
-	MOVL (AX), CX
-	ORL  R11, CX
-	ADDL CX, CX
-	JZ   ga8next
-	MOVL (BX), CX
-	IMULQ R9, CX
-	ADDQ DX, CX
-	VBROADCASTSS (AX), Y8
-	GTERM(0, Y9, Y0)
-ga8next:
-	ADDQ $4, AX
-	ADDQ $4, BX
-	DECQ R13
-	JNZ  ga8term
-	VMOVUPS Y0, (DI)
-	ADDQ $32, DI
-	ADDQ $32, DX
-	SUBQ $8, R10
-	JMP  ga8
-
-gadone:
 	VZEROUPPER
 	RET

@@ -262,6 +262,102 @@ expdone:
 	VZEROUPPER
 	RET
 
+// SEGSHIFT loads the shifts of the four elements from off(R8)(AX*4) on:
+// shift[row[i]] lane by lane into dst. Clobbers R10.
+#define SEGSHIFT(off, dst) \
+	MOVL off(R8)(AX*4), R10; \
+	VMOVSS (R9)(R10*4), dst; \
+	MOVL off+4(R8)(AX*4), R10; \
+	VINSERTPS $0x10, (R9)(R10*4), dst, dst; \
+	MOVL off+8(R8)(AX*4), R10; \
+	VINSERTPS $0x20, (R9)(R10*4), dst, dst; \
+	MOVL off+12(R8)(AX*4), R10; \
+	VINSERTPS $0x30, (R9)(R10*4), dst, dst
+
+// func expSegAVX2(dst, src *float32, n uintptr, row *int32, shift *float32, cut float32) uintptr
+//
+// expLanesAVX2 with one shift per segment: element i takes shift[row[i]],
+// the four lanes of a group gathered (VGATHERDPS) where expLanesAVX2
+// broadcasts one, so a group may straddle segments; everything after the
+// add is expLanesAVX2's sequence, and it stops where that one stops.
+TEXT ·expSegAVX2(SB), NOSPLIT, $0-56
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ n+16(FP), CX
+	MOVQ row+24(FP), R8
+	MOVQ shift+32(FP), R9
+	VBROADCASTSS cut+40(FP), X13
+	VMOVDQU vmexp<>+0(SB), X12
+	VMOVDQU vmexp<>+16(SB), X11
+	XORQ AX, AX
+seg8:
+	LEAQ 8(AX), DX
+	CMPQ DX, CX
+	JA   seg4
+	SEGSHIFT(0, X14)
+	SEGSHIFT(16, X2)
+	VMOVUPS (SI)(AX*4), X0
+	VMOVUPS 16(SI)(AX*4), X4
+	VADDPS X14, X0, X0
+	VADDPS X2, X4, X4
+	VCMPPS $2, X13, X0, X1 // x <= cut
+	VCMPPS $2, X13, X4, X9
+	VCVTPS2PD X0, Y5
+	VCVTPS2PD X4, Y10
+	EXPFR2
+	VPCMPGTD X12, X8, X0 // e > -1023
+	VPCMPGTD X8, X11, X6 // 1024 > e
+	VPAND X6, X0, X0
+	VPOR X1, X0, X0
+	VPCMPGTD X12, X15, X4
+	VPCMPGTD X15, X11, X2
+	VPAND X2, X4, X4
+	VPOR X9, X4, X4
+	VPAND X4, X0, X0
+	VMOVMSKPS X0, DX
+	CMPL DX, $15
+	JNE  seg4
+	EXPSCALE
+	VPMOVSXDQ X15, Y3
+	VPADDQ kBias, Y3, Y3
+	VPSLLQ $52, Y3, Y3
+	VMULPD Y3, Y10, Y10
+	VCVTPD2PSY Y5, X0
+	VCVTPD2PSY Y10, X4
+	VANDNPS X0, X1, X0
+	VANDNPS X4, X9, X4
+	VMOVUPS X0, (DI)(AX*4)
+	VMOVUPS X4, 16(DI)(AX*4)
+	ADDQ $8, AX
+	JMP  seg8
+seg4:
+	LEAQ 4(AX), DX
+	CMPQ DX, CX
+	JA   segdone
+	SEGSHIFT(0, X14)
+	VMOVUPS (SI)(AX*4), X0
+	VADDPS X14, X0, X0
+	VCMPPS $2, X13, X0, X1 // x <= cut
+	VCVTPS2PD X0, Y5
+	EXPFR
+	VPCMPGTD X12, X8, X2 // e > -1023
+	VPCMPGTD X8, X11, X3 // 1024 > e
+	VPAND X3, X2, X2
+	VPOR X1, X2, X2
+	VMOVMSKPS X2, DX
+	CMPL DX, $15
+	JNE  segdone
+	EXPSCALE
+	VCVTPD2PSY Y5, X0
+	VANDNPS X0, X1, X0
+	VMOVUPS X0, (DI)(AX*4)
+	ADDQ $4, AX
+	JMP  seg4
+segdone:
+	MOVQ AX, ret+48(FP)
+	VZEROUPPER
+	RET
+
 // GELUINNER: Y1 = geluC·(x + 0.044715·x·x·x) for x in Y0, products taken left
 // to right as gelu.go writes them.
 #define GELUINNER \
