@@ -1,7 +1,8 @@
 // benchcheck is the benchmark-regression gate: it parses `go test -bench
 // -benchmem` output from stdin, writes every result to a JSON report, and
-// fails when a benchmark breaks its committed baseline — either an allocs/op
-// ceiling, or an ns/op ratio ceiling between a pair of benchmarks.
+// fails when a benchmark breaks its committed baseline — an allocs/op
+// ceiling, an ns/op ratio ceiling between a pair of benchmarks, or a ceiling
+// on a metric a benchmark reports itself (b.ReportMetric).
 //
 // Usage (what CI runs):
 //
@@ -20,6 +21,10 @@
 // ns(Numerator)/ns(Denominator). This is how a measured speedup is locked
 // in (e.g. "BenchmarkMatMul/BenchmarkMatMulPortable" ≤ 0.4 holds the AVX2
 // micro-kernels ≥2.5× ahead of the portable loops on the same product).
+// Where the two sides drift apart between benchmarks on a shared box, one
+// benchmark times both, alternating per iteration, and reports their ratio
+// as a metric; the max_metric section maps "Benchmark unit" to a ceiling on
+// it (e.g. "BenchmarkFlashPassesS1024 bwd/fwd" ≤ 1.5).
 package main
 
 import (
@@ -37,7 +42,12 @@ import (
 
 // benchLine matches e.g.
 // BenchmarkServeBatch8-8   	     100	  117503 ns/op	  2048 B/op	  31 allocs/op
-var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+(\d+)\s+([0-9.]+) ns/op(?:\s+([0-9.]+) B/op)?(?:\s+(\d+) allocs/op)?`)
+// BenchmarkFlashPassesS1024-2	      50	 9000000 ns/op	  1.240 bwd/fwd
+// and benchValue each "value unit" pair after the iteration count.
+var (
+	benchLine  = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+(\d+)((?:\s+-?[0-9.]+ \S+)+)`)
+	benchValue = regexp.MustCompile(`(-?[0-9.]+) (\S+)`)
+)
 
 // Result is one parsed benchmark measurement.
 type Result struct {
@@ -45,6 +55,8 @@ type Result struct {
 	NsPerOp  float64 `json:"ns_per_op"`
 	BPerOp   float64 `json:"b_per_op"`
 	AllocsOp float64 `json:"allocs_per_op"`
+	// Metrics holds what the benchmark reported itself, keyed by unit.
+	Metrics map[string]float64 `json:"metrics,omitempty"`
 }
 
 // Baseline is the committed regression contract.
@@ -55,6 +67,9 @@ type Baseline struct {
 	// tolerated ns/op ratio ceiling. Both benchmarks must appear in the same
 	// run; a missing side fails the gate like a missing allocs baseline.
 	MaxNsPerOpRatio map[string]float64 `json:"max_ns_per_op_ratio"`
+	// MaxMetric maps "Benchmark unit" → ceiling on a metric the benchmark
+	// reports itself; a missing benchmark or unit fails the gate.
+	MaxMetric map[string]float64 `json:"max_metric"`
 }
 
 // Report is what gets written to -out (and archived by CI).
@@ -69,10 +84,11 @@ type Report struct {
 // parseBench reads `go test -bench` output from r, echoing every line to
 // echo (the CI log), and returns the parsed measurements keyed by benchmark
 // name with the -N GOMAXPROCS suffix stripped. A benchmark repeated by
-// -count keeps its fastest ns/op (with that line's N) and its largest B/op
-// and allocs/op: load on a shared box only ever slows a run, so the fastest
-// of a few is the steadiest sample of the two sides of a ratio, while an
-// allocation ceiling must hold on every run.
+// -count keeps its fastest ns/op (with that line's N), its largest B/op
+// and allocs/op, and the smallest of each reported metric (a ratio under a
+// ceiling, read as the fastest ns/op is): load on a shared box only ever
+// slows a run, so the fastest of a few is the steadiest sample of the two
+// sides of a ratio, while an allocation ceiling must hold on every run.
 func parseBench(r io.Reader, echo io.Writer) (map[string]Result, error) {
 	results := map[string]Result{}
 	sc := bufio.NewScanner(r)
@@ -86,14 +102,23 @@ func parseBench(r io.Reader, echo io.Writer) (map[string]Result, error) {
 		if m == nil {
 			continue
 		}
-		res := Result{}
+		res := Result{Metrics: map[string]float64{}}
 		res.N, _ = strconv.ParseInt(m[2], 10, 64)
-		res.NsPerOp, _ = strconv.ParseFloat(m[3], 64)
-		if m[4] != "" {
-			res.BPerOp, _ = strconv.ParseFloat(m[4], 64)
-		}
-		if m[5] != "" {
-			res.AllocsOp, _ = strconv.ParseFloat(m[5], 64)
+		for _, kv := range benchValue.FindAllStringSubmatch(m[3], -1) {
+			v, err := strconv.ParseFloat(kv[1], 64)
+			if err != nil {
+				continue
+			}
+			switch kv[2] {
+			case "ns/op":
+				res.NsPerOp = v
+			case "B/op":
+				res.BPerOp = v
+			case "allocs/op":
+				res.AllocsOp = v
+			default:
+				res.Metrics[kv[2]] = v
+			}
 		}
 		if prev, ok := results[m[1]]; ok {
 			if prev.NsPerOp < res.NsPerOp {
@@ -101,6 +126,11 @@ func parseBench(r io.Reader, echo io.Writer) (map[string]Result, error) {
 			}
 			res.BPerOp = max(res.BPerOp, prev.BPerOp)
 			res.AllocsOp = max(res.AllocsOp, prev.AllocsOp)
+			for unit, v := range prev.Metrics {
+				if cur, ok := res.Metrics[unit]; !ok || v < cur {
+					res.Metrics[unit] = v
+				}
+			}
 		}
 		results[m[1]] = res
 	}
@@ -169,6 +199,33 @@ func evaluate(base Baseline, results map[string]Result) Report {
 			report.Pass = false
 		}
 	}
+
+	keys := make([]string, 0, len(base.MaxMetric))
+	for key := range base.MaxMetric {
+		keys = append(keys, key)
+	}
+	sort.Strings(keys)
+	for _, key := range keys {
+		ceil := base.MaxMetric[key]
+		name, unit, ok := strings.Cut(key, " ")
+		if !ok || name == "" || unit == "" {
+			report.Violations = append(report.Violations,
+				fmt.Sprintf("%s: malformed metric key (want \"Benchmark unit\")", key))
+			report.Pass = false
+			continue
+		}
+		v, ok := results[name].Metrics[unit]
+		if !ok {
+			report.Missing = append(report.Missing, key)
+			report.Pass = false
+			continue
+		}
+		if v > ceil {
+			report.Violations = append(report.Violations,
+				fmt.Sprintf("%s: %.3f exceeds baseline %.3f", key, v, ceil))
+			report.Pass = false
+		}
+	}
 	return report
 }
 
@@ -206,10 +263,16 @@ func main() {
 		os.Exit(2)
 	}
 
-	fmt.Printf("\nbenchcheck: %d benchmarks parsed, %d allocs + %d ratio baselines, report %s\n",
-		len(results), len(base.MaxAllocsPerOp), len(base.MaxNsPerOpRatio), *outPath)
+	fmt.Printf("\nbenchcheck: %d benchmarks parsed, %d allocs + %d ratio + %d metric baselines, report %s\n",
+		len(results), len(base.MaxAllocsPerOp), len(base.MaxNsPerOpRatio), len(base.MaxMetric), *outPath)
 	for pair, ratio := range report.Ratios {
 		fmt.Printf("benchcheck: ratio %s = %.3f (ceiling %.3f)\n", pair, ratio, base.MaxNsPerOpRatio[pair])
+	}
+	for key, ceil := range base.MaxMetric {
+		name, unit, _ := strings.Cut(key, " ")
+		if v, ok := results[name].Metrics[unit]; ok {
+			fmt.Printf("benchcheck: metric %s = %.3f (ceiling %.3f)\n", key, v, ceil)
+		}
 	}
 	for _, v := range report.Violations {
 		fmt.Fprintln(os.Stderr, "benchcheck: REGRESSION:", v)
@@ -220,5 +283,5 @@ func main() {
 	if !report.Pass {
 		os.Exit(1)
 	}
-	fmt.Println("benchcheck: all allocation and ns/op-ratio baselines hold")
+	fmt.Println("benchcheck: all allocation, ns/op-ratio and metric baselines hold")
 }

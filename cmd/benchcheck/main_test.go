@@ -148,3 +148,50 @@ func TestEvaluateRatioCeilings(t *testing.T) {
 		}
 	})
 }
+
+// TestParseBenchReportedMetrics: a b.ReportMetric value sits between ns/op
+// and the -benchmem columns; all of them parse, and under -count the
+// smallest value of each metric is kept.
+func TestParseBenchReportedMetrics(t *testing.T) {
+	const out = `BenchmarkFlashPassesS1024-2   	      50	   9000000 ns/op	         1.420 bwd/fwd	      96 B/op	       2 allocs/op
+BenchmarkFlashPassesS1024-2   	      50	   9500000 ns/op	         1.310 bwd/fwd	      64 B/op	       3 allocs/op
+BenchmarkFlashPassesS1024-2   	      50	   8800000 ns/op	         1.380 bwd/fwd	      96 B/op	       2 allocs/op
+`
+	results, err := parseBench(strings.NewReader(out), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := results["BenchmarkFlashPassesS1024"]
+	if r.NsPerOp != 8800000 || r.BPerOp != 96 || r.AllocsOp != 3 || r.Metrics["bwd/fwd"] != 1.31 {
+		t.Fatalf("kept %+v, want 8800000 ns/op, 96 B/op, 3 allocs/op and bwd/fwd 1.31", r)
+	}
+}
+
+func TestEvaluateMetricCeilings(t *testing.T) {
+	results := map[string]Result{
+		"BenchmarkFlashPassesS1024": {NsPerOp: 1, Metrics: map[string]float64{"bwd/fwd": 1.31}},
+	}
+	for _, tc := range []struct {
+		name                string
+		key                 string
+		ceil                float64
+		violations, missing int
+		wantInViolation     string
+	}{
+		{"holds", "BenchmarkFlashPassesS1024 bwd/fwd", 1.5, 0, 0, ""},
+		{"exceeded", "BenchmarkFlashPassesS1024 bwd/fwd", 1.2, 1, 0, "exceeds"},
+		{"missing unit", "BenchmarkFlashPassesS1024 fwd/bwd", 1, 0, 1, ""},
+		{"missing benchmark", "BenchmarkGone bwd/fwd", 1, 0, 1, ""},
+		{"malformed key", "BenchmarkFlashPassesS1024", 1, 1, 0, "malformed"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rep := evaluate(Baseline{MaxMetric: map[string]float64{tc.key: tc.ceil}}, results)
+			if rep.Pass != (tc.violations+tc.missing == 0) || len(rep.Violations) != tc.violations || len(rep.Missing) != tc.missing {
+				t.Fatalf("%+v", rep)
+			}
+			if tc.wantInViolation != "" && !strings.Contains(rep.Violations[0], tc.wantInViolation) {
+				t.Fatalf("violation %q, want it to mention %q", rep.Violations[0], tc.wantInViolation)
+			}
+		})
+	}
+}

@@ -25,8 +25,6 @@ import (
 // rebuild the task without the caller reloading data. See the README
 // "Datasets" section for the full grammar.
 type (
-	// DatasetSpec is a parsed dataset spec (scheme, name, seed, params).
-	DatasetSpec = data.Spec
 	// Dataset is the union a spec resolves to: exactly one of Node, Graph
 	// and Stream (a disk-resident shard:// view) is non-nil.
 	Dataset = data.Dataset
@@ -48,13 +46,9 @@ const (
 	DatasetKindGraph = data.KindGraph
 )
 
-// ParseDatasetSpec parses a URI-style dataset spec string. Strings without
-// a scheme are file paths ("run/a.tgds" ≡ "file://run/a.tgds").
-func ParseDatasetSpec(s string) (DatasetSpec, error) { return data.ParseSpec(s) }
-
 // OpenDataset resolves a spec string through its scheme's provider and
 // applies its declarative transforms. The same spec always opens to a
-// bitwise-identical dataset. A parsed spec opens as OpenDataset(sp.String()).
+// bitwise-identical dataset.
 func OpenDataset(spec string) (*Dataset, error) { return data.OpenString(spec) }
 
 // OpenNodeSource resolves a spec that must be node-level and returns its

@@ -87,7 +87,7 @@ func TestOpenDatasetAndTransformsPublic(t *testing.T) {
 	if d2.Node.G.N != 64 || !d2.Node.G.HasEdge(5, 5) {
 		t.Fatal("self-loop transform lost")
 	}
-	if _, err := ParseDatasetSpec("nope://"); err == nil {
+	if _, err := OpenDataset("nope://"); err == nil {
 		t.Fatal("bad spec must error")
 	}
 	found := false

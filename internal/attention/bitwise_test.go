@@ -243,9 +243,9 @@ func TestFlashBF16MatchesBF16Wrap(t *testing.T) {
 }
 
 // naiveClusterSparseForward is ClusterSparse.Forward as it was written
-// before its exponentials went through tensor.ExpCut: per row, the keep
-// entries then every covering block's cells in block order, one math.Exp per
-// entry with the −80 cutoff, the float64 sum in that order.
+// before its exponentials went through the tensor row kernels: per row, the
+// keep entries then every covering block's cells in block order, one
+// math.Exp per entry with the −80 cutoff, the float64 sum in that order.
 func naiveClusterSparseForward(c *ClusterSparse, q, k, v *tensor.Mat) *tensor.Mat {
 	r, keep, db := c.R, c.R.Keep, int32(c.R.Db)
 	scale := scaleFor(q.Cols)

@@ -478,7 +478,11 @@ func (t *TCP) Send(dst int, m *tensor.Mat) error {
 	if f == nil {
 		f = new([]byte)
 	}
-	n := encodeTensor(f, m)
+	n, err := encodeTensor(f, m)
+	if err != nil {
+		t.frames.Put(f)
+		return err
+	}
 	q.mu.Lock()
 	q.frames = append(q.frames, f)
 	q.mu.Unlock()

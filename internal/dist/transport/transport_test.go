@@ -76,7 +76,10 @@ func TestWireTensorRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	var scratch []byte
 	for _, m := range cases {
-		n := encodeTensor(&scratch, m)
+		n, err := encodeTensor(&scratch, m)
+		if err != nil {
+			t.Fatal(err)
+		}
 		buf.Write(scratch)
 		want := int64(0)
 		if m != nil {
@@ -128,7 +131,9 @@ func TestWireFailurePaths(t *testing.T) {
 	m := tensor.New(2, 2)
 	var scratch []byte
 	var good bytes.Buffer
-	encodeTensor(&scratch, m)
+	if _, err := encodeTensor(&scratch, m); err != nil {
+		t.Fatal(err)
+	}
 	good.Write(scratch)
 	hdr := make([]byte, headerLen)
 
@@ -145,6 +150,8 @@ func TestWireFailurePaths(t *testing.T) {
 		{"payload-length-lie", frameBytes(frameHeader{
 			version: wireVersion, kind: kindTensor, rows: 2, cols: 2, payloadLen: 12,
 		}, make([]byte, 12)), ErrWireFormat},
+		{"unknown-flag", frameBytes(frameHeader{version: wireVersion, kind: kindTensor, flags: 2}, nil), ErrWireFormat},
+		{"nil-with-shape", frameBytes(frameHeader{version: wireVersion, kind: kindTensor, flags: flagNil, rows: 3}, nil), ErrWireFormat},
 		{"bad-magic", func() []byte {
 			b := frameBytes(frameHeader{version: wireVersion, kind: kindTensor, flags: flagNil}, nil)
 			b[0] = 'X'
@@ -749,9 +756,13 @@ func TestWirePortableCodecMatchesHost(t *testing.T) {
 		m.Data[i] = math.Float32frombits(0x3f800000 + uint32(i)*0x01010101)
 	}
 	var fast, slow []byte
-	encodeTensor(&fast, m)
+	if _, err := encodeTensor(&fast, m); err != nil {
+		t.Fatal(err)
+	}
 	hostLE = false
-	encodeTensor(&slow, m)
+	if _, err := encodeTensor(&slow, m); err != nil {
+		t.Fatal(err)
+	}
 	if !bytes.Equal(fast, slow) {
 		t.Fatal("portable encoder writes different frame bytes")
 	}

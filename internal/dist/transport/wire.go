@@ -18,11 +18,12 @@ import (
 //	rows uint32 | cols uint32 | payloadLen uint32 | payload
 //
 // Tensor frames carry rows·cols float32 values (LE bit patterns);
-// payloadLen must equal rows·cols·4 or the frame is rejected as malformed.
-// A nil matrix is a tensor frame with flagNil set and no payload — nil is a
-// first-class collective payload. Handshake frames (hello/welcome/identify)
-// carry a JSON payload and zero rows/cols. Frames from a higher version
-// fail with ErrWireVersion; a reader never guesses at unknown layouts.
+// payloadLen must equal rows·cols·4, computed without wrapping, or the frame
+// is rejected as malformed. A nil matrix is a tensor frame with flagNil set,
+// zero rows/cols and no payload — nil is a first-class collective payload.
+// Handshake frames (hello/welcome/identify) carry a JSON payload and zero
+// rows/cols. Frames from a higher version fail with ErrWireVersion; a
+// reader never guesses at unknown layouts.
 const (
 	frameMagic  uint32 = 0x74475457 // "tGTW"
 	wireVersion uint16 = 1
@@ -87,14 +88,17 @@ func readHeader(r io.Reader, buf []byte) (frameHeader, error) {
 	}
 	switch h.kind {
 	case kindTensor:
+		if h.flags&^flagNil != 0 || h.flags == flagNil && (h.rows != 0 || h.cols != 0) {
+			return h, fmt.Errorf("%w: tensor frame flags %#x over shape %dx%d", ErrWireFormat, h.flags, h.rows, h.cols)
+		}
 		if h.rows > maxDim || h.cols > maxDim {
 			return h, fmt.Errorf("%w: tensor shape %dx%d out of range", ErrWireFormat, h.rows, h.cols)
 		}
-		want := uint32(0)
+		want := uint64(0)
 		if h.flags&flagNil == 0 {
-			want = h.rows * h.cols * 4
+			want = uint64(h.rows) * uint64(h.cols) * 4 // no wrap: both are ≤ 2²⁸
 		}
-		if h.payloadLen != want {
+		if uint64(h.payloadLen) != want {
 			return h, fmt.Errorf("%w: tensor frame %dx%d declares %d payload bytes, want %d",
 				ErrWireFormat, h.rows, h.cols, h.payloadLen, want)
 		}
@@ -128,11 +132,16 @@ const readChunk = 16 << 10
 
 // encodeTensor writes m's frame into *buf (grown if needed, resliced to the
 // frame) and returns the payload byte count (0 for nil or empty matrices).
-func encodeTensor(buf *[]byte, m *tensor.Mat) int64 {
+// A matrix no header describes (a dimension above maxDim, or a payload of
+// 4 GiB or more) is an ErrWireFormat error, and nothing is written.
+func encodeTensor(buf *[]byte, m *tensor.Mat) (int64, error) {
 	h := frameHeader{version: wireVersion, kind: kindTensor}
 	if m == nil {
 		h.flags = flagNil
 	} else {
+		if m.Rows > maxDim || m.Cols > maxDim || uint64(m.Rows)*uint64(m.Cols)*4 > math.MaxUint32 {
+			return 0, fmt.Errorf("%w: a %dx%d tensor does not fit one frame", ErrWireFormat, m.Rows, m.Cols)
+		}
 		h.rows, h.cols = uint32(m.Rows), uint32(m.Cols)
 		h.payloadLen = uint32(len(m.Data) * 4)
 	}
@@ -152,7 +161,7 @@ func encodeTensor(buf *[]byte, m *tensor.Mat) int64 {
 			binary.LittleEndian.PutUint32(p[4*i:], math.Float32bits(v))
 		}
 	}
-	return int64(h.payloadLen)
+	return int64(h.payloadLen), nil
 }
 
 // readTensor reads the next frame from r, which must be a tensor frame,

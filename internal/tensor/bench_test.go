@@ -89,36 +89,38 @@ func BenchmarkBiasGELURefPortable(b *testing.B) {
 	benchBiasGELU(b)
 }
 
-// benchGatherRows is the indexed-row work of one sparse-attention head pass
-// at node-full's shape: 1024 query rows at the GraphormerSlim head width 8,
-// each attending about nine keys (9 216 pairs) named by an index list — the
-// dots against the keys, then the weighted sum of their value rows.
-func benchGatherRows(b *testing.B) {
+// benchCSRRows is the row-block work of one sparse-attention head pass at
+// node-full's shape: 1024 query rows at the GraphormerSlim head width 8,
+// each attending nine keys (9 216 pairs) named by a CSR — the dots against
+// the keys, then the weighted sum of their value rows, one call each.
+func benchCSRRows(b *testing.B) {
 	const s, d, deg = 1024, 8, 9
 	rng := rand.New(rand.NewSource(1))
 	q, k, v, o := randMat(rng, s, d), randMat(rng, s, d), randMat(rng, s, d), New(s, d)
-	idx := make([]int32, s*deg)
-	for e := range idx {
-		idx[e] = int32(rng.Intn(s))
+	ptr, col := make([]int32, s+1), make([]int32, s*deg)
+	for r := range s {
+		ptr[r+1] = int32((r + 1) * deg)
 	}
-	p := make([]float32, deg)
+	for e := range col {
+		col[e] = int32(rng.Intn(s))
+	}
+	c := NewCSR(ptr, col)
+	p := make([]float32, len(col))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for r := 0; r < s; r++ {
-			cols := idx[r*deg : (r+1)*deg]
-			GatherDots(p, q.Row(r), k, cols)
-			GatherWeightedRowSum(o.Row(r), v, p, cols, false)
-		}
+		CSRDots(p, q, c, 0, s, k)
+		CSRAccum(o, c, 0, s, p, v)
 	}
 }
 
-func BenchmarkGatherRows(b *testing.B) { benchGatherRows(b) }
+func BenchmarkCSRRows(b *testing.B) { benchCSRRows(b) }
 
-// BenchmarkGatherRowsPortable is BenchmarkGatherRows on the Go loops: the
-// denominator of the CI ratio that locks the gather micro-kernels' win.
-func BenchmarkGatherRowsPortable(b *testing.B) {
+// BenchmarkCSRRowsPortable is BenchmarkCSRRows on the Go loops: the
+// denominator of the CI ratio that locks the indexed-row micro-kernels'
+// (pairDots, csrAccum) win.
+func BenchmarkCSRRowsPortable(b *testing.B) {
 	defer portable()()
-	benchGatherRows(b)
+	benchCSRRows(b)
 }
 
 // benchFlashTiles is the row-block work of one flash head's step at the

@@ -35,9 +35,9 @@ func rowSplits(n int) [][4]int {
 // triple-loop oracle, on both kernel paths, whatever the split (empty ranges,
 // cuts inside the Go tiles' row pairs, column counts either side of the
 // micro-kernel blocks and of a panel edge). A carries ±0, subnormals and NaN;
-// the ±0 face NaN/Inf rows of B, so continuing with the never-skip form
-// (WeightedRowSum's) instead would pollute C — the test checks that it does,
-// i.e. that this data would catch that mutation.
+// the ±0 face NaN/Inf rows of B, so continuing with a never-skip chain (an
+// Axpy per row) instead would pollute C — the test checks that it does, i.e.
+// that this data would catch that mutation.
 func TestTMatMulAccChainBitwise(t *testing.T) { forEachISA(t, testTMatMulAccChainBitwise) }
 
 func testTMatMulAccChainBitwise(t *testing.T) {
@@ -78,12 +78,10 @@ func testTMatMulAccChainBitwise(t *testing.T) {
 				lo := 0
 				for _, hi := range cuts {
 					TMatMulAcc(got, a.SliceRows(lo, hi), b.SliceRows(lo, hi))
-					col := make([]float32, hi-lo)
 					for i := 0; i < k; i++ {
 						for r := lo; r < hi; r++ {
-							col[r-lo] = a.At(r, i)
+							Axpy(a.At(r, i), b.Row(r), keep.Row(i))
 						}
-						WeightedRowSum(keep.Row(i), b, col, lo, hi)
 					}
 					lo = hi
 				}

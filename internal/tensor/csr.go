@@ -6,10 +6,9 @@ import (
 )
 
 // Row-block kernels of the sparse attention family: one call takes every
-// entry of a range of rows, where the indexed-row kernels of gather.go take
-// one row's index list. The entries live in a CSR, validated once when it is
-// built, so a call checks its operands against the CSR's recorded extents in
-// O(1) instead of scanning the index list each time; and a tile — a dense
+// entry of a range of rows. The entries live in a CSR, validated once when
+// it is built, so a call checks its operands against the CSR's recorded
+// extents in O(1) instead of scanning an index list; and a tile — a dense
 // rectangle of rows against a contiguous run of keys, the covering
 // sub-blocks of attention.ClusterSparse — needs no index at all.
 //
@@ -91,8 +90,8 @@ func (c *CSR) span(name string, lo, hi int) (e0, e1 int) {
 }
 
 // CSRDots computes dst[e] = Dot(x.Row(r), m.Row(col[e])) for every entry e
-// of the rows r in [lo, hi) — Dot's grouping per entry, as GatherDots —
-// with dst indexed by entry position. x needs a row per CSR row, m a row
+// of the rows r in [lo, hi) — Dot's grouping per entry — with dst indexed
+// by entry position. x needs a row per CSR row, m a row
 // past the largest column.
 func CSRDots(dst []float32, x *Mat, c *CSR, lo, hi int, m *Mat) {
 	e0, e1 := c.span("CSRDots", lo, hi)
@@ -143,7 +142,7 @@ func CSRAccum(acc *Mat, c *CSR, lo, hi int, w []float32, m *Mat) {
 	n := m.Cols
 	nv := simdCols(n)
 	if nv > 0 {
-		csrAccum(acc.Data[lo*n:], n, m.Data, n, w, c.col, c.ptr[lo:hi+1], int(c.maxCol), nv, true)
+		csrAccum(acc.Data[lo*n:], n, m.Data, n, w, c.col, c.ptr[lo:hi+1], int(c.maxCol), nv)
 		if nv == n {
 			return
 		}
@@ -159,7 +158,8 @@ func CSRAccum(acc *Mat, c *CSR, lo, hi int, w []float32, m *Mat) {
 // CSRExp computes dst[e] = float32(math.Exp(float64(src[e]+shift[r]))), and
 // exactly 0 where src[e]+shift[r] <= cut, for every entry e of the rows r in
 // [lo, hi): a softmax's exponential pass over many rows at once, each with
-// its own shift (ExpCut's arithmetic per entry). dst may alias src.
+// its own shift (expRow's arithmetic per entry, with the cut). dst may alias
+// src.
 func CSRExp(dst, src []float32, c *CSR, lo, hi int, shift []float32, cut float32) {
 	e0, e1 := c.span("CSRExp", lo, hi)
 	if len(dst) < e1 || len(src) < e1 || len(shift) < hi {
@@ -187,8 +187,8 @@ func expSegScalar(dst, src []float32, row []int32, shift []float32, cut float32)
 }
 
 // TileDots computes dst[r·ld+c] = Dot(x.Row(r0+r), m.Row(c0+c)) for rows
-// r < nr and keys c < nc — Dot's grouping per element, as GatherDots over
-// the keys c0…c0+nc−1 — leaving dst's other elements as they are.
+// r < nr and keys c < nc — Dot's grouping per element — leaving dst's other
+// elements as they are.
 func TileDots(dst []float32, ld int, x *Mat, r0, nr int, m *Mat, c0, nc int) {
 	checkTile("TileDots", x, r0, nr, m, c0, nc)
 	if nc > ld || (nr > 0 && len(dst) < (nr-1)*ld+nc) {
@@ -232,7 +232,7 @@ func TileDots(dst []float32, ld int, x *Mat, r0, nr int, m *Mat, c0, nc int) {
 // r < nr and keys c ascending below nc: the sequence `for c {
 // Axpy(w[r·ldr+c·ldc], m.Row(c0+c), acc.Row(r0+r)) }` per row — (ldr, ldc)
 // = (ld, 1) reads a row-major tile, (1, ld) its transpose. With skipZero a
-// ±0 weight leaves its term out, as GatherWeightedRowSum's skip.
+// ±0 weight leaves its term out, as MatMul's zero-skip does.
 func TileAccum(acc *Mat, r0, nr int, w []float32, ldr, ldc int, m *Mat, c0, nc int, skipZero bool) {
 	checkTile("TileAccum", acc, r0, nr, m, c0, nc)
 	if ldr < 0 || ldc < 0 || (nr > 0 && nc > 0 && len(w) <= (nr-1)*ldr+(nc-1)*ldc) {

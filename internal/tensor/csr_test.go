@@ -8,8 +8,9 @@ import (
 
 // Per-row oracles for the row-block kernels of csr.go: what the sparse
 // attention kernels computed one row at a time before a call took a range
-// of rows — oracleDot per entry, an Axpy per entry ascending, ExpCut's
-// scalar arithmetic per element — checked bit for bit on both kernel paths.
+// of rows — oracleDot per entry, an Axpy per entry ascending, expRow's
+// scalar arithmetic with a cut per element — checked bit for bit on both
+// kernel paths.
 
 // csrLens are the row lengths the tests build CSRs from: empty rows, a
 // lone entry, one short of, at and past the dot kernel's groups of four and
@@ -122,8 +123,8 @@ func oracleExp(x, cut float32) float32 {
 }
 
 // TestTileBitwiseMatchOracle holds TileDots and TileAccum to the per-row
-// GatherDots/WeightedRowSum sequences of a dense tile, key counts around the
-// dot kernel's groups of four, both skip forms, ld wider than the tile.
+// Dot/Axpy sequences of a dense tile, key counts around the dot kernel's
+// groups of four, both skip forms, ld wider than the tile.
 func TestTileBitwiseMatchOracle(t *testing.T) { forEachISA(t, testTileBitwiseMatchOracle) }
 
 func testTileBitwiseMatchOracle(t *testing.T) {
@@ -183,6 +184,35 @@ func testTileBitwiseMatchOracle(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestTileSkipIsolatesNaN pins what TileAccum's skip form is for: a NaN
+// key row that meets only ±0 weights leaves the accumulator finite, and
+// without the skip it does not — at widths the Go loops take alone (5), the
+// micro-kernel takes alone (8, 64) and both take (40).
+func TestTileSkipIsolatesNaN(t *testing.T) {
+	forEachISA(t, func(t *testing.T) {
+		for _, d := range []int{5, 8, 40, 64} {
+			m := New(3, d)
+			m.Fill(1)
+			for c := 0; c < d; c++ {
+				m.Set(1, c, float32(math.NaN()))
+			}
+			w := []float32{0.5, float32(math.Copysign(0, -1)), 0.25}
+			acc := New(1, d)
+			TileAccum(acc, 0, 1, w, 3, 1, m, 0, 3, true)
+			for c, v := range acc.Data {
+				if v != 0.75 {
+					t.Fatalf("d=%d skip: acc[%d] = %v, want 0.75", d, c, v)
+				}
+			}
+			acc.Zero()
+			TileAccum(acc, 0, 1, w, 3, 1, m, 0, 3, false)
+			if !math.IsNaN(float64(acc.Data[0])) {
+				t.Fatalf("d=%d keep: acc[0] = %v, want NaN", d, acc.Data[0])
+			}
+		}
+	})
 }
 
 // TestCSRRejectsBadIndex: a CSR that is not one, or a matrix too short for

@@ -48,15 +48,14 @@ func simdCols(n int) int {
 	return 0
 }
 
-// accumMode picks, for the micro-kernel under MatMul, TMatMulAcc and
-// WeightedRowSum, what an output element starts from and which terms it
-// takes. The values are accumAVX2's mode bits (1: keep every term, 2: load).
+// accumMode picks, for the micro-kernel under MatMul and TMatMulAcc, what an
+// output element starts from; both forms leave out the terms whose A
+// element is ±0. The values are accumAVX2's mode argument.
 type accumMode uintptr
 
 const (
-	accumZeroSkip accumMode = 0 // start from +0, leave out terms whose A element is ±0 (MatMul)
-	accumLoadSkip accumMode = 2 // start from the value in C, same zero-skip (TMatMulAcc)
-	accumLoadKeep accumMode = 3 // start from the value in C, every term kept (WeightedRowSum)
+	accumZero accumMode = 0 // start from +0 (MatMul)
+	accumLoad accumMode = 1 // start from the value in C (TMatMulAcc)
 )
 
 // Panel widths: output columns are processed in panels this wide so the
@@ -106,7 +105,7 @@ func matmulChunk(c, a, b *Mat, lo, hi int) {
 		jv := j0 + simdCols(j1-j0)
 		if jv > j0 {
 			for i := lo; i < hi; i++ {
-				accumCols(c.Row(i)[j0:jv], a.Row(i), 1, b.Data[j0:], m, k, accumZeroSkip)
+				accumCols(c.Row(i)[j0:jv], a.Row(i), 1, b.Data[j0:], m, k, accumZero)
 			}
 		}
 		i := lo
@@ -302,7 +301,7 @@ func tmatmulChunk(c, a, b *Mat, lo, hi int) {
 		jv := j0 + simdCols(j1-j0)
 		if jv > j0 {
 			for i := lo; i < hi; i++ {
-				accumCols(c.Row(i)[j0:jv], a.Data[i:], ac, b.Data[j0:], m, rows, accumLoadSkip)
+				accumCols(c.Row(i)[j0:jv], a.Data[i:], ac, b.Data[j0:], m, rows, accumLoad)
 			}
 		}
 		i := lo
@@ -509,43 +508,5 @@ func matVecRows(dst []float32, m *Mat, x []float32, lo, hi int) {
 	}
 	for ; r < hi; r++ {
 		dst[r-lo] = Dot(m.Row(r), x)
-	}
-}
-
-// WeightedRowSum accumulates acc[c] += Σ w[r-lo]·m.Row(r)[c] over rows r in
-// [lo, hi), r strictly ascending (the row order is part of the determinism
-// contract): the axpy sequence `for r { Axpy(w[r-lo], m.Row(r), acc) }`,
-// fused four rows per sweep so one load/store of each acc element covers
-// four weighted rows. The per-element expression is evaluated left to right,
-// which is exactly the rounding order of the four sequential axpys.
-func WeightedRowSum(acc []float32, m *Mat, w []float32, lo, hi int) {
-	if lo < 0 || hi < lo || hi > m.Rows || len(acc) != m.Cols || len(w) < hi-lo {
-		panic(fmt.Sprintf("tensor: WeightedRowSum rows [%d,%d) of %dx%d, len(acc)=%d len(w)=%d",
-			lo, hi, m.Rows, m.Cols, len(acc), len(w)))
-	}
-	n := m.Cols
-	acc = acc[:n]
-	// The micro-kernel walks the rows one at a time per column block; the
-	// Go loop fuses four per sweep. Same sums, same order.
-	nv := simdCols(n)
-	if nv > 0 {
-		accumCols(acc[:nv], w, 1, m.Data[lo*n:], n, hi-lo, accumLoadKeep)
-	}
-	if nv == n {
-		return
-	}
-	r := lo
-	for ; r+4 <= hi; r += 4 {
-		r0 := m.Row(r)[:n]
-		r1 := m.Row(r + 1)[:n]
-		r2 := m.Row(r + 2)[:n]
-		r3 := m.Row(r + 3)[:n]
-		w0, w1, w2, w3 := w[r-lo], w[r-lo+1], w[r-lo+2], w[r-lo+3]
-		for c := nv; c < n; c++ {
-			acc[c] = acc[c] + float32(w0*r0[c]) + float32(w1*r1[c]) + float32(w2*r2[c]) + float32(w3*r3[c])
-		}
-	}
-	for ; r < hi; r++ {
-		Axpy(w[r-lo], m.Row(r)[nv:], acc[nv:])
 	}
 }

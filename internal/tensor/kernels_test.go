@@ -71,14 +71,6 @@ func oracleMatMulT(a, b *Mat) *Mat {
 	return c
 }
 
-func oracleWeightedRowSum(acc []float32, m *Mat, w []float32, lo, hi int) {
-	for r := lo; r < hi; r++ {
-		for c := range acc {
-			acc[c] += float32(w[r-lo] * m.At(r, c))
-		}
-	}
-}
-
 // sameBits reports bit equality, with any two NaNs equal (which NaN payload
 // an operation returns is the hardware's choice, not the kernels').
 func sameBits(a, b []float32) (int, bool) {
@@ -257,28 +249,13 @@ func testKernelsBitwiseMatchOracle(t *testing.T) {
 					t.Fatalf("Dot len %d differs from the oracle", k)
 				}
 			}
-
-			// WeightedRowSum over a sub-range, onto a non-zero accumulator.
-			if n > 0 {
-				wm := randMatUnaligned(rng, n, k)
-				lo := rng.Intn(n)
-				hi := lo + rng.Intn(n-lo+1)
-				w := randVec(rng, hi-lo)
-				acc := randVec(rng, k)
-				want := append([]float32(nil), acc...)
-				WeightedRowSum(acc, wm, w, lo, hi)
-				oracleWeightedRowSum(want, wm, w, lo, hi)
-				if i, ok := sameBits(acc, want); !ok {
-					t.Fatalf("WeightedRowSum %v rows [%d,%d): element %d differs", d, lo, hi, i)
-				}
-			}
 		}
 	}
 }
 
-// specialWeight returns a weight for the gather oracles: mostly ordinary,
-// often ±0 (skipped in the skip form only), sometimes NaN or ±Inf (never
-// skipped).
+// specialWeight returns a weight for the row-block oracles: mostly
+// ordinary, often ±0 (skipped in the skip form only), sometimes NaN or ±Inf
+// (never skipped).
 func specialWeight(rng *rand.Rand) float32 {
 	switch rng.Intn(10) {
 	case 0:
@@ -291,120 +268,7 @@ func specialWeight(rng *rand.Rand) float32 {
 	return float32(rng.NormFloat64())
 }
 
-// TestGatherBitwiseMatchOracle checks the indexed-row kernels against the
-// plain Dot/Axpy sequences they replace, on both kernel paths: every width
-// from 1 to 72 (each mod-8 remainder the Go loops own, and the 64-, 32- and
-// 8-column blocks of the accumulate), empty, short, long, repeated and
-// unsorted index lists (every count mod 8 of the dot kernel's groups), rows
-// of NaN/Inf — reaching the result only through a weight that is not ±0 in
-// the skip form — and ±0, NaN and ±Inf weights in both skip modes.
-func TestGatherBitwiseMatchOracle(t *testing.T) { forEachISA(t, testGatherBitwiseMatchOracle) }
-
-func testGatherBitwiseMatchOracle(t *testing.T) {
-	rng := rand.New(rand.NewSource(33))
-	for d := 1; d <= 72; d++ {
-		rows := 1 + rng.Intn(40)
-		m := randMatUnaligned(rng, rows, d)
-		bad := poison(rng, m)
-		x := randVec(rng, d)
-		for _, ne := range []int{0, 1, 2, 5, 7, 8, 9, 16, 17, 23, 70, 133} {
-			idx := make([]int32, ne)
-			for e := range idx {
-				idx[e] = int32(rng.Intn(rows)) // repeats and any order
-			}
-			if ne > 3 {
-				idx[3] = idx[1]
-			}
-			dst := unaligned(ne)
-			for e := range dst {
-				dst[e] = float32(math.NaN()) // must be overwritten
-			}
-			GatherDots(dst, x, m, idx)
-			for e, r := range idx {
-				if want := oracleDot(x, m.Row(int(r))); !sameBit(dst[e], want) {
-					t.Fatalf("GatherDots d=%d entries=%d: entry %d = %v, want %v", d, ne, e, dst[e], want)
-				}
-			}
-			w := unaligned(ne)
-			for e, r := range idx {
-				w[e] = specialWeight(rng)
-				if bad[r] && rng.Intn(2) == 0 {
-					w[e] = 0
-				}
-			}
-			for _, skip := range []bool{false, true} {
-				acc := randVec(rng, d)
-				want := append([]float32(nil), acc...)
-				for e, r := range idx {
-					if skip && w[e] == 0 {
-						continue
-					}
-					for c := range want {
-						want[c] += float32(w[e] * m.At(int(r), c))
-					}
-				}
-				GatherWeightedRowSum(acc, m, w, idx, skip)
-				if i, ok := sameBits(acc, want); !ok {
-					t.Fatalf("GatherWeightedRowSum d=%d entries=%d skip=%v: column %d = %v, want %v", d, ne, skip, i, acc[i], want[i])
-				}
-			}
-		}
-	}
-}
-
 func sameBit(a, b float32) bool {
 	_, ok := sameBits([]float32{a}, []float32{b})
 	return ok
-}
-
-// TestGatherSkipIsolatesNaN pins what the skip form is for: a NaN row that
-// meets only ±0 weights leaves the accumulator finite, and without the skip
-// it does not.
-func TestGatherSkipIsolatesNaN(t *testing.T) {
-	forEachISA(t, func(t *testing.T) {
-		for _, d := range []int{5, 8, 40, 64} {
-			m := New(3, d)
-			m.Fill(1)
-			for c := 0; c < d; c++ {
-				m.Set(1, c, float32(math.NaN()))
-			}
-			idx := []int32{0, 1, 2}
-			w := []float32{0.5, float32(math.Copysign(0, -1)), 0.25}
-			acc := make([]float32, d)
-			GatherWeightedRowSum(acc, m, w, idx, true)
-			for c, v := range acc {
-				if v != 0.75 {
-					t.Fatalf("d=%d skip: acc[%d] = %v, want 0.75", d, c, v)
-				}
-			}
-			clear(acc)
-			GatherWeightedRowSum(acc, m, w, idx, false)
-			if !math.IsNaN(float64(acc[0])) {
-				t.Fatalf("d=%d keep: acc[0] = %v, want NaN", d, acc[0])
-			}
-		}
-	})
-}
-
-// TestGatherRejectsBadIndex: an index outside [0, m.Rows) panics on either
-// path, before any row is read.
-func TestGatherRejectsBadIndex(t *testing.T) {
-	forEachISA(t, func(t *testing.T) {
-		m := New(4, 16)
-		for _, r := range []int32{-1, 4, math.MaxInt32} {
-			for name, f := range map[string]func(){
-				"GatherDots":           func() { GatherDots(make([]float32, 2), make([]float32, 16), m, []int32{0, r}) },
-				"GatherWeightedRowSum": func() { GatherWeightedRowSum(make([]float32, 16), m, []float32{1, 1}, []int32{0, r}, false) },
-			} {
-				func() {
-					defer func() {
-						if recover() == nil {
-							t.Fatalf("%s accepted row index %d of 4 rows", name, r)
-						}
-					}()
-					f()
-				}()
-			}
-		}
-	})
 }

@@ -22,15 +22,6 @@ func AddInPlace(a, b *Mat) {
 	}
 }
 
-// Sub computes c = a - b element-wise.
-func Sub(c, a, b *Mat) {
-	a.mustSameShape(b)
-	a.mustSameShape(c)
-	for i := range c.Data {
-		c.Data[i] = a.Data[i] - b.Data[i]
-	}
-}
-
 // Scale multiplies every element of m by s in place.
 func Scale(m *Mat, s float32) {
 	for i := range m.Data {
@@ -79,7 +70,7 @@ func SoftmaxInPlace(row []float32) {
 			mx = v
 		}
 	}
-	expRow(row, row, -mx, negInf32) // v + (−mx) is v − mx
+	expRow(row, row, -mx) // v + (−mx) is v − mx
 	var sum float64
 	for _, e := range row {
 		sum += float64(e)
@@ -88,17 +79,6 @@ func SoftmaxInPlace(row []float32) {
 	for j := range row {
 		row[j] *= inv
 	}
-}
-
-// ExpCut computes dst[i] = float32(math.Exp(float64(src[i]+shift))), and
-// exactly 0 where src[i]+shift <= cut: the exp pass of one softmax row with
-// the caller's underflow cutoff — CSRExp over one row. dst and src must have
-// equal length (dst may alias src).
-func ExpCut(dst, src []float32, shift, cut float32) {
-	if len(dst) != len(src) {
-		panic("tensor: ExpCut length mismatch")
-	}
-	expRow(dst, src, shift, cut)
 }
 
 // SoftmaxBackwardRow computes dx for one softmax row given y = softmax(x) and

@@ -203,17 +203,11 @@ func TestAddRowVecAndColSum(t *testing.T) {
 	}
 }
 
-func TestSubScale(t *testing.T) {
-	a := FromSlice(1, 3, []float32{1, 2, 3})
-	b := FromSlice(1, 3, []float32{4, 5, 6})
-	c := New(1, 3)
-	Sub(c, b, a)
-	if c.Data[0] != 3 || c.Data[2] != 3 {
-		t.Fatal("Sub wrong")
-	}
+func TestScale(t *testing.T) {
+	c := FromSlice(1, 3, []float32{3, -1, 0.5})
 	Scale(c, 2)
-	if c.Data[0] != 6 {
-		t.Fatal("Scale wrong")
+	if c.Data[0] != 6 || c.Data[1] != -2 || c.Data[2] != 1 {
+		t.Fatalf("Scale wrong: %v", c.Data)
 	}
 }
 

@@ -28,7 +28,7 @@ func tileDotsAVX2(dst *float32, ldd uintptr, x *float32, ldx uintptr, mT *float3
 func tileAccumAVX2(acc *float32, ldacc uintptr, w *float32, ldwr, ldwc uintptr, m *float32, ldm uintptr, nr, nc, k, keep uintptr)
 
 //go:noescape
-func csrAccumAVX2(acc *float32, ldacc uintptr, m *float32, ldm uintptr, w *float32, idx *int32, ptr *int32, rows, k, keep uintptr)
+func csrAccumAVX2(acc *float32, ldacc uintptr, m *float32, ldm uintptr, w *float32, idx *int32, ptr *int32, rows, k uintptr)
 
 //go:noescape
 func flashDotsAVX2(dst, xT, m *float32, ldm, n, dh uintptr, scale float32, mode uintptr, a, b *float32)
@@ -80,7 +80,7 @@ func cpuHasFMA() bool {
 }
 
 // accumCols computes, for every j < len(c) (a multiple of 8) and p ascending,
-// c[j] = init + Σ_{p<k} a[p·stride]·b[p·ldb+j] in one of the three forms of
+// c[j] = init + Σ_{p<k} a[p·stride]·b[p·ldb+j] in one of the two forms of
 // accumMode.
 func accumCols(c, a []float32, stride int, b []float32, ldb, k int, mode accumMode) {
 	n := len(c)
@@ -109,65 +109,6 @@ func dotCols(dst, x, bt []float32, ld int) {
 		unsafe.SliceData(bt), uintptr(ld), uintptr(len(dst)))
 }
 
-// checkGatherRows checks that no index in idx is negative and that row r of
-// an ld-strided matrix m has n elements for every listed r — the extent the
-// gather micro-kernels will touch — and returns the largest index.
-func checkGatherRows(m []float32, ld, n int, idx []int32) int {
-	var hi uint32 // a negative index reads as one above 2³¹
-	for _, r := range idx {
-		hi = max(hi, uint32(r))
-	}
-	if len(idx) > 0 && int(hi)*ld+n > len(m) {
-		panic(fmt.Sprintf("tensor: row index %d out of range of %d rows", int32(hi), len(m)/ld))
-	}
-	return int(hi)
-}
-
-// gatherDotCols computes dst[e] = the first len(x) columns (a multiple of 8)
-// of Dot(x, row idx[e] of m), rows ld elements apart: pairDots with the x
-// side held on one row (its stride 0), the last one to three entries by
-// Dot's loop.
-func gatherDotCols(dst, x, m []float32, ld int, idx []int32) {
-	if len(idx) == 0 {
-		return
-	}
-	_ = dst[len(idx)-1]
-	hi := checkGatherRows(m, ld, len(x), idx)
-	k, n4 := len(x), len(idx)&^3
-	if k == 0 {
-		clear(dst[:len(idx)])
-		return
-	}
-	if n4 > 0 {
-		pairDots(dst, x, 0, idx[:n4], 0, m, ld, idx[:n4], hi, k)
-	}
-	for e := n4; e < len(idx); e++ {
-		r := int(idx[e]) * ld
-		dst[e] = Dot(x, m[r:r+k])
-	}
-}
-
-// gatherAccumCols adds w[e]·(row idx[e] of m) to acc for e ascending over
-// len(acc) columns (a multiple of 8), rows ld elements apart; with skipZero
-// a ±0 weight's term is left out. It is csrAccum over one row.
-func gatherAccumCols(acc, m []float32, ld int, w []float32, idx []int32, skipZero bool) {
-	if len(w) == 0 {
-		return
-	}
-	_ = idx[len(w)-1]
-	checkGatherRows(m, ld, len(acc), idx[:len(w)])
-	if len(acc) == 0 {
-		return
-	}
-	keep := uintptr(1)
-	if skipZero {
-		keep = 0
-	}
-	ptr := [2]int32{0, int32(len(w))}
-	csrAccumAVX2(unsafe.SliceData(acc), 0, unsafe.SliceData(m), uintptr(ld), unsafe.SliceData(w),
-		unsafe.SliceData(idx), &ptr[0], 1, uintptr(len(acc)), keep)
-}
-
 // pairDots computes dst[e] = the first k columns (a multiple of 8) of
 // Dot(row ai[e] of a, row bi[e] of b) for len(ai) entries (a positive
 // multiple of 4), rows lda and ldb elements apart. The indexes come from a
@@ -186,10 +127,10 @@ func pairDots(dst, a []float32, lda int, ai []int32, maxA int, b []float32, ldb 
 
 // csrAccum adds w[e]·(row idx[e] of m) to row t of acc (rows ldacc apart)
 // for every e in [ptr[t], ptr[t+1]), t < len(ptr)−1, over the first k
-// columns (a positive multiple of 8); with keep false a ±0 weight's term is
-// left out. ptr is a validated CSR's, non-decreasing, and no index exceeds
-// maxIdx, so the extent the micro-kernel touches is checked here in O(1).
-func csrAccum(acc []float32, ldacc int, m []float32, ldm int, w []float32, idx, ptr []int32, maxIdx, k int, keep bool) {
+// columns (a positive multiple of 8). ptr is a validated CSR's,
+// non-decreasing, and no index exceeds maxIdx, so the extent the
+// micro-kernel touches is checked here in O(1).
+func csrAccum(acc []float32, ldacc int, m []float32, ldm int, w []float32, idx, ptr []int32, maxIdx, k int) {
 	rows := len(ptr) - 1
 	if rows < 1 || k == 0 || k%8 != 0 {
 		panic(fmt.Sprintf("tensor: csrAccum over %d rows and %d columns", rows, k))
@@ -199,12 +140,8 @@ func csrAccum(acc []float32, ldacc int, m []float32, ldm int, w []float32, idx, 
 		_, _ = w[e0:e1], idx[e0:e1]
 		_ = m[maxIdx*ldm+k-1]
 	}
-	kp := uintptr(0)
-	if keep {
-		kp = 1
-	}
 	csrAccumAVX2(unsafe.SliceData(acc), uintptr(ldacc), unsafe.SliceData(m), uintptr(ldm), unsafe.SliceData(w),
-		unsafe.SliceData(idx), unsafe.SliceData(ptr), uintptr(rows), uintptr(k), kp)
+		unsafe.SliceData(idx), unsafe.SliceData(ptr), uintptr(rows), uintptr(k))
 }
 
 // tileAccum adds w[r·ldwr+c·ldwc]·(row c of m) to row r of acc for r < nr
@@ -320,7 +257,7 @@ func flashScatter(m []float32, ldm int, w, x []float32, ldx, nr, n, cols int) {
 		uintptr(ldx), uintptr(nr), uintptr(n), uintptr(cols))
 }
 
-// expLanes is expRow over len(src) elements (a multiple of 4), up to the
+// expLanes is expScalar over len(src) elements (a multiple of 4), up to the
 // first group of four that holds a lane outside the normal exponent range;
 // it returns how many elements it wrote.
 func expLanes(dst, src []float32, shift, cut float32) int {

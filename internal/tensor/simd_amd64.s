@@ -35,14 +35,11 @@ TEXT ·xgetbv(SB), NOSPLIT, $0-8
 
 // func accumAVX2(c, a *float32, aStride uintptr, b *float32, ldb, k, n, mode uintptr)
 //
-// c[j] = init + Σ_p a[p·aStride]·b[p·ldb+j] for j in [0,n), p ascending.
-// mode bit 1 (load) picks init: +0 when clear, c[j] when set. mode bit 0
-// (keep) picks the terms: when clear a term is skipped if its a element is
-// ±0, when set no term is skipped. mode 0 is the MatMul form, 2 the TMatMulAcc
-// form, 3 the WeightedRowSum form. One test serves the skip: skip when
-// (bits(a)|keep)<<1 == 0 — with keep = 0 that is ±0 and nothing else (NaN and
-// subnormals have a low bit set), the scalar `av != 0`; with keep = 1 it never
-// holds.
+// c[j] = init + Σ_p a[p·aStride]·b[p·ldb+j] for j in [0,n), p ascending,
+// a term skipped when its a element is ±0. mode picks init: +0 when 0 (the
+// MatMul form), c[j] when 1 (the TMatMulAcc form). The skip test is
+// bits(a)<<1 == 0 — ±0 and nothing else (NaN and subnormals have a low bit
+// set), the scalar `av != 0`.
 TEXT ·accumAVX2(SB), NOSPLIT, $0-64
 	MOVQ c+0(FP), DI
 	MOVQ a+8(FP), SI
@@ -50,10 +47,7 @@ TEXT ·accumAVX2(SB), NOSPLIT, $0-64
 	MOVQ b+24(FP), DX
 	MOVQ ldb+32(FP), R9
 	MOVQ n+48(FP), R10
-	MOVQ mode+56(FP), R11
-	MOVQ R11, R12
-	ANDQ $1, R11
-	ANDQ $2, R12
+	MOVQ mode+56(FP), R12
 	SHLQ $2, R8
 	SHLQ $2, R9
 
@@ -86,7 +80,6 @@ acc64start:
 	JZ    acc64store
 acc64term:
 	MOVL (AX), CX
-	ORL  R11, CX
 	ADDL CX, CX
 	JZ   acc64next
 	VBROADCASTSS (AX), Y8
@@ -138,7 +131,6 @@ acc32start:
 	JZ    acc32store
 acc32term:
 	MOVL (AX), CX
-	ORL  R11, CX
 	ADDL CX, CX
 	JZ   acc32next
 	VBROADCASTSS (AX), Y8
@@ -176,7 +168,6 @@ acc8start:
 	JZ    acc8store
 acc8term:
 	MOVL (AX), CX
-	ORL  R11, CX
 	ADDL CX, CX
 	JZ   acc8next
 	VBROADCASTSS (AX), Y8
@@ -356,22 +347,19 @@ dotdone:
 	VMULPS off(CX), Y8, tmp; \
 	VADDPS tmp, acc, acc
 
-// func csrAccumAVX2(acc *float32, ldacc uintptr, m *float32, ldm uintptr, w *float32, idx *int32, ptr *int32, rows, k, keep uintptr)
+// func csrAccumAVX2(acc *float32, ldacc uintptr, m *float32, ldm uintptr, w *float32, idx *int32, ptr *int32, rows, k uintptr)
 //
 // For every row t in [0,rows), rows of acc ldacc elements apart:
 // acc[t·ldacc + j] += w[e]·m[idx[e]·ldm + j] for j in [0,k), e ascending
 // over [ptr[t], ptr[t+1]) — accumAVX2's load form with the row named by an
-// index, one row after another in one call. w and idx are indexed by entry
-// position. keep = 0 skips a term whose weight is ±0 (the same test as
-// accumAVX2), keep = 1 keeps every term. Columns go 32, then 8 at a time;
-// rows >= 1.
-TEXT ·csrAccumAVX2(SB), NOSPLIT, $0-80
+// index and no term skipped, one row after another in one call. w and idx
+// are indexed by entry position. Columns go 32, then 8 at a time; rows >= 1.
+TEXT ·csrAccumAVX2(SB), NOSPLIT, $0-72
 	MOVQ acc+0(FP), R8
 	MOVQ ldm+24(FP), R9
 	MOVQ w+32(FP), SI
 	MOVQ idx+40(FP), BX
 	MOVQ ptr+48(FP), R10
-	MOVQ keep+72(FP), R11
 	MOVQ rows+56(FP), R12
 	SHLQ $2, R9
 
@@ -390,10 +378,6 @@ ca32:
 	MOVLQSX (R10), AX
 	JMP  ca32test
 ca32term:
-	MOVL (SI)(AX*4), CX
-	ORL  R11, CX
-	ADDL CX, CX
-	JZ   ca32next
 	MOVL (BX)(AX*4), CX
 	IMULQ R9, CX
 	ADDQ DX, CX
@@ -402,7 +386,6 @@ ca32term:
 	GTERM(32, Y10, Y1)
 	GTERM(64, Y11, Y2)
 	GTERM(96, Y12, Y3)
-ca32next:
 	INCQ AX
 ca32test:
 	CMPL AX, 4(R10)
@@ -423,16 +406,11 @@ ca8:
 	MOVLQSX (R10), AX
 	JMP  ca8test
 ca8term:
-	MOVL (SI)(AX*4), CX
-	ORL  R11, CX
-	ADDL CX, CX
-	JZ   ca8next
 	MOVL (BX)(AX*4), CX
 	IMULQ R9, CX
 	ADDQ DX, CX
 	VBROADCASTSS (SI)(AX*4), Y8
 	GTERM(0, Y9, Y0)
-ca8next:
 	INCQ AX
 ca8test:
 	CMPL AX, 4(R10)
@@ -666,9 +644,9 @@ tadone:
 //
 // dst[e] = Dot(row ai[e] of a, row bi[e] of b) over k columns for e in
 // [0,n), rows lda and ldb elements apart, n a positive multiple of 4 and k a
-// positive multiple of 8: gatherDotsAVX2 with the x side indexed per entry
-// too — the same column blocks outside, groups of eight entries inside,
-// GROUP4 and the sums in column order, so Dot's sequence per entry.
+// positive multiple of 8: column blocks of eight outside, groups of eight
+// entries inside, GROUP4 and the sums in column order, so Dot's sequence per
+// entry.
 TEXT ·pairDotsAVX2(SB), NOSPLIT, $0-72
 	MOVQ dst+0(FP), DI
 	MOVQ n+56(FP), R10

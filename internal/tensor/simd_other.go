@@ -16,19 +16,11 @@ func dotCols(dst, x, bt []float32, ld int) {
 	panic("tensor: no SIMD kernels on this architecture")
 }
 
-func gatherDotCols(dst, x, m []float32, ld int, idx []int32) {
-	panic("tensor: no SIMD kernels on this architecture")
-}
-
-func gatherAccumCols(acc, m []float32, ld int, w []float32, idx []int32, skipZero bool) {
-	panic("tensor: no SIMD kernels on this architecture")
-}
-
 func pairDots(dst, a []float32, lda int, ai []int32, maxA int, b []float32, ldb int, bi []int32, maxB int, k int) {
 	panic("tensor: no SIMD kernels on this architecture")
 }
 
-func csrAccum(acc []float32, ldacc int, m []float32, ldm int, w []float32, idx, ptr []int32, maxIdx, k int, keep bool) {
+func csrAccum(acc []float32, ldacc int, m []float32, ldm int, w []float32, idx, ptr []int32, maxIdx, k int) {
 	panic("tensor: no SIMD kernels on this architecture")
 }
 

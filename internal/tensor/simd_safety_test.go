@@ -3,7 +3,6 @@ package tensor
 import (
 	"math"
 	"math/rand"
-	"slices"
 	"testing"
 )
 
@@ -194,11 +193,11 @@ func checkAccumCols(tb testing.TB, seed int64, blocks, k, stride, ldPad, cOff, a
 	ain, bin := append([]float32(nil), a.win()...), append([]float32(nil), b.win()...)
 	want := append([]float32(nil), c.win()...)
 	for j := range want {
-		if mode == accumZeroSkip {
+		if mode == accumZero {
 			want[j] = 0
 		}
 		for p := 0; p < k; p++ {
-			if av := ain[p*stride]; mode == accumLoadKeep || av != 0 {
+			if av := ain[p*stride]; av != 0 {
 				want[j] += float32(av * bin[p*ldb+j])
 			}
 		}
@@ -387,105 +386,6 @@ func TestFlashWrappersStayInBounds(t *testing.T) {
 	}
 }
 
-// gatherOperands draws the operands of the gather wrappers: an m of rows
-// rows of 8·blocks columns, ld = columns + ldPad apart, and ne row indices
-// into it (repeats, any order).
-func gatherOperands(rng *rand.Rand, blocks, ne, ldPad, rows, mOff int) (m guarded, ld int, idx []int32) {
-	n := 8 * blocks
-	ld = n + ldPad
-	mLen := 0
-	if rows > 0 {
-		mLen = (rows-1)*ld + n
-	}
-	m = newGuarded(mLen, mOff, func(int) float32 { return float32(rng.NormFloat64()) })
-	if rows > 0 {
-		idx = make([]int32, ne)
-		for e := range idx {
-			idx[e] = int32(rng.Intn(rows))
-		}
-	}
-	return m, ld, idx
-}
-
-// checkGatherDotCols: dst[e] = Dot(x, row idx[e] of m) over 8·blocks
-// columns.
-func checkGatherDotCols(tb testing.TB, seed int64, blocks, ne, ldPad, rows, dstOff, xOff, mOff int) {
-	needCols(tb)
-	rng := rand.New(rand.NewSource(seed))
-	m, ld, idx := gatherOperands(rng, blocks, ne, ldPad, rows, mOff)
-	n := 8 * blocks
-	x := newGuarded(n, xOff, func(int) float32 { return float32(rng.NormFloat64()) })
-	dst := newGuarded(len(idx), dstOff, func(int) float32 { return math.Float32frombits(canary) })
-	mIn, xin, idxIn := append([]float32(nil), m.win()...), append([]float32(nil), x.win()...), append([]int32(nil), idx...)
-	want := make([]float32, len(idx))
-	for e, r := range idx {
-		want[e] = oracleDot(xin, mIn[int(r)*ld:int(r)*ld+n])
-	}
-	gatherDotCols(dst.win(), x.win(), m.win(), ld, idx)
-	mustSameBits(tb, "gatherDotCols dst", dst.win(), want)
-	dst.intact(tb, "gatherDotCols dst", nil)
-	x.intact(tb, "gatherDotCols x", xin)
-	m.intact(tb, "gatherDotCols m", mIn)
-	if !slices.Equal(idx, idxIn) {
-		tb.Fatal("gatherDotCols changed idx")
-	}
-}
-
-// checkGatherAccumCols: acc += w[e]·(row idx[e] of m) over 8·blocks
-// columns, e ascending, ±0 weights left out when skip.
-func checkGatherAccumCols(tb testing.TB, seed int64, blocks, ne, ldPad, rows, accOff, mOff, wOff int, skip bool) {
-	needCols(tb)
-	rng := rand.New(rand.NewSource(seed))
-	m, ld, idx := gatherOperands(rng, blocks, ne, ldPad, rows, mOff)
-	n := 8 * blocks
-	w := newGuarded(len(idx), wOff, func(int) float32 {
-		if rng.Intn(4) == 0 {
-			return zeroOrSpecial(rng)
-		}
-		return float32(rng.NormFloat64())
-	})
-	acc := newGuarded(n, accOff, func(int) float32 { return float32(rng.NormFloat64()) })
-	mIn, win, idxIn := append([]float32(nil), m.win()...), append([]float32(nil), w.win()...), append([]int32(nil), idx...)
-	want := append([]float32(nil), acc.win()...)
-	for e, r := range idx {
-		if skip && win[e] == 0 {
-			continue
-		}
-		for j := range want {
-			want[j] += float32(win[e] * mIn[int(r)*ld+j])
-		}
-	}
-	gatherAccumCols(acc.win(), m.win(), ld, w.win(), idx, skip)
-	mustSameBits(tb, "gatherAccumCols acc", acc.win(), want)
-	acc.intact(tb, "gatherAccumCols acc", nil)
-	m.intact(tb, "gatherAccumCols m", mIn)
-	w.intact(tb, "gatherAccumCols w", win)
-	if !slices.Equal(idx, idxIn) {
-		tb.Fatal("gatherAccumCols changed idx")
-	}
-}
-
-// TestGatherWrappersStayInBounds sweeps the gather wrappers: 0 to 9 and 17
-// column blocks (the accumulate's 64-, 32- and 8-column loops and their
-// exits), entry counts around the dot kernel's groups of eight, matrices of
-// one row and more, padded and unpadded rows, operands at every offset from
-// the 32-byte boundary.
-func TestGatherWrappersStayInBounds(t *testing.T) {
-	seed := int64(0)
-	for _, blocks := range []int{0, 1, 2, 3, 4, 5, 8, 9, 17} {
-		for _, ne := range []int{0, 1, 7, 8, 9, 16, 21} {
-			for _, rows := range []int{1, 3, 40} {
-				for off := 0; off < 9; off += 2 {
-					seed++
-					ldPad := off % 4
-					checkGatherDotCols(t, seed, blocks, ne, ldPad, rows, off, (off+3)%9, (off+5)%9)
-					checkGatherAccumCols(t, seed, blocks, ne, ldPad, rows, off, (off+7)%9, (off+2)%9, off%3 == 0)
-				}
-			}
-		}
-	}
-}
-
 // TestSIMDWrappersStayInBounds is the deterministic sweep: every group/block
 // count that exercises each kernel's 64-, 32- and 8-column loops and their
 // exits, reduction depths around Dot's grouping, row strides with and
@@ -501,7 +401,7 @@ func TestSIMDWrappersStayInBounds(t *testing.T) {
 			checkGELUGradLanes(t, seed, g, (off+2)%9, off, (off+4)%9)
 			for _, k := range []int{0, 1, 3, 4, 5, 9} {
 				for _, ldPad := range []int{0, 3} {
-					for _, mode := range []accumMode{accumZeroSkip, accumLoadSkip, accumLoadKeep} {
+					for _, mode := range []accumMode{accumZero, accumLoad} {
 						checkAccumCols(t, seed, g, k, 1+ldPad, ldPad, off, (off+1)%9, (off+6)%9, mode)
 					}
 					checkDotCols(t, seed, g, k, ldPad, (off+8)%9, off, (off+3)%9)
@@ -546,7 +446,7 @@ func FuzzAccumCols(f *testing.F) {
 	f.Add(int64(2), uint8(0), uint8(0), uint8(1), uint8(0), uint8(0), uint8(0), uint8(0), uint8(1))
 	f.Add(int64(3), uint8(13), uint8(17), uint8(6), uint8(5), uint8(7), uint8(15), uint8(9), uint8(2))
 	f.Fuzz(func(t *testing.T, seed int64, blocks, k, stride, ldPad, cOff, aOff, bOff, mode uint8) {
-		modes := []accumMode{accumZeroSkip, accumLoadSkip, accumLoadKeep}
+		modes := []accumMode{accumZero, accumLoad}
 		checkAccumCols(t, seed, int(blocks%20), int(k%40), 1+int(stride%8), int(ldPad%8),
 			int(cOff%16), int(aOff%16), int(bOff%16), modes[int(mode)%len(modes)])
 	})
@@ -558,26 +458,6 @@ func FuzzDotCols(f *testing.F) {
 	f.Add(int64(3), uint8(1), uint8(33), uint8(5), uint8(7), uint8(15), uint8(9))
 	f.Fuzz(func(t *testing.T, seed int64, blocks, k, ldPad, dstOff, xOff, btOff uint8) {
 		checkDotCols(t, seed, int(blocks%20), int(k%40), int(ldPad%8), int(dstOff%16), int(xOff%16), int(btOff%16))
-	})
-}
-
-func FuzzGatherDotCols(f *testing.F) {
-	f.Add(int64(1), uint8(1), uint8(9), uint8(0), uint8(12), uint8(1), uint8(2), uint8(3))
-	f.Add(int64(2), uint8(0), uint8(0), uint8(0), uint8(1), uint8(0), uint8(0), uint8(0))
-	f.Add(int64(3), uint8(8), uint8(33), uint8(5), uint8(40), uint8(7), uint8(15), uint8(9))
-	f.Fuzz(func(t *testing.T, seed int64, blocks, ne, ldPad, rows, dstOff, xOff, mOff uint8) {
-		checkGatherDotCols(t, seed, int(blocks%20), int(ne%70), int(ldPad%8), 1+int(rows%64),
-			int(dstOff%16), int(xOff%16), int(mOff%16))
-	})
-}
-
-func FuzzGatherAccumCols(f *testing.F) {
-	f.Add(int64(1), uint8(1), uint8(9), uint8(0), uint8(12), uint8(1), uint8(2), uint8(3), false)
-	f.Add(int64(2), uint8(0), uint8(0), uint8(0), uint8(1), uint8(0), uint8(0), uint8(0), true)
-	f.Add(int64(3), uint8(13), uint8(33), uint8(5), uint8(40), uint8(7), uint8(15), uint8(9), true)
-	f.Fuzz(func(t *testing.T, seed int64, blocks, ne, ldPad, rows, accOff, mOff, wOff uint8, skip bool) {
-		checkGatherAccumCols(t, seed, int(blocks%20), int(ne%70), int(ldPad%8), 1+int(rows%64),
-			int(accOff%16), int(mOff%16), int(wOff%16), skip)
 	})
 }
 

@@ -31,24 +31,25 @@ func mathLanes(n int) int {
 
 var negInf32 = float32(math.Inf(-1))
 
-// expRow computes dst[i] = float32(math.Exp(float64(src[i]+shift))), and
-// exactly 0 where src[i]+shift <= cut (pass negInf32 for no cut: exp(−Inf) is
-// 0 anyway). dst may alias src.
-func expRow(dst, src []float32, shift, cut float32) {
+// expRow computes dst[i] = float32(math.Exp(float64(src[i]+shift))). dst may
+// alias src.
+func expRow(dst, src []float32, shift float32) {
 	dst = dst[:len(src)]
 	i := 0
 	for lanes := mathLanes(len(src)); i < lanes; {
-		i += expLanes(dst[i:lanes], src[i:lanes], shift, cut)
+		i += expLanes(dst[i:lanes], src[i:lanes], shift, negInf32)
 		if i < lanes {
 			// the kernel stopped in front of a group with a lane outside the
 			// normal exponent range: that group is done here, then it resumes
-			expScalar(dst[i:i+4], src[i:i+4], shift, cut)
+			expScalar(dst[i:i+4], src[i:i+4], shift, negInf32)
 			i += 4
 		}
 	}
-	expScalar(dst[i:], src[i:], shift, cut)
+	expScalar(dst[i:], src[i:], shift, negInf32)
 }
 
+// expScalar is expRow's arithmetic one element at a time, with exactly 0
+// where src[i]+shift <= cut (negInf32 for no cut: exp(−Inf) is 0 anyway).
 func expScalar(dst, src []float32, shift, cut float32) {
 	for i, v := range src {
 		if x := v + shift; x <= cut {
@@ -102,7 +103,7 @@ func ExpShift(dst, src []float32, shift float32) {
 	if len(dst) != len(src) {
 		panic("tensor: ExpShift length mismatch")
 	}
-	expRow(dst, src, shift, negInf32)
+	expRow(dst, src, shift)
 }
 
 // BiasGELU fuses the bias add and GELU activation of a Linear layer into a

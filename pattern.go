@@ -1,7 +1,6 @@
 package torchgt
 
 import (
-	"torchgt/internal/encoding"
 	"torchgt/internal/model"
 	"torchgt/internal/sparse"
 )
@@ -30,11 +29,4 @@ type GraphTransformer = model.GraphTransformer
 // NewGraphTransformer instantiates a model from a configuration.
 func NewGraphTransformer(cfg ModelConfig) *GraphTransformer {
 	return model.NewGraphTransformer(cfg)
-}
-
-// NodeInputs assembles model inputs (features + degree-bucket encodings) for
-// a node dataset, for use with custom loops.
-func NodeInputs(ds *NodeDataset) *Inputs {
-	degIn, degOut := encoding.DegreeBuckets(ds.G, encoding.MaxDegreeBucket)
-	return &Inputs{X: ds.X, DegInIdx: degIn, DegOutIdx: degOut}
 }

@@ -1,7 +1,6 @@
 package torchgt
 
 import (
-	"errors"
 	"io"
 	"time"
 
@@ -105,7 +104,3 @@ func NewServeRegistry(cacheCap int) *ServeRegistry { return serve.NewRegistry(ca
 // ReadSnapshot decodes a snapshot from a stream (the io.Reader form of
 // LoadSnapshot — what Registry HTTP publish uses for uploaded bodies).
 func ReadSnapshot(r io.Reader) (*Snapshot, error) { return serve.ReadSnapshot(r) }
-
-// IsServeNotReady reports whether err is the not-ready condition (no active
-// generation yet), the typed test for 503-retryable rollout states.
-func IsServeNotReady(err error) bool { return errors.Is(err, serve.ErrNotReady) }

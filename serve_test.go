@@ -2,6 +2,7 @@ package torchgt
 
 import (
 	"context"
+	"errors"
 	"math"
 	"path/filepath"
 	"testing"
@@ -91,7 +92,7 @@ func TestPublicControlPlane(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if resp := r.Predict(context.Background(), "arxiv", 1); !IsServeNotReady(resp.Err) {
+	if resp := r.Predict(context.Background(), "arxiv", 1); !errors.Is(resp.Err, ErrServeNotReady) {
 		t.Fatalf("predict before swap: %v", resp.Err)
 	}
 	for i, snap := range []*Snapshot{v1, v2} {

@@ -36,7 +36,3 @@ type (
 func ShardNodeDataset(dir string, ds *NodeDataset, shards int) (*ShardManifest, error) {
 	return shard.Write(dir, ds, shards)
 }
-
-// LoadShardManifest reads and validates the manifest of a sharded dataset
-// directory without touching the shard payloads.
-func LoadShardManifest(dir string) (*ShardManifest, error) { return shard.LoadManifest(dir) }

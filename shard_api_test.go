@@ -19,14 +19,7 @@ func TestShardPublicSurface(t *testing.T) {
 	if int(man.NumNodes) != ds.G.N || len(man.Shards) != 3 {
 		t.Fatalf("manifest: %d nodes / %d shards", man.NumNodes, len(man.Shards))
 	}
-	loaded, err := LoadShardManifest(dir)
-	if err != nil {
-		t.Fatalf("LoadShardManifest: %v", err)
-	}
-	if loaded.NumNodes != man.NumNodes || loaded.NumEdges != man.NumEdges {
-		t.Fatalf("reloaded manifest disagrees: %+v vs %+v", loaded, man)
-	}
-	for _, g := range loaded.Shards[0].Segments {
+	for _, g := range man.Shards[0].Segments {
 		if g.KindName() == "" {
 			t.Fatalf("segment kind %d has no name", g.Kind)
 		}
@@ -121,7 +114,7 @@ func TestShardPublicSurface(t *testing.T) {
 	if _, err := ShardNodeDataset(dir, nil, 2); err == nil {
 		t.Fatal("ShardNodeDataset accepted a nil dataset")
 	}
-	if _, err := LoadShardManifest(filepath.Join(dir, "nope")); err == nil {
-		t.Fatal("LoadShardManifest accepted a missing directory")
+	if _, err := OpenDataset("shard://" + filepath.Join(dir, "nope")); err == nil {
+		t.Fatal("OpenDataset accepted a missing shard directory")
 	}
 }

@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"torchgt/internal/encoding"
 )
 
 func TestPublicDatasetLoading(t *testing.T) {
@@ -151,7 +153,8 @@ func TestPublicCheckpointRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	// identical weights ⇒ identical forward
-	in := NodeInputs(ds)
+	degIn, degOut := encoding.DegreeBuckets(ds.G, encoding.MaxDegreeBucket)
+	in := &Inputs{X: ds.X, DegInIdx: degIn, DegOutIdx: degOut}
 	spec := &AttentionSpec{Mode: ModeFlash}
 	a := m.Forward(in, spec, false)
 	b := m2.Forward(in, spec, false)
