@@ -38,12 +38,16 @@
 // own heads at each attention layer) — bitwise-identical to -seqpar with the
 // same world size. Without -rank the command is a launcher: it forks the
 // whole world as local processes and propagates their exit codes. With -rank
-// it is one worker of a (possibly multi-machine) job. -dp R splits the world
-// into R data-parallel replicas (world = R × sequence ranks). The torchgt
-// methods need -beta B here: it pins βthre, which the Auto Tuner would
-// otherwise move from wall-clock epoch times that differ from rank to rank;
-// every flag but the per-rank ones (-rank, -rendezvous, the output paths)
-// must agree across ranks. If a peer dies mid-run the survivors roll back to
+// it is one worker of a (possibly multi-machine) job: give every rank an
+// -rendezvous address the others can reach rank 0 by (not a loopback one
+// across machines). Each other rank then listens for its peers on the local
+// address of its connection to rank 0 and advertises that address to them,
+// so a peer is dialled over the same route rank 0 reaches it by. -dp R
+// splits the world into R data-parallel replicas (world = R × sequence
+// ranks). The torchgt methods need -beta B here: it pins βthre, which the
+// Auto Tuner would otherwise move from wall-clock epoch times that differ
+// from rank to rank; every flag but the per-rank ones (-rank, -rendezvous,
+// the output paths) must agree across ranks. If a peer dies mid-run the survivors roll back to
 // the last completed optimiser step, write a checkpoint (with
 // -checkpoint-dir) and exit with code 75 — resume at a smaller world with
 // -resume + -rendezvous. See DESIGN.md "Cross-process execution".

@@ -134,8 +134,8 @@ func (f *Flash) Forward(q, k, v *tensor.Mat) *tensor.Mat {
 // half the score, exp and dp work. The price is that rows can no longer be
 // split across workers (two blocks would race on dk_j/dv_j, and any
 // split-and-reduce would reorder the sums), so the pass is serial within a
-// head; parallelism comes from above — the Runtime's head fan-out and the
-// sequence-parallel ranks.
+// head; parallelism comes from above — the head fan-out of a one-rank plan
+// and the heads spread over sequence-parallel ranks.
 func (f *Flash) Backward(dO *tensor.Mat) (dq, dk, dv *tensor.Mat) {
 	q, k, v := f.q, f.k, f.v
 	s := q.Rows

@@ -43,10 +43,9 @@ type Kernel interface {
 // cache buffers from a tensor.Workspace instead of the heap. All kernels in
 // this package implement it; a nil workspace (the default) falls back to
 // plain allocation, so existing call sites are unaffected. Execution plans
-// exploit this to place kernel scratch: the head-parallel runtime hands
-// each head its worker slot's workspace, and the sequence-parallel plan
-// hands each head its owning rank's workspace, so a rank's kernels never
-// touch another rank's arena.
+// exploit this to place kernel scratch: every plan hands each head its
+// owning rank's workspace, so a rank's kernels never touch another rank's
+// arena.
 //
 // Ownership contract: buffers handed out by Forward/Backward (outputs,
 // gradients, bias gradients) belong to the workspace and stay valid until

@@ -281,21 +281,30 @@ func vetHello(h helloMsg, world int, fingerprint string, conns []net.Conn) strin
 }
 
 // joinPeer runs the non-coordinator side of the rendezvous.
+//
+// The peer's mesh listener takes the local address of its coordinator
+// connection, with a fresh port: the route the coordinator reaches it by,
+// and so the one it advertises in the roster the other peers dial.
 func joinPeer(ctx context.Context, addr string, rank, world int, o Options, deadline time.Time) (*TCP, error) {
-	ml, err := net.Listen("tcp", o.Bind)
-	if err != nil {
-		return nil, fmt.Errorf("transport: mesh listen %s: %w", o.Bind, err)
-	}
-	defer ml.Close()
-
 	coord, err := dialRetry(ctx, addr, o, deadline)
 	if err != nil {
 		return nil, err
 	}
+	host, _, err := net.SplitHostPort(coord.LocalAddr().String())
+	if err != nil {
+		coord.Close()
+		return nil, fmt.Errorf("transport: mesh listen: %w", err)
+	}
+	ml, err := net.Listen("tcp", net.JoinHostPort(host, "0"))
+	if err != nil {
+		coord.Close()
+		return nil, fmt.Errorf("transport: mesh listen on %s: %w", host, err)
+	}
+	defer ml.Close()
 	coord.SetDeadline(deadline)
 	hello := helloMsg{
 		World: world, Rank: rank, Fingerprint: o.Fingerprint,
-		PeerAddr: advertiseAddr(ml.Addr(), coord.LocalAddr()),
+		PeerAddr: ml.Addr().String(),
 	}
 	if err := writeJSON(coord, kindHello, hello); err != nil {
 		coord.Close()
@@ -435,22 +444,6 @@ func dialRetry(ctx context.Context, addr string, o Options, deadline time.Time) 
 			backoff = time.Second
 		}
 	}
-}
-
-// advertiseAddr resolves the mesh listener's dialable address: an
-// unspecified listen host (0.0.0.0/::) is replaced by the host the
-// coordinator connection actually uses.
-func advertiseAddr(ln net.Addr, local net.Addr) string {
-	host, port, err := net.SplitHostPort(ln.String())
-	if err != nil {
-		return ln.String()
-	}
-	if ip := net.ParseIP(host); ip == nil || ip.IsUnspecified() {
-		if lh, _, err := net.SplitHostPort(local.String()); err == nil {
-			host = lh
-		}
-	}
-	return net.JoinHostPort(host, port)
 }
 
 func isTimeout(err error) bool {

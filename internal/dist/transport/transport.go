@@ -123,9 +123,6 @@ type Options struct {
 	// rendezvous: peers whose fingerprint differs from the coordinator's
 	// are rejected with ErrWorldMismatch before step 0.
 	Fingerprint string
-	// Bind is the listen address for the per-peer mesh listener
-	// (default "127.0.0.1:0"; use ":0" to accept non-loopback peers).
-	Bind string
 }
 
 func (o Options) withDefaults() Options {
@@ -140,9 +137,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.IOTimeout <= 0 {
 		o.IOTimeout = 30 * time.Second
-	}
-	if o.Bind == "" {
-		o.Bind = "127.0.0.1:0"
 	}
 	return o
 }

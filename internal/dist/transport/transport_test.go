@@ -282,6 +282,75 @@ func TestTCPRendezvousAutoRank(t *testing.T) {
 	}
 }
 
+// TestTCPRosterAdvertisesCoordinatorRoute: a peer advertises its mesh
+// listener at the local address of its connection to the coordinator, the
+// route by which peers on other machines can reach it too, never a fixed
+// loopback one. A world-3 rendezvous at [::1] must collect a roster whose
+// every host is ::1, and must then form its mesh there.
+func TestTCPRosterAdvertisesCoordinatorRoute(t *testing.T) {
+	ln, err := net.Listen("tcp", "[::1]:0")
+	if err != nil {
+		t.Skipf("no IPv6 loopback: %v", err)
+	}
+	const world = 3
+	addr := ln.Addr().String()
+	errs := make([]error, world)
+	var wg sync.WaitGroup
+	for r := 1; r < world; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, errs[r] = Join(context.Background(), addr, r, world, Options{RendezvousTimeout: 10 * time.Second})
+		}()
+	}
+	// Stand in for rank 0: read the hellos the roster is made of, then
+	// abort the rendezvous.
+	for r := 1; r < world; r++ {
+		c, err := ln.Accept()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var h helloMsg
+		if err := readJSON(c, kindHello, &h); err != nil {
+			t.Fatal(err)
+		}
+		c.Close()
+		if host, _, err := net.SplitHostPort(h.PeerAddr); err != nil || host != "::1" {
+			t.Errorf("rank %d advertises %q for a coordinator reached at %s, want host ::1", h.Rank, h.PeerAddr, addr)
+		}
+	}
+	ln.Close()
+	wg.Wait()
+	for r := 1; r < world; r++ {
+		if !errors.Is(errs[r], ErrWorldMismatch) {
+			t.Fatalf("rank %d: aborted rendezvous returned %v", r, errs[r])
+		}
+	}
+
+	// The real rendezvous at the same kind of address forms the mesh.
+	ln, err = net.Listen("tcp", "[::1]:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr = ln.Addr().String()
+	ln.Close()
+	ts := make([]*TCP, world)
+	for r := range ts {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ts[r], errs[r] = Join(context.Background(), addr, r, world, Options{RendezvousTimeout: 10 * time.Second})
+		}()
+	}
+	wg.Wait()
+	defer closeAll(ts)
+	for r, err := range errs {
+		if err != nil {
+			t.Fatalf("rank %d join at %s: %v", r, addr, err)
+		}
+	}
+}
+
 // TestGroupCollectivesTCPMatchMem pins the determinism contract across
 // transports: the same order-sensitive inputs must reduce to bit-identical
 // results over the in-process mesh and over real sockets, on every member.

@@ -23,7 +23,7 @@ type Block struct {
 
 // SetPlan attaches the execution plan to the block and its attention.
 func (b *Block) SetPlan(p Plan) {
-	b.plan = normPlan(p)
+	b.plan = p
 	b.Attn.SetPlan(p)
 	c := b.plan.gradChain()
 	b.LN1.SetChain(c)
@@ -56,10 +56,10 @@ func (b *Block) Params() []*nn.Param {
 // those rows only, so the output has one row per entry of rows and spec's
 // pattern must have exactly those rows, its columns indexing x (see
 // rowSchedule). nil computes every row. Residual-sum buffers come from the
-// runtime's step workspace; they are consumed within the step (the next layer
+// plan's step workspace; they are consumed within the step (the next layer
 // caches what its backward needs), so pooling them is safe.
 func (b *Block) Forward(x *tensor.Mat, spec *AttentionSpec, train bool, rows []int32) *tensor.Mat {
-	ws := normPlan(b.plan).workspace(0)
+	ws := b.plan.workspace()
 	h := b.Attn.Forward(b.LN1.Forward(x), spec, rows)
 	h = b.Drop1.Forward(h, train)
 	x = pickRows(ws, x, rows)

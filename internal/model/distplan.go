@@ -40,6 +40,10 @@ import (
 // and merged by ownership. Training under this plan is thereby pinned
 // bitwise-equal to the serial trajectory, and hence to the in-process
 // SeqParallel plan, at every P. See DESIGN.md "Cross-process execution".
+//
+// A group of one (P = R = 1, over transport.NewMem(1)) is the serial engine
+// NewGraphTransformer installs: every row is local, nothing is resharded,
+// chained or synchronised, and the rank's heads fan out over goroutines.
 type DistSeqParallel struct {
 	// P is the sequence-parallel degree (ranks per replica); R the replica
 	// count. P·R is the transport's world size.
@@ -64,8 +68,8 @@ type DistSeqParallel struct {
 // NewDistSeqParallel builds the hybrid plan for this process from its
 // transport: world = replicas × P, with ranks [replica·P, (replica+1)·P)
 // forming each sequence-parallel group. opts.PoolEnabled draws the rank's
-// scratch from pooled workspaces; a rank's heads run sequentially, as on
-// one GPU.
+// scratch from pooled workspaces. At P ≥ 2 a rank's heads run sequentially,
+// as on one GPU; a group of one fans them out (ulysses.eachHead).
 func NewDistSeqParallel(t transport.Transport, replicas int, opts ExecOptions) (*DistSeqParallel, error) {
 	if replicas < 1 {
 		replicas = 1
@@ -140,7 +144,7 @@ func (p *DistSeqParallel) StepReset() {
 // AllocStats implements Plan.
 func (p *DistSeqParallel) AllocStats() tensor.WorkspaceStats { return sumStats(p.u.ws, p.shared) }
 
-func (p *DistSeqParallel) workspace(int) *tensor.Workspace { return p.shared }
+func (p *DistSeqParallel) workspace() *tensor.Workspace { return p.shared }
 
 // rows implements Plan: this rank's shard. The sequence length is kept for
 // the head sections of the forward it opens.
@@ -181,7 +185,8 @@ func (p *DistSeqParallel) gradChain() nn.GradChain {
 // forwardHeads implements Plan: this rank's side of the Ulysses section.
 // A group of one holds the whole token sequence, which a global readout
 // token (one per packed segment) makes longer than the feature rows that
-// rows saw, so q's rows are the head section's length.
+// rows saw, and a pruned forward's queries shorter than its keys, so q's
+// rows are the head section's length.
 func (p *DistSeqParallel) forwardHeads(m *MHA, q, k, v *tensor.Mat, spec *AttentionSpec) *tensor.Mat {
 	if p.P == 1 {
 		p.seq = q.Rows

@@ -84,7 +84,7 @@ type trajectory struct {
 }
 
 // train runs steps optimiser steps on one replica under plan (nil: the
-// serial engine). A distributed rank's collectives panic with the transport
+// one-rank plan the model starts with). A distributed rank's collectives panic with the transport
 // error when a peer is lost; train lets that propagate.
 func (d distTask) train(plan Plan, steps int) trajectory {
 	m := NewGraphTransformer(d.cfg)
@@ -245,7 +245,9 @@ func TestDistSeqParallelAccumulatesAcrossBackwards(t *testing.T) {
 	task := newDistTask(190, false)
 	twice := func(plan Plan) []float32 {
 		m := NewGraphTransformer(task.cfg)
-		m.SetPlan(plan)
+		if plan != nil {
+			m.SetPlan(plan)
+		}
 		for pass := 0; pass < 2; pass++ {
 			logits := m.Forward(task.in, task.specs[0], true)
 			dl := tensor.New(logits.Rows, logits.Cols)

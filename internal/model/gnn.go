@@ -58,7 +58,7 @@ type GCN struct {
 	Drop     *nn.Dropout
 	hidCache *tensor.Mat
 
-	rt *Runtime
+	ws *tensor.Workspace // per-step scratch, reset at every Forward
 }
 
 // NewGCN builds the baseline for graph g.
@@ -70,7 +70,7 @@ func NewGCN(g *graph.Graph, inDim, hidden, outDim int, dropout float64, seed int
 		L2:   nn.NewLinear("gcn.l2", hidden, outDim, true, rng),
 		Act:  &nn.ReLU{},
 		Drop: nn.NewDropout(dropout, seed+1),
-		rt:   DefaultRuntime(),
+		ws:   tensor.NewWorkspace(),
 	}
 }
 
@@ -79,20 +79,18 @@ func (m *GCN) Params() []*nn.Param { return nn.CollectParams(m.L1, m.L2) }
 
 // Forward computes node logits.
 func (m *GCN) Forward(x *tensor.Mat, train bool) *tensor.Mat {
-	m.rt.StepReset()
-	ws := m.rt.workspace(0)
-	h := m.Act.Forward(m.L1.Forward(m.A.apply(ws, x)))
+	m.ws.Reset()
+	h := m.Act.Forward(m.L1.Forward(m.A.apply(m.ws, x)))
 	h = m.Drop.Forward(h, train)
 	m.hidCache = h
-	return m.L2.Forward(m.A.apply(ws, h))
+	return m.L2.Forward(m.A.apply(m.ws, h))
 }
 
 // Backward accumulates parameter gradients from dLogits. The gradient
 // w.r.t. the input features is never propagated further, so it is not
 // computed.
 func (m *GCN) Backward(dLogits *tensor.Mat) {
-	ws := m.rt.workspace(0)
-	dh := m.A.apply(ws, m.L2.Backward(dLogits)) // Â symmetric
+	dh := m.A.apply(m.ws, m.L2.Backward(dLogits)) // Â symmetric
 	dh = m.Drop.Backward(dh)
 	m.L1.BackwardParams(m.Act.Backward(dh))
 }
@@ -112,7 +110,7 @@ type GAT struct {
 	Act        *nn.ReLU
 	att1, att2 *attention.Sparse
 
-	rt *Runtime
+	ws *tensor.Workspace // per-step scratch, reset at every Forward
 }
 
 // NewGAT builds the baseline over graph g.
@@ -129,7 +127,7 @@ func NewGAT(g *graph.Graph, inDim, hidden, outDim int, seed int64) *GAT {
 		WV2: nn.NewLinear("gat.v2", hidden, hidden, true, rng),
 		Out: nn.NewLinear("gat.out", hidden, outDim, true, rng),
 		Act: &nn.ReLU{},
-		rt:  DefaultRuntime(),
+		ws:  tensor.NewWorkspace(),
 	}
 }
 
@@ -140,14 +138,13 @@ func (m *GAT) Params() []*nn.Param {
 
 // Forward computes node logits.
 func (m *GAT) Forward(x *tensor.Mat, train bool) *tensor.Mat {
-	m.rt.StepReset()
-	ws := m.rt.workspace(0)
+	m.ws.Reset()
 	m.att1 = attention.NewSparse(m.P)
-	m.att1.SetWorkspace(ws)
+	m.att1.SetWorkspace(m.ws)
 	h := m.att1.Forward(m.WQ1.Forward(x), m.WK1.Forward(x), m.WV1.Forward(x))
 	h = m.Act.Forward(h)
 	m.att2 = attention.NewSparse(m.P)
-	m.att2.SetWorkspace(ws)
+	m.att2.SetWorkspace(m.ws)
 	h2 := m.att2.Forward(m.WQ2.Forward(h), m.WK2.Forward(h), m.WV2.Forward(h))
 	return m.Out.Forward(h2)
 }
@@ -177,7 +174,7 @@ type GCNGraph struct {
 	poolRows int
 	hid      *tensor.Mat
 
-	rt *Runtime
+	ws *tensor.Workspace // per-step scratch, reset at every Forward
 }
 
 // NewGCNGraph builds the baseline.
@@ -188,7 +185,7 @@ func NewGCNGraph(inDim, hidden, outDim int, seed int64) *GCNGraph {
 		L2:   nn.NewLinear("gcng.l2", hidden, hidden, true, rng),
 		Head: nn.NewLinear("gcng.head", hidden, outDim, true, rng),
 		Act:  &nn.ReLU{},
-		rt:   DefaultRuntime(),
+		ws:   tensor.NewWorkspace(),
 	}
 }
 
@@ -197,14 +194,13 @@ func (m *GCNGraph) Params() []*nn.Param { return nn.CollectParams(m.L1, m.L2, m.
 
 // Forward computes one graph's output (1×OutDim) via mean pooling.
 func (m *GCNGraph) Forward(g *graph.Graph, x *tensor.Mat) *tensor.Mat {
-	m.rt.StepReset()
-	ws := m.rt.workspace(0)
+	m.ws.Reset()
 	m.a = newSpmm(g)
-	h := m.Act.Forward(m.L1.Forward(m.a.apply(ws, x)))
-	h = m.L2.Forward(m.a.apply(ws, h))
+	h := m.Act.Forward(m.L1.Forward(m.a.apply(m.ws, x)))
+	h = m.L2.Forward(m.a.apply(m.ws, h))
 	m.hid = h
 	m.poolRows = h.Rows
-	pooled := ws.Get(1, h.Cols)
+	pooled := m.ws.Get(1, h.Cols)
 	for i := 0; i < h.Rows; i++ {
 		tensor.Axpy(1.0/float32(h.Rows), h.Row(i), pooled.Row(0))
 	}
@@ -213,13 +209,12 @@ func (m *GCNGraph) Forward(g *graph.Graph, x *tensor.Mat) *tensor.Mat {
 
 // Backward accumulates gradients from dOut (1×OutDim).
 func (m *GCNGraph) Backward(dOut *tensor.Mat) {
-	ws := m.rt.workspace(0)
 	dPooled := m.Head.Backward(dOut)
-	dh := ws.Get(m.poolRows, dPooled.Cols)
+	dh := m.ws.Get(m.poolRows, dPooled.Cols)
 	for i := 0; i < m.poolRows; i++ {
 		tensor.Axpy(1.0/float32(m.poolRows), dPooled.Row(0), dh.Row(i))
 	}
-	dh = m.a.apply(ws, m.L2.Backward(dh))
+	dh = m.a.apply(m.ws, m.L2.Backward(dh))
 	dh = m.Act.Backward(dh)
 	m.L1.BackwardParams(dh)
 }

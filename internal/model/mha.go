@@ -14,10 +14,9 @@ import (
 // difference in DESIGN.md).
 //
 // The per-head section is dispatched through the attached execution Plan:
-// under the head-parallel Runtime heads fan out across worker slots, each
-// drawing kernel scratch from its slot's workspace; under the
-// sequence-parallel plans every rank reshards sequence↔heads through
-// all-to-alls and runs its local heads under its own workspace. Heads are fully
+// every rank reshards sequence↔heads through all-to-alls and runs its local
+// heads under its own workspace, and a group of one, which has nothing to
+// reshard, fans its heads out over goroutines. Heads are fully
 // independent — they read shared Q/K/V and write disjoint column ranges of
 // the shared output (and disjoint bias-table gradient entries, since every
 // index is ≡ head (mod Heads)) — so every plan is race-free and bitwise
@@ -49,10 +48,10 @@ func NewMHA(name string, hidden, heads, numBuckets int, rng *rand.Rand) *MHA {
 	return m
 }
 
-// SetPlan attaches the execution plan (nil reverts to sequential, unpooled
-// execution).
+// SetPlan attaches the execution plan; p must not be nil. A lone MHA has no
+// plan until it is given one.
 func (m *MHA) SetPlan(p Plan) {
-	m.plan = normPlan(p)
+	m.plan = p
 	c := m.plan.gradChain()
 	m.WQ.SetChain(c)
 	m.WK.SetChain(c)
@@ -135,10 +134,10 @@ func (m *MHA) newKernelInner(head int, spec *AttentionSpec, s int, ws *tensor.Wo
 // the per-head section, which needs the whole sequence, is scheduled by the
 // attached Plan.
 func (m *MHA) Forward(x *tensor.Mat, spec *AttentionSpec, rows []int32) *tensor.Mat {
-	q := m.WQ.Forward(pickRows(normPlan(m.plan).workspace(0), x, rows))
+	q := m.WQ.Forward(pickRows(m.plan.workspace(), x, rows))
 	k := m.WK.Forward(x)
 	v := m.WV.Forward(x)
-	concat := normPlan(m.plan).forwardHeads(m, q, k, v, spec)
+	concat := m.plan.forwardHeads(m, q, k, v, spec)
 	return m.WO.Forward(concat)
 }
 
@@ -159,7 +158,7 @@ func (m *MHA) beginHeads(spec *AttentionSpec, s int) {
 // and returns dX.
 func (m *MHA) Backward(dout *tensor.Mat) *tensor.Mat {
 	dConcat := m.WO.Backward(dout)
-	dq, dk, dv := normPlan(m.plan).backwardHeads(m, dConcat)
+	dq, dk, dv := m.plan.backwardHeads(m, dConcat)
 	dx := m.WQ.Backward(dq)
 	tensor.AddInPlace(dx, m.WK.Backward(dk))
 	tensor.AddInPlace(dx, m.WV.Backward(dv))

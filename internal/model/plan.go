@@ -7,31 +7,37 @@ import (
 	"torchgt/internal/tensor"
 )
 
+// ExecOptions tunes a plan's scratch memory. The zero value draws every
+// step's scratch from the heap; PoolEnabled is what every model gets.
+type ExecOptions struct {
+	// PoolEnabled draws per-step scratch from pooled workspaces instead of
+	// the heap, making steady-state training steps allocation-free.
+	PoolEnabled bool
+}
+
 // Plan is the execution strategy of a model: how the attention-head section
-// of every Block/MHA is scheduled and where its scratch memory lives. The
-// model's layers dispatch through the attached Plan, so the parallel
-// strategy is pluggable:
+// of every Block/MHA is scheduled and where its scratch memory lives. Both
+// plans run the Ulysses layout of the paper's Cluster-aware Graph
+// Parallelism (§III-C) through the same per-rank code (ulysses):
 //
-//   - *Runtime — the single-process engine: heads fan out across worker-slot
-//     workspaces, one slot per tensor.Workers() (one slot degrades to
-//     sequential execution). A nil
-//     *Runtime is itself a valid Plan: sequential, heap-allocated.
-//   - *SeqParallel — the simulated multi-GPU engine: P rank goroutines own
-//     S/P sequence rows each and reshard sequence↔heads through
-//     transport.Group all-to-alls at every attention boundary (the
-//     DeepSpeed-Ulysses pattern behind the paper's Cluster-aware Graph
-//     Parallelism, §III-C).
-//   - *DistSeqParallel — the same layout between real processes: this
-//     process is one rank, runs every row-wise layer on its S/P rows only
-//     and reshards through a transport.Group.
+//   - *DistSeqParallel — this process is one rank of a sequence-parallel
+//     group over a transport.Transport: it runs every row-wise layer on its
+//     S/P rows only and reshards through the group's all-to-alls. A group
+//     of one is the serial engine every model starts with
+//     (NewGraphTransformer): no reshard, no collective, and its heads fan
+//     out over tensor.Workers() goroutines.
+//   - *SeqParallel — the simulated multi-GPU engine: P rank goroutines
+//     share one address space, reshard sequence↔heads through an
+//     in-process mesh at every attention boundary and run the row-wise
+//     layers once over the full sequence.
 //
 // Every Plan is pinned bitwise-equal to sequential execution; see
 // DESIGN.md "Sequence parallelism as an execution plan" for the argument.
 // The interface is sealed (unexported methods): plans live in this package,
 // next to the layer internals they schedule.
 type Plan interface {
-	// Ranks reports the number of simulated devices (1 for single-process
-	// plans).
+	// Ranks reports the number of sequence-parallel ranks (1 for the
+	// serial engine).
 	Ranks() int
 	// StepReset returns all plan-owned workspace buffers to the shared
 	// pools. Call at optimiser-step boundaries, after gradients are
@@ -43,9 +49,9 @@ type Plan interface {
 
 	// rows reports the half-open range of a length-s token sequence that
 	// this process's row-wise layers (embedding, projections, norms, FFN,
-	// dropout, output head) run: all of it under the single-process plans,
-	// this rank's shard under the cross-process one. Called once per
-	// forward, before any layer runs.
+	// dropout, output head) run: all of it in a group of one or under
+	// SeqParallel, this rank's shard under a larger DistSeqParallel group.
+	// Called once per forward, before any layer runs.
 	rows(s int) (lo, hi int)
 	// gatherRows returns the full-sequence matrix whose rows() block on this
 	// process is local (the identity when rows is everything).
@@ -59,10 +65,9 @@ type Plan interface {
 	// rank; otherwise there is nothing left to do.
 	finishBackward(m nn.Module)
 
-	// workspace hands out the plan's serial-section workspace (slot-based
-	// for the head-parallel runtime). nil is valid and means heap
-	// allocation.
-	workspace(slot int) *tensor.Workspace
+	// workspace hands out the plan's workspace for the row-wise sections.
+	// nil is valid and means heap allocation.
+	workspace() *tensor.Workspace
 	// forwardHeads runs the per-head attention section over the rows()
 	// block of the projected q/k/v and returns the same block of the
 	// concatenated head outputs, stashing per-head kernels on m for
@@ -72,15 +77,6 @@ type Plan interface {
 	// backwardHeads propagates dConcat (the rows() block) through the cached
 	// head kernels, accumulates bias-table gradients, and returns dq/dk/dv.
 	backwardHeads(m *MHA, dConcat *tensor.Mat) (dq, dk, dv *tensor.Mat)
-}
-
-// normPlan maps a nil Plan to the nil-*Runtime sequential fallback so layer
-// code can always call through the interface.
-func normPlan(p Plan) Plan {
-	if p == nil {
-		return (*Runtime)(nil)
-	}
-	return p
 }
 
 // AsSeqParallel returns p as a *SeqParallel when that is what it is, else
@@ -110,8 +106,8 @@ func AsSeqParallel(p Plan) *SeqParallel {
 // Training under this plan is pinned bitwise-equal to the serial trajectory
 // at every P: resharding only moves bytes, per-head kernels see exactly the
 // full-sequence inputs the serial path builds, and shard outputs are
-// assembled with the same zero-initialise-then-add ordering the serial
-// engine uses. The traffic it counts is the reshard alone: the ranks share
+// assembled with the same zero-initialise-then-add ordering a group of one
+// uses. The traffic it counts is the reshard alone: the ranks share
 // the one gradient the layers accumulate in serial order, so there is no
 // gradient exchange to make (DistSeqParallel is where ranks hold partials).
 type SeqParallel struct {
@@ -171,7 +167,7 @@ func (p *SeqParallel) AllocStats() tensor.WorkspaceStats {
 	return sumStats(wss...)
 }
 
-func (p *SeqParallel) workspace(int) *tensor.Workspace { return p.shared }
+func (p *SeqParallel) workspace() *tensor.Workspace { return p.shared }
 
 // rows implements Plan: the ranks share one address space, so the row-wise
 // layers run once over the whole sequence.
@@ -192,15 +188,18 @@ func (p *SeqParallel) Shard(rank, s int) (lo, hi int) { return shardRows(p.P, ra
 // forwardHeads implements Plan: every rank goroutine takes its row shard of
 // the projected q/k/v through the Ulysses reshard and its heads' kernels
 // (see ulysses.forward) and adds the rows it gets back into the shared
-// concat — the serial engine's zero-initialise-then-add ordering, so the
-// output is bitwise identical to sequential execution.
+// concat — the zero-initialise-then-add ordering of a group of one, so the
+// output is bitwise identical to sequential execution. A rank's k and v rows
+// are its shard of their own length: a group of one takes all of them when a
+// pruned forward asks fewer queries than it has keys.
 func (p *SeqParallel) forwardHeads(m *MHA, q, k, v *tensor.Mat, spec *AttentionSpec) *tensor.Mat {
 	s := q.Rows
 	m.beginHeads(spec, s)
 	concat := p.shared.Get(s, m.Hidden)
 	err := dist.Run(p.mesh, func(rank int) {
 		lo, hi := p.Shard(rank, s)
-		out := p.ranks[rank].forward(m, q.SliceRows(lo, hi), k.SliceRows(lo, hi), v.SliceRows(lo, hi), spec, s)
+		klo, khi := p.Shard(rank, k.Rows)
+		out := p.ranks[rank].forward(m, q.SliceRows(lo, hi), k.SliceRows(klo, khi), v.SliceRows(klo, khi), spec, s)
 		tensor.AddInPlace(concat.SliceRows(lo, hi), out)
 	})
 	if err != nil {
@@ -212,7 +211,7 @@ func (p *SeqParallel) forwardHeads(m *MHA, q, k, v *tensor.Mat, spec *AttentionS
 // backwardHeads implements Plan: the mirrored backward resharding. Bias
 // gradients are accumulated per head; all written table entries are
 // ≡ head (mod Heads), so concurrent ranks touch disjoint entries exactly as
-// the head-parallel runtime does.
+// the heads of a group of one do.
 func (p *SeqParallel) backwardHeads(m *MHA, dConcat *tensor.Mat) (dq, dk, dv *tensor.Mat) {
 	s := dConcat.Rows
 	dq = p.shared.Get(s, m.Hidden)

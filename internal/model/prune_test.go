@@ -88,7 +88,7 @@ func assertTargetRows(t *testing.T, name string, got, full *tensor.Mat, targets 
 // TestTargetsForwardMatchesFullForward is the differential test of pruned
 // inference: for random block-diagonal batches with and without self-loops
 // (empty pattern rows, isolated targets), duplicated and unsorted targets,
-// 1–4 layers, SPD bias on and off, BF16 on and off and 1 or 3 head slots,
+// 1–4 layers, SPD bias on and off, BF16 on and off and heads on 1 or 3 goroutines,
 // Forward with Targets returns exactly the full forward's target rows, by
 // Float32bits, while attending fewer pairs. Each model serves two batches of
 // different sizes, so the reused schedule buffers are exercised too.
@@ -104,7 +104,7 @@ func TestTargetsForwardMatchesFullForward(t *testing.T) {
 						cfg := GraphormerSlim(5, 3, int64(layers))
 						cfg.Layers, cfg.Hidden, cfg.Heads, cfg.UseSPDBias = layers, 16, 4, bias
 						m := NewGraphTransformer(cfg)
-						m.SetPlan(slotRuntime(workers))
+						prev := tensor.SetWorkers(workers)
 						for rep := 0; rep < 2; rep++ {
 							in, spec, targets := targetBatch(rng, 5, loops, bias)
 							spec.BF16 = bf16
@@ -120,6 +120,7 @@ func TestTargetsForwardMatchesFullForward(t *testing.T) {
 								pruned++
 							}
 						}
+						tensor.SetWorkers(prev)
 					}
 				}
 			}
@@ -175,6 +176,10 @@ func TestTargetsGatherOnlyUnderOtherModes(t *testing.T) {
 	}
 	m.SetPlan(NewSeqParallel(2, ExecOptions{PoolEnabled: true}))
 	check("sparse under seqpar-2", sp)
+	// A one-rank SeqParallel runs the pruned schedule: its rank takes every
+	// key row though the queries are fewer.
+	m.SetPlan(NewSeqParallel(1, ExecOptions{PoolEnabled: true}))
+	check("sparse under seqpar-1", sp)
 }
 
 // TestTargetsRejected: Targets are an inference input of the node form — a

@@ -2,6 +2,7 @@ package model
 
 import (
 	"fmt"
+	"sync"
 
 	"torchgt/internal/dist/transport"
 	"torchgt/internal/tensor"
@@ -28,10 +29,12 @@ func shardRows(p, rank, s int) (lo, hi int) {
 // differ only in the transport under the all-to-all's Group: the in-process
 // mesh for SeqParallel, the job's transport for DistSeqParallel.
 //
-// Resharding only moves values, the kernels see exactly the full-sequence
-// per-head inputs the serial engine builds, and every assembly is a copy or
-// a zero-initialise-then-add into disjoint columns (0+x is never −0, so one
-// more 0+ changes nothing): the section is bitwise the serial one.
+// A group of one is the serial engine: there is nothing to reshard, and its
+// heads fan out over goroutines (eachHead). Resharding only moves values,
+// the kernels see exactly the full-sequence per-head inputs a group of one
+// builds, and every assembly is a copy or a zero-initialise-then-add into
+// disjoint columns (0+x is never −0, so one more 0+ changes nothing): the
+// section is bitwise the same at every group size.
 type ulysses struct {
 	p, rank int
 	// a2a sends parts[d] to rank d and returns the parts received, indexed
@@ -60,8 +63,12 @@ func (u *ulysses) headsPerRank(m *MHA) int {
 
 // toHeads reshards the rank's row shard (rows×W) to the full sequence
 // restricted to the rank's column block (S×W/P): one all-to-all moving each
-// destination rank's column block, then an in-order row assembly.
+// destination rank's column block, then an in-order row assembly. A group of
+// one already holds it.
 func (u *ulysses) toHeads(local *tensor.Mat, s int) *tensor.Mat {
+	if u.p == 1 {
+		return local
+	}
 	w := local.Cols / u.p
 	parts := make([]*tensor.Mat, u.p)
 	for d := range parts {
@@ -80,8 +87,12 @@ func (u *ulysses) toHeads(local *tensor.Mat, s int) *tensor.Mat {
 }
 
 // toRows is the inverse reshard: the rank's full-sequence column block (S×w)
-// back to its row shard across every rank's block (rows×w·P).
+// back to its row shard across every rank's block (rows×w·P); the identity
+// in a group of one.
 func (u *ulysses) toRows(headsLoc *tensor.Mat, s int) *tensor.Mat {
+	if u.p == 1 {
+		return headsLoc
+	}
 	parts := make([]*tensor.Mat, u.p)
 	for d := range parts {
 		lo, hi := shardRows(u.p, d, s)
@@ -102,13 +113,40 @@ func (u *ulysses) toRows(headsLoc *tensor.Mat, s int) *tensor.Mat {
 	return out
 }
 
+// eachHead runs body for each of the rank's hp heads. A group of one keeps
+// the single-process schedule: its heads fan out over tensor.Workers()
+// goroutines, head j on goroutine j mod w, all drawing scratch from the
+// rank's workspace. A rank of a larger group runs its heads in order, as one
+// GPU would. Heads read shared inputs and write disjoint columns and
+// bias-table entries, so either order gives the same bits.
+func (u *ulysses) eachHead(hp int, body func(j int)) {
+	w := min(tensor.Workers(), hp)
+	if u.p > 1 || w <= 1 {
+		for j := 0; j < hp; j++ {
+			body(j)
+		}
+		return
+	}
+	var wg sync.WaitGroup
+	for slot := 0; slot < w; slot++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := slot; j < hp; j += w {
+				body(j)
+			}
+		}()
+	}
+	wg.Wait()
+}
+
 // forward takes the rank's rows of q/k/v (rows×Hidden) to its rows of the
 // concatenated head outputs, leaving the kernels of the rank's heads on m.
 func (u *ulysses) forward(m *MHA, q, k, v *tensor.Mat, spec *AttentionSpec, s int) *tensor.Mat {
 	hp := u.headsPerRank(m)
 	qh, kh, vh := u.toHeads(q, s), u.toHeads(k, s), u.toHeads(v, s)
 	headsOut := u.ws.Get(s, hp*m.Dh)
-	for j := 0; j < hp; j++ {
+	u.eachHead(hp, func(j int) {
 		h := u.rank*hp + j
 		kr := m.newKernel(h, spec, s, u.ws)
 		m.kernels[h] = kr
@@ -117,7 +155,7 @@ func (u *ulysses) forward(m *MHA, q, k, v *tensor.Mat, spec *AttentionSpec, s in
 			colSlice(u.ws, kh, j*m.Dh, m.Dh),
 			colSlice(u.ws, vh, j*m.Dh, m.Dh))
 		addColSlice(headsOut, oh, j*m.Dh)
-	}
+	})
 	return u.toRows(headsOut, s)
 }
 
@@ -129,14 +167,15 @@ func (u *ulysses) backward(m *MHA, dConcat *tensor.Mat, s int) (dq, dk, dv *tens
 	dqh := u.ws.Get(s, hp*m.Dh)
 	dkh := u.ws.Get(s, hp*m.Dh)
 	dvh := u.ws.Get(s, hp*m.Dh)
-	for j := 0; j < hp; j++ {
+	u.eachHead(hp, func(j int) {
 		h := u.rank*hp + j
 		dqj, dkj, dvj := m.kernels[h].Backward(colSlice(u.ws, dch, j*m.Dh, m.Dh))
 		addColSlice(dqh, dqj, j*m.Dh)
 		addColSlice(dkh, dkj, j*m.Dh)
 		addColSlice(dvh, dvj, j*m.Dh)
+		// Every entry touched is ≡ h (mod Heads): heads write disjoint ones.
 		m.AccumBiasGrads(h, m.kernels[h], m.spec)
-	}
+	})
 	return u.toRows(dqh, s), u.toRows(dkh, s), u.toRows(dvh, s)
 }
 

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"slices"
 
+	"torchgt/internal/dist/transport"
 	"torchgt/internal/nn"
 	"torchgt/internal/tensor"
 )
@@ -37,11 +38,11 @@ type GraphTransformer struct {
 	sched rowSchedule // the receptive field of the last pruned Targets forward
 }
 
-// SetPlan swaps the execution plan — serial or head-parallel (*Runtime), or
-// sequence-parallel (*SeqParallel) — for the model and all of its blocks. A
-// nil plan reverts to sequential, unpooled execution.
+// SetPlan swaps the execution plan — a DistSeqParallel group (of one: the
+// serial engine every model starts with) or the in-process SeqParallel —
+// for the model and all of its blocks. p must not be nil.
 func (g *GraphTransformer) SetPlan(p Plan) {
-	g.plan = normPlan(p)
+	g.plan = p
 	for _, b := range g.Blocks {
 		b.SetPlan(p)
 	}
@@ -61,7 +62,7 @@ func (g *GraphTransformer) SetPlan(p Plan) {
 }
 
 // Plan reports the model's execution plan.
-func (g *GraphTransformer) Plan() Plan { return normPlan(g.plan) }
+func (g *GraphTransformer) Plan() Plan { return g.plan }
 
 // Inputs carries per-step input tensors alongside features.
 type Inputs struct {
@@ -84,7 +85,7 @@ type Inputs struct {
 	// Targets, when non-nil, are the sequence rows whose logits the caller
 	// reads (node form, inference only): Forward then returns
 	// len(Targets)×OutDim in Targets order, duplicates and any order allowed.
-	// Under a ModeSparse spec on a single-process plan it computes, layer by
+	// Under a ModeSparse spec on a one-rank plan it computes, layer by
 	// layer, only the rows a target depends on (rowSchedule), with the bits
 	// the full forward gives them; other modes and plans compute every row
 	// and gather the targets at the end.
@@ -119,7 +120,12 @@ func NewGraphTransformer(cfg Config) *GraphTransformer {
 	gt.FinalLN = nn.NewLayerNorm(cfg.Name+".lnf", cfg.Hidden)
 	gt.Head = nn.NewLinear(cfg.Name+".head", cfg.Hidden, cfg.OutDim, true, rng)
 	gt.InDrop = nn.NewDropout(cfg.Dropout, rng.Int63())
-	gt.SetPlan(DefaultRuntime())
+	// The serial engine: a sequence-parallel group of one.
+	plan, err := NewDistSeqParallel(transport.NewMem(1)[0], 1, ExecOptions{PoolEnabled: true})
+	if err != nil {
+		panic(err) // a world of one is one replica
+	}
+	gt.SetPlan(plan)
 	return gt
 }
 
@@ -278,11 +284,11 @@ func (g *GraphTransformer) Forward(in *Inputs, spec *AttentionSpec, train bool) 
 		b.Drop2.SetWindow(g.rowLo, winRows)
 	}
 	h := g.embed(in, train)
-	ws := plan.workspace(0)
+	ws := plan.workspace()
 	var sched *rowSchedule
-	// The sequence-parallel plans reshard q, k and v by the same row ranges,
-	// so only the single-process plan runs a pruned schedule.
-	if _, serial := plan.(*Runtime); serial && len(in.Targets) > 0 && spec.Mode == ModeSparse {
+	// Ranks of a larger group reshard q, k and v by the same row ranges, so
+	// only a one-rank plan runs a pruned schedule.
+	if plan.Ranks() == 1 && len(in.Targets) > 0 && spec.Mode == ModeSparse {
 		if err := spec.Validate(h.Rows); err != nil {
 			panic(err)
 		}

@@ -12,8 +12,8 @@ package nn
 // (a sum of per-rank partials would be deterministic, but a different
 // rounding sequence).
 //
-// A layer with no chain installed — every single-process plan — reduces its
-// whole input in place, as it always did.
+// A layer with no chain installed — a group of one, or the in-process
+// sequence-parallel plan — reduces its whole input in place.
 type GradChain interface {
 	// Continue overwrites run with the running value of the rank that holds
 	// the preceding rows. On the first rank it leaves run as it is.

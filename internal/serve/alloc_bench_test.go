@@ -19,7 +19,7 @@ import (
 
 // benchServer builds a one-worker engine (maxBatch 0 keeps the default) and
 // warms it with one PredictBatch of batch nodes. Callers pin tensor workers
-// to 1 first, so each replica's runtime runs its heads on one slot.
+// to 1 first, so each replica's plan runs its heads in order.
 func benchServer(b *testing.B, batch, maxBatch int) (*Server, []int32) {
 	b.Helper()
 	ds := testDataset(256, 41)

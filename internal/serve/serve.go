@@ -1,8 +1,8 @@
 // Package serve is the batched inference subsystem: it takes a frozen model
 // snapshot (extracted from a training run) and fronts grad-free forward
 // passes with a request queue and a dynamic micro-batching scheduler, backed
-// by a fixed pool of replica workers that each own a model.Runtime with
-// pooled workspaces.
+// by a fixed pool of replica workers that each own a model on its own
+// one-rank plan with pooled workspaces.
 //
 // The scheduler is work-conserving: a request waits for company only while a
 // forward is running. Pending requests flush as one batch on the first of
@@ -54,8 +54,9 @@ func (e *SourceError) Unwrap() error { return e.Err }
 type Options struct {
 	// Workers is the number of replica workers executing batches
 	// concurrently (default min(4, NumCPU)). Each worker owns an
-	// independent copy of the weights plus its own Runtime, so workers
-	// never contend on model state.
+	// independent copy of the weights on its own one-rank plan, so workers
+	// never contend on model state; within a forward, a replica fans its
+	// heads out over tensor.Workers() goroutines.
 	Workers int
 	// MaxBatch flushes the queue when this many requests are pending
 	// (default 16).
@@ -240,7 +241,7 @@ func newServer(snap *Snapshot, src graph.NodeSource, opts Options, cache *EgoCac
 
 	// Replica 0 decodes the frozen blob; further replicas copy its weights
 	// directly (model.CopyWeightsFrom), skipping repeated checkpoint decode.
-	// Each keeps the pooled runtime NewGraphTransformer attached.
+	// Each keeps the pooled one-rank plan NewGraphTransformer attached.
 	replicas := make([]*model.GraphTransformer, opts.Workers)
 	first, err := snap.Materialize()
 	if err != nil {

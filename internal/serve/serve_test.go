@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -13,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"torchgt/internal/dist/transport"
 	"torchgt/internal/graph"
 	"torchgt/internal/model"
 	"torchgt/internal/tensor"
@@ -90,45 +92,120 @@ func checkResponses(t *testing.T, rs []Response) {
 	}
 }
 
-// slotServer builds a server whose replicas fan heads over n slots: a
-// model's runtime takes its slot count from tensor.Workers() when it is
-// built.
-func slotServer(t testing.TB, n int, snap *Snapshot, ds *graph.NodeDataset, opts Options) *Server {
-	prev := tensor.SetWorkers(n)
-	defer tensor.SetWorkers(prev)
-	return mustServer(t, snap, ds, opts)
+// predictOn serves batch with the heads of every forward fanned out over n
+// goroutines.
+func predictOn(n int, s *Server, batch []int32) []Response {
+	defer tensor.SetWorkers(tensor.SetWorkers(n))
+	return s.PredictBatch(batch)
+}
+
+// planLogits runs built, the batch the server would execute, on replicas
+// materialised from snap under each plan a model can run on, and returns
+// the logits each gives the batch's requests, one row per request: the
+// sequential reference first (a one-rank unpooled plan, heads in order),
+// then one-rank pooled plans fanning heads over 2 and 3 goroutines,
+// SeqParallel at P = 2, and two DistSeqParallel ranks over the in-process
+// transport, which run the full forward (a row-sharded plan takes no
+// targets) and read the target rows out of it.
+func planLogits(t *testing.T, snap *Snapshot, built *builtBatch) map[string][][]float32 {
+	t.Helper()
+	oneRank := func(pooled bool) []model.Plan {
+		p, err := model.NewDistSeqParallel(transport.NewMem(1)[0], 1, model.ExecOptions{PoolEnabled: pooled})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return []model.Plan{p}
+	}
+	mem := transport.NewMem(2)
+	var dist []model.Plan
+	for _, tr := range mem {
+		p, err := model.NewDistSeqParallel(tr, 1, model.ExecOptions{PoolEnabled: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		dist = append(dist, p)
+	}
+	full := *built.in
+	full.Targets = nil
+	out := map[string][][]float32{}
+	for _, e := range []struct {
+		name    string
+		workers int
+		plans   []model.Plan
+	}{
+		{"sequential", 1, oneRank(false)},
+		{"one-rank/workers=2", 2, oneRank(true)},
+		{"one-rank/workers=3", 3, oneRank(true)},
+		{"seqpar/P=2", 0, []model.Plan{model.NewSeqParallel(2, model.ExecOptions{PoolEnabled: true})}},
+		{"dist-mem/P=2", 0, dist},
+	} {
+		prev := tensor.Workers()
+		if e.workers > 0 {
+			tensor.SetWorkers(e.workers)
+		}
+		logits := make([]*tensor.Mat, len(e.plans))
+		var wg sync.WaitGroup
+		for r, p := range e.plans {
+			m, err := snap.Materialize()
+			if err != nil {
+				t.Fatal(err)
+			}
+			m.SetPlan(p)
+			in := built.in
+			if len(e.plans) > 1 {
+				in = &full
+			}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				logits[r] = m.Forward(in, built.spec, false)
+			}()
+		}
+		wg.Wait()
+		tensor.SetWorkers(prev)
+		for r, l := range logits {
+			rows := make([][]float32, len(built.in.Targets))
+			for i, tg := range built.in.Targets {
+				if len(e.plans) > 1 {
+					rows[i] = l.Row(int(tg))
+				} else {
+					rows[i] = l.Row(i)
+				}
+			}
+			out[fmt.Sprintf("%s rank %d", e.name, r)] = rows
+		}
+	}
+	return out
 }
 
 // TestDeterministicAcrossWorkersAndRuns pins the acceptance criterion: a
 // fixed batch produces bitwise-equal outputs across repeated runs, across
-// engines with different worker counts and head slots, and against the nil
-// plan (sequential heads, no pooling).
+// servers with different replica counts and head goroutines, and against
+// the same batch run under every plan (planLogits).
 func TestDeterministicAcrossWorkersAndRuns(t *testing.T) {
 	ds := testDataset(192, 1)
 	snap := testSnapshot(t, ds, 2)
 	batch := []int32{0, 5, 17, 100, 191, 5}
 
-	seq := slotServer(t, 1, snap, ds, Options{Workers: 1})
-	par := slotServer(t, 4, snap, ds, Options{Workers: 3})
+	seq := mustServer(t, snap, ds, Options{Workers: 1})
+	par := mustServer(t, snap, ds, Options{Workers: 3})
 
-	a := seq.PredictBatch(batch)
+	a := predictOn(1, seq, batch)
 	checkResponses(t, a)
-	b := par.PredictBatch(batch)
-	c := seq.PredictBatch(batch) // repeat on a warm engine
-	ref, err := snap.Materialize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref.SetPlan(nil)
+	b := predictOn(4, par, batch)
+	c := predictOn(1, seq, batch) // repeat on a warm engine
 	built, err := seq.buildBatch(batch)
 	if err != nil {
 		t.Fatal(err)
 	}
-	logits := ref.Forward(built.in, built.spec, false)
-	for i := range batch {
-		if !bitsEqual(a[i].Probs, softmax(logits.Row(i))) {
-			t.Fatalf("node %d: outputs differ from the nil plan", batch[i])
+	for plan, rows := range planLogits(t, snap, built) {
+		for i := range batch {
+			if !bitsEqual(a[i].Probs, softmax(rows[i])) {
+				t.Fatalf("node %d: served outputs differ from %s", batch[i], plan)
+			}
 		}
+	}
+	for i := range batch {
 		if !bitsEqual(a[i].Probs, b[i].Probs) {
 			t.Fatalf("node %d: outputs differ across worker counts", batch[i])
 		}

@@ -58,9 +58,8 @@ func (s *slab) release() {
 // *Workspace is valid and falls back to plain heap allocation, so kernels
 // can be written unconditionally against a workspace.
 //
-// A Workspace is safe for concurrent use, but the intended pattern is one
-// workspace per worker goroutine (see model.Runtime), with Reset called
-// between steps by a single owner.
+// A Workspace is safe for concurrent use (a one-rank model plan's head
+// goroutines share one), with Reset called between steps by a single owner.
 type Workspace struct {
 	mu   sync.Mutex
 	held []*slab

@@ -89,8 +89,8 @@ func (c Config) withDefaults() Config {
 // applyExec attaches the configured execution plan to a freshly built model
 // — the single construction path used by every trainer. SeqParallel > 1
 // selects the sequence-parallel plan (per-rank workspaces, comm resharding
-// at attention boundaries); otherwise the model keeps its pooled
-// head-parallel Runtime.
+// at attention boundaries); otherwise the model keeps its pooled one-rank
+// plan.
 func (c Config) applyExec(m *model.GraphTransformer) {
 	if c.SeqParallel <= 1 {
 		return

@@ -11,7 +11,7 @@ import (
 // Snapshot, and a Server fronts grad-free forward passes with a request
 // queue plus a work-conserving micro-batching scheduler (flush at once when
 // no batch is in flight, else on batch size or latency deadline, whichever
-// first) over a fixed pool of Runtime-backed replica workers. See DESIGN.md
+// first) over a fixed pool of one-rank replica workers. See DESIGN.md
 // ("Serving") for the scheduler's trade-offs.
 type (
 	// Server is the batched inference engine over one dataset's graph.

@@ -112,7 +112,7 @@ func WithSeed(seed int64) SessionOption { return func(s *sessionSettings) { s.cf
 //
 // The model's head count must be divisible by p (NewSession reports an
 // error otherwise); the sequence length need not be. p ≤ 1 keeps the
-// single-device plan. Structural: recorded in checkpoints, fixed across
+// one-rank plan every model starts with. Structural: recorded in checkpoints, fixed across
 // ResumeSession.
 func WithSeqParallel(p int) SessionOption {
 	return func(s *sessionSettings) { s.cfg.SeqParallel = p }
@@ -294,8 +294,8 @@ func (s *Session) Model() *GraphTransformer { return s.loop.Model() }
 // CommBytes reports the collective-communication traffic of a parallel
 // session so far: all ranks' resharding all-to-alls for an in-process
 // sequence-parallel session, this rank's transport payload bytes (reshards,
-// gradient chain, logits gather) for a distributed one, 0 under the
-// single-device plan.
+// gradient chain, logits gather) for a distributed one, 0 for a serial one
+// (its plan is a group of one, which sends nothing).
 func (s *Session) CommBytes() int64 {
 	if sp := model.AsSeqParallel(s.loop.Model().Plan()); sp != nil {
 		return sp.Comm().TotalBytes()

@@ -9,6 +9,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"torchgt/internal/model"
 )
 
 func sessionNodeDS(t *testing.T, n int, seed int64) *NodeDataset {
@@ -291,6 +293,9 @@ func TestSessionSeqParallelPublic(t *testing.T) {
 		return s, res
 	}
 	serial, serialRes := run()
+	if dp := model.AsDistSeqParallel(serial.Model().Plan()); dp == nil || dp.Ranks() != 1 || dp.Transport().World() != 1 {
+		t.Fatalf("a serial session runs on %T, want a one-rank DistSeqParallel", serial.Model().Plan())
+	}
 	if serial.CommBytes() != 0 {
 		t.Fatal("serial session must report zero comm traffic")
 	}

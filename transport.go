@@ -14,8 +14,8 @@ import (
 // WithDistPlan for hybrid data-parallel × sequence-parallel layouts) and
 // every rank trains the same model on its own rows of the token sequence,
 // resharding to its own attention heads at each attention layer. The
-// trajectory is pinned bitwise-equal to the single-process plans at every
-// world size — see DESIGN.md "Cross-process execution".
+// trajectory is pinned bitwise-equal to a serial or in-process
+// sequence-parallel session at every world size — see DESIGN.md "Cross-process execution".
 type (
 	// Transport is point-to-point communication among the ranks of one
 	// job. Obtain one from Rendezvous (TCP, real processes) or MemCluster
